@@ -10,7 +10,7 @@ min-max optimizer.
 """
 
 from .mesh import Rect, Mesh, InterfacePairing, build_rect_mesh, pair_interface
-from .sparsela import SparseMatrix, Factorization, factorize, solve_many, factorization_count
+from .sparsela import SparseMatrix, Factorization, factorize, factorization_count
 from .robin_params import (
     FrequencyBand,
     SymbolState,
@@ -39,7 +39,7 @@ from .norms import error_norms, convergence_order
 
 __all__ = [
     "Rect", "Mesh", "InterfacePairing", "build_rect_mesh", "pair_interface",
-    "SparseMatrix", "Factorization", "factorize", "solve_many", "factorization_count",
+    "SparseMatrix", "Factorization", "factorize", "factorization_count",
     "FrequencyBand", "SymbolState", "convergence_factor", "frequency_band",
     "optimized_delta_d", "worst_case_rho", "symbol_iteration",
     "RandomFieldSpec", "Draw", "kl_eigenvalues", "evaluate_k", "draw_samples", "mc_expectation",

@@ -18,6 +18,7 @@ reference and the CSV schemas.
 
 import argparse
 import csv
+import hashlib
 import os
 import sys
 import time
@@ -78,7 +79,6 @@ class ScenarioConfig:
     compare_traditional: bool = False
     sweep_delta_s: tuple = (0.01, 0.1, 1.0, 10.0)
     sweep_points: int = 25
-    threads: int = 1
 
     def validate(self):
         if self.scenario not in SCENARIOS:
@@ -95,8 +95,6 @@ class ScenarioConfig:
             raise ConfigError("mesh sizes must be positive")
         if self.J < 1 or self.J0 < 1:
             raise ConfigError("sample counts must be >= 1")
-        if self.threads < 1:
-            raise ConfigError("threads must be >= 1")
         return self
 
 
@@ -118,7 +116,7 @@ def parse_config_text(text):
 
 _TUPLE_KEYS = {"h_list": float, "k_list": float, "J_list": int, "sweep_delta_s": float}
 _BOOL_KEYS = {"allow_nonconverged", "per_sample_stop", "dump_draws", "compare_traditional"}
-_INT_KEYS = {"max_iters", "J", "J0", "seed", "field_nf", "sweep_points", "threads"}
+_INT_KEYS = {"max_iters", "J", "J0", "seed", "field_nf", "sweep_points"}
 _STR_KEYS = {"scenario", "robin_mode", "out"}
 
 
@@ -303,8 +301,7 @@ def run_manufactured(cfg, iteration_log=None):
                               tol=cfg.tol, max_iters=cfg.max_iters)
         bc = manufactured_bc(exacts, pin_pressure=(cfg.scenario == "small_k"))
         report = run_ensemble_ddm(ctx, mesh_s, mesh_d, pairing, bc,
-                                  per_sample_stop=cfg.per_sample_stop,
-                                  threads=cfg.threads)
+                                  per_sample_stop=cfg.per_sample_stop)
         rows.extend(_result_rows(cfg, h, report, exacts, report.space_s, report.space_d))
         reports[h] = (report, ctx, bc, exacts)
         if iteration_log is not None:
@@ -313,6 +310,15 @@ def run_manufactured(cfg, iteration_log=None):
                     iteration_log.append(dict(scenario=cfg.scenario, h=repr(h), j=j,
                                               iter=it, stopping_norm=repr(norm)))
     return rows, reports
+
+
+def mc_reference_key(cfg, delta_d):
+    """Short hash of every input besides seed, mesh and J0 that changes the
+    Monte Carlo reference, so a changed config never reuses a stale file."""
+    inputs = (cfg.field_a0, cfg.field_sigma, cfg.field_lc, cfg.field_nf,
+              cfg.field_scale, cfg.alpha, cfg.nu, cfg.g, cfg.z, cfg.delta_s,
+              delta_d, cfg.tol, cfg.max_iters, cfg.per_sample_stop)
+    return hashlib.sha256(repr(inputs).encode()).hexdigest()[:12]
 
 
 def run_channel_mc(cfg):
@@ -328,15 +334,15 @@ def run_channel_mc(cfg):
                               delta_s=cfg.delta_s, delta_d=delta_d,
                               tol=cfg.tol, max_iters=cfg.max_iters)
         report = run_ensemble_ddm(ctx, mesh_s, mesh_d, pairing, bc,
-                                  per_sample_stop=cfg.per_sample_stop,
-                                  threads=cfg.threads)
+                                  per_sample_stop=cfg.per_sample_stop)
         eu_s = mc_expectation(list(report.us))
         eu_d = mc_expectation(list(report.ud))
         return eu_s, eu_d, report, draws
 
     os.makedirs(cfg.out, exist_ok=True)
     n = max(1, round(1 / h))
-    ref_path = os.path.join(cfg.out, f"mc_ref_seed{cfg.seed}_n{n}_J{cfg.J0}.npz")
+    ref_path = os.path.join(cfg.out, f"mc_ref_seed{cfg.seed}_n{n}_J{cfg.J0}_"
+                                     f"{mc_reference_key(cfg, delta_d)}.npz")
     if os.path.exists(ref_path):
         data = np.load(ref_path)
         ref_s, ref_d = data["eu_s"], data["eu_d"]
@@ -498,8 +504,6 @@ def main(argv=None):
         p.add_argument("--config", help="flat key = value config file")
         p.add_argument("--out", help="output directory")
         p.add_argument("--seed", type=int, help="random seed")
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker threads for per-sample assembly")
     args = parser.parse_args(argv)
 
     cfg = _SUBCOMMAND_DEFAULTS[args.command]
@@ -510,8 +514,6 @@ def main(argv=None):
         overrides["out"] = args.out
     if args.seed is not None:
         overrides["seed"] = args.seed
-    if args.threads != 1:
-        overrides["threads"] = args.threads
     if overrides:
         cfg = replace(cfg, **overrides).validate()
 

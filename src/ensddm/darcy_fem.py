@@ -11,7 +11,10 @@ piecewise constant, exactly.
 The subdomain matrix uses ensemble means only (mean inverse conductivity in
 the mass term, mean minimal eigenvalue in the grad-div term), so it is
 shared by all samples; per-sample deviations are lagged into the right-hand
-side as volume terms against the previous iterate.
+side as volume terms against the previous iterate.  Conductivity tensors
+are diagonal (see `fields`), so a sample's deviation is two weights per
+quadrature point, applied through the shared quadrature-evaluation and
+divergence operators of the space.
 
 As in the free-flow module, the stored saddle matrix carries the negated
 head so the matrix is symmetric; solve helpers restore the sign.
@@ -23,8 +26,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import quadrature
-from .sparsela import SparseMatrix, factorize
-from .stokes_fem import edge_mass
+from .sparsela import SparseMatrix, factorize, quadratic_form
+from .stokes_fem import interface_mass, trace_columns, trace_values
 
 
 class DarcySpace:
@@ -124,6 +127,19 @@ class DarcySpace:
         self.qpoints = quadrature.physical_points(mesh.verts, mesh.tris, bary)
         # phi[t, q, ldof, comp]
         self.phi = np.einsum("qm,tlmc->tqlc", bary, self.vertex_values)
+        nt, nq = mesh.n_tris, len(w)
+        # eval_op: velocity dofs -> both components at every quadrature
+        # point, row (t, q, c) in C order; quad_weight: w_q |T| per row
+        vals = self.phi.transpose(0, 1, 3, 2)
+        rows = np.broadcast_to(np.arange(nt * nq * 2).reshape(nt, nq, 2, 1), vals.shape)
+        cols = np.broadcast_to(self.elem_dofs[:, None, None, :], vals.shape)
+        self.eval_op = sp.csr_matrix((vals.ravel(), (rows.ravel(), cols.ravel())),
+                                     shape=(nt * nq * 2, self.n_velocity))
+        self.quad_weight = np.repeat((w[None, :] * mesh.tri_area[:, None]).ravel(), 2)
+        # div_op: velocity dofs -> the constant divergence on each triangle
+        self.div_op = sp.csr_matrix((self.div.ravel(),
+                                     (np.repeat(np.arange(nt), 6), self.elem_dofs.ravel())),
+                                    shape=(nt, self.n_velocity))
 
     def _velocity_mass(self):
         A = self.mesh.tri_area
@@ -133,9 +149,13 @@ class DarcySpace:
         return sp.csr_matrix((Mel.ravel(), (rows, cols)),
                              shape=(self.n_velocity, self.n_velocity))
 
+    def velocity_sq(self, vec):
+        """Squared L2 norm of the velocity part of a dof vector, or of each
+        column of an (n, k) block."""
+        return quadratic_form(self.velocity_mass, vec[:self.n_velocity])
+
     def velocity_l2(self, vec):
-        u = vec[:self.n_velocity]
-        return float(np.sqrt(u @ (self.velocity_mass @ u)))
+        return float(np.sqrt(self.velocity_sq(vec)))
 
     def elementwise_div(self, vec):
         """Exact per-triangle divergence of a velocity dof vector."""
@@ -152,38 +172,51 @@ def build_darcy_space(mesh, essential_tags=None, head_multiplier=False):
 
 class DarcyInterfaceInfo:
     """Darcy-side view of the interface pairing: x-ordered edge dofs, the
-    sign relating the global edge normal to the outward normal n_D, and the
-    element-sided tangential trace map."""
+    sign relating the global edge normal to the outward normal n_D, the
+    element-sided tangential trace map, and the sparse operators built from
+    them (row 2p+i is endpoint i of pair p):
+
+    normal      (2 n_pairs, n_velocity)  u -> u.n_D at the endpoints
+    tangential  (2 n_pairs, n_velocity)  u -> element-sided u.tau
+    load        (n_velocity, 2 n_pairs)  g_D -> -<g_D, v.n_D>, i.e. minus
+                                         the transposed normal trace times
+                                         the edge mass
+    """
 
     def __init__(self, space, pairing):
         mesh = space.mesh
         n_p = pairing.n_pairs
-        self.dofs_x = np.empty((n_p, 2), dtype=np.int64)
-        self.sign = np.empty(n_p)
-        self.tri = np.empty(n_p, dtype=np.int64)
-        self.tau_mat = np.empty((n_p, 2, 6))
-        self.loc_dofs = np.empty((n_p, 6), dtype=np.int64)
-        n_d = pairing.n_d
-        for p in range(n_p):
-            e = pairing.pairs[p, 1]
-            a, b = mesh.edges[e]
-            nA, nB = pairing.nodes_d[p]
-            self.dofs_x[p] = (2 * e, 2 * e + 1) if a == nA else (2 * e + 1, 2 * e)
-            self.sign[p] = float(space.edge_normal[e] @ n_d)
-            t = mesh.edge_tris[e, 0]
-            self.tri[p] = t
-            self.loc_dofs[p] = space.elem_dofs[t]
-            for i, node in enumerate((nA, nB)):
-                m = int(np.where(mesh.tris[t] == node)[0][0])
-                self.tau_mat[p, i] = space.vertex_values[t, :, m, :] @ pairing.tau
+        e = pairing.pairs[:, 1]
+        lower_first = mesh.edges[e, 0] == pairing.nodes_d[:, 0]
+        self.dofs_x = 2 * e[:, None] + np.where(lower_first[:, None], [0, 1], [1, 0])
+        self.sign = space.edge_normal[e] @ pairing.n_d
+        self.tri = mesh.edge_tris[e, 0]
+        self.loc_dofs = space.elem_dofs[self.tri]
+        # local vertex of each x-ordered endpoint in the adjacent triangle
+        m = np.argmax(mesh.tris[self.tri][:, None, :] == pairing.nodes_d[:, :, None], axis=2)
+        self.tau_mat = space.vertex_values[self.tri[:, None], :, m, :] @ pairing.tau
+        self.n_velocity = space.n_velocity
+        self.n_pairs = n_p
+
+        n2 = 2 * n_p
+        shape = (n2, space.n_velocity)
+        self.normal = sp.csr_matrix((np.repeat(self.sign, 2),
+                                     (np.arange(n2), self.dofs_x.ravel())), shape=shape)
+        self.tangential = sp.csr_matrix(
+            (self.tau_mat.ravel(),
+             (np.repeat(np.arange(n2), 6), np.repeat(self.loc_dofs, 2, axis=0).ravel())),
+            shape=shape)
+        self.load = -(self.normal.T @ interface_mass(pairing)).tocsr()
 
     def normal_trace(self, vec):
-        """u . n_D at the x-sorted endpoints of every pair, (n_pairs, 2)."""
-        return self.sign[:, None] * vec[self.dofs_x]
+        """u . n_D at the x-sorted endpoints of every pair: (n_pairs, 2) for
+        a dof vector, (k, n_pairs, 2) for an (n_dofs, k) block."""
+        return trace_values(self.normal @ vec[:self.n_velocity], self.n_pairs)
 
     def tangential_trace(self, vec):
-        """Element-sided u . tau at the x-sorted endpoints, (n_pairs, 2)."""
-        return np.einsum("pil,pl->pi", self.tau_mat, vec[self.loc_dofs])
+        """Element-sided u . tau at the x-sorted endpoints, shaped as
+        normal_trace."""
+        return trace_values(self.tangential @ vec[:self.n_velocity], self.n_pairs)
 
 
 class DarcyOperator:
@@ -209,11 +242,11 @@ class DarcyOperator:
     def reduce_rhs(self, rhs_full, lift_vec=None):
         b = rhs_full[self.space.free]
         if lift_vec is not None:
-            b = b - lift_vec
+            b -= lift_vec
         return b
 
     def expand(self, x_free, essential_values=None):
-        full = np.zeros(self.space.n_dofs)
+        full = np.zeros((self.space.n_dofs,) + x_free.shape[1:], order="F")
         if essential_values is not None:
             full[self.space.fixed] = essential_values[self.space.fixed]
         full[self.space.free] = x_free
@@ -273,12 +306,8 @@ def assemble_darcy_operator(space, g, kbar, kbar_min, delta_d, pairing):
     builder.add(cols, rows, Bel.ravel())
 
     iface = DarcyInterfaceInfo(space, pairing)
-    for p in range(pairing.n_pairs):
-        Me = edge_mass(pairing.lengths[p])
-        d = iface.dofs_x[p]
-        rows = np.repeat(d, 2)
-        cols = np.tile(d, 2)
-        builder.add(rows, cols, delta_d * Me.ravel())
+    robin = (iface.normal.T @ (delta_d * interface_mass(pairing)) @ iface.normal).tocoo()
+    builder.add(robin.row, robin.col, robin.data)
 
     if space.head_multiplier:
         mdof = space.n_dofs - 1
@@ -302,13 +331,10 @@ def assemble_darcy_volume_rhs(space, f_D, k_min, g):
 
 
 def add_darcy_interface_rhs(rhs, iface, pairing, g_D):
-    """Accumulate -<g_D, v.n_D> for per-pair linear traces (n_pairs, 2)."""
-    for p in range(pairing.n_pairs):
-        Me = edge_mass(pairing.lengths[p])
-        v = Me @ g_D[p]
-        d = iface.dofs_x[p]
-        rhs[d[0]] -= iface.sign[p] * v[0]
-        rhs[d[1]] -= iface.sign[p] * v[1]
+    """Accumulate -<g_D, v.n_D> for per-pair linear traces: (n_pairs, 2)
+    into a vector, or (k, n_pairs, 2) into the columns of an (n_dofs, k)
+    block."""
+    rhs[:iface.n_velocity] += iface.load @ trace_columns(g_D)
     return rhs
 
 
@@ -322,42 +348,55 @@ def add_darcy_natural_head_rhs(rhs, space, tags, head_fn, g):
     from .quadrature import EDGE_GAUSS_PTS, EDGE_GAUSS_W
 
     mesh = space.mesh
-    edges = np.concatenate([mesh.boundary_edges(t) for t in tags]) if tags else []
-    for e in edges:
-        a, b = mesh.edges[e]
-        pa, pb = mesh.verts[a], mesh.verts[b]
-        t = mesh.edge_tris[e, 0]
-        centroid = mesh.verts[mesh.tris[t]].mean(axis=0)
-        mid = 0.5 * (pa + pb)
-        s_out = np.sign((mid - centroid) @ space.edge_normal[e])
-        pts = pa[None, :] + EDGE_GAUSS_PTS[:, None] * (pb - pa)[None, :]
-        head = np.asarray(head_fn(pts))
-        ell = mesh.edge_length[e]
-        # linear normal-trace basis on the edge: (1 - s) at a, s at b
-        w0 = ell * np.sum(EDGE_GAUSS_W * head * (1.0 - EDGE_GAUSS_PTS))
-        w1 = ell * np.sum(EDGE_GAUSS_W * head * EDGE_GAUSS_PTS)
-        rhs[2 * e] -= g * s_out * w0
-        rhs[2 * e + 1] -= g * s_out * w1
+    if not tags:
+        return rhs
+    edges = np.concatenate([mesh.boundary_edges(t) for t in tags])
+    pa, pb = mesh.verts[mesh.edges[edges, 0]], mesh.verts[mesh.edges[edges, 1]]
+    centroid = mesh.verts[mesh.tris[mesh.edge_tris[edges, 0]]].mean(axis=1)
+    s_out = np.sign(np.einsum("ec,ec->e", 0.5 * (pa + pb) - centroid, space.edge_normal[edges]))
+    pts = pa[:, None, :] + EDGE_GAUSS_PTS[None, :, None] * (pb - pa)[:, None, :]
+    head = np.asarray(head_fn(pts.reshape(-1, 2))).reshape(len(edges), -1)
+    ell = mesh.edge_length[edges]
+    # linear normal-trace basis on the edge: (1 - s) at a, s at b
+    w0 = ell * (EDGE_GAUSS_W * head * (1.0 - EDGE_GAUSS_PTS)).sum(axis=1)
+    w1 = ell * (EDGE_GAUSS_W * head * EDGE_GAUSS_PTS).sum(axis=1)
+    rhs[2 * edges] -= g * s_out * w0
+    rhs[2 * edges + 1] -= g * s_out * w1
     return rhs
+
+
+def inverse_diagonal(space, coeff):
+    """Diagonal of coeff's inverse tensor at the quadrature points, one
+    value per row (t, q, c) of space.eval_op."""
+    i11, i22 = coeff.inv_diag(space.qpoints[:, :, 1].ravel())
+    return np.column_stack([i11, i22]).ravel()
 
 
 def add_darcy_lag_rhs(rhs, space, dW, dk_min, u_prev, g):
     """Accumulate the lagged sample-deviation volume terms against the
-    previous iterate: g (dW u_prev, v) + g dk_min (div u_prev, div v).
+    previous iterate: g (dW u_prev, v) + g dk_min (div u_prev, div v),
+    i.e. P^T (g w dW * P u) + D^T (g |T| dk_min * D u) with P the
+    quadrature-evaluation operator, w the quadrature weights and D the
+    divergence operator of the space.
 
-    dW is the deviation weight tensor at the quadrature points,
-    (nt, nq, 2, 2), and dk_min the matching grad-div weight; with the
-    mean-minus-sample orientation the stationary iterate solves the
+    dW is the diagonal of the deviation tensor per row of P (see
+    inverse_diagonal) and dk_min the matching grad-div weight; for a block
+    of k samples u_prev is (n, k), dW (rows of P, k) and dk_min (k,).  With
+    the mean-minus-sample orientation the stationary iterate solves the
     per-sample equations.
     """
-    A = space.mesh.tri_area
-    coeffs = u_prev[space.elem_dofs]                       # (nt, 6)
-    uq = np.einsum("tqlc,tl->tqc", space.phi, coeffs)      # (nt, nq, 2)
-    Wu = np.einsum("tqcd,tqd->tqc", dW, uq)
-    vol = g * np.einsum("q,tqc,tqlc->tl", space.qw, Wu, space.phi) * A[:, None]
-    div_prev = np.einsum("tl,tl->t", space.div, coeffs)
-    vol += g * dk_min * (div_prev * A)[:, None] * space.div
-    np.add.at(rhs, space.elem_dofs, vol)
+    nv = space.n_velocity
+    u = u_prev[:nv]
+    col = (slice(None),) + (None,) * (u.ndim - 1)
+    pu = space.eval_op @ u
+    pu *= dW
+    pu *= (g * space.quad_weight)[col]
+    lag = space.eval_op.T @ pu
+    del pu
+    du = space.div_op @ u
+    du *= np.multiply.outer(g * space.mesh.tri_area, dk_min)
+    lag += space.div_op.T @ du
+    rhs[:nv] += lag
     return rhs
 
 
@@ -371,10 +410,7 @@ def assemble_darcy_rhs(space, j, ctx, state, iface=None):
     if iface is None:
         iface = DarcyInterfaceInfo(space, state.pairing)
     add_darcy_interface_rhs(rhs, iface, state.pairing, state.g_D[j])
-    pts = space.qpoints.reshape(-1, 2)
-    nq = len(space.qw)
-    dW = (ctx.kbar_field.inv_tensor(pts) - sample.K.inv_tensor(pts)).reshape(
-        space.mesh.n_tris, nq, 2, 2)
+    dW = inverse_diagonal(space, ctx.kbar_field) - inverse_diagonal(space, sample.K)
     add_darcy_lag_rhs(rhs, space, dW, ctx.kbar_min - sample.k_min,
                       state.ud_prev[j], ctx.g)
     return rhs

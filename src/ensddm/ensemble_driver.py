@@ -1,7 +1,8 @@
 """The full ensemble iteration: build and factorize the two subdomain
-matrices once, then per iteration assemble one right-hand side per sample,
-solve all samples against the shared factorizations, and apply the Robin
-trace updates.
+matrices once, then per iteration assemble the right-hand sides of all
+active samples as the columns of one block per subdomain, solve each block
+in one call against the shared factorization, and apply the Robin trace
+updates to all of them at once.
 
 A traditional (per-sample) variant runs the identical iteration with one
 operator pair per sample; with J = 1 both variants follow the same code
@@ -10,21 +11,20 @@ path, so their iterates coincide bitwise.
 
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .fields import MeanInverseField
-from .sparsela import SparseMatrix, solve_many, factorization_count
+from .sparsela import SparseMatrix, factorization_count
 from .stokes_fem import (build_stokes_space, assemble_stokes_operator,
                          assemble_stokes_volume_rhs, add_interface_rhs,
-                         deformation_element_matrices, div_element_matrices,
-                         edge_mass)
+                         interface_traces, deformation_element_matrices,
+                         div_element_matrices, edge_mass)
 from .darcy_fem import (build_darcy_space, assemble_darcy_operator,
                         assemble_darcy_volume_rhs, add_darcy_interface_rhs,
                         add_darcy_natural_head_rhs, add_darcy_lag_rhs,
-                        mass_divdiv_elements, DarcyInterfaceInfo)
+                        inverse_diagonal, mass_divdiv_elements, DarcyInterfaceInfo)
 from .interface_state import init_state, update_robin, stopping_norm
 
 
@@ -100,6 +100,11 @@ class EnsembleContext:
     @property
     def J(self):
         return len(self.samples)
+
+    @property
+    def xi(self):
+        """(J,) per-sample slip coefficients."""
+        return np.array([s.xi for s in self.samples])
 
 
 def make_context(samples, nu=1.0, g=1.0, z=0.0, alpha=1.0,
@@ -177,7 +182,13 @@ class BoundaryConditions:
 @dataclass
 class SolveReport:
     """Everything a caller needs after a run: per-sample solutions, the
-    iteration record, and the wall-time split."""
+    iteration record, and the wall-time split.
+
+    t_solve is the wall time of the iteration loop; t_rhs, t_trisolve,
+    t_trace and t_norm are its phases (right-hand sides, block solves with
+    the scatter to full dof vectors, trace updates, stopping norms and
+    convergence bookkeeping), and their sum stays below t_solve.
+    """
 
     us: np.ndarray               # (J, n_stokes_dofs), physical pressure sign
     ud: np.ndarray               # (J, n_darcy_dofs), physical head sign
@@ -188,6 +199,10 @@ class SolveReport:
     t_assembly: float
     t_factor: float
     t_solve: float
+    t_rhs: float
+    t_trisolve: float
+    t_trace: float
+    t_norm: float
     n_factorizations: int
     space_s: object = None
     space_d: object = None
@@ -222,27 +237,27 @@ def darcy_essential_vector(space, data_fn):
     return vec
 
 
-def _stokes_traces(space, pairing, full):
-    """(u.n_S, u.tau) endpoint values per pair from the nodal velocity."""
-    nodes = pairing.nodes_s
-    ux = full[nodes]
-    uy = full[space.n_comp + nodes]
-    n, tau = pairing.n_s, pairing.tau
-    return n[0] * ux + n[1] * uy, tau[0] * ux + tau[1] * uy
+def _columns(vectors, J):
+    """The J vectors yielded, one per sample, as the columns of an (n, J)
+    block."""
+    block = None
+    for j, vec in enumerate(vectors):
+        if block is None:
+            block = np.empty((len(vec), J))
+        block[:, j] = vec
+    return block
 
 
 def run_ensemble_ddm(ctx, mesh_s, mesh_d, pairing, bc,
-                     per_sample_stop=False, record_history=True, threads=1):
+                     per_sample_stop=False, record_history=True):
     """Run the shared-matrix iteration for all samples of `ctx`.
 
-    Exactly two factorizations happen per call (one per subdomain); each
-    iteration assembles one Stokes and one Darcy right-hand side per sample
-    and solves them against the shared factors.  The iteration stops when
-    every sample's velocity-increment norm falls below ctx.tol (with
-    `per_sample_stop`, converged samples are frozen and skipped).
-
-    `threads` > 1 parallelizes the per-sample right-hand-side assembly;
-    samples are independent, so results do not depend on the worker count.
+    Exactly two factorizations happen per call (one per subdomain).  Sample
+    j is column j of every (n_dofs, J) block, so each iteration assembles
+    the right-hand sides of all active samples together and makes one
+    block solve per subdomain.  The iteration stops when every sample's
+    velocity-increment norm falls below ctx.tol; with `per_sample_stop`,
+    converged samples are frozen and only the other columns are solved.
     """
     nfact0 = factorization_count()
     t0 = time.perf_counter()
@@ -256,101 +271,122 @@ def run_ensemble_ddm(ctx, mesh_s, mesh_d, pairing, bc,
     t_factor = op_s.factor_seconds + op_d.factor_seconds
 
     J = ctx.J
-    dir_s, lift_s, vol_s = [], [], []
-    dir_d, lift_d, vol_d = [], [], []
-    dW, dk = [], []
-    pts_d = space_d.qpoints.reshape(-1, 2)
-    nq = len(space_d.qw)
-    kbar_W = ctx.kbar_field.inv_tensor(pts_d)
-    for j, s in enumerate(ctx.samples):
-        gs = stokes_dirichlet_vector(space_s, None if bc.stokes_values is None
-                                     else (lambda p, _j=j: bc.stokes_values(_j, p)))
-        gd = darcy_essential_vector(space_d, None if bc.darcy_values is None
-                                    else (lambda p, _j=j: bc.darcy_values(_j, p)))
-        dir_s.append(gs)
-        dir_d.append(gd)
-        lift_s.append(op_s.lift(gs))
-        lift_d.append(op_d.lift(gd))
-        vol_s.append(assemble_stokes_volume_rhs(space_s, s.f_S))
+
+    def sample_fn(fn, j):
+        return None if fn is None else (lambda p: fn(j, p))
+
+    def darcy_volume(j, s):
         vd = assemble_darcy_volume_rhs(space_d, s.f_D, s.k_min, ctx.g)
         if bc.darcy_natural_head is not None and bc.darcy_natural_tags:
             add_darcy_natural_head_rhs(vd, space_d, bc.darcy_natural_tags,
-                                       (lambda p, _j=j: bc.darcy_natural_head(_j, p)),
-                                       ctx.g)
-        vol_d.append(vd)
-        # deviation weights of the lagged correction, mean minus sample: the
-        # stationary state then solves the per-sample equations exactly
-        # (mirrors the slip-coefficient lag on the free-flow side)
-        dW.append((kbar_W - s.K.inv_tensor(pts_d)).reshape(mesh_d.n_tris, nq, 2, 2))
-        dk.append(ctx.kbar_min - s.k_min)
+                                       sample_fn(bc.darcy_natural_head, j), ctx.g)
+        return vd
+
+    # the iteration-independent part of every sample's right-hand side
+    # (forcing plus natural data minus the boundary lift), and the boundary
+    # values of the fixed rows
+    dir_s = _columns((stokes_dirichlet_vector(space_s, sample_fn(bc.stokes_values, j))
+                      for j in range(J)), J)
+    base_s = _columns((assemble_stokes_volume_rhs(space_s, s.f_S) for s in ctx.samples), J)
+    base_s[space_s.free] -= op_s.lift(dir_s)
+    fixed_s = dir_s[space_s.fixed]
+    dir_d = _columns((darcy_essential_vector(space_d, sample_fn(bc.darcy_values, j))
+                      for j in range(J)), J)
+    base_d = _columns((darcy_volume(j, s) for j, s in enumerate(ctx.samples)), J)
+    base_d[space_d.free] -= op_d.lift(dir_d)
+    fixed_d = dir_d[space_d.fixed]
+    del dir_s, dir_d
+    # deviation weights of the lagged correction, mean minus sample: the
+    # stationary state then solves the per-sample equations exactly
+    # (mirrors the slip-coefficient lag on the free-flow side)
+    kbar_w = inverse_diagonal(space_d, ctx.kbar_field)
+    dW = _columns((kbar_w - inverse_diagonal(space_d, s.K) for s in ctx.samples), J)
+    dk = ctx.kbar_min - np.array([s.k_min for s in ctx.samples])
+    xi_lag = ctx.xi_bar - ctx.xi
     t_assembly = time.perf_counter() - t0 - t_factor
 
     state = init_state(ctx, pairing, n_darcy_vel=space_d.n_velocity)
     iface = op_d.iface
-    us_prev = [np.zeros(space_s.n_dofs) for _ in range(J)]
-    ud_prev = [np.zeros(space_d.n_dofs) for _ in range(J)]
+    us = np.zeros((space_s.n_dofs, J), order="F")
+    ud = np.zeros((space_d.n_dofs, J), order="F")
     iterations = np.zeros(J, dtype=np.int64)
     final_norms = np.full(J, np.inf)
     converged = np.zeros(J, dtype=bool)
     history = [[] for _ in range(J)]
-
-    def stokes_rhs(j):
-        rhs = vol_s[j].copy()
-        lag = (ctx.xi_bar - ctx.samples[j].xi) * state.us_tau[j]
-        add_interface_rhs(rhs, space_s, pairing,
-                          g_n=state.g_S[j], g_tau=state.g_S_tau[j] - lag)
-        return op_s.reduce_rhs(rhs, lift_s[j])
-
-    def darcy_rhs(j):
-        rhs = vol_d[j].copy()
-        add_darcy_interface_rhs(rhs, iface, pairing, state.g_D[j])
-        add_darcy_lag_rhs(rhs, space_d, dW[j], dk[j], state.ud_prev[j], ctx.g)
-        return op_d.reduce_rhs(rhs, lift_d[j])
-
-    pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
-    assemble = (lambda fn, js: list(pool.map(fn, js))) if pool else \
-        (lambda fn, js: [fn(j) for j in js])
+    t_rhs = t_trisolve = t_trace = t_norm = 0.0
+    ids = np.arange(J)          # the samples held by the per-sample data blocks
 
     t1 = time.perf_counter()
     for n in range(1, ctx.max_iters + 1):
-        active = [j for j in range(J) if not (per_sample_stop and converged[j])]
-        if not active:
-            break
+        if per_sample_stop and converged[ids].any():
+            # drop frozen samples from the per-sample data once, so these
+            # blocks hold exactly the active columns
+            keep = ~converged[ids]
+            ids = ids[keep]
+            base_s = base_s[:, keep]
+            base_d = base_d[:, keep]
+            fixed_s = fixed_s[:, keep]
+            fixed_d = fixed_d[:, keep]
+            dW = dW[:, keep]
+            dk, xi_lag = dk[keep], xi_lag[keep]
+        # state and solutions span all samples: a plain slice while every
+        # sample is active keeps their blocks views
+        act = ids if len(ids) < J else slice(None)
 
-        sols = solve_many(op_s.factorization, assemble(stokes_rhs, active))
-        us_new = {j: op_s.expand(x, dir_s[j]) for j, x in zip(active, sols)}
+        ta = time.perf_counter()
+        rhs = base_s.copy()
+        g_tau = state.g_S_tau[act] - xi_lag[:, None, None] * state.us_tau[act]
+        add_interface_rhs(rhs, space_s, pairing, g_n=state.g_S[act], g_tau=g_tau)
+        b = op_s.reduce_rhs(rhs)
+        del rhs, g_tau
+        tb = time.perf_counter()
+        us_new = op_s.expand(op_s.factorization.solve(b))
+        us_new[space_s.fixed] = fixed_s
+        del b
+        tc = time.perf_counter()
+        rhs = base_d.copy()
+        add_darcy_interface_rhs(rhs, iface, pairing, state.g_D[act])
+        add_darcy_lag_rhs(rhs, space_d, dW, dk, state.ud_prev[act].T, ctx.g)
+        b = op_d.reduce_rhs(rhs)
+        del rhs
+        td = time.perf_counter()
+        ud_new = op_d.expand(op_d.factorization.solve(b))
+        ud_new[space_d.fixed] = fixed_d
+        del b
+        te = time.perf_counter()
 
-        sols = solve_many(op_d.factorization, assemble(darcy_rhs, active))
-        ud_new = {j: op_d.expand(x, dir_d[j]) for j, x in zip(active, sols)}
+        us_n, us_tau = interface_traces(space_s, pairing, us_new)
+        ud_vel = ud_new[:space_d.n_velocity]
+        update_robin(state, act, us_n, us_tau, iface.normal_trace(ud_vel),
+                     iface.tangential_trace(ud_vel), ctx, ud_vec=ud_vel.T)
+        del ud_vel
+        tf = time.perf_counter()
 
-        for j in active:
-            us_n, us_tau = _stokes_traces(space_s, pairing, us_new[j])
-            ud_vel = ud_new[j][:space_d.n_velocity]
-            ud_n = iface.normal_trace(ud_vel)
-            ud_tau = iface.tangential_trace(ud_vel)
-            update_robin(state, j, us_n, us_tau, ud_n, ud_tau, ctx, ud_vec=ud_vel)
-
-            norm = stopping_norm(space_s, space_d, us_prev[j], us_new[j],
-                                 ud_prev[j], ud_new[j])
-            final_norms[j] = norm
-            if record_history:
+        norms = stopping_norm(space_s, space_d, us[:, act], us_new, ud[:, act], ud_new)
+        us[:, act] = us_new
+        ud[:, act] = ud_new
+        del us_new, ud_new
+        final_norms[ids] = norms
+        if record_history:
+            for j, norm in zip(ids.tolist(), norms.tolist()):
                 history[j].append(norm)
-            us_prev[j] = us_new[j]
-            ud_prev[j] = ud_new[j]
-            if not converged[j] and norm <= ctx.tol:
-                converged[j] = True
-                iterations[j] = n
+        hit = ids[(norms <= ctx.tol) & ~converged[ids]]
+        converged[hit] = True
+        iterations[hit] = n
+        t_rhs += (tb - ta) + (td - tc)
+        t_trisolve += (tc - tb) + (te - td)
+        t_trace += tf - te
+        t_norm += time.perf_counter() - tf
         if converged.all():
             break
     t_solve = time.perf_counter() - t1
-    if pool:
-        pool.shutdown()
     iterations[~converged] = ctx.max_iters
 
-    return SolveReport(us=np.array(us_prev), ud=np.array(ud_prev),
+    return SolveReport(us=us.T, ud=ud.T,
                        iterations=iterations, final_norms=final_norms,
                        converged=converged, norm_history=history,
                        t_assembly=t_assembly, t_factor=t_factor, t_solve=t_solve,
+                       t_rhs=t_rhs, t_trisolve=t_trisolve, t_trace=t_trace, t_norm=t_norm,
                        n_factorizations=factorization_count() - nfact0,
                        space_s=space_s, space_d=space_d, pairing=pairing, state=state)
 
@@ -358,17 +394,24 @@ def run_ensemble_ddm(ctx, mesh_s, mesh_d, pairing, bc,
 def run_traditional_ddm(ctx, mesh_s, mesh_d, pairing, bc,
                         per_sample_stop=False, record_history=True):
     """Per-sample baseline: the identical iteration, but each sample gets
-    its own operator pair (2J factorizations in total)."""
+    its own operator pair (2J factorizations in total).  The spaces and
+    state of the first sample's run stand for all samples."""
     reports = []
     for j, s in enumerate(ctx.samples):
         ctx_j, _ = make_context([s], nu=ctx.nu, g=ctx.g, z=ctx.z, alpha=ctx.alpha,
                                 delta_s=ctx.delta_s, delta_d=ctx.delta_d,
                                 tol=ctx.tol, max_iters=ctx.max_iters)
-        reports.append(run_ensemble_ddm(ctx_j, mesh_s, mesh_d, pairing,
-                                        bc.sample_view(j),
-                                        per_sample_stop=per_sample_stop,
-                                        record_history=record_history))
+        rep = run_ensemble_ddm(ctx_j, mesh_s, mesh_d, pairing, bc.sample_view(j),
+                               per_sample_stop=per_sample_stop,
+                               record_history=record_history)
+        # identical spaces need not be held once per sample
+        reports.append(replace(rep, space_s=None, space_d=None, state=None) if j else rep)
+        del rep
     first = reports[0]
+
+    def total(name):
+        return sum(getattr(r, name) for r in reports)
+
     return SolveReport(
         us=np.concatenate([r.us for r in reports]),
         ud=np.concatenate([r.ud for r in reports]),
@@ -376,10 +419,10 @@ def run_traditional_ddm(ctx, mesh_s, mesh_d, pairing, bc,
         final_norms=np.concatenate([r.final_norms for r in reports]),
         converged=np.concatenate([r.converged for r in reports]),
         norm_history=[r.norm_history[0] for r in reports],
-        t_assembly=sum(r.t_assembly for r in reports),
-        t_factor=sum(r.t_factor for r in reports),
-        t_solve=sum(r.t_solve for r in reports),
-        n_factorizations=sum(r.n_factorizations for r in reports),
+        t_assembly=total("t_assembly"), t_factor=total("t_factor"),
+        t_solve=total("t_solve"), t_rhs=total("t_rhs"), t_trisolve=total("t_trisolve"),
+        t_trace=total("t_trace"), t_norm=total("t_norm"),
+        n_factorizations=total("n_factorizations"),
         space_s=first.space_s, space_d=first.space_d, pairing=first.pairing,
         state=first.state)
 

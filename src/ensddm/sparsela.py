@@ -1,8 +1,9 @@
-"""Sparse matrix assembly, direct LU factorization, and multi-RHS solves.
+"""Sparse matrix assembly, direct LU factorization, and block solves.
 
 One factorization serves any number of right-hand sides, which is what makes
 the shared-coefficient-matrix ensemble iteration cheap: the two subdomain
-matrices are factorized once per run and then only triangular solves remain.
+matrices are factorized once per run and then only triangular solves remain,
+one block solve per subdomain and iteration for all samples at once.
 
 Backed by scipy.sparse and SuperLU (partial pivoting, COLAMD column
 ordering); everything is float64.
@@ -111,9 +112,16 @@ class Factorization:
         self.n = n
 
     def solve(self, b):
+        """Solve for an (n,) vector or for every column of an (n, k) block.
+
+        A block is one SuperLU call and comes back column-major.  Its
+        columns equal column-by-column solves to rounding (the blocked
+        triangular kernels sum in another order), not bitwise; solving the
+        same block again is bitwise repeatable.
+        """
         b = np.asarray(b, dtype=np.float64)
-        if b.shape != (self.n,):
-            raise ValueError(f"rhs length {b.shape} does not match matrix size {self.n}")
+        if b.ndim not in (1, 2) or b.shape[0] != self.n:
+            raise ValueError(f"rhs shape {b.shape} does not match matrix size {self.n}")
         return self._lu.solve(b)
 
 
@@ -146,10 +154,11 @@ def factorize(a):
     return Factorization(lu, n_rows)
 
 
-def solve_many(f, rhs):
-    """Solve f for every right-hand side in `rhs`.
+def quadratic_form(m, x):
+    """x^T m x for a vector x, or for every column of an (n, k) block.
 
-    Each system is solved independently, so result[j] is bitwise identical
-    to solving rhs[j] alone.
+    Each column is summed as one contiguous row, so a column's value does
+    not depend on the other columns of the block.
     """
-    return [f.solve(b) for b in rhs]
+    mx = m @ x
+    return np.multiply(x.T, mx.T, order="C").sum(axis=-1)

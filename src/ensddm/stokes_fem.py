@@ -11,6 +11,10 @@ side only.
 Internally the assembled saddle system stores the negative of the pressure
 so that the matrix is symmetric with an un-negated continuity block; the
 solve helpers flip the sign back.
+
+Right-hand sides, solutions and interface traces of an ensemble travel as
+blocks: a dof vector per sample becomes a column of an (n_dofs, k) block,
+and the endpoint traces of k samples are (k, n_pairs, 2).
 """
 
 import time
@@ -19,12 +23,38 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import quadrature
-from .sparsela import SparseMatrix, factorize
+from .sparsela import SparseMatrix, factorize, quadratic_form
+
+
+_EDGE_MASS = np.array([[2.0, 1.0], [1.0, 2.0]])
 
 
 def edge_mass(length):
     """Exact P1 x P1 mass matrix on an edge of given length."""
-    return (length / 6.0) * np.array([[2.0, 1.0], [1.0, 2.0]])
+    return (length / 6.0) * _EDGE_MASS
+
+
+def interface_mass(pairing):
+    """Block-diagonal edge mass over the endpoint values of all pairs:
+    row 2p+i is endpoint i (x-order) of pair p."""
+    n_p = pairing.n_pairs
+    blocks = (pairing.lengths / 6.0)[:, None, None] * _EDGE_MASS
+    idx = np.arange(2 * n_p).reshape(n_p, 2)
+    rows = np.repeat(idx, 2, axis=1).ravel()
+    cols = np.tile(idx, (1, 2)).ravel()
+    return sp.csr_matrix((blocks.ravel(), (rows, cols)), shape=(2 * n_p, 2 * n_p))
+
+
+def trace_columns(g):
+    """Endpoint traces (n_pairs, 2) or (k, n_pairs, 2) as the (2 n_pairs,)
+    vector or (2 n_pairs, k) block the interface operators act on."""
+    g = np.asarray(g, dtype=np.float64)
+    return g.reshape(g.shape[:-2] + (-1,)).T
+
+
+def trace_values(t, n_pairs):
+    """Inverse of trace_columns."""
+    return t.T.reshape(t.shape[1:] + (n_pairs, 2))
 
 
 class StokesSpace:
@@ -72,6 +102,7 @@ class StokesSpace:
 
         self._precompute()
         self.component_mass = self._component_mass()
+        self._interface_info = None
 
     # dof helpers --------------------------------------------------------
 
@@ -131,11 +162,22 @@ class StokesSpace:
         cols = np.tile(dofs, (1, 4)).ravel()
         return sp.csr_matrix((Mel.ravel(), (rows, cols)), shape=(self.n_comp, self.n_comp))
 
+    def velocity_sq(self, vec):
+        """Squared L2 norm of the velocity part of a dof vector, or of each
+        column of an (n, k) block."""
+        nc, m = self.n_comp, self.component_mass
+        return quadratic_form(m, vec[:nc]) + quadratic_form(m, vec[nc:2 * nc])
+
     def velocity_l2(self, vec):
         """L2 norm of the velocity part of a full dof vector."""
-        ux = vec[:self.n_comp]
-        uy = vec[self.n_comp:self.n_velocity]
-        return float(np.sqrt(ux @ (self.component_mass @ ux) + uy @ (self.component_mass @ uy)))
+        return float(np.sqrt(self.velocity_sq(vec)))
+
+    def interface_info(self, pairing):
+        """The interface operators of `pairing`, built on first use."""
+        info = self._interface_info
+        if info is None or info.pairing is not pairing:
+            info = self._interface_info = StokesInterfaceInfo(self, pairing)
+        return info
 
 
 def build_stokes_space(mesh, dirichlet_tags=None, pressure_multiplier=True):
@@ -146,6 +188,34 @@ def build_stokes_space(mesh, dirichlet_tags=None, pressure_multiplier=True):
     outflow side natural.
     """
     return StokesSpace(mesh, dirichlet_tags=dirichlet_tags, pressure_multiplier=pressure_multiplier)
+
+
+class StokesInterfaceInfo:
+    """Free-flow side of the interface pairing as two sparse operators.
+
+    `trace` (4 n_pairs, n_dofs) maps dof vectors to the endpoint values of
+    u.n_S (rows 0 .. 2 n_pairs - 1) and u.tau (the rest).  `load`
+    (n_dofs, 4 n_pairs) maps endpoint traces [g_n; g_tau] to
+    -<g_n, v.n_S> - <g_tau, v.tau>; it is minus the transposed trace times
+    the edge mass, so the two share one source.
+    """
+
+    def __init__(self, space, pairing):
+        self.pairing = pairing
+        n2 = 2 * pairing.n_pairs
+        nodes = pairing.nodes_s.ravel()
+        rows, cols, vals = [], [], []
+        for block, direction in enumerate((pairing.n_s, pairing.tau)):
+            for c in range(2):
+                if direction[c] != 0.0:
+                    rows.append(block * n2 + np.arange(n2))
+                    cols.append(c * space.n_comp + nodes)
+                    vals.append(np.full(n2, direction[c]))
+        self.trace = sp.csr_matrix(
+            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+            shape=(2 * n2, space.n_dofs))
+        mass = interface_mass(pairing)
+        self.load = -(self.trace.T @ sp.block_diag((mass, mass))).tocsr()
 
 
 class StokesOperator:
@@ -173,13 +243,13 @@ class StokesOperator:
     def reduce_rhs(self, rhs_full, lift_vec=None):
         b = rhs_full[self.space.free]
         if lift_vec is not None:
-            b = b - lift_vec
+            b -= lift_vec
         return b
 
     def expand(self, x_free, dirichlet_values=None):
-        """Scatter a reduced solution to a full dof vector (pressure sign
-        restored to the physical convention)."""
-        full = np.zeros(self.space.n_dofs)
+        """Scatter a reduced solution (vector or column block) to full dof
+        vectors (pressure sign restored to the physical convention)."""
+        full = np.zeros((self.space.n_dofs,) + x_free.shape[1:], order="F")
         if dirichlet_values is not None:
             full[self.space.fixed] = dirichlet_values[self.space.fixed]
         full[self.space.free] = x_free
@@ -249,18 +319,10 @@ def assemble_stokes_operator(space, nu, delta_s, xi_bar, pairing):
     builder.add(cols, rows, Bflat.ravel())
 
     # interface Robin and tangential-slip terms (P1 traces only)
-    n, tau = pairing.n_s, pairing.tau
-    for p in range(pairing.n_pairs):
-        Me = edge_mass(pairing.lengths[p])
-        nodes = pairing.nodes_s[p]
-        for c in range(2):
-            for d in range(2):
-                coef = delta_s * n[c] * n[d] + xi_bar * tau[c] * tau[d]
-                if coef == 0.0:
-                    continue
-                r = np.repeat([space.vel_dof(c, nodes[0]), space.vel_dof(c, nodes[1])], 2)
-                s = np.tile([space.vel_dof(d, nodes[0]), space.vel_dof(d, nodes[1])], 2)
-                builder.add(r, s, coef * Me.ravel())
+    trace = space.interface_info(pairing).trace
+    mass = interface_mass(pairing)
+    robin = (trace.T @ sp.block_diag((delta_s * mass, xi_bar * mass)) @ trace).tocoo()
+    builder.add(robin.row, robin.col, robin.data)
 
     if space.pressure_multiplier:
         mdof = space.n_dofs - 1
@@ -287,22 +349,23 @@ def assemble_stokes_volume_rhs(space, f_S):
 
 def add_interface_rhs(rhs, space, pairing, g_n=None, g_tau=None):
     """Accumulate -<g_n, v.n_S> - <g_tau, v.tau> for per-pair linear traces
-    given by endpoint values (n_pairs, 2)."""
-    n, tau = pairing.n_s, pairing.tau
-    for p in range(pairing.n_pairs):
-        Me = edge_mass(pairing.lengths[p])
-        nodes = pairing.nodes_s[p]
-        for c in range(2):
-            dofs = (space.vel_dof(c, nodes[0]), space.vel_dof(c, nodes[1]))
-            if g_n is not None and n[c] != 0.0:
-                v = Me @ g_n[p]
-                rhs[dofs[0]] -= n[c] * v[0]
-                rhs[dofs[1]] -= n[c] * v[1]
-            if g_tau is not None and tau[c] != 0.0:
-                v = Me @ g_tau[p]
-                rhs[dofs[0]] -= tau[c] * v[0]
-                rhs[dofs[1]] -= tau[c] * v[1]
+    given by endpoint values: (n_pairs, 2) into a vector, or (k, n_pairs, 2)
+    into the columns of an (n_dofs, k) block."""
+    if g_n is None and g_tau is None:
+        return rhs
+    g_n = np.zeros(np.shape(g_tau)) if g_n is None else g_n
+    g_tau = np.zeros(np.shape(g_n)) if g_tau is None else g_tau
+    load = space.interface_info(pairing).load
+    rhs += load @ np.concatenate([trace_columns(g_n), trace_columns(g_tau)])
     return rhs
+
+
+def interface_traces(space, pairing, vec):
+    """(u.n_S, u.tau) at the x-ordered pair endpoints: (n_pairs, 2) each for
+    a dof vector, (k, n_pairs, 2) each for an (n_dofs, k) block."""
+    t = space.interface_info(pairing).trace @ vec
+    n2 = 2 * pairing.n_pairs
+    return trace_values(t[:n2], pairing.n_pairs), trace_values(t[n2:], pairing.n_pairs)
 
 
 def assemble_stokes_rhs(space, j, ctx, state):

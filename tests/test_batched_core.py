@@ -1,0 +1,194 @@
+"""The batched iteration core against per-pair and per-sample oracles.
+
+The oracles are the loop forms the sparse interface operators replaced:
+one Python iteration per interface pair, one dof vector per sample.
+"""
+
+import numpy as np
+import pytest
+
+from ensddm.bench_cli import manufactured_meshes, channel_meshes
+from ensddm.darcy_fem import (build_darcy_space, add_darcy_interface_rhs,
+                              add_darcy_lag_rhs, inverse_diagonal, DarcyInterfaceInfo)
+from ensddm.fields import ConstantConductivity, KLConductivity, MeanInverseField
+from ensddm.mesh import Rect, build_rect_mesh, pair_interface
+from ensddm.random_field import RandomFieldSpec, draw_samples
+from ensddm.stokes_fem import (build_stokes_space, add_interface_rhs, interface_traces,
+                               edge_mass)
+
+
+def stokes_below():
+    ms = build_rect_mesh(Rect(0, 2, -1, 0), 6, 3, side_tags={"top": "INTERFACE"})
+    md = build_rect_mesh(Rect(0, 2, 0, 1), 6, 3, side_tags={"bottom": "INTERFACE"})
+    return ms, md, pair_interface(ms, md)
+
+
+MESHES = {
+    "manufactured": lambda: manufactured_meshes(1 / 8),
+    "channel": lambda: channel_meshes(1 / 4),
+    "stokes_below": stokes_below,
+}
+
+
+# -- oracles: the per-pair loops --------------------------------------------
+
+def oracle_stokes_rhs(space, pairing, g_n, g_tau):
+    rhs = np.zeros(space.n_dofs)
+    n, tau = pairing.n_s, pairing.tau
+    for p in range(pairing.n_pairs):
+        Me = edge_mass(pairing.lengths[p])
+        nodes = pairing.nodes_s[p]
+        for c in range(2):
+            dofs = (space.vel_dof(c, nodes[0]), space.vel_dof(c, nodes[1]))
+            if n[c] != 0.0:
+                v = Me @ g_n[p]
+                rhs[dofs[0]] -= n[c] * v[0]
+                rhs[dofs[1]] -= n[c] * v[1]
+            if tau[c] != 0.0:
+                v = Me @ g_tau[p]
+                rhs[dofs[0]] -= tau[c] * v[0]
+                rhs[dofs[1]] -= tau[c] * v[1]
+    return rhs
+
+
+def oracle_stokes_traces(space, pairing, full):
+    nodes = pairing.nodes_s
+    ux = full[nodes]
+    uy = full[space.n_comp + nodes]
+    n, tau = pairing.n_s, pairing.tau
+    return n[0] * ux + n[1] * uy, tau[0] * ux + tau[1] * uy
+
+
+def oracle_darcy_info(space, pairing):
+    mesh = space.mesh
+    n_p = pairing.n_pairs
+    dofs_x = np.empty((n_p, 2), dtype=np.int64)
+    sign = np.empty(n_p)
+    tau_mat = np.empty((n_p, 2, 6))
+    loc_dofs = np.empty((n_p, 6), dtype=np.int64)
+    for p in range(n_p):
+        e = pairing.pairs[p, 1]
+        a, _ = mesh.edges[e]
+        nA, nB = pairing.nodes_d[p]
+        dofs_x[p] = (2 * e, 2 * e + 1) if a == nA else (2 * e + 1, 2 * e)
+        sign[p] = float(space.edge_normal[e] @ pairing.n_d)
+        t = mesh.edge_tris[e, 0]
+        loc_dofs[p] = space.elem_dofs[t]
+        for i, node in enumerate((nA, nB)):
+            m = int(np.where(mesh.tris[t] == node)[0][0])
+            tau_mat[p, i] = space.vertex_values[t, :, m, :] @ pairing.tau
+    return dofs_x, sign, tau_mat, loc_dofs
+
+
+def oracle_darcy_rhs(space, pairing, g_D):
+    dofs_x, sign, _, _ = oracle_darcy_info(space, pairing)
+    rhs = np.zeros(space.n_dofs)
+    for p in range(pairing.n_pairs):
+        v = edge_mass(pairing.lengths[p]) @ g_D[p]
+        rhs[dofs_x[p, 0]] -= sign[p] * v[0]
+        rhs[dofs_x[p, 1]] -= sign[p] * v[1]
+    return rhs
+
+
+def oracle_darcy_traces(space, pairing, vec):
+    dofs_x, sign, tau_mat, loc_dofs = oracle_darcy_info(space, pairing)
+    return (sign[:, None] * vec[dofs_x],
+            np.einsum("pil,pl->pi", tau_mat, vec[loc_dofs]))
+
+
+def oracle_lag_rhs(space, dW_full, dk_min, u_prev, g):
+    """The tensor-valued einsum form; dW_full is (nt, nq, 2, 2)."""
+    A = space.mesh.tri_area
+    coeffs = u_prev[space.elem_dofs]
+    uq = np.einsum("tqlc,tl->tqc", space.phi, coeffs)
+    Wu = np.einsum("tqcd,tqd->tqc", dW_full, uq)
+    vol = g * np.einsum("q,tqc,tqlc->tl", space.qw, Wu, space.phi) * A[:, None]
+    div_prev = np.einsum("tl,tl->t", space.div, coeffs)
+    vol += g * dk_min * (div_prev * A)[:, None] * space.div
+    rhs = np.zeros(space.n_dofs)
+    np.add.at(rhs, space.elem_dofs, vol)
+    return rhs
+
+
+def rel(a, b):
+    return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+
+# -- interface operators ----------------------------------------------------
+
+@pytest.mark.parametrize("geometry", sorted(MESHES))
+def test_stokes_load_and_trace_match_per_pair_loops(geometry):
+    ms, _, pairing = MESHES[geometry]()
+    space = build_stokes_space(ms)
+    rng = np.random.default_rng(11)
+    k = 3
+    g_n = rng.standard_normal((k, pairing.n_pairs, 2))
+    g_tau = rng.standard_normal((k, pairing.n_pairs, 2))
+    block = add_interface_rhs(np.zeros((space.n_dofs, k)), space, pairing, g_n=g_n, g_tau=g_tau)
+    full = rng.standard_normal((space.n_dofs, k))
+    tn, tt = interface_traces(space, pairing, full)
+    assert tn.shape == tt.shape == (k, pairing.n_pairs, 2)
+    for j in range(k):
+        want = oracle_stokes_rhs(space, pairing, g_n[j], g_tau[j])
+        assert rel(block[:, j], want) <= 1e-14
+        one = add_interface_rhs(np.zeros(space.n_dofs), space, pairing, g_n=g_n[j], g_tau=g_tau[j])
+        assert rel(one, want) <= 1e-14
+        wn, wt = oracle_stokes_traces(space, pairing, full[:, j])
+        assert rel(tn[j], wn) <= 1e-14 and rel(tt[j], wt) <= 1e-14
+        vn, vt = interface_traces(space, pairing, full[:, j])
+        assert rel(vn, wn) <= 1e-14 and rel(vt, wt) <= 1e-14
+    # a missing trace is a zero trace
+    only_n = add_interface_rhs(np.zeros(space.n_dofs), space, pairing, g_n=g_n[0])
+    zeros = np.zeros_like(g_n[0])
+    assert rel(only_n, oracle_stokes_rhs(space, pairing, g_n[0], zeros)) <= 1e-14
+
+
+@pytest.mark.parametrize("geometry", sorted(MESHES))
+def test_darcy_load_and_trace_match_per_pair_loops(geometry):
+    _, md, pairing = MESHES[geometry]()
+    space = build_darcy_space(md)
+    info = DarcyInterfaceInfo(space, pairing)
+    for got, want in zip((info.dofs_x, info.sign, info.tau_mat, info.loc_dofs),
+                         oracle_darcy_info(space, pairing)):
+        np.testing.assert_array_equal(got, want)
+    rng = np.random.default_rng(12)
+    k = 3
+    g_D = rng.standard_normal((k, pairing.n_pairs, 2))
+    block = add_darcy_interface_rhs(np.zeros((space.n_dofs, k)), info, pairing, g_D)
+    full = rng.standard_normal((space.n_dofs, k))
+    tn, tt = info.normal_trace(full), info.tangential_trace(full[:space.n_velocity])
+    for j in range(k):
+        want = oracle_darcy_rhs(space, pairing, g_D[j])
+        assert rel(block[:, j], want) <= 1e-14
+        one = add_darcy_interface_rhs(np.zeros(space.n_dofs), info, pairing, g_D[j])
+        assert rel(one, want) <= 1e-14
+        wn, wt = oracle_darcy_traces(space, pairing, full[:, j])
+        assert rel(tn[j], wn) <= 1e-14 and rel(tt[j], wt) <= 1e-14
+        assert rel(info.normal_trace(full[:, j]), wn) <= 1e-14
+        assert rel(info.tangential_trace(full[:, j]), wt) <= 1e-14
+
+
+# -- lagged deviation term ---------------------------------------------------
+
+def test_block_lag_rhs_matches_columns_and_tensor_oracle():
+    _, md, _ = manufactured_meshes(1 / 8)
+    space = build_darcy_space(md)
+    spec = RandomFieldSpec(a0=1.0, sigma=0.15, L_c=0.25, n_f=3)
+    fields = [KLConductivity(spec, d) for d in draw_samples(spec, 3, 5)]
+    fields.append(ConstantConductivity(2.0, 3.0))
+    k = len(fields)
+    mean = MeanInverseField(fields)
+    dW = np.column_stack([inverse_diagonal(space, mean) - inverse_diagonal(space, f)
+                          for f in fields])
+    dk = np.array([0.1, -0.2, 0.05, 0.3])
+    rng = np.random.default_rng(13)
+    U = rng.standard_normal((space.n_dofs, k))
+    g = 1.7
+    block = add_darcy_lag_rhs(np.zeros((space.n_dofs, k)), space, dW, dk, U, g)
+    pts = space.qpoints.reshape(-1, 2)
+    shape = (md.n_tris, len(space.qw), 2, 2)
+    for j in range(k):
+        one = add_darcy_lag_rhs(np.zeros(space.n_dofs), space, dW[:, j], dk[j], U[:, j], g)
+        assert rel(block[:, j], one) <= 1e-13
+        dW_full = (mean.inv_tensor(pts) - fields[j].inv_tensor(pts)).reshape(shape)
+        assert rel(one, oracle_lag_rhs(space, dW_full, dk[j], U[:, j], g)) <= 1e-13

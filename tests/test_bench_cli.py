@@ -1,5 +1,6 @@
 import csv
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from ensddm.bench_cli import (ScenarioConfig, ConfigError, parse_config_text,
                               config_from_mapping, load_config, run_scenario,
                               run_symbol_sweep, run_symbol_validation,
                               channel_meshes, manufactured_meshes, resolve_delta_d,
-                              run_timing_comparison, CSV_COLUMNS, main)
+                              run_timing_comparison, run_channel_mc, CSV_COLUMNS, main)
 from ensddm.robin_params import frequency_band, optimized_delta_d
 
 
@@ -134,6 +135,17 @@ def test_run_scenario_channel_mc_and_reference_cache(tmp_path):
     with open(draws) as fh:
         drows = list(csv.DictReader(fh))
     assert len(drows) == 2 and "Y0" in drows[0]
+
+
+def test_mc_reference_cache_keyed_on_inputs(tmp_path):
+    cfg = ScenarioConfig(scenario="channel_mc", h_list=(1 / 4,), J_list=(2,),
+                         J0=3, seed=123, out=str(tmp_path), tol=1e-5, max_iters=300)
+    _, ref_a = run_channel_mc(cfg)
+    _, ref_b = run_channel_mc(replace(cfg, field_sigma=0.1))
+    assert ref_a != ref_b
+    assert os.path.exists(ref_a) and os.path.exists(ref_b)
+    assert os.path.basename(ref_a).startswith("mc_ref_seed123_n4_J3_")
+    assert not np.array_equal(np.load(ref_a)["eu_d"], np.load(ref_b)["eu_d"])
 
 
 def test_run_scenario_nonconvergence_policy(tmp_path):

@@ -169,10 +169,41 @@ def test_per_sample_stop_freezes_converged_samples():
     assert lengths == [int(i) for i in rep.iterations]
 
 
-def test_threaded_rhs_assembly_identical_results():
+def test_rerun_is_bitwise_deterministic():
     ctx, _, mesh_s, mesh_d, pairing, bc, _ = small_setup(k_list=(2.21, 4.11, 6.21))
-    seq = run_ensemble_ddm(ctx, mesh_s, mesh_d, pairing, bc, threads=1)
-    par = run_ensemble_ddm(ctx, mesh_s, mesh_d, pairing, bc, threads=4)
-    assert np.array_equal(seq.us, par.us)
-    assert np.array_equal(seq.ud, par.ud)
-    assert np.array_equal(seq.iterations, par.iterations)
+    for stop in (False, True):
+        a = run_ensemble_ddm(ctx, mesh_s, mesh_d, pairing, bc, per_sample_stop=stop)
+        b = run_ensemble_ddm(ctx, mesh_s, mesh_d, pairing, bc, per_sample_stop=stop)
+        assert np.array_equal(a.us, b.us)
+        assert np.array_equal(a.ud, b.ud)
+        assert np.array_equal(a.iterations, b.iterations)
+        assert a.norm_history == b.norm_history
+
+
+def test_loop_phase_timers():
+    ctx, _, mesh_s, mesh_d, pairing, bc, _ = small_setup(k_list=(2.21, 4.11))
+    for run in (run_ensemble_ddm, run_traditional_ddm):
+        rep = run(ctx, mesh_s, mesh_d, pairing, bc)
+        phases = (rep.t_rhs, rep.t_trisolve, rep.t_trace, rep.t_norm)
+        assert all(t >= 0.0 for t in phases)
+        assert sum(phases) <= rep.t_solve
+
+
+def test_per_sample_stop_leaves_frozen_columns_bitwise():
+    ctx, _, mesh_s, mesh_d, pairing, bc, _ = small_setup(
+        k_list=(2.21, 4.11, 6.21), tol=1e-6)
+    full = run_ensemble_ddm(ctx, mesh_s, mesh_d, pairing, bc, per_sample_stop=True)
+    first = int(full.iterations.min())
+    assert first < full.iterations.max()      # some columns go on after it
+    # the same run cut off at the first convergence: the iterations up to
+    # there are the same, so a frozen column must not have moved since
+    ctx_cut, _ = make_context(ctx.samples, delta_s=ctx.delta_s, delta_d=ctx.delta_d,
+                              tol=ctx.tol, max_iters=first)
+    cut = run_ensemble_ddm(ctx_cut, mesh_s, mesh_d, pairing, bc, per_sample_stop=True)
+    frozen = np.flatnonzero(full.iterations == first)
+    for j in frozen:
+        assert np.array_equal(full.us[j], cut.us[j])
+        assert np.array_equal(full.ud[j], cut.ud[j])
+        assert np.array_equal(full.state.g_S[j], cut.state.g_S[j])
+        assert np.array_equal(full.state.g_D[j], cut.state.g_D[j])
+        assert full.norm_history[j] == cut.norm_history[j]

@@ -22,7 +22,7 @@ def test_init_state_zero_and_idempotent():
     ctx, pairing = setup(J=3)
     st = init_state(ctx, pairing, n_darcy_vel=10)
     assert st.g_S.shape == (3, 4, 2)
-    for arr in (st.g_S, st.g_S_tau, st.g_D, st.us_n, st.ud_n, st.ud_prev):
+    for arr in (st.g_S, st.g_S_tau, st.g_D, st.us_tau, st.ud_prev):
         assert not arr.any()
     st2 = init_state(ctx, pairing, n_darcy_vel=10)
     assert np.array_equal(st.g_S, st2.g_S)

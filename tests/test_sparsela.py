@@ -3,7 +3,7 @@ import pytest
 import scipy.sparse as sp
 
 from ensddm.sparsela import (SparseMatrix, SingularMatrixError, factorize,
-                             solve_many, factorization_count)
+                             factorization_count, quadratic_form)
 
 
 def test_identity_solve():
@@ -54,31 +54,61 @@ def test_numerically_singular_raises():
         factorize(SparseMatrix(A))
 
 
-def test_solve_many_matches_individual_solves_bitwise():
+def _stokes_factorization():
+    from ensddm.bench_cli import manufactured_meshes
+    from ensddm.stokes_fem import build_stokes_space, assemble_stokes_operator
+
+    ms, _, pairing = manufactured_meshes(1 / 8)
+    op = assemble_stokes_operator(build_stokes_space(ms), 1.0, 1.0, 0.5, pairing)
+    return op.factorization
+
+
+def test_block_solve_matches_column_solves():
+    # the block contract: one call, columns equal to per-column solves to
+    # rounding (blocked kernels sum in another order), repeatable bitwise
+    f = _stokes_factorization()
     rng = np.random.default_rng(3)
-    A = sp.csr_matrix(np.diag(rng.uniform(1, 2, size=8)) + 0.1 * rng.random((8, 8)))
-    f = factorize(SparseMatrix(A))
-    rhs = [rng.standard_normal(8) for _ in range(5)]
-    batch = solve_many(f, rhs)
-    for b, x in zip(rhs, batch):
-        np.testing.assert_array_equal(x, f.solve(b))
+    B = rng.standard_normal((f.n, 7))
+    X = f.solve(B)
+    assert X.shape == (f.n, 7)
+    for i in range(7):
+        x = f.solve(B[:, i])
+        assert np.linalg.norm(X[:, i] - x) <= 1e-12 * np.linalg.norm(x)
+    np.testing.assert_array_equal(f.solve(B), X)
 
 
-def test_solve_many_identical_rhs_and_empty():
+def test_block_solve_shapes():
     f = factorize(SparseMatrix(sp.eye(4, format="csr")))
     b = np.arange(4.0)
-    xs = solve_many(f, [b, b, b])
-    assert all(np.array_equal(x, xs[0]) for x in xs)
-    assert solve_many(f, []) == []
+    assert f.solve(b).shape == (4,)
+    X = f.solve(np.column_stack([b, b, b]))
+    assert X.shape == (4, 3)
+    np.testing.assert_array_equal(X, np.column_stack([b, b, b]))
+    with pytest.raises(ValueError):
+        f.solve(np.ones((5, 2)))
+    with pytest.raises(ValueError):
+        f.solve(np.ones((4, 2, 1)))
 
 
 def test_inverse_columns_roundtrip():
     rng = np.random.default_rng(7)
     A = rng.standard_normal((6, 6)) + 6 * np.eye(6)
     f = factorize(SparseMatrix(sp.csr_matrix(A)))
-    cols = solve_many(f, [np.eye(6)[:, i] for i in range(6)])
-    Ainv = np.column_stack(cols)
+    Ainv = f.solve(np.eye(6))
     assert np.abs(A @ Ainv - np.eye(6)).max() <= 1e-10
+
+
+def test_quadratic_form_per_column():
+    rng = np.random.default_rng(8)
+    M = sp.random(30, 30, density=0.2, random_state=9, format="csr")
+    M = M + M.T + 30 * sp.eye(30)
+    X = rng.standard_normal((30, 4))
+    q = quadratic_form(M, X)
+    for i in range(4):
+        assert q[i] == pytest.approx(X[:, i] @ (M @ X[:, i]), rel=1e-14)
+        assert q[i] == quadratic_form(M, X[:, i])
+    # a column's value does not depend on its neighbours
+    assert quadratic_form(M, X[:, [1]])[0] == q[1]
 
 
 def test_rhs_length_mismatch():
