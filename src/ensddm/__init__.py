@@ -10,7 +10,7 @@ min-max optimizer.
 """
 
 from .mesh import Rect, Mesh, InterfacePairing, build_rect_mesh, pair_interface
-from .sparsela import SparseMatrix, Factorization, factorize, factorization_count
+from .sparsela import SparseMatrix, Factorization, SubdomainOperator, factorize, factorization_count
 from .robin_params import (
     FrequencyBand,
     SymbolState,
@@ -21,8 +21,8 @@ from .robin_params import (
     symbol_iteration,
 )
 from .random_field import RandomFieldSpec, Draw, kl_eigenvalues, evaluate_k, draw_samples, mc_expectation
-from .stokes_fem import StokesSpace, StokesOperator, build_stokes_space, assemble_stokes_operator, assemble_stokes_rhs
-from .darcy_fem import DarcySpace, DarcyOperator, build_darcy_space, assemble_darcy_operator, assemble_darcy_rhs
+from .stokes_fem import StokesSpace, build_stokes_space, assemble_stokes_operator
+from .darcy_fem import DarcySpace, build_darcy_space, assemble_darcy_operator
 from .interface_state import TraceFunction, RobinTraceState, init_state, update_robin, stopping_norm
 from .ensemble_driver import (
     SampleParams,
@@ -39,12 +39,12 @@ from .norms import error_norms, convergence_order
 
 __all__ = [
     "Rect", "Mesh", "InterfacePairing", "build_rect_mesh", "pair_interface",
-    "SparseMatrix", "Factorization", "factorize", "factorization_count",
+    "SparseMatrix", "Factorization", "SubdomainOperator", "factorize", "factorization_count",
     "FrequencyBand", "SymbolState", "convergence_factor", "frequency_band",
     "optimized_delta_d", "worst_case_rho", "symbol_iteration",
     "RandomFieldSpec", "Draw", "kl_eigenvalues", "evaluate_k", "draw_samples", "mc_expectation",
-    "StokesSpace", "StokesOperator", "build_stokes_space", "assemble_stokes_operator", "assemble_stokes_rhs",
-    "DarcySpace", "DarcyOperator", "build_darcy_space", "assemble_darcy_operator", "assemble_darcy_rhs",
+    "StokesSpace", "build_stokes_space", "assemble_stokes_operator",
+    "DarcySpace", "build_darcy_space", "assemble_darcy_operator",
     "TraceFunction", "RobinTraceState", "init_state", "update_robin", "stopping_norm",
     "SampleParams", "EnsembleContext", "EnsembleDiagnostics", "SolveReport",
     "make_context", "run_ensemble_ddm", "run_traditional_ddm", "check_converged_residual",

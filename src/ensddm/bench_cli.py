@@ -126,20 +126,24 @@ def config_from_mapping(raw, base=None):
     for key, value in raw.items():
         if not hasattr(cfg, key):
             raise ConfigError(f"unknown config key '{key}'")
-        if key in _TUPLE_KEYS:
-            conv = _TUPLE_KEYS[key]
-            updates[key] = tuple(conv(v.strip()) for v in str(value).split(",") if v.strip())
-        elif key in _BOOL_KEYS:
+        if key in _BOOL_KEYS:
             v = str(value).strip().lower()
             if v not in ("true", "false"):
                 raise ConfigError(f"boolean key '{key}' must be true or false")
             updates[key] = v == "true"
-        elif key in _INT_KEYS:
-            updates[key] = int(str(value).strip())
-        elif key in _STR_KEYS:
-            updates[key] = str(value).strip()
-        else:
-            updates[key] = float(str(value).strip())
+            continue
+        try:
+            if key in _TUPLE_KEYS:
+                conv = _TUPLE_KEYS[key]
+                updates[key] = tuple(conv(v.strip()) for v in str(value).split(",") if v.strip())
+            elif key in _INT_KEYS:
+                updates[key] = int(str(value).strip())
+            elif key in _STR_KEYS:
+                updates[key] = str(value).strip()
+            else:
+                updates[key] = float(str(value).strip())
+        except ValueError:
+            raise ConfigError(f"config key '{key}': cannot convert '{value}'") from None
     return replace(cfg, **updates).validate()
 
 
@@ -346,17 +350,13 @@ def run_channel_mc(cfg):
     if os.path.exists(ref_path):
         data = np.load(ref_path)
         ref_s, ref_d = data["eu_s"], data["eu_d"]
-        report0 = None
     else:
-        ref_s, ref_d, report0, _ = expectation(cfg.J0)
+        ref_s, ref_d, _, _ = expectation(cfg.J0)
         np.savez(ref_path, eu_s=ref_s, eu_d=ref_d)
 
-    # norms need space objects; run the smallest J first to grab them
     mc_rows = []
-    spaces = None
     for J in cfg.J_list:
         eu_s, eu_d, report, draws = expectation(J)
-        spaces = (report.space_s, report.space_d)
         num_s = report.space_s.velocity_l2(eu_s - ref_s)
         den_s = report.space_s.velocity_l2(ref_s)
         num_d = report.space_d.velocity_l2(eu_d - ref_d)
@@ -507,15 +507,19 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     cfg = _SUBCOMMAND_DEFAULTS[args.command]
-    if args.config:
-        cfg = load_config(args.config, base=cfg)
     overrides = {}
     if args.out:
         overrides["out"] = args.out
     if args.seed is not None:
         overrides["seed"] = args.seed
-    if overrides:
-        cfg = replace(cfg, **overrides).validate()
+    try:
+        if args.config:
+            cfg = load_config(args.config, base=cfg)
+        if overrides:
+            cfg = replace(cfg, **overrides).validate()
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
     try:
         if args.command == "symbol":

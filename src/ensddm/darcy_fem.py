@@ -20,13 +20,11 @@ As in the free-flow module, the stored saddle matrix carries the negated
 head so the matrix is symmetric; solve helpers restore the sign.
 """
 
-import time
-
 import numpy as np
 import scipy.sparse as sp
 
 from . import quadrature
-from .sparsela import SparseMatrix, factorize, quadratic_form
+from .sparsela import SparseMatrix, SubdomainOperator, quadratic_form
 from .stokes_fem import interface_mass, trace_columns, trace_values
 
 
@@ -64,7 +62,8 @@ class DarcySpace:
 
         self._build_basis()
         self._precompute_quadrature()
-        self.velocity_mass = self._velocity_mass()
+        self.velocity_mass = darcy_form(self, 1.0, 1.0, 0.0)
+        self._interface_info = None
 
     @property
     def head_slice(self):
@@ -125,29 +124,25 @@ class DarcySpace:
         bary, w = quadrature.triangle_rule(2)
         self.qw = w
         self.qpoints = quadrature.physical_points(mesh.verts, mesh.tris, bary)
-        # phi[t, q, ldof, comp]
-        self.phi = np.einsum("qm,tlmc->tqlc", bary, self.vertex_values)
-        nt, nq = mesh.n_tris, len(w)
-        # eval_op: velocity dofs -> both components at every quadrature
-        # point, row (t, q, c) in C order; quad_weight: w_q |T| per row
-        vals = self.phi.transpose(0, 1, 3, 2)
-        rows = np.broadcast_to(np.arange(nt * nq * 2).reshape(nt, nq, 2, 1), vals.shape)
-        cols = np.broadcast_to(self.elem_dofs[:, None, None, :], vals.shape)
-        self.eval_op = sp.csr_matrix((vals.ravel(), (rows.ravel(), cols.ravel())),
-                                     shape=(nt * nq * 2, self.n_velocity))
+        # eval_op at the assembly rule; quad_weight: w_q |T| per row
+        self.eval_op = self.evaluation_operator(bary)
         self.quad_weight = np.repeat((w[None, :] * mesh.tri_area[:, None]).ravel(), 2)
         # div_op: velocity dofs -> the constant divergence on each triangle
+        nt = mesh.n_tris
         self.div_op = sp.csr_matrix((self.div.ravel(),
                                      (np.repeat(np.arange(nt), 6), self.elem_dofs.ravel())),
                                     shape=(nt, self.n_velocity))
 
-    def _velocity_mass(self):
-        A = self.mesh.tri_area
-        Mel = np.einsum("q,tqic,tqjc->tij", self.qw, self.phi, self.phi) * A[:, None, None]
-        rows = np.repeat(self.elem_dofs, 6, axis=1).ravel()
-        cols = np.tile(self.elem_dofs, (1, 6)).ravel()
-        return sp.csr_matrix((Mel.ravel(), (rows, cols)),
-                             shape=(self.n_velocity, self.n_velocity))
+    def evaluation_operator(self, bary):
+        """Sparse map from velocity dofs to both field components at the
+        barycentric points `bary` (q, 3) of every triangle, row (t, q, c)
+        in C order."""
+        nt, nq = self.mesh.n_tris, len(bary)
+        vals = np.einsum("qm,tlmc->tqcl", bary, self.vertex_values)
+        rows = np.broadcast_to(np.arange(nt * nq * 2).reshape(nt, nq, 2, 1), vals.shape)
+        cols = np.broadcast_to(self.elem_dofs[:, None, None, :], vals.shape)
+        return sp.csr_matrix((vals.ravel(), (rows.ravel(), cols.ravel())),
+                             shape=(nt * nq * 2, self.n_velocity))
 
     def velocity_sq(self, vec):
         """Squared L2 norm of the velocity part of a dof vector, or of each
@@ -161,6 +156,13 @@ class DarcySpace:
         """Exact per-triangle divergence of a velocity dof vector."""
         coeffs = vec[self.elem_dofs]
         return np.einsum("tl,tl->t", self.div, coeffs)
+
+    def interface_info(self, pairing):
+        """The interface operators of `pairing`, built on first use."""
+        info = self._interface_info
+        if info is None or info.pairing is not pairing:
+            info = self._interface_info = DarcyInterfaceInfo(self, pairing)
+        return info
 
 
 def build_darcy_space(mesh, essential_tags=None, head_multiplier=False):
@@ -185,6 +187,7 @@ class DarcyInterfaceInfo:
 
     def __init__(self, space, pairing):
         mesh = space.mesh
+        self.pairing = pairing
         n_p = pairing.n_pairs
         e = pairing.pairs[:, 1]
         lower_first = mesh.edges[e, 0] == pairing.nodes_d[:, 0]
@@ -219,65 +222,30 @@ class DarcyInterfaceInfo:
         return trace_values(self.tangential @ vec[:self.n_velocity], self.n_pairs)
 
 
-class DarcyOperator:
-    """Assembled, reduced, and factorized porous-medium subdomain matrix."""
+def darcy_form(space, g, weight, k_min):
+    """The velocity block g (W u, v) + g k_min (div u, div v), i.e.
+    g P^T diag(w |T| W) P + g k_min D^T diag(|T|) D with P the
+    quadrature-evaluation operator, w |T| the quadrature weights and D the
+    divergence operator of the space.
 
-    def __init__(self, space, matrix, delta_d, g, iface):
-        self.space = space
-        self.matrix = matrix
-        self.delta_d = delta_d
-        self.g = g
-        self.iface = iface
-        free, fixed = space.free, space.fixed
-        csr = matrix.csr
-        self.A_ff = csr[free][:, free].tocsc()
-        self.A_fd = csr[free][:, fixed].tocsr()
-        t0 = time.perf_counter()
-        self.factorization = factorize(SparseMatrix(self.A_ff))
-        self.factor_seconds = time.perf_counter() - t0
-
-    def lift(self, essential_values):
-        return self.A_fd @ essential_values[self.space.fixed]
-
-    def reduce_rhs(self, rhs_full, lift_vec=None):
-        b = rhs_full[self.space.free]
-        if lift_vec is not None:
-            b -= lift_vec
-        return b
-
-    def expand(self, x_free, essential_values=None):
-        full = np.zeros((self.space.n_dofs,) + x_free.shape[1:], order="F")
-        if essential_values is not None:
-            full[self.space.fixed] = essential_values[self.space.fixed]
-        full[self.space.free] = x_free
-        full[self.space.head_slice] *= -1.0
-        return full
-
-    def split(self, full):
-        s = self.space
-        return (full[:s.n_velocity], full[s.head_slice],
-                full[-1] if s.head_multiplier else 0.0)
-
-
-def mass_divdiv_elements(space, g, coeff, k_min):
-    """Element matrices of g (W u, v) + g k_min (div u, div v), where the
-    weight tensor W comes from coeff.inv_tensor(points)."""
-    mesh = space.mesh
-    A = mesh.tri_area
-    pts = space.qpoints.reshape(-1, 2)
-    W = coeff.inv_tensor(pts).reshape(mesh.n_tris, len(space.qw), 2, 2)
-    if np.any(W[:, :, 0, 0] <= 0) or np.any(W[:, :, 1, 1] <= 0):
+    `weight` is the diagonal of the tensor W per row of P (see
+    inverse_diagonal), or a scalar for W = weight I.
+    """
+    W = g * space.quad_weight * weight
+    if np.any(W <= 0):
         raise ValueError("coefficient tensor not SPD at a quadrature point")
-    Mel = g * np.einsum("q,tqcd,tqid,tqjc->tij", space.qw, W, space.phi, space.phi) * A[:, None, None]
-    Mel += g * k_min * np.einsum("ti,tj->tij", space.div, space.div) * A[:, None, None]
-    return Mel
+    P, D = space.eval_op, space.div_op
+    form = P.T @ sp.diags(W) @ P
+    if k_min:
+        form = form + D.T @ sp.diags(g * k_min * space.mesh.tri_area) @ D
+    return form.tocsr()
 
 
 def assemble_darcy_operator(space, g, kbar, kbar_min, delta_d, pairing):
     """Assemble and factorize the shared porous-medium matrix.
 
-    `kbar` supplies the mass-term coefficient tensor via
-    kbar.inv_tensor(points) (for an ensemble this is the mean of the sample
+    `kbar` supplies the diagonal mass-term coefficient tensor via
+    kbar.inv_diag(y) (for an ensemble this is the mean of the sample
     inverse tensors); `kbar_min` weights the grad-div augmentation.
     """
     if g <= 0:
@@ -287,25 +255,20 @@ def assemble_darcy_operator(space, g, kbar, kbar_min, delta_d, pairing):
     if kbar_min <= 0:
         raise ValueError("kbar_min must be positive")
 
-    mesh = space.mesh
-    A = mesh.tri_area
-    Mel = mass_divdiv_elements(space, g, kbar, kbar_min)
-
+    A = space.mesh.tri_area
     builder = SparseMatrix.builder(space.n_dofs, space.n_dofs)
-    ed = space.elem_dofs
-    rows = np.repeat(ed, 6, axis=1).ravel()
-    cols = np.tile(ed, (1, 6)).ravel()
-    builder.add(rows, cols, Mel.ravel())
+    form = darcy_form(space, g, inverse_diagonal(space, kbar), kbar_min).tocoo()
+    builder.add(form.row, form.col, form.data)
 
     # divergence coupling (negated-head convention keeps this symmetric)
     Bel = g * space.div * A[:, None]
     hd = space.n_velocity + np.arange(space.n_head)
     rows = np.repeat(hd, 6)
-    cols = ed.ravel()
+    cols = space.elem_dofs.ravel()
     builder.add(rows, cols, Bel.ravel())
     builder.add(cols, rows, Bel.ravel())
 
-    iface = DarcyInterfaceInfo(space, pairing)
+    iface = space.interface_info(pairing)
     robin = (iface.normal.T @ (delta_d * interface_mass(pairing)) @ iface.normal).tocoo()
     builder.add(robin.row, robin.col, robin.data)
 
@@ -315,7 +278,7 @@ def assemble_darcy_operator(space, g, kbar, kbar_min, delta_d, pairing):
         builder.add(np.full_like(hd, mdof), hd, A)
 
     matrix = builder.finalize()
-    return DarcyOperator(space, matrix, delta_d, g, iface)
+    return SubdomainOperator(matrix, space.free, space.fixed, space.head_slice)
 
 
 def assemble_darcy_volume_rhs(space, f_D, k_min, g):
@@ -330,7 +293,7 @@ def assemble_darcy_volume_rhs(space, f_D, k_min, g):
     return rhs
 
 
-def add_darcy_interface_rhs(rhs, iface, pairing, g_D):
+def add_darcy_interface_rhs(rhs, iface, g_D):
     """Accumulate -<g_D, v.n_D> for per-pair linear traces: (n_pairs, 2)
     into a vector, or (k, n_pairs, 2) into the columns of an (n_dofs, k)
     block."""
@@ -397,20 +360,4 @@ def add_darcy_lag_rhs(rhs, space, dW, dk_min, u_prev, g):
     du *= np.multiply.outer(g * space.mesh.tri_area, dk_min)
     lag += space.div_op.T @ du
     rhs[:nv] += lag
-    return rhs
-
-
-def assemble_darcy_rhs(space, j, ctx, state, iface=None):
-    """Full iteration right-hand side for sample j: volume source, Robin
-    interface data, and the lagged deviation terms."""
-    if j >= len(state.g_D):
-        raise KeyError(f"sample {j} missing from interface state")
-    sample = ctx.samples[j]
-    rhs = assemble_darcy_volume_rhs(space, sample.f_D, sample.k_min, ctx.g)
-    if iface is None:
-        iface = DarcyInterfaceInfo(space, state.pairing)
-    add_darcy_interface_rhs(rhs, iface, state.pairing, state.g_D[j])
-    dW = inverse_diagonal(space, ctx.kbar_field) - inverse_diagonal(space, sample.K)
-    add_darcy_lag_rhs(rhs, space, dW, ctx.kbar_min - sample.k_min,
-                      state.ud_prev[j], ctx.g)
     return rhs

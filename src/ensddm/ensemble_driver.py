@@ -24,7 +24,7 @@ from .stokes_fem import (build_stokes_space, assemble_stokes_operator,
 from .darcy_fem import (build_darcy_space, assemble_darcy_operator,
                         assemble_darcy_volume_rhs, add_darcy_interface_rhs,
                         add_darcy_natural_head_rhs, add_darcy_lag_rhs,
-                        inverse_diagonal, mass_divdiv_elements, DarcyInterfaceInfo)
+                        inverse_diagonal, darcy_form)
 from .interface_state import init_state, update_robin, stopping_norm
 
 
@@ -306,7 +306,7 @@ def run_ensemble_ddm(ctx, mesh_s, mesh_d, pairing, bc,
     t_assembly = time.perf_counter() - t0 - t_factor
 
     state = init_state(ctx, pairing, n_darcy_vel=space_d.n_velocity)
-    iface = op_d.iface
+    iface = space_d.interface_info(pairing)
     us = np.zeros((space_s.n_dofs, J), order="F")
     ud = np.zeros((space_d.n_dofs, J), order="F")
     iterations = np.zeros(J, dtype=np.int64)
@@ -345,7 +345,7 @@ def run_ensemble_ddm(ctx, mesh_s, mesh_d, pairing, bc,
         del b
         tc = time.perf_counter()
         rhs = base_d.copy()
-        add_darcy_interface_rhs(rhs, iface, pairing, state.g_D[act])
+        add_darcy_interface_rhs(rhs, iface, state.g_D[act])
         add_darcy_lag_rhs(rhs, space_d, dW, dk, state.ud_prev[act].T, ctx.g)
         b = op_d.reduce_rhs(rhs)
         del rhs
@@ -465,7 +465,7 @@ def _monolithic_system(report, ctx, bc, j):
         builder.add(np.full_like(prow, mdof), prow, mvals)   # mean row
 
     n, tau = pairing.n_s, pairing.tau
-    iface = DarcyInterfaceInfo(space_d, pairing)
+    iface = space_d.interface_info(pairing)
     dsum = ctx.delta_s + ctx.delta_d
     for p in range(n_p):
         Me = edge_mass(pairing.lengths[p])
@@ -510,9 +510,9 @@ def _monolithic_system(report, ctx, bc, j):
             b[r] = ctx.g * ctx.z
 
     # --- porous momentum volume + continuity rows (per-sample coefficients) ---
-    Mel = mass_divdiv_elements(space_d, ctx.g, sample.K, sample.k_min)
+    form = darcy_form(space_d, ctx.g, inverse_diagonal(space_d, sample.K), sample.k_min).tocoo()
+    builder.add(form.row + nS, form.col + nS, form.data)
     ed = space_d.elem_dofs + nS
-    builder.add(np.repeat(ed, 6, axis=1).ravel(), np.tile(ed, (1, 6)).ravel(), Mel.ravel())
     Bel = ctx.g * space_d.div * space_d.mesh.tri_area[:, None]
     hd = nS + space_d.n_velocity + np.arange(space_d.n_head)
     builder.add(ed.ravel(), np.repeat(hd, 6), -Bel.ravel())   # momentum: -(phi, div v)

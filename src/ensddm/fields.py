@@ -1,8 +1,8 @@
 """Diagonal conductivity tensor fields K(x) = diag(k11(y), k22(y)).
 
 All scenarios use diagonal tensors whose entries depend on y at most, so a
-field exposes vectorized diagonal evaluations; `tensor`/`inv_tensor` return
-full (n, 2, 2) arrays for assembly code that works with tensors.
+field exposes vectorized diagonal evaluations; `inv_tensor` returns the
+full (n, 2, 2) inverse tensors.
 """
 
 import numpy as np
@@ -19,14 +19,6 @@ class ConductivityField:
     def inv_diag(self, y):
         k11, k22 = self.diag(y)
         return 1.0 / k11, 1.0 / k22
-
-    def tensor(self, points):
-        pts = np.atleast_2d(points)
-        k11, k22 = self.diag(pts[:, 1])
-        out = np.zeros((len(pts), 2, 2))
-        out[:, 0, 0] = k11
-        out[:, 1, 1] = k22
-        return out
 
     def inv_tensor(self, points):
         pts = np.atleast_2d(points)
@@ -92,9 +84,3 @@ class MeanInverseField:
         out[:, 0, 0] = i11
         out[:, 1, 1] = i22
         return out
-
-    def check_spd(self, points):
-        pts = np.atleast_2d(points)
-        i11, i22 = self.inv_diag(pts[:, 1])
-        if np.any(i11 <= 0) or np.any(i22 <= 0):
-            raise ValueError("mean inverse tensor not SPD at a quadrature point")

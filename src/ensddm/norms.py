@@ -11,6 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import quadrature
+from .stokes_fem import mini_basis
 
 
 @dataclass
@@ -45,18 +46,7 @@ def stokes_errors(space, full, exact):
     nq = len(w)
     A = mesh.tri_area
 
-    N = np.empty((nq, 4))
-    N[:, :3] = bary
-    N[:, 3] = 27.0 * bary[:, 0] * bary[:, 1] * bary[:, 2]
-    g = mesh.tri_grads
-    dN = np.empty((mesh.n_tris, nq, 4, 2))
-    dN[:, :, :3, :] = g[:, None, :, :]
-    l = bary
-    bub = (l[None, :, 1] * l[None, :, 2])[:, :, None] * g[:, None, 0, :] \
-        + (l[None, :, 0] * l[None, :, 2])[:, :, None] * g[:, None, 1, :] \
-        + (l[None, :, 0] * l[None, :, 1])[:, :, None] * g[:, None, 2, :]
-    dN[:, :, 3, :] = 27.0 * bub
-
+    N, dN = mini_basis(bary, mesh.tri_grads)
     vd = space.vel_elem_dofs
     cx = full[vd[:, :4]]
     cy = full[vd[:, 4:]]
@@ -96,10 +86,8 @@ def darcy_errors(space, full, exact):
     nq = len(w)
     A = mesh.tri_area
 
-    phi_basis = np.einsum("qm,tlmc->tqlc", bary, space.vertex_values)
-    coeffs = full[space.elem_dofs]
-    uh = np.einsum("tqlc,tl->tqc", phi_basis, coeffs)
-    divh = np.einsum("tl,tl->t", space.div, coeffs)
+    uh = (space.evaluation_operator(bary) @ full[:space.n_velocity]).reshape(mesh.n_tris, nq, 2)
+    divh = space.elementwise_div(full)
     phih = full[space.head_slice]
 
     ue = exact.u_D(flat).reshape(mesh.n_tris, nq, 2)

@@ -10,6 +10,7 @@ ordering); everything is float64.
 """
 
 import threading
+import time
 
 import numpy as np
 import scipy.sparse as sp
@@ -152,6 +153,43 @@ def factorize(a):
     with _counter_lock:
         _factorize_calls += 1
     return Factorization(lu, n_rows)
+
+
+class SubdomainOperator:
+    """A subdomain matrix reduced to its free rows and columns and
+    factorized once.
+
+    The `free` and `fixed` index arrays split the dofs; fixed rows carry
+    boundary values.  The stored matrix holds the unknowns of the
+    `negated` slice (pressure or head) with flipped sign so that it is
+    symmetric; `expand` restores the physical sign.
+    """
+
+    def __init__(self, matrix, free, fixed, negated):
+        self.matrix = matrix
+        self.free, self.fixed, self.negated = free, fixed, negated
+        csr = matrix.csr
+        self.A_ff = csr[free][:, free].tocsc()
+        self.A_fd = csr[free][:, fixed].tocsr()
+        t0 = time.perf_counter()
+        self.factorization = factorize(SparseMatrix(self.A_ff))
+        self.factor_seconds = time.perf_counter() - t0
+
+    def lift(self, values):
+        """Free-row correction for boundary values, given as full-length
+        dof vectors or (n_dofs, k) blocks; only fixed rows are read."""
+        return self.A_fd @ values[self.fixed]
+
+    def reduce_rhs(self, rhs_full):
+        return rhs_full[self.free]
+
+    def expand(self, x_free):
+        """Scatter a reduced solution (vector or column block) to full dof
+        vectors with zero fixed rows and the physical sign restored."""
+        full = np.zeros((self.matrix.n_rows,) + x_free.shape[1:], order="F")
+        full[self.free] = x_free
+        full[self.negated] *= -1.0
+        return full
 
 
 def quadratic_form(m, x):

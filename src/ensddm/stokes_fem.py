@@ -17,13 +17,11 @@ blocks: a dof vector per sample becomes a column of an (n_dofs, k) block,
 and the endpoint traces of k samples are (k, n_pairs, 2).
 """
 
-import time
-
 import numpy as np
 import scipy.sparse as sp
 
 from . import quadrature
-from .sparsela import SparseMatrix, factorize, quadratic_form
+from .sparsela import SparseMatrix, SubdomainOperator, quadratic_form
 
 
 _EDGE_MASS = np.array([[2.0, 1.0], [1.0, 2.0]])
@@ -55,6 +53,23 @@ def trace_columns(g):
 def trace_values(t, n_pairs):
     """Inverse of trace_columns."""
     return t.T.reshape(t.shape[1:] + (n_pairs, 2))
+
+
+def mini_basis(bary, tri_grads):
+    """MINI basis [l0, l1, l2, 27 l0 l1 l2] at barycentric points `bary`
+    (q, 3): values N (q, 4), the same on every triangle, and gradients
+    dN (nt, q, 4, 2) from the barycentric gradients (nt, 3, 2)."""
+    N = np.empty((len(bary), 4))
+    N[:, :3] = bary
+    N[:, 3] = 27.0 * bary[:, 0] * bary[:, 1] * bary[:, 2]
+    g, l = tri_grads, bary
+    dN = np.empty((len(g), len(l), 4, 2))
+    dN[:, :, :3, :] = g[:, None, :, :]
+    bub = (l[None, :, 1] * l[None, :, 2])[:, :, None] * g[:, None, 0, :] \
+        + (l[None, :, 0] * l[None, :, 2])[:, :, None] * g[:, None, 1, :] \
+        + (l[None, :, 0] * l[None, :, 1])[:, :, None] * g[:, None, 2, :]
+    dN[:, :, 3, :] = 27.0 * bub
+    return N, dN
 
 
 class StokesSpace:
@@ -120,26 +135,9 @@ class StokesSpace:
         mesh = self.mesh
         nt = mesh.n_tris
         bary, w = quadrature.triangle_rule(4)
-        nq = len(w)
         self.qw = w
         self.qpoints = quadrature.physical_points(mesh.verts, mesh.tris, bary)
-
-        # basis values: [l0, l1, l2, 27 l0 l1 l2], constant across triangles
-        N = np.empty((nq, 4))
-        N[:, :3] = bary
-        N[:, 3] = 27.0 * bary[:, 0] * bary[:, 1] * bary[:, 2]
-        self.N = N
-
-        # basis gradients per triangle and quad point
-        g = mesh.tri_grads                                    # (nt, 3, 2)
-        dN = np.empty((nt, nq, 4, 2))
-        dN[:, :, :3, :] = g[:, None, :, :]
-        l = bary                                              # (nq, 3)
-        bub = (l[None, :, 1] * l[None, :, 2])[:, :, None] * g[:, None, 0, :] \
-            + (l[None, :, 0] * l[None, :, 2])[:, :, None] * g[:, None, 1, :] \
-            + (l[None, :, 0] * l[None, :, 1])[:, :, None] * g[:, None, 2, :]
-        dN[:, :, 3, :] = 27.0 * bub
-        self.dN = dN
+        self.N, self.dN = mini_basis(bary, mesh.tri_grads)
 
         vd = np.empty((nt, 8), dtype=np.int64)
         vd[:, :3] = mesh.tris
@@ -218,50 +216,6 @@ class StokesInterfaceInfo:
         self.load = -(self.trace.T @ sp.block_diag((mass, mass))).tocsr()
 
 
-class StokesOperator:
-    """Assembled, reduced, and factorized free-flow subdomain matrix."""
-
-    def __init__(self, space, matrix, delta_s, xi_bar, nu):
-        self.space = space
-        self.matrix = matrix
-        self.delta_s = delta_s
-        self.xi_bar = xi_bar
-        self.nu = nu
-        free, fixed = space.free, space.fixed
-        csr = matrix.csr
-        self.A_ff = csr[free][:, free].tocsc()
-        self.A_fd = csr[free][:, fixed].tocsr()
-        t0 = time.perf_counter()
-        self.factorization = factorize(SparseMatrix(self.A_ff))
-        self.factor_seconds = time.perf_counter() - t0
-
-    def lift(self, dirichlet_values):
-        """Free-dof RHS correction for inhomogeneous Dirichlet data
-        (full-length vector; only fixed entries are read)."""
-        return self.A_fd @ dirichlet_values[self.space.fixed]
-
-    def reduce_rhs(self, rhs_full, lift_vec=None):
-        b = rhs_full[self.space.free]
-        if lift_vec is not None:
-            b -= lift_vec
-        return b
-
-    def expand(self, x_free, dirichlet_values=None):
-        """Scatter a reduced solution (vector or column block) to full dof
-        vectors (pressure sign restored to the physical convention)."""
-        full = np.zeros((self.space.n_dofs,) + x_free.shape[1:], order="F")
-        if dirichlet_values is not None:
-            full[self.space.fixed] = dirichlet_values[self.space.fixed]
-        full[self.space.free] = x_free
-        full[self.space.pressure_slice] *= -1.0
-        return full
-
-    def split(self, full):
-        s = self.space
-        return (full[:s.n_velocity], full[s.pressure_slice],
-                full[-1] if s.pressure_multiplier else 0.0)
-
-
 def deformation_element_matrices(space, nu):
     """Element matrices of 2 nu (D(u), D(v)) over the 8 local velocity dofs."""
     A = space.mesh.tri_area
@@ -332,7 +286,7 @@ def assemble_stokes_operator(space, nu, delta_s, xi_bar, pairing):
         builder.add(np.full_like(prow, mdof), prow, mvals)
 
     matrix = builder.finalize()
-    return StokesOperator(space, matrix, delta_s, xi_bar, nu)
+    return SubdomainOperator(matrix, space.free, space.fixed, space.pressure_slice)
 
 
 def assemble_stokes_volume_rhs(space, f_S):
@@ -366,20 +320,3 @@ def interface_traces(space, pairing, vec):
     t = space.interface_info(pairing).trace @ vec
     n2 = 2 * pairing.n_pairs
     return trace_values(t[:n2], pairing.n_pairs), trace_values(t[n2:], pairing.n_pairs)
-
-
-def assemble_stokes_rhs(space, j, ctx, state):
-    """Full iteration right-hand side for sample j.
-
-    Volume forcing plus interface terms: -<g_S, v.n> - <g_S_tau, v.tau>
-    + (xi_bar - xi_j) <u_S^{prev}.tau, v.tau>.  Bubble rows receive only the
-    volume contribution.
-    """
-    if j >= len(state.g_S):
-        raise KeyError(f"sample {j} missing from interface state")
-    sample = ctx.samples[j]
-    rhs = assemble_stokes_volume_rhs(space, sample.f_S)
-    lag = (ctx.xi_bar - sample.xi) * state.us_tau[j]
-    add_interface_rhs(rhs, space, state.pairing,
-                      g_n=state.g_S[j], g_tau=state.g_S_tau[j] - lag)
-    return rhs

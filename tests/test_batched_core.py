@@ -1,20 +1,25 @@
 """The batched iteration core against per-pair and per-sample oracles.
 
-The oracles are the loop forms the sparse interface operators replaced:
-one Python iteration per interface pair, one dof vector per sample.
+The oracles are the loop forms the sparse operators replaced: one Python
+iteration per interface pair, one dof vector per sample, and per-element
+einsums over basis values tabulated here from the vertex values.
 """
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.sparse.linalg import norm as sparse_norm
 
 from ensddm.bench_cli import manufactured_meshes, channel_meshes
-from ensddm.darcy_fem import (build_darcy_space, add_darcy_interface_rhs,
-                              add_darcy_lag_rhs, inverse_diagonal, DarcyInterfaceInfo)
+from ensddm.darcy_fem import (build_darcy_space, assemble_darcy_operator,
+                              add_darcy_interface_rhs, add_darcy_lag_rhs, inverse_diagonal,
+                              DarcyInterfaceInfo)
 from ensddm.fields import ConstantConductivity, KLConductivity, MeanInverseField
 from ensddm.mesh import Rect, build_rect_mesh, pair_interface
+from ensddm.quadrature import triangle_rule
 from ensddm.random_field import RandomFieldSpec, draw_samples
 from ensddm.stokes_fem import (build_stokes_space, add_interface_rhs, interface_traces,
-                               edge_mass)
+                               edge_mass, interface_mass)
 
 
 def stokes_below():
@@ -96,13 +101,32 @@ def oracle_darcy_traces(space, pairing, vec):
             np.einsum("pil,pl->pi", tau_mat, vec[loc_dofs]))
 
 
+def oracle_phi(space):
+    """BDM1 basis values phi[t, q, ldof, comp] at the degree-2 rule."""
+    bary, _ = triangle_rule(2)
+    return np.einsum("qm,tlmc->tqlc", bary, space.vertex_values)
+
+
+def oracle_form(space, g, W_full, k_min):
+    """Element matrices of g (W u, v) + g k_min (div u, div v) scattered by
+    elem_dofs; W_full is (nt, nq, 2, 2)."""
+    A = space.mesh.tri_area
+    phi = oracle_phi(space)
+    Mel = g * np.einsum("q,tqcd,tqid,tqjc->tij", space.qw, W_full, phi, phi) * A[:, None, None]
+    Mel += g * k_min * np.einsum("ti,tj->tij", space.div, space.div) * A[:, None, None]
+    ed = space.elem_dofs
+    return sp.csr_matrix((Mel.ravel(), (np.repeat(ed, 6, axis=1).ravel(), np.tile(ed, (1, 6)).ravel())),
+                         shape=(space.n_velocity, space.n_velocity))
+
+
 def oracle_lag_rhs(space, dW_full, dk_min, u_prev, g):
     """The tensor-valued einsum form; dW_full is (nt, nq, 2, 2)."""
     A = space.mesh.tri_area
+    phi = oracle_phi(space)
     coeffs = u_prev[space.elem_dofs]
-    uq = np.einsum("tqlc,tl->tqc", space.phi, coeffs)
+    uq = np.einsum("tqlc,tl->tqc", phi, coeffs)
     Wu = np.einsum("tqcd,tqd->tqc", dW_full, uq)
-    vol = g * np.einsum("q,tqc,tqlc->tl", space.qw, Wu, space.phi) * A[:, None]
+    vol = g * np.einsum("q,tqc,tqlc->tl", space.qw, Wu, phi) * A[:, None]
     div_prev = np.einsum("tl,tl->t", space.div, coeffs)
     vol += g * dk_min * (div_prev * A)[:, None] * space.div
     rhs = np.zeros(space.n_dofs)
@@ -111,6 +135,8 @@ def oracle_lag_rhs(space, dW_full, dk_min, u_prev, g):
 
 
 def rel(a, b):
+    if sp.issparse(a):
+        return sparse_norm(a - b) / sparse_norm(b)
     return np.linalg.norm(a - b) / np.linalg.norm(b)
 
 
@@ -154,13 +180,13 @@ def test_darcy_load_and_trace_match_per_pair_loops(geometry):
     rng = np.random.default_rng(12)
     k = 3
     g_D = rng.standard_normal((k, pairing.n_pairs, 2))
-    block = add_darcy_interface_rhs(np.zeros((space.n_dofs, k)), info, pairing, g_D)
+    block = add_darcy_interface_rhs(np.zeros((space.n_dofs, k)), info, g_D)
     full = rng.standard_normal((space.n_dofs, k))
     tn, tt = info.normal_trace(full), info.tangential_trace(full[:space.n_velocity])
     for j in range(k):
         want = oracle_darcy_rhs(space, pairing, g_D[j])
         assert rel(block[:, j], want) <= 1e-14
-        one = add_darcy_interface_rhs(np.zeros(space.n_dofs), info, pairing, g_D[j])
+        one = add_darcy_interface_rhs(np.zeros(space.n_dofs), info, g_D[j])
         assert rel(one, want) <= 1e-14
         wn, wt = oracle_darcy_traces(space, pairing, full[:, j])
         assert rel(tn[j], wn) <= 1e-14 and rel(tt[j], wt) <= 1e-14
@@ -192,3 +218,27 @@ def test_block_lag_rhs_matches_columns_and_tensor_oracle():
         assert rel(block[:, j], one) <= 1e-13
         dW_full = (mean.inv_tensor(pts) - fields[j].inv_tensor(pts)).reshape(shape)
         assert rel(one, oracle_lag_rhs(space, dW_full, dk[j], U[:, j], g)) <= 1e-13
+
+
+# -- the Darcy form -----------------------------------------------------------
+
+@pytest.mark.parametrize("geometry", sorted(MESHES))
+@pytest.mark.parametrize("field", ["constant", "kl"])
+def test_darcy_block_and_velocity_mass_match_element_oracle(geometry, field):
+    _, md, pairing = MESHES[geometry]()
+    space = build_darcy_space(md)
+    if field == "constant":
+        K = ConstantConductivity(2.0, 3.0)
+    else:
+        spec = RandomFieldSpec(a0=1.0, sigma=0.15, L_c=0.25, n_f=3)
+        K = KLConductivity(spec, draw_samples(spec, 1, 7)[0])
+    g, k_min, delta_d = 1.3, 0.4, 2.5
+    nv = space.n_velocity
+    pts = space.qpoints.reshape(-1, 2)
+    W_full = K.inv_tensor(pts).reshape(md.n_tris, len(space.qw), 2, 2)
+    block = assemble_darcy_operator(space, g, K, k_min, delta_d, pairing).matrix.csr[:nv, :nv]
+    normal = space.interface_info(pairing).normal
+    robin = normal.T @ (delta_d * interface_mass(pairing)) @ normal
+    assert rel(block, oracle_form(space, g, W_full, k_min) + robin) <= 1e-14
+    unit = np.broadcast_to(np.eye(2), W_full.shape)
+    assert rel(space.velocity_mass, oracle_form(space, 1.0, unit, 0.0)) <= 1e-14

@@ -39,6 +39,8 @@ def test_parse_rejects_bad_input():
         config_from_mapping({"allow_nonconverged": "maybe"})
     with pytest.raises(ConfigError):
         config_from_mapping({"scenario": "nonsense"})
+    with pytest.raises(ConfigError, match="'J'"):
+        config_from_mapping({"J": "abc"})
     with pytest.raises(ConfigError):
         ScenarioConfig(robin_mode="explicit", delta_d=0.0).validate()
 
@@ -172,6 +174,15 @@ def test_cli_sweep_and_symbol(tmp_path, capsys):
     assert (tmp_path / "sw" / "rho_sweep.csv").exists()
     assert main(["symbol", "--out", str(tmp_path / "sy"), "--seed", "4"]) == 0
     assert (tmp_path / "sy" / "symbol_contraction.csv").exists()
+
+
+@pytest.mark.parametrize("text", ["J = abc\n", "no_such_key = 1\n"])
+def test_cli_bad_config_is_an_error_not_a_traceback(tmp_path, capsys, text):
+    cfgfile = tmp_path / "bad.cfg"
+    cfgfile.write_text(text)
+    assert main(["converge", "--config", str(cfgfile), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_converge_with_config(tmp_path):

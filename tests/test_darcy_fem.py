@@ -3,8 +3,7 @@ import pytest
 
 from ensddm.mesh import Rect, build_rect_mesh, pair_interface
 from ensddm.darcy_fem import (build_darcy_space, assemble_darcy_operator,
-                              assemble_darcy_volume_rhs, add_darcy_interface_rhs,
-                              DarcyInterfaceInfo)
+                              assemble_darcy_volume_rhs, add_darcy_interface_rhs)
 from ensddm.stokes_fem import edge_mass
 from ensddm.fields import ConstantConductivity
 from ensddm.manufactured import ManufacturedSolution
@@ -92,8 +91,7 @@ def test_local_robin_block():
     a1 = assemble_darcy_operator(sp, 1.0, K, 1.0, 1.0, pairing).matrix.toarray()
     a2 = assemble_darcy_operator(sp, 1.0, K, 1.0, 4.0, pairing).matrix.toarray()
     diff = (a2 - a1) / 3.0
-    info = DarcyInterfaceInfo(sp, pairing)
-    d = info.dofs_x[0]
+    d = sp.interface_info(pairing).dofs_x[0]
     np.testing.assert_allclose(diff[np.ix_(d, d)], edge_mass(1.0), atol=1e-14)
     diff[np.ix_(d, d)] = 0.0
     assert np.abs(diff).max() < 1e-14
@@ -124,26 +122,23 @@ def test_rejects_bad_parameters():
 
 
 def test_mass_matrix_exact_vs_symbolic():
+    """The assembled velocity mass equals the symbolic element integrals of
+    the linear basis fields, scattered by elem_dofs."""
     sympy = pytest.importorskip("sympy")
     mesh = build_rect_mesh(Rect(0, 1, 0, 1), 1, 1)
     sp = build_darcy_space(mesh)
-    t = 0  # triangle (0,0)-(1,0)-(1,1)
-    x, y = sympy.symbols("x y")
-    lam = [1 - x, x - y, y]
-
-    def integrate(expr):
-        return float(sympy.integrate(sympy.integrate(expr, (y, 0, x)), (x, 0, 1)))
-
-    # symbolic basis from the vertex values (fields are linear)
-    V = sp.vertex_values[t]  # (6, 3, 2)
-    from ensddm.darcy_fem import mass_divdiv_elements
-    Mel = mass_divdiv_elements(sp, 1.0, ConstantConductivity(1.0), 0.0)[t]
-    for i in range(6):
-        for j in range(6):
-            fi = [sum(V[i, m, c] * lam[m] for m in range(3)) for c in range(2)]
-            fj = [sum(V[j, m, c] * lam[m] for m in range(3)) for c in range(2)]
-            exact = integrate(fi[0] * fj[0] + fi[1] * fj[1])
-            assert Mel[i, j] == pytest.approx(exact, abs=1e-13)
+    s, t = sympy.symbols("s t")
+    lam = [1 - s - t, s, t]   # barycentrics on the reference triangle
+    exact = np.zeros((sp.n_velocity, sp.n_velocity))
+    for tri in range(mesh.n_tris):
+        # symbolic basis from the vertex values (fields are linear)
+        V = sp.vertex_values[tri]  # (6, 3, 2)
+        f = [[sum(V[i, m, c] * lam[m] for m in range(3)) for c in range(2)] for i in range(6)]
+        for i in range(6):
+            for j in range(6):
+                ref = sympy.integrate(f[i][0] * f[j][0] + f[i][1] * f[j][1], (t, 0, 1 - s), (s, 0, 1))
+                exact[sp.elem_dofs[tri, i], sp.elem_dofs[tri, j]] += 2 * mesh.tri_area[tri] * float(ref)
+    np.testing.assert_allclose(sp.velocity_mass.toarray(), exact, rtol=0, atol=1e-13)
 
 
 def test_volume_rhs_structure():
@@ -178,15 +173,17 @@ def _solve_subproblem(n, k=2.21, delta_d=2.0, g=1.0):
     rhs = assemble_darcy_volume_rhs(sp, exact.f_D, 1.0 / k, g)
     xs = md.verts[pairing.nodes_d, 0]
     g_D = exact.g_D_interface(xs.ravel(), delta_d).reshape(xs.shape)
-    add_darcy_interface_rhs(rhs, op.iface, pairing, g_D)
+    add_darcy_interface_rhs(rhs, sp.interface_info(pairing), g_D)
     gdir = np.zeros(sp.n_dofs)
     edges = sp.essential_edges
     a, b = md.edges[edges, 0], md.edges[edges, 1]
     n_e = sp.edge_normal[edges]
     gdir[2 * edges] = np.einsum("ij,ij->i", exact.u_D(md.verts[a]), n_e)
     gdir[2 * edges + 1] = np.einsum("ij,ij->i", exact.u_D(md.verts[b]), n_e)
-    x = op.factorization.solve(op.reduce_rhs(rhs, op.lift(gdir)))
-    return sp, op.expand(x, gdir), exact
+    x = op.factorization.solve(op.reduce_rhs(rhs) - op.lift(gdir))
+    full = op.expand(x)
+    full[sp.fixed] = gdir[sp.fixed]
+    return sp, full, exact
 
 
 def test_subproblem_convergence_orders():

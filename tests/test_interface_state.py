@@ -119,47 +119,3 @@ def test_trace_function_from_callable():
     tf = TraceFunction.from_callable(lambda x: 2.0 * x, ms, pairing)
     assert tf.values.shape == (4, 2)
     np.testing.assert_allclose(tf.values[:, 1] - tf.values[:, 0], 2.0 * 0.5)
-
-
-def test_full_rhs_contract_functions():
-    """The one-call RHS assemblers match the composed pieces and reject
-    missing sample indices."""
-    import numpy as np
-    from ensddm.stokes_fem import (build_stokes_space, assemble_stokes_rhs,
-                                   assemble_stokes_volume_rhs, add_interface_rhs)
-    from ensddm.darcy_fem import (build_darcy_space, assemble_darcy_rhs,
-                                  DarcyInterfaceInfo)
-    import pytest
-
-    ctx, pairing = setup(J=2, delta_s=1.0, delta_d=3.0)
-    ms = build_rect_mesh(Rect(0, 1, 0, 1), 4, 4, side_tags={"bottom": "INTERFACE"})
-    md = build_rect_mesh(Rect(0, 1, -1, 0), 4, 4, side_tags={"top": "INTERFACE"})
-    pairing = pair_interface(ms, md)
-    sp_s = build_stokes_space(ms)
-    sp_d = build_darcy_space(md)
-    st = init_state(ctx, pairing, n_darcy_vel=sp_d.n_velocity)
-    rng = np.random.default_rng(5)
-    st.g_S[:] = rng.standard_normal(st.g_S.shape)
-    st.g_S_tau[:] = rng.standard_normal(st.g_S.shape)
-    st.g_D[:] = rng.standard_normal(st.g_S.shape)
-    st.us_tau[:] = rng.standard_normal(st.g_S.shape)
-    st.ud_prev[:] = rng.standard_normal(st.ud_prev.shape)
-
-    j = 1
-    got = assemble_stokes_rhs(sp_s, j, ctx, st)
-    want = assemble_stokes_volume_rhs(sp_s, ctx.samples[j].f_S)
-    lag = (ctx.xi_bar - ctx.samples[j].xi) * st.us_tau[j]
-    add_interface_rhs(want, sp_s, pairing, g_n=st.g_S[j], g_tau=st.g_S_tau[j] - lag)
-    np.testing.assert_array_equal(got, want)
-    with pytest.raises(KeyError):
-        assemble_stokes_rhs(sp_s, 5, ctx, st)
-
-    got = assemble_darcy_rhs(sp_d, j, ctx, st)
-    assert got.shape == (sp_d.n_dofs,)
-    assert np.isfinite(got).all()
-    # zero state and zero forcing give the zero vector
-    st0 = init_state(ctx, pairing, n_darcy_vel=sp_d.n_velocity)
-    z = assemble_darcy_rhs(sp_d, 0, ctx, st0, iface=DarcyInterfaceInfo(sp_d, pairing))
-    assert not z.any()
-    with pytest.raises(KeyError):
-        assemble_darcy_rhs(sp_d, 5, ctx, st0)

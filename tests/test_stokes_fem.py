@@ -167,8 +167,9 @@ def _solve_subproblem(n, k=2.21, nu=1.0, delta_s=1.0):
     vals = exact.u_S(pts)
     gdir[sp.dirichlet_nodes] = vals[:, 0]
     gdir[sp.n_comp + sp.dirichlet_nodes] = vals[:, 1]
-    x = op.factorization.solve(op.reduce_rhs(rhs, op.lift(gdir)))
-    full = op.expand(x, gdir)
+    x = op.factorization.solve(op.reduce_rhs(rhs) - op.lift(gdir))
+    full = op.expand(x)
+    full[sp.fixed] = gdir[sp.fixed]
     return sp, full, exact
 
 
