@@ -391,10 +391,10 @@ def run_timing_comparison(cfg, h, J):
                           tol=cfg.tol, max_iters=cfg.max_iters)
     bc = manufactured_bc(exacts)
     t0 = time.perf_counter()
-    rep_e = run_ensemble_ddm(ctx, mesh_s, mesh_d, pairing, bc, record_history=False)
+    rep_e = run_ensemble_ddm(ctx, mesh_s, mesh_d, pairing, bc)
     t_ens = time.perf_counter() - t0
     t0 = time.perf_counter()
-    rep_t = run_traditional_ddm(ctx, mesh_s, mesh_d, pairing, bc, record_history=False)
+    rep_t = run_traditional_ddm(ctx, mesh_s, mesh_d, pairing, bc)
     t_trad = time.perf_counter() - t0
     return dict(J=J, h=repr(h), t_ensemble_s=t_ens, t_traditional_s=t_trad,
                 speedup=t_trad / t_ens,

@@ -25,7 +25,7 @@ import scipy.sparse as sp
 
 from . import quadrature
 from .sparsela import SparseMatrix, SubdomainOperator, quadratic_form
-from .stokes_fem import interface_mass, trace_columns, trace_values
+from .stokes_fem import interface_mass
 
 
 class DarcySpace:
@@ -188,7 +188,6 @@ class DarcyInterfaceInfo:
     def __init__(self, space, pairing):
         mesh = space.mesh
         self.pairing = pairing
-        n_p = pairing.n_pairs
         e = pairing.pairs[:, 1]
         lower_first = mesh.edges[e, 0] == pairing.nodes_d[:, 0]
         self.dofs_x = 2 * e[:, None] + np.where(lower_first[:, None], [0, 1], [1, 0])
@@ -199,9 +198,8 @@ class DarcyInterfaceInfo:
         m = np.argmax(mesh.tris[self.tri][:, None, :] == pairing.nodes_d[:, :, None], axis=2)
         self.tau_mat = space.vertex_values[self.tri[:, None], :, m, :] @ pairing.tau
         self.n_velocity = space.n_velocity
-        self.n_pairs = n_p
 
-        n2 = 2 * n_p
+        n2 = 2 * pairing.n_pairs
         shape = (n2, space.n_velocity)
         self.normal = sp.csr_matrix((np.repeat(self.sign, 2),
                                      (np.arange(n2), self.dofs_x.ravel())), shape=shape)
@@ -212,14 +210,14 @@ class DarcyInterfaceInfo:
         self.load = -(self.normal.T @ interface_mass(pairing)).tocsr()
 
     def normal_trace(self, vec):
-        """u . n_D at the x-sorted endpoints of every pair: (n_pairs, 2) for
-        a dof vector, (k, n_pairs, 2) for an (n_dofs, k) block."""
-        return trace_values(self.normal @ vec[:self.n_velocity], self.n_pairs)
+        """u . n_D at the x-sorted endpoints of every pair: (2 n_pairs,) for
+        a dof vector, (2 n_pairs, k) for an (n_dofs, k) block."""
+        return self.normal @ vec[:self.n_velocity]
 
     def tangential_trace(self, vec):
         """Element-sided u . tau at the x-sorted endpoints, shaped as
         normal_trace."""
-        return trace_values(self.tangential @ vec[:self.n_velocity], self.n_pairs)
+        return self.tangential @ vec[:self.n_velocity]
 
 
 def darcy_form(space, g, weight, k_min):
@@ -241,12 +239,13 @@ def darcy_form(space, g, weight, k_min):
     return form.tocsr()
 
 
-def assemble_darcy_operator(space, g, kbar, kbar_min, delta_d, pairing):
+def assemble_darcy_operator(space, g, weight, kbar_min, delta_d, pairing):
     """Assemble and factorize the shared porous-medium matrix.
 
-    `kbar` supplies the diagonal mass-term coefficient tensor via
-    kbar.inv_diag(y) (for an ensemble this is the mean of the sample
-    inverse tensors); `kbar_min` weights the grad-div augmentation.
+    `weight` is the diagonal of the mass-term coefficient tensor per row of
+    space.eval_op, as in darcy_form (for an ensemble, inverse_diagonal of
+    the mean of the sample inverse tensors); `kbar_min` weights the grad-div
+    augmentation.
     """
     if g <= 0:
         raise ValueError("gravity constant g must be positive")
@@ -257,7 +256,7 @@ def assemble_darcy_operator(space, g, kbar, kbar_min, delta_d, pairing):
 
     A = space.mesh.tri_area
     builder = SparseMatrix.builder(space.n_dofs, space.n_dofs)
-    form = darcy_form(space, g, inverse_diagonal(space, kbar), kbar_min).tocoo()
+    form = darcy_form(space, g, weight, kbar_min).tocoo()
     builder.add(form.row, form.col, form.data)
 
     # divergence coupling (negated-head convention keeps this symmetric)
@@ -294,10 +293,10 @@ def assemble_darcy_volume_rhs(space, f_D, k_min, g):
 
 
 def add_darcy_interface_rhs(rhs, iface, g_D):
-    """Accumulate -<g_D, v.n_D> for per-pair linear traces: (n_pairs, 2)
-    into a vector, or (k, n_pairs, 2) into the columns of an (n_dofs, k)
+    """Accumulate -<g_D, v.n_D> for per-pair linear traces: (2 n_pairs,)
+    into a vector, or (2 n_pairs, k) into the columns of an (n_dofs, k)
     block."""
-    rhs[:iface.n_velocity] += iface.load @ trace_columns(g_D)
+    rhs[:iface.n_velocity] += iface.load @ g_D
     return rhs
 
 

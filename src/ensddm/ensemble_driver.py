@@ -25,7 +25,7 @@ from .darcy_fem import (build_darcy_space, assemble_darcy_operator,
                         assemble_darcy_volume_rhs, add_darcy_interface_rhs,
                         add_darcy_natural_head_rhs, add_darcy_lag_rhs,
                         inverse_diagonal, darcy_form)
-from .interface_state import init_state, update_robin, stopping_norm
+from .interface_state import RobinTraceState, init_state, update_robin, stopping_norm
 
 
 @dataclass
@@ -37,8 +37,7 @@ class SampleParams:
     f_D: object                  # callable (n,2) points -> (n,)
     xi: float                    # alpha / sqrt(tau . K tau) on the interface
     k_min: float                 # min eigenvalue of K^{-1} over the domain
-    k_max: float                 # max eigenvalue of K^{-1} over the domain
-    scan_points: np.ndarray = None   # points used to derive k_min/k_max
+    scan_points: np.ndarray = None   # points used to derive k_min
 
 
 def zero_vector_field(points):
@@ -52,11 +51,11 @@ def zero_scalar_field(points):
 
 
 def make_sample(K, f_S=None, f_D=None, alpha=1.0, interface_y=0.0, scan_points=None):
-    """Derive the per-sample constants (slip coefficient, inverse-tensor
-    eigenvalue extremes) from a conductivity field.
+    """Derive the per-sample constants (slip coefficient, smallest
+    inverse-tensor eigenvalue) from a conductivity field.
 
     `scan_points` should cover the porous subdomain (e.g. the assembly
-    quadrature points); eigenvalue extremes are taken over that scan.
+    quadrature points); the smallest eigenvalue is taken over that scan.
     """
     if scan_points is None:
         scan_points = np.array([[0.0, interface_y]])
@@ -64,11 +63,10 @@ def make_sample(K, f_S=None, f_D=None, alpha=1.0, interface_y=0.0, scan_points=N
     K.check_spd(scan_points)
     i11, i22 = K.inv_diag(scan_points[:, 1])
     k_min = float(min(i11.min(), i22.min()))
-    k_max = float(max(i11.max(), i22.max()))
     k_tau, _ = K.diag(np.asarray([interface_y]))
     xi = float(alpha / np.sqrt(k_tau[0]))
     return SampleParams(K=K, f_S=f_S or zero_vector_field, f_D=f_D or zero_scalar_field,
-                        xi=xi, k_min=k_min, k_max=k_max, scan_points=scan_points)
+                        xi=xi, k_min=k_min, scan_points=scan_points)
 
 
 @dataclass
@@ -86,7 +84,6 @@ class EnsembleContext:
     samples: list
     xi_bar: float
     kbar_min: float
-    kbar_max: float
     kbar_field: MeanInverseField
     nu: float
     g: float
@@ -120,7 +117,6 @@ def make_context(samples, nu=1.0, g=1.0, z=0.0, alpha=1.0,
     J = len(samples)
     xi_bar = sum(s.xi for s in samples) / J
     kbar_min = sum(s.k_min for s in samples) / J
-    kbar_max = sum(s.k_max for s in samples) / J
     kbar_field = MeanInverseField([s.K for s in samples])
 
     E_xi = max(abs(s.xi - xi_bar) for s in samples)
@@ -136,7 +132,7 @@ def make_context(samples, nu=1.0, g=1.0, z=0.0, alpha=1.0,
         warnings.warn("sample spread exceeds ensemble means; the shared-matrix "
                       "iteration may converge slowly or diverge", RuntimeWarning)
     ctx = EnsembleContext(samples=list(samples), xi_bar=xi_bar, kbar_min=kbar_min,
-                          kbar_max=kbar_max, kbar_field=kbar_field, nu=nu, g=g, z=z,
+                          kbar_field=kbar_field, nu=nu, g=g, z=z,
                           alpha=alpha, delta_s=delta_s, delta_d=delta_d,
                           tol=tol, max_iters=max_iters)
     return ctx, EnsembleDiagnostics(E_xi_max=E_xi, E_k_max=E_k, small_perturbation_ok=ok)
@@ -248,8 +244,7 @@ def _columns(vectors, J):
     return block
 
 
-def run_ensemble_ddm(ctx, mesh_s, mesh_d, pairing, bc,
-                     per_sample_stop=False, record_history=True):
+def run_ensemble_ddm(ctx, mesh_s, mesh_d, pairing, bc, per_sample_stop=False):
     """Run the shared-matrix iteration for all samples of `ctx`.
 
     Exactly two factorizations happen per call (one per subdomain).  Sample
@@ -265,9 +260,9 @@ def run_ensemble_ddm(ctx, mesh_s, mesh_d, pairing, bc,
                                  pressure_multiplier=bc.stokes_pressure_multiplier)
     space_d = build_darcy_space(mesh_d, essential_tags=bc.darcy_essential_tags,
                                 head_multiplier=bc.darcy_head_multiplier)
+    kbar_w = inverse_diagonal(space_d, ctx.kbar_field)
     op_s = assemble_stokes_operator(space_s, ctx.nu, ctx.delta_s, ctx.xi_bar, pairing)
-    op_d = assemble_darcy_operator(space_d, ctx.g, ctx.kbar_field, ctx.kbar_min,
-                                   ctx.delta_d, pairing)
+    op_d = assemble_darcy_operator(space_d, ctx.g, kbar_w, ctx.kbar_min, ctx.delta_d, pairing)
     t_factor = op_s.factor_seconds + op_d.factor_seconds
 
     J = ctx.J
@@ -299,13 +294,12 @@ def run_ensemble_ddm(ctx, mesh_s, mesh_d, pairing, bc,
     # deviation weights of the lagged correction, mean minus sample: the
     # stationary state then solves the per-sample equations exactly
     # (mirrors the slip-coefficient lag on the free-flow side)
-    kbar_w = inverse_diagonal(space_d, ctx.kbar_field)
     dW = _columns((kbar_w - inverse_diagonal(space_d, s.K) for s in ctx.samples), J)
     dk = ctx.kbar_min - np.array([s.k_min for s in ctx.samples])
     xi_lag = ctx.xi_bar - ctx.xi
     t_assembly = time.perf_counter() - t0 - t_factor
 
-    state = init_state(ctx, pairing, n_darcy_vel=space_d.n_velocity)
+    state = init_state(ctx, pairing)
     iface = space_d.interface_info(pairing)
     us = np.zeros((space_s.n_dofs, J), order="F")
     ud = np.zeros((space_d.n_dofs, J), order="F")
@@ -335,8 +329,8 @@ def run_ensemble_ddm(ctx, mesh_s, mesh_d, pairing, bc,
 
         ta = time.perf_counter()
         rhs = base_s.copy()
-        g_tau = state.g_S_tau[act] - xi_lag[:, None, None] * state.us_tau[act]
-        add_interface_rhs(rhs, space_s, pairing, g_n=state.g_S[act], g_tau=g_tau)
+        g_tau = state.g_S_tau[:, act] - xi_lag * state.us_tau[:, act]
+        add_interface_rhs(rhs, space_s, pairing, state.g_S[:, act], g_tau)
         b = op_s.reduce_rhs(rhs)
         del rhs, g_tau
         tb = time.perf_counter()
@@ -345,8 +339,8 @@ def run_ensemble_ddm(ctx, mesh_s, mesh_d, pairing, bc,
         del b
         tc = time.perf_counter()
         rhs = base_d.copy()
-        add_darcy_interface_rhs(rhs, iface, state.g_D[act])
-        add_darcy_lag_rhs(rhs, space_d, dW, dk, state.ud_prev[act].T, ctx.g)
+        add_darcy_interface_rhs(rhs, iface, state.g_D[:, act])
+        add_darcy_lag_rhs(rhs, space_d, dW, dk, ud[:space_d.n_velocity, act], ctx.g)
         b = op_d.reduce_rhs(rhs)
         del rhs
         td = time.perf_counter()
@@ -356,10 +350,8 @@ def run_ensemble_ddm(ctx, mesh_s, mesh_d, pairing, bc,
         te = time.perf_counter()
 
         us_n, us_tau = interface_traces(space_s, pairing, us_new)
-        ud_vel = ud_new[:space_d.n_velocity]
-        update_robin(state, act, us_n, us_tau, iface.normal_trace(ud_vel),
-                     iface.tangential_trace(ud_vel), ctx, ud_vec=ud_vel.T)
-        del ud_vel
+        update_robin(state, act, us_n, us_tau, iface.normal_trace(ud_new),
+                     iface.tangential_trace(ud_new), ctx)
         tf = time.perf_counter()
 
         norms = stopping_norm(space_s, space_d, us[:, act], us_new, ud[:, act], ud_new)
@@ -367,9 +359,8 @@ def run_ensemble_ddm(ctx, mesh_s, mesh_d, pairing, bc,
         ud[:, act] = ud_new
         del us_new, ud_new
         final_norms[ids] = norms
-        if record_history:
-            for j, norm in zip(ids.tolist(), norms.tolist()):
-                history[j].append(norm)
+        for j, norm in zip(ids.tolist(), norms.tolist()):
+            history[j].append(norm)
         hit = ids[(norms <= ctx.tol) & ~converged[ids]]
         converged[hit] = True
         iterations[hit] = n
@@ -391,21 +382,20 @@ def run_ensemble_ddm(ctx, mesh_s, mesh_d, pairing, bc,
                        space_s=space_s, space_d=space_d, pairing=pairing, state=state)
 
 
-def run_traditional_ddm(ctx, mesh_s, mesh_d, pairing, bc,
-                        per_sample_stop=False, record_history=True):
+def run_traditional_ddm(ctx, mesh_s, mesh_d, pairing, bc, per_sample_stop=False):
     """Per-sample baseline: the identical iteration, but each sample gets
-    its own operator pair (2J factorizations in total).  The spaces and
-    state of the first sample's run stand for all samples."""
+    its own operator pair (2J factorizations in total).  The spaces of the
+    first sample's run stand for all samples; the state holds every
+    sample's trace columns side by side, as an ensemble run's does."""
     reports = []
     for j, s in enumerate(ctx.samples):
         ctx_j, _ = make_context([s], nu=ctx.nu, g=ctx.g, z=ctx.z, alpha=ctx.alpha,
                                 delta_s=ctx.delta_s, delta_d=ctx.delta_d,
                                 tol=ctx.tol, max_iters=ctx.max_iters)
         rep = run_ensemble_ddm(ctx_j, mesh_s, mesh_d, pairing, bc.sample_view(j),
-                               per_sample_stop=per_sample_stop,
-                               record_history=record_history)
+                               per_sample_stop=per_sample_stop)
         # identical spaces need not be held once per sample
-        reports.append(replace(rep, space_s=None, space_d=None, state=None) if j else rep)
+        reports.append(replace(rep, space_s=None, space_d=None) if j else rep)
         del rep
     first = reports[0]
 
@@ -424,7 +414,8 @@ def run_traditional_ddm(ctx, mesh_s, mesh_d, pairing, bc,
         t_trace=total("t_trace"), t_norm=total("t_norm"),
         n_factorizations=total("n_factorizations"),
         space_s=first.space_s, space_d=first.space_d, pairing=first.pairing,
-        state=first.state)
+        state=RobinTraceState(*(np.hstack([getattr(r.state, name) for r in reports])
+                                for name in ("g_S", "g_S_tau", "g_D", "us_tau"))))
 
 
 def _monolithic_system(report, ctx, bc, j):
@@ -551,7 +542,7 @@ def check_converged_residual(report, ctx, bc):
     for j in range(ctx.J):
         A, b = _monolithic_system(report, ctx, bc, j)
         x = np.concatenate([report.us[j], report.ud[j],
-                            report.state.g_S[j].ravel(), report.state.g_D[j].ravel()])
+                            report.state.g_S[:, j], report.state.g_D[:, j]])
         r = A @ x - b
         nb = np.linalg.norm(b)
         out[j] = np.linalg.norm(r) / nb if nb > 0 else np.linalg.norm(r)

@@ -13,8 +13,8 @@ so that the matrix is symmetric with an un-negated continuity block; the
 solve helpers flip the sign back.
 
 Right-hand sides, solutions and interface traces of an ensemble travel as
-blocks: a dof vector per sample becomes a column of an (n_dofs, k) block,
-and the endpoint traces of k samples are (k, n_pairs, 2).
+column blocks: a dof vector per sample becomes a column of an (n_dofs, k)
+block, and the endpoint traces of k samples a (2 n_pairs, k) block.
 """
 
 import numpy as np
@@ -41,18 +41,6 @@ def interface_mass(pairing):
     rows = np.repeat(idx, 2, axis=1).ravel()
     cols = np.tile(idx, (1, 2)).ravel()
     return sp.csr_matrix((blocks.ravel(), (rows, cols)), shape=(2 * n_p, 2 * n_p))
-
-
-def trace_columns(g):
-    """Endpoint traces (n_pairs, 2) or (k, n_pairs, 2) as the (2 n_pairs,)
-    vector or (2 n_pairs, k) block the interface operators act on."""
-    g = np.asarray(g, dtype=np.float64)
-    return g.reshape(g.shape[:-2] + (-1,)).T
-
-
-def trace_values(t, n_pairs):
-    """Inverse of trace_columns."""
-    return t.T.reshape(t.shape[1:] + (n_pairs, 2))
 
 
 def mini_basis(bary, tri_grads):
@@ -301,22 +289,16 @@ def assemble_stokes_volume_rhs(space, f_S):
     return rhs
 
 
-def add_interface_rhs(rhs, space, pairing, g_n=None, g_tau=None):
+def add_interface_rhs(rhs, space, pairing, g_n, g_tau):
     """Accumulate -<g_n, v.n_S> - <g_tau, v.tau> for per-pair linear traces
-    given by endpoint values: (n_pairs, 2) into a vector, or (k, n_pairs, 2)
+    given by endpoint values: (2 n_pairs,) into a vector, or (2 n_pairs, k)
     into the columns of an (n_dofs, k) block."""
-    if g_n is None and g_tau is None:
-        return rhs
-    g_n = np.zeros(np.shape(g_tau)) if g_n is None else g_n
-    g_tau = np.zeros(np.shape(g_n)) if g_tau is None else g_tau
-    load = space.interface_info(pairing).load
-    rhs += load @ np.concatenate([trace_columns(g_n), trace_columns(g_tau)])
+    rhs += space.interface_info(pairing).load @ np.concatenate([g_n, g_tau])
     return rhs
 
 
 def interface_traces(space, pairing, vec):
-    """(u.n_S, u.tau) at the x-ordered pair endpoints: (n_pairs, 2) each for
-    a dof vector, (k, n_pairs, 2) each for an (n_dofs, k) block."""
+    """(u.n_S, u.tau) at the x-ordered pair endpoints: (2 n_pairs,) each for
+    a dof vector, (2 n_pairs, k) each for an (n_dofs, k) block."""
     t = space.interface_info(pairing).trace @ vec
-    n2 = 2 * pairing.n_pairs
-    return trace_values(t[:n2], pairing.n_pairs), trace_values(t[n2:], pairing.n_pairs)
+    return t[:2 * pairing.n_pairs], t[2 * pairing.n_pairs:]

@@ -3,7 +3,8 @@ import pytest
 
 from ensddm.mesh import Rect, build_rect_mesh, pair_interface
 from ensddm.darcy_fem import (build_darcy_space, assemble_darcy_operator,
-                              assemble_darcy_volume_rhs, add_darcy_interface_rhs)
+                              assemble_darcy_volume_rhs, add_darcy_interface_rhs,
+                              inverse_diagonal)
 from ensddm.stokes_fem import edge_mass
 from ensddm.fields import ConstantConductivity
 from ensddm.manufactured import ManufacturedSolution
@@ -87,9 +88,9 @@ def test_divergence_theorem_elementwise():
 def test_local_robin_block():
     _, md, pairing = stacked(1, 1)
     sp = build_darcy_space(md)
-    K = ConstantConductivity(1.0)
-    a1 = assemble_darcy_operator(sp, 1.0, K, 1.0, 1.0, pairing).matrix.toarray()
-    a2 = assemble_darcy_operator(sp, 1.0, K, 1.0, 4.0, pairing).matrix.toarray()
+    W = inverse_diagonal(sp, ConstantConductivity(1.0))
+    a1 = assemble_darcy_operator(sp, 1.0, W, 1.0, 1.0, pairing).matrix.toarray()
+    a2 = assemble_darcy_operator(sp, 1.0, W, 1.0, 4.0, pairing).matrix.toarray()
     diff = (a2 - a1) / 3.0
     d = sp.interface_info(pairing).dofs_x[0]
     np.testing.assert_allclose(diff[np.ix_(d, d)], edge_mass(1.0), atol=1e-14)
@@ -100,7 +101,8 @@ def test_local_robin_block():
 def test_matrix_symmetry_and_spd_velocity_block():
     _, md, pairing = stacked(4, 4)
     sp = build_darcy_space(md)
-    op = assemble_darcy_operator(sp, 1.0, ConstantConductivity(2.21), 1 / 2.21, 3.0, pairing)
+    W = inverse_diagonal(sp, ConstantConductivity(2.21))
+    op = assemble_darcy_operator(sp, 1.0, W, 1 / 2.21, 3.0, pairing)
     d = op.matrix.csr - op.matrix.csr.T
     assert np.abs(d.toarray()).max() <= 1e-12
     free_vel = [i for i in sp.free if i < sp.n_velocity]
@@ -112,13 +114,14 @@ def test_matrix_symmetry_and_spd_velocity_block():
 def test_rejects_bad_parameters():
     _, md, pairing = stacked(2, 2)
     sp = build_darcy_space(md)
-    K = ConstantConductivity(1.0)
+    W = inverse_diagonal(sp, ConstantConductivity(1.0))
     with pytest.raises(ValueError):
-        assemble_darcy_operator(sp, 0.0, K, 1.0, 1.0, pairing)
+        assemble_darcy_operator(sp, 0.0, W, 1.0, 1.0, pairing)
     with pytest.raises(ValueError):
-        assemble_darcy_operator(sp, 1.0, K, 1.0, -1.0, pairing)
+        assemble_darcy_operator(sp, 1.0, W, 1.0, -1.0, pairing)
+    not_spd = inverse_diagonal(sp, ConstantConductivity(1.0, -2.0))
     with pytest.raises(ValueError):
-        assemble_darcy_operator(sp, 1.0, ConstantConductivity(1.0, -2.0), 1.0, 1.0, pairing)
+        assemble_darcy_operator(sp, 1.0, not_spd, 1.0, 1.0, pairing)
 
 
 def test_mass_matrix_exact_vs_symbolic():
@@ -159,8 +162,10 @@ def test_operator_depends_only_on_means_bitwise():
     sp = build_darcy_space(md)
     f1 = [ConstantConductivity(2.0), ConstantConductivity(4.0)]
     f2 = [ConstantConductivity(4.0), ConstantConductivity(2.0)]
-    m1 = assemble_darcy_operator(sp, 1.0, MeanInverseField(f1), 0.375, 2.0, pairing)
-    m2 = assemble_darcy_operator(sp, 1.0, MeanInverseField(f2), 0.375, 2.0, pairing)
+    m1 = assemble_darcy_operator(sp, 1.0, inverse_diagonal(sp, MeanInverseField(f1)),
+                                 0.375, 2.0, pairing)
+    m2 = assemble_darcy_operator(sp, 1.0, inverse_diagonal(sp, MeanInverseField(f2)),
+                                 0.375, 2.0, pairing)
     assert (m1.matrix.csr != m2.matrix.csr).nnz == 0
 
 
@@ -168,11 +173,11 @@ def _solve_subproblem(n, k=2.21, delta_d=2.0, g=1.0):
     exact = ManufacturedSolution(k, k, g=g)
     _, md, pairing = stacked(n, n, width=PI)
     sp = build_darcy_space(md)
-    K = ConstantConductivity(k)
-    op = assemble_darcy_operator(sp, g, K, 1.0 / k, delta_d, pairing)
+    W = inverse_diagonal(sp, ConstantConductivity(k))
+    op = assemble_darcy_operator(sp, g, W, 1.0 / k, delta_d, pairing)
     rhs = assemble_darcy_volume_rhs(sp, exact.f_D, 1.0 / k, g)
     xs = md.verts[pairing.nodes_d, 0]
-    g_D = exact.g_D_interface(xs.ravel(), delta_d).reshape(xs.shape)
+    g_D = exact.g_D_interface(xs.ravel(), delta_d)
     add_darcy_interface_rhs(rhs, sp.interface_info(pairing), g_D)
     gdir = np.zeros(sp.n_dofs)
     edges = sp.essential_edges

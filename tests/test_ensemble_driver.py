@@ -81,6 +81,16 @@ def test_exactly_two_factorizations_per_ensemble_run():
     assert trad.n_factorizations == 2 * ctx.J
 
 
+def test_mean_inverse_field_evaluated_once_per_run(monkeypatch):
+    # the shared matrix and the lag weights use the same evaluation
+    ctx, _, mesh_s, mesh_d, pairing, bc, _ = small_setup(k_list=(2.21, 4.11))
+    calls = []
+    inv_diag = ctx.kbar_field.inv_diag
+    monkeypatch.setattr(ctx.kbar_field, "inv_diag", lambda y: calls.append(y) or inv_diag(y))
+    run_ensemble_ddm(ctx, mesh_s, mesh_d, pairing, bc)
+    assert len(calls) == 1
+
+
 def test_single_sample_reduction_is_bitwise():
     ctx, _, mesh_s, mesh_d, pairing, bc, _ = small_setup(k_list=(4.11,))
     ens = run_ensemble_ddm(ctx, mesh_s, mesh_d, pairing, bc)
@@ -142,6 +152,15 @@ def test_monolithic_residual_tracks_tolerance():
     assert np.all(res10 <= res6 / 100.0)
 
 
+def test_baseline_report_residual_covers_every_sample():
+    ctx, _, mesh_s, mesh_d, pairing, bc, _ = small_setup(
+        k_list=(2.21, 4.11, 6.21), tol=1e-8, max_iters=300)
+    trad = run_traditional_ddm(ctx, mesh_s, mesh_d, pairing, bc)
+    assert trad.state.g_S.shape == (2 * pairing.n_pairs, 3)
+    res = check_converged_residual(trad, ctx, bc)
+    assert res.shape == (3,) and np.all(res <= 1e-6)
+
+
 def test_monolithic_residual_zero_problem():
     ctx, mesh_s, mesh_d, pairing = _zero_problem_ctx()
     bc = BoundaryConditions()
@@ -155,7 +174,8 @@ def test_interface_state_shapes_and_report_fields():
     report = run_ensemble_ddm(ctx, mesh_s, mesh_d, pairing, bc)
     assert report.us.shape == (2, report.space_s.n_dofs)
     assert report.ud.shape == (2, report.space_d.n_dofs)
-    assert report.state.g_S.shape == (2, pairing.n_pairs, 2)
+    for trace in (report.state.g_S, report.state.g_S_tau, report.state.g_D, report.state.us_tau):
+        assert trace.shape == (2 * pairing.n_pairs, 2)
     assert report.t_assembly > 0 and report.t_factor > 0 and report.t_solve > 0
     assert report.all_converged
 
@@ -204,6 +224,6 @@ def test_per_sample_stop_leaves_frozen_columns_bitwise():
     for j in frozen:
         assert np.array_equal(full.us[j], cut.us[j])
         assert np.array_equal(full.ud[j], cut.ud[j])
-        assert np.array_equal(full.state.g_S[j], cut.state.g_S[j])
-        assert np.array_equal(full.state.g_D[j], cut.state.g_D[j])
+        assert np.array_equal(full.state.g_S[:, j], cut.state.g_S[:, j])
+        assert np.array_equal(full.state.g_D[:, j], cut.state.g_D[:, j])
         assert full.norm_history[j] == cut.norm_history[j]

@@ -148,8 +148,8 @@ def test_volume_quadrature_exact_vs_symbolic():
 
 def _robin_data(ms_exact, mesh, pairing, delta_s, xi):
     xs = mesh.verts[pairing.nodes_s, 0]
-    g_n = ms_exact.g_S_interface(xs.ravel(), delta_s).reshape(xs.shape)
-    g_t = ms_exact.g_S_tau_interface(xs.ravel(), xi).reshape(xs.shape)
+    g_n = ms_exact.g_S_interface(xs.ravel(), delta_s)
+    g_t = ms_exact.g_S_tau_interface(xs.ravel(), xi)
     return g_n, g_t
 
 
