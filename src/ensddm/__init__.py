@@ -10,7 +10,7 @@ min-max optimizer.
 """
 
 from .mesh import Rect, Mesh, InterfacePairing, build_rect_mesh, pair_interface
-from .sparsela import SparseMatrix, Factorization, SubdomainOperator, factorize, factorization_count
+from .sparsela import CooBuilder, SubdomainOperator, factorize, factorization_count
 from .robin_params import (
     FrequencyBand,
     SymbolState,
@@ -20,7 +20,7 @@ from .robin_params import (
     worst_case_rho,
     symbol_iteration,
 )
-from .random_field import RandomFieldSpec, Draw, kl_eigenvalues, evaluate_k, draw_samples, mc_expectation
+from .random_field import RandomFieldSpec, Draw, kl_eigenvalues, evaluate_k, draw_samples
 from .stokes_fem import StokesSpace, build_stokes_space, assemble_stokes_operator
 from .darcy_fem import DarcySpace, build_darcy_space, assemble_darcy_operator
 from .interface_state import RobinTraceState, init_state, update_robin, stopping_norm
@@ -39,10 +39,10 @@ from .norms import error_norms, convergence_order
 
 __all__ = [
     "Rect", "Mesh", "InterfacePairing", "build_rect_mesh", "pair_interface",
-    "SparseMatrix", "Factorization", "SubdomainOperator", "factorize", "factorization_count",
+    "CooBuilder", "SubdomainOperator", "factorize", "factorization_count",
     "FrequencyBand", "SymbolState", "convergence_factor", "frequency_band",
     "optimized_delta_d", "worst_case_rho", "symbol_iteration",
-    "RandomFieldSpec", "Draw", "kl_eigenvalues", "evaluate_k", "draw_samples", "mc_expectation",
+    "RandomFieldSpec", "Draw", "kl_eigenvalues", "evaluate_k", "draw_samples",
     "StokesSpace", "build_stokes_space", "assemble_stokes_operator",
     "DarcySpace", "build_darcy_space", "assemble_darcy_operator",
     "RobinTraceState", "init_state", "update_robin", "stopping_norm",

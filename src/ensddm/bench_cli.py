@@ -28,7 +28,7 @@ import numpy as np
 
 from .mesh import Rect, build_rect_mesh, pair_interface
 from .fields import ConstantConductivity, KLConductivity
-from .random_field import RandomFieldSpec, draw_samples, evaluate_k, mc_expectation
+from .random_field import RandomFieldSpec, draw_samples, evaluate_k
 from .robin_params import frequency_band, optimized_delta_d, worst_case_rho, \
     convergence_factor, symbol_iteration, measured_contraction
 from .manufactured import ManufacturedSolution
@@ -95,6 +95,22 @@ class ScenarioConfig:
             raise ConfigError("mesh sizes must be positive")
         if self.J < 1 or self.J0 < 1:
             raise ConfigError("sample counts must be >= 1")
+        for key in _TUPLE_KEYS:
+            if not getattr(self, key):
+                raise ConfigError(f"config key '{key}' needs at least one value")
+        if self.sweep_points < 1:
+            raise ConfigError("sweep_points must be >= 1")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
+        if self.nu <= 0 or self.g <= 0 or self.alpha < 0:
+            raise ConfigError("nu and g must be positive and alpha nonnegative")
+        if self.field_scale <= 0:
+            raise ConfigError("field_scale must be positive")
+        try:
+            RandomFieldSpec(a0=self.field_a0, sigma=self.field_sigma,
+                            L_c=self.field_lc, n_f=self.field_nf)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         return self
 
 
@@ -339,9 +355,7 @@ def run_channel_mc(cfg):
                               tol=cfg.tol, max_iters=cfg.max_iters)
         report = run_ensemble_ddm(ctx, mesh_s, mesh_d, pairing, bc,
                                   per_sample_stop=cfg.per_sample_stop)
-        eu_s = mc_expectation(list(report.us))
-        eu_d = mc_expectation(list(report.ud))
-        return eu_s, eu_d, report, draws
+        return report.us.mean(axis=0), report.ud.mean(axis=0), report, draws
 
     os.makedirs(cfg.out, exist_ok=True)
     n = max(1, round(1 / h))

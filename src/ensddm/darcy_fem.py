@@ -24,7 +24,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import quadrature
-from .sparsela import SparseMatrix, SubdomainOperator, quadratic_form
+from .sparsela import CooBuilder, SubdomainOperator, quadratic_form
 from .stokes_fem import interface_mass
 
 
@@ -57,7 +57,6 @@ class DarcySpace:
         self.fixed = np.where(mask)[0]
 
         iface = mesh.boundary_edges("INTERFACE")
-        self.interface_edges = iface
         self.interface_dofs = np.sort(np.concatenate([2 * iface, 2 * iface + 1]))
 
         self._build_basis()
@@ -255,7 +254,7 @@ def assemble_darcy_operator(space, g, weight, kbar_min, delta_d, pairing):
         raise ValueError("kbar_min must be positive")
 
     A = space.mesh.tri_area
-    builder = SparseMatrix.builder(space.n_dofs, space.n_dofs)
+    builder = CooBuilder(space.n_dofs, space.n_dofs)
     form = darcy_form(space, g, weight, kbar_min).tocoo()
     builder.add(form.row, form.col, form.data)
 

@@ -12,11 +12,12 @@ path, so their iterates coincide bitwise.
 import time
 import warnings
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
 from .fields import MeanInverseField
-from .sparsela import SparseMatrix, factorization_count
+from .sparsela import CooBuilder, factorization_count
 from .stokes_fem import (build_stokes_space, assemble_stokes_operator,
                          assemble_stokes_volume_rhs, add_interface_rhs,
                          interface_traces, deformation_element_matrices,
@@ -60,9 +61,10 @@ def make_sample(K, f_S=None, f_D=None, alpha=1.0, interface_y=0.0, scan_points=N
     if scan_points is None:
         scan_points = np.array([[0.0, interface_y]])
     scan_points = np.atleast_2d(scan_points)
-    K.check_spd(scan_points)
-    i11, i22 = K.inv_diag(scan_points[:, 1])
-    k_min = float(min(i11.min(), i22.min()))
+    k11, k22 = K.diag(scan_points[:, 1])
+    if np.any(k11 <= 0) or np.any(k22 <= 0):
+        raise ValueError("conductivity tensor not SPD at a quadrature point")
+    k_min = float(min((1.0 / k11).min(), (1.0 / k22).min()))
     k_tau, _ = K.diag(np.asarray([interface_y]))
     xi = float(alpha / np.sqrt(k_tau[0]))
     return SampleParams(K=K, f_S=f_S or zero_vector_field, f_D=f_D or zero_scalar_field,
@@ -159,21 +161,6 @@ class BoundaryConditions:
     darcy_natural_tags: frozenset = frozenset()
     darcy_natural_head: object = None
 
-    def sample_view(self, j):
-        sv = self.stokes_values
-        dv = self.darcy_values
-        nh = self.darcy_natural_head
-        return BoundaryConditions(
-            stokes_dirichlet_tags=self.stokes_dirichlet_tags,
-            darcy_essential_tags=self.darcy_essential_tags,
-            stokes_pressure_multiplier=self.stokes_pressure_multiplier,
-            darcy_head_multiplier=self.darcy_head_multiplier,
-            stokes_values=None if sv is None else (lambda jj, pts, _j=j: sv(_j, pts)),
-            darcy_values=None if dv is None else (lambda jj, pts, _j=j: dv(_j, pts)),
-            darcy_natural_tags=self.darcy_natural_tags,
-            darcy_natural_head=None if nh is None else (lambda jj, pts, _j=j: nh(_j, pts)),
-        )
-
 
 @dataclass
 class SolveReport:
@@ -210,17 +197,21 @@ class SolveReport:
         return bool(self.converged.all())
 
 
-def stokes_dirichlet_vector(space, data_fn):
+def stokes_dirichlet_vector(space, data_fn, j):
+    """Sample j's Dirichlet velocity data `data_fn(j, points)` on the fixed
+    rows of a zero dof vector (all zero when `data_fn` is None)."""
     vec = np.zeros(space.n_dofs)
     if data_fn is not None and len(space.dirichlet_nodes) > 0:
         pts = space.mesh.verts[space.dirichlet_nodes]
-        vals = np.asarray(data_fn(pts))
+        vals = np.asarray(data_fn(j, pts))
         vec[space.dirichlet_nodes] = vals[:, 0]
         vec[space.n_comp + space.dirichlet_nodes] = vals[:, 1]
     return vec
 
 
-def darcy_essential_vector(space, data_fn):
+def darcy_essential_vector(space, data_fn, j):
+    """The normal components of sample j's velocity data `data_fn(j,
+    points)` on the essential edge dofs of a zero dof vector."""
     vec = np.zeros(space.n_dofs)
     edges = space.essential_edges
     if data_fn is not None and len(edges) > 0:
@@ -228,20 +219,18 @@ def darcy_essential_vector(space, data_fn):
         a = mesh.edges[edges, 0]
         b = mesh.edges[edges, 1]
         n_e = space.edge_normal[edges]
-        vec[2 * edges] = np.einsum("ij,ij->i", np.asarray(data_fn(mesh.verts[a])), n_e)
-        vec[2 * edges + 1] = np.einsum("ij,ij->i", np.asarray(data_fn(mesh.verts[b])), n_e)
+        vec[2 * edges] = np.einsum("ij,ij->i", np.asarray(data_fn(j, mesh.verts[a])), n_e)
+        vec[2 * edges + 1] = np.einsum("ij,ij->i", np.asarray(data_fn(j, mesh.verts[b])), n_e)
     return vec
 
 
-def _columns(vectors, J):
-    """The J vectors yielded, one per sample, as the columns of an (n, J)
-    block."""
-    block = None
-    for j, vec in enumerate(vectors):
-        if block is None:
-            block = np.empty((len(vec), J))
-        block[:, j] = vec
-    return block
+def _darcy_sample_rhs(space, sample, bc, j, g):
+    """Porous volume forcing plus sample j's natural head data."""
+    rhs = assemble_darcy_volume_rhs(space, sample.f_D, sample.k_min, g)
+    if bc.darcy_natural_head is not None:
+        add_darcy_natural_head_rhs(rhs, space, bc.darcy_natural_tags,
+                                   partial(bc.darcy_natural_head, j), g)
+    return rhs
 
 
 def run_ensemble_ddm(ctx, mesh_s, mesh_d, pairing, bc, per_sample_stop=False):
@@ -254,6 +243,12 @@ def run_ensemble_ddm(ctx, mesh_s, mesh_d, pairing, bc, per_sample_stop=False):
     velocity-increment norm falls below ctx.tol; with `per_sample_stop`,
     converged samples are frozen and only the other columns are solved.
     """
+    return _run(ctx, mesh_s, mesh_d, pairing, bc, per_sample_stop, range(ctx.J))
+
+
+def _run(ctx, mesh_s, mesh_d, pairing, bc, per_sample_stop, js):
+    """The iteration of `run_ensemble_ddm`; js[i] is the index into the
+    boundary data `bc` of sample i of `ctx`."""
     nfact0 = factorization_count()
     t0 = time.perf_counter()
     space_s = build_stokes_space(mesh_s, dirichlet_tags=bc.stokes_dirichlet_tags,
@@ -266,35 +261,23 @@ def run_ensemble_ddm(ctx, mesh_s, mesh_d, pairing, bc, per_sample_stop=False):
     t_factor = op_s.factor_seconds + op_d.factor_seconds
 
     J = ctx.J
-
-    def sample_fn(fn, j):
-        return None if fn is None else (lambda p: fn(j, p))
-
-    def darcy_volume(j, s):
-        vd = assemble_darcy_volume_rhs(space_d, s.f_D, s.k_min, ctx.g)
-        if bc.darcy_natural_head is not None and bc.darcy_natural_tags:
-            add_darcy_natural_head_rhs(vd, space_d, bc.darcy_natural_tags,
-                                       sample_fn(bc.darcy_natural_head, j), ctx.g)
-        return vd
-
     # the iteration-independent part of every sample's right-hand side
     # (forcing plus natural data minus the boundary lift), and the boundary
     # values of the fixed rows
-    dir_s = _columns((stokes_dirichlet_vector(space_s, sample_fn(bc.stokes_values, j))
-                      for j in range(J)), J)
-    base_s = _columns((assemble_stokes_volume_rhs(space_s, s.f_S) for s in ctx.samples), J)
+    dir_s = np.column_stack([stokes_dirichlet_vector(space_s, bc.stokes_values, j) for j in js])
+    base_s = np.column_stack([assemble_stokes_volume_rhs(space_s, s.f_S) for s in ctx.samples])
     base_s[space_s.free] -= op_s.lift(dir_s)
     fixed_s = dir_s[space_s.fixed]
-    dir_d = _columns((darcy_essential_vector(space_d, sample_fn(bc.darcy_values, j))
-                      for j in range(J)), J)
-    base_d = _columns((darcy_volume(j, s) for j, s in enumerate(ctx.samples)), J)
+    dir_d = np.column_stack([darcy_essential_vector(space_d, bc.darcy_values, j) for j in js])
+    base_d = np.column_stack([_darcy_sample_rhs(space_d, s, bc, j, ctx.g)
+                              for j, s in zip(js, ctx.samples)])
     base_d[space_d.free] -= op_d.lift(dir_d)
     fixed_d = dir_d[space_d.fixed]
     del dir_s, dir_d
     # deviation weights of the lagged correction, mean minus sample: the
     # stationary state then solves the per-sample equations exactly
     # (mirrors the slip-coefficient lag on the free-flow side)
-    dW = _columns((kbar_w - inverse_diagonal(space_d, s.K) for s in ctx.samples), J)
+    dW = np.column_stack([kbar_w - inverse_diagonal(space_d, s.K) for s in ctx.samples])
     dk = ctx.kbar_min - np.array([s.k_min for s in ctx.samples])
     xi_lag = ctx.xi_bar - ctx.xi
     t_assembly = time.perf_counter() - t0 - t_factor
@@ -392,8 +375,7 @@ def run_traditional_ddm(ctx, mesh_s, mesh_d, pairing, bc, per_sample_stop=False)
         ctx_j, _ = make_context([s], nu=ctx.nu, g=ctx.g, z=ctx.z, alpha=ctx.alpha,
                                 delta_s=ctx.delta_s, delta_d=ctx.delta_d,
                                 tol=ctx.tol, max_iters=ctx.max_iters)
-        rep = run_ensemble_ddm(ctx_j, mesh_s, mesh_d, pairing, bc.sample_view(j),
-                               per_sample_stop=per_sample_stop)
+        rep = _run(ctx_j, mesh_s, mesh_d, pairing, bc, per_sample_stop, [j])
         # identical spaces need not be held once per sample
         reports.append(replace(rep, space_s=None, space_d=None) if j else rep)
         del rep
@@ -436,7 +418,7 @@ def _monolithic_system(report, ctx, bc, j):
     gD_off = nS + nD + 2 * n_p
 
     b = np.zeros(n_tot)
-    builder = SparseMatrix.builder(n_tot, n_tot)
+    builder = CooBuilder(n_tot, n_tot)
 
     # --- free-flow momentum rows (natural signs) ---
     K = deformation_element_matrices(space_s, ctx.nu)
@@ -511,18 +493,12 @@ def _monolithic_system(report, ctx, bc, j):
 
     # --- volume forcing and natural boundary data ---
     b[:nS] += assemble_stokes_volume_rhs(space_s, sample.f_S)
-    rhs_d = assemble_darcy_volume_rhs(space_d, sample.f_D, sample.k_min, ctx.g)
-    if bc.darcy_natural_head is not None and bc.darcy_natural_tags:
-        add_darcy_natural_head_rhs(rhs_d, space_d, bc.darcy_natural_tags,
-                                   (lambda p: bc.darcy_natural_head(j, p)), ctx.g)
-    b[nS:nS + nD] += rhs_d
+    b[nS:nS + nD] += _darcy_sample_rhs(space_d, sample, bc, j, ctx.g)
 
     # --- boundary rows become identity rows with their data ---
-    gs = stokes_dirichlet_vector(space_s, None if bc.stokes_values is None
-                                 else (lambda p: bc.stokes_values(j, p)))
-    gd = darcy_essential_vector(space_d, None if bc.darcy_values is None
-                                else (lambda p: bc.darcy_values(j, p)))
-    A = builder.finalize().csr.tolil()
+    gs = stokes_dirichlet_vector(space_s, bc.stokes_values, j)
+    gd = darcy_essential_vector(space_d, bc.darcy_values, j)
+    A = builder.finalize().tolil()
     for idx in space_s.fixed:
         A.rows[idx] = [idx]
         A.data[idx] = [1.0]

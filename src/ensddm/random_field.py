@@ -1,5 +1,4 @@
-"""Truncated Karhunen-Loeve sampler for the random conductivity and the
-Monte Carlo expectation aggregator.
+"""Truncated Karhunen-Loeve sampler for the random conductivity.
 
 The field varies in y only:
 
@@ -71,17 +70,3 @@ def draw_samples(spec, J, seed):
         rng = np.random.default_rng([seed, j])
         draws.append(Draw(Y=tuple(rng.uniform(-SQRT3, SQRT3, size=n))))
     return draws
-
-
-def mc_expectation(fields):
-    """Componentwise mean of equally sized dof vectors, in list order."""
-    if len(fields) == 0:
-        raise ValueError("empty field list")
-    n = len(fields[0])
-    acc = np.zeros(n, dtype=np.float64)
-    for f in fields:
-        f = np.asarray(f, dtype=np.float64)
-        if f.shape != (n,):
-            raise ValueError("field length mismatch")
-        acc += f
-    return acc / len(fields)

@@ -5,18 +5,16 @@ the shared-coefficient-matrix ensemble iteration cheap: the two subdomain
 matrices are factorized once per run and then only triangular solves remain,
 one block solve per subdomain and iteration for all samples at once.
 
-Backed by scipy.sparse and SuperLU (partial pivoting, COLAMD column
-ordering); everything is float64.
+Matrices are plain scipy CSR matrices and factors plain SuperLU objects
+(partial pivoting, COLAMD column ordering); everything is float64.
 """
 
-import threading
 import time
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-_counter_lock = threading.Lock()
 _factorize_calls = 0
 
 
@@ -31,45 +29,7 @@ class SingularMatrixError(RuntimeError):
         self.row = row
 
 
-class SparseMatrix:
-    """Square or rectangular sparse matrix in CSR form.
-
-    Build incrementally with `builder()` / `add()` / `finalize()`, which sums
-    duplicate (row, col) entries, or wrap an existing scipy matrix with the
-    constructor.
-    """
-
-    def __init__(self, csr):
-        csr = sp.csr_matrix(csr)
-        csr.sum_duplicates()
-        if not np.all(np.isfinite(csr.data)):
-            raise ValueError("non-finite matrix entries")
-        self.csr = csr
-
-    @classmethod
-    def builder(cls, n_rows, n_cols):
-        return _CooBuilder(n_rows, n_cols)
-
-    @property
-    def shape(self):
-        return self.csr.shape
-
-    @property
-    def n_rows(self):
-        return self.csr.shape[0]
-
-    @property
-    def n_cols(self):
-        return self.csr.shape[1]
-
-    def toarray(self):
-        return self.csr.toarray()
-
-    def __matmul__(self, other):
-        return self.csr @ other
-
-
-class _CooBuilder:
+class CooBuilder:
     """Accumulates COO triplets; duplicate entries are summed on finalize."""
 
     def __init__(self, n_rows, n_cols):
@@ -90,6 +50,7 @@ class _CooBuilder:
         self._vals.append(vals)
 
     def finalize(self):
+        """The accumulated entries as a scipy CSR matrix."""
         if self._rows:
             r = np.concatenate(self._rows)
             c = np.concatenate(self._cols)
@@ -97,43 +58,29 @@ class _CooBuilder:
         else:
             r = c = np.empty(0, dtype=np.int64)
             v = np.empty(0)
-        coo = sp.coo_matrix((v, (r, c)), shape=(self.n_rows, self.n_cols))
-        return SparseMatrix(coo.tocsr())
-
-
-class Factorization:
-    """Reusable LU factors of a square sparse matrix.
-
-    The factors are read-only after construction; concurrent solves against
-    one factorization are safe (each solve uses its own workspace).
-    """
-
-    def __init__(self, lu, n):
-        self._lu = lu
-        self.n = n
-
-    def solve(self, b):
-        """Solve for an (n,) vector or for every column of an (n, k) block.
-
-        A block is one SuperLU call and comes back column-major.  Its
-        columns equal column-by-column solves to rounding (the blocked
-        triangular kernels sum in another order), not bitwise; solving the
-        same block again is bitwise repeatable.
-        """
-        b = np.asarray(b, dtype=np.float64)
-        if b.ndim not in (1, 2) or b.shape[0] != self.n:
-            raise ValueError(f"rhs shape {b.shape} does not match matrix size {self.n}")
-        return self._lu.solve(b)
+        csr = sp.coo_matrix((v, (r, c)), shape=(self.n_rows, self.n_cols)).tocsr()
+        if not np.all(np.isfinite(csr.data)):
+            raise ValueError("non-finite matrix entries")
+        return csr
 
 
 def factorize(a):
-    """LU-factorize a square SparseMatrix (or scipy sparse matrix).
+    """LU-factorize a square scipy sparse matrix; returns the SuperLU
+    object, whose solve() takes an (n,) vector or an (n, k) block.
 
-    Raises SingularMatrixError for structurally or numerically singular
-    input; the offending row index is reported when it can be identified.
+    A block is one SuperLU call and comes back column-major.  Its columns
+    equal column-by-column solves to rounding (the blocked triangular
+    kernels sum in another order), not bitwise; solving the same block
+    again is bitwise repeatable.
+
+    Raises ValueError for non-finite entries and SingularMatrixError for
+    structurally or numerically singular input; the offending row index is
+    reported when it can be identified.
     """
     global _factorize_calls
-    csr = a.csr if isinstance(a, SparseMatrix) else sp.csr_matrix(a)
+    csr = sp.csr_matrix(a)
+    if not np.all(np.isfinite(csr.data)):
+        raise ValueError("non-finite matrix entries")
     n_rows, n_cols = csr.shape
     if n_rows != n_cols:
         raise ValueError("factorize requires a square matrix")
@@ -150,9 +97,8 @@ def factorize(a):
         lu = splu(csc, permc_spec="COLAMD")
     except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
         raise SingularMatrixError(f"singular pivot during LU: {exc}") from exc
-    with _counter_lock:
-        _factorize_calls += 1
-    return Factorization(lu, n_rows)
+    _factorize_calls += 1
+    return lu
 
 
 class SubdomainOperator:
@@ -168,11 +114,10 @@ class SubdomainOperator:
     def __init__(self, matrix, free, fixed, negated):
         self.matrix = matrix
         self.free, self.fixed, self.negated = free, fixed, negated
-        csr = matrix.csr
-        self.A_ff = csr[free][:, free].tocsc()
-        self.A_fd = csr[free][:, fixed].tocsr()
+        self.A_ff = matrix[free][:, free].tocsc()
+        self.A_fd = matrix[free][:, fixed].tocsr()
         t0 = time.perf_counter()
-        self.factorization = factorize(SparseMatrix(self.A_ff))
+        self.factorization = factorize(self.A_ff)
         self.factor_seconds = time.perf_counter() - t0
 
     def lift(self, values):
@@ -186,7 +131,7 @@ class SubdomainOperator:
     def expand(self, x_free):
         """Scatter a reduced solution (vector or column block) to full dof
         vectors with zero fixed rows and the physical sign restored."""
-        full = np.zeros((self.matrix.n_rows,) + x_free.shape[1:], order="F")
+        full = np.zeros((self.matrix.shape[0],) + x_free.shape[1:], order="F")
         full[self.free] = x_free
         full[self.negated] *= -1.0
         return full

@@ -21,7 +21,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import quadrature
-from .sparsela import SparseMatrix, SubdomainOperator, quadratic_form
+from .sparsela import CooBuilder, SubdomainOperator, quadratic_form
 
 
 _EDGE_MASS = np.array([[2.0, 1.0], [1.0, 2.0]])
@@ -100,8 +100,6 @@ class StokesSpace:
         for e in mesh.boundary_edges("INTERFACE"):
             iface_nodes.update(mesh.edges[e])
         self.interface_nodes = np.array(sorted(iface_nodes), dtype=np.int64)
-        self.interface_dofs = np.concatenate([self.interface_nodes,
-                                              self.n_comp + self.interface_nodes])
 
         self._precompute()
         self.component_mass = self._component_mass()
@@ -247,7 +245,7 @@ def assemble_stokes_operator(space, nu, delta_s, xi_bar, pairing):
     A = mesh.tri_area
     K = deformation_element_matrices(space, nu)
 
-    builder = SparseMatrix.builder(space.n_dofs, space.n_dofs)
+    builder = CooBuilder(space.n_dofs, space.n_dofs)
     vd = space.vel_elem_dofs
     rows = np.repeat(vd, 8, axis=1).ravel()
     cols = np.tile(vd, (1, 8)).ravel()

@@ -284,8 +284,8 @@ def test_criterion_10_reduction_invariants():
 
     # interface term touches no bubble dofs
     space = build_stokes_space(mesh_s)
-    a1 = assemble_stokes_operator(space, 1.0, 1.0, 0.3, pairing).matrix.csr
-    a2 = assemble_stokes_operator(space, 1.0, 2.0, 0.6, pairing).matrix.csr
+    a1 = assemble_stokes_operator(space, 1.0, 1.0, 0.3, pairing).matrix
+    a2 = assemble_stokes_operator(space, 1.0, 2.0, 0.6, pairing).matrix
     diff = (a2 - a1).tocoo()
     nz = np.abs(diff.data) > 1e-14
     touched = set(diff.row[nz]) | set(diff.col[nz])

@@ -43,6 +43,13 @@ def test_parse_rejects_bad_input():
         config_from_mapping({"J": "abc"})
     with pytest.raises(ConfigError):
         ScenarioConfig(robin_mode="explicit", delta_d=0.0).validate()
+    # out-of-range values that used to surface as tracebacks deep in a run
+    for key, value in [("h_list", ""), ("k_list", ""), ("J_list", ""), ("sweep_delta_s", ""),
+                       ("sweep_points", "-1"), ("nu", "0"), ("g", "0"), ("alpha", "-1"),
+                       ("field_scale", "0"), ("field_nf", "-1"), ("field_sigma", "-0.1"),
+                       ("field_a0", "0"), ("field_lc", "0"), ("seed", "-1")]:
+        with pytest.raises(ConfigError):
+            config_from_mapping({key: value})
 
 
 def test_load_config_roundtrip(tmp_path):
@@ -176,11 +183,14 @@ def test_cli_sweep_and_symbol(tmp_path, capsys):
     assert (tmp_path / "sy" / "symbol_contraction.csv").exists()
 
 
-@pytest.mark.parametrize("text", ["J = abc\n", "no_such_key = 1\n"])
-def test_cli_bad_config_is_an_error_not_a_traceback(tmp_path, capsys, text):
+@pytest.mark.parametrize("text, command",
+                         [("J = abc\n", "converge"), ("no_such_key = 1\n", "converge"),
+                          ("h_list =\n", "mc")],
+                         ids=["J = abc\n", "no_such_key = 1\n", "mc h_list =\n"])
+def test_cli_bad_config_is_an_error_not_a_traceback(tmp_path, capsys, text, command):
     cfgfile = tmp_path / "bad.cfg"
     cfgfile.write_text(text)
-    assert main(["converge", "--config", str(cfgfile), "--out", str(tmp_path / "out")]) == 2
+    assert main([command, "--config", str(cfgfile), "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err.startswith("error:")
     assert not (tmp_path / "out").exists()
 

@@ -103,10 +103,10 @@ def test_matrix_symmetry_and_spd_velocity_block():
     sp = build_darcy_space(md)
     W = inverse_diagonal(sp, ConstantConductivity(2.21))
     op = assemble_darcy_operator(sp, 1.0, W, 1 / 2.21, 3.0, pairing)
-    d = op.matrix.csr - op.matrix.csr.T
+    d = op.matrix - op.matrix.T
     assert np.abs(d.toarray()).max() <= 1e-12
     free_vel = [i for i in sp.free if i < sp.n_velocity]
-    block = op.matrix.csr[np.ix_(free_vel, free_vel)].toarray()
+    block = op.matrix[np.ix_(free_vel, free_vel)].toarray()
     w = np.linalg.eigvalsh(block)
     assert w.min() > 0
 
@@ -166,7 +166,7 @@ def test_operator_depends_only_on_means_bitwise():
                                  0.375, 2.0, pairing)
     m2 = assemble_darcy_operator(sp, 1.0, inverse_diagonal(sp, MeanInverseField(f2)),
                                  0.375, 2.0, pairing)
-    assert (m1.matrix.csr != m2.matrix.csr).nnz == 0
+    assert (m1.matrix != m2.matrix).nnz == 0
 
 
 def _solve_subproblem(n, k=2.21, delta_d=2.0, g=1.0):

@@ -54,6 +54,8 @@ def test_make_context_rejects_empty_and_warns_on_large_spread():
 def test_make_sample_rejects_non_spd():
     with pytest.raises(ValueError):
         make_sample(ConstantConductivity(1.0, -1.0))
+    with pytest.raises(ValueError, match="not SPD"):
+        make_sample(ConstantConductivity(-1.0), scan_points=np.array([[0.5, -0.5], [1.0, -1.0]]))
 
 
 def _zero_problem_ctx(h=1 / 8):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ensddm.random_field import (RandomFieldSpec, Draw, kl_eigenvalues, evaluate_k,
-                                 draw_samples, mc_expectation, SQRT3)
+                                 draw_samples, SQRT3)
 
 
 def test_eigenvalues_reference_lc():
@@ -76,16 +76,3 @@ def test_positivity_bound():
     ys = np.linspace(-3.0, 0.0, 13)
     lo = min(evaluate_k(spec, d, ys).min() for d in draws)
     assert lo >= 0.29
-
-
-def test_mc_expectation():
-    a = np.array([1.0, 2.0])
-    assert np.array_equal(mc_expectation([a, a, a]), a)
-    np.testing.assert_allclose(mc_expectation([a, -a]), [0.0, 0.0])
-    np.testing.assert_allclose(
-        mc_expectation([np.full(3, 1.0), np.full(3, 2.0), np.full(3, 3.0)]),
-        np.full(3, 2.0))
-    with pytest.raises(ValueError):
-        mc_expectation([])
-    with pytest.raises(ValueError):
-        mc_expectation([np.zeros(2), np.zeros(3)])

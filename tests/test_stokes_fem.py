@@ -93,15 +93,15 @@ def test_matrix_symmetry():
     ms, _, pairing = stacked(4, 4)
     sp = build_stokes_space(ms)
     op = assemble_stokes_operator(sp, 0.7, 1.3, 0.4, pairing)
-    d = op.matrix.csr - op.matrix.csr.T
+    d = op.matrix - op.matrix.T
     assert np.abs(d.toarray()).max() <= 1e-12
 
 
 def test_interface_term_touches_only_p1_dofs():
     ms, _, pairing = stacked(4, 4)
     sp = build_stokes_space(ms)
-    a1 = assemble_stokes_operator(sp, 1.0, 1.0, 0.2, pairing).matrix.csr
-    a2 = assemble_stokes_operator(sp, 1.0, 2.0, 0.4, pairing).matrix.csr
+    a1 = assemble_stokes_operator(sp, 1.0, 1.0, 0.2, pairing).matrix
+    a2 = assemble_stokes_operator(sp, 1.0, 2.0, 0.4, pairing).matrix
     diff = (a2 - a1).tocoo()
     nz = np.abs(diff.data) > 1e-14
     touched = set(diff.row[nz]) | set(diff.col[nz])
