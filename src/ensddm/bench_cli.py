@@ -93,8 +93,12 @@ class ScenarioConfig:
             raise ConfigError("tol must be positive and max_iters >= 1")
         if any(h <= 0 for h in self.h_list):
             raise ConfigError("mesh sizes must be positive")
-        if self.J < 1 or self.J0 < 1:
+        if self.J < 1 or self.J0 < 1 or any(J < 1 for J in self.J_list):
             raise ConfigError("sample counts must be >= 1")
+        if any(k <= 0 for k in self.k_list):
+            raise ConfigError("conductivities must be positive")
+        if any(d <= 0 for d in self.sweep_delta_s):
+            raise ConfigError("sweep_delta_s values must be positive")
         for key in _TUPLE_KEYS:
             if not getattr(self, key):
                 raise ConfigError(f"config key '{key}' needs at least one value")
@@ -258,7 +262,7 @@ def channel_bc():
 def channel_samples(cfg, mesh_d, J=None):
     spec = RandomFieldSpec(a0=cfg.field_a0, sigma=cfg.field_sigma,
                            L_c=cfg.field_lc, n_f=cfg.field_nf)
-    draws = draw_samples(spec, J or cfg.J, cfg.seed)
+    draws = draw_samples(spec, cfg.J if J is None else J, cfg.seed)
     scan = darcy_scan_points(mesh_d)
     samples = []
     for d in draws:

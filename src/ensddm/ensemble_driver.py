@@ -61,12 +61,14 @@ def make_sample(K, f_S=None, f_D=None, alpha=1.0, interface_y=0.0, scan_points=N
     if scan_points is None:
         scan_points = np.array([[0.0, interface_y]])
     scan_points = np.atleast_2d(scan_points)
-    k11, k22 = K.diag(scan_points[:, 1])
+    # one evaluation: the scan heights, then the interface height last
+    k11, k22 = K.diag(np.append(scan_points[:, 1], interface_y))
+    k_tau = k11[-1]
+    k11, k22 = k11[:-1], k22[:-1]
     if np.any(k11 <= 0) or np.any(k22 <= 0):
         raise ValueError("conductivity tensor not SPD at a quadrature point")
     k_min = float(min((1.0 / k11).min(), (1.0 / k22).min()))
-    k_tau, _ = K.diag(np.asarray([interface_y]))
-    xi = float(alpha / np.sqrt(k_tau[0]))
+    xi = float(alpha / np.sqrt(k_tau))
     return SampleParams(K=K, f_S=f_S or zero_vector_field, f_D=f_D or zero_scalar_field,
                         xi=xi, k_min=k_min, scan_points=scan_points)
 
@@ -123,10 +125,15 @@ def make_context(samples, nu=1.0, g=1.0, z=0.0, alpha=1.0,
 
     E_xi = max(abs(s.xi - xi_bar) for s in samples)
     E_k = 0.0
+    # the mean costs J field evaluations, so evaluate it once per scan array
+    # (samples built on one mesh share theirs): O(J) set-up, not O(J^2)
+    means = {}
     for s in samples:
         pts = s.scan_points
+        if id(pts) not in means:
+            means[id(pts)] = kbar_field.inv_diag(pts[:, 1])
         i11, i22 = s.K.inv_diag(pts[:, 1])
-        m11, m22 = kbar_field.inv_diag(pts[:, 1])
+        m11, m22 = means[id(pts)]
         tilde = max(np.abs(i11 - m11).max(), np.abs(i22 - m22).max())
         E_k = max(E_k, tilde, abs(s.k_min - kbar_min))
     ok = bool(xi_bar > E_xi and kbar_min > E_k)

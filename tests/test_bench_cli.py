@@ -47,7 +47,9 @@ def test_parse_rejects_bad_input():
     for key, value in [("h_list", ""), ("k_list", ""), ("J_list", ""), ("sweep_delta_s", ""),
                        ("sweep_points", "-1"), ("nu", "0"), ("g", "0"), ("alpha", "-1"),
                        ("field_scale", "0"), ("field_nf", "-1"), ("field_sigma", "-0.1"),
-                       ("field_a0", "0"), ("field_lc", "0"), ("seed", "-1")]:
+                       ("field_a0", "0"), ("field_lc", "0"), ("seed", "-1"),
+                       ("J_list", "0, 2"), ("J_list", "-1"), ("k_list", "-1"),
+                       ("k_list", "2.21, 0"), ("sweep_delta_s", "-1")]:
         with pytest.raises(ConfigError):
             config_from_mapping({key: value})
 
@@ -185,8 +187,14 @@ def test_cli_sweep_and_symbol(tmp_path, capsys):
 
 @pytest.mark.parametrize("text, command",
                          [("J = abc\n", "converge"), ("no_such_key = 1\n", "converge"),
-                          ("h_list =\n", "mc")],
-                         ids=["J = abc\n", "no_such_key = 1\n", "mc h_list =\n"])
+                          ("h_list =\n", "mc"),
+                          ("h_list = 0.25\nJ_list = 0, 2\n", "mc"),
+                          ("h_list = 0.25\nJ_list = -1\n", "mc"),
+                          ("h_list = 0.25\nk_list = -1\n", "converge"),
+                          ("h_list = 0.25\nsweep_delta_s = -1\n", "sweep")],
+                         ids=["J = abc\n", "no_such_key = 1\n", "mc h_list =\n",
+                              "mc J_list = 0, 2", "mc J_list = -1", "converge k_list = -1",
+                              "sweep sweep_delta_s = -1"])
 def test_cli_bad_config_is_an_error_not_a_traceback(tmp_path, capsys, text, command):
     cfgfile = tmp_path / "bad.cfg"
     cfgfile.write_text(text)

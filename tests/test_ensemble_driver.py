@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
+from ensddm import fields
 from ensddm.bench_cli import (manufactured_meshes, manufactured_samples,
-                              manufactured_bc, resolve_delta_d, ScenarioConfig)
-from ensddm.fields import ConstantConductivity
+                              manufactured_bc, resolve_delta_d, ScenarioConfig,
+                              channel_meshes, channel_samples, darcy_scan_points)
+from ensddm.fields import ConstantConductivity, MeanInverseField
 from ensddm.ensemble_driver import (make_sample, make_context, BoundaryConditions,
+                                    EnsembleDiagnostics,
                                     run_ensemble_ddm, run_traditional_ddm,
                                     check_converged_residual)
 from ensddm.mesh import Rect, build_rect_mesh, pair_interface
@@ -49,6 +52,75 @@ def test_make_context_rejects_empty_and_warns_on_large_spread():
     spread = [make_sample(ConstantConductivity(k)) for k in (1.0, 1.0, 0.1)]
     with pytest.warns(RuntimeWarning):
         make_context(spread)
+
+
+def oracle_diagnostics(samples):
+    """The diagnostics as make_context first computed them, with the mean
+    inverse field evaluated again for every sample (O(J^2) field evaluations)."""
+    J = len(samples)
+    xi_bar = sum(s.xi for s in samples) / J
+    kbar_min = sum(s.k_min for s in samples) / J
+    kbar_field = MeanInverseField([s.K for s in samples])
+    E_xi = max(abs(s.xi - xi_bar) for s in samples)
+    E_k = 0.0
+    for s in samples:
+        pts = s.scan_points
+        i11, i22 = s.K.inv_diag(pts[:, 1])
+        m11, m22 = kbar_field.inv_diag(pts[:, 1])
+        tilde = max(np.abs(i11 - m11).max(), np.abs(i22 - m22).max())
+        E_k = max(E_k, tilde, abs(s.k_min - kbar_min))
+    return EnsembleDiagnostics(E_xi_max=E_xi, E_k_max=E_k,
+                               small_perturbation_ok=bool(xi_bar > E_xi and kbar_min > E_k))
+
+
+def _count_mean_evaluations(monkeypatch):
+    calls = []
+    inv_diag = MeanInverseField.inv_diag
+    monkeypatch.setattr(MeanInverseField, "inv_diag",
+                        lambda self, y: calls.append(len(y)) or inv_diag(self, y))
+    return calls
+
+
+def test_make_context_diagnostics_match_per_sample_oracle(monkeypatch):
+    _, mesh_d, _ = channel_meshes(1 / 8)
+    kl, _, _ = channel_samples(ScenarioConfig(J=12), mesh_d)
+    # the default scan point is the interface point, one array per sample
+    default = [make_sample(s.K) for s in kl]
+    # disjoint scans of equal size: the mean must be taken at each sample's own
+    strided = [make_sample(s.K, scan_points=s.scan_points[j::12]) for j, s in enumerate(kl)]
+    # half the samples scanned on a coarser porous mesh
+    _, coarse_d, _ = channel_meshes(1 / 4)
+    coarse = darcy_scan_points(coarse_d)
+    mixed = [make_sample(s.K, scan_points=coarse) if j % 2 else s for j, s in enumerate(kl)]
+    calls = _count_mean_evaluations(monkeypatch)
+    for samples, n_sets in [(kl, 1), (default, 12), (strided, 12), (mixed, 2)]:
+        expect = oracle_diagnostics(samples)
+        calls.clear()
+        _, diag = make_context(samples)
+        assert len(calls) == n_sets
+        assert diag == expect
+        assert diag.E_k_max > 0
+    spread = [make_sample(ConstantConductivity(k)) for k in (1.0, 1.0, 0.1)]
+    with pytest.warns(RuntimeWarning):
+        _, diag = make_context(spread)
+    assert diag == oracle_diagnostics(spread)
+    assert not diag.small_perturbation_ok
+
+
+@pytest.mark.parametrize("J", [8, 32])
+def test_channel_setup_field_evaluations_grow_linearly(monkeypatch, J):
+    # each sample's field at the scan points and the interface (make_sample),
+    # again for its inverse (make_context), and once more inside the mean
+    calls = []
+    evaluate_k = fields.evaluate_k
+    monkeypatch.setattr(fields, "evaluate_k",
+                        lambda *args: calls.append(1) or evaluate_k(*args))
+    mean_calls = _count_mean_evaluations(monkeypatch)
+    _, mesh_d, _ = channel_meshes(1 / 8)
+    samples, _, _ = channel_samples(ScenarioConfig(J=J), mesh_d)
+    make_context(samples)
+    assert len(calls) <= 3 * J
+    assert len(mean_calls) == 1
 
 
 def test_make_sample_rejects_non_spd():
