@@ -13,7 +13,6 @@ from .mesh import Rect, Mesh, InterfacePairing, build_rect_mesh, pair_interface
 from .sparsela import CooBuilder, SubdomainOperator, factorize, factorization_count
 from .robin_params import (
     FrequencyBand,
-    SymbolState,
     convergence_factor,
     frequency_band,
     optimized_delta_d,
@@ -40,7 +39,7 @@ from .norms import error_norms, convergence_order
 __all__ = [
     "Rect", "Mesh", "InterfacePairing", "build_rect_mesh", "pair_interface",
     "CooBuilder", "SubdomainOperator", "factorize", "factorization_count",
-    "FrequencyBand", "SymbolState", "convergence_factor", "frequency_band",
+    "FrequencyBand", "convergence_factor", "frequency_band",
     "optimized_delta_d", "worst_case_rho", "symbol_iteration",
     "RandomFieldSpec", "Draw", "kl_eigenvalues", "evaluate_k", "draw_samples",
     "StokesSpace", "build_stokes_space", "assemble_stokes_operator",

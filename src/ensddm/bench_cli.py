@@ -19,10 +19,11 @@ reference and the CSV schemas.
 import argparse
 import csv
 import hashlib
+import math
 import os
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -81,6 +82,12 @@ class ScenarioConfig:
     sweep_points: int = 25
 
     def validate(self):
+        # first, since NaN passes every range check below
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if any(isinstance(v, float) and not math.isfinite(v)
+                   for v in (value if isinstance(value, tuple) else (value,))):
+                raise ConfigError(f"config key '{f.name}' must be finite")
         if self.scenario not in SCENARIOS:
             raise ConfigError(f"unknown scenario '{self.scenario}'")
         if self.robin_mode not in ("optimized", "explicit"):
@@ -91,8 +98,10 @@ class ScenarioConfig:
             raise ConfigError("delta_s must be positive")
         if self.tol <= 0 or self.max_iters < 1:
             raise ConfigError("tol must be positive and max_iters >= 1")
-        if any(h <= 0 for h in self.h_list):
-            raise ConfigError("mesh sizes must be positive")
+        # the meshes hold max(1, round(1/h)) cells per unit height, so a
+        # larger h would be clamped there but not in the Robin band
+        if any(not 0 < h <= 1 for h in self.h_list):
+            raise ConfigError("mesh sizes must lie in (0, 1]")
         if self.J < 1 or self.J0 < 1 or any(J < 1 for J in self.J_list):
             raise ConfigError("sample counts must be >= 1")
         if any(k <= 0 for k in self.k_list):
@@ -232,7 +241,6 @@ def manufactured_bc(exacts, pin_pressure=False):
     """
     return BoundaryConditions(
         stokes_pressure_multiplier=pin_pressure,
-        darcy_head_multiplier=False,
         stokes_values=lambda j, pts: exacts[j].u_S(pts),
         darcy_values=None,
         darcy_essential_tags=frozenset(),
@@ -253,7 +261,6 @@ def channel_bc():
         stokes_dirichlet_tags=frozenset({"INFLOW", "WALL"}),
         darcy_essential_tags=frozenset({"SIDE"}),
         stokes_pressure_multiplier=False,
-        darcy_head_multiplier=False,
         stokes_values=lambda j, pts: channel_inflow(pts),
         darcy_values=None,
     )
@@ -503,7 +510,7 @@ _SUBCOMMAND_DEFAULTS = {
                               k_list=(1e-4, 2e-4, 3e-4),
                               robin_mode="explicit", delta_s=100.0, delta_d=50.0,
                               tol=1e-9, h_list=(1 / 8, 1 / 16, 1 / 32)),
-    "mc": ScenarioConfig(scenario="channel_mc", h_list=(1 / 32,), J=40),
+    "mc": ScenarioConfig(scenario="channel_mc", h_list=(1 / 32,)),
     "sweep": ScenarioConfig(scenario="symbol_sweep", h_list=(1 / 32,)),
     "symbol": ScenarioConfig(scenario="symbol_sweep", h_list=(1 / 32,)),
 }

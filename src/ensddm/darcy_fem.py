@@ -15,9 +15,6 @@ side as volume terms against the previous iterate.  Conductivity tensors
 are diagonal (see `fields`), so a sample's deviation is two weights per
 quadrature point, applied through the shared quadrature-evaluation and
 divergence operators of the space.
-
-As in the free-flow module, the stored saddle matrix carries the negated
-head so the matrix is symmetric; solve helpers restore the sign.
 """
 
 import numpy as np
@@ -31,13 +28,12 @@ from .stokes_fem import interface_mass
 class DarcySpace:
     """Dof bookkeeping and precomputed BDM1 element data."""
 
-    def __init__(self, mesh, essential_tags=None, head_multiplier=False):
+    def __init__(self, mesh, essential_tags=None):
         self.mesh = mesh
         ne, nt = mesh.n_edges, mesh.n_tris
         self.n_velocity = 2 * ne
         self.n_head = nt
-        self.head_multiplier = bool(head_multiplier)
-        self.n_dofs = self.n_velocity + self.n_head + (1 if head_multiplier else 0)
+        self.n_dofs = self.n_velocity + self.n_head
 
         present = set(mesh.boundary_tags) - {""}
         if essential_tags is None:
@@ -164,11 +160,11 @@ class DarcySpace:
         return info
 
 
-def build_darcy_space(mesh, essential_tags=None, head_multiplier=False):
+def build_darcy_space(mesh, essential_tags=None):
     """Construct the BDM1-P0 space; edges tagged `essential_tags` carry
     strongly imposed normal-flux values (default: every tagged side except
     the interface)."""
-    return DarcySpace(mesh, essential_tags=essential_tags, head_multiplier=head_multiplier)
+    return DarcySpace(mesh, essential_tags=essential_tags)
 
 
 class DarcyInterfaceInfo:
@@ -238,8 +234,24 @@ def darcy_form(space, g, weight, k_min):
     return form.tocsr()
 
 
+def add_darcy_volume(builder, space, g, weight, k_min, offset=0):
+    """Add the volume rows of the porous saddle system to `builder`, with
+    the dofs of `space` starting at index `offset`: the velocity block of
+    darcy_form, the momentum coupling -g (phi, div v) and the continuity
+    rows g (psi, div u)."""
+    form = darcy_form(space, g, weight, k_min).tocoo()
+    builder.add(form.row + offset, form.col + offset, form.data)
+
+    Bel = (g * space.div * space.mesh.tri_area[:, None]).ravel()
+    rows = np.repeat(offset + space.n_velocity + np.arange(space.n_head), 6)
+    cols = space.elem_dofs.ravel() + offset
+    builder.add(rows, cols, Bel)
+    builder.add(cols, rows, -Bel)
+
+
 def assemble_darcy_operator(space, g, weight, kbar_min, delta_d, pairing):
-    """Assemble and factorize the shared porous-medium matrix.
+    """Assemble and factorize the shared porous-medium matrix: the volume
+    rows of `add_darcy_volume` plus delta_d <u.n_D, v.n_D>_Gamma.
 
     `weight` is the diagonal of the mass-term coefficient tensor per row of
     space.eval_op, as in darcy_form (for an ensemble, inverse_diagonal of
@@ -253,30 +265,14 @@ def assemble_darcy_operator(space, g, weight, kbar_min, delta_d, pairing):
     if kbar_min <= 0:
         raise ValueError("kbar_min must be positive")
 
-    A = space.mesh.tri_area
     builder = CooBuilder(space.n_dofs, space.n_dofs)
-    form = darcy_form(space, g, weight, kbar_min).tocoo()
-    builder.add(form.row, form.col, form.data)
-
-    # divergence coupling (negated-head convention keeps this symmetric)
-    Bel = g * space.div * A[:, None]
-    hd = space.n_velocity + np.arange(space.n_head)
-    rows = np.repeat(hd, 6)
-    cols = space.elem_dofs.ravel()
-    builder.add(rows, cols, Bel.ravel())
-    builder.add(cols, rows, Bel.ravel())
+    add_darcy_volume(builder, space, g, weight, kbar_min)
 
     iface = space.interface_info(pairing)
     robin = (iface.normal.T @ (delta_d * interface_mass(pairing)) @ iface.normal).tocoo()
     builder.add(robin.row, robin.col, robin.data)
 
-    if space.head_multiplier:
-        mdof = space.n_dofs - 1
-        builder.add(hd, np.full_like(hd, mdof), A)
-        builder.add(np.full_like(hd, mdof), hd, A)
-
-    matrix = builder.finalize()
-    return SubdomainOperator(matrix, space.free, space.fixed, space.head_slice)
+    return SubdomainOperator(builder.finalize(), space.free, space.fixed)
 
 
 def assemble_darcy_volume_rhs(space, f_D, k_min, g):

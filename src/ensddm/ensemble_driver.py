@@ -20,12 +20,11 @@ from .fields import MeanInverseField
 from .sparsela import CooBuilder, factorization_count
 from .stokes_fem import (build_stokes_space, assemble_stokes_operator,
                          assemble_stokes_volume_rhs, add_interface_rhs,
-                         interface_traces, deformation_element_matrices,
-                         div_element_matrices, edge_mass)
+                         interface_traces, add_stokes_volume, edge_mass)
 from .darcy_fem import (build_darcy_space, assemble_darcy_operator,
                         assemble_darcy_volume_rhs, add_darcy_interface_rhs,
                         add_darcy_natural_head_rhs, add_darcy_lag_rhs,
-                        inverse_diagonal, darcy_form)
+                        inverse_diagonal, add_darcy_volume)
 from .interface_state import RobinTraceState, init_state, update_robin, stopping_norm
 
 
@@ -162,7 +161,6 @@ class BoundaryConditions:
     stokes_dirichlet_tags: frozenset = None
     darcy_essential_tags: frozenset = None
     stokes_pressure_multiplier: bool = False
-    darcy_head_multiplier: bool = False
     stokes_values: object = None
     darcy_values: object = None
     darcy_natural_tags: frozenset = frozenset()
@@ -176,12 +174,13 @@ class SolveReport:
 
     t_solve is the wall time of the iteration loop; t_rhs, t_trisolve,
     t_trace and t_norm are its phases (right-hand sides, block solves with
-    the scatter to full dof vectors, trace updates, stopping norms and
-    convergence bookkeeping), and their sum stays below t_solve.
+    the gather of the free rows and the scatter to full dof vectors, trace
+    updates, stopping norms and convergence bookkeeping), and their sum
+    stays below t_solve.
     """
 
-    us: np.ndarray               # (J, n_stokes_dofs), physical pressure sign
-    ud: np.ndarray               # (J, n_darcy_dofs), physical head sign
+    us: np.ndarray               # (J, n_stokes_dofs)
+    ud: np.ndarray               # (J, n_darcy_dofs)
     iterations: np.ndarray       # (J,) first iteration with norm <= tol
     final_norms: np.ndarray      # (J,)
     converged: np.ndarray        # (J,) bool
@@ -260,8 +259,7 @@ def _run(ctx, mesh_s, mesh_d, pairing, bc, per_sample_stop, js):
     t0 = time.perf_counter()
     space_s = build_stokes_space(mesh_s, dirichlet_tags=bc.stokes_dirichlet_tags,
                                  pressure_multiplier=bc.stokes_pressure_multiplier)
-    space_d = build_darcy_space(mesh_d, essential_tags=bc.darcy_essential_tags,
-                                head_multiplier=bc.darcy_head_multiplier)
+    space_d = build_darcy_space(mesh_d, essential_tags=bc.darcy_essential_tags)
     kbar_w = inverse_diagonal(space_d, ctx.kbar_field)
     op_s = assemble_stokes_operator(space_s, ctx.nu, ctx.delta_s, ctx.xi_bar, pairing)
     op_d = assemble_darcy_operator(space_d, ctx.g, kbar_w, ctx.kbar_min, ctx.delta_d, pairing)
@@ -321,22 +319,17 @@ def _run(ctx, mesh_s, mesh_d, pairing, bc, per_sample_stop, js):
         rhs = base_s.copy()
         g_tau = state.g_S_tau[:, act] - xi_lag * state.us_tau[:, act]
         add_interface_rhs(rhs, space_s, pairing, state.g_S[:, act], g_tau)
-        b = op_s.reduce_rhs(rhs)
-        del rhs, g_tau
+        del g_tau
         tb = time.perf_counter()
-        us_new = op_s.expand(op_s.factorization.solve(b))
-        us_new[space_s.fixed] = fixed_s
-        del b
+        us_new = op_s.solve(rhs, fixed_s)
+        del rhs
         tc = time.perf_counter()
         rhs = base_d.copy()
         add_darcy_interface_rhs(rhs, iface, state.g_D[:, act])
         add_darcy_lag_rhs(rhs, space_d, dW, dk, ud[:space_d.n_velocity, act], ctx.g)
-        b = op_d.reduce_rhs(rhs)
-        del rhs
         td = time.perf_counter()
-        ud_new = op_d.expand(op_d.factorization.solve(b))
-        ud_new[space_d.fixed] = fixed_d
-        del b
+        ud_new = op_d.solve(rhs, fixed_d)
+        del rhs
         te = time.perf_counter()
 
         us_n, us_tau = interface_traces(space_s, pairing, us_new)
@@ -427,22 +420,8 @@ def _monolithic_system(report, ctx, bc, j):
     b = np.zeros(n_tot)
     builder = CooBuilder(n_tot, n_tot)
 
-    # --- free-flow momentum rows (natural signs) ---
-    K = deformation_element_matrices(space_s, ctx.nu)
-    vd = space_s.vel_elem_dofs
-    builder.add(np.repeat(vd, 8, axis=1).ravel(), np.tile(vd, (1, 8)).ravel(), K.ravel())
-    Bflat = div_element_matrices(space_s)
-    pd = space_s.p_elem_dofs
-    rows_p = np.repeat(pd, 8, axis=1).ravel()
-    cols_v = np.tile(vd, (1, 3)).ravel()
-    builder.add(cols_v, rows_p, -Bflat.ravel())     # momentum: -(p, div v)
-    builder.add(rows_p, cols_v, Bflat.ravel())      # continuity: (q, div u)
-    if space_s.pressure_multiplier:
-        mdof = nS - 1
-        mvals = np.repeat(space_s.mesh.tri_area / 3.0, 3)
-        prow = space_s.p_elem_dofs.ravel()
-        builder.add(prow, np.full_like(prow, mdof), mvals)   # continuity + m lambda
-        builder.add(np.full_like(prow, mdof), prow, mvals)   # mean row
+    # --- free-flow volume rows ---
+    add_stokes_volume(builder, space_s, ctx.nu)
 
     n, tau = pairing.n_s, pairing.tau
     iface = space_d.interface_info(pairing)
@@ -489,14 +468,9 @@ def _monolithic_system(report, ctx, bc, j):
                     builder.add([r], [space_s.vel_dof(c, nodes[i])], [-dsum * n[c]])
             b[r] = ctx.g * ctx.z
 
-    # --- porous momentum volume + continuity rows (per-sample coefficients) ---
-    form = darcy_form(space_d, ctx.g, inverse_diagonal(space_d, sample.K), sample.k_min).tocoo()
-    builder.add(form.row + nS, form.col + nS, form.data)
-    ed = space_d.elem_dofs + nS
-    Bel = ctx.g * space_d.div * space_d.mesh.tri_area[:, None]
-    hd = nS + space_d.n_velocity + np.arange(space_d.n_head)
-    builder.add(ed.ravel(), np.repeat(hd, 6), -Bel.ravel())   # momentum: -(phi, div v)
-    builder.add(np.repeat(hd, 6), ed.ravel(), Bel.ravel())    # continuity: (psi, div u)
+    # --- porous volume rows with the per-sample coefficients ---
+    add_darcy_volume(builder, space_d, ctx.g, inverse_diagonal(space_d, sample.K),
+                     sample.k_min, offset=nS)
 
     # --- volume forcing and natural boundary data ---
     b[:nS] += assemble_stokes_volume_rhs(space_s, sample.f_S)

@@ -23,18 +23,6 @@ class FrequencyBand:
             raise ValueError("band requires 0 < m_min < m_max")
 
 
-@dataclass
-class SymbolState:
-    """Interface Fourier coefficients: Stokes normal velocity A, Darcy
-    normal velocity B, Darcy head Q (and Stokes pressure P, unused by the
-    reduced recursion)."""
-
-    A: float
-    B: float
-    Q: float
-    P: float = 0.0
-
-
 def convergence_factor(delta_s, delta_d, nu, m):
     """Damping factor of the frequency-m interface error mode."""
     if delta_s <= 0 or delta_d <= 0 or nu <= 0:
@@ -89,8 +77,9 @@ class SymbolTrace:
     combined: list
 
 
-def symbol_iteration(delta_s, delta_d, nu, k_bar, k_j_inv, m, n_steps, init=None):
-    """Run the scalar interface recursion and track its contracted quantity.
+def symbol_iteration(delta_s, delta_d, nu, k_bar, k_j_inv, m, n_steps):
+    """Run the scalar interface recursion from (A_0, B_0, Q_0) = (1, 0.7,
+    -0.3) and track its contracted quantity.
 
     Per step, with am = |m| (the porous solve uses the free-flow data of the
     previous step and its own lagged coefficient deviation):
@@ -116,9 +105,8 @@ def symbol_iteration(delta_s, delta_d, nu, k_bar, k_j_inv, m, n_steps, init=None
     if n_steps < 4:
         raise ValueError("need at least 4 steps")
     am = abs(m)
-    state = init if init is not None else SymbolState(A=1.0, B=0.7, Q=-0.3)
     s = 2 * nu * am + delta_s
-    A, B, Q = [state.A], [state.B], [state.Q]
+    A, B, Q = [1.0], [0.7], [-0.3]
     combined = [np.nan, np.nan]
     for n in range(1, n_steps + 1):
         A_new = -(Q[-1] - delta_s * B[-1]) / s

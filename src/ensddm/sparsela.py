@@ -106,14 +106,12 @@ class SubdomainOperator:
     factorized once.
 
     The `free` and `fixed` index arrays split the dofs; fixed rows carry
-    boundary values.  The stored matrix holds the unknowns of the
-    `negated` slice (pressure or head) with flipped sign so that it is
-    symmetric; `expand` restores the physical sign.
+    boundary values.
     """
 
-    def __init__(self, matrix, free, fixed, negated):
+    def __init__(self, matrix, free, fixed):
         self.matrix = matrix
-        self.free, self.fixed, self.negated = free, fixed, negated
+        self.free, self.fixed = free, fixed
         self.A_ff = matrix[free][:, free].tocsc()
         self.A_fd = matrix[free][:, fixed].tocsr()
         t0 = time.perf_counter()
@@ -125,15 +123,14 @@ class SubdomainOperator:
         dof vectors or (n_dofs, k) blocks; only fixed rows are read."""
         return self.A_fd @ values[self.fixed]
 
-    def reduce_rhs(self, rhs_full):
-        return rhs_full[self.free]
-
-    def expand(self, x_free):
-        """Scatter a reduced solution (vector or column block) to full dof
-        vectors with zero fixed rows and the physical sign restored."""
-        full = np.zeros((self.matrix.shape[0],) + x_free.shape[1:], order="F")
-        full[self.free] = x_free
-        full[self.negated] *= -1.0
+    def solve(self, rhs, fixed_values):
+        """Full dof vectors (or a column-major (n_dofs, k) block) from
+        full-length right-hand sides: the free rows solve against the
+        factorization, and the fixed rows take `fixed_values` (a scalar or
+        an (n_fixed, k) block).  Only the free rows of `rhs` are read."""
+        full = np.zeros(rhs.shape, order="F")
+        full[self.free] = self.factorization.solve(rhs[self.free])
+        full[self.fixed] = fixed_values
         return full
 
 

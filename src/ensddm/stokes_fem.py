@@ -8,10 +8,6 @@ identical for every sample and iteration.  Per-sample data (forcing, Robin
 traces, lagged slip term, Dirichlet values) enters through the right-hand
 side only.
 
-Internally the assembled saddle system stores the negative of the pressure
-so that the matrix is symmetric with an un-negated continuity block; the
-solve helpers flip the sign back.
-
 Right-hand sides, solutions and interface traces of an ensemble travel as
 column blocks: a dof vector per sample becomes a column of an (n_dofs, k)
 block, and the endpoint traces of k samples a (2 n_pairs, k) block.
@@ -227,12 +223,37 @@ def div_element_matrices(space):
     return np.concatenate([Bloc[:, :, :, 0], Bloc[:, :, :, 1]], axis=2)
 
 
+def add_stokes_volume(builder, space, nu, offset=0):
+    """Add the volume rows of the free-flow saddle system to `builder`,
+    with the dofs of `space` starting at index `offset`: the viscous
+    deformation block 2 nu (D(u), D(v)), the momentum coupling -(p, div v),
+    the continuity rows (q, div u) and, when the space has one, the
+    pressure-mean multiplier (its row -(1, p))."""
+    vd = space.vel_elem_dofs + offset
+    rows = np.repeat(vd, 8, axis=1).ravel()
+    cols = np.tile(vd, (1, 8)).ravel()
+    builder.add(rows, cols, deformation_element_matrices(space, nu).ravel())
+
+    Bflat = div_element_matrices(space).ravel()  # (nt, 3, 8)
+    pd = space.p_elem_dofs + offset
+    rows = np.repeat(pd, 8, axis=1).ravel()
+    cols = np.tile(vd, (1, 3)).ravel()
+    builder.add(rows, cols, Bflat)
+    builder.add(cols, rows, -Bflat)
+
+    if space.pressure_multiplier:
+        mdof = offset + space.n_dofs - 1
+        mvals = np.repeat(space.mesh.tri_area / 3.0, 3)
+        prow = pd.ravel()
+        builder.add(prow, np.full_like(prow, mdof), mvals)
+        builder.add(np.full_like(prow, mdof), prow, -mvals)
+
+
 def assemble_stokes_operator(space, nu, delta_s, xi_bar, pairing):
     """Assemble and factorize the Robin free-flow matrix.
 
-    Matrix = viscous deformation block + delta_s <u.n, v.n>_Gamma
-    + xi_bar <u.tau, v.tau>_Gamma, with the discrete divergence coupling and
-    the optional pressure-mean multiplier.
+    Matrix = the volume rows of `add_stokes_volume` + delta_s <u.n, v.n>_Gamma
+    + xi_bar <u.tau, v.tau>_Gamma.
     """
     if nu <= 0:
         raise ValueError("viscosity must be positive")
@@ -241,22 +262,8 @@ def assemble_stokes_operator(space, nu, delta_s, xi_bar, pairing):
     if xi_bar < 0:
         raise ValueError("xi_bar must be nonnegative")
 
-    mesh = space.mesh
-    A = mesh.tri_area
-    K = deformation_element_matrices(space, nu)
-
     builder = CooBuilder(space.n_dofs, space.n_dofs)
-    vd = space.vel_elem_dofs
-    rows = np.repeat(vd, 8, axis=1).ravel()
-    cols = np.tile(vd, (1, 8)).ravel()
-    builder.add(rows, cols, K.ravel())
-
-    Bflat = div_element_matrices(space)  # (nt, 3, 8)
-    pd = space.p_elem_dofs
-    rows = np.repeat(pd, 8, axis=1).ravel()
-    cols = np.tile(vd, (1, 3)).ravel()
-    builder.add(rows, cols, Bflat.ravel())
-    builder.add(cols, rows, Bflat.ravel())
+    add_stokes_volume(builder, space, nu)
 
     # interface Robin and tangential-slip terms (P1 traces only)
     trace = space.interface_info(pairing).trace
@@ -264,15 +271,7 @@ def assemble_stokes_operator(space, nu, delta_s, xi_bar, pairing):
     robin = (trace.T @ sp.block_diag((delta_s * mass, xi_bar * mass)) @ trace).tocoo()
     builder.add(robin.row, robin.col, robin.data)
 
-    if space.pressure_multiplier:
-        mdof = space.n_dofs - 1
-        mvals = np.repeat(A / 3.0, 3)
-        prow = space.p_elem_dofs.ravel()
-        builder.add(prow, np.full_like(prow, mdof), mvals)
-        builder.add(np.full_like(prow, mdof), prow, mvals)
-
-    matrix = builder.finalize()
-    return SubdomainOperator(matrix, space.free, space.fixed, space.pressure_slice)
+    return SubdomainOperator(builder.finalize(), space.free, space.fixed)
 
 
 def assemble_stokes_volume_rhs(space, f_S):

@@ -49,7 +49,13 @@ def test_parse_rejects_bad_input():
                        ("field_scale", "0"), ("field_nf", "-1"), ("field_sigma", "-0.1"),
                        ("field_a0", "0"), ("field_lc", "0"), ("seed", "-1"),
                        ("J_list", "0, 2"), ("J_list", "-1"), ("k_list", "-1"),
-                       ("k_list", "2.21, 0"), ("sweep_delta_s", "-1")]:
+                       ("k_list", "2.21, 0"), ("sweep_delta_s", "-1"),
+                       # non-finite values fail no comparison, and a mesh size
+                       # above 1 is clamped by the meshes
+                       ("h_list", "nan"), ("h_list", "inf"), ("h_list", "5"),
+                       ("h_list", "0.25, nan"), ("delta_s", "nan"), ("nu", "inf"),
+                       ("tol", "nan"), ("k_list", "inf"), ("field_sigma", "nan"),
+                       ("delta_d", "-inf"), ("sweep_delta_s", "nan")]:
         with pytest.raises(ConfigError):
             config_from_mapping({key: value})
 
@@ -191,10 +197,16 @@ def test_cli_sweep_and_symbol(tmp_path, capsys):
                           ("h_list = 0.25\nJ_list = 0, 2\n", "mc"),
                           ("h_list = 0.25\nJ_list = -1\n", "mc"),
                           ("h_list = 0.25\nk_list = -1\n", "converge"),
-                          ("h_list = 0.25\nsweep_delta_s = -1\n", "sweep")],
+                          ("h_list = 0.25\nsweep_delta_s = -1\n", "sweep"),
+                          ("h_list = nan\n", "converge"), ("h_list = inf\n", "converge"),
+                          ("h_list = 5\n", "converge"), ("delta_s = nan\n", "converge"),
+                          ("nu = inf\n", "converge"), ("tol = nan\n", "converge")],
                          ids=["J = abc\n", "no_such_key = 1\n", "mc h_list =\n",
                               "mc J_list = 0, 2", "mc J_list = -1", "converge k_list = -1",
-                              "sweep sweep_delta_s = -1"])
+                              "sweep sweep_delta_s = -1", "converge h_list = nan",
+                              "converge h_list = inf", "converge h_list = 5",
+                              "converge delta_s = nan", "converge nu = inf",
+                              "converge tol = nan"])
 def test_cli_bad_config_is_an_error_not_a_traceback(tmp_path, capsys, text, command):
     cfgfile = tmp_path / "bad.cfg"
     cfgfile.write_text(text)

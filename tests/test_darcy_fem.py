@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse
 
 from ensddm.mesh import Rect, build_rect_mesh, pair_interface
 from ensddm.darcy_fem import (build_darcy_space, assemble_darcy_operator,
@@ -103,8 +104,11 @@ def test_matrix_symmetry_and_spd_velocity_block():
     sp = build_darcy_space(md)
     W = inverse_diagonal(sp, ConstantConductivity(2.21))
     op = assemble_darcy_operator(sp, 1.0, W, 1 / 2.21, 3.0, pairing)
-    d = op.matrix - op.matrix.T
-    assert np.abs(d.toarray()).max() <= 1e-12
+    # physical signs: symmetric once the head columns are negated
+    flip = np.ones(sp.n_dofs)
+    flip[sp.head_slice] = -1.0
+    m = op.matrix @ scipy.sparse.diags(flip)
+    assert np.abs((m - m.T).toarray()).max() <= 1e-12
     free_vel = [i for i in sp.free if i < sp.n_velocity]
     block = op.matrix[np.ix_(free_vel, free_vel)].toarray()
     w = np.linalg.eigvalsh(block)
@@ -185,10 +189,8 @@ def _solve_subproblem(n, k=2.21, delta_d=2.0, g=1.0):
     n_e = sp.edge_normal[edges]
     gdir[2 * edges] = np.einsum("ij,ij->i", exact.u_D(md.verts[a]), n_e)
     gdir[2 * edges + 1] = np.einsum("ij,ij->i", exact.u_D(md.verts[b]), n_e)
-    x = op.factorization.solve(op.reduce_rhs(rhs) - op.lift(gdir))
-    full = op.expand(x)
-    full[sp.fixed] = gdir[sp.fixed]
-    return sp, full, exact
+    rhs[sp.free] -= op.lift(gdir)
+    return sp, op.solve(rhs, gdir[sp.fixed]), exact
 
 
 def test_subproblem_convergence_orders():

@@ -58,13 +58,16 @@ def test_numerically_singular_raises():
         factorize(A)
 
 
-def _stokes_factorization():
+def _stokes_operator():
     from ensddm.bench_cli import manufactured_meshes
     from ensddm.stokes_fem import build_stokes_space, assemble_stokes_operator
 
     ms, _, pairing = manufactured_meshes(1 / 8)
-    op = assemble_stokes_operator(build_stokes_space(ms), 1.0, 1.0, 0.5, pairing)
-    return op.factorization
+    return assemble_stokes_operator(build_stokes_space(ms), 1.0, 1.0, 0.5, pairing)
+
+
+def _stokes_factorization():
+    return _stokes_operator().factorization
 
 
 def test_block_solve_matches_column_solves():
@@ -143,3 +146,35 @@ def test_saddle_point_roundtrip_reproduces_discrete_solution():
     b = op.A_ff @ x_star
     x = op.factorization.solve(b)
     assert np.linalg.norm(x - x_star) / np.linalg.norm(x_star) <= 1e-9
+
+
+def test_subdomain_solve_vector_and_block():
+    # full-length rows in, full-length solutions out: the free rows solve
+    # A_ff x = rhs_free, the fixed rows are the given boundary values
+    op = _stokes_operator()
+    n, k = op.matrix.shape[0], 5
+    rng = np.random.default_rng(11)
+    B = rng.standard_normal((n, k))
+    fixed = rng.standard_normal((len(op.fixed), k))
+
+    x = op.solve(B[:, 0], 0.0)
+    assert x.shape == (n,)
+    assert np.all(x[op.fixed] == 0.0)
+    r = op.A_ff @ x[op.free] - B[op.free, 0]
+    assert np.linalg.norm(r) <= 1e-12 * np.linalg.norm(B[op.free, 0])
+
+    X = op.solve(B, fixed)
+    assert X.shape == (n, k) and X.flags.f_contiguous
+    np.testing.assert_array_equal(X[op.fixed], fixed)
+    R = op.A_ff @ X[op.free] - B[op.free]
+    assert np.all(np.linalg.norm(R, axis=0) <= 1e-12 * np.linalg.norm(B[op.free], axis=0))
+    for i in range(k):
+        xi = op.solve(B[:, i], fixed[:, i])
+        np.testing.assert_array_equal(xi[op.fixed], fixed[:, i])
+        assert np.linalg.norm(X[:, i] - xi) <= 1e-12 * np.linalg.norm(xi)
+    Z = op.solve(B, 0.0)
+    assert np.all(Z[op.fixed] == 0.0)
+    np.testing.assert_array_equal(Z[op.free], X[op.free])
+    # only the free rows of the right-hand side are read
+    B[op.fixed] = np.nan
+    np.testing.assert_array_equal(op.solve(B, fixed), X)
