@@ -34,8 +34,7 @@ from .robin_params import frequency_band, optimized_delta_d, worst_case_rho, \
     convergence_factor, symbol_iteration, measured_contraction
 from .manufactured import ManufacturedSolution
 from .ensemble_driver import (make_sample, make_context, BoundaryConditions,
-                              run_ensemble_ddm, run_traditional_ddm,
-                              zero_vector_field, zero_scalar_field)
+                              run_ensemble_ddm, run_traditional_ddm)
 from .norms import error_norms
 from . import quadrature
 
@@ -81,12 +80,19 @@ class ScenarioConfig:
     sweep_delta_s: tuple = (0.01, 0.1, 1.0, 10.0)
     sweep_points: int = 25
 
+    def field_spec(self):
+        """The random conductivity field of the `field_*` keys."""
+        return RandomFieldSpec(a0=self.field_a0, sigma=self.field_sigma,
+                               L_c=self.field_lc, n_f=self.field_nf)
+
     def validate(self):
         # first, since NaN passes every range check below
         for f in fields(self):
             value = getattr(self, f.name)
-            if any(isinstance(v, float) and not math.isfinite(v)
-                   for v in (value if isinstance(value, tuple) else (value,))):
+            items = value if isinstance(value, tuple) else (value,)
+            if not items:
+                raise ConfigError(f"config key '{f.name}' needs at least one value")
+            if any(isinstance(v, float) and not math.isfinite(v) for v in items):
                 raise ConfigError(f"config key '{f.name}' must be finite")
         if self.scenario not in SCENARIOS:
             raise ConfigError(f"unknown scenario '{self.scenario}'")
@@ -108,9 +114,6 @@ class ScenarioConfig:
             raise ConfigError("conductivities must be positive")
         if any(d <= 0 for d in self.sweep_delta_s):
             raise ConfigError("sweep_delta_s values must be positive")
-        for key in _TUPLE_KEYS:
-            if not getattr(self, key):
-                raise ConfigError(f"config key '{key}' needs at least one value")
         if self.sweep_points < 1:
             raise ConfigError("sweep_points must be >= 1")
         if self.seed < 0:
@@ -120,8 +123,7 @@ class ScenarioConfig:
         if self.field_scale <= 0:
             raise ConfigError("field_scale must be positive")
         try:
-            RandomFieldSpec(a0=self.field_a0, sigma=self.field_sigma,
-                            L_c=self.field_lc, n_f=self.field_nf)
+            self.field_spec()
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
         return self
@@ -143,34 +145,27 @@ def parse_config_text(text):
     return out
 
 
-_TUPLE_KEYS = {"h_list": float, "k_list": float, "J_list": int, "sweep_delta_s": float}
-_BOOL_KEYS = {"allow_nonconverged", "per_sample_stop", "dump_draws", "compare_traditional"}
-_INT_KEYS = {"max_iters", "J", "J0", "seed", "field_nf", "sweep_points"}
-_STR_KEYS = {"scenario", "robin_mode", "out"}
-
-
 def config_from_mapping(raw, base=None):
+    """A validated config from raw key -> text values, each converted to the
+    type of its key's default (a list key to the type of its entries)."""
     cfg = base or ScenarioConfig()
+    defaults = {f.name: f.default for f in fields(ScenarioConfig)}
     updates = {}
     for key, value in raw.items():
-        if not hasattr(cfg, key):
+        if key not in defaults:
             raise ConfigError(f"unknown config key '{key}'")
-        if key in _BOOL_KEYS:
-            v = str(value).strip().lower()
-            if v not in ("true", "false"):
+        default, text = defaults[key], str(value).strip()
+        if isinstance(default, bool):    # before int: bool is a subclass of int
+            if text.lower() not in ("true", "false"):
                 raise ConfigError(f"boolean key '{key}' must be true or false")
-            updates[key] = v == "true"
+            updates[key] = text.lower() == "true"
             continue
         try:
-            if key in _TUPLE_KEYS:
-                conv = _TUPLE_KEYS[key]
-                updates[key] = tuple(conv(v.strip()) for v in str(value).split(",") if v.strip())
-            elif key in _INT_KEYS:
-                updates[key] = int(str(value).strip())
-            elif key in _STR_KEYS:
-                updates[key] = str(value).strip()
+            if isinstance(default, tuple):
+                conv = type(default[0])
+                updates[key] = tuple(conv(v.strip()) for v in text.split(",") if v.strip())
             else:
-                updates[key] = float(str(value).strip())
+                updates[key] = type(default)(text)
         except ValueError:
             raise ConfigError(f"config key '{key}': cannot convert '{value}'") from None
     return replace(cfg, **updates).validate()
@@ -218,10 +213,12 @@ def darcy_scan_points(mesh_d):
     return quadrature.physical_points(mesh_d.verts, mesh_d.tris, bary).reshape(-1, 2)
 
 
-def manufactured_samples(cfg, mesh_d):
+def manufactured_samples(cfg, mesh_d, k_list=None):
+    """One closed-form sample per constant conductivity of `k_list`
+    (default `cfg.k_list`), with the exact solutions."""
     scan = darcy_scan_points(mesh_d)
     samples, exacts = [], []
-    for k in cfg.k_list:
+    for k in cfg.k_list if k_list is None else k_list:
         ms = ManufacturedSolution(k, k, nu=cfg.nu, g=cfg.g)
         K = ConstantConductivity(k)
         samples.append(make_sample(K, f_S=ms.f_S, f_D=ms.f_D, alpha=cfg.alpha,
@@ -242,7 +239,6 @@ def manufactured_bc(exacts, pin_pressure=False):
     return BoundaryConditions(
         stokes_pressure_multiplier=pin_pressure,
         stokes_values=lambda j, pts: exacts[j].u_S(pts),
-        darcy_values=None,
         darcy_essential_tags=frozenset(),
         darcy_natural_tags=frozenset({"BOTTOM", "SIDE"}),
         darcy_natural_head=lambda j, pts: exacts[j].phi_D(pts),
@@ -260,15 +256,12 @@ def channel_bc():
     return BoundaryConditions(
         stokes_dirichlet_tags=frozenset({"INFLOW", "WALL"}),
         darcy_essential_tags=frozenset({"SIDE"}),
-        stokes_pressure_multiplier=False,
         stokes_values=lambda j, pts: channel_inflow(pts),
-        darcy_values=None,
     )
 
 
 def channel_samples(cfg, mesh_d, J=None):
-    spec = RandomFieldSpec(a0=cfg.field_a0, sigma=cfg.field_sigma,
-                           L_c=cfg.field_lc, n_f=cfg.field_nf)
+    spec = cfg.field_spec()
     draws = draw_samples(spec, cfg.J if J is None else J, cfg.seed)
     scan = darcy_scan_points(mesh_d)
     samples = []
@@ -285,6 +278,13 @@ def resolve_delta_d(cfg, interface_length, h):
     return optimized_delta_d(cfg.delta_s, cfg.nu, band)
 
 
+def scenario_context(cfg, samples, delta_d):
+    """The ensemble context of `samples` with the config's coefficients."""
+    return make_context(samples, nu=cfg.nu, g=cfg.g, z=cfg.z, alpha=cfg.alpha,
+                        delta_s=cfg.delta_s, delta_d=delta_d,
+                        tol=cfg.tol, max_iters=cfg.max_iters)
+
+
 # --------------------------------------------------------------------------
 # scenario runners
 
@@ -298,20 +298,16 @@ def _write_csv(path, columns, rows):
     return path
 
 
-def _result_rows(cfg, h, report, exacts=None, space_s=None, space_d=None):
+def _result_rows(cfg, h, report, exacts):
     rows = []
     for j in range(len(report.us)):
-        if exacts is not None:
-            tab = error_norms(space_s, space_d, report.us[j], report.ud[j],
-                              exacts[j], h, j=j, iterations=int(report.iterations[j]))
-            errs = dict(err_us_l2=tab.err_us_l2, err_us_h1=tab.err_us_h1,
-                        err_ps_l2=tab.err_ps_l2, err_phid_l2=tab.err_phid_l2,
-                        err_ud_l2=tab.err_ud_l2, err_ud_div=tab.err_ud_div)
-        else:
-            errs = dict(err_us_l2="", err_us_h1="", err_ps_l2="",
-                        err_phid_l2="", err_ud_l2="", err_ud_div="")
+        tab = error_norms(report.space_s, report.space_d, report.us[j], report.ud[j],
+                          exacts[j], h, j=j, iterations=int(report.iterations[j]))
         rows.append(dict(scenario=cfg.scenario, h=repr(h), j=j,
-                         iterations=int(report.iterations[j]), **errs,
+                         iterations=int(report.iterations[j]),
+                         err_us_l2=tab.err_us_l2, err_us_h1=tab.err_us_h1,
+                         err_ps_l2=tab.err_ps_l2, err_phid_l2=tab.err_phid_l2,
+                         err_ud_l2=tab.err_ud_l2, err_ud_div=tab.err_ud_div,
                          t_assemble_ms=round(1e3 * report.t_assembly, 3),
                          t_factor_ms=round(1e3 * report.t_factor, 3),
                          t_solve_ms=round(1e3 * report.t_solve, 3),
@@ -326,14 +322,11 @@ def run_manufactured(cfg, iteration_log=None):
     for h in cfg.h_list:
         mesh_s, mesh_d, pairing = manufactured_meshes(h)
         samples, exacts = manufactured_samples(cfg, mesh_d)
-        delta_d = resolve_delta_d(cfg, pairing.length, h)
-        ctx, _ = make_context(samples, nu=cfg.nu, g=cfg.g, z=cfg.z, alpha=cfg.alpha,
-                              delta_s=cfg.delta_s, delta_d=delta_d,
-                              tol=cfg.tol, max_iters=cfg.max_iters)
+        ctx, _ = scenario_context(cfg, samples, resolve_delta_d(cfg, pairing.length, h))
         bc = manufactured_bc(exacts, pin_pressure=(cfg.scenario == "small_k"))
         report = run_ensemble_ddm(ctx, mesh_s, mesh_d, pairing, bc,
                                   per_sample_stop=cfg.per_sample_stop)
-        rows.extend(_result_rows(cfg, h, report, exacts, report.space_s, report.space_d))
+        rows.extend(_result_rows(cfg, h, report, exacts))
         reports[h] = (report, ctx, bc, exacts)
         if iteration_log is not None:
             for j, hist in enumerate(report.norm_history):
@@ -360,10 +353,8 @@ def run_channel_mc(cfg):
     bc = channel_bc()
 
     def expectation(J):
-        samples, draws, spec = channel_samples(cfg, mesh_d, J=J)
-        ctx, _ = make_context(samples, nu=cfg.nu, g=cfg.g, z=cfg.z, alpha=cfg.alpha,
-                              delta_s=cfg.delta_s, delta_d=delta_d,
-                              tol=cfg.tol, max_iters=cfg.max_iters)
+        samples, draws, _ = channel_samples(cfg, mesh_d, J=J)
+        ctx, _ = scenario_context(cfg, samples, delta_d)
         report = run_ensemble_ddm(ctx, mesh_s, mesh_d, pairing, bc,
                                   per_sample_stop=cfg.per_sample_stop)
         return report.us.mean(axis=0), report.ud.mean(axis=0), report, draws
@@ -399,21 +390,12 @@ def run_channel_mc(cfg):
 def run_timing_comparison(cfg, h, J):
     """Shared-matrix vs per-sample wall time on the benchmark geometry."""
     mesh_s, mesh_d, pairing = manufactured_meshes(h)
-    spec = RandomFieldSpec(a0=cfg.field_a0, sigma=cfg.field_sigma,
-                           L_c=cfg.field_lc, n_f=cfg.field_nf)
-    draws = draw_samples(spec, J, cfg.seed)
-    scan = darcy_scan_points(mesh_d)
-    samples, exacts = [], []
-    for d in draws:
-        k = float(evaluate_k(spec, d, 0.0)) * cfg.field_scale
-        ms = ManufacturedSolution(k, k, nu=cfg.nu, g=cfg.g)
-        samples.append(make_sample(ConstantConductivity(k), f_S=ms.f_S, f_D=ms.f_D,
-                                   alpha=cfg.alpha, scan_points=scan))
-        exacts.append(ms)
-    delta_d = resolve_delta_d(cfg, pairing.length, h)
-    ctx, _ = make_context(samples, nu=cfg.nu, g=cfg.g, z=cfg.z, alpha=cfg.alpha,
-                          delta_s=cfg.delta_s, delta_d=delta_d,
-                          tol=cfg.tol, max_iters=cfg.max_iters)
+    # constant conductivities k_j = k(0; Y_j) with their closed-form solutions
+    spec = cfg.field_spec()
+    k_list = [float(evaluate_k(spec, d, 0.0)) * cfg.field_scale
+              for d in draw_samples(spec, J, cfg.seed)]
+    samples, exacts = manufactured_samples(cfg, mesh_d, k_list)
+    ctx, _ = scenario_context(cfg, samples, resolve_delta_d(cfg, pairing.length, h))
     bc = manufactured_bc(exacts)
     t0 = time.perf_counter()
     rep_e = run_ensemble_ddm(ctx, mesh_s, mesh_d, pairing, bc)

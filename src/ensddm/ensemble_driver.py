@@ -62,10 +62,10 @@ def make_sample(K, f_S=None, f_D=None, alpha=1.0, interface_y=0.0, scan_points=N
     scan_points = np.atleast_2d(scan_points)
     # one evaluation: the scan heights, then the interface height last
     k11, k22 = K.diag(np.append(scan_points[:, 1], interface_y))
+    if not (np.all(k11 > 0) and np.all(k22 > 0)):    # NaN fails this too
+        raise ValueError("conductivity tensor not SPD at a scan point or on the interface")
     k_tau = k11[-1]
     k11, k22 = k11[:-1], k22[:-1]
-    if np.any(k11 <= 0) or np.any(k22 <= 0):
-        raise ValueError("conductivity tensor not SPD at a quadrature point")
     k_min = float(min((1.0 / k11).min(), (1.0 / k22).min()))
     xi = float(alpha / np.sqrt(k_tau))
     return SampleParams(K=K, f_S=f_S or zero_vector_field, f_D=f_D or zero_scalar_field,
@@ -151,18 +151,17 @@ class BoundaryConditions:
     """Scenario boundary data and space options.
 
     `stokes_values(j, points)` returns Dirichlet velocity data for sample j
-    (None means homogeneous); `darcy_values(j, points)` returns the velocity
-    whose normal component is imposed on essential porous edges;
-    `darcy_natural_head(j, points)` returns head values integrated as the
-    natural condition on `darcy_natural_tags` (pins the head level through
-    the data, so no mean constraint is needed).
+    (None means homogeneous); the porous edges of `darcy_essential_tags`
+    carry zero normal flux; `darcy_natural_head(j, points)` returns head
+    values integrated as the natural condition on `darcy_natural_tags`
+    (pins the head level through the data, so no mean constraint is
+    needed).
     """
 
     stokes_dirichlet_tags: frozenset = None
     darcy_essential_tags: frozenset = None
     stokes_pressure_multiplier: bool = False
     stokes_values: object = None
-    darcy_values: object = None
     darcy_natural_tags: frozenset = frozenset()
     darcy_natural_head: object = None
 
@@ -203,31 +202,14 @@ class SolveReport:
         return bool(self.converged.all())
 
 
-def stokes_dirichlet_vector(space, data_fn, j):
+def stokes_dirichlet_values(space, data_fn, j):
     """Sample j's Dirichlet velocity data `data_fn(j, points)` on the fixed
-    rows of a zero dof vector (all zero when `data_fn` is None)."""
-    vec = np.zeros(space.n_dofs)
-    if data_fn is not None and len(space.dirichlet_nodes) > 0:
-        pts = space.mesh.verts[space.dirichlet_nodes]
-        vals = np.asarray(data_fn(j, pts))
-        vec[space.dirichlet_nodes] = vals[:, 0]
-        vec[space.n_comp + space.dirichlet_nodes] = vals[:, 1]
-    return vec
-
-
-def darcy_essential_vector(space, data_fn, j):
-    """The normal components of sample j's velocity data `data_fn(j,
-    points)` on the essential edge dofs of a zero dof vector."""
-    vec = np.zeros(space.n_dofs)
-    edges = space.essential_edges
-    if data_fn is not None and len(edges) > 0:
-        mesh = space.mesh
-        a = mesh.edges[edges, 0]
-        b = mesh.edges[edges, 1]
-        n_e = space.edge_normal[edges]
-        vec[2 * edges] = np.einsum("ij,ij->i", np.asarray(data_fn(j, mesh.verts[a])), n_e)
-        vec[2 * edges + 1] = np.einsum("ij,ij->i", np.asarray(data_fn(j, mesh.verts[b])), n_e)
-    return vec
+    rows `space.fixed` (x components, then y), as an (n_fixed,) vector; all
+    zero when `data_fn` is None."""
+    if data_fn is None or len(space.dirichlet_nodes) == 0:
+        return np.zeros(len(space.fixed))
+    vals = np.asarray(data_fn(j, space.mesh.verts[space.dirichlet_nodes]))
+    return np.concatenate([vals[:, 0], vals[:, 1]])
 
 
 def _darcy_sample_rhs(space, sample, bc, j, g):
@@ -268,17 +250,12 @@ def _run(ctx, mesh_s, mesh_d, pairing, bc, per_sample_stop, js):
     J = ctx.J
     # the iteration-independent part of every sample's right-hand side
     # (forcing plus natural data minus the boundary lift), and the boundary
-    # values of the fixed rows
-    dir_s = np.column_stack([stokes_dirichlet_vector(space_s, bc.stokes_values, j) for j in js])
+    # values of the fixed rows; the Darcy essential rows are homogeneous
+    fixed_s = np.column_stack([stokes_dirichlet_values(space_s, bc.stokes_values, j) for j in js])
     base_s = np.column_stack([assemble_stokes_volume_rhs(space_s, s.f_S) for s in ctx.samples])
-    base_s[space_s.free] -= op_s.lift(dir_s)
-    fixed_s = dir_s[space_s.fixed]
-    dir_d = np.column_stack([darcy_essential_vector(space_d, bc.darcy_values, j) for j in js])
+    base_s[space_s.free] -= op_s.lift(fixed_s)
     base_d = np.column_stack([_darcy_sample_rhs(space_d, s, bc, j, ctx.g)
                               for j, s in zip(js, ctx.samples)])
-    base_d[space_d.free] -= op_d.lift(dir_d)
-    fixed_d = dir_d[space_d.fixed]
-    del dir_s, dir_d
     # deviation weights of the lagged correction, mean minus sample: the
     # stationary state then solves the per-sample equations exactly
     # (mirrors the slip-coefficient lag on the free-flow side)
@@ -308,7 +285,6 @@ def _run(ctx, mesh_s, mesh_d, pairing, bc, per_sample_stop, js):
             base_s = base_s[:, keep]
             base_d = base_d[:, keep]
             fixed_s = fixed_s[:, keep]
-            fixed_d = fixed_d[:, keep]
             dW = dW[:, keep]
             dk, xi_lag = dk[keep], xi_lag[keep]
         # state and solutions span all samples: a plain slice while every
@@ -328,7 +304,7 @@ def _run(ctx, mesh_s, mesh_d, pairing, bc, per_sample_stop, js):
         add_darcy_interface_rhs(rhs, iface, state.g_D[:, act])
         add_darcy_lag_rhs(rhs, space_d, dW, dk, ud[:space_d.n_velocity, act], ctx.g)
         td = time.perf_counter()
-        ud_new = op_d.solve(rhs, fixed_d)
+        ud_new = op_d.solve(rhs, 0.0)
         del rhs
         te = time.perf_counter()
 
@@ -407,7 +383,8 @@ def _monolithic_system(report, ctx, bc, j):
     The subdomain rows carry the per-sample coefficients (xi_j, K_j^{-1},
     k_j^{min}) with the Robin traces as explicit unknowns; the trace rows
     are the two affine interface updates at their fixed point.  Dirichlet
-    and essential rows are identity rows with the boundary data.
+    and essential rows are identity rows with the boundary data (zero on
+    the essential rows).
     """
     space_s, space_d, pairing = report.space_s, report.space_d, report.pairing
     sample = ctx.samples[j]
@@ -477,18 +454,12 @@ def _monolithic_system(report, ctx, bc, j):
     b[nS:nS + nD] += _darcy_sample_rhs(space_d, sample, bc, j, ctx.g)
 
     # --- boundary rows become identity rows with their data ---
-    gs = stokes_dirichlet_vector(space_s, bc.stokes_values, j)
-    gd = darcy_essential_vector(space_d, bc.darcy_values, j)
     A = builder.finalize().tolil()
-    for idx in space_s.fixed:
-        A.rows[idx] = [idx]
-        A.data[idx] = [1.0]
-        b[idx] = gs[idx]
-    for idx in space_d.fixed:
-        r = nS + idx
+    for r in np.concatenate([space_s.fixed, nS + space_d.fixed]):
         A.rows[r] = [r]
         A.data[r] = [1.0]
-        b[r] = gd[idx]
+    b[space_s.fixed] = stokes_dirichlet_values(space_s, bc.stokes_values, j)
+    b[nS + space_d.fixed] = 0.0
     return A.tocsr(), b
 
 

@@ -118,10 +118,10 @@ class SubdomainOperator:
         self.factorization = factorize(self.A_ff)
         self.factor_seconds = time.perf_counter() - t0
 
-    def lift(self, values):
-        """Free-row correction for boundary values, given as full-length
-        dof vectors or (n_dofs, k) blocks; only fixed rows are read."""
-        return self.A_fd @ values[self.fixed]
+    def lift(self, fixed_values):
+        """Free-row correction for the boundary values of the fixed rows,
+        an (n_fixed,) vector or an (n_fixed, k) block."""
+        return self.A_fd @ fixed_values
 
     def solve(self, rhs, fixed_values):
         """Full dof vectors (or a column-major (n_dofs, k) block) from

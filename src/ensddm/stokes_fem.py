@@ -85,12 +85,12 @@ class StokesSpace:
                 dir_nodes.update(mesh.edges[e])
         self.dirichlet_nodes = np.array(sorted(dir_nodes), dtype=np.int64)
 
+        # x components, then y: the row order of the boundary data blocks
+        self.fixed = np.concatenate([self.dirichlet_nodes, self.n_comp + self.dirichlet_nodes])
         mask = np.zeros(self.n_dofs, dtype=bool)
-        mask[self.dirichlet_nodes] = True
-        mask[self.n_comp + self.dirichlet_nodes] = True
+        mask[self.fixed] = True
         self.dirichlet_mask = mask
         self.free = np.where(~mask)[0]
-        self.fixed = np.where(mask)[0]
 
         iface_nodes = set()
         for e in mesh.boundary_edges("INTERFACE"):

@@ -1,6 +1,6 @@
 import csv
 import os
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -30,6 +30,21 @@ def test_parse_config_grammar():
     assert cfg.J == 7
 
 
+def _config_text(value):
+    if isinstance(value, tuple):
+        return ", ".join(_config_text(v) for v in value)
+    return str(value).lower() if isinstance(value, bool) else str(value)
+
+
+def test_every_default_parses_back_from_config_text():
+    cfg = ScenarioConfig()
+    raw = {f.name: _config_text(getattr(cfg, f.name)) for f in fields(cfg)}
+    parsed = config_from_mapping(raw)
+    assert parsed == cfg
+    # == cannot tell 3 from 3.0 or True from 1; the repr can
+    assert repr(parsed) == repr(cfg)
+
+
 def test_parse_rejects_bad_input():
     with pytest.raises(ConfigError):
         parse_config_text("just words\n")
@@ -55,7 +70,9 @@ def test_parse_rejects_bad_input():
                        ("h_list", "nan"), ("h_list", "inf"), ("h_list", "5"),
                        ("h_list", "0.25, nan"), ("delta_s", "nan"), ("nu", "inf"),
                        ("tol", "nan"), ("k_list", "inf"), ("field_sigma", "nan"),
-                       ("delta_d", "-inf"), ("sweep_delta_s", "nan")]:
+                       ("delta_d", "-inf"), ("sweep_delta_s", "nan"),
+                       # method names are attributes but not config keys
+                       ("validate", "1"), ("field_spec", "1")]:
         with pytest.raises(ConfigError):
             config_from_mapping({key: value})
 
@@ -174,6 +191,18 @@ def test_run_scenario_nonconvergence_policy(tmp_path):
                          out=str(tmp_path), tol=1e-14, max_iters=3,
                          allow_nonconverged=True)
     run_scenario(cfg)
+
+
+def test_run_scenario_compare_traditional_writes_timing(tmp_path):
+    cfg = config_from_mapping({"h_list": "0.25", "J": "2", "compare_traditional": "true",
+                               "out": str(tmp_path)})
+    written = run_scenario(cfg)
+    assert str(tmp_path / "timing.csv") in written
+    with open(tmp_path / "timing.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 1
+    assert rows[0]["nfact_ensemble"] == "2"
+    assert rows[0]["nfact_traditional"] == "4"
 
 
 def test_timing_comparison_counts_factorizations():

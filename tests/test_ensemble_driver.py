@@ -4,7 +4,8 @@ import pytest
 from ensddm import fields
 from ensddm.bench_cli import (manufactured_meshes, manufactured_samples,
                               manufactured_bc, resolve_delta_d, ScenarioConfig,
-                              channel_meshes, channel_samples, darcy_scan_points)
+                              channel_meshes, channel_samples, channel_bc,
+                              darcy_scan_points)
 from ensddm.fields import ConstantConductivity, MeanInverseField
 from ensddm.ensemble_driver import (make_sample, make_context, BoundaryConditions,
                                     EnsembleDiagnostics,
@@ -123,11 +124,26 @@ def test_channel_setup_field_evaluations_grow_linearly(monkeypatch, J):
     assert len(mean_calls) == 1
 
 
+class _NegativeOnInterface(fields.ConductivityField):
+    """-1 at y = 0, 1 elsewhere."""
+
+    def diag(self, y):
+        k = np.where(np.asarray(y) == 0.0, -1.0, 1.0)
+        return k, k.copy()
+
+
 def test_make_sample_rejects_non_spd():
     with pytest.raises(ValueError):
         make_sample(ConstantConductivity(1.0, -1.0))
     with pytest.raises(ValueError, match="not SPD"):
         make_sample(ConstantConductivity(-1.0), scan_points=np.array([[0.5, -0.5], [1.0, -1.0]]))
+    # positive at every scan point, but not at the interface height that
+    # gives the slip coefficient
+    with pytest.raises(ValueError, match="not SPD"):
+        make_sample(_NegativeOnInterface(), interface_y=0.0,
+                    scan_points=np.array([[0.5, -0.5], [1.0, -0.25]]))
+    with pytest.raises(ValueError, match="not SPD"):
+        make_sample(ConstantConductivity(np.nan))
 
 
 def _zero_problem_ctx(h=1 / 8):
@@ -252,6 +268,30 @@ def test_interface_state_shapes_and_report_fields():
         assert trace.shape == (2 * pairing.n_pairs, 2)
     assert report.t_assembly > 0 and report.t_factor > 0 and report.t_solve > 0
     assert report.all_converged
+
+
+@pytest.mark.parametrize("run", [lambda *a: run_ensemble_ddm(*a, per_sample_stop=True),
+                                 run_traditional_ddm], ids=["ensemble", "traditional"])
+def test_stokes_fixed_rows_hold_each_samples_exact_velocity(run):
+    ctx, _, mesh_s, mesh_d, pairing, bc, exacts = small_setup(k_list=(2.21, 4.11, 6.21))
+    report = run(ctx, mesh_s, mesh_d, pairing, bc)
+    space = report.space_s
+    pts = mesh_s.verts[space.dirichlet_nodes]
+    assert len(space.fixed) == 2 * len(pts) > 0
+    for j, ms in enumerate(exacts):
+        u = ms.u_S(pts)
+        assert np.array_equal(report.us[j][space.dirichlet_nodes], u[:, 0])
+        assert np.array_equal(report.us[j][space.n_comp + space.dirichlet_nodes], u[:, 1])
+
+
+def test_channel_darcy_fixed_rows_are_zero():
+    mesh_s, mesh_d, pairing = channel_meshes(1 / 8)
+    samples, _, _ = channel_samples(ScenarioConfig(J=3), mesh_d)
+    ctx, _ = make_context(samples, delta_s=1.0, delta_d=2.0, tol=1e-6, max_iters=50)
+    report = run_ensemble_ddm(ctx, mesh_s, mesh_d, pairing, channel_bc())
+    fixed = report.space_d.fixed
+    assert len(fixed) > 0
+    assert not report.ud[:, fixed].any()
 
 
 def test_per_sample_stop_freezes_converged_samples():

@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import ensddm
 
 
@@ -5,3 +8,21 @@ def test_every_export_resolves():
     missing = [name for name in ensddm.__all__ if not hasattr(ensddm, name)]
     assert not missing
     assert len(set(ensddm.__all__)) == len(ensddm.__all__)
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # __init__.py imports to re-export, so it is left out
+    unused = []
+    for path in sorted(Path(ensddm.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{line} {name}" for name, line in imported.items()
+                   if name not in used]
+    assert not unused

@@ -171,7 +171,7 @@ def _solve_subproblem(n, k=2.21, nu=1.0, delta_s=1.0):
     vals = exact.u_S(pts)
     gdir[sp.dirichlet_nodes] = vals[:, 0]
     gdir[sp.n_comp + sp.dirichlet_nodes] = vals[:, 1]
-    rhs[sp.free] -= op.lift(gdir)
+    rhs[sp.free] -= op.lift(gdir[sp.fixed])
     return sp, op.solve(rhs, gdir[sp.fixed]), exact
 
 
