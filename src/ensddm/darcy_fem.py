@@ -272,7 +272,8 @@ def assemble_darcy_operator(space, g, weight, kbar_min, delta_d, pairing):
     robin = (iface.normal.T @ (delta_d * interface_mass(pairing)) @ iface.normal).tocoo()
     builder.add(robin.row, robin.col, robin.data)
 
-    return SubdomainOperator(builder.finalize(), space.free, space.fixed)
+    return SubdomainOperator(builder.finalize(), space.free, space.fixed,
+                             np.empty((0, 2), dtype=np.int64))
 
 
 def assemble_darcy_volume_rhs(space, f_D, k_min, g):

@@ -171,11 +171,17 @@ class SolveReport:
     """Everything a caller needs after a run: per-sample solutions, the
     iteration record, and the wall-time split.
 
-    t_solve is the wall time of the iteration loop; t_rhs, t_trisolve,
-    t_trace and t_norm are its phases (right-hand sides, block solves with
-    the gather of the free rows and the scatter to full dof vectors, trace
+    t_factor is the time of the two factorizations, with the forming of
+    the condensed Stokes matrix.  t_solve is the wall time of the iteration
+    loop; t_rhs, t_trisolve, t_trace and t_norm are its phases (right-hand
+    sides, block solves with the gather of the free rows, the bubble
+    condensation and recovery and the scatter to full dof vectors, trace
     updates, stopping norms and convergence bookkeeping), and their sum
     stays below t_solve.
+
+    lu_nnz is the fill of the factors: the entries SuperLU stores for L and
+    U (its `nnz`), summed over both factors, and over all samples for the
+    per-sample baseline.
     """
 
     us: np.ndarray               # (J, n_stokes_dofs)
@@ -192,6 +198,7 @@ class SolveReport:
     t_trace: float
     t_norm: float
     n_factorizations: int
+    lu_nnz: int
     space_s: object = None
     space_d: object = None
     pairing: object = None
@@ -246,6 +253,7 @@ def _run(ctx, mesh_s, mesh_d, pairing, bc, per_sample_stop, js):
     op_s = assemble_stokes_operator(space_s, ctx.nu, ctx.delta_s, ctx.xi_bar, pairing)
     op_d = assemble_darcy_operator(space_d, ctx.g, kbar_w, ctx.kbar_min, ctx.delta_d, pairing)
     t_factor = op_s.factor_seconds + op_d.factor_seconds
+    lu_nnz = op_s.factorization.nnz + op_d.factorization.nnz
 
     J = ctx.J
     # the iteration-independent part of every sample's right-hand side
@@ -297,6 +305,7 @@ def _run(ctx, mesh_s, mesh_d, pairing, bc, per_sample_stop, js):
         add_interface_rhs(rhs, space_s, pairing, state.g_S[:, act], g_tau)
         del g_tau
         tb = time.perf_counter()
+        rhs = rhs[space_s.free]     # drops the full-length block before the solve
         us_new = op_s.solve(rhs, fixed_s)
         del rhs
         tc = time.perf_counter()
@@ -304,6 +313,7 @@ def _run(ctx, mesh_s, mesh_d, pairing, bc, per_sample_stop, js):
         add_darcy_interface_rhs(rhs, iface, state.g_D[:, act])
         add_darcy_lag_rhs(rhs, space_d, dW, dk, ud[:space_d.n_velocity, act], ctx.g)
         td = time.perf_counter()
+        rhs = rhs[space_d.free]
         ud_new = op_d.solve(rhs, 0.0)
         del rhs
         te = time.perf_counter()
@@ -337,7 +347,7 @@ def _run(ctx, mesh_s, mesh_d, pairing, bc, per_sample_stop, js):
                        converged=converged, norm_history=history,
                        t_assembly=t_assembly, t_factor=t_factor, t_solve=t_solve,
                        t_rhs=t_rhs, t_trisolve=t_trisolve, t_trace=t_trace, t_norm=t_norm,
-                       n_factorizations=factorization_count() - nfact0,
+                       n_factorizations=factorization_count() - nfact0, lu_nnz=lu_nnz,
                        space_s=space_s, space_d=space_d, pairing=pairing, state=state)
 
 
@@ -370,7 +380,7 @@ def run_traditional_ddm(ctx, mesh_s, mesh_d, pairing, bc, per_sample_stop=False)
         t_assembly=total("t_assembly"), t_factor=total("t_factor"),
         t_solve=total("t_solve"), t_rhs=total("t_rhs"), t_trisolve=total("t_trisolve"),
         t_trace=total("t_trace"), t_norm=total("t_norm"),
-        n_factorizations=total("n_factorizations"),
+        n_factorizations=total("n_factorizations"), lu_nnz=total("lu_nnz"),
         space_s=first.space_s, space_d=first.space_d, pairing=first.pairing,
         state=RobinTraceState(*(np.hstack([getattr(r.state, name) for r in reports])
                                 for name in ("g_S", "g_S_tau", "g_D", "us_tau"))))

@@ -5,6 +5,12 @@ the shared-coefficient-matrix ensemble iteration cheap: the two subdomain
 matrices are factorized once per run and then only triangular solves remain,
 one block solve per subdomain and iteration for all samples at once.
 
+Before that one factorization, a subdomain operator condenses out interior
+dof pairs that couple only with themselves and the other free dofs (the two
+MINI bubbles of each free-flow triangle): each pair's 2x2 block is inverted
+in closed form, only their Schur complement is factorized, and every solve
+recovers the pairs with two sparse products.
+
 Matrices are plain scipy CSR matrices and factors plain SuperLU objects
 (partial pivoting, COLAMD column ordering); everything is float64.
 """
@@ -102,20 +108,47 @@ def factorize(a):
 
 
 class SubdomainOperator:
-    """A subdomain matrix reduced to its free rows and columns and
-    factorized once.
+    """A subdomain matrix reduced to its free rows and columns, with its
+    interior dof pairs condensed out, and factorized once.
 
     The `free` and `fixed` index arrays split the dofs; fixed rows carry
-    boundary values.
+    boundary values.  `interior` is an (m, 2) array of free dofs, each pair
+    coupled only with itself and with the other free dofs (the x and y
+    bubbles of a MINI triangle), or an empty (0, 2) array.  With B the
+    block diagonal of the pairs' 2x2 blocks, inverted in closed form, the
+    one factorization is of the Schur complement S = A_rr - A_ri B^-1 A_ir
+    on the remaining free dofs r; without pairs, S is A_ff itself.
+    `factor_seconds` covers forming and factorizing S.
     """
 
-    def __init__(self, matrix, free, fixed):
+    def __init__(self, matrix, free, fixed, interior):
         self.matrix = matrix
         self.free, self.fixed = free, fixed
-        self.A_ff = matrix[free][:, free].tocsc()
-        self.A_fd = matrix[free][:, fixed].tocsr()
+        rows = matrix[free]
+        self.A_ff = rows[:, free].tocsc()
+        self.A_fd = rows[:, fixed].tocsr()
+        del rows
         t0 = time.perf_counter()
-        self.factorization = factorize(self.A_ff)
+        pos = np.full(matrix.shape[0], -1)
+        pos[free] = np.arange(len(free))
+        pairs = pos[interior]                   # positions within the free dofs
+        if np.any(pairs < 0):
+            raise ValueError("interior dofs must be free")
+        rest = np.ones(len(free), dtype=bool)
+        rest[pairs] = False
+        self._rest, self._inner = np.flatnonzero(rest), pairs.ravel()
+        self._rest_dofs, self._inner_dofs = free[self._rest], free[self._inner]
+        if len(pairs):
+            a = self.A_ff.tocsr()
+            inner_rows, rest_rows = a[self._inner], a[self._rest]
+            self._B_inv = _pair_inverse(inner_rows[:, self._inner])
+            A_ir = inner_rows[:, self._rest]
+            self._condense = (rest_rows[:, self._inner] @ self._B_inv).tocsr()  # A_ri B^-1
+            self._recover = (self._B_inv @ A_ir).tocsr()                        # B^-1 A_ir
+            S = rest_rows[:, self._rest] - self._condense @ A_ir
+        else:
+            S = self.A_ff
+        self.factorization = factorize(S)
         self.factor_seconds = time.perf_counter() - t0
 
     def lift(self, fixed_values):
@@ -124,14 +157,49 @@ class SubdomainOperator:
         return self.A_fd @ fixed_values
 
     def solve(self, rhs, fixed_values):
-        """Full dof vectors (or a column-major (n_dofs, k) block) from
-        full-length right-hand sides: the free rows solve against the
-        factorization, and the fixed rows take `fixed_values` (a scalar or
-        an (n_fixed, k) block).  Only the free rows of `rhs` are read."""
-        full = np.zeros(rhs.shape, order="F")
-        full[self.free] = self.factorization.solve(rhs[self.free])
+        """Full dof vectors (or a column-major (n_dofs, k) block) from the
+        free rows of the right-hand sides, an (n_free,) vector or an
+        (n_free, k) block: the free rows solve A_ff x = rhs, and the fixed
+        rows take `fixed_values` (a scalar or an (n_fixed, k) block).
+
+        The pairs are condensed into the right-hand side, the rest solves
+        against the factor of S, and the pairs are recovered from it."""
+        shape = (self.matrix.shape[0],) + rhs.shape[1:]
+        if len(self._inner):
+            b_inner = rhs[self._inner]
+            rhs = rhs[self._rest]
+            rhs -= self._condense @ b_inner
+        x_rest = self.factorization.solve(rhs)
+        del rhs
+        full = np.zeros(shape, order="F")
+        full[self._rest_dofs] = x_rest
+        if len(self._inner):
+            x_inner = self._B_inv @ b_inner
+            x_inner -= self._recover @ x_rest
+            full[self._inner_dofs] = x_inner
         full[self.fixed] = fixed_values
         return full
+
+
+def _pair_inverse(block):
+    """Inverse of a block diagonal matrix of 2x2 blocks (rows and columns
+    2i, 2i+1), each inverted in closed form, as a CSR matrix."""
+    m = block.shape[0] // 2
+    coo = block.tocoo()
+    if np.any(coo.row // 2 != coo.col // 2):
+        raise ValueError("interior pairs couple with each other")
+    d = block.diagonal()
+    a, e = d[0::2], d[1::2]
+    i = 2 * np.arange(m)
+    b = np.asarray(block[i, i + 1]).ravel()
+    c = np.asarray(block[i + 1, i]).ravel()
+    det = a * e - b * c
+    if np.any(det == 0.0):
+        raise SingularMatrixError(f"singular interior pair {np.flatnonzero(det == 0.0)[0]}")
+    rows = np.column_stack([i, i, i + 1, i + 1]).ravel()
+    cols = np.column_stack([i, i + 1, i, i + 1]).ravel()
+    vals = (np.column_stack([e, -b, -c, a]) / det[:, None]).ravel()
+    return sp.csr_matrix((vals, (rows, cols)), shape=block.shape)
 
 
 def quadratic_form(m, x):

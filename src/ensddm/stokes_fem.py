@@ -6,7 +6,10 @@ multiplier that pins the pressure mean; it depends only on the viscosity,
 the Robin weight delta_S, and the ensemble-mean slip coefficient, so it is
 identical for every sample and iteration.  Per-sample data (forcing, Robin
 traces, lagged slip term, Dirichlet values) enters through the right-hand
-side only.
+side only.  The two bubbles of each triangle couple only with each other and
+the triangle's P1 dofs, so the operator eliminates them (static
+condensation) before its one factorization; solutions keep the full MINI
+dof layout.
 
 Right-hand sides, solutions and interface traces of an ensemble travel as
 column blocks: a dof vector per sample becomes a column of an (n_dofs, k)
@@ -250,7 +253,8 @@ def add_stokes_volume(builder, space, nu, offset=0):
 
 
 def assemble_stokes_operator(space, nu, delta_s, xi_bar, pairing):
-    """Assemble and factorize the Robin free-flow matrix.
+    """Assemble the Robin free-flow matrix, condense out the bubbles and
+    factorize the rest.
 
     Matrix = the volume rows of `add_stokes_volume` + delta_s <u.n, v.n>_Gamma
     + xi_bar <u.tau, v.tau>_Gamma.
@@ -271,7 +275,9 @@ def assemble_stokes_operator(space, nu, delta_s, xi_bar, pairing):
     robin = (trace.T @ sp.block_diag((delta_s * mass, xi_bar * mass)) @ trace).tocoo()
     builder.add(robin.row, robin.col, robin.data)
 
-    return SubdomainOperator(builder.finalize(), space.free, space.fixed)
+    # local dofs 3 and 7: the x and y bubble of each triangle
+    return SubdomainOperator(builder.finalize(), space.free, space.fixed,
+                             space.vel_elem_dofs[:, [3, 7]])
 
 
 def assemble_stokes_volume_rhs(space, f_S):

@@ -171,6 +171,24 @@ def test_exactly_two_factorizations_per_ensemble_run():
     assert trad.n_factorizations == 2 * ctx.J
 
 
+def test_lu_nnz_counts_both_factors_and_sums_over_baseline_samples():
+    from ensddm.darcy_fem import assemble_darcy_operator, inverse_diagonal
+    from ensddm.stokes_fem import assemble_stokes_operator
+
+    ctx, _, mesh_s, mesh_d, pairing, bc, _ = small_setup(k_list=(2.21, 4.11))
+    rep = run_ensemble_ddm(ctx, mesh_s, mesh_d, pairing, bc)
+    op_s = assemble_stokes_operator(rep.space_s, ctx.nu, ctx.delta_s, ctx.xi_bar, pairing)
+    op_d = assemble_darcy_operator(rep.space_d, ctx.g, inverse_diagonal(rep.space_d, ctx.kbar_field),
+                                   ctx.kbar_min, ctx.delta_d, pairing)
+    assert rep.lu_nnz == op_s.factorization.nnz + op_d.factorization.nnz > 0
+    trad = run_traditional_ddm(ctx, mesh_s, mesh_d, pairing, bc)
+    singles = [make_context([s], nu=ctx.nu, g=ctx.g, z=ctx.z, alpha=ctx.alpha,
+                            delta_s=ctx.delta_s, delta_d=ctx.delta_d, tol=ctx.tol,
+                            max_iters=ctx.max_iters)[0] for s in ctx.samples]
+    assert trad.lu_nnz == sum(run_ensemble_ddm(c, mesh_s, mesh_d, pairing, bc).lu_nnz
+                              for c in singles)
+
+
 def test_mean_inverse_field_evaluated_once_per_run(monkeypatch):
     # the shared matrix and the lag weights use the same evaluation
     ctx, _, mesh_s, mesh_d, pairing, bc, _ = small_setup(k_list=(2.21, 4.11))

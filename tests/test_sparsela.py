@@ -58,12 +58,13 @@ def test_numerically_singular_raises():
         factorize(A)
 
 
-def _stokes_operator():
+def _stokes_operator(pressure_multiplier=True):
     from ensddm.bench_cli import manufactured_meshes
     from ensddm.stokes_fem import build_stokes_space, assemble_stokes_operator
 
     ms, _, pairing = manufactured_meshes(1 / 8)
-    return assemble_stokes_operator(build_stokes_space(ms), 1.0, 1.0, 0.5, pairing)
+    space = build_stokes_space(ms, pressure_multiplier=pressure_multiplier)
+    return assemble_stokes_operator(space, 1.0, 1.0, 0.5, pairing)
 
 
 def _stokes_factorization():
@@ -132,7 +133,8 @@ def test_factorization_counter_increments():
 
 
 def test_saddle_point_roundtrip_reproduces_discrete_solution():
-    # factor+solve on an assembled saddle matrix reproduces a known dof vector
+    # the condensed solve of an assembled saddle matrix reproduces a known
+    # dof vector
     from ensddm.mesh import Rect, build_rect_mesh, pair_interface
     from ensddm.stokes_fem import build_stokes_space, assemble_stokes_operator
 
@@ -144,30 +146,29 @@ def test_saddle_point_roundtrip_reproduces_discrete_solution():
     rng = np.random.default_rng(21)
     x_star = rng.standard_normal(op.A_ff.shape[0])
     b = op.A_ff @ x_star
-    x = op.factorization.solve(b)
+    x = op.solve(b, 0.0)[op.free]
     assert np.linalg.norm(x - x_star) / np.linalg.norm(x_star) <= 1e-9
 
 
-def test_subdomain_solve_vector_and_block():
-    # full-length rows in, full-length solutions out: the free rows solve
-    # A_ff x = rhs_free, the fixed rows are the given boundary values
-    op = _stokes_operator()
+def _check_subdomain_solve(op):
+    # free rows in, full-length solutions out: the free rows solve
+    # A_ff x = rhs, the fixed rows are the given boundary values
     n, k = op.matrix.shape[0], 5
     rng = np.random.default_rng(11)
-    B = rng.standard_normal((n, k))
+    B = rng.standard_normal((len(op.free), k))
     fixed = rng.standard_normal((len(op.fixed), k))
 
     x = op.solve(B[:, 0], 0.0)
     assert x.shape == (n,)
     assert np.all(x[op.fixed] == 0.0)
-    r = op.A_ff @ x[op.free] - B[op.free, 0]
-    assert np.linalg.norm(r) <= 1e-12 * np.linalg.norm(B[op.free, 0])
+    r = op.A_ff @ x[op.free] - B[:, 0]
+    assert np.linalg.norm(r) <= 1e-12 * np.linalg.norm(B[:, 0])
 
     X = op.solve(B, fixed)
     assert X.shape == (n, k) and X.flags.f_contiguous
     np.testing.assert_array_equal(X[op.fixed], fixed)
-    R = op.A_ff @ X[op.free] - B[op.free]
-    assert np.all(np.linalg.norm(R, axis=0) <= 1e-12 * np.linalg.norm(B[op.free], axis=0))
+    R = op.A_ff @ X[op.free] - B
+    assert np.all(np.linalg.norm(R, axis=0) <= 1e-12 * np.linalg.norm(B, axis=0))
     for i in range(k):
         xi = op.solve(B[:, i], fixed[:, i])
         np.testing.assert_array_equal(xi[op.fixed], fixed[:, i])
@@ -175,6 +176,70 @@ def test_subdomain_solve_vector_and_block():
     Z = op.solve(B, 0.0)
     assert np.all(Z[op.fixed] == 0.0)
     np.testing.assert_array_equal(Z[op.free], X[op.free])
-    # only the free rows of the right-hand side are read
-    B[op.fixed] = np.nan
-    np.testing.assert_array_equal(op.solve(B, fixed), X)
+    # the right-hand side is not written to
+    B0 = B.copy()
+    op.solve(B, fixed)
+    np.testing.assert_array_equal(B, B0)
+
+
+def test_subdomain_solve_vector_and_block():
+    _check_subdomain_solve(_stokes_operator())
+
+
+def test_condensed_stokes_solve_without_pressure_multiplier():
+    _check_subdomain_solve(_stokes_operator(pressure_multiplier=False))
+
+
+def test_condensed_stokes_solve_of_zero_data_is_exact_zero():
+    op = _stokes_operator()
+    x = op.solve(np.zeros(len(op.free)), 0.0)
+    X = op.solve(np.zeros((len(op.free), 3)), np.zeros((len(op.fixed), 3)))
+    assert not x.any() and not X.any()
+
+
+def test_stokes_factor_holds_no_bubbles_and_less_fill():
+    # the two bubbles of each triangle are condensed out before the one
+    # factorization, which then holds fewer unknowns and less fill
+    from ensddm.bench_cli import manufactured_meshes
+
+    n_tris = manufactured_meshes(1 / 8)[0].n_tris
+    for pin in (True, False):
+        op = _stokes_operator(pressure_multiplier=pin)
+        f = op.factorization
+        assert f.shape == (len(op.free) - 2 * n_tris,) * 2
+        full = factorize(op.A_ff)
+        assert f.L.nnz + f.U.nnz < full.L.nnz + full.U.nnz
+        assert f.nnz < full.nnz
+
+
+def test_darcy_solve_without_interior_pairs_is_the_plain_factor_solve():
+    # no pairs to condense: the operator factorizes A_ff itself and its
+    # solve is the plain factor solve, bitwise
+    from ensddm.bench_cli import manufactured_meshes
+    from ensddm.darcy_fem import assemble_darcy_operator, build_darcy_space
+
+    _, md, pairing = manufactured_meshes(1 / 8)
+    space = build_darcy_space(md)
+    op = assemble_darcy_operator(space, 1.0, np.ones(space.eval_op.shape[0]), 1.0, 2.0, pairing)
+    assert op.factorization.shape == op.A_ff.shape
+    f = factorize(op.A_ff)
+    B = np.random.default_rng(5).standard_normal((len(op.free), 4))
+    np.testing.assert_array_equal(op.solve(B, 0.0)[op.free], f.solve(B))
+    np.testing.assert_array_equal(op.solve(B[:, 1], 0.0)[op.free], f.solve(B[:, 1]))
+
+
+def test_interior_pairs_must_not_couple():
+    from ensddm.sparsela import SubdomainOperator
+
+    A = sp.csr_matrix(np.array([[4.0, 1.0, 0.0, 1.0],
+                                [1.0, 4.0, 1.0, 0.0],
+                                [0.0, 1.0, 4.0, 1.0],
+                                [1.0, 0.0, 1.0, 4.0]]))
+    free, fixed = np.arange(4), np.empty(0, dtype=np.int64)
+    with pytest.raises(ValueError):
+        SubdomainOperator(A, free, fixed, np.array([[0, 1], [2, 3]]))
+    # a pair coupled only with itself and the rest condenses exactly
+    op = SubdomainOperator(A, free, fixed, np.array([[0, 2]]))
+    assert op.factorization.shape == (2, 2)
+    b = np.array([1.0, -2.0, 0.5, 3.0])
+    np.testing.assert_allclose(A @ op.solve(b, 0.0), b, rtol=0, atol=1e-14)
