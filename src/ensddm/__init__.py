@@ -33,7 +33,7 @@ from .ensemble_driver import (
     run_traditional_ddm,
     check_converged_residual,
 )
-from .manufactured import ManufacturedSolution, exact_solution, manufactured_forcing
+from .manufactured import ManufacturedSolution
 from .norms import error_norms, convergence_order
 
 __all__ = [
@@ -47,6 +47,6 @@ __all__ = [
     "RobinTraceState", "init_state", "update_robin", "stopping_norm",
     "SampleParams", "EnsembleContext", "EnsembleDiagnostics", "SolveReport",
     "make_context", "run_ensemble_ddm", "run_traditional_ddm", "check_converged_residual",
-    "ManufacturedSolution", "exact_solution", "manufactured_forcing",
+    "ManufacturedSolution",
     "error_norms", "convergence_order",
 ]

@@ -1,8 +1,8 @@
-"""The full ensemble iteration: build and factorize the two subdomain
-matrices once, then per iteration assemble the right-hand sides of all
-active samples as the columns of one block per subdomain, solve each block
-in one call against the shared factorization, and apply the Robin trace
-updates to all of them at once.
+"""The full ensemble iteration: a set-up that factorizes the two subdomain
+matrices and assembles the per-sample right-hand-side columns once, then a
+loop of sweeps.  A sweep solves the active samples as the columns of one
+block per subdomain against the shared factorization and forms their next
+trace state at once; the loop takes the stopping norm and freezes samples.
 
 A traditional (per-sample) variant runs the identical iteration with one
 operator pair per sample; with J = 1 both variants follow the same code
@@ -101,11 +101,6 @@ class EnsembleContext:
     def J(self):
         return len(self.samples)
 
-    @property
-    def xi(self):
-        """(J,) per-sample slip coefficients."""
-        return np.array([s.xi for s in self.samples])
-
 
 def make_context(samples, nu=1.0, g=1.0, z=0.0, alpha=1.0,
                  delta_s=1.0, delta_d=2.0, tol=1e-6, max_iters=500):
@@ -115,8 +110,10 @@ def make_context(samples, nu=1.0, g=1.0, z=0.0, alpha=1.0,
     """
     if len(samples) == 0:
         raise ValueError("need at least one sample")
-    if delta_s <= 0 or delta_d <= 0:
+    if not (delta_s > 0 and delta_d > 0):       # NaN fails this too
         raise ValueError("Robin parameters must be positive")
+    if not (0 < tol < np.inf) or max_iters < 1:
+        raise ValueError("tol must be positive and finite and max_iters at least 1")
     J = len(samples)
     xi_bar = sum(s.xi for s in samples) / J
     kbar_min = sum(s.k_min for s in samples) / J
@@ -204,10 +201,6 @@ class SolveReport:
     pairing: object = None
     state: object = None
 
-    @property
-    def all_converged(self):
-        return bool(self.converged.all())
-
 
 def stokes_dirichlet_values(space, data_fn, j):
     """Sample j's Dirichlet velocity data `data_fn(j, points)` on the fixed
@@ -241,21 +234,34 @@ def run_ensemble_ddm(ctx, mesh_s, mesh_d, pairing, bc, per_sample_stop=False):
     return _run(ctx, mesh_s, mesh_d, pairing, bc, per_sample_stop, range(ctx.J))
 
 
-def _run(ctx, mesh_s, mesh_d, pairing, bc, per_sample_stop, js):
-    """The iteration of `run_ensemble_ddm`; js[i] is the index into the
-    boundary data `bc` of sample i of `ctx`."""
-    nfact0 = factorization_count()
-    t0 = time.perf_counter()
+@dataclass
+class IterationSetup:
+    """The spaces, the two factorized operators and the per-sample columns
+    of a run: sample i of a sweep is column (entry) i of each block."""
+
+    ctx: EnsembleContext
+    space_s: object
+    space_d: object
+    pairing: object
+    iface: object                # the Darcy interface operators of `pairing`
+    op_s: object
+    op_d: object
+    base_s: np.ndarray           # (n_stokes_dofs, k) forcing minus boundary lift
+    base_d: np.ndarray           # (n_darcy_dofs, k) forcing plus natural data
+    fixed_s: np.ndarray          # (n_fixed, k) Stokes boundary values
+    dW: np.ndarray               # (rows of eval_op, k) inverse-tensor lag weights
+    dk: np.ndarray               # (k,) grad-div lag weights
+    xi: np.ndarray               # (k,) slip coefficients
+
+
+def _setup(ctx, mesh_s, mesh_d, pairing, bc, js):
+    """The `IterationSetup` of `_run`, built once per run."""
     space_s = build_stokes_space(mesh_s, dirichlet_tags=bc.stokes_dirichlet_tags,
                                  pressure_multiplier=bc.stokes_pressure_multiplier)
     space_d = build_darcy_space(mesh_d, essential_tags=bc.darcy_essential_tags)
     kbar_w = inverse_diagonal(space_d, ctx.kbar_field)
     op_s = assemble_stokes_operator(space_s, ctx.nu, ctx.delta_s, ctx.xi_bar, pairing)
     op_d = assemble_darcy_operator(space_d, ctx.g, kbar_w, ctx.kbar_min, ctx.delta_d, pairing)
-    t_factor = op_s.factor_seconds + op_d.factor_seconds
-    lu_nnz = op_s.factorization.nnz + op_d.factorization.nnz
-
-    J = ctx.J
     # the iteration-independent part of every sample's right-hand side
     # (forcing plus natural data minus the boundary lift), and the boundary
     # values of the fixed rows; the Darcy essential rows are homogeneous
@@ -269,61 +275,82 @@ def _run(ctx, mesh_s, mesh_d, pairing, bc, per_sample_stop, js):
     # (mirrors the slip-coefficient lag on the free-flow side)
     dW = np.column_stack([kbar_w - inverse_diagonal(space_d, s.K) for s in ctx.samples])
     dk = ctx.kbar_min - np.array([s.k_min for s in ctx.samples])
-    xi_lag = ctx.xi_bar - ctx.xi
+    xi = np.array([s.xi for s in ctx.samples])
+    return IterationSetup(ctx, space_s, space_d, pairing, space_d.interface_info(pairing),
+                          op_s, op_d, base_s, base_d, fixed_s, dW, dk, xi)
+
+
+def sweep(su, state, ud_lag):
+    """One iteration of the samples of `su` from their trace `state` and
+    previous Darcy velocity rows `ud_lag`: the next state, the new Stokes
+    and Darcy blocks, and the seconds of right-hand sides, block solves and
+    trace updates.  Both solves read the previous traces (Jacobi-like); per
+    sample the sweep is an affine map of (state, ud_lag)."""
+    ta = time.perf_counter()
+    rhs = su.base_s.copy()
+    add_interface_rhs(rhs, su.space_s, su.pairing, state.g_S, state.g_tau)
+    tb = time.perf_counter()
+    rhs = rhs[su.space_s.free]     # drops the full-length block before the solve
+    us = su.op_s.solve(rhs, su.fixed_s)
+    del rhs
+    tc = time.perf_counter()
+    rhs = su.base_d.copy()
+    add_darcy_interface_rhs(rhs, su.iface, state.g_D)
+    add_darcy_lag_rhs(rhs, su.space_d, su.dW, su.dk, ud_lag, su.ctx.g)
+    td = time.perf_counter()
+    rhs = rhs[su.space_d.free]
+    ud = su.op_d.solve(rhs, 0.0)
+    del rhs
+    te = time.perf_counter()
+    us_n, us_tau = interface_traces(su.space_s, su.pairing, us)
+    state = update_robin(state, us_n, us_tau, su.iface.normal_trace(ud),
+                         su.iface.tangential_trace(ud), su.xi, su.ctx)
+    tf = time.perf_counter()
+    return state, us, ud, ((tb - ta) + (td - tc), (tc - tb) + (te - td), tf - te)
+
+
+def _run(ctx, mesh_s, mesh_d, pairing, bc, per_sample_stop, js):
+    """The set-up, then sweeps of the active samples; js[i] is the index
+    into the boundary data `bc` of sample i of `ctx`."""
+    nfact0 = factorization_count()
+    t0 = time.perf_counter()
+    su = _setup(ctx, mesh_s, mesh_d, pairing, bc, js)
+    t_factor = su.op_s.factor_seconds + su.op_d.factor_seconds
     t_assembly = time.perf_counter() - t0 - t_factor
 
+    J = ctx.J
     state = init_state(ctx, pairing)
-    iface = space_d.interface_info(pairing)
-    us = np.zeros((space_s.n_dofs, J), order="F")
-    ud = np.zeros((space_d.n_dofs, J), order="F")
+    us = np.zeros((su.space_s.n_dofs, J), order="F")
+    ud = np.zeros((su.space_d.n_dofs, J), order="F")
     iterations = np.zeros(J, dtype=np.int64)
     final_norms = np.full(J, np.inf)
     converged = np.zeros(J, dtype=bool)
     history = [[] for _ in range(J)]
-    t_rhs = t_trisolve = t_trace = t_norm = 0.0
-    ids = np.arange(J)          # the samples held by the per-sample data blocks
+    t_phases = np.zeros(3)      # right-hand sides, block solves, trace updates
+    t_norm = 0.0
+    ids = np.arange(J)          # the samples held by the per-sample columns of su
 
     t1 = time.perf_counter()
     for n in range(1, ctx.max_iters + 1):
         if per_sample_stop and converged[ids].any():
-            # drop frozen samples from the per-sample data once, so these
+            # drop frozen samples from the per-sample columns once, so these
             # blocks hold exactly the active columns
             keep = ~converged[ids]
             ids = ids[keep]
-            base_s = base_s[:, keep]
-            base_d = base_d[:, keep]
-            fixed_s = fixed_s[:, keep]
-            dW = dW[:, keep]
-            dk, xi_lag = dk[keep], xi_lag[keep]
+            su = replace(su, base_s=su.base_s[:, keep], base_d=su.base_d[:, keep],
+                         fixed_s=su.fixed_s[:, keep], dW=su.dW[:, keep],
+                         dk=su.dk[keep], xi=su.xi[keep])
         # state and solutions span all samples: a plain slice while every
         # sample is active keeps their blocks views
         act = ids if len(ids) < J else slice(None)
 
-        ta = time.perf_counter()
-        rhs = base_s.copy()
-        g_tau = state.g_S_tau[:, act] - xi_lag * state.us_tau[:, act]
-        add_interface_rhs(rhs, space_s, pairing, state.g_S[:, act], g_tau)
-        del g_tau
-        tb = time.perf_counter()
-        rhs = rhs[space_s.free]     # drops the full-length block before the solve
-        us_new = op_s.solve(rhs, fixed_s)
-        del rhs
-        tc = time.perf_counter()
-        rhs = base_d.copy()
-        add_darcy_interface_rhs(rhs, iface, state.g_D[:, act])
-        add_darcy_lag_rhs(rhs, space_d, dW, dk, ud[:space_d.n_velocity, act], ctx.g)
-        td = time.perf_counter()
-        rhs = rhs[space_d.free]
-        ud_new = op_d.solve(rhs, 0.0)
-        del rhs
-        te = time.perf_counter()
-
-        us_n, us_tau = interface_traces(space_s, pairing, us_new)
-        update_robin(state, act, us_n, us_tau, iface.normal_trace(ud_new),
-                     iface.tangential_trace(ud_new), ctx)
+        new, us_new, ud_new, dt = sweep(su, RobinTraceState(*(b[:, act] for b in state)),
+                                        ud[:su.space_d.n_velocity, act])
+        t_phases += dt
         tf = time.perf_counter()
-
-        norms = stopping_norm(space_s, space_d, us[:, act], us_new, ud[:, act], ud_new)
+        for block, col in zip(state, new):
+            block[:, act] = col
+        norms = stopping_norm(su.space_s, su.space_d, us[:, act], us_new, ud[:, act], ud_new)
         us[:, act] = us_new
         ud[:, act] = ud_new
         del us_new, ud_new
@@ -333,22 +360,21 @@ def _run(ctx, mesh_s, mesh_d, pairing, bc, per_sample_stop, js):
         hit = ids[(norms <= ctx.tol) & ~converged[ids]]
         converged[hit] = True
         iterations[hit] = n
-        t_rhs += (tb - ta) + (td - tc)
-        t_trisolve += (tc - tb) + (te - td)
-        t_trace += tf - te
         t_norm += time.perf_counter() - tf
         if converged.all():
             break
     t_solve = time.perf_counter() - t1
     iterations[~converged] = ctx.max_iters
 
+    t_rhs, t_trisolve, t_trace = t_phases.tolist()
     return SolveReport(us=us.T, ud=ud.T,
                        iterations=iterations, final_norms=final_norms,
                        converged=converged, norm_history=history,
                        t_assembly=t_assembly, t_factor=t_factor, t_solve=t_solve,
                        t_rhs=t_rhs, t_trisolve=t_trisolve, t_trace=t_trace, t_norm=t_norm,
-                       n_factorizations=factorization_count() - nfact0, lu_nnz=lu_nnz,
-                       space_s=space_s, space_d=space_d, pairing=pairing, state=state)
+                       n_factorizations=factorization_count() - nfact0,
+                       lu_nnz=su.op_s.factorization.nnz + su.op_d.factorization.nnz,
+                       space_s=su.space_s, space_d=su.space_d, pairing=pairing, state=state)
 
 
 def run_traditional_ddm(ctx, mesh_s, mesh_d, pairing, bc, per_sample_stop=False):
@@ -382,8 +408,8 @@ def run_traditional_ddm(ctx, mesh_s, mesh_d, pairing, bc, per_sample_stop=False)
         t_trace=total("t_trace"), t_norm=total("t_norm"),
         n_factorizations=total("n_factorizations"), lu_nnz=total("lu_nnz"),
         space_s=first.space_s, space_d=first.space_d, pairing=first.pairing,
-        state=RobinTraceState(*(np.hstack([getattr(r.state, name) for r in reports])
-                                for name in ("g_S", "g_S_tau", "g_D", "us_tau"))))
+        state=RobinTraceState(*(np.hstack(blocks)
+                                for blocks in zip(*(r.state for r in reports)))))
 
 
 def _monolithic_system(report, ctx, bc, j):

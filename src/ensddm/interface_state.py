@@ -1,4 +1,4 @@
-"""Per-sample Robin interface data, lagged traces, and the update sweep.
+"""The Robin trace state of the iteration, its update and the stopping norm.
 
 The update and the stopping norm act on any set of samples in one call.
 
@@ -6,57 +6,47 @@ All interface quantities are linear on each interface edge and are stored as
 endpoint values: column j of a (2 n_pairs, J) block is sample j, and row
 2p+i is endpoint i (x-order) of pair p, the row order of the sparse
 interface operators.  This family is closed under the affine trace updates,
-so the sweep introduces no projection error.  Updates read the previous
-traces before overwriting them (the c propagation across the interface
-ping-pongs with period two).
+so the sweep introduces no projection error.  The update reads only the
+previous blocks (the c propagation across the interface ping-pongs with
+period two).
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 
-@dataclass
-class RobinTraceState:
-    """Mutable iteration state, one (2 n_pairs, J) column block each.
-
-    g_S, g_S_tau, g_D : Robin traces
-    us_tau : lagged free-flow tangential trace
-    """
+class RobinTraceState(NamedTuple):
+    """The iteration state, one (2 n_pairs, J) column block each: the Robin
+    data g_S and g_D and the tangential datum g_tau of the free-flow side."""
 
     g_S: np.ndarray
-    g_S_tau: np.ndarray
     g_D: np.ndarray
-    us_tau: np.ndarray
+    g_tau: np.ndarray
 
 
 def init_state(ctx, pairing):
     """All-zero initial traces for every sample."""
     shape = (2 * pairing.n_pairs, ctx.J)
-    return RobinTraceState(*(np.zeros(shape) for _ in range(4)))
+    return RobinTraceState(*(np.zeros(shape) for _ in range(3)))
 
 
-def update_robin(state, idx, us_n, us_tau, ud_n, ud_tau, ctx):
-    """Apply the trace updates for the sample columns `idx` (an index, a
-    slice or an index array) from their new subdomain solutions:
+def update_robin(state, us_n, us_tau, ud_n, ud_tau, xi, ctx):
+    """The next state of some sample columns from their `state` and new
+    subdomain traces, with `xi` the columns' slip coefficients:
 
-        g_D^new  = g_S^old + (delta_S + delta_D) u_S.n_S + g z
-        g_S^new  = g_D^old + (delta_S + delta_D) u_D.n_D - g z
-        g_St^new = -xi_j u_D.tau
+        g_D^new   = g_S + (delta_S + delta_D) u_S.n_S + g z
+        g_S^new   = g_D + (delta_S + delta_D) u_D.n_D - g z
+        g_tau^new = -xi_j u_D.tau - (xi_bar - xi_j) u_S.tau
 
-    The traces are shaped like state.g_S[:, idx].  Both new traces are
-    computed from the old ones before either is stored.  The lagged
-    tangential trace is then replaced by the new iterate.
+    The traces are shaped like the blocks of `state`.  The last term lags
+    the slip deviation of the shared Stokes matrix (built with xi_bar).
     """
     dsum = ctx.delta_s + ctx.delta_d
     gz = ctx.g * ctx.z
-    new_g_D = state.g_S[:, idx] + dsum * us_n + gz
-    new_g_S = state.g_D[:, idx] + dsum * ud_n - gz
-    state.g_D[:, idx] = new_g_D
-    state.g_S[:, idx] = new_g_S
-    state.g_S_tau[:, idx] = -ctx.xi[idx] * ud_tau
-    state.us_tau[:, idx] = us_tau
-    return state
+    return RobinTraceState(g_S=state.g_D + dsum * ud_n - gz,
+                           g_D=state.g_S + dsum * us_n + gz,
+                           g_tau=-xi * ud_tau - (ctx.xi_bar - xi) * us_tau)
 
 
 def stopping_norm(space_s, space_d, prev_us, new_us, prev_ud, new_ud):

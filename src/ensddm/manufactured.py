@@ -15,8 +15,8 @@ def _split(points):
 
 
 class ManufacturedSolution:
-    """Evaluators for the exact fields, their derivatives, forcing terms,
-    and interface Robin data for one diagonal conductivity sample."""
+    """Evaluators for the exact fields, their derivatives and forcing
+    terms for one diagonal conductivity sample."""
 
     def __init__(self, k11, k22, nu=1.0, g=1.0):
         self.k11 = float(k11)
@@ -78,56 +78,3 @@ class ManufacturedSolution:
 
     def f_D(self, points):
         return self.div_u_D(points)
-
-    # interface data at y = 0 (Stokes above, n_S = (0, -1)) -------------
-
-    def us_n_interface(self, x):
-        """u_S . n_S along the interface."""
-        x = np.asarray(x, dtype=np.float64)
-        return 2 * self.k22 * np.sin(x)
-
-    def ud_n_interface(self, x):
-        """u_D . n_D along the interface."""
-        x = np.asarray(x, dtype=np.float64)
-        return -2 * self.k22 * np.sin(x)
-
-    def normal_stress_interface(self, x):
-        """-n_S . T(u_S, p_S) . n_S at y = 0 (vanishes for these fields)."""
-        return np.zeros_like(np.asarray(x, dtype=np.float64))
-
-    def shear_stress_interface(self, x):
-        """tau . T(u_S, p_S) . n_S at y = 0."""
-        x = np.asarray(x, dtype=np.float64)
-        return -2 * self.nu * (self.k11 - self.k22) * np.cos(x)
-
-    def g_S_interface(self, x, delta_s):
-        """Robin trace -n.T.n - delta_s u_S.n_S."""
-        return self.normal_stress_interface(x) - delta_s * self.us_n_interface(x)
-
-    def g_D_interface(self, x, delta_d, z=0.0):
-        """Robin trace g (phi - z) ... gz handled by caller; returns
-        g*phi - delta_d u_D.n_D at y = 0."""
-        x = np.asarray(x, dtype=np.float64)
-        return self.g * self.phi_D(np.column_stack([x, np.zeros_like(x)])) \
-            - delta_d * self.ud_n_interface(x)
-
-    def g_S_tau_interface(self, x, xi):
-        """Robin trace -tau.T.n - xi u_S.tau at y = 0."""
-        x = np.asarray(x, dtype=np.float64)
-        # u_S.tau vanishes on y = 0 for these fields
-        return -self.shear_stress_interface(x)
-
-
-def exact_solution(k11, k22, point):
-    """Exact (u_S, p_S, u_D, phi_D) at one point; the caller knows which
-    subdomain the point belongs to and which fields are meaningful there."""
-    ms = ManufacturedSolution(k11, k22)
-    pt = np.asarray(point, dtype=np.float64).reshape(1, 2)
-    return (ms.u_S(pt)[0], float(ms.p_S(pt)[0]), ms.u_D(pt)[0], float(ms.phi_D(pt)[0]))
-
-
-def manufactured_forcing(k11, k22, nu, point):
-    """Forcing pair (f_S, f_D) at one point."""
-    ms = ManufacturedSolution(k11, k22, nu=nu)
-    pt = np.asarray(point, dtype=np.float64).reshape(1, 2)
-    return ms.f_S(pt)[0], float(ms.f_D(pt)[0])

@@ -83,10 +83,6 @@ class Mesh:
             return np.where(self.boundary_tags != "")[0]
         return np.where(self.boundary_tags == tag)[0]
 
-    def quasi_uniformity_ratio(self):
-        """max edge length / min edge length over the whole mesh."""
-        return float(self.edge_length.max() / self.edge_length.min())
-
 
 def build_rect_mesh(rect, nx, ny, side_tags=None):
     """Triangulate `rect` into a structured (nx x ny)-cell mesh.

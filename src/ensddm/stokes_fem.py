@@ -109,13 +109,6 @@ class StokesSpace:
     def vel_dof(self, comp, node):
         return comp * self.n_comp + node
 
-    def bubble_dof(self, comp, tri):
-        return comp * self.n_comp + self.mesh.n_verts + tri
-
-    @property
-    def pressure_slice(self):
-        return slice(self.n_velocity, self.n_velocity + self.n_pressure)
-
     def _precompute(self):
         mesh = self.mesh
         nt = mesh.n_tris

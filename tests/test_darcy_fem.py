@@ -180,8 +180,10 @@ def _solve_subproblem(n, k=2.21, delta_d=2.0, g=1.0):
     W = inverse_diagonal(sp, ConstantConductivity(k))
     op = assemble_darcy_operator(sp, g, W, 1.0 / k, delta_d, pairing)
     rhs = assemble_darcy_volume_rhs(sp, exact.f_D, 1.0 / k, g)
-    xs = md.verts[pairing.nodes_d, 0]
-    g_D = exact.g_D_interface(xs.ravel(), delta_d)
+    xs = md.verts[pairing.nodes_d, 0].ravel()
+    pts = np.column_stack([xs, np.zeros_like(xs)])
+    # g phi_D - delta_d u_D.n_D at y = 0, n_D = (0, 1)
+    g_D = g * exact.phi_D(pts) - delta_d * exact.u_D(pts)[:, 1]
     add_darcy_interface_rhs(rhs, sp.interface_info(pairing), g_D)
     gdir = np.zeros(sp.n_dofs)
     edges = sp.essential_edges

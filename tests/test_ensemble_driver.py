@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,8 @@ from ensddm.fields import ConstantConductivity, MeanInverseField
 from ensddm.ensemble_driver import (make_sample, make_context, BoundaryConditions,
                                     EnsembleDiagnostics,
                                     run_ensemble_ddm, run_traditional_ddm,
-                                    check_converged_residual)
+                                    check_converged_residual, _setup, sweep)
+from ensddm.interface_state import RobinTraceState
 from ensddm.mesh import Rect, build_rect_mesh, pair_interface
 from ensddm.norms import error_norms
 
@@ -53,6 +56,12 @@ def test_make_context_rejects_empty_and_warns_on_large_spread():
     spread = [make_sample(ConstantConductivity(k)) for k in (1.0, 1.0, 0.1)]
     with pytest.warns(RuntimeWarning):
         make_context(spread)
+    # a run with these would spin to max_iters or return unswept zeros
+    one = [make_sample(ConstantConductivity(2.21))]
+    for bad in (dict(tol=np.nan), dict(tol=-1.0), dict(tol=0.0), dict(tol=np.inf),
+                dict(max_iters=0), dict(delta_s=np.nan), dict(delta_d=np.nan)):
+        with pytest.raises(ValueError):
+            make_context(one, **bad)
 
 
 def oracle_diagnostics(samples):
@@ -282,10 +291,10 @@ def test_interface_state_shapes_and_report_fields():
     report = run_ensemble_ddm(ctx, mesh_s, mesh_d, pairing, bc)
     assert report.us.shape == (2, report.space_s.n_dofs)
     assert report.ud.shape == (2, report.space_d.n_dofs)
-    for trace in (report.state.g_S, report.state.g_S_tau, report.state.g_D, report.state.us_tau):
+    for trace in report.state:
         assert trace.shape == (2 * pairing.n_pairs, 2)
     assert report.t_assembly > 0 and report.t_factor > 0 and report.t_solve > 0
-    assert report.all_converged
+    assert report.converged.all()
 
 
 @pytest.mark.parametrize("run", [lambda *a: run_ensemble_ddm(*a, per_sample_stop=True),
@@ -359,3 +368,43 @@ def test_per_sample_stop_leaves_frozen_columns_bitwise():
         assert np.array_equal(full.state.g_S[:, j], cut.state.g_S[:, j])
         assert np.array_equal(full.state.g_D[:, j], cut.state.g_D[:, j])
         assert full.norm_history[j] == cut.norm_history[j]
+
+
+def test_sweep_continues_a_cut_run_bitwise():
+    # lockstep runs of n and n + 1 iterations: one sweep from the first
+    # run's state and Darcy velocity rows gives the second run's outputs
+    ctx, _, mesh_s, mesh_d, pairing, bc, _ = small_setup(k_list=(2.21, 4.11, 6.21))
+    n = 5
+    cut, full = (run_ensemble_ddm(replace(ctx, max_iters=m), mesh_s, mesh_d, pairing, bc)
+                 for m in (n, n + 1))
+    assert not full.converged.any()
+    su = _setup(ctx, mesh_s, mesh_d, pairing, bc, range(ctx.J))
+    state, us, ud, _ = sweep(su, cut.state, cut.ud.T[:su.space_d.n_velocity])
+    assert np.array_equal(us, full.us.T)
+    assert np.array_equal(ud, full.ud.T)
+    for got, want in zip(state, full.state):
+        assert np.array_equal(got, want)
+
+
+def test_sweep_is_affine():
+    mesh_s, mesh_d, pairing = channel_meshes(1 / 8)
+    samples, _, _ = channel_samples(ScenarioConfig(J=2), mesh_d)
+    ctx, _ = make_context(samples, delta_s=1.0, delta_d=2.0)
+    su = _setup(ctx, mesh_s, mesh_d, pairing, channel_bc(), range(ctx.J))
+    rng = np.random.default_rng(5)
+    shape = (2 * pairing.n_pairs, ctx.J)
+    x, y = (RobinTraceState(*rng.standard_normal((3,) + shape)) for _ in range(2))
+    ux, uy = rng.standard_normal((2, su.space_d.n_velocity, ctx.J))
+    a = 0.3
+
+    def outputs(state, ud_lag):
+        """The next state and both solutions as one vector."""
+        new, us, ud, _ = sweep(su, state, ud_lag)
+        return np.concatenate([block.ravel() for block in (*new, us, ud)])
+
+    ox, oy = outputs(x, ux), outputs(y, uy)
+    got = outputs(RobinTraceState(*(a * p + (1 - a) * q for p, q in zip(x, y))),
+                  a * ux + (1 - a) * uy)
+    want = a * ox + (1 - a) * oy
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+    assert np.linalg.norm(ox - oy) > 0.1 * np.linalg.norm(want)    # not constant

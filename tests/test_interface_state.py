@@ -4,7 +4,7 @@ import pytest
 from ensddm.mesh import Rect, build_rect_mesh, pair_interface
 from ensddm.fields import ConstantConductivity
 from ensddm.ensemble_driver import make_sample, make_context
-from ensddm.interface_state import init_state, update_robin, stopping_norm
+from ensddm.interface_state import RobinTraceState, init_state, update_robin, stopping_norm
 from ensddm.stokes_fem import build_stokes_space
 from ensddm.darcy_fem import build_darcy_space
 
@@ -21,19 +21,26 @@ def setup(J=3, delta_s=1.0, delta_d=2.0, g=1.0, z=0.0):
 def test_init_state_zero_and_idempotent():
     ctx, pairing = setup(J=3)
     st = init_state(ctx, pairing)
-    for arr in (st.g_S, st.g_S_tau, st.g_D, st.us_tau):
+    for arr in st:
         assert arr.shape == (2 * pairing.n_pairs, 3)
         assert not arr.any()
     st2 = init_state(ctx, pairing)
     assert np.array_equal(st.g_S, st2.g_S)
 
 
+def xis(ctx):
+    return np.array([s.xi for s in ctx.samples])
+
+
+def zeros(ctx, pairing):
+    return np.zeros((2 * pairing.n_pairs, ctx.J))
+
+
 def test_zero_stays_zero():
     ctx, pairing = setup(J=1)
-    st = init_state(ctx, pairing)
-    z = np.zeros(2 * pairing.n_pairs)
-    update_robin(st, 0, z, z, z, z, ctx)
-    assert not st.g_S.any() and not st.g_D.any() and not st.g_S_tau.any()
+    z = zeros(ctx, pairing)
+    st = update_robin(init_state(ctx, pairing), z, z, z, z, xis(ctx), ctx)
+    assert not st.g_S.any() and not st.g_D.any() and not st.g_tau.any()
 
 
 def test_constant_propagates_across_interface():
@@ -41,11 +48,11 @@ def test_constant_propagates_across_interface():
     st = init_state(ctx, pairing)
     c = 0.8
     st.g_S[:, 0].fill(c)
-    z = np.zeros(2 * pairing.n_pairs)
-    update_robin(st, 0, z, z, z, z, ctx)
+    z = zeros(ctx, pairing)
+    st = update_robin(st, z, z, z, z, xis(ctx), ctx)
     np.testing.assert_allclose(st.g_D[:, 0], c)
     np.testing.assert_allclose(st.g_S[:, 0], 0.0)
-    update_robin(st, 0, z, z, z, z, ctx)
+    st = update_robin(st, z, z, z, z, xis(ctx), ctx)
     # the value ping-pongs: after two sweeps it is back on the g_S side
     np.testing.assert_allclose(st.g_S[:, 0], c)
     np.testing.assert_allclose(st.g_D[:, 0], 0.0)
@@ -53,59 +60,61 @@ def test_constant_propagates_across_interface():
 
 def test_update_weights():
     ctx, pairing = setup(J=1, delta_s=1.0, delta_d=2.0, g=1.0, z=0.0)
-    st = init_state(ctx, pairing)
-    z = np.zeros(2 * pairing.n_pairs)
-    us_n = np.full(2 * pairing.n_pairs, 0.5)
-    update_robin(st, 0, us_n, z, z, z, ctx)
+    z = zeros(ctx, pairing)
+    us_n = np.full_like(z, 0.5)
+    st = update_robin(init_state(ctx, pairing), us_n, z, z, z, xis(ctx), ctx)
     np.testing.assert_allclose(st.g_D[:, 0], (1.0 + 2.0) * 0.5)
 
 
 def test_gz_offset():
     ctx, pairing = setup(J=1, g=2.0, z=0.25)
-    st = init_state(ctx, pairing)
-    z = np.zeros(2 * pairing.n_pairs)
-    update_robin(st, 0, z, z, z, z, ctx)
+    z = zeros(ctx, pairing)
+    st = update_robin(init_state(ctx, pairing), z, z, z, z, xis(ctx), ctx)
     np.testing.assert_allclose(st.g_D[:, 0], 2.0 * 0.25)
     np.testing.assert_allclose(st.g_S[:, 0], -2.0 * 0.25)
 
 
 def test_tangential_update_uses_sample_coefficient():
     ctx, pairing = setup(J=2)
-    st = init_state(ctx, pairing)
-    z = np.zeros(2 * pairing.n_pairs)
-    ud_tau = np.ones(2 * pairing.n_pairs)
-    update_robin(st, 1, z, z, z, ud_tau, ctx)
-    np.testing.assert_allclose(st.g_S_tau[:, 1], -ctx.samples[1].xi)
-    assert not st.g_S_tau[:, 0].any()
+    z = zeros(ctx, pairing)
+    ud_tau = z.copy()
+    ud_tau[:, 1] = 1.0
+    st = update_robin(init_state(ctx, pairing), z, z, z, ud_tau, xis(ctx), ctx)
+    np.testing.assert_allclose(st.g_tau[:, 1], -ctx.samples[1].xi)
+    assert not st.g_tau[:, 0].any()
 
 
 def test_block_update_matches_column_updates():
     ctx, pairing = setup(J=3, g=1.5, z=0.5)
     rng = np.random.default_rng(3)
     n2 = 2 * pairing.n_pairs
-    start = rng.standard_normal((4, n2, 3))
+    start = RobinTraceState(*rng.standard_normal((3, n2, 3)))
     traces = rng.standard_normal((4, n2, 2))
     idx = np.array([0, 2])
-    block, cols = init_state(ctx, pairing), init_state(ctx, pairing)
-    for st in (block, cols):
-        st.g_S[:], st.g_S_tau[:], st.g_D[:], st.us_tau[:] = start
-    update_robin(block, idx, *traces, ctx)
+    xi = xis(ctx)
+    block = update_robin(RobinTraceState(*(b[:, idx] for b in start)), *traces, xi[idx], ctx)
     for k, j in enumerate(idx):
-        update_robin(cols, j, *traces[:, :, k], ctx)
-    for got, want in zip((block.g_S, block.g_S_tau, block.g_D, block.us_tau),
-                         (cols.g_S, cols.g_S_tau, cols.g_D, cols.us_tau)):
-        np.testing.assert_array_equal(got, want)
-    np.testing.assert_array_equal(block.g_S_tau[:, 2], -ctx.samples[2].xi * traces[3, :, 1])
-    np.testing.assert_array_equal(block.g_D[:, 1], start[2, :, 1])
+        col = update_robin(RobinTraceState(*(b[:, j] for b in start)),
+                           *traces[:, :, k], xi[j], ctx)
+        for got, want in zip(block, col):
+            np.testing.assert_array_equal(got[:, k], want)
+    us_tau, ud_tau = traces[1, :, 1], traces[3, :, 1]
+    np.testing.assert_array_equal(block.g_tau[:, 1],
+                                  -xi[2] * ud_tau - (ctx.xi_bar - xi[2]) * us_tau)
+    np.testing.assert_array_equal(block.g_D[:, 1],
+                                  start.g_S[:, 2] + 3.0 * traces[0, :, 1] + 1.5 * 0.5)
 
 
 def test_lagged_fields_replaced():
-    ctx, pairing = setup(J=1)
-    st = init_state(ctx, pairing)
-    z = np.zeros(2 * pairing.n_pairs)
-    tau = np.full(2 * pairing.n_pairs, 2.5)
-    update_robin(st, 0, z, tau, z, z, ctx)
-    np.testing.assert_array_equal(st.us_tau[:, 0], tau)
+    # the free-flow tangential trace enters g_tau with the slip deviation
+    # of its sample, and only the latest trace counts
+    ctx, pairing = setup(J=2)
+    z = zeros(ctx, pairing)
+    st = update_robin(init_state(ctx, pairing), z, np.full_like(z, 7.0), z, z, xis(ctx), ctx)
+    st = update_robin(st, z, np.full_like(z, 2.5), z, z, xis(ctx), ctx)
+    lag = ctx.xi_bar - xis(ctx)
+    assert np.all(lag != 0.0)
+    np.testing.assert_array_equal(st.g_tau, np.broadcast_to(-lag * 2.5, z.shape))
 
 
 def test_stopping_norm_pythagorean():

@@ -1,4 +1,5 @@
 import ast
+import re
 from pathlib import Path
 
 import ensddm
@@ -26,3 +27,38 @@ def test_no_module_imports_a_name_it_never_uses():
         unused += [f"{path.name}:{line} {name}" for name, line in imported.items()
                    if name not in used]
     assert not unused
+
+
+def _references(tree, strings):
+    """(name, line) of every name, attribute and, with `strings`, every
+    identifier inside a string constant (the benchmark's hook targets)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            for word in re.findall(r"\w+", node.value):
+                yield word, node.lineno
+
+
+def test_every_definition_is_used_outside_the_tests():
+    # every function, method and class of the package is referenced outside
+    # its own definition, by the package or the benchmark, or is exported
+    pkg = sorted(Path(ensddm.__file__).parent.glob("*.py"))
+    bench = sorted((Path(ensddm.__file__).parents[2] / "ensbench").glob("*.py"))
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in pkg + bench}
+    refs = [(path, name, line) for path in pkg + bench
+            for name, line in _references(trees[path], strings=path in bench)]
+    unused = []
+    for path in pkg:
+        for node in ast.walk(trees[path]):
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            if node.name.startswith("__") or node.name in ensddm.__all__:
+                continue
+            if not any(name == node.name and
+                       (where != path or not node.lineno <= line <= node.end_lineno)
+                       for where, name, line in refs):
+                unused.append(f"{path.name}:{node.lineno} {node.name}")
+    assert not unused, f"used only by tests, or not at all: {unused}"

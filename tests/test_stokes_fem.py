@@ -62,8 +62,10 @@ def test_bubble_volume_integral():
         [np.zeros(len(p)), np.ones(len(p))]))
     A = sp.mesh.tri_area
     for t in range(2):
-        assert rhs[sp.bubble_dof(1, t)] == pytest.approx(9 * A[t] / 20, rel=1e-12)
-        assert rhs[sp.bubble_dof(0, t)] == 0.0
+        # the bubble of triangle t follows the nodal values of its component
+        bubble_x = sp.mesh.n_verts + t
+        assert rhs[sp.n_comp + bubble_x] == pytest.approx(9 * A[t] / 20, rel=1e-12)
+        assert rhs[bubble_x] == 0.0
 
 
 def test_local_robin_block():
@@ -96,7 +98,7 @@ def test_matrix_symmetry():
     op = assemble_stokes_operator(sp, 0.7, 1.3, 0.4, pairing)
     # physical signs: symmetric once the pressure columns are negated
     flip = np.ones(sp.n_dofs)
-    flip[sp.pressure_slice] = -1.0
+    flip[sp.n_velocity:sp.n_velocity + sp.n_pressure] = -1.0
     m = op.matrix @ scipy.sparse.diags(flip)
     assert np.abs((m - m.T).toarray()).max() <= 1e-12
 
@@ -151,10 +153,15 @@ def test_volume_quadrature_exact_vs_symbolic():
 
 
 def _robin_data(ms_exact, mesh, pairing, delta_s, xi):
-    xs = mesh.verts[pairing.nodes_s, 0]
-    g_n = ms_exact.g_S_interface(xs.ravel(), delta_s)
-    g_t = ms_exact.g_S_tau_interface(xs.ravel(), xi)
-    return g_n, g_t
+    """The Robin traces -n.T.n - delta_s u_S.n and -tau.T.n - xi u_S.tau
+    of the exact fields at y = 0, with n = (0, -1), tau = (1, 0) and
+    T = -p I + 2 nu D(u_S)."""
+    xs = mesh.verts[pairing.nodes_s, 0].ravel()
+    pts = np.column_stack([xs, np.zeros_like(xs)])
+    u, grad = ms_exact.u_S(pts), ms_exact.grad_u_S(pts)
+    t_xy = ms_exact.nu * (grad[:, 0, 1] + grad[:, 1, 0])
+    t_yy = -ms_exact.p_S(pts) + 2 * ms_exact.nu * grad[:, 1, 1]
+    return -t_yy + delta_s * u[:, 1], t_xy - xi * u[:, 0]
 
 
 def _solve_subproblem(n, k=2.21, nu=1.0, delta_s=1.0):
@@ -216,8 +223,7 @@ def test_velocity_solution_invariant_under_joint_scaling():
         add_interface_rhs(rhs, sp, pairing, g_n=scale * g_n, g_tau=scale * g_t)
         solutions.append(op.solve(rhs[sp.free], 0.0))
     u1, u2 = solutions[0][:sp.n_velocity], solutions[1][:sp.n_velocity]
-    p1 = solutions[0][sp.pressure_slice]
-    p2 = solutions[1][sp.pressure_slice]
+    p1, p2 = (s[sp.n_velocity:sp.n_velocity + sp.n_pressure] for s in solutions)
     scale_ref = np.abs(u1).max()
     np.testing.assert_allclose(u2, u1, atol=1e-11 * scale_ref)
     np.testing.assert_allclose(p2, 2.0 * p1, atol=1e-10 * max(1.0, np.abs(p1).max()))
