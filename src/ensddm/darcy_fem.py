@@ -48,12 +48,8 @@ class DarcySpace:
         mask = np.zeros(self.n_dofs, dtype=bool)
         mask[2 * self.essential_edges] = True
         mask[2 * self.essential_edges + 1] = True
-        self.essential_mask = mask
         self.free = np.where(~mask)[0]
         self.fixed = np.where(mask)[0]
-
-        iface = mesh.boundary_edges("INTERFACE")
-        self.interface_dofs = np.sort(np.concatenate([2 * iface, 2 * iface + 1]))
 
         self._build_basis()
         self._precompute_quadrature()
@@ -168,10 +164,10 @@ def build_darcy_space(mesh, essential_tags=None):
 
 
 class DarcyInterfaceInfo:
-    """Darcy-side view of the interface pairing: x-ordered edge dofs, the
-    sign relating the global edge normal to the outward normal n_D, the
-    element-sided tangential trace map, and the sparse operators built from
-    them (row 2p+i is endpoint i of pair p):
+    """Darcy-side view of the interface pairing as sparse operators, built
+    from the x-ordered edge dofs, the sign relating the global edge normal
+    to the outward normal n_D and the element-sided tangential trace map
+    (row 2p+i is endpoint i of pair p):
 
     normal      (2 n_pairs, n_velocity)  u -> u.n_D at the endpoints
     tangential  (2 n_pairs, n_velocity)  u -> element-sided u.tau
@@ -185,22 +181,21 @@ class DarcyInterfaceInfo:
         self.pairing = pairing
         e = pairing.pairs[:, 1]
         lower_first = mesh.edges[e, 0] == pairing.nodes_d[:, 0]
-        self.dofs_x = 2 * e[:, None] + np.where(lower_first[:, None], [0, 1], [1, 0])
-        self.sign = space.edge_normal[e] @ pairing.n_d
-        self.tri = mesh.edge_tris[e, 0]
-        self.loc_dofs = space.elem_dofs[self.tri]
+        dofs_x = 2 * e[:, None] + np.where(lower_first[:, None], [0, 1], [1, 0])
+        sign = space.edge_normal[e] @ pairing.n_d
+        tri = mesh.edge_tris[e, 0]
         # local vertex of each x-ordered endpoint in the adjacent triangle
-        m = np.argmax(mesh.tris[self.tri][:, None, :] == pairing.nodes_d[:, :, None], axis=2)
-        self.tau_mat = space.vertex_values[self.tri[:, None], :, m, :] @ pairing.tau
+        m = np.argmax(mesh.tris[tri][:, None, :] == pairing.nodes_d[:, :, None], axis=2)
+        tau_mat = space.vertex_values[tri[:, None], :, m, :] @ pairing.tau
         self.n_velocity = space.n_velocity
 
         n2 = 2 * pairing.n_pairs
         shape = (n2, space.n_velocity)
-        self.normal = sp.csr_matrix((np.repeat(self.sign, 2),
-                                     (np.arange(n2), self.dofs_x.ravel())), shape=shape)
+        self.normal = sp.csr_matrix((np.repeat(sign, 2),
+                                     (np.arange(n2), dofs_x.ravel())), shape=shape)
         self.tangential = sp.csr_matrix(
-            (self.tau_mat.ravel(),
-             (np.repeat(np.arange(n2), 6), np.repeat(self.loc_dofs, 2, axis=0).ravel())),
+            (tau_mat.ravel(),
+             (np.repeat(np.arange(n2), 6), np.repeat(space.elem_dofs[tri], 2, axis=0).ravel())),
             shape=shape)
         self.load = -(self.normal.T @ interface_mass(pairing)).tocsr()
 
@@ -234,46 +229,45 @@ def darcy_form(space, g, weight, k_min):
     return form.tocsr()
 
 
-def add_darcy_volume(builder, space, g, weight, k_min, offset=0):
-    """Add the volume rows of the porous saddle system to `builder`, with
-    the dofs of `space` starting at index `offset`: the velocity block of
-    darcy_form, the momentum coupling -g (phi, div v) and the continuity
-    rows g (psi, div u)."""
-    form = darcy_form(space, g, weight, k_min).tocoo()
-    builder.add(form.row + offset, form.col + offset, form.data)
-
-    Bel = (g * space.div * space.mesh.tri_area[:, None]).ravel()
-    rows = np.repeat(offset + space.n_velocity + np.arange(space.n_head), 6)
-    cols = space.elem_dofs.ravel() + offset
-    builder.add(rows, cols, Bel)
-    builder.add(cols, rows, -Bel)
-
-
-def assemble_darcy_operator(space, g, weight, kbar_min, delta_d, pairing):
-    """Assemble and factorize the shared porous-medium matrix: the volume
-    rows of `add_darcy_volume` plus delta_d <u.n_D, v.n_D>_Gamma.
+def darcy_matrix(space, g, weight, k_min, delta_d, pairing):
+    """The Robin porous-medium matrix as a CSR matrix: the velocity block
+    of darcy_form, the momentum coupling -g (phi, div v), the continuity
+    rows g (psi, div u) and delta_d <u.n_D, v.n_D>_Gamma.
 
     `weight` is the diagonal of the mass-term coefficient tensor per row of
-    space.eval_op, as in darcy_form (for an ensemble, inverse_diagonal of
-    the mean of the sample inverse tensors); `kbar_min` weights the grad-div
+    space.eval_op, as in darcy_form; `k_min` weights the grad-div
     augmentation.
     """
     if g <= 0:
         raise ValueError("gravity constant g must be positive")
     if delta_d <= 0:
         raise ValueError("delta_d must be positive")
-    if kbar_min <= 0:
-        raise ValueError("kbar_min must be positive")
+    if k_min <= 0:
+        raise ValueError("k_min must be positive")
 
     builder = CooBuilder(space.n_dofs, space.n_dofs)
-    add_darcy_volume(builder, space, g, weight, kbar_min)
+    form = darcy_form(space, g, weight, k_min).tocoo()
+    builder.add(form.row, form.col, form.data)
+
+    Bel = (g * space.div * space.mesh.tri_area[:, None]).ravel()
+    rows = np.repeat(space.n_velocity + np.arange(space.n_head), 6)
+    cols = space.elem_dofs.ravel()
+    builder.add(rows, cols, Bel)
+    builder.add(cols, rows, -Bel)
 
     iface = space.interface_info(pairing)
     robin = (iface.normal.T @ (delta_d * interface_mass(pairing)) @ iface.normal).tocoo()
     builder.add(robin.row, robin.col, robin.data)
+    return builder.finalize()
 
-    return SubdomainOperator(builder.finalize(), space.free, space.fixed,
-                             np.empty((0, 2), dtype=np.int64))
+
+def assemble_darcy_operator(space, g, weight, kbar_min, delta_d, pairing):
+    """Factorize the shared porous-medium matrix: the `darcy_matrix` of
+    the ensemble means (for an ensemble, `weight` is inverse_diagonal of
+    the mean of the sample inverse tensors and `kbar_min` the mean minimal
+    eigenvalue)."""
+    return SubdomainOperator(darcy_matrix(space, g, weight, kbar_min, delta_d, pairing),
+                             space.free, space.fixed, np.empty((0, 2), dtype=np.int64))
 
 
 def assemble_darcy_volume_rhs(space, f_D, k_min, g):

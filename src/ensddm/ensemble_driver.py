@@ -9,22 +9,24 @@ operator pair per sample; with J = 1 both variants follow the same code
 path, so their iterates coincide bitwise.
 """
 
+import numbers
 import time
 import warnings
 from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
+import scipy.sparse as sp
 
 from .fields import MeanInverseField
-from .sparsela import CooBuilder, factorization_count
+from .sparsela import factorization_count
 from .stokes_fem import (build_stokes_space, assemble_stokes_operator,
                          assemble_stokes_volume_rhs, add_interface_rhs,
-                         interface_traces, add_stokes_volume, edge_mass)
+                         interface_traces, stokes_matrix)
 from .darcy_fem import (build_darcy_space, assemble_darcy_operator,
                         assemble_darcy_volume_rhs, add_darcy_interface_rhs,
                         add_darcy_natural_head_rhs, add_darcy_lag_rhs,
-                        inverse_diagonal, add_darcy_volume)
+                        inverse_diagonal, darcy_matrix)
 from .interface_state import RobinTraceState, init_state, update_robin, stopping_norm
 
 
@@ -112,8 +114,8 @@ def make_context(samples, nu=1.0, g=1.0, z=0.0, alpha=1.0,
         raise ValueError("need at least one sample")
     if not (delta_s > 0 and delta_d > 0):       # NaN fails this too
         raise ValueError("Robin parameters must be positive")
-    if not (0 < tol < np.inf) or max_iters < 1:
-        raise ValueError("tol must be positive and finite and max_iters at least 1")
+    if not (0 < tol < np.inf) or not isinstance(max_iters, numbers.Integral) or max_iters < 1:
+        raise ValueError("tol must be positive and finite and max_iters an integer of at least 1")
     J = len(samples)
     xi_bar = sum(s.xi for s in samples) / J
     kbar_min = sum(s.k_min for s in samples) / J
@@ -413,90 +415,51 @@ def run_traditional_ddm(ctx, mesh_s, mesh_d, pairing, bc, per_sample_stop=False)
 
 
 def _monolithic_system(report, ctx, bc, j):
-    """Assemble the coupled fixed-point system for sample j.
+    """The coupled fixed-point system of sample j as (CSR matrix, vector).
 
     Unknowns: [stokes dofs | darcy dofs | g_S endpoints | g_D endpoints].
-    The subdomain rows carry the per-sample coefficients (xi_j, K_j^{-1},
-    k_j^{min}) with the Robin traces as explicit unknowns; the trace rows
-    are the two affine interface updates at their fixed point.  Dirichlet
-    and essential rows are identity rows with the boundary data (zero on
-    the essential rows).
+    The diagonal blocks are `stokes_matrix` and `darcy_matrix` with sample
+    j's coefficients (xi_j, K_j^{-1}, k_j^{min}) in place of the ensemble
+    means.  The couplings are the interface operators of the iteration: the
+    traces enter the subdomain rows through the `load` operators, the
+    Darcy tangential velocity through xi_j times the Stokes slip load, and
+    the trace rows are the two affine interface updates at their fixed
+    point.  Dirichlet and essential rows are identity rows with the
+    boundary data (zero on the essential rows).
     """
     space_s, space_d, pairing = report.space_s, report.space_d, report.pairing
     sample = ctx.samples[j]
     nS, nD = space_s.n_dofs, space_d.n_dofs
-    n_p = pairing.n_pairs
-    n_tot = nS + nD + 4 * n_p
-    gS_off = nS + nD
-    gD_off = nS + nD + 2 * n_p
+    n2 = 2 * pairing.n_pairs
+    info_s = space_s.interface_info(pairing)
+    info_d = space_d.interface_info(pairing)
+    # the Darcy operators act on velocity dofs only: zero head columns
+    heads = sp.csr_matrix((n2, nD - space_d.n_velocity))
+    normal, tangential = (sp.hstack([op, heads]) for op in (info_d.normal, info_d.tangential))
+    load_d = sp.vstack([info_d.load, heads.T])
 
-    b = np.zeros(n_tot)
-    builder = CooBuilder(n_tot, n_tot)
-
-    # --- free-flow volume rows ---
-    add_stokes_volume(builder, space_s, ctx.nu)
-
-    n, tau = pairing.n_s, pairing.tau
-    iface = space_d.interface_info(pairing)
     dsum = ctx.delta_s + ctx.delta_d
-    for p in range(n_p):
-        Me = edge_mass(pairing.lengths[p])
-        nodes = pairing.nodes_s[p]
-        sdofs = np.array([[space_s.vel_dof(c, nodes[0]), space_s.vel_dof(c, nodes[1])]
-                          for c in range(2)])
-        ddofs_x = iface.dofs_x[p] + nS
-        for c in range(2):
-            for d in range(2):
-                coef = ctx.delta_s * n[c] * n[d] + sample.xi * tau[c] * tau[d]
-                if coef != 0.0:
-                    builder.add(np.repeat(sdofs[c], 2), np.tile(sdofs[d], 2),
-                                coef * Me.ravel())
-            # - xi_j <u_D.tau, v.tau>
-            if tau[c] != 0.0:
-                blk = -sample.xi * tau[c] * (Me @ iface.tau_mat[p])   # (2, 6)
-                builder.add(np.repeat(sdofs[c], 6), np.tile(iface.loc_dofs[p] + nS, 2),
-                            blk.ravel())
-            # + <g_S, v.n_S>
-            if n[c] != 0.0:
-                gcols = gS_off + 2 * p + np.arange(2)
-                builder.add(np.repeat(sdofs[c], 2), np.tile(gcols, 2),
-                            n[c] * Me.ravel())
+    eye = sp.identity(n2)
+    A = sp.bmat([
+        [stokes_matrix(space_s, ctx.nu, ctx.delta_s, sample.xi, pairing),
+         sample.xi * info_s.load[:, n2:] @ tangential, -info_s.load[:, :n2], None],
+        [None, darcy_matrix(space_d, ctx.g, inverse_diagonal(space_d, sample.K),
+                            sample.k_min, ctx.delta_d, pairing), None, -load_d],
+        [None, -dsum * normal, eye, -eye],
+        [-dsum * info_s.trace[:n2], None, -eye, eye],
+    ], format="csr")
+    b = np.concatenate([assemble_stokes_volume_rhs(space_s, sample.f_S),
+                        _darcy_sample_rhs(space_d, sample, bc, j, ctx.g),
+                        np.full(n2, -ctx.g * ctx.z), np.full(n2, ctx.g * ctx.z)])
 
-        # --- porous momentum interface terms ---
-        builder.add(np.repeat(ddofs_x, 2), np.tile(ddofs_x, 2), ctx.delta_d * Me.ravel())
-        gcols = gD_off + 2 * p + np.arange(2)
-        builder.add(np.repeat(ddofs_x, 2), np.tile(gcols, 2),
-                    iface.sign[p] * Me.ravel())
-
-        # --- trace update rows at their fixed point ---
-        for i in range(2):
-            r = gS_off + 2 * p + i
-            builder.add([r, r], [r, gD_off + 2 * p + i], [1.0, -1.0])
-            builder.add([r], [ddofs_x[i]], [-dsum * iface.sign[p]])
-            b[r] = -ctx.g * ctx.z
-            r = gD_off + 2 * p + i
-            builder.add([r, r], [r, gS_off + 2 * p + i], [1.0, -1.0])
-            for c in range(2):
-                if n[c] != 0.0:
-                    builder.add([r], [space_s.vel_dof(c, nodes[i])], [-dsum * n[c]])
-            b[r] = ctx.g * ctx.z
-
-    # --- porous volume rows with the per-sample coefficients ---
-    add_darcy_volume(builder, space_d, ctx.g, inverse_diagonal(space_d, sample.K),
-                     sample.k_min, offset=nS)
-
-    # --- volume forcing and natural boundary data ---
-    b[:nS] += assemble_stokes_volume_rhs(space_s, sample.f_S)
-    b[nS:nS + nD] += _darcy_sample_rhs(space_d, sample, bc, j, ctx.g)
-
-    # --- boundary rows become identity rows with their data ---
-    A = builder.finalize().tolil()
-    for r in np.concatenate([space_s.fixed, nS + space_d.fixed]):
-        A.rows[r] = [r]
-        A.data[r] = [1.0]
+    # boundary rows become identity rows with their data
+    fixed = np.concatenate([space_s.fixed, nS + space_d.fixed])
+    keep = np.ones(len(b))
+    keep[fixed] = 0.0
+    A = (sp.diags(keep) @ A + sp.diags(1.0 - keep)).tocsr()
     b[space_s.fixed] = stokes_dirichlet_values(space_s, bc.stokes_values, j)
     b[nS + space_d.fixed] = 0.0
-    return A.tocsr(), b
+    return A, b
 
 
 def check_converged_residual(report, ctx, bc):

@@ -90,24 +90,13 @@ class StokesSpace:
 
         # x components, then y: the row order of the boundary data blocks
         self.fixed = np.concatenate([self.dirichlet_nodes, self.n_comp + self.dirichlet_nodes])
-        mask = np.zeros(self.n_dofs, dtype=bool)
-        mask[self.fixed] = True
-        self.dirichlet_mask = mask
-        self.free = np.where(~mask)[0]
-
-        iface_nodes = set()
-        for e in mesh.boundary_edges("INTERFACE"):
-            iface_nodes.update(mesh.edges[e])
-        self.interface_nodes = np.array(sorted(iface_nodes), dtype=np.int64)
+        free = np.ones(self.n_dofs, dtype=bool)
+        free[self.fixed] = False
+        self.free = np.flatnonzero(free)
 
         self._precompute()
         self.component_mass = self._component_mass()
         self._interface_info = None
-
-    # dof helpers --------------------------------------------------------
-
-    def vel_dof(self, comp, node):
-        return comp * self.n_comp + node
 
     def _precompute(self):
         mesh = self.mesh
@@ -219,58 +208,54 @@ def div_element_matrices(space):
     return np.concatenate([Bloc[:, :, :, 0], Bloc[:, :, :, 1]], axis=2)
 
 
-def add_stokes_volume(builder, space, nu, offset=0):
-    """Add the volume rows of the free-flow saddle system to `builder`,
-    with the dofs of `space` starting at index `offset`: the viscous
-    deformation block 2 nu (D(u), D(v)), the momentum coupling -(p, div v),
-    the continuity rows (q, div u) and, when the space has one, the
-    pressure-mean multiplier (its row -(1, p))."""
-    vd = space.vel_elem_dofs + offset
+def stokes_matrix(space, nu, delta_s, xi, pairing):
+    """The Robin free-flow matrix as a CSR matrix: the viscous deformation
+    block 2 nu (D(u), D(v)), the momentum coupling -(p, div v), the
+    continuity rows (q, div u), when the space has one the pressure-mean
+    multiplier (its row -(1, p)), and the interface terms
+    delta_s <u.n, v.n>_Gamma + xi <u.tau, v.tau>_Gamma.
+    """
+    if nu <= 0:
+        raise ValueError("viscosity must be positive")
+    if delta_s <= 0:
+        raise ValueError("delta_s must be positive")
+    if xi < 0:
+        raise ValueError("the slip coefficient xi must be nonnegative")
+
+    builder = CooBuilder(space.n_dofs, space.n_dofs)
+    vd = space.vel_elem_dofs
     rows = np.repeat(vd, 8, axis=1).ravel()
     cols = np.tile(vd, (1, 8)).ravel()
     builder.add(rows, cols, deformation_element_matrices(space, nu).ravel())
 
     Bflat = div_element_matrices(space).ravel()  # (nt, 3, 8)
-    pd = space.p_elem_dofs + offset
+    pd = space.p_elem_dofs
     rows = np.repeat(pd, 8, axis=1).ravel()
     cols = np.tile(vd, (1, 3)).ravel()
     builder.add(rows, cols, Bflat)
     builder.add(cols, rows, -Bflat)
 
     if space.pressure_multiplier:
-        mdof = offset + space.n_dofs - 1
+        mdof = space.n_dofs - 1
         mvals = np.repeat(space.mesh.tri_area / 3.0, 3)
         prow = pd.ravel()
         builder.add(prow, np.full_like(prow, mdof), mvals)
         builder.add(np.full_like(prow, mdof), prow, -mvals)
 
-
-def assemble_stokes_operator(space, nu, delta_s, xi_bar, pairing):
-    """Assemble the Robin free-flow matrix, condense out the bubbles and
-    factorize the rest.
-
-    Matrix = the volume rows of `add_stokes_volume` + delta_s <u.n, v.n>_Gamma
-    + xi_bar <u.tau, v.tau>_Gamma.
-    """
-    if nu <= 0:
-        raise ValueError("viscosity must be positive")
-    if delta_s <= 0:
-        raise ValueError("delta_s must be positive")
-    if xi_bar < 0:
-        raise ValueError("xi_bar must be nonnegative")
-
-    builder = CooBuilder(space.n_dofs, space.n_dofs)
-    add_stokes_volume(builder, space, nu)
-
     # interface Robin and tangential-slip terms (P1 traces only)
     trace = space.interface_info(pairing).trace
     mass = interface_mass(pairing)
-    robin = (trace.T @ sp.block_diag((delta_s * mass, xi_bar * mass)) @ trace).tocoo()
+    robin = (trace.T @ sp.block_diag((delta_s * mass, xi * mass)) @ trace).tocoo()
     builder.add(robin.row, robin.col, robin.data)
+    return builder.finalize()
 
+
+def assemble_stokes_operator(space, nu, delta_s, xi_bar, pairing):
+    """The `stokes_matrix` of the ensemble-mean slip coefficient `xi_bar`,
+    with the bubbles condensed out and the rest factorized."""
     # local dofs 3 and 7: the x and y bubble of each triangle
-    return SubdomainOperator(builder.finalize(), space.free, space.fixed,
-                             space.vel_elem_dofs[:, [3, 7]])
+    return SubdomainOperator(stokes_matrix(space, nu, delta_s, xi_bar, pairing),
+                             space.free, space.fixed, space.vel_elem_dofs[:, [3, 7]])
 
 
 def assemble_stokes_volume_rhs(space, f_S):

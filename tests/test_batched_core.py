@@ -11,7 +11,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import norm as sparse_norm
 
 from ensddm.bench_cli import manufactured_meshes, channel_meshes
-from ensddm.darcy_fem import (build_darcy_space, assemble_darcy_operator,
+from ensddm.darcy_fem import (build_darcy_space, darcy_matrix,
                               add_darcy_interface_rhs, add_darcy_lag_rhs, inverse_diagonal,
                               DarcyInterfaceInfo)
 from ensddm.fields import ConstantConductivity, KLConductivity, MeanInverseField
@@ -50,7 +50,7 @@ def oracle_stokes_rhs(space, pairing, g_n, g_tau):
         Me = edge_mass(pairing.lengths[p])
         nodes = pairing.nodes_s[p]
         for c in range(2):
-            dofs = (space.vel_dof(c, nodes[0]), space.vel_dof(c, nodes[1]))
+            dofs = (c * space.n_comp + nodes[0], c * space.n_comp + nodes[1])
             if n[c] != 0.0:
                 v = Me @ g_n[p]
                 rhs[dofs[0]] -= n[c] * v[0]
@@ -184,9 +184,14 @@ def test_darcy_load_and_trace_match_per_pair_loops(geometry):
     _, md, pairing = MESHES[geometry]()
     space = build_darcy_space(md)
     info = DarcyInterfaceInfo(space, pairing)
-    for got, want in zip((info.dofs_x, info.sign, info.tau_mat, info.loc_dofs),
-                         oracle_darcy_info(space, pairing)):
-        np.testing.assert_array_equal(got, want)
+    dofs_x, sign, tau_mat, loc_dofs = oracle_darcy_info(space, pairing)
+    n2 = 2 * pairing.n_pairs
+    normal = np.zeros((n2, space.n_velocity))
+    normal[np.arange(n2), dofs_x.ravel()] = np.repeat(sign, 2)
+    tangential = np.zeros((n2, space.n_velocity))
+    tangential[np.arange(n2)[:, None], np.repeat(loc_dofs, 2, axis=0)] = tau_mat.reshape(n2, 6)
+    np.testing.assert_array_equal(info.normal.toarray(), normal)
+    np.testing.assert_array_equal(info.tangential.toarray(), tangential)
     rng = np.random.default_rng(12)
     k = 3
     g_D = rng.standard_normal((2 * pairing.n_pairs, k))
@@ -248,7 +253,7 @@ def test_darcy_block_and_velocity_mass_match_element_oracle(geometry, field):
     pts = space.qpoints.reshape(-1, 2)
     W_full = oracle_inv_tensor(K, pts).reshape(md.n_tris, len(space.qw), 2, 2)
     weight = inverse_diagonal(space, K)
-    block = assemble_darcy_operator(space, g, weight, k_min, delta_d, pairing).matrix[:nv, :nv]
+    block = darcy_matrix(space, g, weight, k_min, delta_d, pairing)[:nv, :nv]
     normal = space.interface_info(pairing).normal
     robin = normal.T @ (delta_d * interface_mass(pairing)) @ normal
     assert rel(block, oracle_form(space, g, W_full, k_min) + robin) <= 1e-14

@@ -5,7 +5,7 @@ import scipy.sparse
 from ensddm.mesh import Rect, build_rect_mesh, pair_interface
 from ensddm.darcy_fem import (build_darcy_space, assemble_darcy_operator,
                               assemble_darcy_volume_rhs, add_darcy_interface_rhs,
-                              inverse_diagonal)
+                              inverse_diagonal, darcy_matrix)
 from ensddm.stokes_fem import edge_mass
 from ensddm.fields import ConstantConductivity
 from ensddm.manufactured import ManufacturedSolution
@@ -37,14 +37,16 @@ def test_all_boundary_constrained_interior_free():
     assert set(sp.essential_edges) == set(boundary)
     interior = set(range(mesh.n_edges)) - set(boundary)
     for e in interior:
-        assert not sp.essential_mask[2 * e] and not sp.essential_mask[2 * e + 1]
+        assert np.isin([2 * e, 2 * e + 1], sp.free).all()
 
 
 def test_interface_dofs_listed_and_free():
     _, md, _ = stacked(3, 3)
     sp = build_darcy_space(md)
-    assert len(sp.interface_dofs) == 6
-    assert not sp.essential_mask[sp.interface_dofs].any()
+    iface = md.boundary_edges("INTERFACE")
+    interface_dofs = np.concatenate([2 * iface, 2 * iface + 1])
+    assert len(interface_dofs) == 6
+    assert np.isin(interface_dofs, sp.free).all()
 
 
 def test_normal_trace_is_kronecker():
@@ -90,10 +92,10 @@ def test_local_robin_block():
     _, md, pairing = stacked(1, 1)
     sp = build_darcy_space(md)
     W = inverse_diagonal(sp, ConstantConductivity(1.0))
-    a1 = assemble_darcy_operator(sp, 1.0, W, 1.0, 1.0, pairing).matrix.toarray()
-    a2 = assemble_darcy_operator(sp, 1.0, W, 1.0, 4.0, pairing).matrix.toarray()
+    a1 = darcy_matrix(sp, 1.0, W, 1.0, 1.0, pairing).toarray()
+    a2 = darcy_matrix(sp, 1.0, W, 1.0, 4.0, pairing).toarray()
     diff = (a2 - a1) / 3.0
-    d = sp.interface_info(pairing).dofs_x[0]
+    d = sp.interface_info(pairing).normal[:2].indices    # the edge dofs of pair 0
     np.testing.assert_allclose(diff[np.ix_(d, d)], edge_mass(1.0), atol=1e-14)
     diff[np.ix_(d, d)] = 0.0
     assert np.abs(diff).max() < 1e-14
@@ -103,14 +105,14 @@ def test_matrix_symmetry_and_spd_velocity_block():
     _, md, pairing = stacked(4, 4)
     sp = build_darcy_space(md)
     W = inverse_diagonal(sp, ConstantConductivity(2.21))
-    op = assemble_darcy_operator(sp, 1.0, W, 1 / 2.21, 3.0, pairing)
+    a = darcy_matrix(sp, 1.0, W, 1 / 2.21, 3.0, pairing)
     # physical signs: symmetric once the head columns are negated
     flip = np.ones(sp.n_dofs)
     flip[sp.head_slice] = -1.0
-    m = op.matrix @ scipy.sparse.diags(flip)
+    m = a @ scipy.sparse.diags(flip)
     assert np.abs((m - m.T).toarray()).max() <= 1e-12
     free_vel = [i for i in sp.free if i < sp.n_velocity]
-    block = op.matrix[np.ix_(free_vel, free_vel)].toarray()
+    block = a[np.ix_(free_vel, free_vel)].toarray()
     w = np.linalg.eigvalsh(block)
     assert w.min() > 0
 
@@ -166,11 +168,9 @@ def test_operator_depends_only_on_means_bitwise():
     sp = build_darcy_space(md)
     f1 = [ConstantConductivity(2.0), ConstantConductivity(4.0)]
     f2 = [ConstantConductivity(4.0), ConstantConductivity(2.0)]
-    m1 = assemble_darcy_operator(sp, 1.0, inverse_diagonal(sp, MeanInverseField(f1)),
-                                 0.375, 2.0, pairing)
-    m2 = assemble_darcy_operator(sp, 1.0, inverse_diagonal(sp, MeanInverseField(f2)),
-                                 0.375, 2.0, pairing)
-    assert (m1.matrix != m2.matrix).nnz == 0
+    m1 = darcy_matrix(sp, 1.0, inverse_diagonal(sp, MeanInverseField(f1)), 0.375, 2.0, pairing)
+    m2 = darcy_matrix(sp, 1.0, inverse_diagonal(sp, MeanInverseField(f2)), 0.375, 2.0, pairing)
+    assert (m1 != m2).nnz == 0
 
 
 def _solve_subproblem(n, k=2.21, delta_d=2.0, g=1.0):

@@ -2,6 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import spsolve
 
 from ensddm import fields
 from ensddm.bench_cli import (manufactured_meshes, manufactured_samples,
@@ -12,7 +13,8 @@ from ensddm.fields import ConstantConductivity, MeanInverseField
 from ensddm.ensemble_driver import (make_sample, make_context, BoundaryConditions,
                                     EnsembleDiagnostics,
                                     run_ensemble_ddm, run_traditional_ddm,
-                                    check_converged_residual, _setup, sweep)
+                                    check_converged_residual, _setup, sweep,
+                                    _monolithic_system)
 from ensddm.interface_state import RobinTraceState
 from ensddm.mesh import Rect, build_rect_mesh, pair_interface
 from ensddm.norms import error_norms
@@ -59,9 +61,12 @@ def test_make_context_rejects_empty_and_warns_on_large_spread():
     # a run with these would spin to max_iters or return unswept zeros
     one = [make_sample(ConstantConductivity(2.21))]
     for bad in (dict(tol=np.nan), dict(tol=-1.0), dict(tol=0.0), dict(tol=np.inf),
-                dict(max_iters=0), dict(delta_s=np.nan), dict(delta_d=np.nan)):
+                dict(max_iters=0), dict(max_iters=2.5), dict(max_iters=3.0),
+                dict(delta_s=np.nan), dict(delta_d=np.nan)):
         with pytest.raises(ValueError):
             make_context(one, **bad)
+    ctx, _ = make_context(one, max_iters=np.int64(3))
+    assert ctx.max_iters == 3
 
 
 def oracle_diagnostics(samples):
@@ -267,6 +272,30 @@ def test_monolithic_residual_tracks_tolerance():
     rep10 = run_ensemble_ddm(ctx10, mesh_s, mesh_d, pairing, bc)
     res10 = check_converged_residual(rep10, ctx10, bc)
     assert np.all(res10 <= res6 / 100.0)
+
+
+@pytest.mark.parametrize("scenario", ["manufactured", "channel"])
+def test_coupled_system_solution_is_the_converged_iterate(scenario):
+    # the residual check must use the system the iteration converges to:
+    # its direct solution reproduces a tightly converged ensemble run
+    if scenario == "manufactured":
+        ctx, _, mesh_s, mesh_d, pairing, bc, _ = small_setup(
+            k_list=(2.21, 4.11), tol=1e-10, max_iters=400)
+    else:
+        mesh_s, mesh_d, pairing = channel_meshes(1 / 8)
+        samples, _, _ = channel_samples(ScenarioConfig(J=2), mesh_d)
+        ctx, _ = make_context(samples, delta_s=1.0, delta_d=2.0, z=0.3,
+                              tol=1e-10, max_iters=400)
+        bc = channel_bc()
+    report = run_ensemble_ddm(ctx, mesh_s, mesh_d, pairing, bc)
+    assert report.converged.all()
+    n_s, n_d = report.space_s.n_dofs, report.space_d.n_dofs
+    for j in range(ctx.J):
+        A, b = _monolithic_system(report, ctx, bc, j)
+        x = spsolve(A.tocsc(), b)
+        du = report.space_s.velocity_l2(x[:n_s] - report.us[j])
+        dd = report.space_d.velocity_l2(x[n_s:n_s + n_d] - report.ud[j])
+        assert np.hypot(du, dd) <= 1e-8
 
 
 def test_baseline_report_residual_covers_every_sample():

@@ -5,7 +5,7 @@ import scipy.sparse
 from ensddm.mesh import Rect, build_rect_mesh, pair_interface
 from ensddm.stokes_fem import (build_stokes_space, assemble_stokes_operator,
                                assemble_stokes_volume_rhs, add_interface_rhs,
-                               edge_mass)
+                               edge_mass, stokes_matrix)
 from ensddm.manufactured import ManufacturedSolution
 from ensddm.norms import stokes_errors
 
@@ -43,16 +43,17 @@ def test_all_wall_masks_every_boundary_node_but_no_bubbles():
     assert set(sp.dirichlet_nodes) == {0, 1, 2, 3}
     nv = sp.mesh.n_verts
     bubble_dofs = list(range(nv, sp.n_comp)) + list(range(sp.n_comp + nv, sp.n_velocity))
-    assert not sp.dirichlet_mask[bubble_dofs].any()
-    assert not sp.dirichlet_mask[sp.n_velocity:].any()
+    assert np.isin(bubble_dofs, sp.free).all()
+    assert np.isin(np.arange(sp.n_velocity, sp.n_dofs), sp.free).all()
 
 
 def test_interface_nodes_not_dirichlet_by_default():
     ms, _, _ = stacked(4, 4)
     sp = build_stokes_space(ms)
-    interior_iface = [n for n in sp.interface_nodes
+    iface_nodes = np.unique(ms.edges[ms.boundary_edges("INTERFACE")])
+    interior_iface = [n for n in iface_nodes
                       if 0 < ms.verts[n, 0] < ms.rect.x1]
-    assert not sp.dirichlet_mask[interior_iface].any()
+    assert np.isin(interior_iface, sp.free).all()
 
 
 def test_bubble_volume_integral():
@@ -71,11 +72,11 @@ def test_bubble_volume_integral():
 def test_local_robin_block():
     ms, md, pairing = stacked(1, 1)
     sp = build_stokes_space(ms)
-    a1 = assemble_stokes_operator(sp, 1.0, 1.0, 0.0, pairing).matrix.toarray()
-    a2 = assemble_stokes_operator(sp, 1.0, 3.0, 0.0, pairing).matrix.toarray()
+    a1 = stokes_matrix(sp, 1.0, 1.0, 0.0, pairing).toarray()
+    a2 = stokes_matrix(sp, 1.0, 3.0, 0.0, pairing).toarray()
     diff = (a2 - a1) / 2.0   # isolates the <u.n, v.n> edge term
     nodes = pairing.nodes_s[0]
-    dofs = [sp.vel_dof(1, nodes[0]), sp.vel_dof(1, nodes[1])]
+    dofs = [sp.n_comp + nodes[0], sp.n_comp + nodes[1]]      # y components
     np.testing.assert_allclose(diff[np.ix_(dofs, dofs)], edge_mass(1.0), atol=1e-14)
     diff[np.ix_(dofs, dofs)] = 0.0
     assert np.abs(diff).max() < 1e-14
@@ -84,30 +85,30 @@ def test_local_robin_block():
 def test_tangential_block_uses_x_components():
     ms, md, pairing = stacked(1, 1)
     sp = build_stokes_space(ms)
-    a1 = assemble_stokes_operator(sp, 1.0, 1.0, 0.0, pairing).matrix.toarray()
-    a2 = assemble_stokes_operator(sp, 1.0, 1.0, 0.5, pairing).matrix.toarray()
+    a1 = stokes_matrix(sp, 1.0, 1.0, 0.0, pairing).toarray()
+    a2 = stokes_matrix(sp, 1.0, 1.0, 0.5, pairing).toarray()
     diff = (a2 - a1) / 0.5
     nodes = pairing.nodes_s[0]
-    dofs = [sp.vel_dof(0, nodes[0]), sp.vel_dof(0, nodes[1])]
+    dofs = [nodes[0], nodes[1]]                               # x components
     np.testing.assert_allclose(diff[np.ix_(dofs, dofs)], edge_mass(1.0), atol=1e-14)
 
 
 def test_matrix_symmetry():
     ms, _, pairing = stacked(4, 4)
     sp = build_stokes_space(ms)
-    op = assemble_stokes_operator(sp, 0.7, 1.3, 0.4, pairing)
+    a = stokes_matrix(sp, 0.7, 1.3, 0.4, pairing)
     # physical signs: symmetric once the pressure columns are negated
     flip = np.ones(sp.n_dofs)
     flip[sp.n_velocity:sp.n_velocity + sp.n_pressure] = -1.0
-    m = op.matrix @ scipy.sparse.diags(flip)
+    m = a @ scipy.sparse.diags(flip)
     assert np.abs((m - m.T).toarray()).max() <= 1e-12
 
 
 def test_interface_term_touches_only_p1_dofs():
     ms, _, pairing = stacked(4, 4)
     sp = build_stokes_space(ms)
-    a1 = assemble_stokes_operator(sp, 1.0, 1.0, 0.2, pairing).matrix
-    a2 = assemble_stokes_operator(sp, 1.0, 2.0, 0.4, pairing).matrix
+    a1 = stokes_matrix(sp, 1.0, 1.0, 0.2, pairing)
+    a2 = stokes_matrix(sp, 1.0, 2.0, 0.4, pairing)
     diff = (a2 - a1).tocoo()
     nz = np.abs(diff.data) > 1e-14
     touched = set(diff.row[nz]) | set(diff.col[nz])
