@@ -40,7 +40,8 @@ from . import quadrature
 
 CSV_COLUMNS = ["scenario", "h", "j", "iterations", "err_us_l2", "err_us_h1",
                "err_ps_l2", "err_phid_l2", "err_ud_l2", "err_ud_div",
-               "t_assemble_ms", "t_factor_ms", "t_solve_ms", "converged"]
+               "t_assemble_ms", "t_factor_ms", "t_solve_ms", "t_rhs_ms", "t_trisolve_ms",
+               "t_trace_ms", "t_norm_ms", "lu_nnz", "converged"]
 
 SCENARIOS = ("manufactured", "small_k", "channel_mc", "symbol_sweep")
 
@@ -299,6 +300,11 @@ def _write_csv(path, columns, rows):
 
 
 def _result_rows(cfg, h, report, exacts):
+    seconds = dict(t_assemble_ms=report.t_assembly, t_factor_ms=report.t_factor,
+                   t_solve_ms=report.t_solve, t_rhs_ms=report.t_rhs,
+                   t_trisolve_ms=report.t_trisolve, t_trace_ms=report.t_trace,
+                   t_norm_ms=report.t_norm)
+    timers = {col: round(1e3 * t, 3) for col, t in seconds.items()}
     rows = []
     for j in range(len(report.us)):
         tab = error_norms(report.space_s, report.space_d, report.us[j], report.ud[j],
@@ -308,9 +314,7 @@ def _result_rows(cfg, h, report, exacts):
                          err_us_l2=tab.err_us_l2, err_us_h1=tab.err_us_h1,
                          err_ps_l2=tab.err_ps_l2, err_phid_l2=tab.err_phid_l2,
                          err_ud_l2=tab.err_ud_l2, err_ud_div=tab.err_ud_div,
-                         t_assemble_ms=round(1e3 * report.t_assembly, 3),
-                         t_factor_ms=round(1e3 * report.t_factor, 3),
-                         t_solve_ms=round(1e3 * report.t_solve, 3),
+                         **timers, lu_nnz=report.lu_nnz,
                          converged=bool(report.converged[j])))
     return rows
 
@@ -406,7 +410,8 @@ def run_timing_comparison(cfg, h, J):
     return dict(J=J, h=repr(h), t_ensemble_s=t_ens, t_traditional_s=t_trad,
                 speedup=t_trad / t_ens,
                 nfact_ensemble=rep_e.n_factorizations,
-                nfact_traditional=rep_t.n_factorizations), rep_e, rep_t, ctx
+                nfact_traditional=rep_t.n_factorizations,
+                lu_nnz_ensemble=rep_e.lu_nnz, lu_nnz_traditional=rep_t.lu_nnz), rep_e, rep_t, ctx
 
 
 def run_symbol_sweep(cfg, L=np.pi, h=None):

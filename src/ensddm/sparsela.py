@@ -11,8 +11,16 @@ MINI bubbles of each free-flow triangle): each pair's 2x2 block is inverted
 in closed form, only their Schur complement is factorized, and every solve
 recovers the pairs with two sparse products.
 
-Matrices are plain scipy CSR matrices and factors plain SuperLU objects
-(partial pivoting, COLAMD column ordering); everything is float64.
+Matrices are plain scipy CSR matrices and factors plain SuperLU objects;
+everything is float64.  Each matrix is factorized by its structure.  The
+condensed Stokes matrix [A, -B^T; B, C] has a positive semidefinite
+symmetric part and a diagonal filled by the bubble stabilization C, so it
+takes diagonal pivots in a symmetric minimum-degree order of A + A^T
+(symmetric mode); the pressure-mean multiplier, its one zero diagonal
+entry, is ordered last, where it is already filled.  The Darcy matrix has a
+zero diagonal on every head dof, so it keeps COLAMD with threshold partial
+pivoting at 0.5, which keeps more of COLAMD's order than strict partial
+pivoting.
 """
 
 import time
@@ -70,9 +78,21 @@ class CooBuilder:
         return csr
 
 
-def factorize(a):
+def factorize(a, symmetric=False):
     """LU-factorize a square scipy sparse matrix; returns the SuperLU
     object, whose solve() takes an (n,) vector or an (n, k) block.
+
+    By default the columns are ordered by COLAMD and the pivots chosen by
+    threshold partial pivoting (a diagonal pivot is kept while it is at
+    least half the largest entry of its column), which suits matrices with
+    zero diagonal entries, like the Darcy saddle point matrix.  With
+    `symmetric=True` the order is a minimum degree order of A + A^T and
+    every pivot is the diagonal entry (SuperLU's symmetric mode); that is
+    for matrices with a definite symmetric part and a nonzero diagonal up to
+    a few border rows ordered last, like the condensed Stokes matrix, whose
+    factor then stores about half the fill.  In either mode a pivot that is
+    zero falls back to the largest entry of its column, and a column with
+    no nonzero entry left raises SingularMatrixError.
 
     A block is one SuperLU call and comes back column-major.  Its columns
     equal column-by-column solves to rounding (the blocked triangular
@@ -100,7 +120,11 @@ def factorize(a):
     if len(empty) > 0:
         raise SingularMatrixError(f"structurally singular: column {empty[0]} is empty", row=int(empty[0]))
     try:
-        lu = splu(csc, permc_spec="COLAMD")
+        if symmetric:
+            lu = splu(csc, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                      options=dict(SymmetricMode=True))
+        else:
+            lu = splu(csc, permc_spec="COLAMD", diag_pivot_thresh=0.5)
     except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
         raise SingularMatrixError(f"singular pivot during LU: {exc}") from exc
     _factorize_calls += 1
@@ -117,8 +141,10 @@ class SubdomainOperator:
     bubbles of a MINI triangle), or an empty (0, 2) array.  With B the
     block diagonal of the pairs' 2x2 blocks, inverted in closed form, the
     one factorization is of the Schur complement S = A_rr - A_ri B^-1 A_ir
-    on the remaining free dofs r; without pairs, S is A_ff itself.
-    `factor_seconds` covers forming and factorizing S.
+    on the remaining free dofs r; without pairs, S is A_ff itself.  A
+    condensed S (the Stokes operator's) is factorized in symmetric mode, an
+    uncondensed one (the Darcy operator's) in the default mode; see
+    factorize.  `factor_seconds` covers forming and factorizing S.
     """
 
     def __init__(self, matrix, free, fixed, interior):
@@ -148,7 +174,7 @@ class SubdomainOperator:
             S = rest_rows[:, self._rest] - self._condense @ A_ir
         else:
             S = self.A_ff
-        self.factorization = factorize(S)
+        self.factorization = factorize(S, symmetric=len(pairs) > 0)
         self.factor_seconds = time.perf_counter() - t0
 
     def lift(self, fixed_values):

@@ -9,7 +9,8 @@ from ensddm.bench_cli import (ScenarioConfig, ConfigError, parse_config_text,
                               config_from_mapping, load_config, run_scenario,
                               run_symbol_sweep, run_symbol_validation,
                               channel_meshes, manufactured_meshes, resolve_delta_d,
-                              run_timing_comparison, run_channel_mc, CSV_COLUMNS, main)
+                              run_manufactured, run_timing_comparison, run_channel_mc,
+                              CSV_COLUMNS, main)
 from ensddm.robin_params import frequency_band, optimized_delta_d
 
 
@@ -135,6 +136,26 @@ def test_run_scenario_manufactured_writes_csv(tmp_path):
     assert float(rows[0]["err_us_l2"]) > 0
 
 
+def test_scenario_table_carries_loop_timers_and_fill(tmp_path):
+    cfg = ScenarioConfig(scenario="manufactured", h_list=(1 / 4,), k_list=(2.21, 4.11),
+                         out=str(tmp_path), tol=1e-5, max_iters=200)
+    _, reports = run_manufactured(cfg)
+    report = reports[1 / 4][0]
+    run_scenario(cfg)
+    with open(tmp_path / "manufactured.csv") as fh:
+        written = list(csv.DictReader(fh))
+    header = list(written[0])
+    i = header.index("t_solve_ms")
+    assert header[i + 1:i + 6] == ["t_rhs_ms", "t_trisolve_ms", "t_trace_ms", "t_norm_ms",
+                                   "lu_nnz"]
+    for r in written:
+        assert int(r["lu_nnz"]) == report.lu_nnz
+        phases = [float(r[c]) for c in ("t_rhs_ms", "t_trisolve_ms", "t_trace_ms", "t_norm_ms")]
+        assert all(t > 0 for t in phases)
+        # the phases are parts of the loop, timed inside it
+        assert sum(phases) <= float(r["t_solve_ms"]) + 1e-3 * len(phases)
+
+
 def test_run_scenario_deterministic_nontiming_columns(tmp_path):
     def run(sub):
         cfg = ScenarioConfig(scenario="manufactured", h_list=(1 / 4,), k_list=(2.21, 4.11),
@@ -142,10 +163,7 @@ def test_run_scenario_deterministic_nontiming_columns(tmp_path):
         run_scenario(cfg)
         with open(tmp_path / sub / "manufactured.csv") as fh:
             rows = list(csv.DictReader(fh))
-        for r in rows:
-            for col in ("t_assemble_ms", "t_factor_ms", "t_solve_ms"):
-                r.pop(col)
-        return rows
+        return [{col: v for col, v in r.items() if not col.startswith("t_")} for r in rows]
 
     assert run("a") == run("b")
 
@@ -203,6 +221,7 @@ def test_run_scenario_compare_traditional_writes_timing(tmp_path):
     assert len(rows) == 1
     assert rows[0]["nfact_ensemble"] == "2"
     assert rows[0]["nfact_traditional"] == "4"
+    assert int(rows[0]["lu_nnz_traditional"]) > int(rows[0]["lu_nnz_ensemble"]) > 0
 
 
 def test_timing_comparison_counts_factorizations():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.linalg import LinearOperator, onenormest, splu
 
 from ensddm.sparsela import (CooBuilder, SingularMatrixError, factorize,
                              factorization_count, quadratic_form)
@@ -56,6 +57,8 @@ def test_numerically_singular_raises():
     A = sp.csr_matrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
     with pytest.raises(SingularMatrixError):
         factorize(A)
+    with pytest.raises(SingularMatrixError):
+        factorize(A, symmetric=True)
 
 
 def _stokes_operator(pressure_multiplier=True):
@@ -73,7 +76,8 @@ def _stokes_factorization():
 
 def test_block_solve_matches_column_solves():
     # the block contract: one call, columns equal to per-column solves to
-    # rounding (blocked kernels sum in another order), repeatable bitwise
+    # rounding (blocked kernels sum in another order), repeatable bitwise;
+    # the condensed Stokes factor is the symmetric-mode one
     f = _stokes_factorization()
     rng = np.random.default_rng(3)
     B = rng.standard_normal((f.shape[0], 7))
@@ -243,3 +247,96 @@ def test_interior_pairs_must_not_couple():
     assert op.factorization.shape == (2, 2)
     b = np.array([1.0, -2.0, 0.5, 3.0])
     np.testing.assert_allclose(A @ op.solve(b, 0.0), b, rtol=0, atol=1e-14)
+
+
+# -- the two factorization modes -------------------------------------------
+
+
+def _colamd_partial_pivot(a):
+    return splu(sp.csc_matrix(a), permc_spec="COLAMD", diag_pivot_thresh=1.0)
+
+
+def _rel_diff(x, ref):
+    return np.linalg.norm(x - ref) / np.linalg.norm(ref)
+
+
+def test_symmetric_mode_solves_bordered_matrix_with_zero_corner():
+    # a definite block bordered by one dense row and column whose diagonal
+    # entry is the only zero one, like the pressure-mean multiplier
+    rng = np.random.default_rng(12)
+    n = 40
+    A = sp.random(n, n, density=0.1, random_state=13) + 10 * sp.eye(n)
+    m = rng.uniform(0.5, 1.5, n)
+    K = sp.bmat([[A, -m[:, None]], [m[None, :], None]]).tocsr()
+    assert K.diagonal()[-1] == 0.0 and np.all(K.diagonal()[:-1] != 0.0)
+    b = rng.standard_normal(n + 1)
+    x = factorize(K, symmetric=True).solve(b)
+    assert np.linalg.norm(K @ x - b) <= 1e-12 * np.linalg.norm(b)
+
+
+@pytest.mark.parametrize("pin", [True, False])
+@pytest.mark.parametrize("nu,delta_s,xi", [(1.0, 1.0, 0.5), (1.0, 100.0, 0.5),
+                                           (0.01, 1.0, 0.5), (100.0, 1.0, 0.5),
+                                           (1.0, 0.01, 100.0), (1e-3, 100.0, 0.0)])
+def test_symmetric_mode_stokes_solve_matches_partial_pivoting(nu, delta_s, xi, pin):
+    # the condensed Stokes factor in symmetric mode against a COLAMD
+    # partial-pivot factor of the same free-row matrix, over the parameter
+    # range of the scenarios and beyond
+    from ensddm.bench_cli import manufactured_meshes
+    from ensddm.stokes_fem import build_stokes_space, assemble_stokes_operator
+
+    ms, _, pairing = manufactured_meshes(1 / 8)
+    space = build_stokes_space(ms, pressure_multiplier=pin)
+    op = assemble_stokes_operator(space, nu, delta_s, xi, pairing)
+    B = np.random.default_rng(17).standard_normal((len(op.free), 4))
+    ref = _colamd_partial_pivot(op.A_ff).solve(B)
+    assert _rel_diff(op.solve(B, 0.0)[op.free], ref) <= 1e-10
+
+
+def _backward_error(a, x, b):
+    """Largest normwise backward error max|r| / (||a|| max|x| + max|b|)
+    over the columns of x."""
+    r = np.abs(a @ x - b).max(axis=0)
+    a_norm = abs(a).sum(axis=1).max()
+    return (r / (a_norm * np.abs(x).max(axis=0) + np.abs(b).max(axis=0))).max()
+
+
+@pytest.mark.parametrize("k_inv", [1e-3, 1.0, 1e3])
+@pytest.mark.parametrize("delta_d", [0.05, 2.0, 100.0])
+def test_threshold_pivoted_darcy_solve_matches_partial_pivoting(k_inv, delta_d):
+    # the Darcy factor at pivot threshold 0.5 against threshold 1.0, with
+    # the isotropic conductivity K = 1/k_inv (so k_min = K)
+    from ensddm.bench_cli import manufactured_meshes
+    from ensddm.darcy_fem import assemble_darcy_operator, build_darcy_space
+
+    _, md, pairing = manufactured_meshes(1 / 8)
+    space = build_darcy_space(md)
+    weight = np.full(space.eval_op.shape[0], k_inv)
+    op = assemble_darcy_operator(space, 1.0, weight, 1.0 / k_inv, delta_d, pairing)
+    B = np.random.default_rng(18).standard_normal((len(op.free), 4))
+    x = op.solve(B, 0.0)[op.free]
+    ref_lu = _colamd_partial_pivot(op.A_ff)
+    ref = ref_lu.solve(B)
+    assert _backward_error(op.A_ff, x, B) <= 1e-14
+    assert _backward_error(op.A_ff, ref, B) <= 1e-14
+    # two backward stable solves differ by up to about eps * cond; at
+    # k_inv = 1e-3 cond_1 is about 1e10, so no two factors agree to 1e-10
+    n = op.A_ff.shape[0]
+    inv = LinearOperator((n, n), matvec=ref_lu.solve,
+                         rmatvec=lambda y: ref_lu.solve(y, trans="T"))
+    cond = onenormest(inv) * abs(op.A_ff).sum(axis=0).max()
+    assert _rel_diff(x, ref) <= max(1e-10, 1e-15 * cond)
+
+
+def test_pressure_multiplier_costs_under_twice_the_fill():
+    # the multiplier's row and column couple to every pressure dof; ordered
+    # last in symmetric mode they add little fill (partial pivoting in
+    # COLAMD order stored 3.8x the fill at this size)
+    from ensddm.bench_cli import manufactured_meshes
+    from ensddm.stokes_fem import build_stokes_space, assemble_stokes_operator
+
+    ms, _, pairing = manufactured_meshes(1 / 32)
+    nnz = {pin: assemble_stokes_operator(build_stokes_space(ms, pressure_multiplier=pin),
+                                         1.0, 1.0, 0.5, pairing).factorization.nnz
+           for pin in (True, False)}
+    assert nnz[True] < 2 * nnz[False]
