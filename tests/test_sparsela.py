@@ -61,13 +61,13 @@ def test_numerically_singular_raises():
         factorize(A, symmetric=True)
 
 
-def _stokes_operator(pressure_multiplier=True):
+def _stokes_operator(pressure_multiplier=True, nu=1.0, delta_s=1.0, xi=0.5, h=1 / 8):
     from ensddm.bench_cli import manufactured_meshes
     from ensddm.stokes_fem import build_stokes_space, assemble_stokes_operator
 
-    ms, _, pairing = manufactured_meshes(1 / 8)
+    ms, _, pairing = manufactured_meshes(h)
     space = build_stokes_space(ms, pressure_multiplier=pressure_multiplier)
-    return assemble_stokes_operator(space, 1.0, 1.0, 0.5, pairing)
+    return assemble_stokes_operator(space, nu, delta_s, xi, pairing)
 
 
 def _stokes_factorization():
@@ -282,12 +282,7 @@ def test_symmetric_mode_stokes_solve_matches_partial_pivoting(nu, delta_s, xi, p
     # the condensed Stokes factor in symmetric mode against a COLAMD
     # partial-pivot factor of the same free-row matrix, over the parameter
     # range of the scenarios and beyond
-    from ensddm.bench_cli import manufactured_meshes
-    from ensddm.stokes_fem import build_stokes_space, assemble_stokes_operator
-
-    ms, _, pairing = manufactured_meshes(1 / 8)
-    space = build_stokes_space(ms, pressure_multiplier=pin)
-    op = assemble_stokes_operator(space, nu, delta_s, xi, pairing)
+    op = _stokes_operator(pin, nu, delta_s, xi)
     B = np.random.default_rng(17).standard_normal((len(op.free), 4))
     ref = _colamd_partial_pivot(op.A_ff).solve(B)
     assert _rel_diff(op.solve(B, 0.0)[op.free], ref) <= 1e-10
@@ -332,11 +327,6 @@ def test_pressure_multiplier_costs_under_twice_the_fill():
     # the multiplier's row and column couple to every pressure dof; ordered
     # last in symmetric mode they add little fill (partial pivoting in
     # COLAMD order stored 3.8x the fill at this size)
-    from ensddm.bench_cli import manufactured_meshes
-    from ensddm.stokes_fem import build_stokes_space, assemble_stokes_operator
-
-    ms, _, pairing = manufactured_meshes(1 / 32)
-    nnz = {pin: assemble_stokes_operator(build_stokes_space(ms, pressure_multiplier=pin),
-                                         1.0, 1.0, 0.5, pairing).factorization.nnz
-           for pin in (True, False)}
-    assert nnz[True] < 2 * nnz[False]
+    with_pin, without = (_stokes_operator(pin, h=1 / 32).factorization.nnz
+                         for pin in (True, False))
+    assert with_pin < 2 * without
