@@ -10,7 +10,7 @@ min-max optimizer.
 """
 
 from .mesh import Rect, Mesh, InterfacePairing, build_rect_mesh, pair_interface
-from .sparsela import CooBuilder, SubdomainOperator, factorize, factorization_count
+from .sparsela import SubdomainOperator, factorize, factorization_count
 from .robin_params import (
     FrequencyBand,
     convergence_factor,
@@ -38,7 +38,7 @@ from .norms import error_norms, convergence_order
 
 __all__ = [
     "Rect", "Mesh", "InterfacePairing", "build_rect_mesh", "pair_interface",
-    "CooBuilder", "SubdomainOperator", "factorize", "factorization_count",
+    "SubdomainOperator", "factorize", "factorization_count",
     "FrequencyBand", "convergence_factor", "frequency_band",
     "optimized_delta_d", "worst_case_rho", "symbol_iteration",
     "RandomFieldSpec", "Draw", "kl_eigenvalues", "evaluate_k", "draw_samples",

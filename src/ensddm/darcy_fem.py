@@ -21,7 +21,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import quadrature
-from .sparsela import CooBuilder, SubdomainOperator, quadratic_form
+from .sparsela import SubdomainOperator, quadratic_form
 from .stokes_fem import interface_mass
 
 
@@ -220,8 +220,8 @@ def darcy_form(space, g, weight, k_min):
     inverse_diagonal), or a scalar for W = weight I.
     """
     W = g * space.quad_weight * weight
-    if np.any(W <= 0):
-        raise ValueError("coefficient tensor not SPD at a quadrature point")
+    if not np.all((W > 0) & (W < np.inf)):     # NaN fails this too
+        raise ValueError("coefficient tensor not SPD and finite at a quadrature point")
     P, D = space.eval_op, space.div_op
     form = P.T @ sp.diags(W) @ P
     if k_min:
@@ -238,27 +238,19 @@ def darcy_matrix(space, g, weight, k_min, delta_d, pairing):
     space.eval_op, as in darcy_form; `k_min` weights the grad-div
     augmentation.
     """
-    if g <= 0:
-        raise ValueError("gravity constant g must be positive")
-    if delta_d <= 0:
-        raise ValueError("delta_d must be positive")
-    if k_min <= 0:
-        raise ValueError("k_min must be positive")
+    if not (0 < g < np.inf and 0 < delta_d < np.inf and 0 < k_min < np.inf):
+        raise ValueError("g, delta_d and k_min must be positive and finite")
 
-    builder = CooBuilder(space.n_dofs, space.n_dofs)
     form = darcy_form(space, g, weight, k_min).tocoo()
-    builder.add(form.row, form.col, form.data)
-
-    Bel = (g * space.div * space.mesh.tri_area[:, None]).ravel()
-    rows = np.repeat(space.n_velocity + np.arange(space.n_head), 6)
-    cols = space.elem_dofs.ravel()
-    builder.add(rows, cols, Bel)
-    builder.add(cols, rows, -Bel)
-
+    B = (g * space.div * space.mesh.tri_area[:, None]).ravel()
+    heads = np.repeat(space.n_velocity + np.arange(space.n_head), 6)
+    vel = space.elem_dofs.ravel()
     iface = space.interface_info(pairing)
     robin = (iface.normal.T @ (delta_d * interface_mass(pairing)) @ iface.normal).tocoo()
-    builder.add(robin.row, robin.col, robin.data)
-    return builder.finalize()
+    rows = np.concatenate([form.row, heads, vel, robin.row])
+    cols = np.concatenate([form.col, vel, heads, robin.col])
+    vals = np.concatenate([form.data, B, -B, robin.data])
+    return sp.csr_matrix((vals, (rows, cols)), shape=(space.n_dofs, space.n_dofs))
 
 
 def assemble_darcy_operator(space, g, weight, kbar_min, delta_d, pairing):

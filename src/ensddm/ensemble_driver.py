@@ -4,9 +4,9 @@ loop of sweeps.  A sweep solves the active samples as the columns of one
 block per subdomain against the shared factorization and forms their next
 trace state at once; the loop takes the stopping norm and freezes samples.
 
-A traditional (per-sample) variant runs the identical iteration with one
-operator pair per sample; with J = 1 both variants follow the same code
-path, so their iterates coincide bitwise.
+The traditional (per-sample) variant runs the same loop over one-sample
+groups, each with its own operator pair, on the spaces of the run; a
+sample's iterates are bitwise those of its single-sample ensemble run.
 """
 
 import numbers
@@ -180,13 +180,13 @@ class SolveReport:
 
     lu_nnz is the fill of the factors: the entries SuperLU stores for L and
     U (its `nnz`), summed over both factors, and over all samples for the
-    per-sample baseline.
+    per-sample baseline; the times are sums over its samples too.  A
+    sample's last stopping norm is the last entry of its `norm_history`.
     """
 
     us: np.ndarray               # (J, n_stokes_dofs)
     ud: np.ndarray               # (J, n_darcy_dofs)
     iterations: np.ndarray       # (J,) first iteration with norm <= tol
-    final_norms: np.ndarray      # (J,)
     converged: np.ndarray        # (J,) bool
     norm_history: list           # list over samples of per-iteration norms
     t_assembly: float
@@ -233,13 +233,24 @@ def run_ensemble_ddm(ctx, mesh_s, mesh_d, pairing, bc, per_sample_stop=False):
     velocity-increment norm falls below ctx.tol; with `per_sample_stop`,
     converged samples are frozen and only the other columns are solved.
     """
-    return _run(ctx, mesh_s, mesh_d, pairing, bc, per_sample_stop, range(ctx.J))
+    return _run(ctx, [ctx], mesh_s, mesh_d, pairing, bc, per_sample_stop)
+
+
+def run_traditional_ddm(ctx, mesh_s, mesh_d, pairing, bc, per_sample_stop=False):
+    """Per-sample baseline: the identical iteration, but each sample is a
+    group of its own with its own operator pair (2J factorizations in
+    total), run one after the other on the shared spaces."""
+    groups = [make_context([s], nu=ctx.nu, g=ctx.g, z=ctx.z, alpha=ctx.alpha,
+                           delta_s=ctx.delta_s, delta_d=ctx.delta_d,
+                           tol=ctx.tol, max_iters=ctx.max_iters)[0] for s in ctx.samples]
+    return _run(ctx, groups, mesh_s, mesh_d, pairing, bc, per_sample_stop)
 
 
 @dataclass
 class IterationSetup:
     """The spaces, the two factorized operators and the per-sample columns
-    of a run: sample i of a sweep is column (entry) i of each block."""
+    of a group of samples: sample i of a sweep is column (entry) i of each
+    block."""
 
     ctx: EnsembleContext
     space_s: object
@@ -256,11 +267,9 @@ class IterationSetup:
     xi: np.ndarray               # (k,) slip coefficients
 
 
-def _setup(ctx, mesh_s, mesh_d, pairing, bc, js):
-    """The `IterationSetup` of `_run`, built once per run."""
-    space_s = build_stokes_space(mesh_s, dirichlet_tags=bc.stokes_dirichlet_tags,
-                                 pressure_multiplier=bc.stokes_pressure_multiplier)
-    space_d = build_darcy_space(mesh_d, essential_tags=bc.darcy_essential_tags)
+def _setup(ctx, space_s, space_d, pairing, bc, js):
+    """The `IterationSetup` of the samples of `ctx` on the given spaces;
+    js[i] is the index into the boundary data `bc` of sample i."""
     kbar_w = inverse_diagonal(space_d, ctx.kbar_field)
     op_s = assemble_stokes_operator(space_s, ctx.nu, ctx.delta_s, ctx.xi_bar, pairing)
     op_d = assemble_darcy_operator(space_d, ctx.g, kbar_w, ctx.kbar_min, ctx.delta_d, pairing)
@@ -311,107 +320,81 @@ def sweep(su, state, ud_lag):
     return state, us, ud, ((tb - ta) + (td - tc), (tc - tb) + (te - td), tf - te)
 
 
-def _run(ctx, mesh_s, mesh_d, pairing, bc, per_sample_stop, js):
-    """The set-up, then sweeps of the active samples; js[i] is the index
-    into the boundary data `bc` of sample i of `ctx`."""
+def _run(ctx, groups, mesh_s, mesh_d, pairing, bc, per_sample_stop):
+    """The spaces, then per group of samples (contexts whose samples, in
+    order, are the samples of `ctx`) its set-up and sweeps of its active
+    samples; one report for all."""
     nfact0 = factorization_count()
     t0 = time.perf_counter()
-    su = _setup(ctx, mesh_s, mesh_d, pairing, bc, js)
-    t_factor = su.op_s.factor_seconds + su.op_d.factor_seconds
-    t_assembly = time.perf_counter() - t0 - t_factor
+    space_s = build_stokes_space(mesh_s, dirichlet_tags=bc.stokes_dirichlet_tags,
+                                 pressure_multiplier=bc.stokes_pressure_multiplier)
+    space_d = build_darcy_space(mesh_d, essential_tags=bc.darcy_essential_tags)
+    t_assembly = time.perf_counter() - t0
 
     J = ctx.J
     state = init_state(ctx, pairing)
-    us = np.zeros((su.space_s.n_dofs, J), order="F")
-    ud = np.zeros((su.space_d.n_dofs, J), order="F")
+    us = np.zeros((space_s.n_dofs, J), order="F")
+    ud = np.zeros((space_d.n_dofs, J), order="F")
     iterations = np.zeros(J, dtype=np.int64)
-    final_norms = np.full(J, np.inf)
     converged = np.zeros(J, dtype=bool)
     history = [[] for _ in range(J)]
+    t_factor = t_solve = t_norm = 0.0
     t_phases = np.zeros(3)      # right-hand sides, block solves, trace updates
-    t_norm = 0.0
-    ids = np.arange(J)          # the samples held by the per-sample columns of su
+    lu_nnz = 0
+    stop = 0
+    for group in groups:
+        start, stop = stop, stop + group.J
+        t0 = time.perf_counter()
+        su = _setup(group, space_s, space_d, pairing, bc, range(start, stop))
+        dt_factor = su.op_s.factor_seconds + su.op_d.factor_seconds
+        t_assembly += time.perf_counter() - t0 - dt_factor
+        t_factor += dt_factor
+        lu_nnz += su.op_s.factorization.nnz + su.op_d.factorization.nnz
+        ids = np.arange(start, stop)    # the samples held by the per-sample columns of su
 
-    t1 = time.perf_counter()
-    for n in range(1, ctx.max_iters + 1):
-        if per_sample_stop and converged[ids].any():
-            # drop frozen samples from the per-sample columns once, so these
-            # blocks hold exactly the active columns
-            keep = ~converged[ids]
-            ids = ids[keep]
-            su = replace(su, base_s=su.base_s[:, keep], base_d=su.base_d[:, keep],
-                         fixed_s=su.fixed_s[:, keep], dW=su.dW[:, keep],
-                         dk=su.dk[keep], xi=su.xi[keep])
-        # state and solutions span all samples: a plain slice while every
-        # sample is active keeps their blocks views
-        act = ids if len(ids) < J else slice(None)
+        t1 = time.perf_counter()
+        for n in range(1, ctx.max_iters + 1):
+            if per_sample_stop and converged[ids].any():
+                # drop frozen samples from the per-sample columns once, so
+                # these blocks hold exactly the active columns
+                keep = ~converged[ids]
+                ids = ids[keep]
+                su = replace(su, base_s=su.base_s[:, keep], base_d=su.base_d[:, keep],
+                             fixed_s=su.fixed_s[:, keep], dW=su.dW[:, keep],
+                             dk=su.dk[keep], xi=su.xi[keep])
+            # state and solutions span all samples: a plain slice while every
+            # sample of the group is active keeps their blocks views
+            act = ids if len(ids) < group.J else slice(start, stop)
 
-        new, us_new, ud_new, dt = sweep(su, RobinTraceState(*(b[:, act] for b in state)),
-                                        ud[:su.space_d.n_velocity, act])
-        t_phases += dt
-        tf = time.perf_counter()
-        for block, col in zip(state, new):
-            block[:, act] = col
-        norms = stopping_norm(su.space_s, su.space_d, us[:, act], us_new, ud[:, act], ud_new)
-        us[:, act] = us_new
-        ud[:, act] = ud_new
-        del us_new, ud_new
-        final_norms[ids] = norms
-        for j, norm in zip(ids.tolist(), norms.tolist()):
-            history[j].append(norm)
-        hit = ids[(norms <= ctx.tol) & ~converged[ids]]
-        converged[hit] = True
-        iterations[hit] = n
-        t_norm += time.perf_counter() - tf
-        if converged.all():
-            break
-    t_solve = time.perf_counter() - t1
+            new, us_new, ud_new, dt = sweep(su, RobinTraceState(*(b[:, act] for b in state)),
+                                            ud[:space_d.n_velocity, act])
+            t_phases += dt
+            tf = time.perf_counter()
+            for block, col in zip(state, new):
+                block[:, act] = col
+            norms = stopping_norm(space_s, space_d, us[:, act], us_new, ud[:, act], ud_new)
+            us[:, act] = us_new
+            ud[:, act] = ud_new
+            del us_new, ud_new
+            for j, norm in zip(ids.tolist(), norms.tolist()):
+                history[j].append(norm)
+            hit = ids[(norms <= ctx.tol) & ~converged[ids]]
+            converged[hit] = True
+            iterations[hit] = n
+            t_norm += time.perf_counter() - tf
+            if converged[start:stop].all():
+                break
+        t_solve += time.perf_counter() - t1
+        del su          # the group's factors go before the next group's are made
     iterations[~converged] = ctx.max_iters
 
     t_rhs, t_trisolve, t_trace = t_phases.tolist()
-    return SolveReport(us=us.T, ud=ud.T,
-                       iterations=iterations, final_norms=final_norms,
+    return SolveReport(us=us.T, ud=ud.T, iterations=iterations,
                        converged=converged, norm_history=history,
                        t_assembly=t_assembly, t_factor=t_factor, t_solve=t_solve,
                        t_rhs=t_rhs, t_trisolve=t_trisolve, t_trace=t_trace, t_norm=t_norm,
-                       n_factorizations=factorization_count() - nfact0,
-                       lu_nnz=su.op_s.factorization.nnz + su.op_d.factorization.nnz,
-                       space_s=su.space_s, space_d=su.space_d, pairing=pairing, state=state)
-
-
-def run_traditional_ddm(ctx, mesh_s, mesh_d, pairing, bc, per_sample_stop=False):
-    """Per-sample baseline: the identical iteration, but each sample gets
-    its own operator pair (2J factorizations in total).  The spaces of the
-    first sample's run stand for all samples; the state holds every
-    sample's trace columns side by side, as an ensemble run's does."""
-    reports = []
-    for j, s in enumerate(ctx.samples):
-        ctx_j, _ = make_context([s], nu=ctx.nu, g=ctx.g, z=ctx.z, alpha=ctx.alpha,
-                                delta_s=ctx.delta_s, delta_d=ctx.delta_d,
-                                tol=ctx.tol, max_iters=ctx.max_iters)
-        rep = _run(ctx_j, mesh_s, mesh_d, pairing, bc, per_sample_stop, [j])
-        # identical spaces need not be held once per sample
-        reports.append(replace(rep, space_s=None, space_d=None) if j else rep)
-        del rep
-    first = reports[0]
-
-    def total(name):
-        return sum(getattr(r, name) for r in reports)
-
-    return SolveReport(
-        us=np.concatenate([r.us for r in reports]),
-        ud=np.concatenate([r.ud for r in reports]),
-        iterations=np.concatenate([r.iterations for r in reports]),
-        final_norms=np.concatenate([r.final_norms for r in reports]),
-        converged=np.concatenate([r.converged for r in reports]),
-        norm_history=[r.norm_history[0] for r in reports],
-        t_assembly=total("t_assembly"), t_factor=total("t_factor"),
-        t_solve=total("t_solve"), t_rhs=total("t_rhs"), t_trisolve=total("t_trisolve"),
-        t_trace=total("t_trace"), t_norm=total("t_norm"),
-        n_factorizations=total("n_factorizations"), lu_nnz=total("lu_nnz"),
-        space_s=first.space_s, space_d=first.space_d, pairing=first.pairing,
-        state=RobinTraceState(*(np.hstack(blocks)
-                                for blocks in zip(*(r.state for r in reports)))))
+                       n_factorizations=factorization_count() - nfact0, lu_nnz=lu_nnz,
+                       space_s=space_s, space_d=space_d, pairing=pairing, state=state)
 
 
 def _monolithic_system(report, ctx, bc, j):

@@ -159,38 +159,37 @@ def build_rect_mesh(rect, nx, ny, side_tags=None):
 
 
 def _build_edges(tris):
-    nt = len(tris)
-    # edge k of a triangle is opposite local vertex k
+    nt, nv = len(tris), tris.max() + 1
+    # edge k of a triangle is opposite local vertex k; the key a nv + b of
+    # a vertex pair a < b sorts like the pair
     pairs = np.concatenate([tris[:, [1, 2]], tris[:, [2, 0]], tris[:, [0, 1]]])
-    pairs_sorted = np.sort(pairs, axis=1)
-    edges, inverse = np.unique(pairs_sorted, axis=0, return_inverse=True)
+    pairs = np.sort(pairs, axis=1)
+    keys, inverse = np.unique(pairs[:, 0] * nv + pairs[:, 1], return_inverse=True)
+    edges = np.column_stack([keys // nv, keys % nv])
     edge_of_tri = inverse.reshape(3, nt).T.copy()
+    # the triangles of each edge, lower first: a stable sort of the
+    # row-major (triangle, local edge) entries by edge
+    order = np.argsort(edge_of_tri.ravel(), kind="stable")
+    e = edge_of_tri.ravel()[order]
+    second = np.r_[False, e[1:] == e[:-1]]
     edge_tris = np.full((len(edges), 2), -1, dtype=np.int64)
-    for t in range(nt):
-        for k in range(3):
-            e = edge_of_tri[t, k]
-            if edge_tris[e, 0] == -1:
-                edge_tris[e, 0] = t
-            else:
-                edge_tris[e, 1] = t
+    edge_tris[e[~second], 0] = order[~second] // 3
+    edge_tris[e[second], 1] = order[second] // 3
     return edges, edge_tris, edge_of_tri
 
 
 def _tag_boundary(verts, edges, edge_tris, rect, tags):
     boundary_tags = np.full(len(edges), "", dtype="<U9")
-    on_bdry = edge_tris[:, 1] == -1
-    for e in np.where(on_bdry)[0]:
-        pa, pb = verts[edges[e]]
-        if pa[0] == rect.x0 and pb[0] == rect.x0:
-            boundary_tags[e] = tags["left"]
-        elif pa[0] == rect.x1 and pb[0] == rect.x1:
-            boundary_tags[e] = tags["right"]
-        elif pa[1] == rect.y0 and pb[1] == rect.y0:
-            boundary_tags[e] = tags["bottom"]
-        elif pa[1] == rect.y1 and pb[1] == rect.y1:
-            boundary_tags[e] = tags["top"]
-        else:
-            raise ValueError("boundary edge not on any rectangle side")
+    bdry = np.flatnonzero(edge_tris[:, 1] == -1)
+    pa, pb = verts[edges[bdry, 0]], verts[edges[bdry, 1]]
+    tagged = np.zeros(len(bdry), dtype=bool)
+    for side, axis, value in (("left", 0, rect.x0), ("right", 0, rect.x1),
+                              ("bottom", 1, rect.y0), ("top", 1, rect.y1)):
+        on = (pa[:, axis] == value) & (pb[:, axis] == value)
+        boundary_tags[bdry[on]] = tags[side]
+        tagged |= on
+    if not tagged.all():
+        raise ValueError("boundary edge not on any rectangle side")
     return boundary_tags
 
 

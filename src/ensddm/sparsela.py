@@ -1,4 +1,4 @@
-"""Sparse matrix assembly, direct LU factorization, and block solves.
+"""Direct LU factorization of the subdomain matrices, and block solves.
 
 One factorization serves any number of right-hand sides, which is what makes
 the shared-coefficient-matrix ensemble iteration cheap: the two subdomain
@@ -11,16 +11,16 @@ MINI bubbles of each free-flow triangle): each pair's 2x2 block is inverted
 in closed form, only their Schur complement is factorized, and every solve
 recovers the pairs with two sparse products.
 
-Matrices are plain scipy CSR matrices and factors plain SuperLU objects;
-everything is float64.  Each matrix is factorized by its structure.  The
-condensed Stokes matrix [A, -B^T; B, C] has a positive semidefinite
-symmetric part and a diagonal filled by the bubble stabilization C, so it
-takes diagonal pivots in a symmetric minimum-degree order of A + A^T
-(symmetric mode); the pressure-mean multiplier, its one zero diagonal
-entry, is ordered last, where it is already filled.  The Darcy matrix has a
-zero diagonal on every head dof, so it keeps COLAMD with threshold partial
-pivoting at 0.5, which keeps more of COLAMD's order than strict partial
-pivoting.
+Matrices are plain scipy CSR matrices (the assembly modules build them from
+triplets in one call) and factors plain SuperLU objects; everything is
+float64.  Each matrix is factorized by its structure.  The condensed Stokes
+matrix [A, -B^T; B, C] has a positive semidefinite symmetric part and a
+diagonal filled by the bubble stabilization C, so it takes diagonal pivots
+in a symmetric minimum-degree order of A + A^T (symmetric mode); the
+pressure-mean multiplier, its one zero diagonal entry, is ordered last,
+where it is already filled.  The Darcy matrix has a zero diagonal on every
+head dof, so it keeps COLAMD with threshold partial pivoting at 0.5, which
+keeps more of COLAMD's order than strict partial pivoting.
 """
 
 import time
@@ -41,41 +41,6 @@ class SingularMatrixError(RuntimeError):
     def __init__(self, message, row=None):
         super().__init__(message)
         self.row = row
-
-
-class CooBuilder:
-    """Accumulates COO triplets; duplicate entries are summed on finalize."""
-
-    def __init__(self, n_rows, n_cols):
-        self.n_rows = n_rows
-        self.n_cols = n_cols
-        self._rows = []
-        self._cols = []
-        self._vals = []
-
-    def add(self, rows, cols, vals):
-        rows = np.asarray(rows, dtype=np.int64).ravel()
-        cols = np.asarray(cols, dtype=np.int64).ravel()
-        vals = np.asarray(vals, dtype=np.float64).ravel()
-        if not (len(rows) == len(cols) == len(vals)):
-            raise ValueError("rows, cols, vals must have equal lengths")
-        self._rows.append(rows)
-        self._cols.append(cols)
-        self._vals.append(vals)
-
-    def finalize(self):
-        """The accumulated entries as a scipy CSR matrix."""
-        if self._rows:
-            r = np.concatenate(self._rows)
-            c = np.concatenate(self._cols)
-            v = np.concatenate(self._vals)
-        else:
-            r = c = np.empty(0, dtype=np.int64)
-            v = np.empty(0)
-        csr = sp.coo_matrix((v, (r, c)), shape=(self.n_rows, self.n_cols)).tocsr()
-        if not np.all(np.isfinite(csr.data)):
-            raise ValueError("non-finite matrix entries")
-        return csr
 
 
 def factorize(a, symmetric=False):

@@ -20,7 +20,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import quadrature
-from .sparsela import CooBuilder, SubdomainOperator, quadratic_form
+from .sparsela import SubdomainOperator, quadratic_form
 
 
 _EDGE_MASS = np.array([[2.0, 1.0], [1.0, 2.0]])
@@ -215,39 +215,33 @@ def stokes_matrix(space, nu, delta_s, xi, pairing):
     multiplier (its row -(1, p)), and the interface terms
     delta_s <u.n, v.n>_Gamma + xi <u.tau, v.tau>_Gamma.
     """
-    if nu <= 0:
-        raise ValueError("viscosity must be positive")
-    if delta_s <= 0:
-        raise ValueError("delta_s must be positive")
-    if xi < 0:
-        raise ValueError("the slip coefficient xi must be nonnegative")
+    if not (0 < nu < np.inf and 0 < delta_s < np.inf):   # NaN fails this too
+        raise ValueError("viscosity and delta_s must be positive and finite")
+    if not 0 <= xi < np.inf:
+        raise ValueError("the slip coefficient xi must be nonnegative and finite")
 
-    builder = CooBuilder(space.n_dofs, space.n_dofs)
-    vd = space.vel_elem_dofs
-    rows = np.repeat(vd, 8, axis=1).ravel()
-    cols = np.tile(vd, (1, 8)).ravel()
-    builder.add(rows, cols, deformation_element_matrices(space, nu).ravel())
-
-    Bflat = div_element_matrices(space).ravel()  # (nt, 3, 8)
-    pd = space.p_elem_dofs
-    rows = np.repeat(pd, 8, axis=1).ravel()
-    cols = np.tile(vd, (1, 3)).ravel()
-    builder.add(rows, cols, Bflat)
-    builder.add(cols, rows, -Bflat)
-
+    vd, pd = space.vel_elem_dofs, space.p_elem_dofs
+    B = div_element_matrices(space).ravel()  # (nt, 3, 8)
+    prow = np.repeat(pd, 8, axis=1).ravel()
+    vcol = np.tile(vd, (1, 3)).ravel()
+    rows = [np.repeat(vd, 8, axis=1).ravel(), prow, vcol]
+    cols = [np.tile(vd, (1, 8)).ravel(), vcol, prow]
+    vals = [deformation_element_matrices(space, nu).ravel(), B, -B]
     if space.pressure_multiplier:
-        mdof = space.n_dofs - 1
-        mvals = np.repeat(space.mesh.tri_area / 3.0, 3)
-        prow = pd.ravel()
-        builder.add(prow, np.full_like(prow, mdof), mvals)
-        builder.add(np.full_like(prow, mdof), prow, -mvals)
-
+        mdof = np.full(pd.size, space.n_dofs - 1)
+        m = np.repeat(space.mesh.tri_area / 3.0, 3)
+        rows += [pd.ravel(), mdof]
+        cols += [mdof, pd.ravel()]
+        vals += [m, -m]
     # interface Robin and tangential-slip terms (P1 traces only)
     trace = space.interface_info(pairing).trace
     mass = interface_mass(pairing)
     robin = (trace.T @ sp.block_diag((delta_s * mass, xi * mass)) @ trace).tocoo()
-    builder.add(robin.row, robin.col, robin.data)
-    return builder.finalize()
+    rows.append(robin.row)
+    cols.append(robin.col)
+    vals.append(robin.data)
+    return sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                         shape=(space.n_dofs, space.n_dofs))
 
 
 def assemble_stokes_operator(space, nu, delta_s, xi_bar, pairing):

@@ -16,8 +16,17 @@ from ensddm.ensemble_driver import (make_sample, make_context, BoundaryCondition
                                     check_converged_residual, _setup, sweep,
                                     _monolithic_system)
 from ensddm.interface_state import RobinTraceState
+from ensddm.stokes_fem import build_stokes_space
+from ensddm.darcy_fem import build_darcy_space
 from ensddm.mesh import Rect, build_rect_mesh, pair_interface
 from ensddm.norms import error_norms
+
+
+def spaces(mesh_s, mesh_d, bc):
+    """The Stokes and Darcy spaces a run builds for `bc`."""
+    return (build_stokes_space(mesh_s, dirichlet_tags=bc.stokes_dirichlet_tags,
+                               pressure_multiplier=bc.stokes_pressure_multiplier),
+            build_darcy_space(mesh_d, essential_tags=bc.darcy_essential_tags))
 
 
 def small_setup(k_list=(2.21,), h=1 / 8, tol=1e-6, max_iters=200, delta_s=1.0):
@@ -201,6 +210,46 @@ def test_lu_nnz_counts_both_factors_and_sums_over_baseline_samples():
                             max_iters=ctx.max_iters)[0] for s in ctx.samples]
     assert trad.lu_nnz == sum(run_ensemble_ddm(c, mesh_s, mesh_d, pairing, bc).lu_nnz
                               for c in singles)
+
+
+@pytest.mark.parametrize("per_sample_stop", [False, True])
+def test_baseline_is_its_single_sample_ensemble_runs_bitwise(per_sample_stop):
+    ctx, _, mesh_s, mesh_d, pairing, bc, exacts = small_setup(k_list=(2.21, 4.11, 6.21))
+    trad = run_traditional_ddm(ctx, mesh_s, mesh_d, pairing, bc, per_sample_stop)
+    assert trad.n_factorizations == 2 * ctx.J
+    lu_nnz = 0
+    for j, (s, exact) in enumerate(zip(ctx.samples, exacts)):
+        single, _ = make_context([s], nu=ctx.nu, g=ctx.g, z=ctx.z, alpha=ctx.alpha,
+                                 delta_s=ctx.delta_s, delta_d=ctx.delta_d, tol=ctx.tol,
+                                 max_iters=ctx.max_iters)
+        ens = run_ensemble_ddm(single, mesh_s, mesh_d, pairing, manufactured_bc([exact]),
+                               per_sample_stop)
+        lu_nnz += ens.lu_nnz
+        assert np.array_equal(trad.us[j], ens.us[0])
+        assert np.array_equal(trad.ud[j], ens.ud[0])
+        assert trad.iterations[j] == ens.iterations[0]
+        assert trad.converged[j] == ens.converged[0]
+        assert trad.norm_history[j] == ens.norm_history[0]
+        for got, want in zip(trad.state, ens.state):
+            assert np.array_equal(got[:, j], want[:, 0])
+    assert trad.lu_nnz == lu_nnz
+
+
+def test_baseline_builds_each_space_once(monkeypatch):
+    from ensddm import ensemble_driver
+    ctx, _, mesh_s, mesh_d, pairing, bc, _ = small_setup(k_list=(2.21, 4.11, 6.21))
+    calls = []
+
+    def counted(build):
+        def wrapper(*args, **kwargs):
+            calls.append(build.__name__)
+            return build(*args, **kwargs)
+        return wrapper
+
+    for name in ("build_stokes_space", "build_darcy_space"):
+        monkeypatch.setattr(ensemble_driver, name, counted(getattr(ensemble_driver, name)))
+    run_traditional_ddm(ctx, mesh_s, mesh_d, pairing, bc)
+    assert sorted(calls) == ["build_darcy_space", "build_stokes_space"]
 
 
 def test_mean_inverse_field_evaluated_once_per_run(monkeypatch):
@@ -407,7 +456,7 @@ def test_sweep_continues_a_cut_run_bitwise():
     cut, full = (run_ensemble_ddm(replace(ctx, max_iters=m), mesh_s, mesh_d, pairing, bc)
                  for m in (n, n + 1))
     assert not full.converged.any()
-    su = _setup(ctx, mesh_s, mesh_d, pairing, bc, range(ctx.J))
+    su = _setup(ctx, *spaces(mesh_s, mesh_d, bc), pairing, bc, range(ctx.J))
     state, us, ud, _ = sweep(su, cut.state, cut.ud.T[:su.space_d.n_velocity])
     assert np.array_equal(us, full.us.T)
     assert np.array_equal(ud, full.ud.T)
@@ -419,7 +468,8 @@ def test_sweep_is_affine():
     mesh_s, mesh_d, pairing = channel_meshes(1 / 8)
     samples, _, _ = channel_samples(ScenarioConfig(J=2), mesh_d)
     ctx, _ = make_context(samples, delta_s=1.0, delta_d=2.0)
-    su = _setup(ctx, mesh_s, mesh_d, pairing, channel_bc(), range(ctx.J))
+    bc = channel_bc()
+    su = _setup(ctx, *spaces(mesh_s, mesh_d, bc), pairing, bc, range(ctx.J))
     rng = np.random.default_rng(5)
     shape = (2 * pairing.n_pairs, ctx.J)
     x, y = (RobinTraceState(*rng.standard_normal((3,) + shape)) for _ in range(2))

@@ -40,6 +40,21 @@ def test_euler_relation_and_conformity(nx, ny):
     assert np.all(incident[~interior] == 1)
 
 
+@pytest.mark.parametrize("nx,ny", [(1, 1), (3, 2), (7, 5)])
+def test_edge_connectivity(nx, ny):
+    m = build_rect_mesh(Rect(0, 2, -1, 1), nx, ny)
+    for t, tri in enumerate(m.tris):
+        for k in range(3):
+            e = m.edge_of_tri[t, k]
+            # the edge opposite local vertex k, and t is one of its triangles
+            assert m.edges[e].tolist() == sorted(np.delete(tri, k).tolist())
+            assert t in m.edge_tris[e]
+    first, second = m.edge_tris.T
+    boundary = m.boundary_tags != ""
+    assert np.all(second[boundary] == -1) and np.all(first[boundary] >= 0)
+    assert np.all(first[~boundary] < second[~boundary])
+
+
 @pytest.mark.parametrize("nx,ny", [(2, 3), (9, 4), (16, 16)])
 def test_area_sums_to_rectangle(nx, ny):
     r = Rect(0, PI, -1, 0)

@@ -3,7 +3,7 @@ import pytest
 import scipy.sparse as sp
 from scipy.sparse.linalg import LinearOperator, onenormest, splu
 
-from ensddm.sparsela import (CooBuilder, SingularMatrixError, factorize,
+from ensddm.sparsela import (SingularMatrixError, factorize,
                              factorization_count, quadratic_form)
 
 
@@ -30,20 +30,32 @@ def test_random_spd_residual():
     assert res <= 1e-10
 
 
-def test_duplicate_entries_summed():
-    b = CooBuilder(2, 2)
-    b.add([0, 0, 1], [0, 0, 1], [1.0, 2.0, 5.0])
-    m = b.finalize()
-    np.testing.assert_allclose(m.toarray(), [[3.0, 0.0], [0.0, 5.0]])
-
-
 def test_nonfinite_rejected():
     with pytest.raises(ValueError):
         factorize(sp.csr_matrix(np.array([[np.nan, 0.0], [0.0, 1.0]])))
-    b = CooBuilder(2, 2)
-    b.add([0, 1], [0, 1], [np.inf, 1.0])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
+def test_matrix_builders_reject_nonpositive_or_nonfinite_coefficients(bad):
+    # the coefficient checks stand in for a check of the assembled entries
+    from ensddm.bench_cli import manufactured_meshes
+    from ensddm.darcy_fem import build_darcy_space, darcy_form, darcy_matrix
+    from ensddm.stokes_fem import build_stokes_space, stokes_matrix
+    mesh_s, mesh_d, pairing = manufactured_meshes(1 / 2)
+    space_s, space_d = build_stokes_space(mesh_s), build_darcy_space(mesh_d)
+    stokes = dict(nu=1.0, delta_s=1.0, xi=0.5)
+    darcy = dict(g=1.0, weight=1.0, k_min=1.0, delta_d=1.0)
+    for name in stokes:
+        with pytest.raises(ValueError):
+            stokes_matrix(space_s, pairing=pairing, **{**stokes, name: bad})
+    for name in darcy:
+        with pytest.raises(ValueError):
+            darcy_matrix(space_d, pairing=pairing, **{**darcy, name: bad})
+    weight = np.ones(space_d.eval_op.shape[0])
+    weight[3] = bad
     with pytest.raises(ValueError):
-        b.finalize()
+        darcy_form(space_d, 1.0, weight, 1.0)
+    stokes_matrix(space_s, pairing=pairing, **{**stokes, "xi": 0.0})     # no slip is valid
 
 
 def test_structurally_singular_reports_row():
