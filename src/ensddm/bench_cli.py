@@ -23,7 +23,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -109,6 +109,11 @@ class ScenarioConfig:
         # larger h would be clamped there but not in the Robin band
         if any(not 0 < h <= 1 for h in self.h_list):
             raise ConfigError("mesh sizes must lie in (0, 1]")
+        # these scenarios run on the first mesh size only
+        if self.scenario in ("channel_mc", "symbol_sweep") and len(self.h_list) > 1:
+            raise ConfigError(f"scenario '{self.scenario}' takes one h_list entry")
+        if not self.out:
+            raise ConfigError("out must name a directory")
         if self.J < 1 or self.J0 < 1 or any(J < 1 for J in self.J_list):
             raise ConfigError("sample counts must be >= 1")
         if any(k <= 0 for k in self.k_list):
@@ -309,13 +314,8 @@ def _result_rows(cfg, h, report, exacts):
     for j in range(len(report.us)):
         tab = error_norms(report.space_s, report.space_d, report.us[j], report.ud[j],
                           exacts[j], h, j=j, iterations=int(report.iterations[j]))
-        rows.append(dict(scenario=cfg.scenario, h=repr(h), j=j,
-                         iterations=int(report.iterations[j]),
-                         err_us_l2=tab.err_us_l2, err_us_h1=tab.err_us_h1,
-                         err_ps_l2=tab.err_ps_l2, err_phid_l2=tab.err_phid_l2,
-                         err_ud_l2=tab.err_ud_l2, err_ud_div=tab.err_ud_div,
-                         **timers, lu_nnz=report.lu_nnz,
-                         converged=bool(report.converged[j])))
+        rows.append(dict(scenario=cfg.scenario, **asdict(tab), **timers,
+                         lu_nnz=report.lu_nnz, converged=bool(report.converged[j])))
     return rows
 
 

@@ -54,7 +54,6 @@ class DarcySpace:
         self._build_basis()
         self._precompute_quadrature()
         self.velocity_mass = darcy_form(self, 1.0, 1.0, 0.0)
-        self._interface_info = None
 
     @property
     def head_slice(self):
@@ -148,13 +147,6 @@ class DarcySpace:
         coeffs = vec[self.elem_dofs]
         return np.einsum("tl,tl->t", self.div, coeffs)
 
-    def interface_info(self, pairing):
-        """The interface operators of `pairing`, built on first use."""
-        info = self._interface_info
-        if info is None or info.pairing is not pairing:
-            info = self._interface_info = DarcyInterfaceInfo(self, pairing)
-        return info
-
 
 def build_darcy_space(mesh, essential_tags=None):
     """Construct the BDM1-P0 space; edges tagged `essential_tags` carry
@@ -178,7 +170,6 @@ class DarcyInterfaceInfo:
 
     def __init__(self, space, pairing):
         mesh = space.mesh
-        self.pairing = pairing
         e = pairing.pairs[:, 1]
         lower_first = mesh.edges[e, 0] == pairing.nodes_d[:, 0]
         dofs_x = 2 * e[:, None] + np.where(lower_first[:, None], [0, 1], [1, 0])
@@ -245,7 +236,7 @@ def darcy_matrix(space, g, weight, k_min, delta_d, pairing):
     B = (g * space.div * space.mesh.tri_area[:, None]).ravel()
     heads = np.repeat(space.n_velocity + np.arange(space.n_head), 6)
     vel = space.elem_dofs.ravel()
-    iface = space.interface_info(pairing)
+    iface = DarcyInterfaceInfo(space, pairing)
     robin = (iface.normal.T @ (delta_d * interface_mass(pairing)) @ iface.normal).tocoo()
     rows = np.concatenate([form.row, heads, vel, robin.row])
     cols = np.concatenate([form.col, vel, heads, robin.col])

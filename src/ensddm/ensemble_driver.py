@@ -22,11 +22,11 @@ from .fields import MeanInverseField
 from .sparsela import factorization_count
 from .stokes_fem import (build_stokes_space, assemble_stokes_operator,
                          assemble_stokes_volume_rhs, add_interface_rhs,
-                         interface_traces, stokes_matrix)
+                         interface_traces, stokes_matrix, StokesInterfaceInfo)
 from .darcy_fem import (build_darcy_space, assemble_darcy_operator,
                         assemble_darcy_volume_rhs, add_darcy_interface_rhs,
                         add_darcy_natural_head_rhs, add_darcy_lag_rhs,
-                        inverse_diagonal, darcy_matrix)
+                        inverse_diagonal, darcy_matrix, DarcyInterfaceInfo)
 from .interface_state import RobinTraceState, init_state, update_robin, stopping_norm
 
 
@@ -79,6 +79,8 @@ class EnsembleDiagnostics:
     """Spread of the sample coefficients against the ensemble means; the
     iteration theory assumes the means dominate the spread."""
 
+    xi_bar: float                # mean slip coefficient
+    kbar_min: float              # mean smallest inverse-tensor eigenvalue
     E_xi_max: float
     E_k_max: float
     small_perturbation_ok: bool
@@ -86,10 +88,10 @@ class EnsembleDiagnostics:
 
 @dataclass
 class EnsembleContext:
+    """The samples and the settings of a run; the set-up of each group of
+    samples derives the group's means from its own samples."""
+
     samples: list
-    xi_bar: float
-    kbar_min: float
-    kbar_field: MeanInverseField
     nu: float
     g: float
     z: float
@@ -106,20 +108,21 @@ class EnsembleContext:
 
 def make_context(samples, nu=1.0, g=1.0, z=0.0, alpha=1.0,
                  delta_s=1.0, delta_d=2.0, tol=1e-6, max_iters=500):
-    """Build the ensemble context (means) and its perturbation diagnostics.
+    """Build the ensemble context and its perturbation diagnostics.
 
     Emits a warning, not an error, when the sample spread exceeds the means.
     """
     if len(samples) == 0:
         raise ValueError("need at least one sample")
-    if not (delta_s > 0 and delta_d > 0):       # NaN fails this too
-        raise ValueError("Robin parameters must be positive")
+    # NaN fails these too
+    if not (all(0 < v < np.inf for v in (nu, g, delta_s, delta_d)) and np.isfinite(z)):
+        raise ValueError("nu, g, delta_s and delta_d must be positive and finite, and z finite")
     if not (0 < tol < np.inf) or not isinstance(max_iters, numbers.Integral) or max_iters < 1:
         raise ValueError("tol must be positive and finite and max_iters an integer of at least 1")
     J = len(samples)
     xi_bar = sum(s.xi for s in samples) / J
     kbar_min = sum(s.k_min for s in samples) / J
-    kbar_field = MeanInverseField([s.K for s in samples])
+    mean_field = MeanInverseField([s.K for s in samples])
 
     E_xi = max(abs(s.xi - xi_bar) for s in samples)
     E_k = 0.0
@@ -129,7 +132,7 @@ def make_context(samples, nu=1.0, g=1.0, z=0.0, alpha=1.0,
     for s in samples:
         pts = s.scan_points
         if id(pts) not in means:
-            means[id(pts)] = kbar_field.inv_diag(pts[:, 1])
+            means[id(pts)] = mean_field.inv_diag(pts[:, 1])
         i11, i22 = s.K.inv_diag(pts[:, 1])
         m11, m22 = means[id(pts)]
         tilde = max(np.abs(i11 - m11).max(), np.abs(i22 - m22).max())
@@ -138,11 +141,10 @@ def make_context(samples, nu=1.0, g=1.0, z=0.0, alpha=1.0,
     if not ok:
         warnings.warn("sample spread exceeds ensemble means; the shared-matrix "
                       "iteration may converge slowly or diverge", RuntimeWarning)
-    ctx = EnsembleContext(samples=list(samples), xi_bar=xi_bar, kbar_min=kbar_min,
-                          kbar_field=kbar_field, nu=nu, g=g, z=z,
-                          alpha=alpha, delta_s=delta_s, delta_d=delta_d,
-                          tol=tol, max_iters=max_iters)
-    return ctx, EnsembleDiagnostics(E_xi_max=E_xi, E_k_max=E_k, small_perturbation_ok=ok)
+    ctx = EnsembleContext(samples=list(samples), nu=nu, g=g, z=z, alpha=alpha,
+                          delta_s=delta_s, delta_d=delta_d, tol=tol, max_iters=max_iters)
+    return ctx, EnsembleDiagnostics(xi_bar=xi_bar, kbar_min=kbar_min, E_xi_max=E_xi,
+                                    E_k_max=E_k, small_perturbation_ok=ok)
 
 
 @dataclass
@@ -233,30 +235,26 @@ def run_ensemble_ddm(ctx, mesh_s, mesh_d, pairing, bc, per_sample_stop=False):
     velocity-increment norm falls below ctx.tol; with `per_sample_stop`,
     converged samples are frozen and only the other columns are solved.
     """
-    return _run(ctx, [ctx], mesh_s, mesh_d, pairing, bc, per_sample_stop)
+    return _run(ctx, ctx.J, mesh_s, mesh_d, pairing, bc, per_sample_stop)
 
 
 def run_traditional_ddm(ctx, mesh_s, mesh_d, pairing, bc, per_sample_stop=False):
     """Per-sample baseline: the identical iteration, but each sample is a
     group of its own with its own operator pair (2J factorizations in
     total), run one after the other on the shared spaces."""
-    groups = [make_context([s], nu=ctx.nu, g=ctx.g, z=ctx.z, alpha=ctx.alpha,
-                           delta_s=ctx.delta_s, delta_d=ctx.delta_d,
-                           tol=ctx.tol, max_iters=ctx.max_iters)[0] for s in ctx.samples]
-    return _run(ctx, groups, mesh_s, mesh_d, pairing, bc, per_sample_stop)
+    return _run(ctx, 1, mesh_s, mesh_d, pairing, bc, per_sample_stop)
 
 
 @dataclass
 class IterationSetup:
-    """The spaces, the two factorized operators and the per-sample columns
-    of a group of samples: sample i of a sweep is column (entry) i of each
-    block."""
+    """Everything a sweep of a group of samples reads; sample i of the sweep
+    is column (entry) i of each per-sample block."""
 
     ctx: EnsembleContext
     space_s: object
     space_d: object
-    pairing: object
-    iface: object                # the Darcy interface operators of `pairing`
+    iface_s: object              # StokesInterfaceInfo of the run's pairing
+    iface_d: object              # DarcyInterfaceInfo of the run's pairing
     op_s: object
     op_d: object
     base_s: np.ndarray           # (n_stokes_dofs, k) forcing minus boundary lift
@@ -265,30 +263,39 @@ class IterationSetup:
     dW: np.ndarray               # (rows of eval_op, k) inverse-tensor lag weights
     dk: np.ndarray               # (k,) grad-div lag weights
     xi: np.ndarray               # (k,) slip coefficients
+    dxi: np.ndarray              # (k,) slip lag weights, mean minus sample
 
 
-def _setup(ctx, space_s, space_d, pairing, bc, js):
-    """The `IterationSetup` of the samples of `ctx` on the given spaces;
-    js[i] is the index into the boundary data `bc` of sample i."""
-    kbar_w = inverse_diagonal(space_d, ctx.kbar_field)
-    op_s = assemble_stokes_operator(space_s, ctx.nu, ctx.delta_s, ctx.xi_bar, pairing)
-    op_d = assemble_darcy_operator(space_d, ctx.g, kbar_w, ctx.kbar_min, ctx.delta_d, pairing)
+def _setup(ctx, samples, space_s, space_d, pairing, bc, js):
+    """The `IterationSetup` of the group `samples` with the settings of
+    `ctx` on the given spaces; js[i] is the index into the boundary data
+    `bc` of sample i.  The operators use the group's own means."""
+    k = len(samples)
+    # one inverse-tensor evaluation per sample gives the group mean (summed
+    # in sample order, as MeanInverseField.inv_diag sums) and, overwritten
+    # in place, the lag weights
+    w = np.column_stack([inverse_diagonal(space_d, s.K) for s in samples])
+    kbar_w = sum(w.T) / k
+    dW = np.subtract(kbar_w[:, None], w, out=w)
+    xi_bar = sum(s.xi for s in samples) / k
+    kbar_min = sum(s.k_min for s in samples) / k
+    op_s = assemble_stokes_operator(space_s, ctx.nu, ctx.delta_s, xi_bar, pairing)
+    op_d = assemble_darcy_operator(space_d, ctx.g, kbar_w, kbar_min, ctx.delta_d, pairing)
     # the iteration-independent part of every sample's right-hand side
     # (forcing plus natural data minus the boundary lift), and the boundary
     # values of the fixed rows; the Darcy essential rows are homogeneous
     fixed_s = np.column_stack([stokes_dirichlet_values(space_s, bc.stokes_values, j) for j in js])
-    base_s = np.column_stack([assemble_stokes_volume_rhs(space_s, s.f_S) for s in ctx.samples])
+    base_s = np.column_stack([assemble_stokes_volume_rhs(space_s, s.f_S) for s in samples])
     base_s[space_s.free] -= op_s.lift(fixed_s)
     base_d = np.column_stack([_darcy_sample_rhs(space_d, s, bc, j, ctx.g)
-                              for j, s in zip(js, ctx.samples)])
-    # deviation weights of the lagged correction, mean minus sample: the
-    # stationary state then solves the per-sample equations exactly
-    # (mirrors the slip-coefficient lag on the free-flow side)
-    dW = np.column_stack([kbar_w - inverse_diagonal(space_d, s.K) for s in ctx.samples])
-    dk = ctx.kbar_min - np.array([s.k_min for s in ctx.samples])
-    xi = np.array([s.xi for s in ctx.samples])
-    return IterationSetup(ctx, space_s, space_d, pairing, space_d.interface_info(pairing),
-                          op_s, op_d, base_s, base_d, fixed_s, dW, dk, xi)
+                              for j, s in zip(js, samples)])
+    # every lag weight is mean minus sample: the stationary state then
+    # solves the per-sample equations exactly
+    dk = kbar_min - np.array([s.k_min for s in samples])
+    xi = np.array([s.xi for s in samples])
+    return IterationSetup(ctx, space_s, space_d, StokesInterfaceInfo(space_s, pairing),
+                          DarcyInterfaceInfo(space_d, pairing), op_s, op_d,
+                          base_s, base_d, fixed_s, dW, dk, xi, xi_bar - xi)
 
 
 def sweep(su, state, ud_lag):
@@ -299,31 +306,30 @@ def sweep(su, state, ud_lag):
     sample the sweep is an affine map of (state, ud_lag)."""
     ta = time.perf_counter()
     rhs = su.base_s.copy()
-    add_interface_rhs(rhs, su.space_s, su.pairing, state.g_S, state.g_tau)
+    add_interface_rhs(rhs, su.iface_s, state.g_S, state.g_tau)
     tb = time.perf_counter()
     rhs = rhs[su.space_s.free]     # drops the full-length block before the solve
     us = su.op_s.solve(rhs, su.fixed_s)
     del rhs
     tc = time.perf_counter()
     rhs = su.base_d.copy()
-    add_darcy_interface_rhs(rhs, su.iface, state.g_D)
+    add_darcy_interface_rhs(rhs, su.iface_d, state.g_D)
     add_darcy_lag_rhs(rhs, su.space_d, su.dW, su.dk, ud_lag, su.ctx.g)
     td = time.perf_counter()
     rhs = rhs[su.space_d.free]
     ud = su.op_d.solve(rhs, 0.0)
     del rhs
     te = time.perf_counter()
-    us_n, us_tau = interface_traces(su.space_s, su.pairing, us)
-    state = update_robin(state, us_n, us_tau, su.iface.normal_trace(ud),
-                         su.iface.tangential_trace(ud), su.xi, su.ctx)
+    us_n, us_tau = interface_traces(su.iface_s, us)
+    state = update_robin(state, us_n, us_tau, su.iface_d.normal_trace(ud),
+                         su.iface_d.tangential_trace(ud), su.xi, su.dxi, su.ctx)
     tf = time.perf_counter()
     return state, us, ud, ((tb - ta) + (td - tc), (tc - tb) + (te - td), tf - te)
 
 
-def _run(ctx, groups, mesh_s, mesh_d, pairing, bc, per_sample_stop):
-    """The spaces, then per group of samples (contexts whose samples, in
-    order, are the samples of `ctx`) its set-up and sweeps of its active
-    samples; one report for all."""
+def _run(ctx, size, mesh_s, mesh_d, pairing, bc, per_sample_stop):
+    """The spaces, then per group of `size` consecutive samples of `ctx`
+    its set-up and sweeps of its active samples; one report for all."""
     nfact0 = factorization_count()
     t0 = time.perf_counter()
     space_s = build_stokes_space(mesh_s, dirichlet_tags=bc.stokes_dirichlet_tags,
@@ -341,11 +347,11 @@ def _run(ctx, groups, mesh_s, mesh_d, pairing, bc, per_sample_stop):
     t_factor = t_solve = t_norm = 0.0
     t_phases = np.zeros(3)      # right-hand sides, block solves, trace updates
     lu_nnz = 0
-    stop = 0
-    for group in groups:
-        start, stop = stop, stop + group.J
+    for start in range(0, J, size):
+        stop = min(start + size, J)
         t0 = time.perf_counter()
-        su = _setup(group, space_s, space_d, pairing, bc, range(start, stop))
+        su = _setup(ctx, ctx.samples[start:stop], space_s, space_d, pairing, bc,
+                    range(start, stop))
         dt_factor = su.op_s.factor_seconds + su.op_d.factor_seconds
         t_assembly += time.perf_counter() - t0 - dt_factor
         t_factor += dt_factor
@@ -361,10 +367,10 @@ def _run(ctx, groups, mesh_s, mesh_d, pairing, bc, per_sample_stop):
                 ids = ids[keep]
                 su = replace(su, base_s=su.base_s[:, keep], base_d=su.base_d[:, keep],
                              fixed_s=su.fixed_s[:, keep], dW=su.dW[:, keep],
-                             dk=su.dk[keep], xi=su.xi[keep])
+                             dk=su.dk[keep], xi=su.xi[keep], dxi=su.dxi[keep])
             # state and solutions span all samples: a plain slice while every
             # sample of the group is active keeps their blocks views
-            act = ids if len(ids) < group.J else slice(start, stop)
+            act = ids if len(ids) < stop - start else slice(start, stop)
 
             new, us_new, ud_new, dt = sweep(su, RobinTraceState(*(b[:, act] for b in state)),
                                             ud[:space_d.n_velocity, act])
@@ -414,8 +420,8 @@ def _monolithic_system(report, ctx, bc, j):
     sample = ctx.samples[j]
     nS, nD = space_s.n_dofs, space_d.n_dofs
     n2 = 2 * pairing.n_pairs
-    info_s = space_s.interface_info(pairing)
-    info_d = space_d.interface_info(pairing)
+    info_s = StokesInterfaceInfo(space_s, pairing)
+    info_d = DarcyInterfaceInfo(space_d, pairing)
     # the Darcy operators act on velocity dofs only: zero head columns
     heads = sp.csr_matrix((n2, nD - space_d.n_velocity))
     normal, tangential = (sp.hstack([op, heads]) for op in (info_d.normal, info_d.tangential))

@@ -45,8 +45,8 @@ class KLConductivity(ConductivityField):
 
 
 class MeanInverseField:
-    """Pointwise ensemble mean of the sample inverse tensors (the operator
-    coefficient); not itself a conductivity."""
+    """Pointwise ensemble mean of the sample inverse tensors, the reference
+    of make_context's spread check; not itself a conductivity."""
 
     def __init__(self, samples):
         if len(samples) == 0:

@@ -31,9 +31,10 @@ def init_state(ctx, pairing):
     return RobinTraceState(*(np.zeros(shape) for _ in range(3)))
 
 
-def update_robin(state, us_n, us_tau, ud_n, ud_tau, xi, ctx):
+def update_robin(state, us_n, us_tau, ud_n, ud_tau, xi, dxi, ctx):
     """The next state of some sample columns from their `state` and new
-    subdomain traces, with `xi` the columns' slip coefficients:
+    subdomain traces, with `xi` the columns' slip coefficients and `dxi`
+    their deviations xi_bar - xi_j from the mean of their group:
 
         g_D^new   = g_S + (delta_S + delta_D) u_S.n_S + g z
         g_S^new   = g_D + (delta_S + delta_D) u_D.n_D - g z
@@ -46,7 +47,7 @@ def update_robin(state, us_n, us_tau, ud_n, ud_tau, xi, ctx):
     gz = ctx.g * ctx.z
     return RobinTraceState(g_S=state.g_D + dsum * ud_n - gz,
                            g_D=state.g_S + dsum * us_n + gz,
-                           g_tau=-xi * ud_tau - (ctx.xi_bar - xi) * us_tau)
+                           g_tau=-xi * ud_tau - dxi * us_tau)
 
 
 def stopping_norm(space_s, space_d, prev_us, new_us, prev_ud, new_ud):

@@ -96,7 +96,6 @@ class StokesSpace:
 
         self._precompute()
         self.component_mass = self._component_mass()
-        self._interface_info = None
 
     def _precompute(self):
         mesh = self.mesh
@@ -137,13 +136,6 @@ class StokesSpace:
         """L2 norm of the velocity part of a full dof vector."""
         return float(np.sqrt(self.velocity_sq(vec)))
 
-    def interface_info(self, pairing):
-        """The interface operators of `pairing`, built on first use."""
-        info = self._interface_info
-        if info is None or info.pairing is not pairing:
-            info = self._interface_info = StokesInterfaceInfo(self, pairing)
-        return info
-
 
 def build_stokes_space(mesh, dirichlet_tags=None, pressure_multiplier=True):
     """Construct the MINI space on a tagged mesh.
@@ -166,7 +158,6 @@ class StokesInterfaceInfo:
     """
 
     def __init__(self, space, pairing):
-        self.pairing = pairing
         n2 = 2 * pairing.n_pairs
         nodes = pairing.nodes_s.ravel()
         rows, cols, vals = [], [], []
@@ -234,7 +225,7 @@ def stokes_matrix(space, nu, delta_s, xi, pairing):
         cols += [mdof, pd.ravel()]
         vals += [m, -m]
     # interface Robin and tangential-slip terms (P1 traces only)
-    trace = space.interface_info(pairing).trace
+    trace = StokesInterfaceInfo(space, pairing).trace
     mass = interface_mass(pairing)
     robin = (trace.T @ sp.block_diag((delta_s * mass, xi * mass)) @ trace).tocoo()
     rows.append(robin.row)
@@ -264,16 +255,16 @@ def assemble_stokes_volume_rhs(space, f_S):
     return rhs
 
 
-def add_interface_rhs(rhs, space, pairing, g_n, g_tau):
+def add_interface_rhs(rhs, iface, g_n, g_tau):
     """Accumulate -<g_n, v.n_S> - <g_tau, v.tau> for per-pair linear traces
-    given by endpoint values: (2 n_pairs,) into a vector, or (2 n_pairs, k)
-    into the columns of an (n_dofs, k) block."""
-    rhs += space.interface_info(pairing).load @ np.concatenate([g_n, g_tau])
+    given by endpoint values, with `iface` the StokesInterfaceInfo:
+    (2 n_pairs,) into a vector, or (2 n_pairs, k) into the columns of an
+    (n_dofs, k) block."""
+    rhs += iface.load @ np.concatenate([g_n, g_tau])
     return rhs
 
 
-def interface_traces(space, pairing, vec):
+def interface_traces(iface, vec):
     """(u.n_S, u.tau) at the x-ordered pair endpoints: (2 n_pairs,) each for
     a dof vector, (2 n_pairs, k) each for an (n_dofs, k) block."""
-    t = space.interface_info(pairing).trace @ vec
-    return t[:2 * pairing.n_pairs], t[2 * pairing.n_pairs:]
+    return np.split(iface.trace @ vec, 2)

@@ -19,7 +19,7 @@ from ensddm.mesh import Rect, build_rect_mesh, pair_interface
 from ensddm.quadrature import triangle_rule
 from ensddm.random_field import RandomFieldSpec, draw_samples
 from ensddm.stokes_fem import (build_stokes_space, add_interface_rhs, interface_traces,
-                               edge_mass, interface_mass)
+                               edge_mass, interface_mass, StokesInterfaceInfo)
 
 
 def stokes_below():
@@ -160,22 +160,23 @@ def rel(a, b):
 def test_stokes_load_and_trace_match_per_pair_loops(geometry):
     ms, _, pairing = MESHES[geometry]()
     space = build_stokes_space(ms)
+    info = StokesInterfaceInfo(space, pairing)
     rng = np.random.default_rng(11)
     k = 3
     g_n = rng.standard_normal((2 * pairing.n_pairs, k))
     g_tau = rng.standard_normal((2 * pairing.n_pairs, k))
-    block = add_interface_rhs(np.zeros((space.n_dofs, k)), space, pairing, g_n, g_tau)
+    block = add_interface_rhs(np.zeros((space.n_dofs, k)), info, g_n, g_tau)
     full = rng.standard_normal((space.n_dofs, k))
-    tn, tt = interface_traces(space, pairing, full)
+    tn, tt = interface_traces(info, full)
     assert tn.shape == tt.shape == (2 * pairing.n_pairs, k)
     for j in range(k):
         want = oracle_stokes_rhs(space, pairing, g_n[:, j], g_tau[:, j])
         assert rel(block[:, j], want) <= 1e-14
-        one = add_interface_rhs(np.zeros(space.n_dofs), space, pairing, g_n[:, j], g_tau[:, j])
+        one = add_interface_rhs(np.zeros(space.n_dofs), info, g_n[:, j], g_tau[:, j])
         assert rel(one, want) <= 1e-14
         wn, wt = oracle_stokes_traces(space, pairing, full[:, j])
         assert rel(tn[:, j], wn) <= 1e-14 and rel(tt[:, j], wt) <= 1e-14
-        vn, vt = interface_traces(space, pairing, full[:, j])
+        vn, vt = interface_traces(info, full[:, j])
         assert rel(vn, wn) <= 1e-14 and rel(vt, wt) <= 1e-14
 
 
@@ -254,7 +255,7 @@ def test_darcy_block_and_velocity_mass_match_element_oracle(geometry, field):
     W_full = oracle_inv_tensor(K, pts).reshape(md.n_tris, len(space.qw), 2, 2)
     weight = inverse_diagonal(space, K)
     block = darcy_matrix(space, g, weight, k_min, delta_d, pairing)[:nv, :nv]
-    normal = space.interface_info(pairing).normal
+    normal = DarcyInterfaceInfo(space, pairing).normal
     robin = normal.T @ (delta_d * interface_mass(pairing)) @ normal
     assert rel(block, oracle_form(space, g, W_full, k_min) + robin) <= 1e-14
     unit = np.broadcast_to(np.eye(2), W_full.shape)

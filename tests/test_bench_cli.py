@@ -71,7 +71,7 @@ def test_parse_rejects_bad_input():
                        ("h_list", "nan"), ("h_list", "inf"), ("h_list", "5"),
                        ("h_list", "0.25, nan"), ("delta_s", "nan"), ("nu", "inf"),
                        ("tol", "nan"), ("k_list", "inf"), ("field_sigma", "nan"),
-                       ("delta_d", "-inf"), ("sweep_delta_s", "nan"),
+                       ("delta_d", "-inf"), ("sweep_delta_s", "nan"), ("out", ""),
                        # method names are attributes but not config keys
                        ("validate", "1"), ("field_spec", "1")]:
         with pytest.raises(ConfigError):
@@ -248,13 +248,15 @@ def test_cli_sweep_and_symbol(tmp_path, capsys):
                           ("h_list = 0.25\nsweep_delta_s = -1\n", "sweep"),
                           ("h_list = nan\n", "converge"), ("h_list = inf\n", "converge"),
                           ("h_list = 5\n", "converge"), ("delta_s = nan\n", "converge"),
-                          ("nu = inf\n", "converge"), ("tol = nan\n", "converge")],
+                          ("nu = inf\n", "converge"), ("tol = nan\n", "converge"),
+                          ("out =\n", "converge"), ("h_list = 0.25, 0.125\n", "mc")],
                          ids=["J = abc\n", "no_such_key = 1\n", "mc h_list =\n",
                               "mc J_list = 0, 2", "mc J_list = -1", "converge k_list = -1",
                               "sweep sweep_delta_s = -1", "converge h_list = nan",
                               "converge h_list = inf", "converge h_list = 5",
                               "converge delta_s = nan", "converge nu = inf",
-                              "converge tol = nan"])
+                              "converge tol = nan", "converge out =",
+                              "mc h_list = 0.25, 0.125"])
 def test_cli_bad_config_is_an_error_not_a_traceback(tmp_path, capsys, text, command):
     cfgfile = tmp_path / "bad.cfg"
     cfgfile.write_text(text)

@@ -5,7 +5,7 @@ import scipy.sparse
 from ensddm.mesh import Rect, build_rect_mesh, pair_interface
 from ensddm.darcy_fem import (build_darcy_space, assemble_darcy_operator,
                               assemble_darcy_volume_rhs, add_darcy_interface_rhs,
-                              inverse_diagonal, darcy_matrix)
+                              inverse_diagonal, darcy_matrix, DarcyInterfaceInfo)
 from ensddm.stokes_fem import edge_mass
 from ensddm.fields import ConstantConductivity
 from ensddm.manufactured import ManufacturedSolution
@@ -95,7 +95,7 @@ def test_local_robin_block():
     a1 = darcy_matrix(sp, 1.0, W, 1.0, 1.0, pairing).toarray()
     a2 = darcy_matrix(sp, 1.0, W, 1.0, 4.0, pairing).toarray()
     diff = (a2 - a1) / 3.0
-    d = sp.interface_info(pairing).normal[:2].indices    # the edge dofs of pair 0
+    d = DarcyInterfaceInfo(sp, pairing).normal[:2].indices    # the edge dofs of pair 0
     np.testing.assert_allclose(diff[np.ix_(d, d)], edge_mass(1.0), atol=1e-14)
     diff[np.ix_(d, d)] = 0.0
     assert np.abs(diff).max() < 1e-14
@@ -184,7 +184,7 @@ def _solve_subproblem(n, k=2.21, delta_d=2.0, g=1.0):
     pts = np.column_stack([xs, np.zeros_like(xs)])
     # g phi_D - delta_d u_D.n_D at y = 0, n_D = (0, 1)
     g_D = g * exact.phi_D(pts) - delta_d * exact.u_D(pts)[:, 1]
-    add_darcy_interface_rhs(rhs, sp.interface_info(pairing), g_D)
+    add_darcy_interface_rhs(rhs, DarcyInterfaceInfo(sp, pairing), g_D)
     gdir = np.zeros(sp.n_dofs)
     edges = sp.essential_edges
     a, b = md.edges[edges, 0], md.edges[edges, 1]

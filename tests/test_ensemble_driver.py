@@ -43,8 +43,8 @@ def small_setup(k_list=(2.21,), h=1 / 8, tol=1e-6, max_iters=200, delta_s=1.0):
 def test_make_context_single_sample():
     s = make_sample(ConstantConductivity(2.21), alpha=1.0)
     ctx, diag = make_context([s])
-    assert ctx.xi_bar == s.xi
-    assert ctx.kbar_min == s.k_min
+    assert diag.xi_bar == s.xi
+    assert diag.kbar_min == s.k_min
     assert diag.E_xi_max == 0.0 and diag.E_k_max == 0.0
     assert diag.small_perturbation_ok is True
 
@@ -53,8 +53,8 @@ def test_make_context_reference_means():
     samples = [make_sample(ConstantConductivity(k)) for k in (2.21, 4.11, 6.21)]
     ctx, diag = make_context(samples)
     expect = (1 / 2.21 + 1 / 4.11 + 1 / 6.21) / 3
-    assert ctx.kbar_min == pytest.approx(expect, rel=1e-12)
-    assert ctx.kbar_min == pytest.approx(0.28561, abs=5e-6)
+    assert diag.kbar_min == pytest.approx(expect, rel=1e-12)
+    assert diag.kbar_min == pytest.approx(0.28561, abs=5e-6)
     assert samples[0].xi == pytest.approx(1 / np.sqrt(2.21), rel=1e-12)
     assert samples[0].xi == pytest.approx(0.67267, abs=5e-6)
     assert diag.small_perturbation_ok
@@ -71,7 +71,8 @@ def test_make_context_rejects_empty_and_warns_on_large_spread():
     one = [make_sample(ConstantConductivity(2.21))]
     for bad in (dict(tol=np.nan), dict(tol=-1.0), dict(tol=0.0), dict(tol=np.inf),
                 dict(max_iters=0), dict(max_iters=2.5), dict(max_iters=3.0),
-                dict(delta_s=np.nan), dict(delta_d=np.nan)):
+                dict(delta_s=np.nan), dict(delta_d=np.nan), dict(delta_s=np.inf),
+                dict(z=np.nan), dict(z=np.inf), dict(nu=0.0), dict(g=np.inf)):
         with pytest.raises(ValueError):
             make_context(one, **bad)
     ctx, _ = make_context(one, max_iters=np.int64(3))
@@ -93,7 +94,7 @@ def oracle_diagnostics(samples):
         m11, m22 = kbar_field.inv_diag(pts[:, 1])
         tilde = max(np.abs(i11 - m11).max(), np.abs(i22 - m22).max())
         E_k = max(E_k, tilde, abs(s.k_min - kbar_min))
-    return EnsembleDiagnostics(E_xi_max=E_xi, E_k_max=E_k,
+    return EnsembleDiagnostics(xi_bar=xi_bar, kbar_min=kbar_min, E_xi_max=E_xi, E_k_max=E_k,
                                small_perturbation_ok=bool(xi_bar > E_xi and kbar_min > E_k))
 
 
@@ -198,11 +199,12 @@ def test_lu_nnz_counts_both_factors_and_sums_over_baseline_samples():
     from ensddm.darcy_fem import assemble_darcy_operator, inverse_diagonal
     from ensddm.stokes_fem import assemble_stokes_operator
 
-    ctx, _, mesh_s, mesh_d, pairing, bc, _ = small_setup(k_list=(2.21, 4.11))
+    ctx, diag, mesh_s, mesh_d, pairing, bc, _ = small_setup(k_list=(2.21, 4.11))
     rep = run_ensemble_ddm(ctx, mesh_s, mesh_d, pairing, bc)
-    op_s = assemble_stokes_operator(rep.space_s, ctx.nu, ctx.delta_s, ctx.xi_bar, pairing)
-    op_d = assemble_darcy_operator(rep.space_d, ctx.g, inverse_diagonal(rep.space_d, ctx.kbar_field),
-                                   ctx.kbar_min, ctx.delta_d, pairing)
+    kbar_w = inverse_diagonal(rep.space_d, MeanInverseField([s.K for s in ctx.samples]))
+    op_s = assemble_stokes_operator(rep.space_s, ctx.nu, ctx.delta_s, diag.xi_bar, pairing)
+    op_d = assemble_darcy_operator(rep.space_d, ctx.g, kbar_w, diag.kbar_min, ctx.delta_d,
+                                   pairing)
     assert rep.lu_nnz == op_s.factorization.nnz + op_d.factorization.nnz > 0
     trad = run_traditional_ddm(ctx, mesh_s, mesh_d, pairing, bc)
     singles = [make_context([s], nu=ctx.nu, g=ctx.g, z=ctx.z, alpha=ctx.alpha,
@@ -235,31 +237,50 @@ def test_baseline_is_its_single_sample_ensemble_runs_bitwise(per_sample_stop):
     assert trad.lu_nnz == lu_nnz
 
 
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    fn = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *a, **kw: calls.append(1) or fn(*a, **kw))
+    return calls
+
+
 def test_baseline_builds_each_space_once(monkeypatch):
     from ensddm import ensemble_driver
     ctx, _, mesh_s, mesh_d, pairing, bc, _ = small_setup(k_list=(2.21, 4.11, 6.21))
-    calls = []
-
-    def counted(build):
-        def wrapper(*args, **kwargs):
-            calls.append(build.__name__)
-            return build(*args, **kwargs)
-        return wrapper
-
-    for name in ("build_stokes_space", "build_darcy_space"):
-        monkeypatch.setattr(ensemble_driver, name, counted(getattr(ensemble_driver, name)))
+    calls = [_count_calls(monkeypatch, ensemble_driver, name)
+             for name in ("build_stokes_space", "build_darcy_space")]
     run_traditional_ddm(ctx, mesh_s, mesh_d, pairing, bc)
-    assert sorted(calls) == ["build_darcy_space", "build_stokes_space"]
+    assert [len(c) for c in calls] == [1, 1]
 
 
-def test_mean_inverse_field_evaluated_once_per_run(monkeypatch):
-    # the shared matrix and the lag weights use the same evaluation
+def test_inverse_diagonal_evaluated_once_per_sample(monkeypatch):
+    # the group means and the lag weights share each sample's evaluation
+    from ensddm import ensemble_driver
+    ctx, _, mesh_s, mesh_d, pairing, bc, _ = small_setup(k_list=(2.21, 4.11, 6.21))
+    calls = _count_calls(monkeypatch, ensemble_driver, "inverse_diagonal")
+    for run in (run_ensemble_ddm, run_traditional_ddm):
+        calls.clear()
+        run(ctx, mesh_s, mesh_d, pairing, bc)
+        assert len(calls) == ctx.J
+
+
+def test_baseline_makes_no_context(monkeypatch):
+    from ensddm import ensemble_driver
     ctx, _, mesh_s, mesh_d, pairing, bc, _ = small_setup(k_list=(2.21, 4.11))
-    calls = []
-    inv_diag = ctx.kbar_field.inv_diag
-    monkeypatch.setattr(ctx.kbar_field, "inv_diag", lambda y: calls.append(y) or inv_diag(y))
-    run_ensemble_ddm(ctx, mesh_s, mesh_d, pairing, bc)
-    assert len(calls) == 1
+    calls = _count_calls(monkeypatch, ensemble_driver, "make_context")
+    run_traditional_ddm(ctx, mesh_s, mesh_d, pairing, bc)
+    assert not calls
+
+
+def test_one_sample_group_has_zero_lag_weights():
+    # a one-sample group's means are the sample's own coefficients
+    mesh_s, mesh_d, pairing = channel_meshes(1 / 4)
+    samples, _, _ = channel_samples(ScenarioConfig(J=3), mesh_d)
+    ctx, _ = make_context(samples)
+    bc = channel_bc()
+    su = _setup(ctx, ctx.samples[1:2], *spaces(mesh_s, mesh_d, bc), pairing, bc, range(1, 2))
+    assert su.dW.shape[1] == su.dk.size == su.dxi.size == 1
+    assert not su.dW.any() and not su.dk.any() and not su.dxi.any()
 
 
 def test_single_sample_reduction_is_bitwise():
@@ -456,7 +477,7 @@ def test_sweep_continues_a_cut_run_bitwise():
     cut, full = (run_ensemble_ddm(replace(ctx, max_iters=m), mesh_s, mesh_d, pairing, bc)
                  for m in (n, n + 1))
     assert not full.converged.any()
-    su = _setup(ctx, *spaces(mesh_s, mesh_d, bc), pairing, bc, range(ctx.J))
+    su = _setup(ctx, ctx.samples, *spaces(mesh_s, mesh_d, bc), pairing, bc, range(ctx.J))
     state, us, ud, _ = sweep(su, cut.state, cut.ud.T[:su.space_d.n_velocity])
     assert np.array_equal(us, full.us.T)
     assert np.array_equal(ud, full.ud.T)
@@ -469,7 +490,7 @@ def test_sweep_is_affine():
     samples, _, _ = channel_samples(ScenarioConfig(J=2), mesh_d)
     ctx, _ = make_context(samples, delta_s=1.0, delta_d=2.0)
     bc = channel_bc()
-    su = _setup(ctx, *spaces(mesh_s, mesh_d, bc), pairing, bc, range(ctx.J))
+    su = _setup(ctx, ctx.samples, *spaces(mesh_s, mesh_d, bc), pairing, bc, range(ctx.J))
     rng = np.random.default_rng(5)
     shape = (2 * pairing.n_pairs, ctx.J)
     x, y = (RobinTraceState(*rng.standard_normal((3,) + shape)) for _ in range(2))

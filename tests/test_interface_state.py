@@ -32,6 +32,11 @@ def xis(ctx):
     return np.array([s.xi for s in ctx.samples])
 
 
+def dxis(ctx):
+    """Slip deviations, mean minus sample, as a run's set-up forms them."""
+    return sum(s.xi for s in ctx.samples) / ctx.J - xis(ctx)
+
+
 def zeros(ctx, pairing):
     return np.zeros((2 * pairing.n_pairs, ctx.J))
 
@@ -39,7 +44,7 @@ def zeros(ctx, pairing):
 def test_zero_stays_zero():
     ctx, pairing = setup(J=1)
     z = zeros(ctx, pairing)
-    st = update_robin(init_state(ctx, pairing), z, z, z, z, xis(ctx), ctx)
+    st = update_robin(init_state(ctx, pairing), z, z, z, z, xis(ctx), dxis(ctx), ctx)
     assert not st.g_S.any() and not st.g_D.any() and not st.g_tau.any()
 
 
@@ -49,10 +54,10 @@ def test_constant_propagates_across_interface():
     c = 0.8
     st.g_S[:, 0].fill(c)
     z = zeros(ctx, pairing)
-    st = update_robin(st, z, z, z, z, xis(ctx), ctx)
+    st = update_robin(st, z, z, z, z, xis(ctx), dxis(ctx), ctx)
     np.testing.assert_allclose(st.g_D[:, 0], c)
     np.testing.assert_allclose(st.g_S[:, 0], 0.0)
-    st = update_robin(st, z, z, z, z, xis(ctx), ctx)
+    st = update_robin(st, z, z, z, z, xis(ctx), dxis(ctx), ctx)
     # the value ping-pongs: after two sweeps it is back on the g_S side
     np.testing.assert_allclose(st.g_S[:, 0], c)
     np.testing.assert_allclose(st.g_D[:, 0], 0.0)
@@ -62,14 +67,14 @@ def test_update_weights():
     ctx, pairing = setup(J=1, delta_s=1.0, delta_d=2.0, g=1.0, z=0.0)
     z = zeros(ctx, pairing)
     us_n = np.full_like(z, 0.5)
-    st = update_robin(init_state(ctx, pairing), us_n, z, z, z, xis(ctx), ctx)
+    st = update_robin(init_state(ctx, pairing), us_n, z, z, z, xis(ctx), dxis(ctx), ctx)
     np.testing.assert_allclose(st.g_D[:, 0], (1.0 + 2.0) * 0.5)
 
 
 def test_gz_offset():
     ctx, pairing = setup(J=1, g=2.0, z=0.25)
     z = zeros(ctx, pairing)
-    st = update_robin(init_state(ctx, pairing), z, z, z, z, xis(ctx), ctx)
+    st = update_robin(init_state(ctx, pairing), z, z, z, z, xis(ctx), dxis(ctx), ctx)
     np.testing.assert_allclose(st.g_D[:, 0], 2.0 * 0.25)
     np.testing.assert_allclose(st.g_S[:, 0], -2.0 * 0.25)
 
@@ -79,7 +84,7 @@ def test_tangential_update_uses_sample_coefficient():
     z = zeros(ctx, pairing)
     ud_tau = z.copy()
     ud_tau[:, 1] = 1.0
-    st = update_robin(init_state(ctx, pairing), z, z, z, ud_tau, xis(ctx), ctx)
+    st = update_robin(init_state(ctx, pairing), z, z, z, ud_tau, xis(ctx), dxis(ctx), ctx)
     np.testing.assert_allclose(st.g_tau[:, 1], -ctx.samples[1].xi)
     assert not st.g_tau[:, 0].any()
 
@@ -91,16 +96,17 @@ def test_block_update_matches_column_updates():
     start = RobinTraceState(*rng.standard_normal((3, n2, 3)))
     traces = rng.standard_normal((4, n2, 2))
     idx = np.array([0, 2])
-    xi = xis(ctx)
-    block = update_robin(RobinTraceState(*(b[:, idx] for b in start)), *traces, xi[idx], ctx)
+    xi, dxi = xis(ctx), dxis(ctx)
+    block = update_robin(RobinTraceState(*(b[:, idx] for b in start)), *traces,
+                         xi[idx], dxi[idx], ctx)
     for k, j in enumerate(idx):
         col = update_robin(RobinTraceState(*(b[:, j] for b in start)),
-                           *traces[:, :, k], xi[j], ctx)
+                           *traces[:, :, k], xi[j], dxi[j], ctx)
         for got, want in zip(block, col):
             np.testing.assert_array_equal(got[:, k], want)
     us_tau, ud_tau = traces[1, :, 1], traces[3, :, 1]
     np.testing.assert_array_equal(block.g_tau[:, 1],
-                                  -xi[2] * ud_tau - (ctx.xi_bar - xi[2]) * us_tau)
+                                  -xi[2] * ud_tau - dxi[2] * us_tau)
     np.testing.assert_array_equal(block.g_D[:, 1],
                                   start.g_S[:, 2] + 3.0 * traces[0, :, 1] + 1.5 * 0.5)
 
@@ -110,9 +116,10 @@ def test_lagged_fields_replaced():
     # of its sample, and only the latest trace counts
     ctx, pairing = setup(J=2)
     z = zeros(ctx, pairing)
-    st = update_robin(init_state(ctx, pairing), z, np.full_like(z, 7.0), z, z, xis(ctx), ctx)
-    st = update_robin(st, z, np.full_like(z, 2.5), z, z, xis(ctx), ctx)
-    lag = ctx.xi_bar - xis(ctx)
+    st = init_state(ctx, pairing)
+    for us_tau in (7.0, 2.5):
+        st = update_robin(st, z, np.full_like(z, us_tau), z, z, xis(ctx), dxis(ctx), ctx)
+    lag = dxis(ctx)
     assert np.all(lag != 0.0)
     np.testing.assert_array_equal(st.g_tau, np.broadcast_to(-lag * 2.5, z.shape))
 

@@ -5,7 +5,7 @@ import scipy.sparse
 from ensddm.mesh import Rect, build_rect_mesh, pair_interface
 from ensddm.stokes_fem import (build_stokes_space, assemble_stokes_operator,
                                assemble_stokes_volume_rhs, add_interface_rhs,
-                               edge_mass, stokes_matrix)
+                               edge_mass, stokes_matrix, StokesInterfaceInfo)
 from ensddm.manufactured import ManufacturedSolution
 from ensddm.norms import stokes_errors
 
@@ -173,7 +173,7 @@ def _solve_subproblem(n, k=2.21, nu=1.0, delta_s=1.0):
     op = assemble_stokes_operator(sp, nu, delta_s, xi, pairing)
     rhs = assemble_stokes_volume_rhs(sp, exact.f_S)
     g_n, g_t = _robin_data(exact, ms, pairing, delta_s, xi)
-    add_interface_rhs(rhs, sp, pairing, g_n=g_n, g_tau=g_t)
+    add_interface_rhs(rhs, StokesInterfaceInfo(sp, pairing), g_n=g_n, g_tau=g_t)
     gdir = np.zeros(sp.n_dofs)
     pts = ms.verts[sp.dirichlet_nodes]
     vals = exact.u_S(pts)
@@ -221,7 +221,8 @@ def test_velocity_solution_invariant_under_joint_scaling():
         op = assemble_stokes_operator(sp, scale * 1.0, scale * 1.0, scale * xi, pairing)
         g_n, g_t = _robin_data(exact, ms, pairing, 1.0, xi)
         rhs = np.zeros(sp.n_dofs)
-        add_interface_rhs(rhs, sp, pairing, g_n=scale * g_n, g_tau=scale * g_t)
+        add_interface_rhs(rhs, StokesInterfaceInfo(sp, pairing), g_n=scale * g_n,
+                          g_tau=scale * g_t)
         solutions.append(op.solve(rhs[sp.free], 0.0))
     u1, u2 = solutions[0][:sp.n_velocity], solutions[1][:sp.n_velocity]
     p1, p2 = (s[sp.n_velocity:sp.n_velocity + sp.n_pressure] for s in solutions)

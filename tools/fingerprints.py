@@ -1,0 +1,100 @@
+"""Bitwise fingerprints of the benchmark runs, for comparing two commits.
+
+Run from the root of a checkout:
+
+    python3 tools/fingerprints.py --seeds 20240901 7 > fingerprints.txt
+
+For every seed it builds the inputs of each workload of ensbench/workload.py
+(through its `setup`; the module is loaded from its file and writes no
+bytecode) and runs both drivers in both stop modes on them.  Each run prints
+one line with a 16-hex sha256 over the solutions, the iteration counts and
+convergence flags, the three trace-state blocks, the stopping-norm
+histories, the factorization count and the LU fill.  One more line per seed
+holds the digest of channel_mc's residual-check values, from the run the
+benchmark itself checks.  Two checkouts give bitwise equal outputs on these
+inputs when their outputs `diff` equal.
+
+`--tiny` uses the benchmark's smoke-test size (h=1/4, J=2).
+"""
+
+import argparse
+import dataclasses
+import hashlib
+import importlib.util
+import sys
+from pathlib import Path
+
+import numpy as np
+
+STOP_MODES = (("lockstep", False), ("per_sample", True))
+
+
+def load_workload(root):
+    """ensbench/workload.py of the checkout at `root`, with the checkout's
+    package first on the path."""
+    sys.dont_write_bytecode = True
+    sys.path[:0] = [str(root / "src"), str(root / "ensbench")]
+    spec = importlib.util.spec_from_file_location("ensbench_workload",
+                                                  root / "ensbench" / "workload.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def digest(arrays):
+    """16 hex digits of the sha256 over dtype, shape and bytes of each array."""
+    h = hashlib.sha256()
+    for a in arrays:
+        a = np.ascontiguousarray(a)
+        h.update(f"{a.dtype.str}{a.shape}".encode())
+        h.update(a.tobytes())
+    return h.hexdigest()[:16]
+
+
+def report_arrays(report):
+    yield report.us
+    yield report.ud
+    yield np.asarray(report.iterations)
+    yield np.asarray(report.converged)
+    yield from report.state
+    for hist in report.norm_history:
+        yield np.array(hist, dtype=np.float64)
+    yield np.array([report.n_factorizations, report.lu_nnz], dtype=np.int64)
+
+
+def fingerprint_lines(wl, seed, tiny=False):
+    ensemble_driver = wl.ensemble_driver
+    drivers = (("ensemble", ensemble_driver.run_ensemble_ddm),
+               ("traditional", ensemble_driver.run_traditional_ddm))
+    for name in sorted(wl.WORKLOADS):
+        w = wl.WORKLOADS[name]
+        if tiny:
+            w = dataclasses.replace(w, **wl.TINY)
+        case = wl.setup(w, seed)
+        checked = None
+        for driver, run in drivers:
+            for mode, stop in STOP_MODES:
+                report = run(case.ctx, case.mesh_s, case.mesh_d, case.pairing, case.bc,
+                             per_sample_stop=stop)
+                yield f"{name} seed={seed} {driver} {mode} {digest(report_arrays(report))}"
+                if (driver == "traditional") == w.per_sample and stop == w.per_sample_stop:
+                    checked = report
+        if w.geometry == "channel":
+            res = ensemble_driver.check_converged_residual(checked, case.ctx, case.bc)
+            yield f"{name} seed={seed} residual {digest([res])}"
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--seeds", type=int, nargs="+", default=[20240901])
+    ap.add_argument("--tiny", action="store_true", help="smoke-test size h=1/4, J=2")
+    args = ap.parse_args(argv)
+    wl = load_workload(Path.cwd())
+    for seed in args.seeds:
+        for line in fingerprint_lines(wl, seed, args.tiny):
+            print(line, flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
