@@ -41,7 +41,7 @@ from . import quadrature
 CSV_COLUMNS = ["scenario", "h", "j", "iterations", "err_us_l2", "err_us_h1",
                "err_ps_l2", "err_phid_l2", "err_ud_l2", "err_ud_div",
                "t_assemble_ms", "t_factor_ms", "t_solve_ms", "t_rhs_ms", "t_trisolve_ms",
-               "t_trace_ms", "t_norm_ms", "lu_nnz", "converged"]
+               "t_trace_ms", "t_norm_ms", "lu_nnz", "lag_ratio", "converged"]
 
 SCENARIOS = ("manufactured", "small_k", "channel_mc", "symbol_sweep")
 
@@ -315,7 +315,8 @@ def _result_rows(cfg, h, report, exacts):
         tab = error_norms(report.space_s, report.space_d, report.us[j], report.ud[j],
                           exacts[j], h, j=j, iterations=int(report.iterations[j]))
         rows.append(dict(scenario=cfg.scenario, **asdict(tab), **timers,
-                         lu_nnz=report.lu_nnz, converged=bool(report.converged[j])))
+                         lu_nnz=report.lu_nnz, lag_ratio=float(report.lag_ratio[j]),
+                         converged=bool(report.converged[j])))
     return rows
 
 

@@ -18,7 +18,6 @@ from functools import partial
 import numpy as np
 import scipy.sparse as sp
 
-from .fields import MeanInverseField
 from .sparsela import factorization_count
 from .stokes_fem import (build_stokes_space, assemble_stokes_operator,
                          assemble_stokes_volume_rhs, add_interface_rhs,
@@ -38,8 +37,7 @@ class SampleParams:
     f_S: object                  # callable (n,2) points -> (n,2)
     f_D: object                  # callable (n,2) points -> (n,)
     xi: float                    # alpha / sqrt(tau . K tau) on the interface
-    k_min: float                 # min eigenvalue of K^{-1} over the domain
-    scan_points: np.ndarray = None   # points used to derive k_min
+    k_min: float                 # min eigenvalue of K^{-1} over the scan points
 
 
 def zero_vector_field(points):
@@ -59,6 +57,8 @@ def make_sample(K, f_S=None, f_D=None, alpha=1.0, interface_y=0.0, scan_points=N
     `scan_points` should cover the porous subdomain (e.g. the assembly
     quadrature points); the smallest eigenvalue is taken over that scan.
     """
+    if not 0 <= alpha < np.inf:     # NaN fails this too
+        raise ValueError("alpha must be non-negative and finite")
     if scan_points is None:
         scan_points = np.array([[0.0, interface_y]])
     scan_points = np.atleast_2d(scan_points)
@@ -71,19 +71,16 @@ def make_sample(K, f_S=None, f_D=None, alpha=1.0, interface_y=0.0, scan_points=N
     k_min = float(min((1.0 / k11).min(), (1.0 / k22).min()))
     xi = float(alpha / np.sqrt(k_tau))
     return SampleParams(K=K, f_S=f_S or zero_vector_field, f_D=f_D or zero_scalar_field,
-                        xi=xi, k_min=k_min, scan_points=scan_points)
+                        xi=xi, k_min=k_min)
 
 
 @dataclass
 class EnsembleDiagnostics:
-    """Spread of the sample coefficients against the ensemble means; the
-    iteration theory assumes the means dominate the spread."""
+    """The ensemble means over all samples.  Each group's set-up compares
+    its samples with its own means (`SolveReport.lag_ratio`)."""
 
     xi_bar: float                # mean slip coefficient
     kbar_min: float              # mean smallest inverse-tensor eigenvalue
-    E_xi_max: float
-    E_k_max: float
-    small_perturbation_ok: bool
 
 
 @dataclass
@@ -108,10 +105,9 @@ class EnsembleContext:
 
 def make_context(samples, nu=1.0, g=1.0, z=0.0, alpha=1.0,
                  delta_s=1.0, delta_d=2.0, tol=1e-6, max_iters=500):
-    """Build the ensemble context and its perturbation diagnostics.
-
-    Emits a warning, not an error, when the sample spread exceeds the means.
-    """
+    """Validate the settings and build the ensemble context and its means.
+    It evaluates no conductivity field: a run compares each sample with
+    its group's means and warns when a sample's lag ratio reaches 1."""
     if len(samples) == 0:
         raise ValueError("need at least one sample")
     # NaN fails these too
@@ -120,31 +116,10 @@ def make_context(samples, nu=1.0, g=1.0, z=0.0, alpha=1.0,
     if not (0 < tol < np.inf) or not isinstance(max_iters, numbers.Integral) or max_iters < 1:
         raise ValueError("tol must be positive and finite and max_iters an integer of at least 1")
     J = len(samples)
-    xi_bar = sum(s.xi for s in samples) / J
-    kbar_min = sum(s.k_min for s in samples) / J
-    mean_field = MeanInverseField([s.K for s in samples])
-
-    E_xi = max(abs(s.xi - xi_bar) for s in samples)
-    E_k = 0.0
-    # the mean costs J field evaluations, so evaluate it once per scan array
-    # (samples built on one mesh share theirs): O(J) set-up, not O(J^2)
-    means = {}
-    for s in samples:
-        pts = s.scan_points
-        if id(pts) not in means:
-            means[id(pts)] = mean_field.inv_diag(pts[:, 1])
-        i11, i22 = s.K.inv_diag(pts[:, 1])
-        m11, m22 = means[id(pts)]
-        tilde = max(np.abs(i11 - m11).max(), np.abs(i22 - m22).max())
-        E_k = max(E_k, tilde, abs(s.k_min - kbar_min))
-    ok = bool(xi_bar > E_xi and kbar_min > E_k)
-    if not ok:
-        warnings.warn("sample spread exceeds ensemble means; the shared-matrix "
-                      "iteration may converge slowly or diverge", RuntimeWarning)
     ctx = EnsembleContext(samples=list(samples), nu=nu, g=g, z=z, alpha=alpha,
                           delta_s=delta_s, delta_d=delta_d, tol=tol, max_iters=max_iters)
-    return ctx, EnsembleDiagnostics(xi_bar=xi_bar, kbar_min=kbar_min, E_xi_max=E_xi,
-                                    E_k_max=E_k, small_perturbation_ok=ok)
+    return ctx, EnsembleDiagnostics(xi_bar=sum(s.xi for s in samples) / J,
+                                    kbar_min=sum(s.k_min for s in samples) / J)
 
 
 @dataclass
@@ -184,12 +159,17 @@ class SolveReport:
     U (its `nnz`), summed over both factors, and over all samples for the
     per-sample baseline; the times are sums over its samples too.  A
     sample's last stopping norm is the last entry of its `norm_history`.
+
+    lag_ratio is each sample's largest lag weight over its group's mean,
+    the contraction factor of the lagged terms alone; a run warns when it
+    reaches 1, and it is 0 in a one-sample group (the per-sample baseline).
     """
 
     us: np.ndarray               # (J, n_stokes_dofs)
     ud: np.ndarray               # (J, n_darcy_dofs)
     iterations: np.ndarray       # (J,) first iteration with norm <= tol
     converged: np.ndarray        # (J,) bool
+    lag_ratio: np.ndarray        # (J,) lag weight over group mean, largest term
     norm_history: list           # list over samples of per-iteration norms
     t_assembly: float
     t_factor: float
@@ -247,8 +227,8 @@ def run_traditional_ddm(ctx, mesh_s, mesh_d, pairing, bc, per_sample_stop=False)
 
 @dataclass
 class IterationSetup:
-    """Everything a sweep of a group of samples reads; sample i of the sweep
-    is column (entry) i of each per-sample block."""
+    """Everything a sweep of a group of samples reads, and their lag ratios;
+    sample i of the sweep is column (entry) i of each per-sample block."""
 
     ctx: EnsembleContext
     space_s: object
@@ -264,12 +244,14 @@ class IterationSetup:
     dk: np.ndarray               # (k,) grad-div lag weights
     xi: np.ndarray               # (k,) slip coefficients
     dxi: np.ndarray              # (k,) slip lag weights, mean minus sample
+    lag_ratio: np.ndarray        # (k,) largest lag weight over its mean
 
 
 def _setup(ctx, samples, space_s, space_d, pairing, bc, js):
     """The `IterationSetup` of the group `samples` with the settings of
     `ctx` on the given spaces; js[i] is the index into the boundary data
-    `bc` of sample i.  The operators use the group's own means."""
+    `bc` of sample i.  The operators use the group's own means; it warns
+    when a sample's lag ratio reaches 1."""
     k = len(samples)
     # one inverse-tensor evaluation per sample gives the group mean (summed
     # in sample order, as MeanInverseField.inv_diag sums) and, overwritten
@@ -279,6 +261,20 @@ def _setup(ctx, samples, space_s, space_d, pairing, bc, js):
     dW = np.subtract(kbar_w[:, None], w, out=w)
     xi_bar = sum(s.xi for s in samples) / k
     kbar_min = sum(s.k_min for s in samples) / k
+    # every lag weight is mean minus sample: the stationary state then
+    # solves the per-sample equations exactly
+    dk = kbar_min - np.array([s.k_min for s in samples])
+    xi = np.array([s.xi for s in samples])
+    dxi = xi_bar - xi
+    # each lag weight relative to its mean, one column of dW at a time; xi_bar
+    # is 0 only when every xi is
+    ratio = np.maximum.reduce([[np.abs(dW[:, i] / kbar_w).max() for i in range(k)],
+                               np.abs(dk) / kbar_min, np.abs(dxi) / (xi_bar or 1.0)])
+    worst = int(np.argmax(ratio))
+    if ratio[worst] >= 1.0:
+        warnings.warn(f"sample {js[worst]} has lag ratio {ratio[worst]:.3g} >= 1: its spread "
+                      "exceeds the group's means, so the shared-matrix iteration may "
+                      "converge slowly or diverge", RuntimeWarning)
     op_s = assemble_stokes_operator(space_s, ctx.nu, ctx.delta_s, xi_bar, pairing)
     op_d = assemble_darcy_operator(space_d, ctx.g, kbar_w, kbar_min, ctx.delta_d, pairing)
     # the iteration-independent part of every sample's right-hand side
@@ -289,13 +285,9 @@ def _setup(ctx, samples, space_s, space_d, pairing, bc, js):
     base_s[space_s.free] -= op_s.lift(fixed_s)
     base_d = np.column_stack([_darcy_sample_rhs(space_d, s, bc, j, ctx.g)
                               for j, s in zip(js, samples)])
-    # every lag weight is mean minus sample: the stationary state then
-    # solves the per-sample equations exactly
-    dk = kbar_min - np.array([s.k_min for s in samples])
-    xi = np.array([s.xi for s in samples])
     return IterationSetup(ctx, space_s, space_d, StokesInterfaceInfo(space_s, pairing),
                           DarcyInterfaceInfo(space_d, pairing), op_s, op_d,
-                          base_s, base_d, fixed_s, dW, dk, xi, xi_bar - xi)
+                          base_s, base_d, fixed_s, dW, dk, xi, dxi, ratio)
 
 
 def sweep(su, state, ud_lag):
@@ -343,6 +335,7 @@ def _run(ctx, size, mesh_s, mesh_d, pairing, bc, per_sample_stop):
     ud = np.zeros((space_d.n_dofs, J), order="F")
     iterations = np.zeros(J, dtype=np.int64)
     converged = np.zeros(J, dtype=bool)
+    lag_ratio = np.zeros(J)
     history = [[] for _ in range(J)]
     t_factor = t_solve = t_norm = 0.0
     t_phases = np.zeros(3)      # right-hand sides, block solves, trace updates
@@ -356,6 +349,7 @@ def _run(ctx, size, mesh_s, mesh_d, pairing, bc, per_sample_stop):
         t_assembly += time.perf_counter() - t0 - dt_factor
         t_factor += dt_factor
         lu_nnz += su.op_s.factorization.nnz + su.op_d.factorization.nnz
+        lag_ratio[start:stop] = su.lag_ratio
         ids = np.arange(start, stop)    # the samples held by the per-sample columns of su
 
         t1 = time.perf_counter()
@@ -367,7 +361,8 @@ def _run(ctx, size, mesh_s, mesh_d, pairing, bc, per_sample_stop):
                 ids = ids[keep]
                 su = replace(su, base_s=su.base_s[:, keep], base_d=su.base_d[:, keep],
                              fixed_s=su.fixed_s[:, keep], dW=su.dW[:, keep],
-                             dk=su.dk[keep], xi=su.xi[keep], dxi=su.dxi[keep])
+                             dk=su.dk[keep], xi=su.xi[keep], dxi=su.dxi[keep],
+                             lag_ratio=su.lag_ratio[keep])
             # state and solutions span all samples: a plain slice while every
             # sample of the group is active keeps their blocks views
             act = ids if len(ids) < stop - start else slice(start, stop)
@@ -396,7 +391,7 @@ def _run(ctx, size, mesh_s, mesh_d, pairing, bc, per_sample_stop):
 
     t_rhs, t_trisolve, t_trace = t_phases.tolist()
     return SolveReport(us=us.T, ud=ud.T, iterations=iterations,
-                       converged=converged, norm_history=history,
+                       converged=converged, lag_ratio=lag_ratio, norm_history=history,
                        t_assembly=t_assembly, t_factor=t_factor, t_solve=t_solve,
                        t_rhs=t_rhs, t_trisolve=t_trisolve, t_trace=t_trace, t_norm=t_norm,
                        n_factorizations=factorization_count() - nfact0, lu_nnz=lu_nnz,

@@ -45,8 +45,9 @@ class KLConductivity(ConductivityField):
 
 
 class MeanInverseField:
-    """Pointwise ensemble mean of the sample inverse tensors, the reference
-    of make_context's spread check; not itself a conductivity."""
+    """Pointwise ensemble mean of the sample inverse tensors; not itself a
+    conductivity.  No package code uses it: the tests take it as the oracle
+    of the set-up's group mean, and the ensbench tracer hooks its methods."""
 
     def __init__(self, samples):
         if len(samples) == 0:
@@ -64,8 +65,7 @@ class MeanInverseField:
         return acc11 / len(self.samples), acc22 / len(self.samples)
 
     def inv_tensor(self, points):
-        """Full (n, 2, 2) mean inverse tensors at (n, 2) points; no package
-        code calls this, the ensbench tracer hooks it."""
+        """Full (n, 2, 2) mean inverse tensors at (n, 2) points."""
         pts = np.atleast_2d(points)
         i11, i22 = self.inv_diag(pts[:, 1])
         out = np.zeros((len(pts), 2, 2))

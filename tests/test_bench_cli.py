@@ -148,8 +148,10 @@ def test_scenario_table_carries_loop_timers_and_fill(tmp_path):
     i = header.index("t_solve_ms")
     assert header[i + 1:i + 6] == ["t_rhs_ms", "t_trisolve_ms", "t_trace_ms", "t_norm_ms",
                                    "lu_nnz"]
+    assert header[i + 6] == "lag_ratio"
     for r in written:
         assert int(r["lu_nnz"]) == report.lu_nnz
+        assert float(r["lag_ratio"]) == report.lag_ratio[int(r["j"])] > 0
         phases = [float(r[c]) for c in ("t_rhs_ms", "t_trisolve_ms", "t_trace_ms", "t_norm_ms")]
         assert all(t > 0 for t in phases)
         # the phases are parts of the loop, timed inside it

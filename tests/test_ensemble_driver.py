@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -8,7 +9,7 @@ from ensddm import fields
 from ensddm.bench_cli import (manufactured_meshes, manufactured_samples,
                               manufactured_bc, resolve_delta_d, ScenarioConfig,
                               channel_meshes, channel_samples, channel_bc,
-                              darcy_scan_points)
+                              scenario_context)
 from ensddm.fields import ConstantConductivity, MeanInverseField
 from ensddm.ensemble_driver import (make_sample, make_context, BoundaryConditions,
                                     EnsembleDiagnostics,
@@ -43,10 +44,7 @@ def small_setup(k_list=(2.21,), h=1 / 8, tol=1e-6, max_iters=200, delta_s=1.0):
 def test_make_context_single_sample():
     s = make_sample(ConstantConductivity(2.21), alpha=1.0)
     ctx, diag = make_context([s])
-    assert diag.xi_bar == s.xi
-    assert diag.kbar_min == s.k_min
-    assert diag.E_xi_max == 0.0 and diag.E_k_max == 0.0
-    assert diag.small_perturbation_ok is True
+    assert diag == EnsembleDiagnostics(xi_bar=s.xi, kbar_min=s.k_min)
 
 
 def test_make_context_reference_means():
@@ -57,16 +55,11 @@ def test_make_context_reference_means():
     assert diag.kbar_min == pytest.approx(0.28561, abs=5e-6)
     assert samples[0].xi == pytest.approx(1 / np.sqrt(2.21), rel=1e-12)
     assert samples[0].xi == pytest.approx(0.67267, abs=5e-6)
-    assert diag.small_perturbation_ok
 
 
-def test_make_context_rejects_empty_and_warns_on_large_spread():
+def test_make_context_rejects_empty_and_bad_settings():
     with pytest.raises(ValueError):
         make_context([])
-    # inverse tensors {1, 1, 10}: the spread (6) exceeds the mean (4)
-    spread = [make_sample(ConstantConductivity(k)) for k in (1.0, 1.0, 0.1)]
-    with pytest.warns(RuntimeWarning):
-        make_context(spread)
     # a run with these would spin to max_iters or return unswept zeros
     one = [make_sample(ConstantConductivity(2.21))]
     for bad in (dict(tol=np.nan), dict(tol=-1.0), dict(tol=0.0), dict(tol=np.inf),
@@ -79,73 +72,77 @@ def test_make_context_rejects_empty_and_warns_on_large_spread():
     assert ctx.max_iters == 3
 
 
-def oracle_diagnostics(samples):
-    """The diagnostics as make_context first computed them, with the mean
-    inverse field evaluated again for every sample (O(J^2) field evaluations)."""
-    J = len(samples)
-    xi_bar = sum(s.xi for s in samples) / J
-    kbar_min = sum(s.k_min for s in samples) / J
-    kbar_field = MeanInverseField([s.K for s in samples])
-    E_xi = max(abs(s.xi - xi_bar) for s in samples)
-    E_k = 0.0
-    for s in samples:
-        pts = s.scan_points
-        i11, i22 = s.K.inv_diag(pts[:, 1])
-        m11, m22 = kbar_field.inv_diag(pts[:, 1])
-        tilde = max(np.abs(i11 - m11).max(), np.abs(i22 - m22).max())
-        E_k = max(E_k, tilde, abs(s.k_min - kbar_min))
-    return EnsembleDiagnostics(xi_bar=xi_bar, kbar_min=kbar_min, E_xi_max=E_xi, E_k_max=E_k,
-                               small_perturbation_ok=bool(xi_bar > E_xi and kbar_min > E_k))
+def _spread_run(run, k_list=(1.0, 1.0, 0.1), alpha=1.0):
+    """A one-iteration zero-data run of constant-conductivity samples."""
+    mesh_s, mesh_d, pairing = manufactured_meshes(1 / 4)
+    samples = [make_sample(ConstantConductivity(k), alpha=alpha) for k in k_list]
+    ctx, _ = make_context(samples, max_iters=1)
+    return run(ctx, mesh_s, mesh_d, pairing, BoundaryConditions())
 
 
-def _count_mean_evaluations(monkeypatch):
-    calls = []
-    inv_diag = MeanInverseField.inv_diag
-    monkeypatch.setattr(MeanInverseField, "inv_diag",
-                        lambda self, y: calls.append(len(y)) or inv_diag(self, y))
-    return calls
+def test_large_spread_warns_from_the_run_not_the_context():
+    # inverse tensors {1, 1, 10}: the mean is 4, so the lag weights are
+    # 3/4, 3/4 and 6/4 of it; the slip coefficients {1, 1, 10^0.5} lag less
+    samples = [make_sample(ConstantConductivity(k)) for k in (1.0, 1.0, 0.1)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        make_context(samples)
+    with pytest.warns(RuntimeWarning, match="sample 2 has lag ratio 1.5 >= 1"):
+        rep = _spread_run(run_ensemble_ddm)
+    assert rep.lag_ratio == pytest.approx([0.75, 0.75, 1.5], rel=1e-12)
 
 
-def test_make_context_diagnostics_match_per_sample_oracle(monkeypatch):
-    _, mesh_d, _ = channel_meshes(1 / 8)
-    kl, _, _ = channel_samples(ScenarioConfig(J=12), mesh_d)
-    # the default scan point is the interface point, one array per sample
-    default = [make_sample(s.K) for s in kl]
-    # disjoint scans of equal size: the mean must be taken at each sample's own
-    strided = [make_sample(s.K, scan_points=s.scan_points[j::12]) for j, s in enumerate(kl)]
-    # half the samples scanned on a coarser porous mesh
-    _, coarse_d, _ = channel_meshes(1 / 4)
-    coarse = darcy_scan_points(coarse_d)
-    mixed = [make_sample(s.K, scan_points=coarse) if j % 2 else s for j, s in enumerate(kl)]
-    calls = _count_mean_evaluations(monkeypatch)
-    for samples, n_sets in [(kl, 1), (default, 12), (strided, 12), (mixed, 2)]:
-        expect = oracle_diagnostics(samples)
-        calls.clear()
-        _, diag = make_context(samples)
-        assert len(calls) == n_sets
-        assert diag == expect
-        assert diag.E_k_max > 0
-    spread = [make_sample(ConstantConductivity(k)) for k in (1.0, 1.0, 0.1)]
-    with pytest.warns(RuntimeWarning):
-        _, diag = make_context(spread)
-    assert diag == oracle_diagnostics(spread)
-    assert not diag.small_perturbation_ok
+def test_baseline_lag_ratio_is_zero():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = _spread_run(run_traditional_ddm)
+    assert rep.lag_ratio.shape == (3,) and not rep.lag_ratio.any()
+
+
+def test_lag_ratio_without_slip():
+    # alpha = 0: every slip coefficient and their mean are 0
+    rep = _spread_run(run_ensemble_ddm, k_list=(2.21, 4.11), alpha=0.0)
+    assert np.isfinite(rep.lag_ratio).all() and rep.lag_ratio.min() > 0
+
+
+def test_lag_ratio_bounds_the_measured_rate_from_above():
+    # KL sigma 0.15, seed 11: the draws span lag ratios 0.2-1.03; where the
+    # ratio exceeds the Robin part's rate (about 0.45 here), a sample's
+    # rate over its last 10 iterations is just below its ratio
+    cfg = ScenarioConfig(J=64, seed=11, field_sigma=0.15, max_iters=60)
+    mesh_s, mesh_d, pairing = channel_meshes(1 / 8)
+    samples, _, _ = channel_samples(cfg, mesh_d)
+    ctx, _ = scenario_context(cfg, samples, resolve_delta_d(cfg, pairing.length, 1 / 8))
+    with pytest.warns(RuntimeWarning, match="lag ratio 1.03"):
+        rep = run_ensemble_ddm(ctx, mesh_s, mesh_d, pairing, channel_bc(),
+                               per_sample_stop=True)
+    high = np.flatnonzero(rep.lag_ratio > 0.6)
+    assert len(high) == 4
+    for j in high:
+        norms = rep.norm_history[j]
+        rate = (norms[-1] / norms[-11]) ** 0.1
+        assert rep.lag_ratio[j] - 0.05 <= rate <= rep.lag_ratio[j]
 
 
 @pytest.mark.parametrize("J", [8, 32])
 def test_channel_setup_field_evaluations_grow_linearly(monkeypatch, J):
-    # each sample's field at the scan points and the interface (make_sample),
-    # again for its inverse (make_context), and once more inside the mean
+    # each sample's field once at the scan points and the interface
+    # (make_sample) and once for its inverse at the quadrature points (the
+    # run's set-up); make_context evaluates no field
     calls = []
     evaluate_k = fields.evaluate_k
     monkeypatch.setattr(fields, "evaluate_k",
                         lambda *args: calls.append(1) or evaluate_k(*args))
-    mean_calls = _count_mean_evaluations(monkeypatch)
-    _, mesh_d, _ = channel_meshes(1 / 8)
+    mean_calls = [_count_calls(monkeypatch, MeanInverseField, name)
+                  for name in ("__init__", "inv_diag", "inv_tensor")]
+    mesh_s, mesh_d, pairing = channel_meshes(1 / 8)
     samples, _, _ = channel_samples(ScenarioConfig(J=J), mesh_d)
-    make_context(samples)
-    assert len(calls) <= 3 * J
-    assert len(mean_calls) == 1
+    assert len(calls) == J
+    ctx, _ = make_context(samples, max_iters=1)
+    assert len(calls) == J
+    run_ensemble_ddm(ctx, mesh_s, mesh_d, pairing, channel_bc())
+    assert len(calls) == 2 * J
+    assert not any(mean_calls)
 
 
 class _NegativeOnInterface(fields.ConductivityField):
@@ -157,6 +154,11 @@ class _NegativeOnInterface(fields.ConductivityField):
 
 
 def test_make_sample_rejects_non_spd():
+    # a negative alpha gives a negative slip coefficient; NaN and inf fail
+    # only later, in the assembly
+    for alpha in (-0.5, np.nan, np.inf):
+        with pytest.raises(ValueError, match="alpha"):
+            make_sample(ConstantConductivity(2.21), alpha=alpha)
     with pytest.raises(ValueError):
         make_sample(ConstantConductivity(1.0, -1.0))
     with pytest.raises(ValueError, match="not SPD"):
