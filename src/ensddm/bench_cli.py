@@ -35,6 +35,7 @@ from .robin_params import frequency_band, optimized_delta_d, worst_case_rho, \
 from .manufactured import ManufacturedSolution
 from .ensemble_driver import (make_sample, make_context, BoundaryConditions,
                               run_ensemble_ddm, run_traditional_ddm)
+from .darcy_fem import DarcySpace
 from .norms import error_norms
 from . import quadrature
 
@@ -215,7 +216,7 @@ def channel_meshes(h):
 
 
 def darcy_scan_points(mesh_d):
-    bary, _ = quadrature.triangle_rule(2)
+    bary, _ = DarcySpace.RULE     # the points where the set-up evaluates the lag weights
     return quadrature.physical_points(mesh_d.verts, mesh_d.tris, bary).reshape(-1, 2)
 
 
@@ -351,7 +352,8 @@ def mc_reference_key(cfg, delta_d):
 
 
 def run_channel_mc(cfg):
-    """Monte Carlo expectation study against a cached large-J reference."""
+    """Monte Carlo expectation study against a cached large-J reference; the
+    reference path is None when its run did not converge: it is not cached."""
     h = cfg.h_list[0]
     mesh_s, mesh_d, pairing = channel_meshes(h)
     delta_d = resolve_delta_d(cfg, pairing.length, h)
@@ -372,8 +374,11 @@ def run_channel_mc(cfg):
         data = np.load(ref_path)
         ref_s, ref_d = data["eu_s"], data["eu_d"]
     else:
-        ref_s, ref_d, _, _ = expectation(cfg.J0)
-        np.savez(ref_path, eu_s=ref_s, eu_d=ref_d)
+        ref_s, ref_d, report, _ = expectation(cfg.J0)
+        if report.converged.all():
+            np.savez(ref_path, eu_s=ref_s, eu_d=ref_d)
+        else:
+            ref_path = None
 
     mc_rows = []
     for J in cfg.J_list:
@@ -458,32 +463,38 @@ def run_scenario(config):
     cfg = config.validate()
     os.makedirs(cfg.out, exist_ok=True)
     written = []
-    ok = True
+    failed = []                 # the runs that did not converge
     if cfg.scenario in ("manufactured", "small_k"):
         itlog = []
-        rows, _ = run_manufactured(cfg, iteration_log=itlog)
+        rows, reports = run_manufactured(cfg, iteration_log=itlog)
         written.append(_write_csv(os.path.join(cfg.out, f"{cfg.scenario}.csv"),
                                   CSV_COLUMNS, rows))
         written.append(_write_csv(os.path.join(cfg.out, f"{cfg.scenario}_iterations.csv"),
                                   ["scenario", "h", "j", "iter", "stopping_norm"], itlog))
-        ok = all(r["converged"] for r in rows)
+        failed += [f"the {cfg.scenario} run at h = {h}" for h, (rep, *_) in reports.items()
+                   if not rep.converged.all()]
         if cfg.compare_traditional:
-            trow, _, _, _ = run_timing_comparison(cfg, cfg.h_list[0], cfg.J)
+            trow, rep_e, rep_t, _ = run_timing_comparison(cfg, cfg.h_list[0], cfg.J)
             written.append(_write_csv(os.path.join(cfg.out, "timing.csv"),
                                       list(trow.keys()), [trow]))
+            if not (rep_e.converged.all() and rep_t.converged.all()):
+                failed.append("the compare_traditional timing runs")
     elif cfg.scenario == "channel_mc":
         mc_rows, ref_path = run_channel_mc(cfg)
         written.append(_write_csv(os.path.join(cfg.out, "mc_convergence.csv"),
                                   ["J", "err_eu_s", "err_eu_d", "converged"], mc_rows))
-        written.append(ref_path)
-        ok = all(r["converged"] for r in mc_rows)
+        if ref_path is None:
+            failed.append(f"the J0 = {cfg.J0} Monte Carlo reference")
+        else:
+            written.append(ref_path)
+        failed += [f"the J = {r['J']} Monte Carlo run" for r in mc_rows if not r["converged"]]
     elif cfg.scenario == "symbol_sweep":
         rows = run_symbol_sweep(cfg)
         written.append(_write_csv(os.path.join(cfg.out, "rho_sweep.csv"),
                                   ["delta_s", "delta_d", "m_min", "m_max", "rho_max"],
                                   rows))
-    if not ok and not cfg.allow_nonconverged:
-        raise RuntimeError("a requested run did not converge "
+    if failed and not cfg.allow_nonconverged:
+        raise RuntimeError(f"{', '.join(failed)} did not converge "
                            "(set allow_nonconverged = true to accept)")
     return written
 

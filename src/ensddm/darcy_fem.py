@@ -28,6 +28,8 @@ from .stokes_fem import interface_mass
 class DarcySpace:
     """Dof bookkeeping and precomputed BDM1 element data."""
 
+    RULE = quadrature.triangle_rule(2)  # of every volume integral and conductivity evaluation
+
     def __init__(self, mesh, essential_tags=None):
         self.mesh = mesh
         ne, nt = mesh.n_edges, mesh.n_tris
@@ -35,13 +37,11 @@ class DarcySpace:
         self.n_head = nt
         self.n_dofs = self.n_velocity + self.n_head
 
-        present = set(mesh.boundary_tags) - {""}
         if essential_tags is None:
-            essential_tags = present - {"INTERFACE"}
-        self.essential_tags = frozenset(essential_tags)
+            essential_tags = set(mesh.boundary_tags) - {"", "INTERFACE"}
 
         ess_edges = []
-        for tag in self.essential_tags:
+        for tag in essential_tags:
             ess_edges.extend(mesh.boundary_edges(tag))
         self.essential_edges = np.array(sorted(ess_edges), dtype=np.int64)
 
@@ -111,12 +111,11 @@ class DarcySpace:
 
     def _precompute_quadrature(self):
         mesh = self.mesh
-        bary, w = quadrature.triangle_rule(2)
-        self.qw = w
+        bary, self.qw = self.RULE
         self.qpoints = quadrature.physical_points(mesh.verts, mesh.tris, bary)
         # eval_op at the assembly rule; quad_weight: w_q |T| per row
         self.eval_op = self.evaluation_operator(bary)
-        self.quad_weight = np.repeat((w[None, :] * mesh.tri_area[:, None]).ravel(), 2)
+        self.quad_weight = np.repeat((self.qw[None, :] * mesh.tri_area[:, None]).ravel(), 2)
         # div_op: velocity dofs -> the constant divergence on each triangle
         nt = mesh.n_tris
         self.div_op = sp.csr_matrix((self.div.ravel(),
@@ -156,16 +155,16 @@ def build_darcy_space(mesh, essential_tags=None):
 
 
 class DarcyInterfaceInfo:
-    """Darcy-side view of the interface pairing as sparse operators, built
-    from the x-ordered edge dofs, the sign relating the global edge normal
-    to the outward normal n_D and the element-sided tangential trace map
-    (row 2p+i is endpoint i of pair p):
+    """Darcy-side view of the interface pairing as sparse operators on whole
+    dof vectors (empty head columns and rows), built from the x-ordered edge
+    dofs, the sign relating the global edge normal to the outward normal
+    n_D and the element-sided tangential trace map (row 2p+i is endpoint i
+    of pair p):
 
-    normal      (2 n_pairs, n_velocity)  u -> u.n_D at the endpoints
-    tangential  (2 n_pairs, n_velocity)  u -> element-sided u.tau
-    load        (n_velocity, 2 n_pairs)  g_D -> -<g_D, v.n_D>, i.e. minus
-                                         the transposed normal trace times
-                                         the edge mass
+    normal      (2 n_pairs, n_dofs)  u -> u.n_D at the endpoints
+    tangential  (2 n_pairs, n_dofs)  u -> element-sided u.tau
+    load        (n_dofs, 2 n_pairs)  g_D -> -<g_D, v.n_D>, i.e. minus the
+                                     transposed normal trace times the edge mass
     """
 
     def __init__(self, space, pairing):
@@ -178,10 +177,9 @@ class DarcyInterfaceInfo:
         # local vertex of each x-ordered endpoint in the adjacent triangle
         m = np.argmax(mesh.tris[tri][:, None, :] == pairing.nodes_d[:, :, None], axis=2)
         tau_mat = space.vertex_values[tri[:, None], :, m, :] @ pairing.tau
-        self.n_velocity = space.n_velocity
 
         n2 = 2 * pairing.n_pairs
-        shape = (n2, space.n_velocity)
+        shape = (n2, space.n_dofs)
         self.normal = sp.csr_matrix((np.repeat(sign, 2),
                                      (np.arange(n2), dofs_x.ravel())), shape=shape)
         self.tangential = sp.csr_matrix(
@@ -193,12 +191,12 @@ class DarcyInterfaceInfo:
     def normal_trace(self, vec):
         """u . n_D at the x-sorted endpoints of every pair: (2 n_pairs,) for
         a dof vector, (2 n_pairs, k) for an (n_dofs, k) block."""
-        return self.normal @ vec[:self.n_velocity]
+        return self.normal @ vec
 
     def tangential_trace(self, vec):
         """Element-sided u . tau at the x-sorted endpoints, shaped as
         normal_trace."""
-        return self.tangential @ vec[:self.n_velocity]
+        return self.tangential @ vec
 
 
 def darcy_form(space, g, weight, k_min):
@@ -269,7 +267,7 @@ def add_darcy_interface_rhs(rhs, iface, g_D):
     """Accumulate -<g_D, v.n_D> for per-pair linear traces: (2 n_pairs,)
     into a vector, or (2 n_pairs, k) into the columns of an (n_dofs, k)
     block."""
-    rhs[:iface.n_velocity] += iface.load @ g_D
+    rhs += iface.load @ g_D
     return rhs
 
 

@@ -227,8 +227,8 @@ def run_traditional_ddm(ctx, mesh_s, mesh_d, pairing, bc, per_sample_stop=False)
 
 @dataclass
 class IterationSetup:
-    """Everything a sweep of a group of samples reads, and their lag ratios;
-    sample i of the sweep is column (entry) i of each per-sample block."""
+    """Everything a sweep of a group of samples reads; sample i of the sweep
+    is column (entry) i of each per-sample block."""
 
     ctx: EnsembleContext
     space_s: object
@@ -244,14 +244,13 @@ class IterationSetup:
     dk: np.ndarray               # (k,) grad-div lag weights
     xi: np.ndarray               # (k,) slip coefficients
     dxi: np.ndarray              # (k,) slip lag weights, mean minus sample
-    lag_ratio: np.ndarray        # (k,) largest lag weight over its mean
 
 
 def _setup(ctx, samples, space_s, space_d, pairing, bc, js):
     """The `IterationSetup` of the group `samples` with the settings of
-    `ctx` on the given spaces; js[i] is the index into the boundary data
-    `bc` of sample i.  The operators use the group's own means; it warns
-    when a sample's lag ratio reaches 1."""
+    `ctx` on the given spaces, and the samples' lag ratios (k,); js[i] is
+    the index into the boundary data `bc` of sample i.  The operators use
+    the group's own means; it warns when a sample's lag ratio reaches 1."""
     k = len(samples)
     # one inverse-tensor evaluation per sample gives the group mean (summed
     # in sample order, as MeanInverseField.inv_diag sums) and, overwritten
@@ -287,7 +286,7 @@ def _setup(ctx, samples, space_s, space_d, pairing, bc, js):
                               for j, s in zip(js, samples)])
     return IterationSetup(ctx, space_s, space_d, StokesInterfaceInfo(space_s, pairing),
                           DarcyInterfaceInfo(space_d, pairing), op_s, op_d,
-                          base_s, base_d, fixed_s, dW, dk, xi, dxi, ratio)
+                          base_s, base_d, fixed_s, dW, dk, xi, dxi), ratio
 
 
 def sweep(su, state, ud_lag):
@@ -343,13 +342,12 @@ def _run(ctx, size, mesh_s, mesh_d, pairing, bc, per_sample_stop):
     for start in range(0, J, size):
         stop = min(start + size, J)
         t0 = time.perf_counter()
-        su = _setup(ctx, ctx.samples[start:stop], space_s, space_d, pairing, bc,
-                    range(start, stop))
+        su, lag_ratio[start:stop] = _setup(ctx, ctx.samples[start:stop], space_s, space_d,
+                                           pairing, bc, range(start, stop))
         dt_factor = su.op_s.factor_seconds + su.op_d.factor_seconds
         t_assembly += time.perf_counter() - t0 - dt_factor
         t_factor += dt_factor
         lu_nnz += su.op_s.factorization.nnz + su.op_d.factorization.nnz
-        lag_ratio[start:stop] = su.lag_ratio
         ids = np.arange(start, stop)    # the samples held by the per-sample columns of su
 
         t1 = time.perf_counter()
@@ -361,8 +359,7 @@ def _run(ctx, size, mesh_s, mesh_d, pairing, bc, per_sample_stop):
                 ids = ids[keep]
                 su = replace(su, base_s=su.base_s[:, keep], base_d=su.base_d[:, keep],
                              fixed_s=su.fixed_s[:, keep], dW=su.dW[:, keep],
-                             dk=su.dk[keep], xi=su.xi[keep], dxi=su.dxi[keep],
-                             lag_ratio=su.lag_ratio[keep])
+                             dk=su.dk[keep], xi=su.xi[keep], dxi=su.dxi[keep])
             # state and solutions span all samples: a plain slice while every
             # sample of the group is active keeps their blocks views
             act = ids if len(ids) < stop - start else slice(start, stop)
@@ -413,23 +410,19 @@ def _monolithic_system(report, ctx, bc, j):
     """
     space_s, space_d, pairing = report.space_s, report.space_d, report.pairing
     sample = ctx.samples[j]
-    nS, nD = space_s.n_dofs, space_d.n_dofs
+    nS = space_s.n_dofs
     n2 = 2 * pairing.n_pairs
     info_s = StokesInterfaceInfo(space_s, pairing)
     info_d = DarcyInterfaceInfo(space_d, pairing)
-    # the Darcy operators act on velocity dofs only: zero head columns
-    heads = sp.csr_matrix((n2, nD - space_d.n_velocity))
-    normal, tangential = (sp.hstack([op, heads]) for op in (info_d.normal, info_d.tangential))
-    load_d = sp.vstack([info_d.load, heads.T])
 
     dsum = ctx.delta_s + ctx.delta_d
     eye = sp.identity(n2)
     A = sp.bmat([
         [stokes_matrix(space_s, ctx.nu, ctx.delta_s, sample.xi, pairing),
-         sample.xi * info_s.load[:, n2:] @ tangential, -info_s.load[:, :n2], None],
+         sample.xi * info_s.load[:, n2:] @ info_d.tangential, -info_s.load[:, :n2], None],
         [None, darcy_matrix(space_d, ctx.g, inverse_diagonal(space_d, sample.K),
-                            sample.k_min, ctx.delta_d, pairing), None, -load_d],
-        [None, -dsum * normal, eye, -eye],
+                            sample.k_min, ctx.delta_d, pairing), None, -info_d.load],
+        [None, -dsum * info_d.normal, eye, -eye],
         [-dsum * info_s.trace[:n2], None, -eye, eye],
     ], format="csr")
     b = np.concatenate([assemble_stokes_volume_rhs(space_s, sample.f_S),

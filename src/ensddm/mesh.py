@@ -221,7 +221,6 @@ class InterfacePairing:
     nodes_s: np.ndarray      # (np, 2) stokes vertex ids, x-sorted
     nodes_d: np.ndarray      # (np, 2) darcy vertex ids, x-sorted
     lengths: np.ndarray      # (np,)
-    y: float                 # interface height
 
     @property
     def n_pairs(self):
@@ -279,4 +278,4 @@ def pair_interface(mesh_s, mesh_d):
     pairs = np.column_stack([es, ed])
     return InterfacePairing(pairs=pairs, n_s=n_s, tau=np.array([1.0, 0.0]),
                             length=float(lengths.sum()), nodes_s=nodes_s,
-                            nodes_d=nodes_d, lengths=lengths, y=float(y))
+                            nodes_d=nodes_d, lengths=lengths)

@@ -2,8 +2,8 @@
 
 All integrals use a degree-6 triangle rule, well beyond the polynomial
 degree of either element pair.  Relative norms divide by the exact-field
-norm; when that norm is (numerically) zero the absolute error is reported
-and flagged.
+norm; when its square is at most 1e-28 the absolute error takes its place
+in the same column, with no marker (the README notes this for `err_ps_l2`).
 """
 
 from dataclasses import dataclass

@@ -13,7 +13,8 @@ recovers the pairs with two sparse products.
 
 Matrices are plain scipy CSR matrices (the assembly modules build them from
 triplets in one call) and factors plain SuperLU objects; everything is
-float64.  Each matrix is factorized by its structure.  The condensed Stokes
+float64.  An operator keeps the factor and the condensation maps, not the
+matrix.  Each matrix is factorized by its structure.  The condensed Stokes
 matrix [A, -B^T; B, C] has a positive semidefinite symmetric part and a
 diagonal filled by the bubble stabilization C, so it takes diagonal pivots
 in a symmetric minimum-degree order of A + A^T (symmetric mode); the
@@ -98,7 +99,9 @@ def factorize(a, symmetric=False):
 
 class SubdomainOperator:
     """A subdomain matrix reduced to its free rows and columns, with its
-    interior dof pairs condensed out, and factorized once.
+    interior dof pairs condensed out, and factorized once.  It keeps what
+    `solve` and `lift` read (the dof count `n`, the factor, the condensation
+    maps, the free-by-fixed block `A_fd`), not the matrix or its A_ff.
 
     The `free` and `fixed` index arrays split the dofs; fixed rows carry
     boundary values.  `interior` is an (m, 2) array of free dofs, each pair
@@ -113,14 +116,13 @@ class SubdomainOperator:
     """
 
     def __init__(self, matrix, free, fixed, interior):
-        self.matrix = matrix
+        self.n = matrix.shape[0]
         self.free, self.fixed = free, fixed
         rows = matrix[free]
-        self.A_ff = rows[:, free].tocsc()
-        self.A_fd = rows[:, fixed].tocsr()
+        a, self.A_fd = rows[:, free], rows[:, fixed]     # CSR, like the matrix rows
         del rows
         t0 = time.perf_counter()
-        pos = np.full(matrix.shape[0], -1)
+        pos = np.full(self.n, -1)
         pos[free] = np.arange(len(free))
         pairs = pos[interior]                   # positions within the free dofs
         if np.any(pairs < 0):
@@ -130,7 +132,6 @@ class SubdomainOperator:
         self._rest, self._inner = np.flatnonzero(rest), pairs.ravel()
         self._rest_dofs, self._inner_dofs = free[self._rest], free[self._inner]
         if len(pairs):
-            a = self.A_ff.tocsr()
             inner_rows, rest_rows = a[self._inner], a[self._rest]
             self._B_inv = _pair_inverse(inner_rows[:, self._inner])
             A_ir = inner_rows[:, self._rest]
@@ -138,7 +139,7 @@ class SubdomainOperator:
             self._recover = (self._B_inv @ A_ir).tocsr()                        # B^-1 A_ir
             S = rest_rows[:, self._rest] - self._condense @ A_ir
         else:
-            S = self.A_ff
+            S = a
         self.factorization = factorize(S, symmetric=len(pairs) > 0)
         self.factor_seconds = time.perf_counter() - t0
 
@@ -155,7 +156,7 @@ class SubdomainOperator:
 
         The pairs are condensed into the right-hand side, the rest solves
         against the factor of S, and the pairs are recovered from it."""
-        shape = (self.matrix.shape[0],) + rhs.shape[1:]
+        shape = (self.n,) + rhs.shape[1:]
         if len(self._inner):
             b_inner = rhs[self._inner]
             rhs = rhs[self._rest]

@@ -77,13 +77,11 @@ class StokesSpace:
         self.pressure_multiplier = bool(pressure_multiplier)
         self.n_dofs = self.n_velocity + self.n_pressure + (1 if pressure_multiplier else 0)
 
-        present = set(mesh.boundary_tags) - {""}
         if dirichlet_tags is None:
-            dirichlet_tags = present - {"INTERFACE"}
-        self.dirichlet_tags = frozenset(dirichlet_tags)
+            dirichlet_tags = set(mesh.boundary_tags) - {"", "INTERFACE"}
 
         dir_nodes = set()
-        for tag in self.dirichlet_tags:
+        for tag in dirichlet_tags:
             for e in mesh.boundary_edges(tag):
                 dir_nodes.update(mesh.edges[e])
         self.dirichlet_nodes = np.array(sorted(dir_nodes), dtype=np.int64)

@@ -187,18 +187,21 @@ def test_darcy_load_and_trace_match_per_pair_loops(geometry):
     info = DarcyInterfaceInfo(space, pairing)
     dofs_x, sign, tau_mat, loc_dofs = oracle_darcy_info(space, pairing)
     n2 = 2 * pairing.n_pairs
-    normal = np.zeros((n2, space.n_velocity))
+    # whole-dof operators: the head columns (and the load's head rows) are zero
+    normal = np.zeros((n2, space.n_dofs))
     normal[np.arange(n2), dofs_x.ravel()] = np.repeat(sign, 2)
-    tangential = np.zeros((n2, space.n_velocity))
+    tangential = np.zeros((n2, space.n_dofs))
     tangential[np.arange(n2)[:, None], np.repeat(loc_dofs, 2, axis=0)] = tau_mat.reshape(n2, 6)
     np.testing.assert_array_equal(info.normal.toarray(), normal)
     np.testing.assert_array_equal(info.tangential.toarray(), tangential)
+    assert info.load.shape == (space.n_dofs, n2)
+    assert not info.load[space.head_slice].count_nonzero()
     rng = np.random.default_rng(12)
     k = 3
     g_D = rng.standard_normal((2 * pairing.n_pairs, k))
     block = add_darcy_interface_rhs(np.zeros((space.n_dofs, k)), info, g_D)
     full = rng.standard_normal((space.n_dofs, k))
-    tn, tt = info.normal_trace(full), info.tangential_trace(full[:space.n_velocity])
+    tn, tt = info.normal_trace(full), info.tangential_trace(full)
     assert tn.shape == tt.shape == (2 * pairing.n_pairs, k)
     for j in range(k):
         want = oracle_darcy_rhs(space, pairing, g_D[:, j])
@@ -209,6 +212,12 @@ def test_darcy_load_and_trace_match_per_pair_loops(geometry):
         assert rel(tn[:, j], wn) <= 1e-14 and rel(tt[:, j], wt) <= 1e-14
         assert rel(info.normal_trace(full[:, j]), wn) <= 1e-14
         assert rel(info.tangential_trace(full[:, j]), wt) <= 1e-14
+    # a whole (n_dofs, k) block, with the F order of the solves' output
+    block_f = np.asfortranarray(full)
+    for trace, oracle in ((info.normal_trace, 0), (info.tangential_trace, 1)):
+        got = trace(block_f)
+        for j in range(k):
+            assert rel(got[:, j], oracle_darcy_traces(space, pairing, full[:, j])[oracle]) <= 1e-14
 
 
 # -- lagged deviation term ---------------------------------------------------
@@ -255,7 +264,7 @@ def test_darcy_block_and_velocity_mass_match_element_oracle(geometry, field):
     W_full = oracle_inv_tensor(K, pts).reshape(md.n_tris, len(space.qw), 2, 2)
     weight = inverse_diagonal(space, K)
     block = darcy_matrix(space, g, weight, k_min, delta_d, pairing)[:nv, :nv]
-    normal = DarcyInterfaceInfo(space, pairing).normal
+    normal = DarcyInterfaceInfo(space, pairing).normal[:, :nv]
     robin = normal.T @ (delta_d * interface_mass(pairing)) @ normal
     assert rel(block, oracle_form(space, g, W_full, k_min) + robin) <= 1e-14
     unit = np.broadcast_to(np.eye(2), W_full.shape)

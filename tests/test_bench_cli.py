@@ -10,7 +10,8 @@ from ensddm.bench_cli import (ScenarioConfig, ConfigError, parse_config_text,
                               run_symbol_sweep, run_symbol_validation,
                               channel_meshes, manufactured_meshes, resolve_delta_d,
                               run_manufactured, run_timing_comparison, run_channel_mc,
-                              CSV_COLUMNS, main)
+                              darcy_scan_points, CSV_COLUMNS, main)
+from ensddm.darcy_fem import build_darcy_space
 from ensddm.robin_params import frequency_band, optimized_delta_d
 
 
@@ -97,6 +98,14 @@ def test_mesh_factories():
     assert len(ms.boundary_edges("INFLOW")) == 8
     assert len(ms.boundary_edges("OUTFLOW")) == 8
     assert pairing.length == pytest.approx(3.0)
+
+
+@pytest.mark.parametrize("meshes", [manufactured_meshes, channel_meshes])
+def test_scan_points_are_the_darcy_quadrature_points(meshes):
+    # a sample's k_min is scanned where the set-up evaluates its lag weights
+    mesh_d = meshes(1 / 8)[1]
+    np.testing.assert_array_equal(darcy_scan_points(mesh_d),
+                                  build_darcy_space(mesh_d).qpoints.reshape(-1, 2))
 
 
 def test_resolve_delta_d_modes():
@@ -211,6 +220,30 @@ def test_run_scenario_nonconvergence_policy(tmp_path):
                          out=str(tmp_path), tol=1e-14, max_iters=3,
                          allow_nonconverged=True)
     run_scenario(cfg)
+
+
+@pytest.mark.parametrize("command, text, run", [
+    # seed 11 at sigma 0.15 draws a reference sample with lag ratio 1.03,
+    # which never converges
+    ("mc", "h_list = 0.25\nJ0 = 64\nJ_list = 8\nseed = 11\nfield_sigma = 0.15\n"
+           "max_iters = 150\nper_sample_stop = true\n", "the J0 = 64 Monte Carlo reference"),
+    # the timing draws have k near 1 but run with small-k's explicit Robin
+    # weights; the small_k ensemble itself converges
+    ("small-k", "h_list = 0.25\nJ = 2\nk_list = 1e-4\nmax_iters = 100\n"
+                "compare_traditional = true\n", "the compare_traditional timing runs"),
+], ids=["mc_reference", "small_k_timing"])
+@pytest.mark.filterwarnings("ignore:sample 44 has lag ratio")
+def test_cli_nonconverged_run_is_an_error_and_caches_no_reference(tmp_path, capsys, command,
+                                                                  text, run):
+    cfgfile, out = tmp_path / "c.cfg", tmp_path / "out"
+    cfgfile.write_text(text)
+    assert main([command, "--config", str(cfgfile), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"{run} did not converge" in err
+    assert not list(out.glob("mc_ref_*"))
+    cfgfile.write_text(text + "allow_nonconverged = true\n")
+    assert main([command, "--config", str(cfgfile), "--out", str(out)]) == 0
+    assert not list(out.glob("mc_ref_*"))
 
 
 def test_run_scenario_compare_traditional_writes_timing(tmp_path):

@@ -280,9 +280,10 @@ def test_one_sample_group_has_zero_lag_weights():
     samples, _, _ = channel_samples(ScenarioConfig(J=3), mesh_d)
     ctx, _ = make_context(samples)
     bc = channel_bc()
-    su = _setup(ctx, ctx.samples[1:2], *spaces(mesh_s, mesh_d, bc), pairing, bc, range(1, 2))
-    assert su.dW.shape[1] == su.dk.size == su.dxi.size == 1
-    assert not su.dW.any() and not su.dk.any() and not su.dxi.any()
+    su, ratio = _setup(ctx, ctx.samples[1:2], *spaces(mesh_s, mesh_d, bc), pairing, bc,
+                       range(1, 2))
+    assert su.dW.shape[1] == su.dk.size == su.dxi.size == ratio.size == 1
+    assert not su.dW.any() and not su.dk.any() and not su.dxi.any() and not ratio.any()
 
 
 def test_single_sample_reduction_is_bitwise():
@@ -479,7 +480,7 @@ def test_sweep_continues_a_cut_run_bitwise():
     cut, full = (run_ensemble_ddm(replace(ctx, max_iters=m), mesh_s, mesh_d, pairing, bc)
                  for m in (n, n + 1))
     assert not full.converged.any()
-    su = _setup(ctx, ctx.samples, *spaces(mesh_s, mesh_d, bc), pairing, bc, range(ctx.J))
+    su, _ = _setup(ctx, ctx.samples, *spaces(mesh_s, mesh_d, bc), pairing, bc, range(ctx.J))
     state, us, ud, _ = sweep(su, cut.state, cut.ud.T[:su.space_d.n_velocity])
     assert np.array_equal(us, full.us.T)
     assert np.array_equal(ud, full.ud.T)
@@ -492,7 +493,7 @@ def test_sweep_is_affine():
     samples, _, _ = channel_samples(ScenarioConfig(J=2), mesh_d)
     ctx, _ = make_context(samples, delta_s=1.0, delta_d=2.0)
     bc = channel_bc()
-    su = _setup(ctx, ctx.samples, *spaces(mesh_s, mesh_d, bc), pairing, bc, range(ctx.J))
+    su, _ = _setup(ctx, ctx.samples, *spaces(mesh_s, mesh_d, bc), pairing, bc, range(ctx.J))
     rng = np.random.default_rng(5)
     shape = (2 * pairing.n_pairs, ctx.J)
     x, y = (RobinTraceState(*rng.standard_normal((3,) + shape)) for _ in range(2))

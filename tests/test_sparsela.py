@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -73,17 +76,37 @@ def test_numerically_singular_raises():
         factorize(A, symmetric=True)
 
 
-def _stokes_operator(pressure_multiplier=True, nu=1.0, delta_s=1.0, xi=0.5, h=1 / 8):
+def _free_block(matrix, op):
+    """The free-row, free-column block A_ff of a builder's matrix."""
+    return matrix[op.free][:, op.free]
+
+
+def _stokes_system(pressure_multiplier=True, nu=1.0, delta_s=1.0, xi=0.5, h=1 / 8):
+    """The condensed Stokes operator and the free block of its stokes_matrix."""
     from ensddm.bench_cli import manufactured_meshes
-    from ensddm.stokes_fem import build_stokes_space, assemble_stokes_operator
+    from ensddm.stokes_fem import build_stokes_space, assemble_stokes_operator, stokes_matrix
 
     ms, _, pairing = manufactured_meshes(h)
     space = build_stokes_space(ms, pressure_multiplier=pressure_multiplier)
-    return assemble_stokes_operator(space, nu, delta_s, xi, pairing)
+    op = assemble_stokes_operator(space, nu, delta_s, xi, pairing)
+    return op, _free_block(stokes_matrix(space, nu, delta_s, xi, pairing), op)
+
+
+def _darcy_system(k_inv=1.0, delta_d=2.0):
+    """The Darcy operator of the isotropic conductivity K = 1/k_inv (so
+    k_min = K) and the free block of its darcy_matrix."""
+    from ensddm.bench_cli import manufactured_meshes
+    from ensddm.darcy_fem import assemble_darcy_operator, build_darcy_space, darcy_matrix
+
+    _, md, pairing = manufactured_meshes(1 / 8)
+    space = build_darcy_space(md)
+    weight = np.full(space.eval_op.shape[0], k_inv)
+    op = assemble_darcy_operator(space, 1.0, weight, 1.0 / k_inv, delta_d, pairing)
+    return op, _free_block(darcy_matrix(space, 1.0, weight, 1.0 / k_inv, delta_d, pairing), op)
 
 
 def _stokes_factorization():
-    return _stokes_operator().factorization
+    return _stokes_system()[0].factorization
 
 
 def test_block_solve_matches_column_solves():
@@ -152,24 +175,25 @@ def test_saddle_point_roundtrip_reproduces_discrete_solution():
     # the condensed solve of an assembled saddle matrix reproduces a known
     # dof vector
     from ensddm.mesh import Rect, build_rect_mesh, pair_interface
-    from ensddm.stokes_fem import build_stokes_space, assemble_stokes_operator
+    from ensddm.stokes_fem import build_stokes_space, assemble_stokes_operator, stokes_matrix
 
     ms = build_rect_mesh(Rect(0, 1, 0, 1), 4, 4, side_tags={"bottom": "INTERFACE"})
     md = build_rect_mesh(Rect(0, 1, -1, 0), 4, 4, side_tags={"top": "INTERFACE"})
     pairing = pair_interface(ms, md)
     space = build_stokes_space(ms)
     op = assemble_stokes_operator(space, 1.0, 1.0, 0.5, pairing)
+    A_ff = _free_block(stokes_matrix(space, 1.0, 1.0, 0.5, pairing), op)
     rng = np.random.default_rng(21)
-    x_star = rng.standard_normal(op.A_ff.shape[0])
-    b = op.A_ff @ x_star
+    x_star = rng.standard_normal(A_ff.shape[0])
+    b = A_ff @ x_star
     x = op.solve(b, 0.0)[op.free]
     assert np.linalg.norm(x - x_star) / np.linalg.norm(x_star) <= 1e-9
 
 
-def _check_subdomain_solve(op):
+def _check_subdomain_solve(op, A_ff):
     # free rows in, full-length solutions out: the free rows solve
     # A_ff x = rhs, the fixed rows are the given boundary values
-    n, k = op.matrix.shape[0], 5
+    n, k = op.n, 5
     rng = np.random.default_rng(11)
     B = rng.standard_normal((len(op.free), k))
     fixed = rng.standard_normal((len(op.fixed), k))
@@ -177,13 +201,13 @@ def _check_subdomain_solve(op):
     x = op.solve(B[:, 0], 0.0)
     assert x.shape == (n,)
     assert np.all(x[op.fixed] == 0.0)
-    r = op.A_ff @ x[op.free] - B[:, 0]
+    r = A_ff @ x[op.free] - B[:, 0]
     assert np.linalg.norm(r) <= 1e-12 * np.linalg.norm(B[:, 0])
 
     X = op.solve(B, fixed)
     assert X.shape == (n, k) and X.flags.f_contiguous
     np.testing.assert_array_equal(X[op.fixed], fixed)
-    R = op.A_ff @ X[op.free] - B
+    R = A_ff @ X[op.free] - B
     assert np.all(np.linalg.norm(R, axis=0) <= 1e-12 * np.linalg.norm(B, axis=0))
     for i in range(k):
         xi = op.solve(B[:, i], fixed[:, i])
@@ -199,15 +223,32 @@ def _check_subdomain_solve(op):
 
 
 def test_subdomain_solve_vector_and_block():
-    _check_subdomain_solve(_stokes_operator())
+    _check_subdomain_solve(*_stokes_system())
 
 
 def test_condensed_stokes_solve_without_pressure_multiplier():
-    _check_subdomain_solve(_stokes_operator(pressure_multiplier=False))
+    _check_subdomain_solve(*_stokes_system(pressure_multiplier=False))
+
+
+def test_operator_drops_the_matrix_it_was_built_from():
+    # a sweep reads the factor, not the assembled matrix
+    from ensddm.bench_cli import manufactured_meshes
+    from ensddm.sparsela import SubdomainOperator
+    from ensddm.stokes_fem import build_stokes_space, stokes_matrix
+
+    ms, _, pairing = manufactured_meshes(1 / 4)
+    space = build_stokes_space(ms)
+    matrix = stokes_matrix(space, 1.0, 1.0, 0.5, pairing)
+    ref = weakref.ref(matrix)
+    op = SubdomainOperator(matrix, space.free, space.fixed, space.vel_elem_dofs[:, [3, 7]])
+    del matrix
+    gc.collect()
+    assert ref() is None
+    assert op.n == space.n_dofs
 
 
 def test_condensed_stokes_solve_of_zero_data_is_exact_zero():
-    op = _stokes_operator()
+    op = _stokes_system()[0]
     x = op.solve(np.zeros(len(op.free)), 0.0)
     X = op.solve(np.zeros((len(op.free), 3)), np.zeros((len(op.fixed), 3)))
     assert not x.any() and not X.any()
@@ -220,10 +261,10 @@ def test_stokes_factor_holds_no_bubbles_and_less_fill():
 
     n_tris = manufactured_meshes(1 / 8)[0].n_tris
     for pin in (True, False):
-        op = _stokes_operator(pressure_multiplier=pin)
+        op, A_ff = _stokes_system(pressure_multiplier=pin)
         f = op.factorization
         assert f.shape == (len(op.free) - 2 * n_tris,) * 2
-        full = factorize(op.A_ff)
+        full = factorize(A_ff)
         assert f.L.nnz + f.U.nnz < full.L.nnz + full.U.nnz
         assert f.nnz < full.nnz
 
@@ -231,14 +272,9 @@ def test_stokes_factor_holds_no_bubbles_and_less_fill():
 def test_darcy_solve_without_interior_pairs_is_the_plain_factor_solve():
     # no pairs to condense: the operator factorizes A_ff itself and its
     # solve is the plain factor solve, bitwise
-    from ensddm.bench_cli import manufactured_meshes
-    from ensddm.darcy_fem import assemble_darcy_operator, build_darcy_space
-
-    _, md, pairing = manufactured_meshes(1 / 8)
-    space = build_darcy_space(md)
-    op = assemble_darcy_operator(space, 1.0, np.ones(space.eval_op.shape[0]), 1.0, 2.0, pairing)
-    assert op.factorization.shape == op.A_ff.shape
-    f = factorize(op.A_ff)
+    op, A_ff = _darcy_system()
+    assert op.factorization.shape == A_ff.shape
+    f = factorize(A_ff)
     B = np.random.default_rng(5).standard_normal((len(op.free), 4))
     np.testing.assert_array_equal(op.solve(B, 0.0)[op.free], f.solve(B))
     np.testing.assert_array_equal(op.solve(B[:, 1], 0.0)[op.free], f.solve(B[:, 1]))
@@ -294,9 +330,9 @@ def test_symmetric_mode_stokes_solve_matches_partial_pivoting(nu, delta_s, xi, p
     # the condensed Stokes factor in symmetric mode against a COLAMD
     # partial-pivot factor of the same free-row matrix, over the parameter
     # range of the scenarios and beyond
-    op = _stokes_operator(pin, nu, delta_s, xi)
+    op, A_ff = _stokes_system(pin, nu, delta_s, xi)
     B = np.random.default_rng(17).standard_normal((len(op.free), 4))
-    ref = _colamd_partial_pivot(op.A_ff).solve(B)
+    ref = _colamd_partial_pivot(A_ff).solve(B)
     assert _rel_diff(op.solve(B, 0.0)[op.free], ref) <= 1e-10
 
 
@@ -313,25 +349,19 @@ def _backward_error(a, x, b):
 def test_threshold_pivoted_darcy_solve_matches_partial_pivoting(k_inv, delta_d):
     # the Darcy factor at pivot threshold 0.5 against threshold 1.0, with
     # the isotropic conductivity K = 1/k_inv (so k_min = K)
-    from ensddm.bench_cli import manufactured_meshes
-    from ensddm.darcy_fem import assemble_darcy_operator, build_darcy_space
-
-    _, md, pairing = manufactured_meshes(1 / 8)
-    space = build_darcy_space(md)
-    weight = np.full(space.eval_op.shape[0], k_inv)
-    op = assemble_darcy_operator(space, 1.0, weight, 1.0 / k_inv, delta_d, pairing)
+    op, A_ff = _darcy_system(k_inv, delta_d)
     B = np.random.default_rng(18).standard_normal((len(op.free), 4))
     x = op.solve(B, 0.0)[op.free]
-    ref_lu = _colamd_partial_pivot(op.A_ff)
+    ref_lu = _colamd_partial_pivot(A_ff)
     ref = ref_lu.solve(B)
-    assert _backward_error(op.A_ff, x, B) <= 1e-14
-    assert _backward_error(op.A_ff, ref, B) <= 1e-14
+    assert _backward_error(A_ff, x, B) <= 1e-14
+    assert _backward_error(A_ff, ref, B) <= 1e-14
     # two backward stable solves differ by up to about eps * cond; at
     # k_inv = 1e-3 cond_1 is about 1e10, so no two factors agree to 1e-10
-    n = op.A_ff.shape[0]
+    n = A_ff.shape[0]
     inv = LinearOperator((n, n), matvec=ref_lu.solve,
                          rmatvec=lambda y: ref_lu.solve(y, trans="T"))
-    cond = onenormest(inv) * abs(op.A_ff).sum(axis=0).max()
+    cond = onenormest(inv) * abs(A_ff).sum(axis=0).max()
     assert _rel_diff(x, ref) <= max(1e-10, 1e-15 * cond)
 
 
@@ -339,6 +369,6 @@ def test_pressure_multiplier_costs_under_twice_the_fill():
     # the multiplier's row and column couple to every pressure dof; ordered
     # last in symmetric mode they add little fill (partial pivoting in
     # COLAMD order stored 3.8x the fill at this size)
-    with_pin, without = (_stokes_operator(pin, h=1 / 32).factorization.nnz
+    with_pin, without = (_stokes_system(pin, h=1 / 32)[0].factorization.nnz
                          for pin in (True, False))
     assert with_pin < 2 * without
