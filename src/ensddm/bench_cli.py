@@ -292,6 +292,18 @@ def scenario_context(cfg, samples, delta_d):
                         tol=cfg.tol, max_iters=cfg.max_iters)
 
 
+def manufactured_case(cfg, h, k_list=None):
+    """(mesh_s, mesh_d, pairing, ctx, bc, exacts) of a run on the benchmark
+    geometry at mesh size h, one closed-form sample per conductivity of
+    `k_list` (default `cfg.k_list`); the small_k scenario pins the Stokes
+    pressure mean."""
+    mesh_s, mesh_d, pairing = manufactured_meshes(h)
+    samples, exacts = manufactured_samples(cfg, mesh_d, k_list)
+    ctx, _ = scenario_context(cfg, samples, resolve_delta_d(cfg, pairing.length, h))
+    bc = manufactured_bc(exacts, pin_pressure=(cfg.scenario == "small_k"))
+    return mesh_s, mesh_d, pairing, ctx, bc, exacts
+
+
 # --------------------------------------------------------------------------
 # scenario runners
 
@@ -322,18 +334,15 @@ def _result_rows(cfg, h, report, exacts):
 
 
 def run_manufactured(cfg, iteration_log=None):
-    """Error/iteration rows over the h grid; one ensemble run per h."""
+    """Error/iteration rows and the report of each h; one ensemble run per h."""
     rows = []
     reports = {}
     for h in cfg.h_list:
-        mesh_s, mesh_d, pairing = manufactured_meshes(h)
-        samples, exacts = manufactured_samples(cfg, mesh_d)
-        ctx, _ = scenario_context(cfg, samples, resolve_delta_d(cfg, pairing.length, h))
-        bc = manufactured_bc(exacts, pin_pressure=(cfg.scenario == "small_k"))
+        mesh_s, mesh_d, pairing, ctx, bc, exacts = manufactured_case(cfg, h)
         report = run_ensemble_ddm(ctx, mesh_s, mesh_d, pairing, bc,
                                   per_sample_stop=cfg.per_sample_stop)
         rows.extend(_result_rows(cfg, h, report, exacts))
-        reports[h] = (report, ctx, bc, exacts)
+        reports[h] = report
         if iteration_log is not None:
             for j, hist in enumerate(report.norm_history):
                 for it, norm in enumerate(hist, 1):
@@ -398,15 +407,13 @@ def run_channel_mc(cfg):
 
 
 def run_timing_comparison(cfg, h, J):
-    """Shared-matrix vs per-sample wall time on the benchmark geometry."""
-    mesh_s, mesh_d, pairing = manufactured_meshes(h)
+    """Shared-matrix vs per-sample wall time on the benchmark geometry, set
+    up as the scenario's own runs are."""
     # constant conductivities k_j = k(0; Y_j) with their closed-form solutions
     spec = cfg.field_spec()
     k_list = [float(evaluate_k(spec, d, 0.0)) * cfg.field_scale
               for d in draw_samples(spec, J, cfg.seed)]
-    samples, exacts = manufactured_samples(cfg, mesh_d, k_list)
-    ctx, _ = scenario_context(cfg, samples, resolve_delta_d(cfg, pairing.length, h))
-    bc = manufactured_bc(exacts)
+    mesh_s, mesh_d, pairing, ctx, bc, _ = manufactured_case(cfg, h, k_list)
     t0 = time.perf_counter()
     rep_e = run_ensemble_ddm(ctx, mesh_s, mesh_d, pairing, bc)
     t_ens = time.perf_counter() - t0
@@ -471,7 +478,7 @@ def run_scenario(config):
                                   CSV_COLUMNS, rows))
         written.append(_write_csv(os.path.join(cfg.out, f"{cfg.scenario}_iterations.csv"),
                                   ["scenario", "h", "j", "iter", "stopping_norm"], itlog))
-        failed += [f"the {cfg.scenario} run at h = {h}" for h, (rep, *_) in reports.items()
+        failed += [f"the {cfg.scenario} run at h = {h}" for h, rep in reports.items()
                    if not rep.converged.all()]
         if cfg.compare_traditional:
             trow, rep_e, rep_t, _ = run_timing_comparison(cfg, cfg.h_list[0], cfg.J)
@@ -506,7 +513,7 @@ def run_scenario(config):
 _SUBCOMMAND_DEFAULTS = {
     "converge": ScenarioConfig(scenario="manufactured"),
     "small-k": ScenarioConfig(scenario="small_k",
-                              k_list=(1e-4, 2e-4, 3e-4),
+                              k_list=(1e-4, 2e-4, 3e-4), field_scale=1e-4,
                               robin_mode="explicit", delta_s=100.0, delta_d=50.0,
                               tol=1e-9, h_list=(1 / 8, 1 / 16, 1 / 32)),
     "mc": ScenarioConfig(scenario="channel_mc", h_list=(1 / 32,)),

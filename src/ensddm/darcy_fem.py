@@ -15,6 +15,11 @@ side as volume terms against the previous iterate.  Conductivity tensors
 are diagonal (see `fields`), so a sample's deviation is two weights per
 quadrature point, applied through the shared quadrature-evaluation and
 divergence operators of the space.
+
+A dof vector holds the velocity dofs first, then one head per triangle.
+The volume and interface operators act on whole dof vectors, with empty
+head columns, so callers pass whole (n_dofs, k) blocks and never slice
+the velocity rows out.
 """
 
 import numpy as np
@@ -53,7 +58,7 @@ class DarcySpace:
 
         self._build_basis()
         self._precompute_quadrature()
-        self.velocity_mass = darcy_form(self, 1.0, 1.0, 0.0)
+        self.velocity_mass = darcy_form(self, 1.0, 1.0, 0.0)[:self.n_velocity, :self.n_velocity]
 
     @property
     def head_slice(self):
@@ -81,29 +86,20 @@ class DarcySpace:
         self.elem_dofs[:, 1::2] = 2 * eot + 1
 
         vv = np.zeros((nt, 6, 3, 2))
+        t = np.arange(nt)
         for m in range(3):
-            gm = tris[:, m]
             # the two local edges incident to vertex m
-            inc = [k for k in range(3) if k != m]
-            n1 = self.edge_normal[eot[:, inc[0]]]
-            n2 = self.edge_normal[eot[:, inc[1]]]
+            k1, k2 = (k for k in range(3) if k != m)
+            n1 = self.edge_normal[eot[:, k1]]
+            n2 = self.edge_normal[eot[:, k2]]
             det = n1[:, 0] * n2[:, 1] - n1[:, 1] * n2[:, 0]
-            inv = np.empty((nt, 2, 2))
-            inv[:, 0, 0] = n2[:, 1] / det
-            inv[:, 0, 1] = -n1[:, 1] / det
-            inv[:, 1, 0] = -n2[:, 0] / det
-            inv[:, 1, 1] = n1[:, 0] / det
-            for which, k in enumerate(inc):
-                e = eot[:, k]
-                endpoint = (edges[e, 1] == gm).astype(np.float64)  # 0 if gm is lower endpoint
-                rhs = np.zeros((nt, 2))
-                rhs[:, which] = 1.0
-                val = np.einsum("tij,tj->ti", inv, rhs)
+            # the columns of [n1; n2]^-1: unit normal trace on one edge and
+            # none on the other
+            for k, col in ((k1, np.column_stack([n2[:, 1], -n2[:, 0]])),
+                           (k2, np.column_stack([-n1[:, 1], n1[:, 0]]))):
                 # dof (k, p) is nonzero at vertex m only when p matches
-                ldof_lower = 2 * k
-                sel = endpoint == 0.0
-                vv[sel, ldof_lower, m, :] = val[sel]
-                vv[~sel, ldof_lower + 1, m, :] = val[~sel]
+                p = edges[eot[:, k], 1] == tris[:, m]
+                vv[t, 2 * k + p, m] = col / det[:, None]
         self.vertex_values = vv
 
         g = mesh.tri_grads  # (nt, 3, 2)
@@ -116,22 +112,22 @@ class DarcySpace:
         # eval_op at the assembly rule; quad_weight: w_q |T| per row
         self.eval_op = self.evaluation_operator(bary)
         self.quad_weight = np.repeat((self.qw[None, :] * mesh.tri_area[:, None]).ravel(), 2)
-        # div_op: velocity dofs -> the constant divergence on each triangle
+        # div_op: dofs -> the constant divergence on each triangle
         nt = mesh.n_tris
         self.div_op = sp.csr_matrix((self.div.ravel(),
                                      (np.repeat(np.arange(nt), 6), self.elem_dofs.ravel())),
-                                    shape=(nt, self.n_velocity))
+                                    shape=(nt, self.n_dofs))
 
     def evaluation_operator(self, bary):
-        """Sparse map from velocity dofs to both field components at the
-        barycentric points `bary` (q, 3) of every triangle, row (t, q, c)
-        in C order."""
+        """Sparse map from whole dof vectors (empty head columns) to both
+        velocity components at the barycentric points `bary` (q, 3) of every
+        triangle, row (t, q, c) in C order."""
         nt, nq = self.mesh.n_tris, len(bary)
         vals = np.einsum("qm,tlmc->tqcl", bary, self.vertex_values)
         rows = np.broadcast_to(np.arange(nt * nq * 2).reshape(nt, nq, 2, 1), vals.shape)
         cols = np.broadcast_to(self.elem_dofs[:, None, None, :], vals.shape)
         return sp.csr_matrix((vals.ravel(), (rows.ravel(), cols.ravel())),
-                             shape=(nt * nq * 2, self.n_velocity))
+                             shape=(nt * nq * 2, self.n_dofs))
 
     def velocity_sq(self, vec):
         """Squared L2 norm of the velocity part of a dof vector, or of each
@@ -200,7 +196,8 @@ class DarcyInterfaceInfo:
 
 
 def darcy_form(space, g, weight, k_min):
-    """The velocity block g (W u, v) + g k_min (div u, div v), i.e.
+    """The velocity terms g (W u, v) + g k_min (div u, div v) on whole dof
+    vectors (empty head rows and columns), i.e.
     g P^T diag(w |T| W) P + g k_min D^T diag(|T|) D with P the
     quadrature-evaluation operator, w |T| the quadrature weights and D the
     divergence operator of the space.
@@ -307,27 +304,25 @@ def inverse_diagonal(space, coeff):
 
 def add_darcy_lag_rhs(rhs, space, dW, dk_min, u_prev, g):
     """Accumulate the lagged sample-deviation volume terms against the
-    previous iterate: g (dW u_prev, v) + g dk_min (div u_prev, div v),
+    previous iterates: g (dW u_prev, v) + g dk_min (div u_prev, div v),
     i.e. P^T (g w dW * P u) + D^T (g |T| dk_min * D u) with P the
     quadrature-evaluation operator, w the quadrature weights and D the
     divergence operator of the space.
 
-    dW is the diagonal of the deviation tensor per row of P (see
-    inverse_diagonal) and dk_min the matching grad-div weight; for a block
-    of k samples u_prev is (n, k), dW (rows of P, k) and dk_min (k,).  With
-    the mean-minus-sample orientation the stationary iterate solves the
-    per-sample equations.
+    For k samples, u_prev and rhs are whole (n_dofs, k) blocks, dW is
+    (rows of P, k), the diagonal of each deviation tensor per row of P (see
+    inverse_diagonal), and dk_min (k,) the matching grad-div weights.  P and
+    D have empty head columns, so the head rows of rhs are left as they are.
+    With the mean-minus-sample orientation the stationary iterate solves
+    the per-sample equations.
     """
-    nv = space.n_velocity
-    u = u_prev[:nv]
-    col = (slice(None),) + (None,) * (u.ndim - 1)
-    pu = space.eval_op @ u
+    pu = space.eval_op @ u_prev
     pu *= dW
-    pu *= (g * space.quad_weight)[col]
+    pu *= (g * space.quad_weight)[:, None]
     lag = space.eval_op.T @ pu
     del pu
-    du = space.div_op @ u
+    du = space.div_op @ u_prev
     du *= np.multiply.outer(g * space.mesh.tri_area, dk_min)
     lag += space.div_op.T @ du
-    rhs[:nv] += lag
+    rhs += lag
     return rhs

@@ -291,10 +291,10 @@ def _setup(ctx, samples, space_s, space_d, pairing, bc, js):
 
 def sweep(su, state, ud_lag):
     """One iteration of the samples of `su` from their trace `state` and
-    previous Darcy velocity rows `ud_lag`: the next state, the new Stokes
-    and Darcy blocks, and the seconds of right-hand sides, block solves and
-    trace updates.  Both solves read the previous traces (Jacobi-like); per
-    sample the sweep is an affine map of (state, ud_lag)."""
+    previous whole Darcy block `ud_lag` (n_darcy_dofs, k): the next state,
+    the new Stokes and Darcy blocks, and the seconds of right-hand sides,
+    block solves and trace updates.  Both solves read the previous traces
+    (Jacobi-like); per sample the sweep is an affine map of (state, ud_lag)."""
     ta = time.perf_counter()
     rhs = su.base_s.copy()
     add_interface_rhs(rhs, su.iface_s, state.g_S, state.g_tau)
@@ -365,7 +365,7 @@ def _run(ctx, size, mesh_s, mesh_d, pairing, bc, per_sample_stop):
             act = ids if len(ids) < stop - start else slice(start, stop)
 
             new, us_new, ud_new, dt = sweep(su, RobinTraceState(*(b[:, act] for b in state)),
-                                            ud[:space_d.n_velocity, act])
+                                            ud[:, act])
             t_phases += dt
             tf = time.perf_counter()
             for block, col in zip(state, new):

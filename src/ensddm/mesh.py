@@ -27,14 +27,6 @@ class Rect:
         if not (self.x0 < self.x1 and self.y0 < self.y1):
             raise ValueError("rectangle requires x0 < x1 and y0 < y1")
 
-    @property
-    def width(self):
-        return self.x1 - self.x0
-
-    @property
-    def height(self):
-        return self.y1 - self.y0
-
 
 @dataclass
 class Mesh:
@@ -47,7 +39,6 @@ class Mesh:
     edges : (ne, 2) int array, vertex pairs with a < b
     edge_tris : (ne, 2) int array, incident triangles (-1 when boundary)
     boundary_tags : (ne,) str array, '' for interior edges
-    h : float, max(dx, dy) of the structured grid
     """
 
     rect: Rect
@@ -58,7 +49,6 @@ class Mesh:
     edges: np.ndarray
     edge_tris: np.ndarray
     boundary_tags: np.ndarray
-    h: float
     # per-triangle geometry, filled in by build_rect_mesh
     tri_area: np.ndarray = field(default=None, repr=False)
     tri_grads: np.ndarray = field(default=None, repr=False)  # (nt, 3, 2) barycentric gradients
@@ -98,7 +88,7 @@ def build_rect_mesh(rect, nx, ny, side_tags=None):
 
     Returns
     -------
-    Mesh with (nx+1)(ny+1) vertices and 2*nx*ny triangles; h = max(dx, dy).
+    Mesh with (nx+1)(ny+1) vertices and 2*nx*ny triangles.
     """
     if nx < 1 or ny < 1:
         raise ValueError("nx and ny must be at least 1")
@@ -149,10 +139,8 @@ def build_rect_mesh(rect, nx, ny, side_tags=None):
     ev = verts[edges]
     elen = np.linalg.norm(ev[:, 1] - ev[:, 0], axis=1)
 
-    dx = rect.width / nx
-    dy = rect.height / ny
     mesh = Mesh(rect=rect, nx=nx, ny=ny, verts=verts, tris=tris, edges=edges,
-                edge_tris=edge_tris, boundary_tags=boundary_tags, h=max(dx, dy),
+                edge_tris=edge_tris, boundary_tags=boundary_tags,
                 tri_area=area, tri_grads=grads, edge_length=elen, edge_of_tri=edge_of_tri)
     _check_invariants(mesh)
     return mesh

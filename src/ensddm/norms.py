@@ -83,7 +83,7 @@ def darcy_errors(space, full, exact):
     nq = len(w)
     A = mesh.tri_area
 
-    uh = (space.evaluation_operator(bary) @ full[:space.n_velocity]).reshape(mesh.n_tris, nq, 2)
+    uh = (space.evaluation_operator(bary) @ full).reshape(mesh.n_tris, nq, 2)
     divh = space.elementwise_div(full)
     phih = full[space.head_slice]
 

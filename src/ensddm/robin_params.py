@@ -67,13 +67,11 @@ def worst_case_rho(delta_s, delta_d, nu, band):
 
 @dataclass
 class SymbolTrace:
-    """History of the interface recursion: coefficient sequences (index 0 is
-    the initial state) and the combined quantity per step (index n holds
-    C_{n}, defined for n >= 2)."""
+    """History of the interface recursion: the coefficient sequence A (index
+    0 is the initial state) and the combined quantity per step (index n
+    holds C_{n}, defined for n >= 2)."""
 
     A: list
-    B: list
-    Q: list
     combined: list
 
 
@@ -106,19 +104,18 @@ def symbol_iteration(delta_s, delta_d, nu, k_bar, k_j_inv, m, n_steps):
         raise ValueError("need at least 4 steps")
     am = abs(m)
     s = 2 * nu * am + delta_s
-    A, B, Q = [1.0], [0.7], [-0.3]
+    A, B, Q = [1.0], 0.7, -0.3
     combined = [np.nan, np.nan]
     for n in range(1, n_steps + 1):
-        A_new = -(Q[-1] - delta_s * B[-1]) / s
-        B_new = ((k_bar - k_j_inv) * B[-1] + am * (delta_d - 2 * nu * am) * A[-1]) \
+        A_new = -(Q - delta_s * B) / s
+        B_new = ((k_bar - k_j_inv) * B + am * (delta_d - 2 * nu * am) * A[-1]) \
             / (k_bar + delta_d * am)
-        Q_new = (delta_d - 2 * nu * am) * A[-1] - delta_d * B_new
+        Q = (delta_d - 2 * nu * am) * A[-1] - delta_d * B_new
         A.append(A_new)
-        B.append(B_new)
-        Q.append(Q_new)
         if n >= 2:
-            combined.append(A[n] - (delta_s + delta_d) / s * B[n - 1])
-    return SymbolTrace(A=A, B=B, Q=Q, combined=combined)
+            combined.append(A_new - (delta_s + delta_d) / s * B)
+        B = B_new
+    return SymbolTrace(A=A, combined=combined)
 
 
 def measured_contraction(trace, rtol=1e-13):

@@ -27,7 +27,8 @@ _EDGE_MASS = np.array([[2.0, 1.0], [1.0, 2.0]])
 
 
 def edge_mass(length):
-    """Exact P1 x P1 mass matrix on an edge of given length."""
+    """Exact P1 x P1 mass matrix on an edge of given length; an (n, 1, 1)
+    array of lengths gives the (n, 2, 2) matrices of n edges."""
     return (length / 6.0) * _EDGE_MASS
 
 
@@ -35,7 +36,7 @@ def interface_mass(pairing):
     """Block-diagonal edge mass over the endpoint values of all pairs:
     row 2p+i is endpoint i (x-order) of pair p."""
     n_p = pairing.n_pairs
-    blocks = (pairing.lengths / 6.0)[:, None, None] * _EDGE_MASS
+    blocks = edge_mass(pairing.lengths[:, None, None])
     idx = np.arange(2 * n_p).reshape(n_p, 2)
     rows = np.repeat(idx, 2, axis=1).ravel()
     cols = np.tile(idx, (1, 2)).ravel()
@@ -117,9 +118,7 @@ class StokesSpace:
         A = mesh.tri_area
         Mloc = np.einsum("q,qi,qj->ij", self.qw, self.N, self.N)   # reference
         Mel = Mloc[None, :, :] * A[:, None, None]
-        dofs = np.empty((mesh.n_tris, 4), dtype=np.int64)
-        dofs[:, :3] = mesh.tris
-        dofs[:, 3] = mesh.n_verts + np.arange(mesh.n_tris)
+        dofs = self.vel_elem_dofs[:, :4]      # the x component's nodal and bubble dofs
         rows = np.repeat(dofs, 4, axis=1).ravel()
         cols = np.tile(dofs, (1, 4)).ravel()
         return sp.csr_matrix((Mel.ravel(), (rows, cols)), shape=(self.n_comp, self.n_comp))

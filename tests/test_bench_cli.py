@@ -10,7 +10,7 @@ from ensddm.bench_cli import (ScenarioConfig, ConfigError, parse_config_text,
                               run_symbol_sweep, run_symbol_validation,
                               channel_meshes, manufactured_meshes, resolve_delta_d,
                               run_manufactured, run_timing_comparison, run_channel_mc,
-                              darcy_scan_points, CSV_COLUMNS, main)
+                              darcy_scan_points, CSV_COLUMNS, _SUBCOMMAND_DEFAULTS, main)
 from ensddm.darcy_fem import build_darcy_space
 from ensddm.robin_params import frequency_band, optimized_delta_d
 
@@ -149,7 +149,7 @@ def test_scenario_table_carries_loop_timers_and_fill(tmp_path):
     cfg = ScenarioConfig(scenario="manufactured", h_list=(1 / 4,), k_list=(2.21, 4.11),
                          out=str(tmp_path), tol=1e-5, max_iters=200)
     _, reports = run_manufactured(cfg)
-    report = reports[1 / 4][0]
+    report = reports[1 / 4]
     run_scenario(cfg)
     with open(tmp_path / "manufactured.csv") as fh:
         written = list(csv.DictReader(fh))
@@ -227,10 +227,11 @@ def test_run_scenario_nonconvergence_policy(tmp_path):
     # which never converges
     ("mc", "h_list = 0.25\nJ0 = 64\nJ_list = 8\nseed = 11\nfield_sigma = 0.15\n"
            "max_iters = 150\nper_sample_stop = true\n", "the J0 = 64 Monte Carlo reference"),
-    # the timing draws have k near 1 but run with small-k's explicit Robin
-    # weights; the small_k ensemble itself converges
+    # at field_scale 1 the timing draws have k near 1 but run with small-k's
+    # explicit Robin weights; the small_k ensemble itself converges
     ("small-k", "h_list = 0.25\nJ = 2\nk_list = 1e-4\nmax_iters = 100\n"
-                "compare_traditional = true\n", "the compare_traditional timing runs"),
+                "compare_traditional = true\nfield_scale = 1\n",
+     "the compare_traditional timing runs"),
 ], ids=["mc_reference", "small_k_timing"])
 @pytest.mark.filterwarnings("ignore:sample 44 has lag ratio")
 def test_cli_nonconverged_run_is_an_error_and_caches_no_reference(tmp_path, capsys, command,
@@ -244,6 +245,22 @@ def test_cli_nonconverged_run_is_an_error_and_caches_no_reference(tmp_path, caps
     cfgfile.write_text(text + "allow_nonconverged = true\n")
     assert main([command, "--config", str(cfgfile), "--out", str(out)]) == 0
     assert not list(out.glob("mc_ref_*"))
+
+
+def test_cli_small_k_timing_runs_as_the_scenario_runs(tmp_path):
+    # the timing runs pin the pressure as small_k's own runs do, and draw
+    # conductivities at small-k's field_scale
+    text = "h_list = 0.25\nJ = 2\nk_list = 1e-4\nmax_iters = 100\ncompare_traditional = true\n"
+    cfgfile, out = tmp_path / "c.cfg", tmp_path / "out"
+    cfgfile.write_text(text)
+    assert main(["small-k", "--config", str(cfgfile), "--out", str(out)]) == 0
+    with open(out / "timing.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 1 and rows[0]["nfact_traditional"] == "4"
+    cfg = load_config(str(cfgfile), base=_SUBCOMMAND_DEFAULTS["small-k"])
+    _, rep_e, rep_t, _ = run_timing_comparison(cfg, 0.25, cfg.J)
+    assert rep_e.space_s.pressure_multiplier
+    assert rep_e.converged.all() and rep_t.converged.all()
 
 
 def test_run_scenario_compare_traditional_writes_timing(tmp_path):

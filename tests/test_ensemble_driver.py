@@ -474,14 +474,14 @@ def test_per_sample_stop_leaves_frozen_columns_bitwise():
 
 def test_sweep_continues_a_cut_run_bitwise():
     # lockstep runs of n and n + 1 iterations: one sweep from the first
-    # run's state and Darcy velocity rows gives the second run's outputs
+    # run's state and Darcy block gives the second run's outputs
     ctx, _, mesh_s, mesh_d, pairing, bc, _ = small_setup(k_list=(2.21, 4.11, 6.21))
     n = 5
     cut, full = (run_ensemble_ddm(replace(ctx, max_iters=m), mesh_s, mesh_d, pairing, bc)
                  for m in (n, n + 1))
     assert not full.converged.any()
     su, _ = _setup(ctx, ctx.samples, *spaces(mesh_s, mesh_d, bc), pairing, bc, range(ctx.J))
-    state, us, ud, _ = sweep(su, cut.state, cut.ud.T[:su.space_d.n_velocity])
+    state, us, ud, _ = sweep(su, cut.state, cut.ud.T)
     assert np.array_equal(us, full.us.T)
     assert np.array_equal(ud, full.ud.T)
     for got, want in zip(state, full.state):
@@ -497,7 +497,7 @@ def test_sweep_is_affine():
     rng = np.random.default_rng(5)
     shape = (2 * pairing.n_pairs, ctx.J)
     x, y = (RobinTraceState(*rng.standard_normal((3,) + shape)) for _ in range(2))
-    ux, uy = rng.standard_normal((2, su.space_d.n_velocity, ctx.J))
+    ux, uy = rng.standard_normal((2, su.space_d.n_dofs, ctx.J))
     a = 0.3
 
     def outputs(state, ud_lag):

@@ -18,11 +18,6 @@ def test_single_cell():
     assert m.n_tris == 2
 
 
-def test_h_is_max_spacing():
-    m = build_rect_mesh(Rect(0, PI, 0, 1), 16, 16)
-    assert m.h == pytest.approx(PI / 16, abs=1e-15)
-
-
 def test_rejects_zero_divisions():
     with pytest.raises(ValueError):
         build_rect_mesh(Rect(0, 1, 0, 1), 0, 4)
@@ -59,7 +54,7 @@ def test_edge_connectivity(nx, ny):
 def test_area_sums_to_rectangle(nx, ny):
     r = Rect(0, PI, -1, 0)
     m = build_rect_mesh(r, nx, ny)
-    assert m.tri_area.sum() == pytest.approx(r.width * r.height, rel=1e-12)
+    assert m.tri_area.sum() == pytest.approx((r.x1 - r.x0) * (r.y1 - r.y0), rel=1e-12)
     assert np.all(m.tri_area > 0)
 
 

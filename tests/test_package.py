@@ -62,3 +62,17 @@ def test_every_definition_is_used_outside_the_tests():
                        for where, name, line in refs):
                 unused.append(f"{path.name}:{node.lineno} {node.name}")
     assert not unused, f"used only by tests, or not at all: {unused}"
+
+
+def test_only_the_spaces_and_the_stopping_norm_read_the_velocity_rows():
+    # both spaces put velocity rows first; every other module passes whole
+    # dof blocks to the spaces' operators
+    owners = {"stokes_fem.py", "darcy_fem.py", "interface_state.py"}
+    readers = []
+    for path in sorted(Path(ensddm.__file__).parent.glob("*.py")):
+        if path.name in owners:
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        readers += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute) and node.attr == "n_velocity"]
+    assert not readers
