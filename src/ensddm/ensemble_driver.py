@@ -330,8 +330,8 @@ def _run(ctx, size, mesh_s, mesh_d, pairing, bc, per_sample_stop):
 
     J = ctx.J
     state = init_state(ctx, pairing)
-    us = np.zeros((space_s.n_dofs, J), order="F")
-    ud = np.zeros((space_d.n_dofs, J), order="F")
+    us = np.zeros((space_s.n_dofs, J))
+    ud = np.zeros((space_d.n_dofs, J))
     iterations = np.zeros(J, dtype=np.int64)
     converged = np.zeros(J, dtype=bool)
     lag_ratio = np.zeros(J)

@@ -149,7 +149,7 @@ class SubdomainOperator:
         return self.A_fd @ fixed_values
 
     def solve(self, rhs, fixed_values):
-        """Full dof vectors (or a column-major (n_dofs, k) block) from the
+        """Full dof vectors (or a row-major (n_dofs, k) block) from the
         free rows of the right-hand sides, an (n_free,) vector or an
         (n_free, k) block: the free rows solve A_ff x = rhs, and the fixed
         rows take `fixed_values` (a scalar or an (n_fixed, k) block).
@@ -163,7 +163,7 @@ class SubdomainOperator:
             rhs -= self._condense @ b_inner
         x_rest = self.factorization.solve(rhs)
         del rhs
-        full = np.zeros(shape, order="F")
+        full = np.zeros(shape)
         full[self._rest_dofs] = x_rest
         if len(self._inner):
             x_inner = self._B_inv @ b_inner

@@ -212,7 +212,7 @@ def test_darcy_load_and_trace_match_per_pair_loops(geometry):
         assert rel(tn[:, j], wn) <= 1e-14 and rel(tt[:, j], wt) <= 1e-14
         assert rel(info.normal_trace(full[:, j]), wn) <= 1e-14
         assert rel(info.tangential_trace(full[:, j]), wt) <= 1e-14
-    # a whole (n_dofs, k) block, with the F order of the solves' output
+    # a whole (n_dofs, k) block in F order, the order of SuperLU's output
     block_f = np.asfortranarray(full)
     for trace, oracle in ((info.normal_trace, 0), (info.tangential_trace, 1)):
         got = trace(block_f)

@@ -205,7 +205,7 @@ def _check_subdomain_solve(op, A_ff):
     assert np.linalg.norm(r) <= 1e-12 * np.linalg.norm(B[:, 0])
 
     X = op.solve(B, fixed)
-    assert X.shape == (n, k) and X.flags.f_contiguous
+    assert X.shape == (n, k) and X.flags.c_contiguous
     np.testing.assert_array_equal(X[op.fixed], fixed)
     R = A_ff @ X[op.free] - B
     assert np.all(np.linalg.norm(R, axis=0) <= 1e-12 * np.linalg.norm(B, axis=0))
