@@ -20,6 +20,16 @@ A dof vector holds the velocity dofs first, then one head per triangle.
 The volume and interface operators act on whole dof vectors, with empty
 head columns, so callers pass whole (n_dofs, k) blocks and never slice
 the velocity rows out.
+
+Every term of the subdomain matrix is local to one triangle (the Robin
+term too: an interface edge has one triangle), so the matrix is assembled
+from 7 x 7 element blocks over each triangle's six velocity dofs and its
+head, and the shared operator is its hybridized form (Arnold-Brezzi): the
+velocity is broken into element copies, the copies of each interior-edge
+dof are tied together by a multiplier and each essential dof's copy is
+held at zero by one, the element blocks are condensed out, and only the
+symmetric positive definite multiplier system is factorized.  Right-hand
+sides and solutions stay on the conforming dofs.
 """
 
 import numpy as np
@@ -58,6 +68,7 @@ class DarcySpace:
 
         self._build_basis()
         self._precompute_quadrature()
+        self._build_hybrid_maps()
         self.velocity_mass = darcy_form(self, 1.0, 1.0, 0.0)[:self.n_velocity, :self.n_velocity]
 
     @property
@@ -118,12 +129,37 @@ class DarcySpace:
                                      (np.repeat(np.arange(nt), 6), self.elem_dofs.ravel())),
                                     shape=(nt, self.n_dofs))
 
+    def _build_hybrid_maps(self):
+        """The broken space of the hybridized operator: triangle t holds
+        copies 7t + l of its six velocity dofs and its head, whose
+        conforming dofs are `hybrid_dofs` (nt, 7).  `copy_of` (n_dofs,) is
+        the copy that carries each conforming dof (its first), and
+        `constraints` (n_multipliers, 7 nt) the rows that tie the copies
+        together: copy minus copy for each velocity dof of an interior edge,
+        then the copy itself for each essential dof."""
+        nt = self.mesh.n_tris
+        self.hybrid_dofs = np.column_stack([self.elem_dofs, self.n_velocity + np.arange(nt)])
+        flat = self.hybrid_dofs.ravel()
+        self.copy_of = np.unique(flat, return_index=True)[1]
+        last = len(flat) - 1 - np.unique(flat[::-1], return_index=True)[1]
+        shared = np.flatnonzero(self.copy_of != last)
+        ns, nf = len(shared), len(self.fixed)
+        rows = np.concatenate([np.arange(ns), np.arange(ns), ns + np.arange(nf)])
+        cols = np.concatenate([self.copy_of[shared], last[shared], self.copy_of[self.fixed]])
+        vals = np.concatenate([np.ones(ns), -np.ones(ns), np.ones(nf)])
+        self.constraints = sp.csr_matrix((vals, (rows, cols)), shape=(ns + nf, len(flat)))
+
+    def basis_values(self, bary):
+        """Both velocity components of the six local basis fields at the
+        barycentric points `bary` (q, 3) of every triangle: (nt, q, 2, 6)."""
+        return np.einsum("qm,tlmc->tqcl", bary, self.vertex_values)
+
     def evaluation_operator(self, bary):
         """Sparse map from whole dof vectors (empty head columns) to both
         velocity components at the barycentric points `bary` (q, 3) of every
         triangle, row (t, q, c) in C order."""
         nt, nq = self.mesh.n_tris, len(bary)
-        vals = np.einsum("qm,tlmc->tqcl", bary, self.vertex_values)
+        vals = self.basis_values(bary)
         rows = np.broadcast_to(np.arange(nt * nq * 2).reshape(nt, nq, 2, 1), vals.shape)
         cols = np.broadcast_to(self.elem_dofs[:, None, None, :], vals.shape)
         return sp.csr_matrix((vals.ravel(), (rows.ravel(), cols.ravel())),
@@ -195,57 +231,103 @@ class DarcyInterfaceInfo:
         return self.tangential @ vec
 
 
+def _assemble(dofs, blocks, n):
+    """The (n, n) CSR matrix of element matrices `blocks` (m, b, b) on the
+    dofs (m, b); entries of a shared dof pair are summed."""
+    rows = np.broadcast_to(dofs[:, :, None], blocks.shape)
+    cols = np.broadcast_to(dofs[:, None, :], blocks.shape)
+    return sp.csr_matrix((blocks.ravel(), (rows.ravel(), cols.ravel())), shape=(n, n))
+
+
+def _velocity_blocks(space, g, weight, k_min):
+    """The (nt, 6, 6) element matrices of g (W u, v) + g k_min (div u, div v)
+    over the local velocity dofs; see darcy_form."""
+    W = g * space.quad_weight * weight
+    if not np.all((W > 0) & (W < np.inf)):     # NaN fails this too
+        raise ValueError("coefficient tensor not SPD and finite at a quadrature point")
+    mesh = space.mesh
+    V = space.basis_values(space.RULE[0]).reshape(mesh.n_tris, -1, 6)
+    blocks = np.matmul((V * W.reshape(mesh.n_tris, -1, 1)).transpose(0, 2, 1), V)
+    if k_min:
+        blocks += (g * k_min * mesh.tri_area)[:, None, None] * space.div[:, :, None] \
+            * space.div[:, None, :]
+    return blocks
+
+
 def darcy_form(space, g, weight, k_min):
     """The velocity terms g (W u, v) + g k_min (div u, div v) on whole dof
     vectors (empty head rows and columns), i.e.
     g P^T diag(w |T| W) P + g k_min D^T diag(|T|) D with P the
     quadrature-evaluation operator, w |T| the quadrature weights and D the
-    divergence operator of the space.
+    divergence operator of the space, assembled from element matrices.
 
     `weight` is the diagonal of the tensor W per row of P (see
     inverse_diagonal), or a scalar for W = weight I.
     """
-    W = g * space.quad_weight * weight
-    if not np.all((W > 0) & (W < np.inf)):     # NaN fails this too
-        raise ValueError("coefficient tensor not SPD and finite at a quadrature point")
-    P, D = space.eval_op, space.div_op
-    form = P.T @ sp.diags(W) @ P
-    if k_min:
-        form = form + D.T @ sp.diags(g * k_min * space.mesh.tri_area) @ D
-    return form.tocsr()
+    return _assemble(space.elem_dofs, _velocity_blocks(space, g, weight, k_min), space.n_dofs)
+
+
+def darcy_element_blocks(space, g, weight, k_min, delta_d, pairing):
+    """Each triangle's (7, 7) block of `darcy_matrix` over its local dofs
+    `space.hybrid_dofs` (six velocity dofs, then the head): the element
+    velocity form, the momentum coupling -g (phi, div v), the continuity
+    row g (psi, div u) and, on the triangle of each interface edge,
+    delta_d <u.n_D, v.n_D>.  Every term of the Darcy matrix is local to one
+    triangle, so these blocks are the whole matrix."""
+    if not (0 < g < np.inf and 0 < delta_d < np.inf and 0 < k_min < np.inf):
+        raise ValueError("g, delta_d and k_min must be positive and finite")
+    blocks = np.zeros((space.n_head, 7, 7))
+    blocks[:, :6, :6] = _velocity_blocks(space, g, weight, k_min)
+    B = g * space.div * space.mesh.tri_area[:, None]
+    blocks[:, 6, :6] = B
+    blocks[:, :6, 6] = -B
+    iface = DarcyInterfaceInfo(space, pairing)
+    robin = (iface.normal.T @ (delta_d * interface_mass(pairing)) @ iface.normal).tocoo()
+    # an interface edge has one triangle, so its dofs have one copy each
+    row, col = space.copy_of[robin.row], space.copy_of[robin.col]
+    np.add.at(blocks, (row // 7, row % 7, col % 7), robin.data)
+    return blocks
 
 
 def darcy_matrix(space, g, weight, k_min, delta_d, pairing):
-    """The Robin porous-medium matrix as a CSR matrix: the velocity block
-    of darcy_form, the momentum coupling -g (phi, div v), the continuity
-    rows g (psi, div u) and delta_d <u.n_D, v.n_D>_Gamma.
+    """The Robin porous-medium matrix as a CSR matrix, assembled from
+    `darcy_element_blocks`: the velocity block of darcy_form, the momentum
+    coupling -g (phi, div v), the continuity rows g (psi, div u) and
+    delta_d <u.n_D, v.n_D>_Gamma.
 
     `weight` is the diagonal of the mass-term coefficient tensor per row of
     space.eval_op, as in darcy_form; `k_min` weights the grad-div
     augmentation.
     """
-    if not (0 < g < np.inf and 0 < delta_d < np.inf and 0 < k_min < np.inf):
-        raise ValueError("g, delta_d and k_min must be positive and finite")
-
-    form = darcy_form(space, g, weight, k_min).tocoo()
-    B = (g * space.div * space.mesh.tri_area[:, None]).ravel()
-    heads = np.repeat(space.n_velocity + np.arange(space.n_head), 6)
-    vel = space.elem_dofs.ravel()
-    iface = DarcyInterfaceInfo(space, pairing)
-    robin = (iface.normal.T @ (delta_d * interface_mass(pairing)) @ iface.normal).tocoo()
-    rows = np.concatenate([form.row, heads, vel, robin.row])
-    cols = np.concatenate([form.col, vel, heads, robin.col])
-    vals = np.concatenate([form.data, B, -B, robin.data])
-    return sp.csr_matrix((vals, (rows, cols)), shape=(space.n_dofs, space.n_dofs))
+    blocks = darcy_element_blocks(space, g, weight, k_min, delta_d, pairing)
+    return _assemble(space.hybrid_dofs, blocks, space.n_dofs)
 
 
 def assemble_darcy_operator(space, g, weight, kbar_min, delta_d, pairing):
-    """Factorize the shared porous-medium matrix: the `darcy_matrix` of
-    the ensemble means (for an ensemble, `weight` is inverse_diagonal of
-    the mean of the sample inverse tensors and `kbar_min` the mean minimal
-    eigenvalue)."""
-    return SubdomainOperator(darcy_matrix(space, g, weight, kbar_min, delta_d, pairing),
-                             space.free, space.fixed, np.empty((0, 2), dtype=np.int64))
+    """Factorize the shared porous-medium matrix, the `darcy_matrix` of the
+    ensemble means (for an ensemble, `weight` is inverse_diagonal of the
+    mean of the sample inverse tensors and `kbar_min` the mean minimal
+    eigenvalue), through its hybridized form.
+
+    The velocity is broken into element copies (`space.hybrid_dofs`) tied
+    together by one multiplier per row of `space.constraints`, C.  With K
+    the block diagonal of the element blocks, the system
+    [K, -C^T; C, 0] [x; lam] = [P b; 0], P putting each free row on the copy
+    `space.copy_of` of its dof, has the conforming solution on every copy.
+    The operator condenses each element's 7 x 7 block out and factorizes
+    only C K^-1 C^T on the multipliers, which is symmetric positive
+    definite: the interface edges carry no multiplier, so no head can float.
+    """
+    blocks = darcy_element_blocks(space, g, weight, kbar_min, delta_d, pairing)
+    matrix = _assemble(space.hybrid_dofs, blocks, space.n_dofs)
+    broken = np.arange(blocks.size // 7).reshape(-1, 7)
+    C = space.constraints
+    H = sp.bmat([[_assemble(broken, blocks, broken.size), -C.T], [C, None]], format="csr")
+    del blocks
+    n_free = len(space.free)
+    P = sp.csr_matrix((np.ones(n_free), (space.copy_of[space.free], np.arange(n_free))),
+                      shape=(H.shape[0], n_free))
+    return SubdomainOperator(matrix, space.free, space.fixed, broken, hybrid=(H, P))
 
 
 def assemble_darcy_volume_rhs(space, f_D, k_min, g):

@@ -148,12 +148,14 @@ class SolveReport:
     iteration record, and the wall-time split.
 
     t_factor is the time of the two factorizations, with the forming of
-    the condensed Stokes matrix.  t_solve is the wall time of the iteration
-    loop; t_rhs, t_trisolve, t_trace and t_norm are its phases (right-hand
-    sides, block solves with the gather of the free rows, the bubble
-    condensation and recovery and the scatter to full dof vectors, trace
-    updates, stopping norms and convergence bookkeeping), and their sum
-    stays below t_solve.
+    the two condensed matrices and each operator's probe solve.  t_solve is
+    the wall time of the iteration loop; t_rhs, t_trisolve, t_trace and
+    t_norm are its phases (right-hand sides; block solves with the gather
+    of the free rows, the condensation of the Stokes bubbles and the Darcy
+    element blocks into the right-hand side, their recovery, a refinement
+    step where an operator's probe asked for one, and the scatter to full
+    dof vectors; trace updates; stopping norms and convergence
+    bookkeeping), and their sum stays below t_solve.
 
     lu_nnz is the fill of the factors: the entries SuperLU stores for L and
     U (its `nnz`), summed over both factors, and over all samples for the

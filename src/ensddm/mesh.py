@@ -42,8 +42,6 @@ class Mesh:
     """
 
     rect: Rect
-    nx: int
-    ny: int
     verts: np.ndarray
     tris: np.ndarray
     edges: np.ndarray
@@ -139,7 +137,7 @@ def build_rect_mesh(rect, nx, ny, side_tags=None):
     ev = verts[edges]
     elen = np.linalg.norm(ev[:, 1] - ev[:, 0], axis=1)
 
-    mesh = Mesh(rect=rect, nx=nx, ny=ny, verts=verts, tris=tris, edges=edges,
+    mesh = Mesh(rect=rect, verts=verts, tris=tris, edges=edges,
                 edge_tris=edge_tris, boundary_tags=boundary_tags,
                 tri_area=area, tri_grads=grads, edge_length=elen, edge_of_tri=edge_of_tri)
     _check_invariants(mesh)

@@ -5,23 +5,24 @@ the shared-coefficient-matrix ensemble iteration cheap: the two subdomain
 matrices are factorized once per run and then only triangular solves remain,
 one block solve per subdomain and iteration for all samples at once.
 
-Before that one factorization, a subdomain operator condenses out interior
-dof pairs that couple only with themselves and the other free dofs (the two
-MINI bubbles of each free-flow triangle): each pair's 2x2 block is inverted
-in closed form, only their Schur complement is factorized, and every solve
-recovers the pairs with two sparse products.
+Before that one factorization, a subdomain operator condenses out b x b
+blocks of dofs that couple only with themselves and the rest of the system:
+the two MINI bubbles of each free-flow triangle (b = 2), and the six
+velocity copies and the head of each triangle of the hybridized Darcy
+system (b = 7).  All blocks are inverted by one batched call, only their
+Schur complement is factorized, and every solve maps the right-hand side
+to the complement's and the solution back with three sparse products.
 
 Matrices are plain scipy CSR matrices (the assembly modules build them from
 triplets in one call) and factors plain SuperLU objects; everything is
 float64.  An operator keeps the factor and the condensation maps, not the
-matrix.  Each matrix is factorized by its structure.  The condensed Stokes
-matrix [A, -B^T; B, C] has a positive semidefinite symmetric part and a
-diagonal filled by the bubble stabilization C, so it takes diagonal pivots
-in a symmetric minimum-degree order of A + A^T (symmetric mode); the
-pressure-mean multiplier, its one zero diagonal entry, is ordered last,
-where it is already filled.  The Darcy matrix has a zero diagonal on every
-head dof, so it keeps COLAMD with threshold partial pivoting at 0.5, which
-keeps more of COLAMD's order than strict partial pivoting.
+matrix (its free block only where a probe solve asks for refinement).  Both condensed matrices take diagonal pivots in a symmetric
+minimum-degree order of A + A^T (SuperLU's symmetric mode), the one mode of
+`factorize`: the condensed Stokes matrix [A, -B^T; B, C] has a positive
+semidefinite symmetric part and a diagonal filled by the bubble
+stabilization C (the pressure-mean multiplier, its one zero diagonal entry,
+is ordered last, where it is already filled), and the Darcy multiplier
+system is symmetric positive definite.
 """
 
 import time
@@ -44,21 +45,19 @@ class SingularMatrixError(RuntimeError):
         self.row = row
 
 
-def factorize(a, symmetric=False):
-    """LU-factorize a square scipy sparse matrix; returns the SuperLU
-    object, whose solve() takes an (n,) vector or an (n, k) block.
+def factorize(a):
+    """LU-factorize a square scipy sparse matrix in SuperLU's symmetric
+    mode; returns the SuperLU object, whose solve() takes an (n,) vector or
+    an (n, k) block.
 
-    By default the columns are ordered by COLAMD and the pivots chosen by
-    threshold partial pivoting (a diagonal pivot is kept while it is at
-    least half the largest entry of its column), which suits matrices with
-    zero diagonal entries, like the Darcy saddle point matrix.  With
-    `symmetric=True` the order is a minimum degree order of A + A^T and
-    every pivot is the diagonal entry (SuperLU's symmetric mode); that is
-    for matrices with a definite symmetric part and a nonzero diagonal up to
-    a few border rows ordered last, like the condensed Stokes matrix, whose
-    factor then stores about half the fill.  In either mode a pivot that is
-    zero falls back to the largest entry of its column, and a column with
-    no nonzero entry left raises SingularMatrixError.
+    The order is a minimum degree order of A + A^T and every pivot is the
+    diagonal entry.  That is for matrices with a definite symmetric part
+    and a nonzero diagonal up to a few border rows, which the order leaves
+    last: the condensed Stokes matrix with its pressure-mean multiplier, and
+    the symmetric positive definite multiplier system of the hybridized
+    Darcy operator.  A pivot that is zero falls back to the largest entry of
+    its column, and a column with no nonzero entry left raises
+    SingularMatrixError.
 
     A block is one SuperLU call and comes back column-major.  Its columns
     equal column-by-column solves to rounding (the blocked triangular
@@ -86,61 +85,86 @@ def factorize(a, symmetric=False):
     if len(empty) > 0:
         raise SingularMatrixError(f"structurally singular: column {empty[0]} is empty", row=int(empty[0]))
     try:
-        if symmetric:
-            lu = splu(csc, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                      options=dict(SymmetricMode=True))
-        else:
-            lu = splu(csc, permc_spec="COLAMD", diag_pivot_thresh=0.5)
+        lu = splu(csc, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                  options=dict(SymmetricMode=True))
     except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
         raise SingularMatrixError(f"singular pivot during LU: {exc}") from exc
     _factorize_calls += 1
     return lu
 
 
+# The probe block that checks each operator's solves once at construction.
+# A normwise backward error above REFINE_ABOVE (16 eps; the benchmark's
+# operators give 1-3 eps) switches on one refinement step against A_ff for
+# every solve of that operator.
+_PROBE_SEED, _PROBE_COLUMNS = 20240901, 2
+REFINE_ABOVE = 16 * np.finfo(float).eps
+
+
 class SubdomainOperator:
-    """A subdomain matrix reduced to its free rows and columns, with its
-    interior dof pairs condensed out, and factorized once.  It keeps what
-    `solve` and `lift` read (the dof count `n`, the factor, the condensation
-    maps, the free-by-fixed block `A_fd`), not the matrix or its A_ff.
+    """A subdomain matrix reduced to its free rows and columns and solved
+    through one factorization of a condensed system.  It keeps what `solve`
+    and `lift` read (the dof count `n`, the factor, the three condensation
+    maps, the free-by-fixed block `A_fd`), not the matrix.
 
     The `free` and `fixed` index arrays split the dofs; fixed rows carry
-    boundary values.  `interior` is an (m, 2) array of free dofs, each pair
-    coupled only with itself and with the other free dofs (the x and y
-    bubbles of a MINI triangle), or an empty (0, 2) array.  With B the
-    block diagonal of the pairs' 2x2 blocks, inverted in closed form, the
-    one factorization is of the Schur complement S = A_rr - A_ri B^-1 A_ir
-    on the remaining free dofs r; without pairs, S is A_ff itself.  A
-    condensed S (the Stokes operator's) is factorized in symmetric mode, an
-    uncondensed one (the Darcy operator's) in the default mode; see
-    factorize.  `factor_seconds` covers forming and factorizing S.
+    boundary values.  The free block A_ff is solved through an equivalent
+    system H y = P b, x = P^T y: by default H is A_ff and P the identity;
+    `hybrid`, when given, is the pair (H, P) of a larger system (the
+    hybridized Darcy system, whose P puts each free row on one element copy
+    of its dof).  `interior` is an (m, b) array of free dofs of the matrix,
+    or of dofs of H when `hybrid` is given; each row is a block of b dofs
+    coupled only with itself and with the rest of H (the two MINI bubbles
+    of a triangle, or the seven dofs of a broken BDM1-P0 element).  With B
+    the block diagonal of these blocks, inverted by one batched call, the
+    one factorization is of the Schur complement S = H_rr - H_ri B^-1 H_ir
+    on the remaining dofs r of H; every solve maps the right-hand side to
+    S's, solves against S's factor and recovers the free dofs from both.
+    `factor_seconds` covers forming and factorizing S and the probe below.
+
+    At construction a probe block is solved and its normwise backward error
+    against A_ff is measured.  Above REFINE_ABOVE the operator keeps A_ff
+    and every solve takes one refinement step against it.
     """
 
-    def __init__(self, matrix, free, fixed, interior):
+    def __init__(self, matrix, free, fixed, interior, hybrid=None):
         self.n = matrix.shape[0]
         self.free, self.fixed = free, fixed
         rows = matrix[free]
-        a, self.A_fd = rows[:, free], rows[:, fixed]     # CSR, like the matrix rows
+        a_ff, self.A_fd = rows[:, free], rows[:, fixed]     # CSR, like the matrix rows
         del rows
         t0 = time.perf_counter()
-        pos = np.full(self.n, -1)
-        pos[free] = np.arange(len(free))
-        pairs = pos[interior]                   # positions within the free dofs
-        if np.any(pairs < 0):
-            raise ValueError("interior dofs must be free")
-        rest = np.ones(len(free), dtype=bool)
-        rest[pairs] = False
-        self._rest, self._inner = np.flatnonzero(rest), pairs.ravel()
-        self._rest_dofs, self._inner_dofs = free[self._rest], free[self._inner]
-        if len(pairs):
-            inner_rows, rest_rows = a[self._inner], a[self._rest]
-            self._B_inv = _pair_inverse(inner_rows[:, self._inner])
-            A_ir = inner_rows[:, self._rest]
-            self._condense = (rest_rows[:, self._inner] @ self._B_inv).tocsr()  # A_ri B^-1
-            self._recover = (self._B_inv @ A_ir).tocsr()                        # B^-1 A_ir
-            S = rest_rows[:, self._rest] - self._condense @ A_ir
+        if hybrid is None:
+            H, P = a_ff, sp.identity(len(free), format="csr")
+            pos = np.full(self.n, -1)
+            pos[free] = np.arange(len(free))
+            interior = pos[interior]            # positions within the free dofs
+            if np.any(interior < 0):
+                raise ValueError("interior dofs must be free")
         else:
-            S = a
-        self.factorization = factorize(S, symmetric=len(pairs) > 0)
+            H, P = (sp.csr_matrix(m) for m in hybrid)
+        rest = np.ones(H.shape[0], dtype=bool)
+        rest[interior] = False
+        rest, inner = np.flatnonzero(rest), interior.ravel()
+        H_i, H_r = H[inner], H[rest]
+        del H
+        B_inv = _block_inverse(H_i[:, inner], interior.shape[1])
+        condense = H_r[:, inner] @ B_inv                    # H_ri B^-1
+        H_ir = H_i[:, rest]
+        S = H_r[:, rest] - condense @ H_ir
+        P_i, Q = P[inner], P.T.tocsr()
+        # rhs of S, the free dofs straight from the rhs, the free dofs from S's solution
+        self._condense = (P[rest] - condense @ P_i).tocsr()
+        self._direct = (Q[:, inner] @ B_inv @ P_i).tocsr()
+        self._recover = (Q[:, rest] - Q[:, inner] @ (B_inv @ H_ir)).tocsr()
+        del H_i, H_r, H_ir, B_inv, condense, P, P_i, Q
+        self.factorization = factorize(S)
+        del S
+        self._A_ff = None
+        b = np.random.default_rng(_PROBE_SEED).standard_normal((len(free), _PROBE_COLUMNS))
+        self.probe_error = backward_error(a_ff, self._solve_free(b), b)
+        if self.probe_error > REFINE_ABOVE:
+            self._A_ff = a_ff
         self.factor_seconds = time.perf_counter() - t0
 
     def lift(self, fixed_values):
@@ -148,50 +172,53 @@ class SubdomainOperator:
         an (n_fixed,) vector or an (n_fixed, k) block."""
         return self.A_fd @ fixed_values
 
+    def _solve_free(self, rhs):
+        y = self.factorization.solve(self._condense @ rhs)
+        x = self._direct @ rhs
+        x += self._recover @ y
+        return x
+
     def solve(self, rhs, fixed_values):
         """Full dof vectors (or a row-major (n_dofs, k) block) from the
         free rows of the right-hand sides, an (n_free,) vector or an
         (n_free, k) block: the free rows solve A_ff x = rhs, and the fixed
-        rows take `fixed_values` (a scalar or an (n_fixed, k) block).
-
-        The pairs are condensed into the right-hand side, the rest solves
-        against the factor of S, and the pairs are recovered from it."""
-        shape = (self.n,) + rhs.shape[1:]
-        if len(self._inner):
-            b_inner = rhs[self._inner]
-            rhs = rhs[self._rest]
-            rhs -= self._condense @ b_inner
-        x_rest = self.factorization.solve(rhs)
-        del rhs
-        full = np.zeros(shape)
-        full[self._rest_dofs] = x_rest
-        if len(self._inner):
-            x_inner = self._B_inv @ b_inner
-            x_inner -= self._recover @ x_rest
-            full[self._inner_dofs] = x_inner
+        rows take `fixed_values` (a scalar or an (n_fixed, k) block)."""
+        x = self._solve_free(rhs)
+        if self._A_ff is not None:
+            x += self._solve_free(rhs - self._A_ff @ x)
+        full = np.zeros((self.n,) + rhs.shape[1:])
+        full[self.free] = x
         full[self.fixed] = fixed_values
         return full
 
 
-def _pair_inverse(block):
-    """Inverse of a block diagonal matrix of 2x2 blocks (rows and columns
-    2i, 2i+1), each inverted in closed form, as a CSR matrix."""
-    m = block.shape[0] // 2
+def _block_inverse(block, b):
+    """Inverse of a block diagonal matrix of b x b blocks (rows and columns
+    b i, ..., b i + b - 1), inverted together by one batched LAPACK call, as
+    a CSR matrix."""
+    m = block.shape[0] // b
     coo = block.tocoo()
-    if np.any(coo.row // 2 != coo.col // 2):
-        raise ValueError("interior pairs couple with each other")
-    d = block.diagonal()
-    a, e = d[0::2], d[1::2]
-    i = 2 * np.arange(m)
-    b = np.asarray(block[i, i + 1]).ravel()
-    c = np.asarray(block[i + 1, i]).ravel()
-    det = a * e - b * c
-    if np.any(det == 0.0):
-        raise SingularMatrixError(f"singular interior pair {np.flatnonzero(det == 0.0)[0]}")
-    rows = np.column_stack([i, i, i + 1, i + 1]).ravel()
-    cols = np.column_stack([i, i + 1, i, i + 1]).ravel()
-    vals = (np.column_stack([e, -b, -c, a]) / det[:, None]).ravel()
-    return sp.csr_matrix((vals, (rows, cols)), shape=block.shape)
+    if np.any(coo.row // b != coo.col // b):
+        raise ValueError("interior blocks couple with each other")
+    dense = np.zeros((m, b, b))
+    np.add.at(dense, (coo.row // b, coo.row % b, coo.col % b), coo.data)
+    try:
+        inv = np.linalg.inv(dense)
+    except np.linalg.LinAlgError:
+        bad = int(np.argmin(np.abs(np.linalg.det(dense))))
+        raise SingularMatrixError(f"singular interior block {bad}") from None
+    idx = np.arange(m * b).reshape(m, b)
+    rows = np.repeat(idx, b, axis=1).ravel()
+    cols = np.tile(idx, (1, b)).ravel()
+    return sp.csr_matrix((inv.ravel(), (rows, cols)), shape=block.shape)
+
+
+def backward_error(a, x, b):
+    """Largest normwise backward error max|r| / (||a|| max|x| + max|b|)
+    over the columns of x (infinity norms, r = b - a x)."""
+    r = np.abs(a @ x - b).max(axis=0)
+    a_norm = abs(a).sum(axis=1).max()
+    return (r / (a_norm * np.abs(x).max(axis=0) + np.abs(b).max(axis=0))).max()
 
 
 def quadratic_form(m, x):

@@ -88,13 +88,14 @@ def test_load_config_roundtrip(tmp_path):
 
 
 def test_mesh_factories():
+    # an (nx x ny)-cell mesh has 2 nx ny triangles and (nx + 1)(ny + 1) vertices
     ms, md, pairing = manufactured_meshes(1 / 8)
-    assert ms.nx == 16 and ms.ny == 8
-    assert md.nx == 16 and md.ny == 8
+    assert len(ms.tris) == 2 * 16 * 8 and len(ms.verts) == 17 * 9
+    assert len(md.tris) == 2 * 16 * 8 and len(md.verts) == 17 * 9
     assert pairing.length == pytest.approx(np.pi)
     ms, md, pairing = channel_meshes(1 / 8)
-    assert ms.nx == 24 and ms.ny == 8
-    assert md.nx == 24 and md.ny == 24
+    assert len(ms.tris) == 2 * 24 * 8 and len(ms.verts) == 25 * 9
+    assert len(md.tris) == 2 * 24 * 24 and len(md.verts) == 25 * 25
     assert len(ms.boundary_edges("INFLOW")) == 8
     assert len(ms.boundary_edges("OUTFLOW")) == 8
     assert pairing.length == pytest.approx(3.0)

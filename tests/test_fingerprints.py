@@ -1,5 +1,6 @@
 """tools/fingerprints.py runs from the checkout root and prints one line per
-benchmark run plus one residual line per channel workload."""
+benchmark run, with its digest and the digest of its counts, plus one
+residual line per channel workload."""
 
 import re
 import subprocess
@@ -7,8 +8,8 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-LINE = re.compile(r"(\w+) seed=(\d+) (?:(ensemble|traditional) (lockstep|per_sample)|residual)"
-                  r" [0-9a-f]{16}")
+LINE = re.compile(r"(\w+) seed=(\d+) (?:(ensemble|traditional) (lockstep|per_sample)"
+                  r" [0-9a-f]{16} counts=[0-9a-f]{16}|residual [0-9a-f]{16})")
 
 
 def test_fingerprints_at_smoke_size():

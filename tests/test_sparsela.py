@@ -6,8 +6,8 @@ import pytest
 import scipy.sparse as sp
 from scipy.sparse.linalg import LinearOperator, onenormest, splu
 
-from ensddm.sparsela import (SingularMatrixError, factorize,
-                             factorization_count, quadratic_form)
+from ensddm.sparsela import (REFINE_ABOVE, SingularMatrixError, _block_inverse,
+                             backward_error, factorize, factorization_count, quadratic_form)
 
 
 def test_identity_solve():
@@ -72,8 +72,6 @@ def test_numerically_singular_raises():
     A = sp.csr_matrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
     with pytest.raises(SingularMatrixError):
         factorize(A)
-    with pytest.raises(SingularMatrixError):
-        factorize(A, symmetric=True)
 
 
 def _free_block(matrix, op):
@@ -269,15 +267,43 @@ def test_stokes_factor_holds_no_bubbles_and_less_fill():
         assert f.nnz < full.nnz
 
 
-def test_darcy_solve_without_interior_pairs_is_the_plain_factor_solve():
-    # no pairs to condense: the operator factorizes A_ff itself and its
-    # solve is the plain factor solve, bitwise
+def test_hybrid_darcy_solve_matches_the_plain_factor_solve():
+    # the hybridized operator factorizes the multiplier system, not A_ff:
+    # one unknown per multiplier, with a symmetric positive definite
+    # matrix; its solves match a partial-pivot factor of A_ff to rounding
+    from ensddm.bench_cli import manufactured_meshes
+    from ensddm.darcy_fem import build_darcy_space
+
     op, A_ff = _darcy_system()
-    assert op.factorization.shape == A_ff.shape
-    f = factorize(A_ff)
+    space = build_darcy_space(manufactured_meshes(1 / 8)[1])
+    assert op.factorization.shape == (space.constraints.shape[0],) * 2
+    assert op.factorization.shape[0] < A_ff.shape[0]
     B = np.random.default_rng(5).standard_normal((len(op.free), 4))
-    np.testing.assert_array_equal(op.solve(B, 0.0)[op.free], f.solve(B))
-    np.testing.assert_array_equal(op.solve(B[:, 1], 0.0)[op.free], f.solve(B[:, 1]))
+    ref = _colamd_partial_pivot(A_ff)
+    assert _rel_diff(op.solve(B, 0.0)[op.free], ref.solve(B)) <= 1e-12
+    assert _rel_diff(op.solve(B[:, 1], 0.0)[op.free], ref.solve(B[:, 1])) <= 1e-12
+    # diagonal pivots of a symmetric positive definite matrix are positive
+    assert np.all(op.factorization.U.diagonal() > 0)
+
+
+def test_block_inverse_of_pairs_and_element_blocks():
+    # one batched inverse of b x b diagonal blocks, for the MINI bubble
+    # pairs (b = 2) and the BDM1-P0 element blocks (b = 7)
+    rng = np.random.default_rng(31)
+    for b in (2, 7):
+        blocks = rng.standard_normal((5, b, b)) + b * np.eye(b)
+        block = sp.block_diag(list(blocks), format="csr")
+        inv = _block_inverse(block, b)
+        np.testing.assert_allclose(inv.toarray(), np.linalg.inv(block.toarray()),
+                                   rtol=0, atol=1e-13)
+        coupled = block.tolil()
+        coupled[0, b] = 1.0
+        with pytest.raises(ValueError):
+            _block_inverse(coupled.tocsr(), b)
+        singular = blocks.copy()
+        singular[3, 1] = 0.0                  # block 3 has a zero row
+        with pytest.raises(SingularMatrixError, match="block 3"):
+            _block_inverse(sp.block_diag(list(singular), format="csr"), b)
 
 
 def test_interior_pairs_must_not_couple():
@@ -297,11 +323,11 @@ def test_interior_pairs_must_not_couple():
     np.testing.assert_allclose(A @ op.solve(b, 0.0), b, rtol=0, atol=1e-14)
 
 
-# -- the two factorization modes -------------------------------------------
+# -- the symmetric-mode factors against partial pivoting -------------------
 
 
-def _colamd_partial_pivot(a):
-    return splu(sp.csc_matrix(a), permc_spec="COLAMD", diag_pivot_thresh=1.0)
+def _colamd_partial_pivot(a, threshold=1.0):
+    return splu(sp.csc_matrix(a), permc_spec="COLAMD", diag_pivot_thresh=threshold)
 
 
 def _rel_diff(x, ref):
@@ -318,7 +344,7 @@ def test_symmetric_mode_solves_bordered_matrix_with_zero_corner():
     K = sp.bmat([[A, -m[:, None]], [m[None, :], None]]).tocsr()
     assert K.diagonal()[-1] == 0.0 and np.all(K.diagonal()[:-1] != 0.0)
     b = rng.standard_normal(n + 1)
-    x = factorize(K, symmetric=True).solve(b)
+    x = factorize(K).solve(b)
     assert np.linalg.norm(K @ x - b) <= 1e-12 * np.linalg.norm(b)
 
 
@@ -336,26 +362,19 @@ def test_symmetric_mode_stokes_solve_matches_partial_pivoting(nu, delta_s, xi, p
     assert _rel_diff(op.solve(B, 0.0)[op.free], ref) <= 1e-10
 
 
-def _backward_error(a, x, b):
-    """Largest normwise backward error max|r| / (||a|| max|x| + max|b|)
-    over the columns of x."""
-    r = np.abs(a @ x - b).max(axis=0)
-    a_norm = abs(a).sum(axis=1).max()
-    return (r / (a_norm * np.abs(x).max(axis=0) + np.abs(b).max(axis=0))).max()
-
-
 @pytest.mark.parametrize("k_inv", [1e-3, 1.0, 1e3])
 @pytest.mark.parametrize("delta_d", [0.05, 2.0, 100.0])
 def test_threshold_pivoted_darcy_solve_matches_partial_pivoting(k_inv, delta_d):
-    # the Darcy factor at pivot threshold 0.5 against threshold 1.0, with
-    # the isotropic conductivity K = 1/k_inv (so k_min = K)
+    # the hybridized Darcy operator against a partial-pivot factor of the
+    # conforming free block, with the isotropic conductivity K = 1/k_inv
+    # (so k_min = K)
     op, A_ff = _darcy_system(k_inv, delta_d)
     B = np.random.default_rng(18).standard_normal((len(op.free), 4))
     x = op.solve(B, 0.0)[op.free]
     ref_lu = _colamd_partial_pivot(A_ff)
     ref = ref_lu.solve(B)
-    assert _backward_error(A_ff, x, B) <= 1e-14
-    assert _backward_error(A_ff, ref, B) <= 1e-14
+    assert backward_error(A_ff, x, B) <= 1e-14
+    assert backward_error(A_ff, ref, B) <= 1e-14
     # two backward stable solves differ by up to about eps * cond; at
     # k_inv = 1e-3 cond_1 is about 1e10, so no two factors agree to 1e-10
     n = A_ff.shape[0]
@@ -372,3 +391,46 @@ def test_pressure_multiplier_costs_under_twice_the_fill():
     with_pin, without = (_stokes_system(pin, h=1 / 32)[0].factorization.nnz
                          for pin in (True, False))
     assert with_pin < 2 * without
+
+
+def test_probe_switches_on_refinement_only_where_the_solve_needs_it():
+    # at delta_d = 100 and K = 1000 the multiplier solve alone has a
+    # backward error of about 1e-14, so the probe keeps A_ff and refines;
+    # the channel operator of the Monte Carlo scenario needs no refinement
+    from ensddm.bench_cli import ScenarioConfig, channel_bc, channel_meshes, channel_samples, \
+        resolve_delta_d, scenario_context
+    from ensddm.darcy_fem import build_darcy_space
+    from ensddm.ensemble_driver import _setup
+    from ensddm.stokes_fem import build_stokes_space
+
+    op, A_ff = _darcy_system(1e-3, 100.0)
+    assert op.probe_error > REFINE_ABOVE
+    B = np.random.default_rng(19).standard_normal((len(op.free), 3))
+    x = op.solve(B, 0.0)[op.free]
+    assert backward_error(A_ff, x, B) <= 4 * np.finfo(float).eps
+
+    cfg = ScenarioConfig(scenario="channel_mc", J=8)
+    mesh_s, mesh_d, pairing = channel_meshes(1 / 8)
+    bc = channel_bc()
+    samples = channel_samples(cfg, mesh_d)[0]
+    ctx, _ = scenario_context(cfg, samples, resolve_delta_d(cfg, pairing.length, 1 / 8))
+    space_s = build_stokes_space(mesh_s, dirichlet_tags=bc.stokes_dirichlet_tags,
+                                 pressure_multiplier=bc.stokes_pressure_multiplier)
+    space_d = build_darcy_space(mesh_d, essential_tags=bc.darcy_essential_tags)
+    su, _ = _setup(ctx, ctx.samples, space_s, space_d, pairing, bc, range(ctx.J))
+    assert su.op_d.probe_error <= REFINE_ABOVE
+    assert su.op_s.probe_error <= REFINE_ABOVE
+
+
+def test_hybrid_darcy_factor_stores_under_six_tenths_of_the_conforming_fill():
+    # the conforming saddle-point matrix needs pivoting: COLAMD with
+    # threshold partial pivoting at 0.5 was its factor
+    from ensddm.bench_cli import manufactured_meshes
+    from ensddm.darcy_fem import assemble_darcy_operator, build_darcy_space, darcy_matrix
+
+    _, md, pairing = manufactured_meshes(1 / 32)
+    space = build_darcy_space(md)
+    weight = np.ones(space.eval_op.shape[0])
+    op = assemble_darcy_operator(space, 1.0, weight, 1.0, 2.0, pairing)
+    A_ff = _free_block(darcy_matrix(space, 1.0, weight, 1.0, 2.0, pairing), op)
+    assert op.factorization.nnz < 0.6 * _colamd_partial_pivot(A_ff, threshold=0.5).nnz
