@@ -152,7 +152,9 @@ class DarcySpace:
     def basis_values(self, bary):
         """Both velocity components of the six local basis fields at the
         barycentric points `bary` (q, 3) of every triangle: (nt, q, 2, 6)."""
-        return np.einsum("qm,tlmc->tqcl", bary, self.vertex_values)
+        nt = self.mesh.n_tris
+        vv = self.vertex_values.transpose(0, 2, 3, 1).reshape(nt, 3, 12)   # (t, m, (c, l))
+        return np.matmul(bary, vv).reshape(nt, len(bary), 2, 6)
 
     def evaluation_operator(self, bary):
         """Sparse map from whole dof vectors (empty head columns) to both

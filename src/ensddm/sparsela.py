@@ -152,8 +152,11 @@ class SubdomainOperator:
         condense = H_r[:, inner] @ B_inv                    # H_ri B^-1
         H_ir = H_i[:, rest]
         S = H_r[:, rest] - condense @ H_ir
-        P_i, Q = P[inner], P.T.tocsr()
-        # rhs of S, the free dofs straight from the rhs, the free dofs from S's solution
+        # Q = P^T with its rows at the free dofs of full dof vectors
+        P_i = P[inner]
+        Q = sp.csr_matrix((np.ones(len(free)), (free, np.arange(len(free)))),
+                          shape=(self.n, len(free))) @ P.T
+        # rhs of S, full dof vectors straight from the rhs and from S's solution
         self._condense = (P[rest] - condense @ P_i).tocsr()
         self._direct = (Q[:, inner] @ B_inv @ P_i).tocsr()
         self._recover = (Q[:, rest] - Q[:, inner] @ (B_inv @ H_ir)).tocsr()
@@ -162,7 +165,7 @@ class SubdomainOperator:
         del S
         self._A_ff = None
         b = np.random.default_rng(_PROBE_SEED).standard_normal((len(free), _PROBE_COLUMNS))
-        self.probe_error = backward_error(a_ff, self._solve_free(b), b)
+        self.probe_error = backward_error(a_ff, self._solve(b)[free], b)
         if self.probe_error > REFINE_ABOVE:
             self._A_ff = a_ff
         self.factor_seconds = time.perf_counter() - t0
@@ -172,7 +175,8 @@ class SubdomainOperator:
         an (n_fixed,) vector or an (n_fixed, k) block."""
         return self.A_fd @ fixed_values
 
-    def _solve_free(self, rhs):
+    def _solve(self, rhs):
+        """Full dof vectors, zero on the fixed rows, from free rows."""
         y = self.factorization.solve(self._condense @ rhs)
         x = self._direct @ rhs
         x += self._recover @ y
@@ -183,13 +187,11 @@ class SubdomainOperator:
         free rows of the right-hand sides, an (n_free,) vector or an
         (n_free, k) block: the free rows solve A_ff x = rhs, and the fixed
         rows take `fixed_values` (a scalar or an (n_fixed, k) block)."""
-        x = self._solve_free(rhs)
+        x = self._solve(rhs)
         if self._A_ff is not None:
-            x += self._solve_free(rhs - self._A_ff @ x)
-        full = np.zeros((self.n,) + rhs.shape[1:])
-        full[self.free] = x
-        full[self.fixed] = fixed_values
-        return full
+            x += self._solve(rhs - self._A_ff @ x[self.free])
+        x[self.fixed] = fixed_values
+        return x
 
 
 def _block_inverse(block, b):
@@ -200,8 +202,9 @@ def _block_inverse(block, b):
     coo = block.tocoo()
     if np.any(coo.row // b != coo.col // b):
         raise ValueError("interior blocks couple with each other")
+    coo.sum_duplicates()
     dense = np.zeros((m, b, b))
-    np.add.at(dense, (coo.row // b, coo.row % b, coo.col % b), coo.data)
+    dense[coo.row // b, coo.row % b, coo.col % b] = coo.data
     try:
         inv = np.linalg.inv(dense)
     except np.linalg.LinAlgError:
