@@ -322,7 +322,7 @@ def assemble_darcy_operator(space, g, weight, kbar_min, delta_d, pairing):
     """
     blocks = darcy_element_blocks(space, g, weight, kbar_min, delta_d, pairing)
     matrix = _assemble(space.hybrid_dofs, blocks, space.n_dofs)
-    broken = np.arange(blocks.size // 7).reshape(-1, 7)
+    broken = np.arange(7 * len(blocks)).reshape(-1, 7)
     C = space.constraints
     H = sp.bmat([[_assemble(broken, blocks, broken.size), -C.T], [C, None]], format="csr")
     del blocks

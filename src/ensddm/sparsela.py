@@ -16,13 +16,14 @@ to the complement's and the solution back with three sparse products.
 Matrices are plain scipy CSR matrices (the assembly modules build them from
 triplets in one call) and factors plain SuperLU objects; everything is
 float64.  An operator keeps the factor and the condensation maps, not the
-matrix (its free block only where a probe solve asks for refinement).  Both condensed matrices take diagonal pivots in a symmetric
-minimum-degree order of A + A^T (SuperLU's symmetric mode), the one mode of
-`factorize`: the condensed Stokes matrix [A, -B^T; B, C] has a positive
-semidefinite symmetric part and a diagonal filled by the bubble
-stabilization C (the pressure-mean multiplier, its one zero diagonal entry,
-is ordered last, where it is already filled), and the Darcy multiplier
-system is symmetric positive definite.
+matrix (its free block only where a probe solve asks for refinement).
+Both condensed matrices take diagonal pivots in a symmetric minimum-degree
+order of A + A^T (SuperLU's symmetric mode), the one mode of `factorize`:
+the condensed Stokes matrix [A, -B^T; B, C] has a positive semidefinite
+symmetric part and a diagonal filled by the bubble stabilization C (the
+pressure-mean multiplier, its one zero diagonal entry, is ordered last,
+where it is already filled), and the Darcy multiplier system is symmetric
+positive definite.
 """
 
 import time
