@@ -13,8 +13,8 @@ the mass term, mean minimal eigenvalue in the grad-div term), so it is
 shared by all samples; per-sample deviations are lagged into the right-hand
 side as volume terms against the previous iterate.  Conductivity tensors
 are diagonal (see `fields`), so a sample's deviation is two weights per
-quadrature point, applied through the shared quadrature-evaluation and
-divergence operators of the space.
+quadrature point, applied through the space's one stacked
+quadrature-evaluation and divergence operator.
 
 A dof vector holds the velocity dofs first, then one head per triangle.
 The volume and interface operators act on whole dof vectors, with empty
@@ -120,14 +120,15 @@ class DarcySpace:
         mesh = self.mesh
         bary, self.qw = self.RULE
         self.qpoints = quadrature.physical_points(mesh.verts, mesh.tris, bary)
-        # eval_op at the assembly rule; quad_weight: w_q |T| per row
-        self.eval_op = self.evaluation_operator(bary)
+        # quad_weight: w_q |T| per row (t, q, c) of the evaluation at the
+        # assembly rule; volume_op: that evaluation stacked on the constant
+        # divergence of each triangle
         self.quad_weight = np.repeat((self.qw[None, :] * mesh.tri_area[:, None]).ravel(), 2)
-        # div_op: dofs -> the constant divergence on each triangle
         nt = mesh.n_tris
-        self.div_op = sp.csr_matrix((self.div.ravel(),
-                                     (np.repeat(np.arange(nt), 6), self.elem_dofs.ravel())),
-                                    shape=(nt, self.n_dofs))
+        div_op = sp.csr_matrix((self.div.ravel(),
+                                (np.repeat(np.arange(nt), 6), self.elem_dofs.ravel())),
+                               shape=(nt, self.n_dofs))
+        self.volume_op = sp.vstack([self.evaluation_operator(bary), div_op], format="csr")
 
     def _build_hybrid_maps(self):
         """The broken space of the hybridized operator: triangle t holds
@@ -297,9 +298,9 @@ def darcy_matrix(space, g, weight, k_min, delta_d, pairing):
     coupling -g (phi, div v), the continuity rows g (psi, div u) and
     delta_d <u.n_D, v.n_D>_Gamma.
 
-    `weight` is the diagonal of the mass-term coefficient tensor per row of
-    space.eval_op, as in darcy_form; `k_min` weights the grad-div
-    augmentation.
+    `weight` is the diagonal of the mass-term coefficient tensor per
+    evaluation row of space.volume_op, as in darcy_form; `k_min` weights
+    the grad-div augmentation.
     """
     blocks = darcy_element_blocks(space, g, weight, k_min, delta_d, pairing)
     return _assemble(space.hybrid_dofs, blocks, space.n_dofs)
@@ -337,9 +338,9 @@ def assemble_darcy_volume_rhs(space, f_D, k_min, g):
     mesh = space.mesh
     pts = space.qpoints.reshape(-1, 2)
     fvals = np.asarray(f_D(pts)).reshape(mesh.n_tris, len(space.qw))
-    f_int = np.einsum("q,tq->t", space.qw, fvals) * mesh.tri_area
-    rhs = np.zeros(space.n_dofs)
-    np.add.at(rhs, space.elem_dofs, k_min * g * space.div * f_int[:, None])
+    f_int = (fvals @ space.qw) * mesh.tri_area
+    momentum = k_min * g * space.div * f_int[:, None]
+    rhs = np.bincount(space.elem_dofs.ravel(), weights=momentum.ravel(), minlength=space.n_dofs)
     rhs[space.head_slice] += g * f_int
     return rhs
 
@@ -381,32 +382,36 @@ def add_darcy_natural_head_rhs(rhs, space, tags, head_fn, g):
 
 def inverse_diagonal(space, coeff):
     """Diagonal of coeff's inverse tensor at the quadrature points, one
-    value per row (t, q, c) of space.eval_op."""
+    value per evaluation row (t, q, c) of space.volume_op."""
     i11, i22 = coeff.inv_diag(space.qpoints[:, :, 1].ravel())
     return np.column_stack([i11, i22]).ravel()
 
 
-def add_darcy_lag_rhs(rhs, space, dW, dk_min, u_prev, g):
+def lag_weights(space, g, dW, dk_min):
+    """The lag weights of k samples premultiplied into one (rows of
+    space.volume_op, k) block: g w |T| dW on the evaluation rows (w |T| the
+    quadrature weights, dW the (rows, k) diagonals of the deviation tensors,
+    see inverse_diagonal), then g |T| dk_min on the divergence rows."""
+    n_eval = len(space.quad_weight)
+    out = np.empty((space.volume_op.shape[0], dW.shape[1]))
+    np.multiply(dW, (g * space.quad_weight)[:, None], out=out[:n_eval])
+    np.multiply.outer(g * space.mesh.tri_area, dk_min, out=out[n_eval:])
+    return out
+
+
+def add_darcy_lag_rhs(rhs, space, lag_w, u_prev):
     """Accumulate the lagged sample-deviation volume terms against the
     previous iterates: g (dW u_prev, v) + g dk_min (div u_prev, div v),
-    i.e. P^T (g w dW * P u) + D^T (g |T| dk_min * D u) with P the
-    quadrature-evaluation operator, w the quadrature weights and D the
-    divergence operator of the space.
+    i.e. V^T (lag_w * V u_prev) with V the stacked volume operator of the
+    space (quadrature evaluation, then divergence) and `lag_w` the
+    premultiplied weights of `lag_weights`.
 
-    For k samples, u_prev and rhs are whole (n_dofs, k) blocks, dW is
-    (rows of P, k), the diagonal of each deviation tensor per row of P (see
-    inverse_diagonal), and dk_min (k,) the matching grad-div weights.  P and
-    D have empty head columns, so the head rows of rhs are left as they are.
-    With the mean-minus-sample orientation the stationary iterate solves
-    the per-sample equations.
+    For k samples, u_prev and rhs are whole (n_dofs, k) blocks and lag_w is
+    (rows of V, k).  V has empty head columns, so the head rows of rhs are
+    left as they are.  With the mean-minus-sample orientation the
+    stationary iterate solves the per-sample equations.
     """
-    pu = space.eval_op @ u_prev
-    pu *= dW
-    pu *= (g * space.quad_weight)[:, None]
-    lag = space.eval_op.T @ pu
-    del pu
-    du = space.div_op @ u_prev
-    du *= np.multiply.outer(g * space.mesh.tri_area, dk_min)
-    lag += space.div_op.T @ du
-    rhs += lag
+    vu = space.volume_op @ u_prev
+    vu *= lag_w
+    rhs += space.volume_op.T @ vu
     return rhs

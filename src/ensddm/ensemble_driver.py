@@ -24,7 +24,7 @@ from .stokes_fem import (build_stokes_space, assemble_stokes_operator,
                          interface_traces, stokes_matrix, StokesInterfaceInfo)
 from .darcy_fem import (build_darcy_space, assemble_darcy_operator,
                         assemble_darcy_volume_rhs, add_darcy_interface_rhs,
-                        add_darcy_natural_head_rhs, add_darcy_lag_rhs,
+                        add_darcy_natural_head_rhs, add_darcy_lag_rhs, lag_weights,
                         inverse_diagonal, darcy_matrix, DarcyInterfaceInfo)
 from .interface_state import RobinTraceState, init_state, update_robin, stopping_norm
 
@@ -164,7 +164,8 @@ class SolveReport:
 
     lag_ratio is each sample's largest lag weight over its group's mean,
     the contraction factor of the lagged terms alone; a run warns when it
-    reaches 1, and it is 0 in a one-sample group (the per-sample baseline).
+    reaches 1, and it is 0 in a one-sample group (the per-sample baseline),
+    whose sweeps then add no Darcy lag term.
     """
 
     us: np.ndarray               # (J, n_stokes_dofs)
@@ -230,7 +231,11 @@ def run_traditional_ddm(ctx, mesh_s, mesh_d, pairing, bc, per_sample_stop=False)
 @dataclass
 class IterationSetup:
     """Everything a sweep of a group of samples reads; sample i of the sweep
-    is column (entry) i of each per-sample block."""
+    is column (entry) i of each per-sample block.  The Darcy lag weights
+    come premultiplied by their quadrature and area factors
+    (`lag_weights`); `has_lag` is False when every one of them is 0 (a
+    one-sample group, or a group of identical samples), and the sweeps then
+    add no lag term."""
 
     ctx: EnsembleContext
     space_s: object
@@ -242,8 +247,8 @@ class IterationSetup:
     base_s: np.ndarray           # (n_stokes_dofs, k) forcing minus boundary lift
     base_d: np.ndarray           # (n_darcy_dofs, k) forcing plus natural data
     fixed_s: np.ndarray          # (n_fixed, k) Stokes boundary values
-    dW: np.ndarray               # (rows of eval_op, k) inverse-tensor lag weights
-    dk: np.ndarray               # (k,) grad-div lag weights
+    lag_w: np.ndarray            # (rows of space_d.volume_op, k) premultiplied lag weights
+    has_lag: bool                # any lag weight nonzero; else sweeps skip the lag term
     xi: np.ndarray               # (k,) slip coefficients
     dxi: np.ndarray              # (k,) slip lag weights, mean minus sample
 
@@ -276,6 +281,8 @@ def _setup(ctx, samples, space_s, space_d, pairing, bc, js):
         warnings.warn(f"sample {js[worst]} has lag ratio {ratio[worst]:.3g} >= 1: its spread "
                       "exceeds the group's means, so the shared-matrix iteration may "
                       "converge slowly or diverge", RuntimeWarning)
+    lag_w = lag_weights(space_d, ctx.g, dW, dk)
+    del w, dW       # before the operators are built
     op_s = assemble_stokes_operator(space_s, ctx.nu, ctx.delta_s, xi_bar, pairing)
     op_d = assemble_darcy_operator(space_d, ctx.g, kbar_w, kbar_min, ctx.delta_d, pairing)
     # the iteration-independent part of every sample's right-hand side
@@ -288,7 +295,7 @@ def _setup(ctx, samples, space_s, space_d, pairing, bc, js):
                               for j, s in zip(js, samples)])
     return IterationSetup(ctx, space_s, space_d, StokesInterfaceInfo(space_s, pairing),
                           DarcyInterfaceInfo(space_d, pairing), op_s, op_d,
-                          base_s, base_d, fixed_s, dW, dk, xi, dxi), ratio
+                          base_s, base_d, fixed_s, lag_w, bool(lag_w.any()), xi, dxi), ratio
 
 
 def sweep(su, state, ud_lag):
@@ -307,7 +314,8 @@ def sweep(su, state, ud_lag):
     tc = time.perf_counter()
     rhs = su.base_d.copy()
     add_darcy_interface_rhs(rhs, su.iface_d, state.g_D)
-    add_darcy_lag_rhs(rhs, su.space_d, su.dW, su.dk, ud_lag, su.ctx.g)
+    if su.has_lag:
+        add_darcy_lag_rhs(rhs, su.space_d, su.lag_w, ud_lag)
     td = time.perf_counter()
     rhs = rhs[su.space_d.free]
     ud = su.op_d.solve(rhs, 0.0)
@@ -360,8 +368,8 @@ def _run(ctx, size, mesh_s, mesh_d, pairing, bc, per_sample_stop):
                 keep = ~converged[ids]
                 ids = ids[keep]
                 su = replace(su, base_s=su.base_s[:, keep], base_d=su.base_d[:, keep],
-                             fixed_s=su.fixed_s[:, keep], dW=su.dW[:, keep],
-                             dk=su.dk[keep], xi=su.xi[keep], dxi=su.dxi[keep])
+                             fixed_s=su.fixed_s[:, keep], lag_w=su.lag_w[:, keep],
+                             xi=su.xi[keep], dxi=su.dxi[keep])
             # state and solutions span all samples: a plain slice while every
             # sample of the group is active keeps their blocks views
             act = ids if len(ids) < stop - start else slice(start, stop)

@@ -194,25 +194,26 @@ class SubdomainOperator:
 
 
 def _block_inverse(block, b):
-    """Inverse of a block diagonal matrix of b x b blocks (rows and columns
-    b i, ..., b i + b - 1), inverted together by one batched LAPACK call, as
-    a CSR matrix."""
-    m = block.shape[0] // b
-    coo = block.tocoo()
-    if np.any(coo.row // b != coo.col // b):
+    """Inverse of a block diagonal CSR matrix of b x b blocks (rows and
+    columns b i, ..., b i + b - 1) without duplicate entries, such as a
+    slice of a canonical matrix, as a CSR matrix.  The blocks are gathered
+    straight from the CSR arrays, inverted together by one batched LAPACK
+    call and written back in block layout, b entries per row."""
+    n = block.shape[0]
+    rows = np.repeat(np.arange(n), np.diff(block.indptr))
+    if np.any(rows // b != block.indices // b):
         raise ValueError("interior blocks couple with each other")
-    coo.sum_duplicates()
-    dense = np.zeros((m, b, b))
-    dense[coo.row // b, coo.row % b, coo.col % b] = coo.data
+    dense = np.zeros((n // b, b, b))
+    # entry (r, c) of block r // b sits at flat position r b + c % b
+    dense.reshape(-1)[rows * b + block.indices % b] = block.data
     try:
         inv = np.linalg.inv(dense)
     except np.linalg.LinAlgError:
         bad = int(np.argmin(np.abs(np.linalg.det(dense))))
         raise SingularMatrixError(f"singular interior block {bad}") from None
-    idx = np.arange(m * b).reshape(m, b)
-    rows = np.repeat(idx, b, axis=1).ravel()
-    cols = np.tile(idx, (1, b)).ravel()
-    return sp.csr_matrix((inv.ravel(), (rows, cols)), shape=block.shape)
+    cols = np.broadcast_to(np.arange(n).reshape(-1, 1, b), inv.shape)
+    return sp.csr_matrix((inv.reshape(-1), cols.reshape(-1), np.arange(0, n * b + 1, b)),
+                         shape=block.shape)
 
 
 def backward_error(a, x, b):

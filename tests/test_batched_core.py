@@ -13,7 +13,7 @@ from scipy.sparse.linalg import norm as sparse_norm
 from ensddm.bench_cli import manufactured_meshes, channel_meshes
 from ensddm.darcy_fem import (build_darcy_space, darcy_matrix,
                               add_darcy_interface_rhs, add_darcy_lag_rhs, inverse_diagonal,
-                              DarcyInterfaceInfo)
+                              lag_weights, DarcyInterfaceInfo)
 from ensddm.fields import ConstantConductivity, KLConductivity, MeanInverseField
 from ensddm.mesh import Rect, build_rect_mesh, pair_interface
 from ensddm.quadrature import triangle_rule
@@ -239,18 +239,19 @@ def test_block_lag_rhs_matches_columns_and_tensor_oracle():
     # whole-dof operators: nothing is stored in a head column, and the head
     # rows of the right-hand side are left bitwise as they are
     heads = space.head_slice
-    assert not space.eval_op[:, heads].count_nonzero()
-    assert not space.div_op[:, heads].count_nonzero()
+    assert not space.volume_op[:, heads].count_nonzero()
     start = np.zeros((space.n_dofs, k))
     start[heads] = rng.standard_normal((space.n_head, k))
-    block = add_darcy_lag_rhs(start.copy(), space, dW, dk, U, g)
+    lag_w = lag_weights(space, g, dW, dk)
+    block = add_darcy_lag_rhs(start.copy(), space, lag_w, U)
     assert np.array_equal(block[heads], start[heads])
     block[heads] = 0.0
     pts = space.qpoints.reshape(-1, 2)
     shape = (md.n_tris, len(space.qw), 2, 2)
     for j in range(k):
-        one = add_darcy_lag_rhs(np.zeros((space.n_dofs, 1)), space, dW[:, j:j + 1], dk[j:j + 1],
-                                U[:, j:j + 1], g)[:, 0]
+        one = add_darcy_lag_rhs(np.zeros((space.n_dofs, 1)), space,
+                                lag_weights(space, g, dW[:, j:j + 1], dk[j:j + 1]),
+                                U[:, j:j + 1])[:, 0]
         assert rel(block[:, j], one) <= 1e-13
         dW_full = (oracle_inv_tensor(mean, pts) - oracle_inv_tensor(fields[j], pts)).reshape(shape)
         assert rel(one, oracle_lag_rhs(space, dW_full, dk[j], U[:, j], g)) <= 1e-13

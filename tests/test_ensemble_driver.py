@@ -274,6 +274,18 @@ def test_baseline_makes_no_context(monkeypatch):
     assert not calls
 
 
+def test_lag_term_runs_only_for_nonzero_lag_weights(monkeypatch):
+    # one-sample groups have zero lag weights and skip the term; a group of
+    # distinct samples adds it on every sweep
+    from ensddm import ensemble_driver
+    ctx, _, mesh_s, mesh_d, pairing, bc, _ = small_setup(k_list=(2.21, 4.11))
+    calls = _count_calls(monkeypatch, ensemble_driver, "add_darcy_lag_rhs")
+    run_traditional_ddm(ctx, mesh_s, mesh_d, pairing, bc)
+    assert not calls
+    report = run_ensemble_ddm(ctx, mesh_s, mesh_d, pairing, bc)
+    assert len(calls) == max(len(h) for h in report.norm_history) > 1
+
+
 def test_one_sample_group_has_zero_lag_weights():
     # a one-sample group's means are the sample's own coefficients
     mesh_s, mesh_d, pairing = channel_meshes(1 / 4)
@@ -282,8 +294,9 @@ def test_one_sample_group_has_zero_lag_weights():
     bc = channel_bc()
     su, ratio = _setup(ctx, ctx.samples[1:2], *spaces(mesh_s, mesh_d, bc), pairing, bc,
                        range(1, 2))
-    assert su.dW.shape[1] == su.dk.size == su.dxi.size == ratio.size == 1
-    assert not su.dW.any() and not su.dk.any() and not su.dxi.any() and not ratio.any()
+    assert su.lag_w.shape[1] == su.dxi.size == ratio.size == 1
+    assert not su.lag_w.any() and not su.dxi.any() and not ratio.any()
+    assert not su.has_lag
 
 
 def test_single_sample_reduction_is_bitwise():

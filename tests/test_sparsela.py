@@ -54,7 +54,7 @@ def test_matrix_builders_reject_nonpositive_or_nonfinite_coefficients(bad):
     for name in darcy:
         with pytest.raises(ValueError):
             darcy_matrix(space_d, pairing=pairing, **{**darcy, name: bad})
-    weight = np.ones(space_d.eval_op.shape[0])
+    weight = np.ones(len(space_d.quad_weight))
     weight[3] = bad
     with pytest.raises(ValueError):
         darcy_form(space_d, 1.0, weight, 1.0)
@@ -98,7 +98,7 @@ def _darcy_system(k_inv=1.0, delta_d=2.0):
 
     _, md, pairing = manufactured_meshes(1 / 8)
     space = build_darcy_space(md)
-    weight = np.full(space.eval_op.shape[0], k_inv)
+    weight = np.full(len(space.quad_weight), k_inv)
     op = assemble_darcy_operator(space, 1.0, weight, 1.0 / k_inv, delta_d, pairing)
     return op, _free_block(darcy_matrix(space, 1.0, weight, 1.0 / k_inv, delta_d, pairing), op)
 
@@ -430,7 +430,7 @@ def test_hybrid_darcy_factor_stores_under_six_tenths_of_the_conforming_fill():
 
     _, md, pairing = manufactured_meshes(1 / 32)
     space = build_darcy_space(md)
-    weight = np.ones(space.eval_op.shape[0])
+    weight = np.ones(len(space.quad_weight))
     op = assemble_darcy_operator(space, 1.0, weight, 1.0, 2.0, pairing)
     A_ff = _free_block(darcy_matrix(space, 1.0, weight, 1.0, 2.0, pairing), op)
     assert op.factorization.nnz < 0.6 * _colamd_partial_pivot(A_ff, threshold=0.5).nnz

@@ -69,6 +69,47 @@ def test_bubble_volume_integral():
         assert rhs[bubble_x] == 0.0
 
 
+def _einsum_deformation(space, nu):
+    P = np.einsum("q,tqia,tqjb->tijab", space.qw, space.dN, space.dN) \
+        * space.mesh.tri_area[:, None, None, None, None]
+    K = np.empty((space.mesh.n_tris, 8, 8))
+    trace = P[..., 0, 0] + P[..., 1, 1]
+    for c in range(2):
+        for d in range(2):
+            K[:, 4 * c:4 * c + 4, 4 * d:4 * d + 4] = nu * P[:, :, :, d, c] + (c == d) * nu * trace
+    return K
+
+
+def _einsum_volume_rhs(space, f_S):
+    fvals = f_S(space.qpoints.reshape(-1, 2)).reshape(space.mesh.n_tris, len(space.qw), 2)
+    contrib = np.einsum("q,tqc,qi->tic", space.qw, fvals, space.N) \
+        * space.mesh.tri_area[:, None, None]
+    rhs = np.zeros(space.n_dofs)
+    np.add.at(rhs, space.vel_elem_dofs[:, :4], contrib[:, :, 0])
+    np.add.at(rhs, space.vel_elem_dofs[:, 4:], contrib[:, :, 1])
+    return rhs
+
+
+def test_matmul_kernels_match_einsum_forms():
+    # the element kernels are batched matmuls over the quadrature axis; the
+    # einsum forms they replaced are the oracle
+    from ensddm.stokes_fem import deformation_element_matrices
+    ms, _, _ = stacked(5, 3, width=2.0)
+    space = build_stokes_space(ms)
+
+    def f_S(p):
+        return np.column_stack([np.sin(3 * p[:, 0]) * p[:, 1], np.cos(p[:, 1]) + p[:, 0] ** 2])
+
+    K = deformation_element_matrices(space, 0.7)
+    # the bubble-nodal entries, 0 in exact arithmetic, are exact zeros
+    assert not K[:, [3, 7]][:, :, [0, 1, 2, 4, 5, 6]].any()
+    assert not K[:, [0, 1, 2, 4, 5, 6]][:, :, [3, 7]].any()
+    for got, want in ((K, _einsum_deformation(space, 0.7)),
+                      (assemble_stokes_volume_rhs(space, f_S), _einsum_volume_rhs(space, f_S))):
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
 def test_local_robin_block():
     ms, md, pairing = stacked(1, 1)
     sp = build_stokes_space(ms)
