@@ -36,7 +36,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import quadrature
-from .sparsela import SubdomainOperator, quadratic_form
+from .sparsela import SubdomainOperator, block_diagonal, quadratic_form
 from .stokes_fem import interface_mass
 
 
@@ -236,7 +236,10 @@ class DarcyInterfaceInfo:
 
 def _assemble(dofs, blocks, n):
     """The (n, n) CSR matrix of element matrices `blocks` (m, b, b) on the
-    dofs (m, b); entries of a shared dof pair are summed."""
+    dofs (m, b); entries of a shared dof pair are summed.  The triplets are
+    int32, the index type of the result, so the conversion copies no index
+    array."""
+    dofs = dofs.astype(np.int32)
     rows = np.broadcast_to(dofs[:, :, None], blocks.shape)
     cols = np.broadcast_to(dofs[:, None, :], blocks.shape)
     return sp.csr_matrix((blocks.ravel(), (rows.ravel(), cols.ravel())), shape=(n, n))
@@ -325,7 +328,7 @@ def assemble_darcy_operator(space, g, weight, kbar_min, delta_d, pairing):
     matrix = _assemble(space.hybrid_dofs, blocks, space.n_dofs)
     broken = np.arange(7 * len(blocks)).reshape(-1, 7)
     C = space.constraints
-    H = sp.bmat([[_assemble(broken, blocks, broken.size), -C.T], [C, None]], format="csr")
+    H = sp.bmat([[block_diagonal(blocks), -C.T], [C, None]], format="csr")
     del blocks
     n_free = len(space.free)
     P = sp.csr_matrix((np.ones(n_free), (space.copy_of[space.free], np.arange(n_free))),

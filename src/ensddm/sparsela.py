@@ -198,7 +198,7 @@ def _block_inverse(block, b):
     columns b i, ..., b i + b - 1) without duplicate entries, such as a
     slice of a canonical matrix, as a CSR matrix.  The blocks are gathered
     straight from the CSR arrays, inverted together by one batched LAPACK
-    call and written back in block layout, b entries per row."""
+    call and written back in block layout (`block_diagonal`)."""
     n = block.shape[0]
     rows = np.repeat(np.arange(n), np.diff(block.indptr))
     if np.any(rows // b != block.indices // b):
@@ -211,9 +211,18 @@ def _block_inverse(block, b):
     except np.linalg.LinAlgError:
         bad = int(np.argmin(np.abs(np.linalg.det(dense))))
         raise SingularMatrixError(f"singular interior block {bad}") from None
-    cols = np.broadcast_to(np.arange(n).reshape(-1, 1, b), inv.shape)
-    return sp.csr_matrix((inv.reshape(-1), cols.reshape(-1), np.arange(0, n * b + 1, b)),
-                         shape=block.shape)
+    return block_diagonal(inv)
+
+
+def block_diagonal(blocks):
+    """The block diagonal matrix of the (m, b, b) array `blocks` as a CSR
+    matrix written straight in block layout: b entries per row, every entry
+    of each block stored."""
+    m, b, _ = blocks.shape
+    n = m * b
+    cols = np.broadcast_to(np.arange(n).reshape(m, 1, b), blocks.shape)
+    return sp.csr_matrix((blocks.reshape(-1), cols.reshape(-1), np.arange(0, n * b + 1, b)),
+                         shape=(n, n))
 
 
 def backward_error(a, x, b):

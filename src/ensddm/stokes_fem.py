@@ -224,7 +224,9 @@ def stokes_matrix(space, nu, delta_s, xi, pairing):
     if not 0 <= xi < np.inf:
         raise ValueError("the slip coefficient xi must be nonnegative and finite")
 
-    vd, pd = space.vel_elem_dofs, space.p_elem_dofs
+    # int32 triplets, the index type of the result, so that the conversion
+    # to CSR copies no index array
+    vd, pd = space.vel_elem_dofs.astype(np.int32), space.p_elem_dofs.astype(np.int32)
     B = div_element_matrices(space).ravel()  # (nt, 3, 8)
     prow = np.repeat(pd, 8, axis=1).ravel()
     vcol = np.tile(vd, (1, 3)).ravel()
@@ -232,7 +234,7 @@ def stokes_matrix(space, nu, delta_s, xi, pairing):
     cols = [np.tile(vd, (1, 8)).ravel(), vcol, prow]
     vals = [deformation_element_matrices(space, nu).ravel(), B, -B]
     if space.pressure_multiplier:
-        mdof = np.full(pd.size, space.n_dofs - 1)
+        mdof = np.full(pd.size, space.n_dofs - 1, dtype=np.int32)
         m = np.repeat(space.mesh.tri_area / 3.0, 3)
         rows += [pd.ravel(), mdof]
         cols += [mdof, pd.ravel()]
