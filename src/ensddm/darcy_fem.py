@@ -24,19 +24,21 @@ the velocity rows out.
 Every term of the subdomain matrix is local to one triangle (the Robin
 term too: an interface edge has one triangle), so the matrix is assembled
 from 7 x 7 element blocks over each triangle's six velocity dofs and its
-head, and the shared operator is its hybridized form (Arnold-Brezzi): the
-velocity is broken into element copies, the copies of each interior-edge
-dof are tied together by a multiplier and each essential dof's copy is
-held at zero by one, the element blocks are condensed out, and only the
-symmetric positive definite multiplier system is factorized.  Right-hand
-sides and solutions stay on the conforming dofs.
+head.  The shared operator is its hybridized form (Arnold-Brezzi): the
+velocity is broken into element copies tied together by multipliers, the
+element blocks are condensed out, and only the symmetric positive definite
+multiplier system is factorized, in a nested-dissection order of the mesh
+edges.  Right-hand sides and solutions stay on the conforming dofs.
 """
+
+from functools import partial
 
 import numpy as np
 import scipy.sparse as sp
 
 from . import quadrature
-from .sparsela import SubdomainOperator, block_diagonal, quadratic_form
+from .sparsela import (SubdomainOperator, block_inverse, positions, nested_dissection, pattern,
+                       quadratic_form, scatter)
 from .stokes_fem import interface_mass
 
 
@@ -55,16 +57,9 @@ class DarcySpace:
         if essential_tags is None:
             essential_tags = set(mesh.boundary_tags) - {"", "INTERFACE"}
 
-        ess_edges = []
-        for tag in essential_tags:
-            ess_edges.extend(mesh.boundary_edges(tag))
-        self.essential_edges = np.array(sorted(ess_edges), dtype=np.int64)
-
-        mask = np.zeros(self.n_dofs, dtype=bool)
-        mask[2 * self.essential_edges] = True
-        mask[2 * self.essential_edges + 1] = True
-        self.free = np.where(~mask)[0]
-        self.fixed = np.where(mask)[0]
+        self.essential_edges = np.flatnonzero(np.isin(mesh.boundary_tags, list(essential_tags)))
+        self.fixed = np.sort(np.r_[2 * self.essential_edges, 2 * self.essential_edges + 1])
+        self.free = np.setdiff1d(np.arange(self.n_dofs), self.fixed)
 
         self._build_basis()
         self._precompute_quadrature()
@@ -131,24 +126,36 @@ class DarcySpace:
         self.volume_op = sp.vstack([self.evaluation_operator(bary), div_op], format="csr")
 
     def _build_hybrid_maps(self):
-        """The broken space of the hybridized operator: triangle t holds
-        copies 7t + l of its six velocity dofs and its head, whose
-        conforming dofs are `hybrid_dofs` (nt, 7).  `copy_of` (n_dofs,) is
-        the copy that carries each conforming dof (its first), and
-        `constraints` (n_multipliers, 7 nt) the rows that tie the copies
-        together: copy minus copy for each velocity dof of an interior edge,
-        then the copy itself for each essential dof."""
-        nt = self.mesh.n_tris
-        self.hybrid_dofs = np.column_stack([self.elem_dofs, self.n_velocity + np.arange(nt)])
+        """The broken space: triangle t holds copies 7t + l of its dofs
+        `hybrid_dofs` (nt, 7), and `copy_of` (n_dofs,) is each dof's first
+        copy.  A multiplier ties the copies of an interior-edge dof (`sign`
+        +1 on the first, -1 on the other) or holds an essential dof's copy
+        at zero; `order` holds their dofs, edges in a nested-dissection
+        order.  `patterns` holds the sparsity patterns of the Darcy matrix
+        and of S = C K^-1 C^T and its maps (`_condensed`)."""
+        mesh, nt, n = self.mesh, self.mesh.n_tris, self.n_dofs
+        self.hybrid_dofs = np.column_stack([self.elem_dofs, np.arange(self.n_velocity, n)])
         flat = self.hybrid_dofs.ravel()
         self.copy_of = np.unique(flat, return_index=True)[1]
-        last = len(flat) - 1 - np.unique(flat[::-1], return_index=True)[1]
-        shared = np.flatnonzero(self.copy_of != last)
-        ns, nf = len(shared), len(self.fixed)
-        rows = np.concatenate([np.arange(ns), np.arange(ns), ns + np.arange(nf)])
-        cols = np.concatenate([self.copy_of[shared], last[shared], self.copy_of[self.fixed]])
-        vals = np.concatenate([np.ones(ns), -np.ones(ns), np.ones(nf)])
-        self.constraints = sp.csr_matrix((vals, (rows, cols)), shape=(ns + nf, len(flat)))
+        first = (self.copy_of[flat] == np.arange(len(flat))).reshape(nt, 7)
+        eot = mesh.edge_of_tri
+        edges = nested_dissection(mesh.verts[mesh.edges].mean(axis=1),
+                                  np.concatenate([eot[:, :2], eot[:, 1:], eot[:, ::2]]))
+        dofs = (2 * edges[:, None] + np.arange(2)).ravel()
+        tied = np.bincount(flat, minlength=n) > 1
+        self.order = dofs[tied[dofs] | np.isin(dofs, self.fixed)].astype(np.int32)
+        self.sign = np.where(first, 1.0, -1.0)
+        # per copy, or -1: its multiplier's position, the free dof it carries
+        # (as its first copy) and that dof's position among the free ones
+        h = self.hybrid_dofs.astype(np.int32)
+        m = positions(n, self.order)[h]
+        c = np.where(first & ~np.isin(h, self.fixed), h, -1)
+        b, n_s, n_f = positions(n, self.free)[c], len(self.order), len(self.free)
+        self.patterns = {"matrix": pattern((n, n), (h[:, :, None], h[:, None, :])),
+                         "S": pattern((n_s, n_s), (m[:, :, None], m[:, None, :])),
+                         "condense": pattern((n_s, n_f), (m[:, :, None], b[:, None, :])),
+                         "direct": pattern((n, n_f), (c[:, :, None], b[:, None, :])),
+                         "recover": pattern((n, n_s), (c[:, :, None], m[:, None, :]))}
 
     def basis_values(self, bary):
         """Both velocity components of the six local basis fields at the
@@ -234,43 +241,29 @@ class DarcyInterfaceInfo:
         return self.tangential @ vec
 
 
-def _assemble(dofs, blocks, n):
-    """The (n, n) CSR matrix of element matrices `blocks` (m, b, b) on the
-    dofs (m, b); entries of a shared dof pair are summed.  The triplets are
-    int32, the index type of the result, so the conversion copies no index
-    array."""
-    dofs = dofs.astype(np.int32)
-    rows = np.broadcast_to(dofs[:, :, None], blocks.shape)
-    cols = np.broadcast_to(dofs[:, None, :], blocks.shape)
-    return sp.csr_matrix((blocks.ravel(), (rows.ravel(), cols.ravel())), shape=(n, n))
-
-
 def _velocity_blocks(space, g, weight, k_min):
-    """The (nt, 6, 6) element matrices of g (W u, v) + g k_min (div u, div v)
-    over the local velocity dofs; see darcy_form."""
+    """The (nt, 7, 7) element matrices of g (W u, v) + g k_min (div u, div v)
+    on `space.hybrid_dofs` (zero head rows and columns); see darcy_form."""
     W = g * space.quad_weight * weight
     if not np.all((W > 0) & (W < np.inf)):     # NaN fails this too
         raise ValueError("coefficient tensor not SPD and finite at a quadrature point")
     mesh = space.mesh
     V = space.basis_values(space.RULE[0]).reshape(mesh.n_tris, -1, 6)
-    blocks = np.matmul((V * W.reshape(mesh.n_tris, -1, 1)).transpose(0, 2, 1), V)
+    blocks = np.zeros((mesh.n_tris, 7, 7))
+    blocks[:, :6, :6] = np.matmul((V * W.reshape(mesh.n_tris, -1, 1)).transpose(0, 2, 1), V)
     if k_min:
-        blocks += (g * k_min * mesh.tri_area)[:, None, None] * space.div[:, :, None] \
+        blocks[:, :6, :6] += (g * k_min * mesh.tri_area)[:, None, None] * space.div[:, :, None] \
             * space.div[:, None, :]
     return blocks
 
 
 def darcy_form(space, g, weight, k_min):
     """The velocity terms g (W u, v) + g k_min (div u, div v) on whole dof
-    vectors (empty head rows and columns), i.e.
-    g P^T diag(w |T| W) P + g k_min D^T diag(|T|) D with P the
-    quadrature-evaluation operator, w |T| the quadrature weights and D the
-    divergence operator of the space, assembled from element matrices.
-
-    `weight` is the diagonal of the tensor W per row of P (see
-    inverse_diagonal), or a scalar for W = weight I.
-    """
-    return _assemble(space.elem_dofs, _velocity_blocks(space, g, weight, k_min), space.n_dofs)
+    vectors (zero head rows and columns): g P^T diag(w |T| W) P +
+    g k_min D^T diag(|T|) D with P the quadrature evaluation, w |T| the
+    quadrature weights and D the divergence of the space.  `weight` is the
+    diagonal of W per row of P (see inverse_diagonal), or a scalar."""
+    return scatter(space.patterns["matrix"], _velocity_blocks(space, g, weight, k_min))
 
 
 def darcy_element_blocks(space, g, weight, k_min, delta_d, pairing):
@@ -282,8 +275,7 @@ def darcy_element_blocks(space, g, weight, k_min, delta_d, pairing):
     triangle, so these blocks are the whole matrix."""
     if not (0 < g < np.inf and 0 < delta_d < np.inf and 0 < k_min < np.inf):
         raise ValueError("g, delta_d and k_min must be positive and finite")
-    blocks = np.zeros((space.n_head, 7, 7))
-    blocks[:, :6, :6] = _velocity_blocks(space, g, weight, k_min)
+    blocks = _velocity_blocks(space, g, weight, k_min)
     B = g * space.div * space.mesh.tri_area[:, None]
     blocks[:, 6, :6] = B
     blocks[:, :6, 6] = -B
@@ -296,44 +288,36 @@ def darcy_element_blocks(space, g, weight, k_min, delta_d, pairing):
 
 
 def darcy_matrix(space, g, weight, k_min, delta_d, pairing):
-    """The Robin porous-medium matrix as a CSR matrix, assembled from
-    `darcy_element_blocks`: the velocity block of darcy_form, the momentum
-    coupling -g (phi, div v), the continuity rows g (psi, div u) and
-    delta_d <u.n_D, v.n_D>_Gamma.
-
-    `weight` is the diagonal of the mass-term coefficient tensor per
-    evaluation row of space.volume_op, as in darcy_form; `k_min` weights
-    the grad-div augmentation.
-    """
+    """The Robin porous-medium matrix (CSR) of `darcy_element_blocks`;
+    `weight` is the diagonal of the mass-term tensor per evaluation row of
+    space.volume_op, and `k_min` weights the grad-div augmentation."""
     blocks = darcy_element_blocks(space, g, weight, k_min, delta_d, pairing)
-    return _assemble(space.hybrid_dofs, blocks, space.n_dofs)
+    return scatter(space.patterns["matrix"], blocks)
 
 
 def assemble_darcy_operator(space, g, weight, kbar_min, delta_d, pairing):
     """Factorize the shared porous-medium matrix, the `darcy_matrix` of the
     ensemble means (for an ensemble, `weight` is inverse_diagonal of the
     mean of the sample inverse tensors and `kbar_min` the mean minimal
-    eigenvalue), through its hybridized form.
-
-    The velocity is broken into element copies (`space.hybrid_dofs`) tied
-    together by one multiplier per row of `space.constraints`, C.  With K
-    the block diagonal of the element blocks, the system
-    [K, -C^T; C, 0] [x; lam] = [P b; 0], P putting each free row on the copy
-    `space.copy_of` of its dof, has the conforming solution on every copy.
-    The operator condenses each element's 7 x 7 block out and factorizes
-    only C K^-1 C^T on the multipliers, which is symmetric positive
-    definite: the interface edges carry no multiplier, so no head can float.
-    """
+    eigenvalue), through its hybridized form: with K the block diagonal of
+    the element blocks and C the multipliers of the space, the system
+    [K, -C^T; C, 0] [x; lam] = [P b; 0], P putting each free row on the
+    copy that carries it, has the conforming solution on every copy, and
+    only C K^-1 C^T is factorized, which is symmetric positive definite:
+    the interface edges carry no multiplier, so no head can float."""
     blocks = darcy_element_blocks(space, g, weight, kbar_min, delta_d, pairing)
-    matrix = _assemble(space.hybrid_dofs, blocks, space.n_dofs)
-    broken = np.arange(7 * len(blocks)).reshape(-1, 7)
-    C = space.constraints
-    H = sp.bmat([[block_diagonal(blocks), -C.T], [C, None]], format="csr")
-    del blocks
-    n_free = len(space.free)
-    P = sp.csr_matrix((np.ones(n_free), (space.copy_of[space.free], np.arange(n_free))),
-                      shape=(H.shape[0], n_free))
-    return SubdomainOperator(matrix, space.free, space.fixed, broken, hybrid=(H, P))
+    return SubdomainOperator(scatter(space.patterns["matrix"], blocks), space.free, space.fixed,
+                             partial(_condensed, space, blocks))
+
+
+def _condensed(space, blocks):
+    """The condensed system of `SubdomainOperator`: S = C K^-1 C^T, its
+    right-hand side -C K^-1 P b and the solution K^-1 (P b + C^T lam) are
+    signed scatters of K^-1's blocks into the space's patterns."""
+    inv, s, P = block_inverse(blocks), space.sign, space.patterns
+    right = inv * s[:, None, :]                                 # K^-1 C^T
+    return (scatter(P["S"], s[:, :, None] * right), scatter(P["condense"], -s[:, :, None] * inv),
+            scatter(P["direct"], inv), scatter(P["recover"], right))
 
 
 def assemble_darcy_volume_rhs(space, f_D, k_min, g):

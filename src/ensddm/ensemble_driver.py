@@ -147,15 +147,13 @@ class SolveReport:
     """Everything a caller needs after a run: per-sample solutions, the
     iteration record, and the wall-time split.
 
-    t_factor is the time of the two factorizations, with the forming of
-    the two condensed matrices and each operator's probe solve.  t_solve is
-    the wall time of the iteration loop; t_rhs, t_trisolve, t_trace and
-    t_norm are its phases (right-hand sides; block solves with the gather
-    of the free rows, the condensation of the Stokes bubbles and the Darcy
-    element blocks into the right-hand side, their recovery, a refinement
-    step where an operator's probe asked for one, and the scatter to full
-    dof vectors; trace updates; stopping norms and convergence
-    bookkeeping), and their sum stays below t_solve.
+    t_assembly holds the spaces (with their nested-dissection orders) and
+    the element blocks; t_factor each operator's element condensation,
+    factorization and probe solve.  t_solve is the wall time of the loop;
+    t_rhs, t_trisolve, t_trace and t_norm are its phases (right-hand sides;
+    block solves with the gather of the free rows, the condensation and
+    recovery maps and a refinement step where a probe asked for one; trace
+    updates; stopping norms and convergence bookkeeping), summing below it.
 
     lu_nnz is the fill of the factors: the entries SuperLU stores for L and
     U (its `nnz`), summed over both factors, and over all samples for the

@@ -5,25 +5,15 @@ the shared-coefficient-matrix ensemble iteration cheap: the two subdomain
 matrices are factorized once per run and then only triangular solves remain,
 one block solve per subdomain and iteration for all samples at once.
 
-Before that one factorization, a subdomain operator condenses out b x b
-blocks of dofs that couple only with themselves and the rest of the system:
-the two MINI bubbles of each free-flow triangle (b = 2), and the six
-velocity copies and the head of each triangle of the hybridized Darcy
-system (b = 7).  All blocks are inverted by one batched call, only their
-Schur complement is factorized, and every solve maps the right-hand side
-to the complement's and the solution back with three sparse products.
-
-Matrices are plain scipy CSR matrices (the assembly modules build them from
-triplets in one call) and factors plain SuperLU objects; everything is
-float64.  An operator keeps the factor and the condensation maps, not the
-matrix (its free block only where a probe solve asks for refinement).
-Both condensed matrices take diagonal pivots in a symmetric minimum-degree
-order of A + A^T (SuperLU's symmetric mode), the one mode of `factorize`:
-the condensed Stokes matrix [A, -B^T; B, C] has a positive semidefinite
-symmetric part and a diagonal filled by the bubble stabilization C (the
-pressure-mean multiplier, its one zero diagonal entry, is ordered last,
-where it is already filled), and the Darcy multiplier system is symmetric
-positive definite.
+What is factorized is a condensed system S: the two MINI bubbles of each
+free-flow triangle, and the six velocity copies and the head of each
+triangle of the hybridized Darcy system, are eliminated inside their
+element (`block_inverse`), and S and the maps of every solve are scatters
+of element blocks into sparsity patterns that each space makes once
+(`pattern`, `scatter`).  The unknowns of S come in a nested-dissection
+order of the mesh (`nested_dissection`), folded into those patterns, and
+`factorize` eliminates in that order.  Matrices are scipy CSR matrices,
+factors SuperLU objects, and everything is float64.
 """
 
 import time
@@ -47,23 +37,18 @@ class SingularMatrixError(RuntimeError):
 
 
 def factorize(a):
-    """LU-factorize a square scipy sparse matrix in SuperLU's symmetric
-    mode; returns the SuperLU object, whose solve() takes an (n,) vector or
-    an (n, k) block.
+    """LU-factorize a square scipy sparse matrix in the order of its rows
+    and columns with diagonal pivots (SuperLU's symmetric mode); returns the
+    SuperLU object, whose solve() takes an (n,) vector or an (n, k) block.
 
-    The order is a minimum degree order of A + A^T and every pivot is the
-    diagonal entry.  That is for matrices with a definite symmetric part
-    and a nonzero diagonal up to a few border rows, which the order leaves
-    last: the condensed Stokes matrix with its pressure-mean multiplier, and
-    the symmetric positive definite multiplier system of the hybridized
-    Darcy operator.  A pivot that is zero falls back to the largest entry of
-    its column, and a column with no nonzero entry left raises
-    SingularMatrixError.
-
-    A block is one SuperLU call and comes back column-major.  Its columns
-    equal column-by-column solves to rounding (the blocked triangular
-    kernels sum in another order), not bitwise; solving the same block
-    again is bitwise repeatable.
+    That suits both condensed matrices: the Stokes one [A, -B^T; B, C] has a
+    positive semidefinite symmetric part and a diagonal filled by the
+    bubble stabilization C up to the pressure-mean multiplier, which is
+    ordered last, where its diagonal is filled; the Darcy multiplier system
+    is symmetric positive definite.  A zero pivot falls back to the largest
+    entry of its column.  A block is one SuperLU call and comes back
+    column-major; its columns equal column-by-column solves to rounding,
+    and solving the same block again is bitwise repeatable.
 
     Raises ValueError for non-finite entries and SingularMatrixError for
     structurally or numerically singular input; the offending row index is
@@ -73,25 +58,102 @@ def factorize(a):
     csr = sp.csr_matrix(a)
     if not np.all(np.isfinite(csr.data)):
         raise ValueError("non-finite matrix entries")
-    n_rows, n_cols = csr.shape
-    if n_rows != n_cols:
+    if csr.shape[0] != csr.shape[1]:
         raise ValueError("factorize requires a square matrix")
-    row_counts = np.diff(csr.indptr)
-    empty = np.where(row_counts == 0)[0]
-    if len(empty) > 0:
-        raise SingularMatrixError(f"structurally singular: row {empty[0]} is empty", row=int(empty[0]))
     csc = csr.tocsc()
-    col_counts = np.diff(csc.indptr)
-    empty = np.where(col_counts == 0)[0]
-    if len(empty) > 0:
-        raise SingularMatrixError(f"structurally singular: column {empty[0]} is empty", row=int(empty[0]))
+    for m, what in ((csr, "row"), (csc, "column")):
+        empty = np.flatnonzero(np.diff(m.indptr) == 0)
+        if len(empty):
+            raise SingularMatrixError(f"structurally singular: {what} {empty[0]} is empty",
+                                      row=int(empty[0]))
     try:
-        lu = splu(csc, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+        lu = splu(csc, permc_spec="NATURAL", diag_pivot_thresh=0.0,
                   options=dict(SymmetricMode=True))
     except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
         raise SingularMatrixError(f"singular pivot during LU: {exc}") from exc
     _factorize_calls += 1
     return lu
+
+
+def nested_dissection(points, links):
+    """A nested-dissection order (George 1973) of n mesh entities at
+    `points` (n, 2) joined by the graph edges `links` (m, 2): entry k is the
+    entity at position k.  Each part of more than two entities is cut at the
+    median of its longer extent, and the smaller one-sided boundary of the
+    cut, its separator, follows the two halves; a level is one pass."""
+    n = len(points)
+    key = np.zeros(n, dtype=np.int64)       # base-3 path: 0, 1 a cut's halves, 2 its separator
+    part = np.zeros(n, dtype=np.int64)      # the part of each entity, -1 once placed
+    i, j = np.asarray(links).T
+    ent = np.arange(n)                      # the entities still in a part
+    while ent.size:
+        key *= 3
+        ent = ent[np.argsort(part[ent], kind="stable")]
+        p = np.cumsum(np.diff(part[ent], prepend=-1) != 0) - 1
+        size = np.bincount(p)
+        starts = np.cumsum(size) - size
+        xy = points[ent]
+        extent = np.maximum.reduceat(xy, starts) - np.minimum.reduceat(xy, starts)
+        c = xy[np.arange(ent.size), np.argmax(extent, axis=1)[p]]
+        # c sorted within each part: the fraction of c's range is below 1/2
+        med = c[np.argsort(p + (c - c.min()) / (2 * (c.max() - c.min()) + 1))][starts + size // 2]
+        left = c < med[p]
+        left |= (c == med[p]) & (np.bincount(p, left, len(size)) == 0)[p]
+        # an end of a link between the two halves of a part is on its boundary
+        part[ent] = 2 * p + ~left
+        hi, hj = part[i], part[j]
+        cross = (hi >= 0) & (hi != hj) & (hi // 2 == hj // 2)
+        mark = np.zeros(n, dtype=bool)
+        mark[i[cross]] = mark[j[cross]] = True
+        mark = mark[ent]
+        right = np.bincount(p, mark & ~left, len(size)) <= np.bincount(p, mark & left, len(size))
+        sep = mark & (left != right[p])
+        leaf = ((size <= 2) | (extent.max(axis=1) == 0))[p]
+        key[ent] += np.where(leaf, 0, np.where(sep, 2, ~left))
+        part[ent[leaf | sep]] = -1
+        ent = ent[~(leaf | sep)]
+    return np.argsort(key, kind="stable")
+
+
+def pattern(shape, *terms):
+    """The sparsity pattern of CSR matrices of `shape` summing terms at
+    (rows, columns) broadcast together, as element blocks at rows (m, a, 1)
+    and columns (m, 1, b) or flat triplets, a negative index dropping an
+    entry: each entry's int32 slot (nnz if dropped), and the index arrays."""
+    rc = [np.broadcast_arrays(r, c) for r, c in terms]
+    keep = [(r >= 0) & (c >= 0) for r, c in rc]
+    csr = sum(sp.csr_matrix((np.ones(np.count_nonzero(k), dtype=bool), (r[k], c[k])), shape=shape)
+              for (r, c), k in zip(rc, keep))
+    csr.data = np.arange(csr.nnz, dtype=np.int32)
+    slots = [np.full(r.shape, csr.nnz, dtype=np.int32) for r, _ in rc]
+    for slot, (r, c), k in zip(slots, rc, keep):
+        slot[k] = np.asarray(csr[r[k], c[k]]).ravel()
+    return shape, slots, csr.indices, csr.indptr
+
+
+def scatter(pattern, *values):
+    """The CSR matrix of a `pattern` (sharing its index arrays) summing one
+    array or scalar per term, by one np.bincount per term in entry order."""
+    shape, slots, indices, indptr = pattern
+    data = sum(np.bincount(k.ravel(), np.broadcast_to(v, k.shape).ravel(), len(indices) + 1)
+               for k, v in zip(slots, values))
+    return sp.csr_matrix((data[:-1], indices, indptr), shape=shape)
+
+
+def block_inverse(blocks):
+    """The inverses of the (m, b, b) `blocks`, in closed form for b = 2;
+    a singular block raises SingularMatrixError naming the first."""
+    try:
+        if blocks.shape[1] != 2:
+            return np.linalg.inv(blocks)
+        det = blocks[:, 0, 0] * blocks[:, 1, 1] - blocks[:, 0, 1] * blocks[:, 1, 0]
+        if det.all():
+            adj = blocks[:, [[1, 0], [1, 0]], [[1, 1], [0, 0]]] * [[1.0, -1.0], [-1.0, 1.0]]
+            return adj / det[:, None, None]
+    except np.linalg.LinAlgError:
+        pass
+    bad = np.flatnonzero(np.linalg.det(blocks) == 0)
+    raise SingularMatrixError(f"singular interior block {bad[0]}")
 
 
 # The probe block that checks each operator's solves once at construction.
@@ -109,59 +171,22 @@ class SubdomainOperator:
     maps, the free-by-fixed block `A_fd`), not the matrix.
 
     The `free` and `fixed` index arrays split the dofs; fixed rows carry
-    boundary values.  The free block A_ff is solved through an equivalent
-    system H y = P b, x = P^T y: by default H is A_ff and P the identity;
-    `hybrid`, when given, is the pair (H, P) of a larger system (the
-    hybridized Darcy system, whose P puts each free row on one element copy
-    of its dof).  `interior` is an (m, b) array of free dofs of the matrix,
-    or of dofs of H when `hybrid` is given; each row is a block of b dofs
-    coupled only with itself and with the rest of H (the two MINI bubbles
-    of a triangle, or the seven dofs of a broken BDM1-P0 element).  With B
-    the block diagonal of these blocks, inverted by one batched call, the
-    one factorization is of the Schur complement S = H_rr - H_ri B^-1 H_ir
-    on the remaining dofs r of H; every solve maps the right-hand side to
-    S's, solves against S's factor and recovers the free dofs from both.
-    `factor_seconds` covers forming and factorizing S and the probe below.
-
-    At construction a probe block is solved and its normwise backward error
-    against A_ff is measured.  Above REFINE_ABOVE the operator keeps A_ff
-    and every solve takes one refinement step against it.
+    boundary values.  `condensed()` returns the condensed matrix S and the
+    CSR maps `condense`, `direct` and `recover`: x = direct b + recover
+    S^-1 condense b is zero on the fixed rows and solves A_ff x = b on the
+    free ones.  `factor_seconds` covers that call, the factorization of S
+    and a probe solve whose normwise backward error against A_ff, above
+    REFINE_ABOVE, makes every solve take one refinement step against A_ff.
     """
 
-    def __init__(self, matrix, free, fixed, interior, hybrid=None):
+    def __init__(self, matrix, free, fixed, condensed):
         self.n = matrix.shape[0]
         self.free, self.fixed = free, fixed
         rows = matrix[free]
         a_ff, self.A_fd = rows[:, free], rows[:, fixed]     # CSR, like the matrix rows
         del rows
         t0 = time.perf_counter()
-        if hybrid is None:
-            H, P = a_ff, sp.identity(len(free), format="csr")
-            pos = np.full(self.n, -1)
-            pos[free] = np.arange(len(free))
-            interior = pos[interior]            # positions within the free dofs
-            if np.any(interior < 0):
-                raise ValueError("interior dofs must be free")
-        else:
-            H, P = (sp.csr_matrix(m) for m in hybrid)
-        rest = np.ones(H.shape[0], dtype=bool)
-        rest[interior] = False
-        rest, inner = np.flatnonzero(rest), interior.ravel()
-        H_i, H_r = H[inner], H[rest]
-        del H
-        B_inv = _block_inverse(H_i[:, inner], interior.shape[1])
-        condense = H_r[:, inner] @ B_inv                    # H_ri B^-1
-        H_ir = H_i[:, rest]
-        S = H_r[:, rest] - condense @ H_ir
-        # Q = P^T with its rows at the free dofs of full dof vectors
-        P_i = P[inner]
-        Q = sp.csr_matrix((np.ones(len(free)), (free, np.arange(len(free)))),
-                          shape=(self.n, len(free))) @ P.T
-        # rhs of S, full dof vectors straight from the rhs and from S's solution
-        self._condense = (P[rest] - condense @ P_i).tocsr()
-        self._direct = (Q[:, inner] @ B_inv @ P_i).tocsr()
-        self._recover = (Q[:, rest] - Q[:, inner] @ (B_inv @ H_ir)).tocsr()
-        del H_i, H_r, H_ir, B_inv, condense, P, P_i, Q
+        S, self._condense, self._direct, self._recover = condensed()
         self.factorization = factorize(S)
         del S
         b = np.random.default_rng(_PROBE_SEED).standard_normal((len(free), _PROBE_COLUMNS))
@@ -193,36 +218,11 @@ class SubdomainOperator:
         return x
 
 
-def _block_inverse(block, b):
-    """Inverse of a block diagonal CSR matrix of b x b blocks (rows and
-    columns b i, ..., b i + b - 1) without duplicate entries, such as a
-    slice of a canonical matrix, as a CSR matrix.  The blocks are gathered
-    straight from the CSR arrays, inverted together by one batched LAPACK
-    call and written back in block layout (`block_diagonal`)."""
-    n = block.shape[0]
-    rows = np.repeat(np.arange(n), np.diff(block.indptr))
-    if np.any(rows // b != block.indices // b):
-        raise ValueError("interior blocks couple with each other")
-    dense = np.zeros((n // b, b, b))
-    # entry (r, c) of block r // b sits at flat position r b + c % b
-    dense.reshape(-1)[rows * b + block.indices % b] = block.data
-    try:
-        inv = np.linalg.inv(dense)
-    except np.linalg.LinAlgError:
-        bad = int(np.argmin(np.abs(np.linalg.det(dense))))
-        raise SingularMatrixError(f"singular interior block {bad}") from None
-    return block_diagonal(inv)
-
-
-def block_diagonal(blocks):
-    """The block diagonal matrix of the (m, b, b) array `blocks` as a CSR
-    matrix written straight in block layout: b entries per row, every entry
-    of each block stored."""
-    m, b, _ = blocks.shape
-    n = m * b
-    cols = np.broadcast_to(np.arange(n).reshape(m, 1, b), blocks.shape)
-    return sp.csr_matrix((blocks.reshape(-1), cols.reshape(-1), np.arange(0, n * b + 1, b)),
-                         shape=(n, n))
+def positions(n, dofs):
+    """Each of n dofs' int32 position in `dofs`, else -1 (also at index -1)."""
+    pos = np.full(n + 1, -1, dtype=np.int32)
+    pos[dofs] = np.arange(len(dofs))
+    return pos
 
 
 def backward_error(a, x, b):

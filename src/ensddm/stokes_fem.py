@@ -7,20 +7,23 @@ the Robin weight delta_S, and the ensemble-mean slip coefficient, so it is
 identical for every sample and iteration.  Per-sample data (forcing, Robin
 traces, lagged slip term, Dirichlet values) enters through the right-hand
 side only.  The two bubbles of each triangle couple only with each other and
-the triangle's P1 dofs, so the operator eliminates them (static
-condensation) before its one factorization; solutions keep the full MINI
-dof layout.
+the triangle's P1 dofs, so the operator eliminates them in each element
+block (static condensation) before its one factorization, in the space's
+vertex order; solutions keep the full MINI dof layout.
 
 Right-hand sides, solutions and interface traces of an ensemble travel as
 column blocks: a dof vector per sample becomes a column of an (n_dofs, k)
 block, and the endpoint traces of k samples a (2 n_pairs, k) block.
 """
 
+from functools import partial
+
 import numpy as np
 import scipy.sparse as sp
 
 from . import quadrature
-from .sparsela import SubdomainOperator, quadratic_form
+from .sparsela import (SubdomainOperator, block_inverse, positions, nested_dissection, pattern,
+                       quadratic_form, scatter)
 
 
 _EDGE_MASS = np.array([[2.0, 1.0], [1.0, 2.0]])
@@ -35,12 +38,9 @@ def edge_mass(length):
 def interface_mass(pairing):
     """Block-diagonal edge mass over the endpoint values of all pairs:
     row 2p+i is endpoint i (x-order) of pair p."""
-    n_p = pairing.n_pairs
-    blocks = edge_mass(pairing.lengths[:, None, None])
-    idx = np.arange(2 * n_p).reshape(n_p, 2)
-    rows = np.repeat(idx, 2, axis=1).ravel()
-    cols = np.tile(idx, (1, 2)).ravel()
-    return sp.csr_matrix((blocks.ravel(), (rows, cols)), shape=(2 * n_p, 2 * n_p))
+    idx = np.arange(2 * pairing.n_pairs).reshape(-1, 2)
+    return scatter(pattern((idx.size,) * 2, (idx[:, :, None], idx[:, None, :])),
+                   edge_mass(pairing.lengths[:, None, None]))
 
 
 def mini_basis(bary, tri_grads):
@@ -67,6 +67,11 @@ class StokesSpace:
     triangle (the cubic bubble vanishes on all edges, so bubbles never enter
     boundary or interface integrals).  Pressure dofs: nodal P1.  A trailing
     multiplier dof enforces zero pressure mean when requested.
+
+    `order` holds the dofs of the condensed unknowns in elimination order:
+    vertices in a nested-dissection order, the free velocities and pressure
+    of each together, the multiplier last.  `patterns` holds the sparsity
+    pattern of each matrix of its operator (`_patterns`).
     """
 
     def __init__(self, mesh, dirichlet_tags=None, pressure_multiplier=True):
@@ -81,20 +86,19 @@ class StokesSpace:
         if dirichlet_tags is None:
             dirichlet_tags = set(mesh.boundary_tags) - {"", "INTERFACE"}
 
-        dir_nodes = set()
-        for tag in dirichlet_tags:
-            for e in mesh.boundary_edges(tag):
-                dir_nodes.update(mesh.edges[e])
-        self.dirichlet_nodes = np.array(sorted(dir_nodes), dtype=np.int64)
-
+        self.dirichlet_nodes = np.unique(mesh.edges[np.isin(mesh.boundary_tags,
+                                                             list(dirichlet_tags))])
         # x components, then y: the row order of the boundary data blocks
         self.fixed = np.concatenate([self.dirichlet_nodes, self.n_comp + self.dirichlet_nodes])
-        free = np.ones(self.n_dofs, dtype=bool)
-        free[self.fixed] = False
-        self.free = np.flatnonzero(free)
+        self.free = np.setdiff1d(np.arange(self.n_dofs), self.fixed)
 
         self._precompute()
         self.component_mass = self._component_mass()
+        verts = nested_dissection(mesh.verts, mesh.edges)
+        dofs = np.append(np.column_stack([verts, self.n_comp + verts, self.n_velocity + verts]),
+                         self.n_velocity + nv)           # the multiplier, if there is one
+        self.order = dofs[np.isin(dofs, self.free)].astype(np.int32)
+        self.patterns = _patterns(self)
 
     def _precompute(self):
         mesh = self.mesh
@@ -111,13 +115,12 @@ class StokesSpace:
         vd[:, 7] = self.n_comp + mesh.n_verts + np.arange(nt)
         self.vel_elem_dofs = vd
         self.p_elem_dofs = self.n_velocity + mesh.tris
+        self.elem_dofs = np.column_stack([vd, self.p_elem_dofs]).astype(np.int32)
 
     def _component_mass(self):
         """Single-component L2 mass over nodal+bubble dofs (nvt x nvt)."""
-        mesh = self.mesh
-        A = mesh.tri_area
         Mloc = np.einsum("q,qi,qj->ij", self.qw, self.N, self.N)   # reference
-        Mel = Mloc[None, :, :] * A[:, None, None]
+        Mel = Mloc[None, :, :] * self.mesh.tri_area[:, None, None]
         dofs = self.vel_elem_dofs[:, :4]      # the x component's nodal and bubble dofs
         rows = np.repeat(dofs, 4, axis=1).ravel()
         cols = np.tile(dofs, (1, 4)).ravel()
@@ -171,11 +174,6 @@ class StokesInterfaceInfo:
         self.load = -(self.trace.T @ sp.block_diag((mass, mass))).tocsr()
 
 
-# local velocity dof pairs of which exactly one is a bubble (local dofs 3 and 7)
-_BUBBLE_NODAL = np.isin(np.arange(8), (3, 7))
-_BUBBLE_NODAL = _BUBBLE_NODAL[:, None] ^ _BUBBLE_NODAL[None, :]
-
-
 def deformation_element_matrices(space, nu):
     """Element matrices of 2 nu (D(u), D(v)) over the 8 local velocity dofs."""
     nt, nq = space.mesh.n_tris, len(space.qw)
@@ -189,73 +187,93 @@ def deformation_element_matrices(space, nu):
     trace = nu * (P[:, :, 0, :, 0] + P[:, :, 1, :, 1])
     K[:, :4, :4] += trace
     K[:, 4:, 4:] += trace
-    # a bubble vanishes on the triangle's boundary, so its gradient integrates
-    # to zero against the constant P1 gradients: exact zeros, which keep the
-    # bubble-nodal couplings out of the condensed matrix
-    K[:, _BUBBLE_NODAL] = 0.0
     return K
 
 
 def div_element_matrices(space):
-    """Element matrices of (q, div v): shape (nt, 3 pressure, 8 velocity).
-
-    Summed by einsum, not by a matmul: the pressure-bubble entries that
-    are 0 in exact arithmetic come out as exact zeros or as rounding
-    residue depending on the summation order, and that pattern carries into
-    the condensed matrix and the fill of its factor (a matmul moved the
-    factor at h=1/32 without the multiplier from 726,674 to 743,306
-    entries).
-    """
-    A = space.mesh.tri_area
-    Np = space.N[:, :3]
-    Bloc = np.einsum("q,qi,tqjc->tijc", space.qw, Np, space.dN) * A[:, None, None, None]
-    return np.concatenate([Bloc[:, :, :, 0], Bloc[:, :, :, 1]], axis=2)
+    """Element matrices of (q, div v): shape (nt, 3 pressure, 8 velocity),
+    one matmul over the quadrature axis."""
+    nt, nq = space.mesh.n_tris, len(space.qw)
+    dN = space.dN.reshape(nt, nq, 8)          # columns (i, c): d_c phi_i
+    B = np.matmul((space.N[:, :3] * space.qw[:, None]).T, dN)
+    B *= space.mesh.tri_area[:, None, None]
+    # columns (c, i): the x components, then the y
+    return B.reshape(nt, 3, 4, 2).transpose(0, 1, 3, 2).reshape(nt, 3, 8)
 
 
-def stokes_matrix(space, nu, delta_s, xi, pairing):
-    """The Robin free-flow matrix as a CSR matrix: the viscous deformation
-    block 2 nu (D(u), D(v)), the momentum coupling -(p, div v), the
-    continuity rows (q, div u), when the space has one the pressure-mean
-    multiplier (its row -(1, p)), and the interface terms
-    delta_s <u.n, v.n>_Gamma + xi <u.tau, v.tau>_Gamma.
-    """
+def _stokes_terms(space, nu, delta_s, xi, pairing):
+    """The element blocks (nt, 11, 11) of `stokes_matrix` on
+    `space.elem_dofs`, the interface terms in the block of each interface
+    edge's triangle, and the pressure-mean multiplier's weights (3 nt,)."""
     if not (0 < nu < np.inf and 0 < delta_s < np.inf):   # NaN fails this too
         raise ValueError("viscosity and delta_s must be positive and finite")
     if not 0 <= xi < np.inf:
         raise ValueError("the slip coefficient xi must be nonnegative and finite")
+    mesh = space.mesh
+    E = np.zeros((mesh.n_tris, 11, 11))
+    E[:, :8, :8] = deformation_element_matrices(space, nu)
+    E[:, 8:, :8] = B = div_element_matrices(space)
+    E[:, :8, 8:] = -B.transpose(0, 2, 1)
+    # delta_s <u.n, v.n> + xi <u.tau, v.tau>: edge mass (i, j) times w_cd, c and d components
+    tri = mesh.edge_tris[pairing.pairs[:, 0], 0]
+    m = np.argmax(mesh.tris[tri][:, None, :] == pairing.nodes_s[:, :, None], axis=2)
+    w = delta_s * np.outer(pairing.n_s, pairing.n_s) + xi * np.outer(pairing.tau, pairing.tau)
+    loc = 4 * np.arange(2) + m[:, :, None]                     # (pair, i, c)
+    np.add.at(E, (tri[:, None, None, None, None], loc[:, :, None, :, None],
+                  loc[:, None, :, None, :]),
+              edge_mass(pairing.lengths[:, None, None])[:, :, :, None, None] * w)
+    return E, np.repeat(mesh.tri_area / 3.0, 3)
 
-    # int32 triplets, the index type of the result, so that the conversion
-    # to CSR copies no index array
-    vd, pd = space.vel_elem_dofs.astype(np.int32), space.p_elem_dofs.astype(np.int32)
-    B = div_element_matrices(space).ravel()  # (nt, 3, 8)
-    prow = np.repeat(pd, 8, axis=1).ravel()
-    vcol = np.tile(vd, (1, 3)).ravel()
-    rows = [np.repeat(vd, 8, axis=1).ravel(), prow, vcol]
-    cols = [np.tile(vd, (1, 8)).ravel(), vcol, prow]
-    vals = [deformation_element_matrices(space, nu).ravel(), B, -B]
-    if space.pressure_multiplier:
-        mdof = np.full(pd.size, space.n_dofs - 1, dtype=np.int32)
-        m = np.repeat(space.mesh.tri_area / 3.0, 3)
-        rows += [pd.ravel(), mdof]
-        cols += [mdof, pd.ravel()]
-        vals += [m, -m]
-    # interface Robin and tangential-slip terms (P1 traces only)
-    trace = StokesInterfaceInfo(space, pairing).trace
-    mass = interface_mass(pairing)
-    robin = (trace.T @ sp.block_diag((delta_s * mass, xi * mass)) @ trace).tocoo()
-    rows.append(robin.row)
-    cols.append(robin.col)
-    vals.append(robin.data)
-    return sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                         shape=(space.n_dofs, space.n_dofs))
+
+def stokes_matrix(space, nu, delta_s, xi, pairing):
+    """The Robin free-flow matrix as a CSR matrix: 2 nu (D(u), D(v)), the
+    momentum coupling -(p, div v), the continuity rows (q, div u), the
+    pressure-mean multiplier's row -(1, p) when the space has one, and
+    delta_s <u.n, v.n>_Gamma + xi <u.tau, v.tau>_Gamma."""
+    E, m = _stokes_terms(space, nu, delta_s, xi, pairing)
+    return scatter(space.patterns["matrix"], E, m, -m)
+
+
+# the bubbles of an element block, and its other local dofs
+_BUBBLES, _REST = np.array([3, 7]), np.array([0, 1, 2, 4, 5, 6, 8, 9, 10])
+
+
+def _patterns(space):
+    """The patterns of the Stokes matrix and of the condensed system S in the
+    space's order, and of its maps (the identity plus bubble blocks)."""
+    d, n, n_s, n_f = space.elem_dofs, space.n_dofs, len(space.order), len(space.free)
+    s_of, pos = positions(n, space.order), positions(n, space.free)
+    md = n - 1 if space.pressure_multiplier else -1
+    r, b, k, pd = s_of[d[:, _REST]], d[:, _BUBBLES], np.arange(n_s), d[:, 8:].ravel()
+    return {"matrix": pattern((n, n), (d[:, :, None], d[:, None, :]), (pd, md), (md, pd)),
+            "S": pattern((n_s, n_s), (r[:, :, None], r[:, None, :]), (s_of[pd], s_of[md]),
+                         (s_of[md], s_of[pd])),
+            "condense": pattern((n_s, n_f), (r[:, :, None], pos[b][:, None, :]),
+                                (k, pos[space.order])),
+            "direct": pattern((n, n_f), (b[:, :, None], pos[b][:, None, :])),
+            "recover": pattern((n, n_s), (b[:, :, None], r[:, None, :]), (space.order, k))}
+
+
+def _condensed(space, E, m):
+    """The condensed system of `SubdomainOperator` from `_stokes_terms`:
+    each element block loses its bubbles by a 2 x 2 inverse, and S sums the
+    (9, 9) remainders and the multiplier terms in the space's order."""
+    br = E[:, _BUBBLES[:, None], _REST]
+    inv = block_inverse(E[:, _BUBBLES[:, None], _BUBBLES])
+    up = E[:, _REST[:, None], _BUBBLES] @ inv                 # E_rb E_bb^-1
+    P = space.patterns
+    return (scatter(P["S"], E[:, _REST[:, None], _REST] - up @ br, m, -m),
+            scatter(P["condense"], -up, 1.0), scatter(P["direct"], inv),
+            scatter(P["recover"], -(inv @ br), 1.0))
 
 
 def assemble_stokes_operator(space, nu, delta_s, xi_bar, pairing):
     """The `stokes_matrix` of the ensemble-mean slip coefficient `xi_bar`,
-    with the bubbles condensed out and the rest factorized."""
-    # local dofs 3 and 7: the x and y bubble of each triangle
-    return SubdomainOperator(stokes_matrix(space, nu, delta_s, xi_bar, pairing),
-                             space.free, space.fixed, space.vel_elem_dofs[:, [3, 7]])
+    with the bubbles condensed out of each element block and the rest
+    factorized in the space's order."""
+    E, m = _stokes_terms(space, nu, delta_s, xi_bar, pairing)
+    return SubdomainOperator(scatter(space.patterns["matrix"], E, m, -m), space.free, space.fixed,
+                             partial(_condensed, space, E, m))
 
 
 def assemble_stokes_volume_rhs(space, f_S):

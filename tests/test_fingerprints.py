@@ -1,6 +1,6 @@
 """tools/fingerprints.py runs from the checkout root and prints one line per
-benchmark run, with its digest and the digest of its counts, plus one
-residual line per channel workload."""
+benchmark run, with its digest, the digest of its counts and its LU fill,
+plus one residual line per channel workload."""
 
 import re
 import subprocess
@@ -9,7 +9,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 LINE = re.compile(r"(\w+) seed=(\d+) (?:(ensemble|traditional) (lockstep|per_sample)"
-                  r" [0-9a-f]{16} counts=[0-9a-f]{16}|residual [0-9a-f]{16})")
+                  r" [0-9a-f]{16} counts=[0-9a-f]{16} fill=\d+|residual [0-9a-f]{16})")
 
 
 def test_fingerprints_at_smoke_size():

@@ -6,8 +6,8 @@ import pytest
 import scipy.sparse as sp
 from scipy.sparse.linalg import LinearOperator, onenormest, splu
 
-from ensddm.sparsela import (REFINE_ABOVE, SingularMatrixError, _block_inverse,
-                             backward_error, factorize, factorization_count, quadratic_form)
+from ensddm.sparsela import (REFINE_ABOVE, SingularMatrixError, backward_error, block_inverse,
+                             factorize, factorization_count, quadratic_form)
 
 
 def test_identity_solve():
@@ -230,15 +230,18 @@ def test_condensed_stokes_solve_without_pressure_multiplier():
 
 def test_operator_drops_the_matrix_it_was_built_from():
     # a sweep reads the factor, not the assembled matrix
+    from functools import partial
+
     from ensddm.bench_cli import manufactured_meshes
     from ensddm.sparsela import SubdomainOperator
-    from ensddm.stokes_fem import build_stokes_space, stokes_matrix
+    from ensddm.stokes_fem import _condensed, _stokes_terms, build_stokes_space, stokes_matrix
 
     ms, _, pairing = manufactured_meshes(1 / 4)
     space = build_stokes_space(ms)
     matrix = stokes_matrix(space, 1.0, 1.0, 0.5, pairing)
     ref = weakref.ref(matrix)
-    op = SubdomainOperator(matrix, space.free, space.fixed, space.vel_elem_dofs[:, [3, 7]])
+    terms = _stokes_terms(space, 1.0, 1.0, 0.5, pairing)
+    op = SubdomainOperator(matrix, space.free, space.fixed, partial(_condensed, space, *terms))
     del matrix
     gc.collect()
     assert ref() is None
@@ -276,7 +279,7 @@ def test_hybrid_darcy_solve_matches_the_plain_factor_solve():
 
     op, A_ff = _darcy_system()
     space = build_darcy_space(manufactured_meshes(1 / 8)[1])
-    assert op.factorization.shape == (space.constraints.shape[0],) * 2
+    assert op.factorization.shape == (len(space.order),) * 2
     assert op.factorization.shape[0] < A_ff.shape[0]
     B = np.random.default_rng(5).standard_normal((len(op.free), 4))
     ref = _colamd_partial_pivot(A_ff)
@@ -287,40 +290,39 @@ def test_hybrid_darcy_solve_matches_the_plain_factor_solve():
 
 
 def test_block_inverse_of_pairs_and_element_blocks():
-    # one batched inverse of b x b diagonal blocks, for the MINI bubble
-    # pairs (b = 2) and the BDM1-P0 element blocks (b = 7)
+    # one batched inverse of b x b blocks, for the MINI bubble pairs (b = 2,
+    # in closed form) and the BDM1-P0 element blocks (b = 7)
     rng = np.random.default_rng(31)
     for b in (2, 7):
         blocks = rng.standard_normal((5, b, b)) + b * np.eye(b)
-        block = sp.block_diag(list(blocks), format="csr")
-        inv = _block_inverse(block, b)
-        np.testing.assert_allclose(inv.toarray(), np.linalg.inv(block.toarray()),
+        np.testing.assert_allclose(block_inverse(blocks), np.linalg.inv(blocks),
                                    rtol=0, atol=1e-13)
-        coupled = block.tolil()
-        coupled[0, b] = 1.0
-        with pytest.raises(ValueError):
-            _block_inverse(coupled.tocsr(), b)
         singular = blocks.copy()
         singular[3, 1] = 0.0                  # block 3 has a zero row
         with pytest.raises(SingularMatrixError, match="block 3"):
-            _block_inverse(sp.block_diag(list(singular), format="csr"), b)
+            block_inverse(singular)
 
 
 def test_interior_pairs_must_not_couple():
-    from ensddm.sparsela import SubdomainOperator
+    # each triangle's two bubbles couple only with each other: the part of
+    # the solve that reads the bubble rows of the right-hand side directly is
+    # the block diagonal of the 2 x 2 inverse bubble blocks; the condensed
+    # solve is exact
+    op, A_ff = _stokes_system(h=1 / 4)
+    from ensddm.bench_cli import manufactured_meshes
+    from ensddm.stokes_fem import build_stokes_space
 
-    A = sp.csr_matrix(np.array([[4.0, 1.0, 0.0, 1.0],
-                                [1.0, 4.0, 1.0, 0.0],
-                                [0.0, 1.0, 4.0, 1.0],
-                                [1.0, 0.0, 1.0, 4.0]]))
-    free, fixed = np.arange(4), np.empty(0, dtype=np.int64)
-    with pytest.raises(ValueError):
-        SubdomainOperator(A, free, fixed, np.array([[0, 1], [2, 3]]))
-    # a pair coupled only with itself and the rest condenses exactly
-    op = SubdomainOperator(A, free, fixed, np.array([[0, 2]]))
-    assert op.factorization.shape == (2, 2)
-    b = np.array([1.0, -2.0, 0.5, 3.0])
-    np.testing.assert_allclose(A @ op.solve(b, 0.0), b, rtol=0, atol=1e-14)
+    space = build_stokes_space(manufactured_meshes(1 / 4)[0])
+    bubbles = space.vel_elem_dofs[:, [3, 7]]
+    pos = np.searchsorted(op.free, bubbles)
+    direct = op._direct.tocoo()
+    assert set(direct.row) <= set(bubbles.ravel())
+    pair_of = np.empty(space.n_dofs, dtype=np.int64)
+    pair_of[bubbles] = np.arange(len(bubbles))[:, None]
+    assert np.array_equal(pair_of[direct.row], pair_of[op.free[direct.col]])
+    assert direct.nnz == 4 * len(bubbles) and np.all(op.free[pos] == bubbles)
+    b = np.random.default_rng(33).standard_normal(len(op.free))
+    assert np.abs(A_ff @ op.solve(b, 0.0)[op.free] - b).max() <= 1e-13 * np.abs(b).max()
 
 
 # -- the symmetric-mode factors against partial pivoting -------------------

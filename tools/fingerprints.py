@@ -7,11 +7,13 @@ Run from the root of a checkout:
 For every seed it builds the inputs of each workload of ensbench/workload.py
 (through its `setup`; the module is loaded from its file and writes no
 bytecode) and runs both drivers in both stop modes on them.  Each run prints
-one line with two 16-hex sha256 digests: the first over the solutions, the
-iteration counts and convergence flags, the three trace-state blocks, the
-stopping-norm histories, the factorization count and the LU fill; the
-second (`counts=`) over the counts alone: the iteration counts, the
-convergence flags and the factorization count.  One more line per seed
+one line with two 16-hex sha256 digests and the LU fill: the first digest
+over the solutions, the iteration counts and convergence flags, the three
+trace-state blocks, the stopping-norm histories, the factorization count
+and the LU fill; the second (`counts=`) over the counts alone: the
+iteration counts, the convergence flags and the factorization count; and
+`fill=` the LU fill (`lu_nnz`), so a change of fill reads by value from the
+`diff` of two printouts.  One more line per seed
 holds the digest of channel_mc's residual-check values, from the run the
 benchmark itself checks.  Two checkouts give bitwise equal outputs on these
 inputs when their outputs `diff` equal; a change that moves values only at
@@ -86,7 +88,7 @@ def fingerprint_lines(wl, seed, tiny=False):
                 report = run(case.ctx, case.mesh_s, case.mesh_d, case.pairing, case.bc,
                              per_sample_stop=stop)
                 yield (f"{name} seed={seed} {driver} {mode} {digest(report_arrays(report))}"
-                       f" counts={digest(count_arrays(report))}")
+                       f" counts={digest(count_arrays(report))} fill={report.lu_nnz}")
                 if (driver == "traditional") == w.per_sample and stop == w.per_sample_stop:
                     checked = report
         if w.geometry == "channel":
