@@ -148,6 +148,8 @@ def parse_config_text(text):
         key, value = (part.strip() for part in line.split("=", 1))
         if not key:
             raise ConfigError(f"line {lineno}: empty key")
+        if key in out:
+            raise ConfigError(f"line {lineno}: duplicate key '{key}'")
         out[key] = value
     return out
 

@@ -145,16 +145,16 @@ class DarcySpace:
         tied = np.bincount(flat, minlength=n) > 1
         self.order = dofs[tied[dofs] | np.isin(dofs, self.fixed)].astype(np.int32)
         self.sign = np.where(first, 1.0, -1.0)
-        # per copy, or -1: its multiplier's position, the free dof it carries
-        # (as its first copy) and that dof's position among the free ones
+        # per copy, or -1: its multiplier's position and the free dof it
+        # carries (as its first copy)
         h = self.hybrid_dofs.astype(np.int32)
         m = positions(n, self.order)[h]
         c = np.where(first & ~np.isin(h, self.fixed), h, -1)
-        b, n_s, n_f = positions(n, self.free)[c], len(self.order), len(self.free)
+        n_s = len(self.order)
         self.patterns = {"matrix": pattern((n, n), (h[:, :, None], h[:, None, :])),
                          "S": pattern((n_s, n_s), (m[:, :, None], m[:, None, :])),
-                         "condense": pattern((n_s, n_f), (m[:, :, None], b[:, None, :])),
-                         "direct": pattern((n, n_f), (c[:, :, None], b[:, None, :])),
+                         "condense": pattern((n_s, n), (m[:, :, None], c[:, None, :])),
+                         "direct": pattern((n, n), (c[:, :, None], c[:, None, :])),
                          "recover": pattern((n, n_s), (c[:, :, None], m[:, None, :]))}
 
     def basis_values(self, bary):

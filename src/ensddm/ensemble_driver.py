@@ -113,7 +113,8 @@ def make_context(samples, nu=1.0, g=1.0, z=0.0, alpha=1.0,
     # NaN fails these too
     if not (all(0 < v < np.inf for v in (nu, g, delta_s, delta_d)) and np.isfinite(z)):
         raise ValueError("nu, g, delta_s and delta_d must be positive and finite, and z finite")
-    if not (0 < tol < np.inf) or not isinstance(max_iters, numbers.Integral) or max_iters < 1:
+    if (not (0 < tol < np.inf) or not isinstance(max_iters, numbers.Integral)
+            or isinstance(max_iters, bool) or max_iters < 1):
         raise ValueError("tol must be positive and finite and max_iters an integer of at least 1")
     J = len(samples)
     ctx = EnsembleContext(samples=list(samples), nu=nu, g=g, z=z, alpha=alpha,
@@ -151,7 +152,7 @@ class SolveReport:
     the element blocks; t_factor each operator's element condensation,
     factorization and probe solve.  t_solve is the wall time of the loop;
     t_rhs, t_trisolve, t_trace and t_norm are its phases (right-hand sides;
-    block solves with the gather of the free rows, the condensation and
+    block solves with the Stokes boundary lift, the condensation and
     recovery maps and a refinement step where a probe asked for one; trace
     updates; stopping norms and convergence bookkeeping), summing below it.
 
@@ -242,7 +243,7 @@ class IterationSetup:
     iface_d: object              # DarcyInterfaceInfo of the run's pairing
     op_s: object
     op_d: object
-    base_s: np.ndarray           # (n_stokes_dofs, k) forcing minus boundary lift
+    base_s: np.ndarray           # (n_stokes_dofs, k) forcing
     base_d: np.ndarray           # (n_darcy_dofs, k) forcing plus natural data
     fixed_s: np.ndarray          # (n_fixed, k) Stokes boundary values
     lag_w: np.ndarray            # (rows of space_d.volume_op, k) premultiplied lag weights
@@ -284,11 +285,10 @@ def _setup(ctx, samples, space_s, space_d, pairing, bc, js):
     op_s = assemble_stokes_operator(space_s, ctx.nu, ctx.delta_s, xi_bar, pairing)
     op_d = assemble_darcy_operator(space_d, ctx.g, kbar_w, kbar_min, ctx.delta_d, pairing)
     # the iteration-independent part of every sample's right-hand side
-    # (forcing plus natural data minus the boundary lift), and the boundary
-    # values of the fixed rows; the Darcy essential rows are homogeneous
+    # (forcing plus natural data), and the boundary values of the fixed rows,
+    # which the Stokes solves lift; the Darcy essential rows are homogeneous
     fixed_s = np.column_stack([stokes_dirichlet_values(space_s, bc.stokes_values, j) for j in js])
     base_s = np.column_stack([assemble_stokes_volume_rhs(space_s, s.f_S) for s in samples])
-    base_s[space_s.free] -= op_s.lift(fixed_s)
     base_d = np.column_stack([_darcy_sample_rhs(space_d, s, bc, j, ctx.g)
                               for j, s in zip(js, samples)])
     return IterationSetup(ctx, space_s, space_d, StokesInterfaceInfo(space_s, pairing),
@@ -306,7 +306,6 @@ def sweep(su, state, ud_lag):
     rhs = su.base_s.copy()
     add_interface_rhs(rhs, su.iface_s, state.g_S, state.g_tau)
     tb = time.perf_counter()
-    rhs = rhs[su.space_s.free]     # drops the full-length block before the solve
     us = su.op_s.solve(rhs, su.fixed_s)
     del rhs
     tc = time.perf_counter()
@@ -315,7 +314,6 @@ def sweep(su, state, ud_lag):
     if su.has_lag:
         add_darcy_lag_rhs(rhs, su.space_d, su.lag_w, ud_lag)
     td = time.perf_counter()
-    rhs = rhs[su.space_d.free]
     ud = su.op_d.solve(rhs, 0.0)
     del rhs
     te = time.perf_counter()

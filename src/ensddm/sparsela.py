@@ -159,61 +159,60 @@ def block_inverse(blocks):
 # The probe block that checks each operator's solves once at construction.
 # A normwise backward error above REFINE_ABOVE (16 eps; the benchmark's
 # operators give at most 4 eps) switches on one refinement step against
-# A_ff for every solve of that operator.
+# the matrix for every solve of that operator.
 _PROBE_SEED, _PROBE_COLUMNS = 20240901, 2
 REFINE_ABOVE = 16 * np.finfo(float).eps
 
 
 class SubdomainOperator:
-    """A subdomain matrix reduced to its free rows and columns and solved
+    """A subdomain matrix with boundary values on its fixed rows, solved
     through one factorization of a condensed system.  It keeps what `solve`
-    and `lift` read (the dof count `n`, the factor, the three condensation
-    maps, the free-by-fixed block `A_fd`), not the matrix.
+    reads (the dof count `n`, the factor, the three condensation maps, the
+    block `A_fd` of the fixed columns), not the matrix.
 
-    The `free` and `fixed` index arrays split the dofs; fixed rows carry
-    boundary values.  `condensed()` returns the condensed matrix S and the
-    CSR maps `condense`, `direct` and `recover`: x = direct b + recover
-    S^-1 condense b is zero on the fixed rows and solves A_ff x = b on the
-    free ones.  `factor_seconds` covers that call, the factorization of S
-    and a probe solve whose normwise backward error against A_ff, above
-    REFINE_ABOVE, makes every solve take one refinement step against A_ff.
+    The `free` and `fixed` index arrays split the dofs.  `condensed()`
+    returns the condensed matrix S and the CSR maps `condense`, `direct` and
+    `recover`, whose columns and rows are dofs: x = direct b + recover S^-1
+    condense b reads only the free rows of b, is zero on the fixed rows and
+    solves A_ff x = b on the free ones.  `factor_seconds` covers that call,
+    the factorization of S and a probe solve whose normwise backward error
+    against A_ff, above REFINE_ABOVE, makes every solve take one refinement
+    step against the matrix.
     """
 
     def __init__(self, matrix, free, fixed, condensed):
         self.n = matrix.shape[0]
         self.free, self.fixed = free, fixed
-        rows = matrix[free]
-        a_ff, self.A_fd = rows[:, free], rows[:, fixed]     # CSR, like the matrix rows
-        del rows
+        self.A_fd = matrix[:, fixed]       # CSR; the fixed rows of its products go unread
+        a_ff = matrix[free][:, free]
         t0 = time.perf_counter()
         S, self._condense, self._direct, self._recover = condensed()
         self.factorization = factorize(S)
         del S
-        b = np.random.default_rng(_PROBE_SEED).standard_normal((len(free), _PROBE_COLUMNS))
-        self.probe_error = backward_error(a_ff, self._solve(b)[free], b)
-        self._A_ff = a_ff if self.probe_error > REFINE_ABOVE else None
+        b = np.zeros((self.n, _PROBE_COLUMNS))
+        b[free] = np.random.default_rng(_PROBE_SEED).standard_normal((len(free), _PROBE_COLUMNS))
+        self.probe_error = backward_error(a_ff, self._solve(b)[free], b[free])
+        self._A = matrix if self.probe_error > REFINE_ABOVE else None
         self.factor_seconds = time.perf_counter() - t0
 
-    def lift(self, fixed_values):
-        """Free-row correction for the boundary values of the fixed rows,
-        an (n_fixed,) vector or an (n_fixed, k) block."""
-        return self.A_fd @ fixed_values
-
     def _solve(self, rhs):
-        """Full dof vectors, zero on the fixed rows, from free rows."""
+        """Whole dof vectors, zero on the fixed rows, from the free rows."""
         y = self.factorization.solve(self._condense @ rhs)
         x = self._direct @ rhs
         x += self._recover @ y
         return x
 
     def solve(self, rhs, fixed_values):
-        """Full dof vectors (or a row-major (n_dofs, k) block) from the
-        free rows of the right-hand sides, an (n_free,) vector or an
-        (n_free, k) block: the free rows solve A_ff x = rhs, and the fixed
-        rows take `fixed_values` (a scalar or an (n_fixed, k) block)."""
+        """Whole dof vectors from whole right-hand sides, an (n_dofs,)
+        vector or a row-major (n_dofs, k) block whose fixed rows are never
+        read nor the block written: the fixed rows take `fixed_values` (0,
+        or an (n_fixed,) vector or (n_fixed, k) block), and the free rows
+        solve A_ff x = rhs - A_fd fixed_values."""
+        if np.any(fixed_values):
+            rhs = rhs - self.A_fd @ fixed_values
         x = self._solve(rhs)
-        if self._A_ff is not None:
-            x += self._solve(rhs - self._A_ff @ x[self.free])
+        if self._A is not None:
+            x += self._solve(rhs - self._A @ x)
         x[self.fixed] = fixed_values
         return x
 

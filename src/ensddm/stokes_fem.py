@@ -241,16 +241,15 @@ _BUBBLES, _REST = np.array([3, 7]), np.array([0, 1, 2, 4, 5, 6, 8, 9, 10])
 def _patterns(space):
     """The patterns of the Stokes matrix and of the condensed system S in the
     space's order, and of its maps (the identity plus bubble blocks)."""
-    d, n, n_s, n_f = space.elem_dofs, space.n_dofs, len(space.order), len(space.free)
-    s_of, pos = positions(n, space.order), positions(n, space.free)
+    d, n, n_s = space.elem_dofs, space.n_dofs, len(space.order)
+    s_of = positions(n, space.order)
     md = n - 1 if space.pressure_multiplier else -1
     r, b, k, pd = s_of[d[:, _REST]], d[:, _BUBBLES], np.arange(n_s), d[:, 8:].ravel()
     return {"matrix": pattern((n, n), (d[:, :, None], d[:, None, :]), (pd, md), (md, pd)),
             "S": pattern((n_s, n_s), (r[:, :, None], r[:, None, :]), (s_of[pd], s_of[md]),
                          (s_of[md], s_of[pd])),
-            "condense": pattern((n_s, n_f), (r[:, :, None], pos[b][:, None, :]),
-                                (k, pos[space.order])),
-            "direct": pattern((n, n_f), (b[:, :, None], pos[b][:, None, :])),
+            "condense": pattern((n_s, n), (r[:, :, None], b[:, None, :]), (k, space.order)),
+            "direct": pattern((n, n), (b[:, :, None], b[:, None, :])),
             "recover": pattern((n, n_s), (b[:, :, None], r[:, None, :]), (space.order, k))}
 
 

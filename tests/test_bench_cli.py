@@ -50,6 +50,8 @@ def test_every_default_parses_back_from_config_text():
 def test_parse_rejects_bad_input():
     with pytest.raises(ConfigError):
         parse_config_text("just words\n")
+    with pytest.raises(ConfigError, match="line 2: duplicate key 'J'"):
+        parse_config_text("J = 3\nJ = 5\n")
     with pytest.raises(ConfigError):
         config_from_mapping({"no_such_key": "1"})
     with pytest.raises(ConfigError):
@@ -302,14 +304,15 @@ def test_cli_sweep_and_symbol(tmp_path, capsys):
                           ("h_list = nan\n", "converge"), ("h_list = inf\n", "converge"),
                           ("h_list = 5\n", "converge"), ("delta_s = nan\n", "converge"),
                           ("nu = inf\n", "converge"), ("tol = nan\n", "converge"),
-                          ("out =\n", "converge"), ("h_list = 0.25, 0.125\n", "mc")],
+                          ("out =\n", "converge"), ("h_list = 0.25, 0.125\n", "mc"),
+                          ("J = 3\nJ = 5\n", "converge")],
                          ids=["J = abc\n", "no_such_key = 1\n", "mc h_list =\n",
                               "mc J_list = 0, 2", "mc J_list = -1", "converge k_list = -1",
                               "sweep sweep_delta_s = -1", "converge h_list = nan",
                               "converge h_list = inf", "converge h_list = 5",
                               "converge delta_s = nan", "converge nu = inf",
                               "converge tol = nan", "converge out =",
-                              "mc h_list = 0.25, 0.125"])
+                              "mc h_list = 0.25, 0.125", "converge J twice"])
 def test_cli_bad_config_is_an_error_not_a_traceback(tmp_path, capsys, text, command):
     cfgfile = tmp_path / "bad.cfg"
     cfgfile.write_text(text)

@@ -71,8 +71,10 @@ def test_stokes_element_condensation_matches_global_products(pin):
     # the oracle's unknowns are the rest of the free dofs in dof order
     p = np.argsort(space.order)
     S, condense, direct, recover = _stokes_condensed(space, pairing)
-    for got, want in ((S[p][:, p], oracle[0]), (condense[p], oracle[1]), (direct, oracle[2]),
-                      (recover[:, p], oracle[3])):
+    # the maps read dofs, none of them fixed
+    assert condense[:, space.fixed].nnz == 0 and direct[:, space.fixed].nnz == 0
+    for got, want in ((S[p][:, p], oracle[0]), (condense[p][:, free], oracle[1]),
+                      (direct[:, free], oracle[2]), (recover[:, p], oracle[3])):
         assert got.shape == want.shape
         assert _rel(got, want) <= 1e-12
 
@@ -98,8 +100,10 @@ def test_darcy_element_condensation_matches_global_products(geometry):
     oracle = _global_schur(H, P, Q, np.arange(7 * nt).reshape(nt, 7))
     p = np.argsort(space.order)
     S, condense, direct, recover = darcy_fem._condensed(space, blocks)
-    for got, want in ((S[p][:, p], oracle[0]), (condense[p], oracle[1]), (direct, oracle[2]),
-                      (recover[:, p], oracle[3])):
+    free = space.free
+    assert condense[:, space.fixed].nnz == 0 and direct[:, space.fixed].nnz == 0
+    for got, want in ((S[p][:, p], oracle[0]), (condense[p][:, free], oracle[1]),
+                      (direct[:, free], oracle[2]), (recover[:, p], oracle[3])):
         assert got.shape == want.shape
         assert _rel(got, want) <= 1e-12
 

@@ -191,7 +191,6 @@ def _solve_subproblem(n, k=2.21, delta_d=2.0, g=1.0):
     n_e = sp.edge_normal[edges]
     gdir[2 * edges] = np.einsum("ij,ij->i", exact.u_D(md.verts[a]), n_e)
     gdir[2 * edges + 1] = np.einsum("ij,ij->i", exact.u_D(md.verts[b]), n_e)
-    rhs = rhs[sp.free] - op.lift(gdir[sp.fixed])
     return sp, op.solve(rhs, gdir[sp.fixed]), exact
 
 

@@ -63,7 +63,7 @@ def test_make_context_rejects_empty_and_bad_settings():
     # a run with these would spin to max_iters or return unswept zeros
     one = [make_sample(ConstantConductivity(2.21))]
     for bad in (dict(tol=np.nan), dict(tol=-1.0), dict(tol=0.0), dict(tol=np.inf),
-                dict(max_iters=0), dict(max_iters=2.5), dict(max_iters=3.0),
+                dict(max_iters=0), dict(max_iters=2.5), dict(max_iters=3.0), dict(max_iters=True),
                 dict(delta_s=np.nan), dict(delta_d=np.nan), dict(delta_s=np.inf),
                 dict(z=np.nan), dict(z=np.inf), dict(nu=0.0), dict(g=np.inf)):
         with pytest.raises(ValueError):

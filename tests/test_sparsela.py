@@ -4,7 +4,7 @@ import weakref
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from scipy.sparse.linalg import LinearOperator, onenormest, splu
+from scipy.sparse.linalg import LinearOperator, onenormest, spsolve, splu
 
 from ensddm.sparsela import (REFINE_ABOVE, SingularMatrixError, backward_error, block_inverse,
                              factorize, factorization_count, quadratic_form)
@@ -77,6 +77,14 @@ def test_numerically_singular_raises():
 def _free_block(matrix, op):
     """The free-row, free-column block A_ff of a builder's matrix."""
     return matrix[op.free][:, op.free]
+
+
+def _whole(op, b):
+    """The whole dof vector or block with `b` on the free rows, zero on the
+    fixed ones."""
+    x = np.zeros((op.n,) + b.shape[1:])
+    x[op.free] = b
+    return x
 
 
 def _stokes_system(pressure_multiplier=True, nu=1.0, delta_s=1.0, xi=0.5, h=1 / 8):
@@ -184,40 +192,42 @@ def test_saddle_point_roundtrip_reproduces_discrete_solution():
     rng = np.random.default_rng(21)
     x_star = rng.standard_normal(A_ff.shape[0])
     b = A_ff @ x_star
-    x = op.solve(b, 0.0)[op.free]
+    x = op.solve(_whole(op, b), 0.0)[op.free]
     assert np.linalg.norm(x - x_star) / np.linalg.norm(x_star) <= 1e-9
 
 
 def _check_subdomain_solve(op, A_ff):
-    # free rows in, full-length solutions out: the free rows solve
-    # A_ff x = rhs, the fixed rows are the given boundary values
+    # whole dof blocks in and out: the free rows solve
+    # A_ff x = rhs - A_fd fixed, the fixed rows are the given boundary values
     n, k = op.n, 5
     rng = np.random.default_rng(11)
     B = rng.standard_normal((len(op.free), k))
     fixed = rng.standard_normal((len(op.fixed), k))
+    W = _whole(op, B)
 
-    x = op.solve(B[:, 0], 0.0)
+    x = op.solve(W[:, 0], 0.0)
     assert x.shape == (n,)
     assert np.all(x[op.fixed] == 0.0)
     r = A_ff @ x[op.free] - B[:, 0]
     assert np.linalg.norm(r) <= 1e-12 * np.linalg.norm(B[:, 0])
 
-    X = op.solve(B, fixed)
+    X = op.solve(W, fixed)
     assert X.shape == (n, k) and X.flags.c_contiguous
     np.testing.assert_array_equal(X[op.fixed], fixed)
-    R = A_ff @ X[op.free] - B
-    assert np.all(np.linalg.norm(R, axis=0) <= 1e-12 * np.linalg.norm(B, axis=0))
+    lifted = B - op.A_fd[op.free] @ fixed
+    R = A_ff @ X[op.free] - lifted
+    assert np.all(np.linalg.norm(R, axis=0) <= 1e-12 * np.linalg.norm(lifted, axis=0))
     for i in range(k):
-        xi = op.solve(B[:, i], fixed[:, i])
+        xi = op.solve(W[:, i], fixed[:, i])
         np.testing.assert_array_equal(xi[op.fixed], fixed[:, i])
         assert np.linalg.norm(X[:, i] - xi) <= 1e-12 * np.linalg.norm(xi)
-    Z = op.solve(B, 0.0)
+    Z = op.solve(_whole(op, lifted), 0.0)
     assert np.all(Z[op.fixed] == 0.0)
     np.testing.assert_array_equal(Z[op.free], X[op.free])
     # the right-hand side is not written to
-    B0 = B.copy()
-    op.solve(B, fixed)
-    np.testing.assert_array_equal(B, B0)
+    W0 = W.copy()
+    op.solve(W, fixed)
+    np.testing.assert_array_equal(W, W0)
 
 
 def test_subdomain_solve_vector_and_block():
@@ -250,9 +260,66 @@ def test_operator_drops_the_matrix_it_was_built_from():
 
 def test_condensed_stokes_solve_of_zero_data_is_exact_zero():
     op = _stokes_system()[0]
-    x = op.solve(np.zeros(len(op.free)), 0.0)
-    X = op.solve(np.zeros((len(op.free), 3)), np.zeros((len(op.fixed), 3)))
+    x = op.solve(np.zeros(op.n), 0.0)
+    X = op.solve(np.zeros((op.n, 3)), np.zeros((len(op.fixed), 3)))
     assert not x.any() and not X.any()
+
+
+def _stokes_boundary_case():
+    """The Stokes operator of the manufactured meshes at h = 1/8, its
+    matrix and the manufactured Dirichlet data of two samples."""
+    from ensddm.bench_cli import manufactured_bc, manufactured_meshes
+    from ensddm.ensemble_driver import stokes_dirichlet_values
+    from ensddm.manufactured import ManufacturedSolution
+    from ensddm.stokes_fem import build_stokes_space, assemble_stokes_operator, stokes_matrix
+
+    ms, _, pairing = manufactured_meshes(1 / 8)
+    space = build_stokes_space(ms)
+    bc = manufactured_bc([ManufacturedSolution(k, k) for k in (0.5, 2.21)])
+    g = np.column_stack([stokes_dirichlet_values(space, bc.stokes_values, j) for j in range(2)])
+    return (assemble_stokes_operator(space, 1.0, 1.0, 0.5, pairing),
+            stokes_matrix(space, 1.0, 1.0, 0.5, pairing), g)
+
+
+def _darcy_boundary_case():
+    """The Darcy operator of the manufactured meshes at h = 1/8 with its
+    default essential sides, its matrix and the essential data of two
+    samples: the exact normal velocity at the essential edges' ends."""
+    from ensddm.bench_cli import manufactured_meshes
+    from ensddm.darcy_fem import assemble_darcy_operator, build_darcy_space, darcy_matrix
+    from ensddm.manufactured import ManufacturedSolution
+
+    _, md, pairing = manufactured_meshes(1 / 8)
+    space = build_darcy_space(md)
+    weight = np.full(len(space.quad_weight), 1.0 / 2.21)
+    edges = space.essential_edges
+    g = np.zeros((space.n_dofs, 2))
+    for j, k in enumerate((0.5, 2.21)):
+        u_D = ManufacturedSolution(k, k).u_D
+        for end in range(2):
+            u = u_D(md.verts[md.edges[edges, end]])
+            g[2 * edges + end, j] = np.einsum("ij,ij->i", u, space.edge_normal[edges])
+    return (assemble_darcy_operator(space, 1.0, weight, 2.21, 2.0, pairing),
+            darcy_matrix(space, 1.0, weight, 2.21, 2.0, pairing), g[space.fixed])
+
+
+@pytest.mark.parametrize("case", [_stokes_boundary_case, _darcy_boundary_case])
+def test_solve_takes_whole_blocks_and_lifts_the_boundary_values(case):
+    # the fixed rows of the right-hand side are never read and the block is
+    # not written; the free rows solve A_ff x = rhs - A_fd g, the fixed rows
+    # are g
+    op, matrix, g = case()
+    rhs = np.random.default_rng(41).standard_normal((op.n, 2))
+    rhs[op.fixed] = np.nan
+    rhs0 = rhs.copy()
+    x = op.solve(rhs, g)
+    np.testing.assert_array_equal(rhs, rhs0)
+    np.testing.assert_array_equal(x[op.fixed], g)
+    rows = matrix[op.free]
+    ref = spsolve(rows[:, op.free].tocsc(), rhs[op.free] - rows[:, op.fixed] @ g)
+    assert _rel_diff(x[op.free], ref) <= 1e-12
+    rhs[op.fixed] = 0.0
+    np.testing.assert_array_equal(op.solve(rhs, g), x)
 
 
 def test_stokes_factor_holds_no_bubbles_and_less_fill():
@@ -283,8 +350,8 @@ def test_hybrid_darcy_solve_matches_the_plain_factor_solve():
     assert op.factorization.shape[0] < A_ff.shape[0]
     B = np.random.default_rng(5).standard_normal((len(op.free), 4))
     ref = _colamd_partial_pivot(A_ff)
-    assert _rel_diff(op.solve(B, 0.0)[op.free], ref.solve(B)) <= 1e-12
-    assert _rel_diff(op.solve(B[:, 1], 0.0)[op.free], ref.solve(B[:, 1])) <= 1e-12
+    assert _rel_diff(op.solve(_whole(op, B), 0.0)[op.free], ref.solve(B)) <= 1e-12
+    assert _rel_diff(op.solve(_whole(op, B[:, 1]), 0.0)[op.free], ref.solve(B[:, 1])) <= 1e-12
     # diagonal pivots of a symmetric positive definite matrix are positive
     assert np.all(op.factorization.U.diagonal() > 0)
 
@@ -319,10 +386,11 @@ def test_interior_pairs_must_not_couple():
     assert set(direct.row) <= set(bubbles.ravel())
     pair_of = np.empty(space.n_dofs, dtype=np.int64)
     pair_of[bubbles] = np.arange(len(bubbles))[:, None]
-    assert np.array_equal(pair_of[direct.row], pair_of[op.free[direct.col]])
+    assert np.array_equal(pair_of[direct.row], pair_of[direct.col])
     assert direct.nnz == 4 * len(bubbles) and np.all(op.free[pos] == bubbles)
     b = np.random.default_rng(33).standard_normal(len(op.free))
-    assert np.abs(A_ff @ op.solve(b, 0.0)[op.free] - b).max() <= 1e-13 * np.abs(b).max()
+    x = op.solve(_whole(op, b), 0.0)[op.free]
+    assert np.abs(A_ff @ x - b).max() <= 1e-13 * np.abs(b).max()
 
 
 # -- the symmetric-mode factors against partial pivoting -------------------
@@ -361,7 +429,7 @@ def test_symmetric_mode_stokes_solve_matches_partial_pivoting(nu, delta_s, xi, p
     op, A_ff = _stokes_system(pin, nu, delta_s, xi)
     B = np.random.default_rng(17).standard_normal((len(op.free), 4))
     ref = _colamd_partial_pivot(A_ff).solve(B)
-    assert _rel_diff(op.solve(B, 0.0)[op.free], ref) <= 1e-10
+    assert _rel_diff(op.solve(_whole(op, B), 0.0)[op.free], ref) <= 1e-10
 
 
 @pytest.mark.parametrize("k_inv", [1e-3, 1.0, 1e3])
@@ -372,7 +440,7 @@ def test_threshold_pivoted_darcy_solve_matches_partial_pivoting(k_inv, delta_d):
     # (so k_min = K)
     op, A_ff = _darcy_system(k_inv, delta_d)
     B = np.random.default_rng(18).standard_normal((len(op.free), 4))
-    x = op.solve(B, 0.0)[op.free]
+    x = op.solve(_whole(op, B), 0.0)[op.free]
     ref_lu = _colamd_partial_pivot(A_ff)
     ref = ref_lu.solve(B)
     assert backward_error(A_ff, x, B) <= 1e-14
@@ -408,7 +476,7 @@ def test_probe_switches_on_refinement_only_where_the_solve_needs_it():
     op, A_ff = _darcy_system(1e-3, 100.0)
     assert op.probe_error > REFINE_ABOVE
     B = np.random.default_rng(19).standard_normal((len(op.free), 3))
-    x = op.solve(B, 0.0)[op.free]
+    x = op.solve(_whole(op, B), 0.0)[op.free]
     assert backward_error(A_ff, x, B) <= 4 * np.finfo(float).eps
 
     cfg = ScenarioConfig(scenario="channel_mc", J=8)
