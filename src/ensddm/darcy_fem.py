@@ -115,6 +115,11 @@ class DarcySpace:
         mesh = self.mesh
         bary, self.qw = self.RULE
         self.qpoints = quadrature.physical_points(mesh.verts, mesh.tris, bary)
+        # every conductivity is a function of y alone, so the set-up
+        # evaluates it at the distinct heights (increasing) and gathers each
+        # point's value by `height_of`
+        self.heights, self.height_of = np.unique(self.qpoints[:, :, 1].ravel(),
+                                                   return_inverse=True)
         # quad_weight: w_q |T| per row (t, q, c) of the evaluation at the
         # assembly rule; volume_op: that evaluation stacked on the constant
         # divergence of each triangle
@@ -369,9 +374,11 @@ def add_darcy_natural_head_rhs(rhs, space, tags, head_fn, g):
 
 def inverse_diagonal(space, coeff):
     """Diagonal of coeff's inverse tensor at the quadrature points, one
-    value per evaluation row (t, q, c) of space.volume_op."""
-    i11, i22 = coeff.inv_diag(space.qpoints[:, :, 1].ravel())
-    return np.column_stack([i11, i22]).ravel()
+    value per evaluation row (t, q, c) of space.volume_op.  The field is
+    evaluated once per distinct height `space.heights` and gathered by
+    `space.height_of`; a field evaluates elementwise in y, so each value is
+    bitwise the one taken at the point itself."""
+    return np.column_stack(coeff.inv_diag(space.heights))[space.height_of].ravel()
 
 
 def lag_weights(space, g, dW, dk_min):

@@ -56,6 +56,8 @@ def make_sample(K, f_S=None, f_D=None, alpha=1.0, interface_y=0.0, scan_points=N
 
     `scan_points` should cover the porous subdomain (e.g. the assembly
     quadrature points); the smallest eigenvalue is taken over that scan.
+    Only the heights of the scan are read, since a field varies in y alone,
+    so one scan point per distinct height suffices.
     """
     if not 0 <= alpha < np.inf:     # NaN fails this too
         raise ValueError("alpha must be non-negative and finite")
@@ -148,13 +150,14 @@ class SolveReport:
     """Everything a caller needs after a run: per-sample solutions, the
     iteration record, and the wall-time split.
 
-    t_assembly holds the spaces (with their nested-dissection orders) and
-    the element blocks; t_factor each operator's element condensation,
-    factorization and probe solve.  t_solve is the wall time of the loop;
-    t_rhs, t_trisolve, t_trace and t_norm are its phases (right-hand sides;
-    block solves with the Stokes boundary lift, the condensation and
-    recovery maps and a refinement step where a probe asked for one; trace
-    updates; stopping norms and convergence bookkeeping), summing below it.
+    t_assembly holds the spaces (with their nested-dissection orders and
+    interface operators) and the element blocks; t_factor each operator's
+    element condensation, factorization and probe solve.  t_solve is the
+    wall time of the loop; t_rhs, t_trisolve, t_trace and t_norm are its
+    phases (right-hand sides; block solves with the Stokes boundary lift,
+    the condensation and recovery maps and a refinement step where a probe
+    asked for one; trace updates; stopping norms and convergence
+    bookkeeping), summing below it.
 
     lu_nnz is the fill of the factors: the entries SuperLU stores for L and
     U (its `nnz`), summed over both factors, and over all samples for the
@@ -252,15 +255,17 @@ class IterationSetup:
     dxi: np.ndarray              # (k,) slip lag weights, mean minus sample
 
 
-def _setup(ctx, samples, space_s, space_d, pairing, bc, js):
+def _setup(ctx, samples, space_s, space_d, iface_s, iface_d, pairing, bc, js):
     """The `IterationSetup` of the group `samples` with the settings of
-    `ctx` on the given spaces, and the samples' lag ratios (k,); js[i] is
-    the index into the boundary data `bc` of sample i.  The operators use
-    the group's own means; it warns when a sample's lag ratio reaches 1."""
+    `ctx` on the given spaces and their interface operators, and the
+    samples' lag ratios (k,); js[i] is the index into the boundary data `bc`
+    of sample i.  The operators use the group's own means; it warns when a
+    sample's lag ratio reaches 1."""
     k = len(samples)
-    # one inverse-tensor evaluation per sample gives the group mean (summed
-    # in sample order, as MeanInverseField.inv_diag sums) and, overwritten
-    # in place, the lag weights
+    # one inverse-tensor evaluation per sample, at the space's distinct
+    # heights, gives the group mean (summed in sample order, as
+    # MeanInverseField.inv_diag sums) and, overwritten in place, the lag
+    # weights
     w = np.column_stack([inverse_diagonal(space_d, s.K) for s in samples])
     kbar_w = sum(w.T) / k
     dW = np.subtract(kbar_w[:, None], w, out=w)
@@ -291,8 +296,7 @@ def _setup(ctx, samples, space_s, space_d, pairing, bc, js):
     base_s = np.column_stack([assemble_stokes_volume_rhs(space_s, s.f_S) for s in samples])
     base_d = np.column_stack([_darcy_sample_rhs(space_d, s, bc, j, ctx.g)
                               for j, s in zip(js, samples)])
-    return IterationSetup(ctx, space_s, space_d, StokesInterfaceInfo(space_s, pairing),
-                          DarcyInterfaceInfo(space_d, pairing), op_s, op_d,
+    return IterationSetup(ctx, space_s, space_d, iface_s, iface_d, op_s, op_d,
                           base_s, base_d, fixed_s, lag_w, bool(lag_w.any()), xi, dxi), ratio
 
 
@@ -325,13 +329,15 @@ def sweep(su, state, ud_lag):
 
 
 def _run(ctx, size, mesh_s, mesh_d, pairing, bc, per_sample_stop):
-    """The spaces, then per group of `size` consecutive samples of `ctx`
-    its set-up and sweeps of its active samples; one report for all."""
+    """The spaces and their interface operators, then per group of `size`
+    consecutive samples of `ctx` its set-up and sweeps of its active
+    samples; one report for all."""
     nfact0 = factorization_count()
     t0 = time.perf_counter()
     space_s = build_stokes_space(mesh_s, dirichlet_tags=bc.stokes_dirichlet_tags,
                                  pressure_multiplier=bc.stokes_pressure_multiplier)
     space_d = build_darcy_space(mesh_d, essential_tags=bc.darcy_essential_tags)
+    iface_s, iface_d = StokesInterfaceInfo(space_s, pairing), DarcyInterfaceInfo(space_d, pairing)
     t_assembly = time.perf_counter() - t0
 
     J = ctx.J
@@ -349,7 +355,7 @@ def _run(ctx, size, mesh_s, mesh_d, pairing, bc, per_sample_stop):
         stop = min(start + size, J)
         t0 = time.perf_counter()
         su, lag_ratio[start:stop] = _setup(ctx, ctx.samples[start:stop], space_s, space_d,
-                                           pairing, bc, range(start, stop))
+                                           iface_s, iface_d, pairing, bc, range(start, stop))
         dt_factor = su.op_s.factor_seconds + su.op_d.factor_seconds
         t_assembly += time.perf_counter() - t0 - dt_factor
         t_factor += dt_factor

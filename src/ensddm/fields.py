@@ -3,6 +3,10 @@
 All scenarios use diagonal tensors whose entries depend on y at most, so a
 field exposes vectorized evaluations of the diagonal (`diag`) and of the
 inverse tensor's diagonal (`inv_diag`); the assembly reads nothing else.
+Both evaluate elementwise: the value at a height does not depend on the
+other heights of the call.  So callers evaluate a field once per distinct
+height and gather (`darcy_fem.inverse_diagonal`, `bench_cli.channel_samples`),
+which gives bitwise the values at the points themselves.
 """
 
 import numpy as np
@@ -11,7 +15,8 @@ from .random_field import evaluate_k
 
 
 class ConductivityField:
-    """Base class; subclasses implement diag(y) -> (k11, k22) arrays."""
+    """Base class; subclasses implement diag(y) -> (k11, k22) arrays,
+    elementwise in the heights y."""
 
     def diag(self, y):
         raise NotImplementedError

@@ -10,8 +10,10 @@ from ensddm.bench_cli import (ScenarioConfig, ConfigError, parse_config_text,
                               run_symbol_sweep, run_symbol_validation,
                               channel_meshes, manufactured_meshes, resolve_delta_d,
                               run_manufactured, run_timing_comparison, run_channel_mc,
-                              darcy_scan_points, CSV_COLUMNS, _SUBCOMMAND_DEFAULTS, main)
+                              channel_samples, darcy_scan_points, CSV_COLUMNS,
+                              _SUBCOMMAND_DEFAULTS, main)
 from ensddm.darcy_fem import build_darcy_space
+from ensddm.ensemble_driver import make_sample
 from ensddm.robin_params import frequency_band, optimized_delta_d
 
 
@@ -109,6 +111,17 @@ def test_scan_points_are_the_darcy_quadrature_points(meshes):
     mesh_d = meshes(1 / 8)[1]
     np.testing.assert_array_equal(darcy_scan_points(mesh_d),
                                   build_darcy_space(mesh_d).qpoints.reshape(-1, 2))
+
+
+def test_channel_samples_scan_one_point_per_height():
+    # a KL field varies in y only: one scan point per distinct height gives
+    # bitwise the k_min and xi of the scan at every quadrature point
+    cfg = ScenarioConfig(J=16, field_sigma=0.15)
+    mesh_d = channel_meshes(1 / 8)[1]
+    scan = darcy_scan_points(mesh_d)
+    for s in channel_samples(cfg, mesh_d)[0]:
+        full = make_sample(s.K, alpha=cfg.alpha, interface_y=0.0, scan_points=scan)
+        assert (s.k_min, s.xi) == (full.k_min, full.xi)
 
 
 def test_resolve_delta_d_modes():

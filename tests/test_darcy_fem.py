@@ -7,7 +7,9 @@ from ensddm.darcy_fem import (build_darcy_space, assemble_darcy_operator,
                               assemble_darcy_volume_rhs, add_darcy_interface_rhs,
                               inverse_diagonal, darcy_matrix, DarcyInterfaceInfo)
 from ensddm.stokes_fem import edge_mass
-from ensddm.fields import ConstantConductivity
+from ensddm.bench_cli import channel_meshes, manufactured_meshes
+from ensddm.fields import ConstantConductivity, KLConductivity, MeanInverseField
+from ensddm.random_field import RandomFieldSpec, draw_samples
 from ensddm.manufactured import ManufacturedSolution
 from ensddm.norms import darcy_errors
 
@@ -162,8 +164,24 @@ def test_volume_rhs_structure():
     np.testing.assert_allclose(rhs[:sp.n_velocity], expected, rtol=1e-12)
 
 
+@pytest.mark.parametrize("meshes, h, n_heights", [(channel_meshes, 1 / 8, 102),
+                                                  (manufactured_meshes, 1 / 32, 134)])
+def test_inverse_diagonal_gathers_the_evaluation_at_every_point(meshes, h, n_heights):
+    # each field is evaluated once per distinct height of the quadrature
+    # points and gathered: bitwise its evaluation at every point
+    sp = build_darcy_space(meshes(h)[1])
+    y = sp.qpoints[:, :, 1].ravel()
+    assert len(sp.heights) == n_heights
+    assert np.all(np.diff(sp.heights) > 0)
+    assert np.array_equal(sp.heights[sp.height_of], y)
+    spec = RandomFieldSpec(sigma=0.15)
+    kl = [KLConductivity(spec, d) for d in draw_samples(spec, 8, 20240901)]
+    for field in kl + [ConstantConductivity(2.21, 4.11), MeanInverseField(kl)]:
+        assert np.array_equal(inverse_diagonal(sp, field),
+                              np.column_stack(field.inv_diag(y)).ravel())
+
+
 def test_operator_depends_only_on_means_bitwise():
-    from ensddm.fields import MeanInverseField
     _, md, pairing = stacked(3, 3)
     sp = build_darcy_space(md)
     f1 = [ConstantConductivity(2.0), ConstantConductivity(4.0)]

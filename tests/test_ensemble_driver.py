@@ -17,17 +17,20 @@ from ensddm.ensemble_driver import (make_sample, make_context, BoundaryCondition
                                     check_converged_residual, _setup, sweep,
                                     _monolithic_system)
 from ensddm.interface_state import RobinTraceState
-from ensddm.stokes_fem import build_stokes_space
-from ensddm.darcy_fem import build_darcy_space
+from ensddm.stokes_fem import build_stokes_space, StokesInterfaceInfo
+from ensddm.darcy_fem import build_darcy_space, DarcyInterfaceInfo
 from ensddm.mesh import Rect, build_rect_mesh, pair_interface
 from ensddm.norms import error_norms
 
 
-def spaces(mesh_s, mesh_d, bc):
-    """The Stokes and Darcy spaces a run builds for `bc`."""
-    return (build_stokes_space(mesh_s, dirichlet_tags=bc.stokes_dirichlet_tags,
-                               pressure_multiplier=bc.stokes_pressure_multiplier),
-            build_darcy_space(mesh_d, essential_tags=bc.darcy_essential_tags))
+def spaces(mesh_s, mesh_d, pairing, bc):
+    """The Stokes and Darcy spaces a run builds for `bc`, and their
+    interface operators."""
+    space_s = build_stokes_space(mesh_s, dirichlet_tags=bc.stokes_dirichlet_tags,
+                                 pressure_multiplier=bc.stokes_pressure_multiplier)
+    space_d = build_darcy_space(mesh_d, essential_tags=bc.darcy_essential_tags)
+    return (space_s, space_d, StokesInterfaceInfo(space_s, pairing),
+            DarcyInterfaceInfo(space_d, pairing))
 
 
 def small_setup(k_list=(2.21,), h=1 / 8, tol=1e-6, max_iters=200, delta_s=1.0):
@@ -126,13 +129,13 @@ def test_lag_ratio_bounds_the_measured_rate_from_above():
 
 @pytest.mark.parametrize("J", [8, 32])
 def test_channel_setup_field_evaluations_grow_linearly(monkeypatch, J):
-    # each sample's field once at the scan points and the interface
-    # (make_sample) and once for its inverse at the quadrature points (the
-    # run's set-up); make_context evaluates no field
-    calls = []
+    # each sample's field once at its distinct heights and the interface
+    # (make_sample) and once for its inverse at the distinct heights of the
+    # quadrature points (the run's set-up); make_context evaluates no field
+    calls = []      # the number of heights of each call
     evaluate_k = fields.evaluate_k
     monkeypatch.setattr(fields, "evaluate_k",
-                        lambda *args: calls.append(1) or evaluate_k(*args))
+                        lambda spec, draw, y: calls.append(np.size(y)) or evaluate_k(spec, draw, y))
     mean_calls = [_count_calls(monkeypatch, MeanInverseField, name)
                   for name in ("__init__", "inv_diag", "inv_tensor")]
     mesh_s, mesh_d, pairing = channel_meshes(1 / 8)
@@ -140,9 +143,10 @@ def test_channel_setup_field_evaluations_grow_linearly(monkeypatch, J):
     assert len(calls) == J
     ctx, _ = make_context(samples, max_iters=1)
     assert len(calls) == J
-    run_ensemble_ddm(ctx, mesh_s, mesh_d, pairing, channel_bc())
+    report = run_ensemble_ddm(ctx, mesh_s, mesh_d, pairing, channel_bc())
     assert len(calls) == 2 * J
     assert not any(mean_calls)
+    assert max(calls) <= len(report.space_d.heights) + 1
 
 
 class _NegativeOnInterface(fields.ConductivityField):
@@ -292,7 +296,7 @@ def test_one_sample_group_has_zero_lag_weights():
     samples, _, _ = channel_samples(ScenarioConfig(J=3), mesh_d)
     ctx, _ = make_context(samples)
     bc = channel_bc()
-    su, ratio = _setup(ctx, ctx.samples[1:2], *spaces(mesh_s, mesh_d, bc), pairing, bc,
+    su, ratio = _setup(ctx, ctx.samples[1:2], *spaces(mesh_s, mesh_d, pairing, bc), pairing, bc,
                        range(1, 2))
     assert su.lag_w.shape[1] == su.dxi.size == ratio.size == 1
     assert not su.lag_w.any() and not su.dxi.any() and not ratio.any()
@@ -493,7 +497,8 @@ def test_sweep_continues_a_cut_run_bitwise():
     cut, full = (run_ensemble_ddm(replace(ctx, max_iters=m), mesh_s, mesh_d, pairing, bc)
                  for m in (n, n + 1))
     assert not full.converged.any()
-    su, _ = _setup(ctx, ctx.samples, *spaces(mesh_s, mesh_d, bc), pairing, bc, range(ctx.J))
+    su, _ = _setup(ctx, ctx.samples, *spaces(mesh_s, mesh_d, pairing, bc), pairing, bc,
+                   range(ctx.J))
     state, us, ud, _ = sweep(su, cut.state, cut.ud.T)
     assert np.array_equal(us, full.us.T)
     assert np.array_equal(ud, full.ud.T)
@@ -506,7 +511,8 @@ def test_sweep_is_affine():
     samples, _, _ = channel_samples(ScenarioConfig(J=2), mesh_d)
     ctx, _ = make_context(samples, delta_s=1.0, delta_d=2.0)
     bc = channel_bc()
-    su, _ = _setup(ctx, ctx.samples, *spaces(mesh_s, mesh_d, bc), pairing, bc, range(ctx.J))
+    su, _ = _setup(ctx, ctx.samples, *spaces(mesh_s, mesh_d, pairing, bc), pairing, bc,
+                   range(ctx.J))
     rng = np.random.default_rng(5)
     shape = (2 * pairing.n_pairs, ctx.J)
     x, y = (RobinTraceState(*rng.standard_normal((3,) + shape)) for _ in range(2))

@@ -469,9 +469,9 @@ def test_probe_switches_on_refinement_only_where_the_solve_needs_it():
     # the channel operator of the Monte Carlo scenario needs no refinement
     from ensddm.bench_cli import ScenarioConfig, channel_bc, channel_meshes, channel_samples, \
         resolve_delta_d, scenario_context
-    from ensddm.darcy_fem import build_darcy_space
+    from ensddm.darcy_fem import DarcyInterfaceInfo, build_darcy_space
     from ensddm.ensemble_driver import _setup
-    from ensddm.stokes_fem import build_stokes_space
+    from ensddm.stokes_fem import StokesInterfaceInfo, build_stokes_space
 
     op, A_ff = _darcy_system(1e-3, 100.0)
     assert op.probe_error > REFINE_ABOVE
@@ -487,7 +487,8 @@ def test_probe_switches_on_refinement_only_where_the_solve_needs_it():
     space_s = build_stokes_space(mesh_s, dirichlet_tags=bc.stokes_dirichlet_tags,
                                  pressure_multiplier=bc.stokes_pressure_multiplier)
     space_d = build_darcy_space(mesh_d, essential_tags=bc.darcy_essential_tags)
-    su, _ = _setup(ctx, ctx.samples, space_s, space_d, pairing, bc, range(ctx.J))
+    su, _ = _setup(ctx, ctx.samples, space_s, space_d, StokesInterfaceInfo(space_s, pairing),
+                   DarcyInterfaceInfo(space_d, pairing), pairing, bc, range(ctx.J))
     assert su.op_d.probe_error <= REFINE_ABOVE
     assert su.op_s.probe_error <= REFINE_ABOVE
 

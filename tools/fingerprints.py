@@ -10,14 +10,18 @@ bytecode) and runs both drivers in both stop modes on them.  Each run prints
 one line with two 16-hex sha256 digests and the LU fill: the first digest
 over the solutions, the iteration counts and convergence flags, the three
 trace-state blocks, the stopping-norm histories, the factorization count
-and the LU fill; the second (`counts=`) over the counts alone: the
-iteration counts, the convergence flags and the factorization count; and
-`fill=` the LU fill (`lu_nnz`), so a change of fill reads by value from the
-`diff` of two printouts.  One more line per seed
-holds the digest of channel_mc's residual-check values, from the run the
-benchmark itself checks.  Two checkouts give bitwise equal outputs on these
-inputs when their outputs `diff` equal; a change that moves values only at
-the rounding level keeps every `counts=` digest.
+and the LU fill, and over what the set-up derives from the conductivity
+fields: the lag ratios and each sample's (k_min, xi); the second
+(`counts=`) over the counts alone: the iteration counts, the convergence
+flags and the factorization count; and `fill=` the LU fill (`lu_nnz`), so a
+change of fill reads by value from the `diff` of two printouts.  One more
+line per seed holds the digest of channel_mc's residual-check values, from
+the run the benchmark itself checks.  Two checkouts give bitwise equal
+outputs on these inputs when their outputs `diff` equal; a change that
+moves values only at the rounding level keeps every `counts=` digest.
+Digests depend on this file too, so compare two commits by running one
+version of it in both checkouts (it loads the package of its working
+directory).
 
 `--tiny` uses the benchmark's smoke-test size (h=1/4, J=2).
 """
@@ -62,7 +66,7 @@ def count_arrays(report):
     yield np.array([report.n_factorizations], dtype=np.int64)
 
 
-def report_arrays(report):
+def report_arrays(report, samples):
     yield report.us
     yield report.ud
     yield np.asarray(report.iterations)
@@ -71,6 +75,8 @@ def report_arrays(report):
     for hist in report.norm_history:
         yield np.array(hist, dtype=np.float64)
     yield np.array([report.n_factorizations, report.lu_nnz], dtype=np.int64)
+    yield np.asarray(report.lag_ratio)
+    yield np.array([(s.k_min, s.xi) for s in samples])
 
 
 def fingerprint_lines(wl, seed, tiny=False):
@@ -87,7 +93,8 @@ def fingerprint_lines(wl, seed, tiny=False):
             for mode, stop in STOP_MODES:
                 report = run(case.ctx, case.mesh_s, case.mesh_d, case.pairing, case.bc,
                              per_sample_stop=stop)
-                yield (f"{name} seed={seed} {driver} {mode} {digest(report_arrays(report))}"
+                yield (f"{name} seed={seed} {driver} {mode}"
+                       f" {digest(report_arrays(report, case.ctx.samples))}"
                        f" counts={digest(count_arrays(report))} fill={report.lu_nnz}")
                 if (driver == "traditional") == w.per_sample and stop == w.per_sample_stop:
                     checked = report
