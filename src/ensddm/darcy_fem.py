@@ -202,16 +202,18 @@ def build_darcy_space(mesh, essential_tags=None):
 
 
 class DarcyInterfaceInfo:
-    """Darcy-side view of the interface pairing as sparse operators on whole
-    dof vectors (empty head columns and rows), built from the x-ordered edge
-    dofs, the sign relating the global edge normal to the outward normal
-    n_D and the element-sided tangential trace map (row 2p+i is endpoint i
-    of pair p):
+    """Darcy-side view of the interface pairing, the one source of every
+    Darcy interface term: sparse operators on whole dof vectors (empty head
+    columns and rows), built from the x-ordered edge dofs, the sign relating
+    the global edge normal to the outward normal n_D and the element-sided
+    tangential trace map (row 2p+i is endpoint i of pair p):
 
     normal      (2 n_pairs, n_dofs)  u -> u.n_D at the endpoints
     tangential  (2 n_pairs, n_dofs)  u -> element-sided u.tau
     load        (n_dofs, 2 n_pairs)  g_D -> -<g_D, v.n_D>, i.e. minus the
                                      transposed normal trace times the edge mass
+    robin       <u.n_D, v.n_D> at the element-block `slots` (triangle, local
+                dof, local dof): an interface dof has one copy
     """
 
     def __init__(self, space, pairing):
@@ -233,7 +235,12 @@ class DarcyInterfaceInfo:
             (tau_mat.ravel(),
              (np.repeat(np.arange(n2), 6), np.repeat(space.elem_dofs[tri], 2, axis=0).ravel())),
             shape=shape)
-        self.load = -(self.normal.T @ interface_mass(pairing)).tocsr()
+        mass = interface_mass(pairing)
+        self.load = -(self.normal.T @ mass).tocsr()
+        robin = (self.normal.T @ mass @ self.normal).tocoo()
+        row, col = space.copy_of[robin.row], space.copy_of[robin.col]
+        self.slots = (row // 7, row % 7, col % 7)
+        self.robin = robin.data
 
     def normal_trace(self, vec):
         """u . n_D at the x-sorted endpoints of every pair: (2 n_pairs,) for
@@ -271,46 +278,43 @@ def darcy_form(space, g, weight, k_min):
     return scatter(space.patterns["matrix"], _velocity_blocks(space, g, weight, k_min))
 
 
-def darcy_element_blocks(space, g, weight, k_min, delta_d, pairing):
+def darcy_element_blocks(space, g, weight, k_min, delta_d, iface):
     """Each triangle's (7, 7) block of `darcy_matrix` over its local dofs
     `space.hybrid_dofs` (six velocity dofs, then the head): the element
     velocity form, the momentum coupling -g (phi, div v), the continuity
-    row g (psi, div u) and, on the triangle of each interface edge,
-    delta_d <u.n_D, v.n_D>.  Every term of the Darcy matrix is local to one
-    triangle, so these blocks are the whole matrix."""
+    row g (psi, div u) and delta_d <u.n_D, v.n_D> at the slots of the
+    DarcyInterfaceInfo `iface`.  Every term is local to one triangle, so
+    these blocks are the whole matrix."""
     if not (0 < g < np.inf and 0 < delta_d < np.inf and 0 < k_min < np.inf):
         raise ValueError("g, delta_d and k_min must be positive and finite")
     blocks = _velocity_blocks(space, g, weight, k_min)
     B = g * space.div * space.mesh.tri_area[:, None]
     blocks[:, 6, :6] = B
     blocks[:, :6, 6] = -B
-    iface = DarcyInterfaceInfo(space, pairing)
-    robin = (iface.normal.T @ (delta_d * interface_mass(pairing)) @ iface.normal).tocoo()
-    # an interface edge has one triangle, so its dofs have one copy each
-    row, col = space.copy_of[robin.row], space.copy_of[robin.col]
-    np.add.at(blocks, (row // 7, row % 7, col % 7), robin.data)
+    np.add.at(blocks, iface.slots, delta_d * iface.robin)
     return blocks
 
 
-def darcy_matrix(space, g, weight, k_min, delta_d, pairing):
+def darcy_matrix(space, g, weight, k_min, delta_d, iface):
     """The Robin porous-medium matrix (CSR) of `darcy_element_blocks`;
     `weight` is the diagonal of the mass-term tensor per evaluation row of
     space.volume_op, and `k_min` weights the grad-div augmentation."""
-    blocks = darcy_element_blocks(space, g, weight, k_min, delta_d, pairing)
+    blocks = darcy_element_blocks(space, g, weight, k_min, delta_d, iface)
     return scatter(space.patterns["matrix"], blocks)
 
 
-def assemble_darcy_operator(space, g, weight, kbar_min, delta_d, pairing):
+def assemble_darcy_operator(space, g, weight, kbar_min, delta_d, iface):
     """Factorize the shared porous-medium matrix, the `darcy_matrix` of the
     ensemble means (for an ensemble, `weight` is inverse_diagonal of the
     mean of the sample inverse tensors and `kbar_min` the mean minimal
-    eigenvalue), through its hybridized form: with K the block diagonal of
-    the element blocks and C the multipliers of the space, the system
-    [K, -C^T; C, 0] [x; lam] = [P b; 0], P putting each free row on the
-    copy that carries it, has the conforming solution on every copy, and
-    only C K^-1 C^T is factorized, which is symmetric positive definite:
-    the interface edges carry no multiplier, so no head can float."""
-    blocks = darcy_element_blocks(space, g, weight, kbar_min, delta_d, pairing)
+    eigenvalue) and the DarcyInterfaceInfo `iface`, in hybridized form:
+    with K the block diagonal of the element blocks and C the multipliers
+    of the space, the system [K, -C^T; C, 0] [x; lam] = [P b; 0], P putting
+    each free row on the copy that carries it, has the conforming solution
+    on every copy, and only C K^-1 C^T is factorized, which is symmetric
+    positive definite: the interface edges carry no multiplier, so no head
+    can float."""
+    blocks = darcy_element_blocks(space, g, weight, kbar_min, delta_d, iface)
     return SubdomainOperator(scatter(space.patterns["matrix"], blocks), space.free, space.fixed,
                              partial(_condensed, space, blocks))
 

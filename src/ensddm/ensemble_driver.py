@@ -187,7 +187,8 @@ class SolveReport:
     lu_nnz: int
     space_s: object = None
     space_d: object = None
-    pairing: object = None
+    iface_s: object = None       # the run's StokesInterfaceInfo
+    iface_d: object = None       # the run's DarcyInterfaceInfo
     state: object = None
 
 
@@ -255,7 +256,7 @@ class IterationSetup:
     dxi: np.ndarray              # (k,) slip lag weights, mean minus sample
 
 
-def _setup(ctx, samples, space_s, space_d, iface_s, iface_d, pairing, bc, js):
+def _setup(ctx, samples, space_s, space_d, iface_s, iface_d, bc, js):
     """The `IterationSetup` of the group `samples` with the settings of
     `ctx` on the given spaces and their interface operators, and the
     samples' lag ratios (k,); js[i] is the index into the boundary data `bc`
@@ -287,8 +288,8 @@ def _setup(ctx, samples, space_s, space_d, iface_s, iface_d, pairing, bc, js):
                       "converge slowly or diverge", RuntimeWarning)
     lag_w = lag_weights(space_d, ctx.g, dW, dk)
     del w, dW       # before the operators are built
-    op_s = assemble_stokes_operator(space_s, ctx.nu, ctx.delta_s, xi_bar, pairing)
-    op_d = assemble_darcy_operator(space_d, ctx.g, kbar_w, kbar_min, ctx.delta_d, pairing)
+    op_s = assemble_stokes_operator(space_s, ctx.nu, ctx.delta_s, xi_bar, iface_s)
+    op_d = assemble_darcy_operator(space_d, ctx.g, kbar_w, kbar_min, ctx.delta_d, iface_d)
     # the iteration-independent part of every sample's right-hand side
     # (forcing plus natural data), and the boundary values of the fixed rows,
     # which the Stokes solves lift; the Darcy essential rows are homogeneous
@@ -355,7 +356,7 @@ def _run(ctx, size, mesh_s, mesh_d, pairing, bc, per_sample_stop):
         stop = min(start + size, J)
         t0 = time.perf_counter()
         su, lag_ratio[start:stop] = _setup(ctx, ctx.samples[start:stop], space_s, space_d,
-                                           iface_s, iface_d, pairing, bc, range(start, stop))
+                                           iface_s, iface_d, bc, range(start, stop))
         dt_factor = su.op_s.factor_seconds + su.op_d.factor_seconds
         t_assembly += time.perf_counter() - t0 - dt_factor
         t_factor += dt_factor
@@ -404,7 +405,8 @@ def _run(ctx, size, mesh_s, mesh_d, pairing, bc, per_sample_stop):
                        t_assembly=t_assembly, t_factor=t_factor, t_solve=t_solve,
                        t_rhs=t_rhs, t_trisolve=t_trisolve, t_trace=t_trace, t_norm=t_norm,
                        n_factorizations=factorization_count() - nfact0, lu_nnz=lu_nnz,
-                       space_s=space_s, space_d=space_d, pairing=pairing, state=state)
+                       space_s=space_s, space_d=space_d, iface_s=iface_s, iface_d=iface_d,
+                       state=state)
 
 
 def _monolithic_system(report, ctx, bc, j):
@@ -413,27 +415,27 @@ def _monolithic_system(report, ctx, bc, j):
     Unknowns: [stokes dofs | darcy dofs | g_S endpoints | g_D endpoints].
     The diagonal blocks are `stokes_matrix` and `darcy_matrix` with sample
     j's coefficients (xi_j, K_j^{-1}, k_j^{min}) in place of the ensemble
-    means.  The couplings are the interface operators of the iteration: the
-    traces enter the subdomain rows through the `load` operators, the
+    means.  The couplings are the run's interface operators (`report.iface_s`,
+    `iface_d`; the diagonal blocks read them too): the traces enter the
+    subdomain rows through the `load` operators, the
     Darcy tangential velocity through xi_j times the Stokes slip load, and
     the trace rows are the two affine interface updates at their fixed
     point.  Dirichlet and essential rows are identity rows with the
     boundary data (zero on the essential rows).
     """
-    space_s, space_d, pairing = report.space_s, report.space_d, report.pairing
+    space_s, space_d = report.space_s, report.space_d
+    info_s, info_d = report.iface_s, report.iface_d
     sample = ctx.samples[j]
     nS = space_s.n_dofs
-    n2 = 2 * pairing.n_pairs
-    info_s = StokesInterfaceInfo(space_s, pairing)
-    info_d = DarcyInterfaceInfo(space_d, pairing)
+    n2 = info_d.normal.shape[0]
 
     dsum = ctx.delta_s + ctx.delta_d
     eye = sp.identity(n2)
     A = sp.bmat([
-        [stokes_matrix(space_s, ctx.nu, ctx.delta_s, sample.xi, pairing),
+        [stokes_matrix(space_s, ctx.nu, ctx.delta_s, sample.xi, info_s),
          sample.xi * info_s.load[:, n2:] @ info_d.tangential, -info_s.load[:, :n2], None],
         [None, darcy_matrix(space_d, ctx.g, inverse_diagonal(space_d, sample.K),
-                            sample.k_min, ctx.delta_d, pairing), None, -info_d.load],
+                            sample.k_min, ctx.delta_d, info_d), None, -info_d.load],
         [None, -dsum * info_d.normal, eye, -eye],
         [-dsum * info_s.trace[:n2], None, -eye, eye],
     ], format="csr")

@@ -36,11 +36,11 @@ def edge_mass(length):
 
 
 def interface_mass(pairing):
-    """Block-diagonal edge mass over the endpoint values of all pairs:
+    """Block-diagonal edge mass over the endpoint values of all pairs (CSR):
     row 2p+i is endpoint i (x-order) of pair p."""
-    idx = np.arange(2 * pairing.n_pairs).reshape(-1, 2)
-    return scatter(pattern((idx.size,) * 2, (idx[:, :, None], idx[:, None, :])),
-                   edge_mass(pairing.lengths[:, None, None]))
+    n = pairing.n_pairs
+    return sp.bsr_matrix((edge_mass(pairing.lengths[:, None, None]), np.arange(n),
+                          np.arange(n + 1))).tocsr()
 
 
 def mini_basis(bary, tri_grads):
@@ -148,30 +148,38 @@ def build_stokes_space(mesh, dirichlet_tags=None, pressure_multiplier=True):
 
 
 class StokesInterfaceInfo:
-    """Free-flow side of the interface pairing as two sparse operators.
+    """Free-flow side of the interface pairing, the one source of every
+    Stokes interface term, all placed at one lookup of each endpoint's
+    element-block slots (interface edge's triangle, local velocity dof).
 
     `trace` (4 n_pairs, n_dofs) maps dof vectors to the endpoint values of
     u.n_S (rows 0 .. 2 n_pairs - 1) and u.tau (the rest).  `load`
     (n_dofs, 4 n_pairs) maps endpoint traces [g_n; g_tau] to
     -<g_n, v.n_S> - <g_tau, v.tau>; it is minus the transposed trace times
-    the edge mass, so the two share one source.
-    """
+    the edge mass.  `normal_mass` and `tangential_mass` [p, i, j, c, d] are
+    the element terms <u.n_S, v.n_S> and <u.tau, v.tau> at `slots`: edge
+    mass (i, j) of pair p times direction components c and d."""
 
     def __init__(self, space, pairing):
+        mesh = space.mesh
+        tri = mesh.edge_tris[pairing.pairs[:, 0], 0]
+        # local vertex of each x-ordered endpoint, then its local dof per component
+        m = np.argmax(mesh.tris[tri][:, None, :] == pairing.nodes_s[:, :, None], axis=2)
+        loc = 4 * np.arange(2) + m[:, :, None]                     # (pair, i, c)
+        self.slots = (tri[:, None, None, None, None], loc[:, :, None, :, None],
+                      loc[:, None, :, None, :])
+        # row (block, 2p+i): component c of endpoint i times direction (n_S, tau) c
         n2 = 2 * pairing.n_pairs
-        nodes = pairing.nodes_s.ravel()
-        rows, cols, vals = [], [], []
-        for block, direction in enumerate((pairing.n_s, pairing.tau)):
-            for c in range(2):
-                if direction[c] != 0.0:
-                    rows.append(block * n2 + np.arange(n2))
-                    cols.append(c * space.n_comp + nodes)
-                    vals.append(np.full(n2, direction[c]))
+        dofs = space.vel_elem_dofs[tri[:, None, None], loc].ravel()
         self.trace = sp.csr_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(2 * n2, space.n_dofs))
+            (np.repeat([pairing.n_s, pairing.tau], n2, axis=0).ravel(),
+             (np.repeat(np.arange(2 * n2), 2), np.tile(dofs, 2))), shape=(2 * n2, space.n_dofs))
+        self.trace.eliminate_zeros()          # a direction along an axis reads one component
         mass = interface_mass(pairing)
         self.load = -(self.trace.T @ sp.block_diag((mass, mass))).tocsr()
+        pair_mass = edge_mass(pairing.lengths[:, None, None])[:, :, :, None, None]
+        self.normal_mass = pair_mass * np.outer(pairing.n_s, pairing.n_s)
+        self.tangential_mass = pair_mass * np.outer(pairing.tau, pairing.tau)
 
 
 def deformation_element_matrices(space, nu):
@@ -201,10 +209,10 @@ def div_element_matrices(space):
     return B.reshape(nt, 3, 4, 2).transpose(0, 1, 3, 2).reshape(nt, 3, 8)
 
 
-def _stokes_terms(space, nu, delta_s, xi, pairing):
+def _stokes_terms(space, nu, delta_s, xi, iface):
     """The element blocks (nt, 11, 11) of `stokes_matrix` on
-    `space.elem_dofs`, the interface terms in the block of each interface
-    edge's triangle, and the pressure-mean multiplier's weights (3 nt,)."""
+    `space.elem_dofs`, the interface terms at the slots of the
+    StokesInterfaceInfo `iface`, and the multiplier's weights (3 nt,)."""
     if not (0 < nu < np.inf and 0 < delta_s < np.inf):   # NaN fails this too
         raise ValueError("viscosity and delta_s must be positive and finite")
     if not 0 <= xi < np.inf:
@@ -214,23 +222,16 @@ def _stokes_terms(space, nu, delta_s, xi, pairing):
     E[:, :8, :8] = deformation_element_matrices(space, nu)
     E[:, 8:, :8] = B = div_element_matrices(space)
     E[:, :8, 8:] = -B.transpose(0, 2, 1)
-    # delta_s <u.n, v.n> + xi <u.tau, v.tau>: edge mass (i, j) times w_cd, c and d components
-    tri = mesh.edge_tris[pairing.pairs[:, 0], 0]
-    m = np.argmax(mesh.tris[tri][:, None, :] == pairing.nodes_s[:, :, None], axis=2)
-    w = delta_s * np.outer(pairing.n_s, pairing.n_s) + xi * np.outer(pairing.tau, pairing.tau)
-    loc = 4 * np.arange(2) + m[:, :, None]                     # (pair, i, c)
-    np.add.at(E, (tri[:, None, None, None, None], loc[:, :, None, :, None],
-                  loc[:, None, :, None, :]),
-              edge_mass(pairing.lengths[:, None, None])[:, :, :, None, None] * w)
+    np.add.at(E, iface.slots, delta_s * iface.normal_mass + xi * iface.tangential_mass)
     return E, np.repeat(mesh.tri_area / 3.0, 3)
 
 
-def stokes_matrix(space, nu, delta_s, xi, pairing):
+def stokes_matrix(space, nu, delta_s, xi, iface):
     """The Robin free-flow matrix as a CSR matrix: 2 nu (D(u), D(v)), the
     momentum coupling -(p, div v), the continuity rows (q, div u), the
     pressure-mean multiplier's row -(1, p) when the space has one, and
-    delta_s <u.n, v.n>_Gamma + xi <u.tau, v.tau>_Gamma."""
-    E, m = _stokes_terms(space, nu, delta_s, xi, pairing)
+    delta_s <u.n, v.n>_Gamma + xi <u.tau, v.tau>_Gamma from `iface`."""
+    E, m = _stokes_terms(space, nu, delta_s, xi, iface)
     return scatter(space.patterns["matrix"], E, m, -m)
 
 
@@ -266,11 +267,11 @@ def _condensed(space, E, m):
             scatter(P["recover"], -(inv @ br), 1.0))
 
 
-def assemble_stokes_operator(space, nu, delta_s, xi_bar, pairing):
-    """The `stokes_matrix` of the ensemble-mean slip coefficient `xi_bar`,
-    with the bubbles condensed out of each element block and the rest
-    factorized in the space's order."""
-    E, m = _stokes_terms(space, nu, delta_s, xi_bar, pairing)
+def assemble_stokes_operator(space, nu, delta_s, xi_bar, iface):
+    """The `stokes_matrix` of the ensemble-mean slip coefficient `xi_bar`
+    and the StokesInterfaceInfo `iface`, with the bubbles condensed out of
+    each element block and the rest factorized in the space's order."""
+    E, m = _stokes_terms(space, nu, delta_s, xi_bar, iface)
     return SubdomainOperator(scatter(space.patterns["matrix"], E, m, -m), space.free, space.fixed,
                              partial(_condensed, space, E, m))
 

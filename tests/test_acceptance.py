@@ -25,7 +25,7 @@ from ensddm.norms import error_norms, convergence_order
 from ensddm.robin_params import (FrequencyBand, frequency_band, optimized_delta_d,
                                  convergence_factor, worst_case_rho, symbol_iteration,
                                  measured_contraction)
-from ensddm.stokes_fem import build_stokes_space, stokes_matrix
+from ensddm.stokes_fem import build_stokes_space, stokes_matrix, StokesInterfaceInfo
 
 PI = np.pi
 
@@ -284,8 +284,9 @@ def test_criterion_10_reduction_invariants():
 
     # interface term touches no bubble dofs
     space = build_stokes_space(mesh_s)
-    a1 = stokes_matrix(space, 1.0, 1.0, 0.3, pairing)
-    a2 = stokes_matrix(space, 1.0, 2.0, 0.6, pairing)
+    iface = StokesInterfaceInfo(space, pairing)
+    a1 = stokes_matrix(space, 1.0, 1.0, 0.3, iface)
+    a2 = stokes_matrix(space, 1.0, 2.0, 0.6, iface)
     diff = (a2 - a1).tocoo()
     nz = np.abs(diff.data) > 1e-14
     touched = set(diff.row[nz]) | set(diff.col[nz])

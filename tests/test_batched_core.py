@@ -19,7 +19,7 @@ from ensddm.mesh import Rect, build_rect_mesh, pair_interface
 from ensddm.quadrature import triangle_rule
 from ensddm.random_field import RandomFieldSpec, draw_samples
 from ensddm.stokes_fem import (build_stokes_space, add_interface_rhs, interface_traces,
-                               edge_mass, interface_mass, StokesInterfaceInfo)
+                               edge_mass, interface_mass, stokes_matrix, StokesInterfaceInfo)
 
 
 def stokes_below():
@@ -257,6 +257,22 @@ def test_block_lag_rhs_matches_columns_and_tensor_oracle():
         assert rel(one, oracle_lag_rhs(space, dW_full, dk[j], U[:, j], g)) <= 1e-13
 
 
+# -- the subdomain matrices' interface terms ---------------------------------
+
+@pytest.mark.parametrize("geometry", sorted(MESHES))
+def test_stokes_interface_terms_come_from_the_trace_map(geometry):
+    # delta_s <u.n_S, v.n_S> + xi <u.tau, v.tau> of stokes_matrix is
+    # trace^T diag(delta_s M, xi M) trace, M the edge mass of every pair
+    ms, _, pairing = MESHES[geometry]()
+    space = build_stokes_space(ms)
+    info = StokesInterfaceInfo(space, pairing)
+    (d1, x1), (d2, x2) = (1.0, 0.3), (2.5, 1.1)
+    diff = stokes_matrix(space, 1.0, d2, x2, info) - stokes_matrix(space, 1.0, d1, x1, info)
+    M = interface_mass(pairing)
+    want = info.trace.T @ sp.block_diag(((d2 - d1) * M, (x2 - x1) * M)) @ info.trace
+    assert rel(diff, want) <= 1e-14
+
+
 # -- the Darcy form -----------------------------------------------------------
 
 @pytest.mark.parametrize("geometry", sorted(MESHES))
@@ -274,8 +290,9 @@ def test_darcy_block_and_velocity_mass_match_element_oracle(geometry, field):
     pts = space.qpoints.reshape(-1, 2)
     W_full = oracle_inv_tensor(K, pts).reshape(md.n_tris, len(space.qw), 2, 2)
     weight = inverse_diagonal(space, K)
-    block = darcy_matrix(space, g, weight, k_min, delta_d, pairing)[:nv, :nv]
-    normal = DarcyInterfaceInfo(space, pairing).normal[:, :nv]
+    iface = DarcyInterfaceInfo(space, pairing)
+    block = darcy_matrix(space, g, weight, k_min, delta_d, iface)[:nv, :nv]
+    normal = iface.normal[:, :nv]
     robin = normal.T @ (delta_d * interface_mass(pairing)) @ normal
     assert rel(block, oracle_form(space, g, W_full, k_min) + robin) <= 1e-14
     unit = np.broadcast_to(np.eye(2), W_full.shape)

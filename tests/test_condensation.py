@@ -8,9 +8,9 @@ from scipy.sparse.linalg import splu
 
 from ensddm import darcy_fem, stokes_fem
 from ensddm.bench_cli import channel_bc, channel_meshes, manufactured_meshes
-from ensddm.darcy_fem import build_darcy_space, darcy_element_blocks
+from ensddm.darcy_fem import build_darcy_space, darcy_element_blocks, DarcyInterfaceInfo
 from ensddm.sparsela import nested_dissection, positions
-from ensddm.stokes_fem import build_stokes_space
+from ensddm.stokes_fem import build_stokes_space, StokesInterfaceInfo
 
 
 def _global_schur(H, P, Q, interior):
@@ -37,31 +37,34 @@ def _rel(a, b):
 
 def _stokes(h, pressure_multiplier):
     ms, _, pairing = manufactured_meshes(h)
-    return build_stokes_space(ms, pressure_multiplier=pressure_multiplier), pairing
+    space = build_stokes_space(ms, pressure_multiplier=pressure_multiplier)
+    return space, StokesInterfaceInfo(space, pairing)
 
 
 def _darcy(geometry, h):
     if geometry == "channel":
         _, md, pairing = channel_meshes(h)
-        return build_darcy_space(md, essential_tags=channel_bc().darcy_essential_tags), pairing
-    _, md, pairing = manufactured_meshes(h)
-    return build_darcy_space(md), pairing
+        space = build_darcy_space(md, essential_tags=channel_bc().darcy_essential_tags)
+    else:
+        _, md, pairing = manufactured_meshes(h)
+        space = build_darcy_space(md)
+    return space, DarcyInterfaceInfo(space, pairing)
 
 
-def _stokes_condensed(space, pairing):
-    return stokes_fem._condensed(space, *stokes_fem._stokes_terms(space, 1.3, 2.0, 0.7, pairing))
+def _stokes_condensed(space, iface):
+    return stokes_fem._condensed(space, *stokes_fem._stokes_terms(space, 1.3, 2.0, 0.7, iface))
 
 
-def _darcy_blocks(space, pairing):
+def _darcy_blocks(space, iface):
     weight = np.random.default_rng(3).uniform(0.5, 2.0, len(space.quad_weight))
-    return darcy_element_blocks(space, 1.0, weight, 0.6, 2.0, pairing)
+    return darcy_element_blocks(space, 1.0, weight, 0.6, 2.0, iface)
 
 
 @pytest.mark.parametrize("pin", [True, False])
 def test_stokes_element_condensation_matches_global_products(pin):
-    space, pairing = _stokes(1 / 8, pin)
+    space, iface = _stokes(1 / 8, pin)
     free = space.free
-    matrix = stokes_fem.stokes_matrix(space, 1.3, 2.0, 0.7, pairing)
+    matrix = stokes_fem.stokes_matrix(space, 1.3, 2.0, 0.7, iface)
     pos = np.full(space.n_dofs, -1)
     pos[free] = np.arange(len(free))
     Q = sp.csr_matrix((np.ones(len(free)), (free, np.arange(len(free)))),
@@ -70,7 +73,7 @@ def test_stokes_element_condensation_matches_global_products(pin):
                            pos[space.vel_elem_dofs[:, [3, 7]]])
     # the oracle's unknowns are the rest of the free dofs in dof order
     p = np.argsort(space.order)
-    S, condense, direct, recover = _stokes_condensed(space, pairing)
+    S, condense, direct, recover = _stokes_condensed(space, iface)
     # the maps read dofs, none of them fixed
     assert condense[:, space.fixed].nnz == 0 and direct[:, space.fixed].nnz == 0
     for got, want in ((S[p][:, p], oracle[0]), (condense[p][:, free], oracle[1]),
@@ -81,8 +84,8 @@ def test_stokes_element_condensation_matches_global_products(pin):
 
 @pytest.mark.parametrize("geometry", ["manufactured", "channel"])
 def test_darcy_element_condensation_matches_global_products(geometry):
-    space, pairing = _darcy(geometry, 1 / 8)
-    blocks = _darcy_blocks(space, pairing)
+    space, iface = _darcy(geometry, 1 / 8)
+    blocks = _darcy_blocks(space, iface)
     nt, n_free = len(blocks), len(space.free)
     # the hybridized system [K, -C^T; C, 0] with one multiplier row per dof
     # of `order`, built from the copies of each dof
@@ -179,9 +182,9 @@ def _check_top_separator(S, entity_of, halves):
 
 @pytest.mark.parametrize("pin", [True, False])
 def test_stokes_top_separator_splits_the_condensed_matrix(pin):
-    space, pairing = _stokes(1 / 8, pin)
+    space, iface = _stokes(1 / 8, pin)
     mesh = space.mesh
-    S = _stokes_condensed(space, pairing)[0]
+    S = _stokes_condensed(space, iface)[0]
     entity = _stokes_vertex(space, space.order)
     if pin:
         entity[-1] = -1               # the multiplier follows the separator
@@ -190,9 +193,9 @@ def test_stokes_top_separator_splits_the_condensed_matrix(pin):
 
 @pytest.mark.parametrize("geometry", ["manufactured", "channel"])
 def test_darcy_top_separator_splits_the_multiplier_system(geometry):
-    space, pairing = _darcy(geometry, 1 / 8)
+    space, iface = _darcy(geometry, 1 / 8)
     mesh = space.mesh
-    S = darcy_fem._condensed(space, _darcy_blocks(space, pairing))[0]
+    S = darcy_fem._condensed(space, _darcy_blocks(space, iface))[0]
     eot = mesh.edge_of_tri
     links = np.concatenate([eot[:, :2], eot[:, 1:], eot[:, ::2]])
     _check_top_separator(S, space.order // 2, _top_cut(mesh.verts[mesh.edges].mean(axis=1), links))
@@ -209,13 +212,14 @@ def test_operator_builds_reuse_the_order_of_their_space(monkeypatch):
     monkeypatch.setattr(darcy_fem, "nested_dissection", counting)
     ms, md, pairing = manufactured_meshes(1 / 4)
     space_s, space_d = build_stokes_space(ms), build_darcy_space(md)
+    iface_s, iface_d = StokesInterfaceInfo(space_s, pairing), DarcyInterfaceInfo(space_d, pairing)
     assert len(calls) == 2
     orders = space_s.order, space_d.order
     patterns = [dict(space.patterns) for space in (space_s, space_d)]
     weight = np.ones(len(space_d.quad_weight))
     for xi in (0.5, 0.7):
-        stokes_fem.assemble_stokes_operator(space_s, 1.0, 1.0, xi, pairing)
-        darcy_fem.assemble_darcy_operator(space_d, 1.0, weight * xi, 1.0, 2.0, pairing)
+        stokes_fem.assemble_stokes_operator(space_s, 1.0, 1.0, xi, iface_s)
+        darcy_fem.assemble_darcy_operator(space_d, 1.0, weight * xi, 1.0, 2.0, iface_d)
     assert len(calls) == 2
     assert space_s.order is orders[0] and space_d.order is orders[1]
     # and the sparsity patterns the space made with that order
@@ -228,10 +232,10 @@ def test_darcy_dissection_fill_is_under_eight_tenths_of_minimum_degree():
     # the same multiplier system at h=1/32, in the dissection order against
     # SuperLU's minimum degree order of A + A^T from the dof order, both
     # with diagonal pivots
-    space, pairing = _darcy("manufactured", 1 / 32)
+    space, iface = _darcy("manufactured", 1 / 32)
     weight = np.ones(len(space.quad_weight))
-    op = darcy_fem.assemble_darcy_operator(space, 1.0, weight, 1.0, 2.0, pairing)
-    S = darcy_fem._condensed(space, darcy_element_blocks(space, 1.0, weight, 1.0, 2.0, pairing))[0]
+    op = darcy_fem.assemble_darcy_operator(space, 1.0, weight, 1.0, 2.0, iface)
+    S = darcy_fem._condensed(space, darcy_element_blocks(space, 1.0, weight, 1.0, 2.0, iface))[0]
     p = np.argsort(space.order)
     mmd = splu(S[p][:, p].tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                options=dict(SymmetricMode=True))

@@ -93,11 +93,12 @@ def test_divergence_theorem_elementwise():
 def test_local_robin_block():
     _, md, pairing = stacked(1, 1)
     sp = build_darcy_space(md)
+    iface = DarcyInterfaceInfo(sp, pairing)
     W = inverse_diagonal(sp, ConstantConductivity(1.0))
-    a1 = darcy_matrix(sp, 1.0, W, 1.0, 1.0, pairing).toarray()
-    a2 = darcy_matrix(sp, 1.0, W, 1.0, 4.0, pairing).toarray()
+    a1 = darcy_matrix(sp, 1.0, W, 1.0, 1.0, iface).toarray()
+    a2 = darcy_matrix(sp, 1.0, W, 1.0, 4.0, iface).toarray()
     diff = (a2 - a1) / 3.0
-    d = DarcyInterfaceInfo(sp, pairing).normal[:2].indices    # the edge dofs of pair 0
+    d = iface.normal[:2].indices    # the edge dofs of pair 0
     np.testing.assert_allclose(diff[np.ix_(d, d)], edge_mass(1.0), atol=1e-14)
     diff[np.ix_(d, d)] = 0.0
     assert np.abs(diff).max() < 1e-14
@@ -106,8 +107,9 @@ def test_local_robin_block():
 def test_matrix_symmetry_and_spd_velocity_block():
     _, md, pairing = stacked(4, 4)
     sp = build_darcy_space(md)
+    iface = DarcyInterfaceInfo(sp, pairing)
     W = inverse_diagonal(sp, ConstantConductivity(2.21))
-    a = darcy_matrix(sp, 1.0, W, 1 / 2.21, 3.0, pairing)
+    a = darcy_matrix(sp, 1.0, W, 1 / 2.21, 3.0, iface)
     # physical signs: symmetric once the head columns are negated
     flip = np.ones(sp.n_dofs)
     flip[sp.head_slice] = -1.0
@@ -122,14 +124,15 @@ def test_matrix_symmetry_and_spd_velocity_block():
 def test_rejects_bad_parameters():
     _, md, pairing = stacked(2, 2)
     sp = build_darcy_space(md)
+    iface = DarcyInterfaceInfo(sp, pairing)
     W = inverse_diagonal(sp, ConstantConductivity(1.0))
     with pytest.raises(ValueError):
-        assemble_darcy_operator(sp, 0.0, W, 1.0, 1.0, pairing)
+        assemble_darcy_operator(sp, 0.0, W, 1.0, 1.0, iface)
     with pytest.raises(ValueError):
-        assemble_darcy_operator(sp, 1.0, W, 1.0, -1.0, pairing)
+        assemble_darcy_operator(sp, 1.0, W, 1.0, -1.0, iface)
     not_spd = inverse_diagonal(sp, ConstantConductivity(1.0, -2.0))
     with pytest.raises(ValueError):
-        assemble_darcy_operator(sp, 1.0, not_spd, 1.0, 1.0, pairing)
+        assemble_darcy_operator(sp, 1.0, not_spd, 1.0, 1.0, iface)
 
 
 def test_mass_matrix_exact_vs_symbolic():
@@ -184,10 +187,11 @@ def test_inverse_diagonal_gathers_the_evaluation_at_every_point(meshes, h, n_hei
 def test_operator_depends_only_on_means_bitwise():
     _, md, pairing = stacked(3, 3)
     sp = build_darcy_space(md)
+    iface = DarcyInterfaceInfo(sp, pairing)
     f1 = [ConstantConductivity(2.0), ConstantConductivity(4.0)]
     f2 = [ConstantConductivity(4.0), ConstantConductivity(2.0)]
-    m1 = darcy_matrix(sp, 1.0, inverse_diagonal(sp, MeanInverseField(f1)), 0.375, 2.0, pairing)
-    m2 = darcy_matrix(sp, 1.0, inverse_diagonal(sp, MeanInverseField(f2)), 0.375, 2.0, pairing)
+    m1 = darcy_matrix(sp, 1.0, inverse_diagonal(sp, MeanInverseField(f1)), 0.375, 2.0, iface)
+    m2 = darcy_matrix(sp, 1.0, inverse_diagonal(sp, MeanInverseField(f2)), 0.375, 2.0, iface)
     assert (m1 != m2).nnz == 0
 
 
@@ -195,14 +199,15 @@ def _solve_subproblem(n, k=2.21, delta_d=2.0, g=1.0):
     exact = ManufacturedSolution(k, k, g=g)
     _, md, pairing = stacked(n, n, width=PI)
     sp = build_darcy_space(md)
+    iface = DarcyInterfaceInfo(sp, pairing)
     W = inverse_diagonal(sp, ConstantConductivity(k))
-    op = assemble_darcy_operator(sp, g, W, 1.0 / k, delta_d, pairing)
+    op = assemble_darcy_operator(sp, g, W, 1.0 / k, delta_d, iface)
     rhs = assemble_darcy_volume_rhs(sp, exact.f_D, 1.0 / k, g)
     xs = md.verts[pairing.nodes_d, 0].ravel()
     pts = np.column_stack([xs, np.zeros_like(xs)])
     # g phi_D - delta_d u_D.n_D at y = 0, n_D = (0, 1)
     g_D = g * exact.phi_D(pts) - delta_d * exact.u_D(pts)[:, 1]
-    add_darcy_interface_rhs(rhs, DarcyInterfaceInfo(sp, pairing), g_D)
+    add_darcy_interface_rhs(rhs, iface, g_D)
     gdir = np.zeros(sp.n_dofs)
     edges = sp.essential_edges
     a, b = md.edges[edges, 0], md.edges[edges, 1]

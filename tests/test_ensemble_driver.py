@@ -208,9 +208,9 @@ def test_lu_nnz_counts_both_factors_and_sums_over_baseline_samples():
     ctx, diag, mesh_s, mesh_d, pairing, bc, _ = small_setup(k_list=(2.21, 4.11))
     rep = run_ensemble_ddm(ctx, mesh_s, mesh_d, pairing, bc)
     kbar_w = inverse_diagonal(rep.space_d, MeanInverseField([s.K for s in ctx.samples]))
-    op_s = assemble_stokes_operator(rep.space_s, ctx.nu, ctx.delta_s, diag.xi_bar, pairing)
+    op_s = assemble_stokes_operator(rep.space_s, ctx.nu, ctx.delta_s, diag.xi_bar, rep.iface_s)
     op_d = assemble_darcy_operator(rep.space_d, ctx.g, kbar_w, diag.kbar_min, ctx.delta_d,
-                                   pairing)
+                                   rep.iface_d)
     assert rep.lu_nnz == op_s.factorization.nnz + op_d.factorization.nnz > 0
     trad = run_traditional_ddm(ctx, mesh_s, mesh_d, pairing, bc)
     singles = [make_context([s], nu=ctx.nu, g=ctx.g, z=ctx.z, alpha=ctx.alpha,
@@ -259,6 +259,19 @@ def test_baseline_builds_each_space_once(monkeypatch):
     assert [len(c) for c in calls] == [1, 1]
 
 
+@pytest.mark.parametrize("run", [run_ensemble_ddm, run_traditional_ddm])
+def test_each_interface_operator_is_built_once_per_run(monkeypatch, run):
+    # every group's operators and the residual check read the run's two
+    # interface operators; the baseline runs one group per sample
+    ctx, _, mesh_s, mesh_d, pairing, bc, _ = small_setup(k_list=(2.21, 4.11, 6.21), h=1 / 4)
+    calls = [_count_calls(monkeypatch, cls, "__init__")
+             for cls in (StokesInterfaceInfo, DarcyInterfaceInfo)]
+    report = run(ctx, mesh_s, mesh_d, pairing, bc)
+    assert [len(c) for c in calls] == [1, 1]
+    check_converged_residual(report, ctx, bc)
+    assert [len(c) for c in calls] == [1, 1]
+
+
 def test_inverse_diagonal_evaluated_once_per_sample(monkeypatch):
     # the group means and the lag weights share each sample's evaluation
     from ensddm import ensemble_driver
@@ -296,7 +309,7 @@ def test_one_sample_group_has_zero_lag_weights():
     samples, _, _ = channel_samples(ScenarioConfig(J=3), mesh_d)
     ctx, _ = make_context(samples)
     bc = channel_bc()
-    su, ratio = _setup(ctx, ctx.samples[1:2], *spaces(mesh_s, mesh_d, pairing, bc), pairing, bc,
+    su, ratio = _setup(ctx, ctx.samples[1:2], *spaces(mesh_s, mesh_d, pairing, bc), bc,
                        range(1, 2))
     assert su.lag_w.shape[1] == su.dxi.size == ratio.size == 1
     assert not su.lag_w.any() and not su.dxi.any() and not ratio.any()
@@ -497,8 +510,7 @@ def test_sweep_continues_a_cut_run_bitwise():
     cut, full = (run_ensemble_ddm(replace(ctx, max_iters=m), mesh_s, mesh_d, pairing, bc)
                  for m in (n, n + 1))
     assert not full.converged.any()
-    su, _ = _setup(ctx, ctx.samples, *spaces(mesh_s, mesh_d, pairing, bc), pairing, bc,
-                   range(ctx.J))
+    su, _ = _setup(ctx, ctx.samples, *spaces(mesh_s, mesh_d, pairing, bc), bc, range(ctx.J))
     state, us, ud, _ = sweep(su, cut.state, cut.ud.T)
     assert np.array_equal(us, full.us.T)
     assert np.array_equal(ud, full.ud.T)
@@ -511,8 +523,7 @@ def test_sweep_is_affine():
     samples, _, _ = channel_samples(ScenarioConfig(J=2), mesh_d)
     ctx, _ = make_context(samples, delta_s=1.0, delta_d=2.0)
     bc = channel_bc()
-    su, _ = _setup(ctx, ctx.samples, *spaces(mesh_s, mesh_d, pairing, bc), pairing, bc,
-                   range(ctx.J))
+    su, _ = _setup(ctx, ctx.samples, *spaces(mesh_s, mesh_d, pairing, bc), bc, range(ctx.J))
     rng = np.random.default_rng(5)
     shape = (2 * pairing.n_pairs, ctx.J)
     x, y = (RobinTraceState(*rng.standard_normal((3,) + shape)) for _ in range(2))

@@ -1,6 +1,6 @@
 """tools/fingerprints.py runs from the checkout root and prints one line per
 benchmark run, with its digest, the digest of its counts and its LU fill,
-plus one residual line per channel workload."""
+plus one residual-check line per workload."""
 
 import re
 import subprocess
@@ -16,10 +16,10 @@ def test_fingerprints_at_smoke_size():
     out = subprocess.run([sys.executable, "tools/fingerprints.py", "--seeds", "7", "--tiny"],
                          cwd=ROOT, capture_output=True, text=True, check=True).stdout
     lines = out.splitlines()
-    # 3 workloads x 2 drivers x 2 stop modes, and channel_mc's residual check
-    assert len(lines) == 13
+    # 3 workloads x (2 drivers x 2 stop modes, and the residual check)
+    assert len(lines) == 15
     assert all(LINE.fullmatch(line) for line in lines), lines
     assert {LINE.fullmatch(line)[1] for line in lines} == {
         "manufactured_shared", "channel_mc", "per_sample_baseline"}
     assert all(LINE.fullmatch(line)[2] == "7" for line in lines)
-    assert sum("residual" in line for line in lines) == 1
+    assert sum("residual" in line for line in lines) == 3

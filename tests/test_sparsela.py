@@ -42,23 +42,24 @@ def test_nonfinite_rejected():
 def test_matrix_builders_reject_nonpositive_or_nonfinite_coefficients(bad):
     # the coefficient checks stand in for a check of the assembled entries
     from ensddm.bench_cli import manufactured_meshes
-    from ensddm.darcy_fem import build_darcy_space, darcy_form, darcy_matrix
-    from ensddm.stokes_fem import build_stokes_space, stokes_matrix
+    from ensddm.darcy_fem import DarcyInterfaceInfo, build_darcy_space, darcy_form, darcy_matrix
+    from ensddm.stokes_fem import StokesInterfaceInfo, build_stokes_space, stokes_matrix
     mesh_s, mesh_d, pairing = manufactured_meshes(1 / 2)
     space_s, space_d = build_stokes_space(mesh_s), build_darcy_space(mesh_d)
+    iface_s, iface_d = StokesInterfaceInfo(space_s, pairing), DarcyInterfaceInfo(space_d, pairing)
     stokes = dict(nu=1.0, delta_s=1.0, xi=0.5)
     darcy = dict(g=1.0, weight=1.0, k_min=1.0, delta_d=1.0)
     for name in stokes:
         with pytest.raises(ValueError):
-            stokes_matrix(space_s, pairing=pairing, **{**stokes, name: bad})
+            stokes_matrix(space_s, iface=iface_s, **{**stokes, name: bad})
     for name in darcy:
         with pytest.raises(ValueError):
-            darcy_matrix(space_d, pairing=pairing, **{**darcy, name: bad})
+            darcy_matrix(space_d, iface=iface_d, **{**darcy, name: bad})
     weight = np.ones(len(space_d.quad_weight))
     weight[3] = bad
     with pytest.raises(ValueError):
         darcy_form(space_d, 1.0, weight, 1.0)
-    stokes_matrix(space_s, pairing=pairing, **{**stokes, "xi": 0.0})     # no slip is valid
+    stokes_matrix(space_s, iface=iface_s, **{**stokes, "xi": 0.0})     # no slip is valid
 
 
 def test_structurally_singular_reports_row():
@@ -90,25 +91,29 @@ def _whole(op, b):
 def _stokes_system(pressure_multiplier=True, nu=1.0, delta_s=1.0, xi=0.5, h=1 / 8):
     """The condensed Stokes operator and the free block of its stokes_matrix."""
     from ensddm.bench_cli import manufactured_meshes
-    from ensddm.stokes_fem import build_stokes_space, assemble_stokes_operator, stokes_matrix
+    from ensddm.stokes_fem import (build_stokes_space, assemble_stokes_operator, stokes_matrix,
+                                   StokesInterfaceInfo)
 
     ms, _, pairing = manufactured_meshes(h)
     space = build_stokes_space(ms, pressure_multiplier=pressure_multiplier)
-    op = assemble_stokes_operator(space, nu, delta_s, xi, pairing)
-    return op, _free_block(stokes_matrix(space, nu, delta_s, xi, pairing), op)
+    iface = StokesInterfaceInfo(space, pairing)
+    op = assemble_stokes_operator(space, nu, delta_s, xi, iface)
+    return op, _free_block(stokes_matrix(space, nu, delta_s, xi, iface), op)
 
 
 def _darcy_system(k_inv=1.0, delta_d=2.0):
     """The Darcy operator of the isotropic conductivity K = 1/k_inv (so
     k_min = K) and the free block of its darcy_matrix."""
     from ensddm.bench_cli import manufactured_meshes
-    from ensddm.darcy_fem import assemble_darcy_operator, build_darcy_space, darcy_matrix
+    from ensddm.darcy_fem import (assemble_darcy_operator, build_darcy_space, darcy_matrix,
+                                  DarcyInterfaceInfo)
 
     _, md, pairing = manufactured_meshes(1 / 8)
     space = build_darcy_space(md)
+    iface = DarcyInterfaceInfo(space, pairing)
     weight = np.full(len(space.quad_weight), k_inv)
-    op = assemble_darcy_operator(space, 1.0, weight, 1.0 / k_inv, delta_d, pairing)
-    return op, _free_block(darcy_matrix(space, 1.0, weight, 1.0 / k_inv, delta_d, pairing), op)
+    op = assemble_darcy_operator(space, 1.0, weight, 1.0 / k_inv, delta_d, iface)
+    return op, _free_block(darcy_matrix(space, 1.0, weight, 1.0 / k_inv, delta_d, iface), op)
 
 
 def _stokes_factorization():
@@ -181,14 +186,16 @@ def test_saddle_point_roundtrip_reproduces_discrete_solution():
     # the condensed solve of an assembled saddle matrix reproduces a known
     # dof vector
     from ensddm.mesh import Rect, build_rect_mesh, pair_interface
-    from ensddm.stokes_fem import build_stokes_space, assemble_stokes_operator, stokes_matrix
+    from ensddm.stokes_fem import (build_stokes_space, assemble_stokes_operator, stokes_matrix,
+                                   StokesInterfaceInfo)
 
     ms = build_rect_mesh(Rect(0, 1, 0, 1), 4, 4, side_tags={"bottom": "INTERFACE"})
     md = build_rect_mesh(Rect(0, 1, -1, 0), 4, 4, side_tags={"top": "INTERFACE"})
     pairing = pair_interface(ms, md)
     space = build_stokes_space(ms)
-    op = assemble_stokes_operator(space, 1.0, 1.0, 0.5, pairing)
-    A_ff = _free_block(stokes_matrix(space, 1.0, 1.0, 0.5, pairing), op)
+    iface = StokesInterfaceInfo(space, pairing)
+    op = assemble_stokes_operator(space, 1.0, 1.0, 0.5, iface)
+    A_ff = _free_block(stokes_matrix(space, 1.0, 1.0, 0.5, iface), op)
     rng = np.random.default_rng(21)
     x_star = rng.standard_normal(A_ff.shape[0])
     b = A_ff @ x_star
@@ -244,13 +251,15 @@ def test_operator_drops_the_matrix_it_was_built_from():
 
     from ensddm.bench_cli import manufactured_meshes
     from ensddm.sparsela import SubdomainOperator
-    from ensddm.stokes_fem import _condensed, _stokes_terms, build_stokes_space, stokes_matrix
+    from ensddm.stokes_fem import (_condensed, _stokes_terms, build_stokes_space, stokes_matrix,
+                                   StokesInterfaceInfo)
 
     ms, _, pairing = manufactured_meshes(1 / 4)
     space = build_stokes_space(ms)
-    matrix = stokes_matrix(space, 1.0, 1.0, 0.5, pairing)
+    iface = StokesInterfaceInfo(space, pairing)
+    matrix = stokes_matrix(space, 1.0, 1.0, 0.5, iface)
     ref = weakref.ref(matrix)
-    terms = _stokes_terms(space, 1.0, 1.0, 0.5, pairing)
+    terms = _stokes_terms(space, 1.0, 1.0, 0.5, iface)
     op = SubdomainOperator(matrix, space.free, space.fixed, partial(_condensed, space, *terms))
     del matrix
     gc.collect()
@@ -271,14 +280,16 @@ def _stokes_boundary_case():
     from ensddm.bench_cli import manufactured_bc, manufactured_meshes
     from ensddm.ensemble_driver import stokes_dirichlet_values
     from ensddm.manufactured import ManufacturedSolution
-    from ensddm.stokes_fem import build_stokes_space, assemble_stokes_operator, stokes_matrix
+    from ensddm.stokes_fem import (build_stokes_space, assemble_stokes_operator, stokes_matrix,
+                                   StokesInterfaceInfo)
 
     ms, _, pairing = manufactured_meshes(1 / 8)
     space = build_stokes_space(ms)
+    iface = StokesInterfaceInfo(space, pairing)
     bc = manufactured_bc([ManufacturedSolution(k, k) for k in (0.5, 2.21)])
     g = np.column_stack([stokes_dirichlet_values(space, bc.stokes_values, j) for j in range(2)])
-    return (assemble_stokes_operator(space, 1.0, 1.0, 0.5, pairing),
-            stokes_matrix(space, 1.0, 1.0, 0.5, pairing), g)
+    return (assemble_stokes_operator(space, 1.0, 1.0, 0.5, iface),
+            stokes_matrix(space, 1.0, 1.0, 0.5, iface), g)
 
 
 def _darcy_boundary_case():
@@ -286,11 +297,13 @@ def _darcy_boundary_case():
     default essential sides, its matrix and the essential data of two
     samples: the exact normal velocity at the essential edges' ends."""
     from ensddm.bench_cli import manufactured_meshes
-    from ensddm.darcy_fem import assemble_darcy_operator, build_darcy_space, darcy_matrix
+    from ensddm.darcy_fem import (assemble_darcy_operator, build_darcy_space, darcy_matrix,
+                                  DarcyInterfaceInfo)
     from ensddm.manufactured import ManufacturedSolution
 
     _, md, pairing = manufactured_meshes(1 / 8)
     space = build_darcy_space(md)
+    iface = DarcyInterfaceInfo(space, pairing)
     weight = np.full(len(space.quad_weight), 1.0 / 2.21)
     edges = space.essential_edges
     g = np.zeros((space.n_dofs, 2))
@@ -299,8 +312,8 @@ def _darcy_boundary_case():
         for end in range(2):
             u = u_D(md.verts[md.edges[edges, end]])
             g[2 * edges + end, j] = np.einsum("ij,ij->i", u, space.edge_normal[edges])
-    return (assemble_darcy_operator(space, 1.0, weight, 2.21, 2.0, pairing),
-            darcy_matrix(space, 1.0, weight, 2.21, 2.0, pairing), g[space.fixed])
+    return (assemble_darcy_operator(space, 1.0, weight, 2.21, 2.0, iface),
+            darcy_matrix(space, 1.0, weight, 2.21, 2.0, iface), g[space.fixed])
 
 
 @pytest.mark.parametrize("case", [_stokes_boundary_case, _darcy_boundary_case])
@@ -488,7 +501,7 @@ def test_probe_switches_on_refinement_only_where_the_solve_needs_it():
                                  pressure_multiplier=bc.stokes_pressure_multiplier)
     space_d = build_darcy_space(mesh_d, essential_tags=bc.darcy_essential_tags)
     su, _ = _setup(ctx, ctx.samples, space_s, space_d, StokesInterfaceInfo(space_s, pairing),
-                   DarcyInterfaceInfo(space_d, pairing), pairing, bc, range(ctx.J))
+                   DarcyInterfaceInfo(space_d, pairing), bc, range(ctx.J))
     assert su.op_d.probe_error <= REFINE_ABOVE
     assert su.op_s.probe_error <= REFINE_ABOVE
 
@@ -497,11 +510,13 @@ def test_hybrid_darcy_factor_stores_under_six_tenths_of_the_conforming_fill():
     # the conforming saddle-point matrix needs pivoting: COLAMD with
     # threshold partial pivoting at 0.5 was its factor
     from ensddm.bench_cli import manufactured_meshes
-    from ensddm.darcy_fem import assemble_darcy_operator, build_darcy_space, darcy_matrix
+    from ensddm.darcy_fem import (assemble_darcy_operator, build_darcy_space, darcy_matrix,
+                                  DarcyInterfaceInfo)
 
     _, md, pairing = manufactured_meshes(1 / 32)
     space = build_darcy_space(md)
+    iface = DarcyInterfaceInfo(space, pairing)
     weight = np.ones(len(space.quad_weight))
-    op = assemble_darcy_operator(space, 1.0, weight, 1.0, 2.0, pairing)
-    A_ff = _free_block(darcy_matrix(space, 1.0, weight, 1.0, 2.0, pairing), op)
+    op = assemble_darcy_operator(space, 1.0, weight, 1.0, 2.0, iface)
+    A_ff = _free_block(darcy_matrix(space, 1.0, weight, 1.0, 2.0, iface), op)
     assert op.factorization.nnz < 0.6 * _colamd_partial_pivot(A_ff, threshold=0.5).nnz

@@ -116,8 +116,9 @@ def test_matmul_kernels_match_einsum_forms():
 def test_local_robin_block():
     ms, md, pairing = stacked(1, 1)
     sp = build_stokes_space(ms)
-    a1 = stokes_matrix(sp, 1.0, 1.0, 0.0, pairing).toarray()
-    a2 = stokes_matrix(sp, 1.0, 3.0, 0.0, pairing).toarray()
+    iface = StokesInterfaceInfo(sp, pairing)
+    a1 = stokes_matrix(sp, 1.0, 1.0, 0.0, iface).toarray()
+    a2 = stokes_matrix(sp, 1.0, 3.0, 0.0, iface).toarray()
     diff = (a2 - a1) / 2.0   # isolates the <u.n, v.n> edge term
     nodes = pairing.nodes_s[0]
     dofs = [sp.n_comp + nodes[0], sp.n_comp + nodes[1]]      # y components
@@ -129,8 +130,9 @@ def test_local_robin_block():
 def test_tangential_block_uses_x_components():
     ms, md, pairing = stacked(1, 1)
     sp = build_stokes_space(ms)
-    a1 = stokes_matrix(sp, 1.0, 1.0, 0.0, pairing).toarray()
-    a2 = stokes_matrix(sp, 1.0, 1.0, 0.5, pairing).toarray()
+    iface = StokesInterfaceInfo(sp, pairing)
+    a1 = stokes_matrix(sp, 1.0, 1.0, 0.0, iface).toarray()
+    a2 = stokes_matrix(sp, 1.0, 1.0, 0.5, iface).toarray()
     diff = (a2 - a1) / 0.5
     nodes = pairing.nodes_s[0]
     dofs = [nodes[0], nodes[1]]                               # x components
@@ -140,7 +142,8 @@ def test_tangential_block_uses_x_components():
 def test_matrix_symmetry():
     ms, _, pairing = stacked(4, 4)
     sp = build_stokes_space(ms)
-    a = stokes_matrix(sp, 0.7, 1.3, 0.4, pairing)
+    iface = StokesInterfaceInfo(sp, pairing)
+    a = stokes_matrix(sp, 0.7, 1.3, 0.4, iface)
     # physical signs: symmetric once the pressure columns are negated
     flip = np.ones(sp.n_dofs)
     flip[sp.n_velocity:sp.n_velocity + sp.n_pressure] = -1.0
@@ -151,8 +154,9 @@ def test_matrix_symmetry():
 def test_interface_term_touches_only_p1_dofs():
     ms, _, pairing = stacked(4, 4)
     sp = build_stokes_space(ms)
-    a1 = stokes_matrix(sp, 1.0, 1.0, 0.2, pairing)
-    a2 = stokes_matrix(sp, 1.0, 2.0, 0.4, pairing)
+    iface = StokesInterfaceInfo(sp, pairing)
+    a1 = stokes_matrix(sp, 1.0, 1.0, 0.2, iface)
+    a2 = stokes_matrix(sp, 1.0, 2.0, 0.4, iface)
     diff = (a2 - a1).tocoo()
     nz = np.abs(diff.data) > 1e-14
     touched = set(diff.row[nz]) | set(diff.col[nz])
@@ -164,10 +168,11 @@ def test_interface_term_touches_only_p1_dofs():
 def test_operator_rejects_bad_parameters():
     ms, _, pairing = stacked(2, 2)
     sp = build_stokes_space(ms)
+    iface = StokesInterfaceInfo(sp, pairing)
     with pytest.raises(ValueError):
-        assemble_stokes_operator(sp, -1.0, 1.0, 0.0, pairing)
+        assemble_stokes_operator(sp, -1.0, 1.0, 0.0, iface)
     with pytest.raises(ValueError):
-        assemble_stokes_operator(sp, 1.0, 0.0, 0.0, pairing)
+        assemble_stokes_operator(sp, 1.0, 0.0, 0.0, iface)
 
 
 def test_volume_quadrature_exact_vs_symbolic():
@@ -214,10 +219,11 @@ def _solve_subproblem(n, k=2.21, nu=1.0, delta_s=1.0):
     xi = 1.0 / np.sqrt(k)
     ms, _, pairing = stacked(n, n, width=PI)
     sp = build_stokes_space(ms)
-    op = assemble_stokes_operator(sp, nu, delta_s, xi, pairing)
+    iface = StokesInterfaceInfo(sp, pairing)
+    op = assemble_stokes_operator(sp, nu, delta_s, xi, iface)
     rhs = assemble_stokes_volume_rhs(sp, exact.f_S)
     g_n, g_t = _robin_data(exact, ms, pairing, delta_s, xi)
-    add_interface_rhs(rhs, StokesInterfaceInfo(sp, pairing), g_n=g_n, g_tau=g_t)
+    add_interface_rhs(rhs, iface, g_n=g_n, g_tau=g_t)
     gdir = np.zeros(sp.n_dofs)
     pts = ms.verts[sp.dirichlet_nodes]
     vals = exact.u_S(pts)
@@ -259,13 +265,13 @@ def test_velocity_solution_invariant_under_joint_scaling():
     xi = 1.0 / np.sqrt(k)
     ms, _, pairing = stacked(n, n, width=PI)
     sp = build_stokes_space(ms)
+    iface = StokesInterfaceInfo(sp, pairing)
     solutions = []
     for scale in (1.0, 2.0):
-        op = assemble_stokes_operator(sp, scale * 1.0, scale * 1.0, scale * xi, pairing)
+        op = assemble_stokes_operator(sp, scale * 1.0, scale * 1.0, scale * xi, iface)
         g_n, g_t = _robin_data(exact, ms, pairing, 1.0, xi)
         rhs = np.zeros(sp.n_dofs)
-        add_interface_rhs(rhs, StokesInterfaceInfo(sp, pairing), g_n=scale * g_n,
-                          g_tau=scale * g_t)
+        add_interface_rhs(rhs, iface, g_n=scale * g_n, g_tau=scale * g_t)
         solutions.append(op.solve(rhs, 0.0))
     u1, u2 = solutions[0][:sp.n_velocity], solutions[1][:sp.n_velocity]
     p1, p2 = (s[sp.n_velocity:sp.n_velocity + sp.n_pressure] for s in solutions)

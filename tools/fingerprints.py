@@ -15,10 +15,11 @@ fields: the lag ratios and each sample's (k_min, xi); the second
 (`counts=`) over the counts alone: the iteration counts, the convergence
 flags and the factorization count; and `fill=` the LU fill (`lu_nnz`), so a
 change of fill reads by value from the `diff` of two printouts.  One more
-line per seed holds the digest of channel_mc's residual-check values, from
-the run the benchmark itself checks.  Two checkouts give bitwise equal
-outputs on these inputs when their outputs `diff` equal; a change that
-moves values only at the rounding level keeps every `counts=` digest.
+line per workload and seed holds the digest of its residual-check values
+(`check_converged_residual`), from the run the benchmark itself times.
+Two checkouts give bitwise equal outputs on these inputs when their
+outputs `diff` equal; a change that moves values only at the rounding
+level keeps every `counts=` digest.
 Digests depend on this file too, so compare two commits by running one
 version of it in both checkouts (it loads the package of its working
 directory).
@@ -98,9 +99,8 @@ def fingerprint_lines(wl, seed, tiny=False):
                        f" counts={digest(count_arrays(report))} fill={report.lu_nnz}")
                 if (driver == "traditional") == w.per_sample and stop == w.per_sample_stop:
                     checked = report
-        if w.geometry == "channel":
-            res = ensemble_driver.check_converged_residual(checked, case.ctx, case.bc)
-            yield f"{name} seed={seed} residual {digest([res])}"
+        res = ensemble_driver.check_converged_residual(checked, case.ctx, case.bc)
+        yield f"{name} seed={seed} residual {digest([res])}"
 
 
 def main(argv=None):
