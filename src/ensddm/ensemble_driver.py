@@ -16,7 +16,6 @@ from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
-import scipy.sparse as sp
 
 from .sparsela import factorization_count
 from .stokes_fem import (build_stokes_space, assemble_stokes_operator,
@@ -409,59 +408,49 @@ def _run(ctx, size, mesh_s, mesh_d, pairing, bc, per_sample_stop):
                        state=state)
 
 
-def _monolithic_system(report, ctx, bc, j):
-    """The coupled fixed-point system of sample j as (CSR matrix, vector).
+def check_converged_residual(report, ctx, bc):
+    """Each sample's residual in the coupled fixed-point system of its own
+    coefficients (xi_j, K_j^-1, k_j^min), formed equation by equation from
+    the report's solutions and trace state and its interface operators:
 
-    Unknowns: [stokes dofs | darcy dofs | g_S endpoints | g_D endpoints].
-    The diagonal blocks are `stokes_matrix` and `darcy_matrix` with sample
-    j's coefficients (xi_j, K_j^{-1}, k_j^{min}) in place of the ensemble
-    means.  The couplings are the run's interface operators (`report.iface_s`,
-    `iface_d`; the diagonal blocks read them too): the traces enter the
-    subdomain rows through the `load` operators, the
-    Darcy tangential velocity through xi_j times the Stokes slip load, and
-    the trace rows are the two affine interface updates at their fixed
-    point.  Dirichlet and essential rows are identity rows with the
-    boundary data (zero on the essential rows).
-    """
+        Stokes rows   stokes_matrix(xi_j) u_S + xi_j load_tau (tangential u_D)
+                      - load_n g_S - b_S
+        Darcy rows    darcy_matrix(K_j^-1, k_j^min) u_D - load_D g_D - b_D
+        trace rows    g_S - g_D - (delta_S + delta_D) u_D.n_D + g z
+                      g_D - g_S - (delta_S + delta_D) u_S.n_S - g z
+
+    with b_S, b_D the forcing and natural head data; the Stokes Dirichlet
+    and Darcy essential rows are x - data instead (zero data on the
+    essential rows).  Returns ||r_j|| / ||b_j|| per sample, b_j the
+    right-hand side of all these rows (the trace rows' -g z and g z, the
+    boundary data on the fixed rows), or ||r_j|| where b_j = 0.  At a fixed
+    point of the iteration every r_j is 0, so tightening the iteration
+    tolerance tightens this."""
     space_s, space_d = report.space_s, report.space_d
     info_s, info_d = report.iface_s, report.iface_d
-    sample = ctx.samples[j]
-    nS = space_s.n_dofs
-    n2 = info_d.normal.shape[0]
+    samples, J = ctx.samples, ctx.J
+    us, ud = report.us.T, report.ud.T                  # (n_dofs, J) blocks
+    g_S, g_D = report.state.g_S, report.state.g_D
+    xi = np.array([s.xi for s in samples])
+    dsum, gz = ctx.delta_s + ctx.delta_d, ctx.g * ctx.z
 
-    dsum = ctx.delta_s + ctx.delta_d
-    eye = sp.identity(n2)
-    A = sp.bmat([
-        [stokes_matrix(space_s, ctx.nu, ctx.delta_s, sample.xi, info_s),
-         sample.xi * info_s.load[:, n2:] @ info_d.tangential, -info_s.load[:, :n2], None],
-        [None, darcy_matrix(space_d, ctx.g, inverse_diagonal(space_d, sample.K),
-                            sample.k_min, ctx.delta_d, info_d), None, -info_d.load],
-        [None, -dsum * info_d.normal, eye, -eye],
-        [-dsum * info_s.trace[:n2], None, -eye, eye],
-    ], format="csr")
-    b = np.concatenate([assemble_stokes_volume_rhs(space_s, sample.f_S),
-                        _darcy_sample_rhs(space_d, sample, bc, j, ctx.g),
-                        np.full(n2, -ctx.g * ctx.z), np.full(n2, ctx.g * ctx.z)])
-
-    # boundary rows become identity rows with their data
-    fixed = np.concatenate([space_s.fixed, nS + space_d.fixed])
-    keep = np.ones(len(b))
-    keep[fixed] = 0.0
-    A = (sp.diags(keep) @ A + sp.diags(1.0 - keep)).tocsr()
-    b[space_s.fixed] = stokes_dirichlet_values(space_s, bc.stokes_values, j)
-    b[nS + space_d.fixed] = 0.0
-    return A, b
-
-
-def check_converged_residual(report, ctx, bc):
-    """Relative residual of each sample's converged solution in the coupled
-    fixed-point system; tightening the iteration tolerance tightens this."""
-    out = np.empty(ctx.J)
-    for j in range(ctx.J):
-        A, b = _monolithic_system(report, ctx, bc, j)
-        x = np.concatenate([report.us[j], report.ud[j],
-                            report.state.g_S[:, j], report.state.g_D[:, j]])
-        r = A @ x - b
-        nb = np.linalg.norm(b)
-        out[j] = np.linalg.norm(r) / nb if nb > 0 else np.linalg.norm(r)
-    return out
+    b_s = np.column_stack([assemble_stokes_volume_rhs(space_s, s.f_S) for s in samples])
+    b_d = np.column_stack([_darcy_sample_rhs(space_d, s, bc, j, ctx.g)
+                           for j, s in enumerate(samples)])
+    r_s = info_s.load @ np.concatenate([-g_S, xi * (info_d.tangential @ ud)]) - b_s
+    r_d = -(info_d.load @ g_D) - b_d
+    for j, s in enumerate(samples):
+        r_s[:, j] += stokes_matrix(space_s, ctx.nu, ctx.delta_s, s.xi, info_s) @ report.us[j]
+        r_d[:, j] += darcy_matrix(space_d, ctx.g, inverse_diagonal(space_d, s.K), s.k_min,
+                                  ctx.delta_d, info_d) @ report.ud[j]
+    b_s[space_s.fixed] = np.column_stack([stokes_dirichlet_values(space_s, bc.stokes_values, j)
+                                          for j in range(J)])
+    b_d[space_d.fixed] = 0.0
+    r_s[space_s.fixed] = us[space_s.fixed] - b_s[space_s.fixed]
+    r_d[space_d.fixed] = ud[space_d.fixed]
+    jump = g_S - g_D
+    n2 = len(jump)
+    r = np.linalg.norm(np.vstack([r_s, r_d, jump - dsum * (info_d.normal @ ud) + gz,
+                                  -jump - dsum * (info_s.trace[:n2] @ us) - gz]), axis=0)
+    b = np.linalg.norm(np.vstack([b_s, b_d, np.full((2 * n2, J), gz)]), axis=0)
+    return np.divide(r, b, out=r.copy(), where=b > 0)

@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.sparse.linalg import spsolve
 
 from ensddm import fields
@@ -15,10 +16,12 @@ from ensddm.ensemble_driver import (make_sample, make_context, BoundaryCondition
                                     EnsembleDiagnostics,
                                     run_ensemble_ddm, run_traditional_ddm,
                                     check_converged_residual, _setup, sweep,
-                                    _monolithic_system)
+                                    stokes_dirichlet_values, _darcy_sample_rhs)
 from ensddm.interface_state import RobinTraceState
-from ensddm.stokes_fem import build_stokes_space, StokesInterfaceInfo
-from ensddm.darcy_fem import build_darcy_space, DarcyInterfaceInfo
+from ensddm.stokes_fem import (build_stokes_space, StokesInterfaceInfo,
+                               assemble_stokes_volume_rhs, stokes_matrix)
+from ensddm.darcy_fem import (build_darcy_space, DarcyInterfaceInfo, darcy_matrix,
+                              inverse_diagonal)
 from ensddm.mesh import Rect, build_rect_mesh, pair_interface
 from ensddm.norms import error_norms
 
@@ -31,6 +34,50 @@ def spaces(mesh_s, mesh_d, pairing, bc):
     space_d = build_darcy_space(mesh_d, essential_tags=bc.darcy_essential_tags)
     return (space_s, space_d, StokesInterfaceInfo(space_s, pairing),
             DarcyInterfaceInfo(space_d, pairing))
+
+
+def _monolithic_system(report, ctx, bc, j):
+    """The coupled fixed-point system of sample j as (CSR matrix, vector).
+
+    Unknowns: [stokes dofs | darcy dofs | g_S endpoints | g_D endpoints].
+    The diagonal blocks are `stokes_matrix` and `darcy_matrix` with sample
+    j's coefficients (xi_j, K_j^{-1}, k_j^{min}) in place of the ensemble
+    means.  The couplings are the run's interface operators (`report.iface_s`,
+    `iface_d`; the diagonal blocks read them too): the traces enter the
+    subdomain rows through the `load` operators, the
+    Darcy tangential velocity through xi_j times the Stokes slip load, and
+    the trace rows are the two affine interface updates at their fixed
+    point.  Dirichlet and essential rows are identity rows with the
+    boundary data (zero on the essential rows).
+    """
+    space_s, space_d = report.space_s, report.space_d
+    info_s, info_d = report.iface_s, report.iface_d
+    sample = ctx.samples[j]
+    nS = space_s.n_dofs
+    n2 = info_d.normal.shape[0]
+
+    dsum = ctx.delta_s + ctx.delta_d
+    eye = sp.identity(n2)
+    A = sp.bmat([
+        [stokes_matrix(space_s, ctx.nu, ctx.delta_s, sample.xi, info_s),
+         sample.xi * info_s.load[:, n2:] @ info_d.tangential, -info_s.load[:, :n2], None],
+        [None, darcy_matrix(space_d, ctx.g, inverse_diagonal(space_d, sample.K),
+                            sample.k_min, ctx.delta_d, info_d), None, -info_d.load],
+        [None, -dsum * info_d.normal, eye, -eye],
+        [-dsum * info_s.trace[:n2], None, -eye, eye],
+    ], format="csr")
+    b = np.concatenate([assemble_stokes_volume_rhs(space_s, sample.f_S),
+                        _darcy_sample_rhs(space_d, sample, bc, j, ctx.g),
+                        np.full(n2, -ctx.g * ctx.z), np.full(n2, ctx.g * ctx.z)])
+
+    # boundary rows become identity rows with their data
+    fixed = np.concatenate([space_s.fixed, nS + space_d.fixed])
+    keep = np.ones(len(b))
+    keep[fixed] = 0.0
+    A = (sp.diags(keep) @ A + sp.diags(1.0 - keep)).tocsr()
+    b[space_s.fixed] = stokes_dirichlet_values(space_s, bc.stokes_values, j)
+    b[nS + space_d.fixed] = 0.0
+    return A, b
 
 
 def small_setup(k_list=(2.21,), h=1 / 8, tol=1e-6, max_iters=200, delta_s=1.0):
@@ -377,21 +424,29 @@ def test_monolithic_residual_tracks_tolerance():
     assert np.all(res10 <= res6 / 100.0)
 
 
-@pytest.mark.parametrize("scenario", ["manufactured", "channel"])
-def test_coupled_system_solution_is_the_converged_iterate(scenario):
-    # the residual check must use the system the iteration converges to:
-    # its direct solution reproduces a tightly converged ensemble run
+def converged_run(scenario, tol):
+    """An ensemble run of two samples converged to `tol`: manufactured
+    (Dirichlet lift, natural head data) or channel (Darcy essential rows,
+    z = 0.3), with its context and boundary data."""
     if scenario == "manufactured":
         ctx, _, mesh_s, mesh_d, pairing, bc, _ = small_setup(
-            k_list=(2.21, 4.11), tol=1e-10, max_iters=400)
+            k_list=(2.21, 4.11), tol=tol, max_iters=400)
     else:
         mesh_s, mesh_d, pairing = channel_meshes(1 / 8)
         samples, _, _ = channel_samples(ScenarioConfig(J=2), mesh_d)
         ctx, _ = make_context(samples, delta_s=1.0, delta_d=2.0, z=0.3,
-                              tol=1e-10, max_iters=400)
+                              tol=tol, max_iters=400)
         bc = channel_bc()
     report = run_ensemble_ddm(ctx, mesh_s, mesh_d, pairing, bc)
     assert report.converged.all()
+    return ctx, bc, report
+
+
+@pytest.mark.parametrize("scenario", ["manufactured", "channel"])
+def test_coupled_system_solution_is_the_converged_iterate(scenario):
+    # the residual check must use the system the iteration converges to:
+    # its direct solution reproduces a tightly converged ensemble run
+    ctx, bc, report = converged_run(scenario, 1e-10)
     n_s, n_d = report.space_s.n_dofs, report.space_d.n_dofs
     for j in range(ctx.J):
         A, b = _monolithic_system(report, ctx, bc, j)
@@ -399,6 +454,26 @@ def test_coupled_system_solution_is_the_converged_iterate(scenario):
         du = report.space_s.velocity_l2(x[:n_s] - report.us[j])
         dd = report.space_d.velocity_l2(x[n_s:n_s + n_d] - report.ud[j])
         assert np.hypot(du, dd) <= 1e-8
+
+
+@pytest.mark.parametrize("scenario", ["manufactured", "channel"])
+def test_residual_check_equals_coupled_system_away_from_convergence(scenario):
+    # near convergence every residual is about the tolerance, where a dropped
+    # term or a wrong sign hides; on a moved state each term counts
+    ctx, bc, report = converged_run(scenario, 1e-6)
+    rng = np.random.default_rng(3)
+    moved = replace(report, us=report.us + 1e-3 * rng.standard_normal(report.us.shape),
+                    ud=report.ud + 1e-3 * rng.standard_normal(report.ud.shape),
+                    state=RobinTraceState(*(b + 1e-3 * rng.standard_normal(b.shape)
+                                            for b in report.state)))
+    expect = np.empty(ctx.J)
+    for j in range(ctx.J):
+        A, b = _monolithic_system(moved, ctx, bc, j)
+        x = np.concatenate([moved.us[j], moved.ud[j], moved.state.g_S[:, j],
+                            moved.state.g_D[:, j]])
+        expect[j] = np.linalg.norm(A @ x - b) / np.linalg.norm(b)
+    assert np.all(expect > 1e-3)
+    np.testing.assert_allclose(check_converged_residual(moved, ctx, bc), expect, rtol=1e-12)
 
 
 def test_baseline_report_residual_covers_every_sample():

@@ -1,6 +1,7 @@
 """tools/fingerprints.py runs from the checkout root and prints one line per
 benchmark run, with its digest, the digest of its counts and its LU fill,
-plus one residual-check line per workload."""
+plus one residual-check line per workload, with the digest of its values
+and the largest value to 4 significant digits."""
 
 import re
 import subprocess
@@ -9,7 +10,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 LINE = re.compile(r"(\w+) seed=(\d+) (?:(ensemble|traditional) (lockstep|per_sample)"
-                  r" [0-9a-f]{16} counts=[0-9a-f]{16} fill=\d+|residual [0-9a-f]{16})")
+                  r" [0-9a-f]{16} counts=[0-9a-f]{16} fill=\d+"
+                  r"|residual [0-9a-f]{16} max=\d\.\d{3}e[+-]\d{2})")
 
 
 def test_fingerprints_at_smoke_size():

@@ -16,10 +16,12 @@ fields: the lag ratios and each sample's (k_min, xi); the second
 flags and the factorization count; and `fill=` the LU fill (`lu_nnz`), so a
 change of fill reads by value from the `diff` of two printouts.  One more
 line per workload and seed holds the digest of its residual-check values
-(`check_converged_residual`), from the run the benchmark itself times.
+(`check_converged_residual`), from the run the benchmark itself times, and
+`max=` the largest of them to 4 significant digits.
 Two checkouts give bitwise equal outputs on these inputs when their
 outputs `diff` equal; a change that moves values only at the rounding
-level keeps every `counts=` digest.
+level keeps every `counts=` digest, and a rounding-level change of the
+check keeps every `max=`.
 Digests depend on this file too, so compare two commits by running one
 version of it in both checkouts (it loads the package of its working
 directory).
@@ -100,7 +102,7 @@ def fingerprint_lines(wl, seed, tiny=False):
                 if (driver == "traditional") == w.per_sample and stop == w.per_sample_stop:
                     checked = report
         res = ensemble_driver.check_converged_residual(checked, case.ctx, case.bc)
-        yield f"{name} seed={seed} residual {digest([res])}"
+        yield f"{name} seed={seed} residual {digest([res])} max={res.max():.3e}"
 
 
 def main(argv=None):
