@@ -118,8 +118,11 @@ class StokesSpace:
         self.elem_dofs = np.column_stack([vd, self.p_elem_dofs]).astype(np.int32)
 
     def _component_mass(self):
-        """Single-component L2 mass over nodal+bubble dofs (nvt x nvt)."""
-        Mloc = np.einsum("q,qi,qj->ij", self.qw, self.N, self.N)   # reference
+        """Single-component L2 mass over nodal+bubble dofs (nvt x nvt), exact:
+        the bubble squared is of degree 6, beyond the assembly rule."""
+        bary, w = quadrature.triangle_rule(6)
+        N, _ = mini_basis(bary, self.mesh.tri_grads)
+        Mloc = np.einsum("q,qi,qj->ij", w, N, N)   # reference
         Mel = Mloc[None, :, :] * self.mesh.tri_area[:, None, None]
         dofs = self.vel_elem_dofs[:, :4]      # the x component's nodal and bubble dofs
         rows = np.repeat(dofs, 4, axis=1).ravel()

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 import scipy.sparse
 
+from ensddm import quadrature
 from ensddm.mesh import Rect, build_rect_mesh, pair_interface
 from ensddm.stokes_fem import (build_stokes_space, assemble_stokes_operator,
                                assemble_stokes_volume_rhs, add_interface_rhs,
-                               edge_mass, stokes_matrix, StokesInterfaceInfo)
+                               edge_mass, mini_basis, stokes_matrix, StokesInterfaceInfo)
 from ensddm.manufactured import ManufacturedSolution
 from ensddm.norms import stokes_errors
 
@@ -94,6 +95,20 @@ def _einsum_volume_rhs(space, f_S):
     np.add.at(rhs, space.vel_elem_dofs[:, :4], contrib[:, :, 0])
     np.add.at(rhs, space.vel_elem_dofs[:, 4:], contrib[:, :, 1])
     return rhs
+
+
+def test_velocity_norm_is_the_l2_norm_of_the_mini_field():
+    # the bubble squared is of degree 6: a degree-6 rule integrates |u_h|^2
+    # exactly, so the mass must agree with it to rounding
+    mesh = build_rect_mesh(Rect(0, 2, 0, 1), 3, 2)
+    space = build_stokes_space(mesh)
+    vec = np.random.default_rng(5).standard_normal(space.n_dofs)
+    bary, w = quadrature.triangle_rule(6)
+    N, _ = mini_basis(bary, mesh.tri_grads)
+    vd = space.vel_elem_dofs
+    u = np.stack([vec[vd[:, :4]] @ N.T, vec[vd[:, 4:]] @ N.T])      # (component, nt, q)
+    expect = np.sqrt((u ** 2).sum(axis=0) @ w @ mesh.tri_area)
+    assert space.velocity_l2(vec) == pytest.approx(expect, rel=1e-12)
 
 
 def test_matmul_kernels_match_einsum_forms():
