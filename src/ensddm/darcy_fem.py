@@ -37,8 +37,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import quadrature
-from .sparsela import (SubdomainOperator, block_inverse, positions, nested_dissection, pattern,
-                       quadratic_form, scatter)
+from .sparsela import (SubdomainOperator, block_inverse, derived, positions, nested_dissection,
+                       pattern, quadratic_form, scatter)
 from .stokes_fem import interface_mass
 
 
@@ -49,9 +49,7 @@ class DarcySpace:
 
     def __init__(self, mesh, essential_tags=None):
         self.mesh = mesh
-        ne, nt = mesh.n_edges, mesh.n_tris
-        self.n_velocity = 2 * ne
-        self.n_head = nt
+        self.n_velocity, self.n_head = 2 * mesh.n_edges, mesh.n_tris
         self.n_dofs = self.n_velocity + self.n_head
 
         if essential_tags is None:
@@ -59,12 +57,13 @@ class DarcySpace:
 
         self.essential_edges = np.flatnonzero(np.isin(mesh.boundary_tags, list(essential_tags)))
         self.fixed = np.sort(np.r_[2 * self.essential_edges, 2 * self.essential_edges + 1])
-        self.free = np.setdiff1d(np.arange(self.n_dofs), self.fixed)
+        self.free = np.delete(np.arange(self.n_dofs), self.fixed)
 
         self._build_basis()
         self._precompute_quadrature()
         self._build_hybrid_maps()
-        self.velocity_mass = darcy_form(self, 1.0, 1.0, 0.0)[:self.n_velocity, :self.n_velocity]
+        mass = scatter(self.patterns["matrix"], _velocity_blocks(self, 1.0, 1.0, 0.0))
+        self.velocity_mass = mass[:self.n_velocity, :self.n_velocity]
 
     @property
     def head_slice(self):
@@ -77,19 +76,15 @@ class DarcySpace:
         at local vertex m; local dof 2k+p lives on the edge opposite local
         vertex k (p = 0 for the lower-index endpoint).
         """
-        mesh = self.mesh
-        nt = mesh.n_tris
+        mesh, nt = self.mesh, self.mesh.n_tris
         verts, edges, tris = mesh.verts, mesh.edges, mesh.tris
 
-        ev = verts[edges]
-        tvec = ev[:, 1] - ev[:, 0]
+        tvec = verts[edges[:, 1]] - verts[edges[:, 0]]
         tvec = tvec / np.linalg.norm(tvec, axis=1)[:, None]
         self.edge_normal = np.column_stack([tvec[:, 1], -tvec[:, 0]])
 
-        self.elem_dofs = np.empty((nt, 6), dtype=np.int64)
         eot = mesh.edge_of_tri
-        self.elem_dofs[:, 0::2] = 2 * eot
-        self.elem_dofs[:, 1::2] = 2 * eot + 1
+        self.elem_dofs = (2 * eot[:, :, None] + np.arange(2)).reshape(nt, 6)
 
         vv = np.zeros((nt, 6, 3, 2))
         t = np.arange(nt)
@@ -155,12 +150,12 @@ class DarcySpace:
         h = self.hybrid_dofs.astype(np.int32)
         m = positions(n, self.order)[h]
         c = np.where(first & ~np.isin(h, self.fixed), h, -1)
-        n_s = len(self.order)
-        self.patterns = {"matrix": pattern((n, n), (h[:, :, None], h[:, None, :])),
-                         "S": pattern((n_s, n_s), (m[:, :, None], m[:, None, :])),
-                         "condense": pattern((n_s, n), (m[:, :, None], c[:, None, :])),
+        matrix = pattern((n, n), (h[:, :, None], h[:, None, :]))
+        condense = pattern((len(self.order), n), (m[:, :, None], c[:, None, :]))
+        self.patterns = {"matrix": matrix, "condense": condense,
+                         "S": derived(matrix, lambda a: a[self.order][:, self.order], *matrix[1]),
                          "direct": pattern((n, n), (c[:, :, None], c[:, None, :])),
-                         "recover": pattern((n, n_s), (c[:, :, None], m[:, None, :]))}
+                         "recover": derived(condense, lambda a: a.T, condense[1][0].swapaxes(1, 2))}
 
     def basis_values(self, bary):
         """Both velocity components of the six local basis fields at the
@@ -254,8 +249,11 @@ class DarcyInterfaceInfo:
 
 
 def _velocity_blocks(space, g, weight, k_min):
-    """The (nt, 7, 7) element matrices of g (W u, v) + g k_min (div u, div v)
-    on `space.hybrid_dofs` (zero head rows and columns); see darcy_form."""
+    """The (nt, 7, 7) element matrices on `space.hybrid_dofs` (zero head rows
+    and columns) of g (W u, v) + g k_min (div u, div v) = g P^T diag(w |T| W)
+    P + g k_min D^T diag(|T|) D: P the quadrature evaluation, w |T| its
+    weights, D the divergence; `weight` is the diagonal of W per row of P
+    (see inverse_diagonal), or a scalar."""
     W = g * space.quad_weight * weight
     if not np.all((W > 0) & (W < np.inf)):     # NaN fails this too
         raise ValueError("coefficient tensor not SPD and finite at a quadrature point")
@@ -267,15 +265,6 @@ def _velocity_blocks(space, g, weight, k_min):
         blocks[:, :6, :6] += (g * k_min * mesh.tri_area)[:, None, None] * space.div[:, :, None] \
             * space.div[:, None, :]
     return blocks
-
-
-def darcy_form(space, g, weight, k_min):
-    """The velocity terms g (W u, v) + g k_min (div u, div v) on whole dof
-    vectors (zero head rows and columns): g P^T diag(w |T| W) P +
-    g k_min D^T diag(|T|) D with P the quadrature evaluation, w |T| the
-    quadrature weights and D the divergence of the space.  `weight` is the
-    diagonal of W per row of P (see inverse_diagonal), or a scalar."""
-    return scatter(space.patterns["matrix"], _velocity_blocks(space, g, weight, k_min))
 
 
 def darcy_element_blocks(space, g, weight, k_min, delta_d, iface):

@@ -20,6 +20,7 @@ import time
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse._sparsetools import csr_sample_offsets
 from scipy.sparse.linalg import splu
 
 _factorize_calls = 0
@@ -119,16 +120,33 @@ def pattern(shape, *terms):
     """The sparsity pattern of CSR matrices of `shape` summing terms at
     (rows, columns) broadcast together, as element blocks at rows (m, a, 1)
     and columns (m, 1, b) or flat triplets, a negative index dropping an
-    entry: each entry's int32 slot (nnz if dropped), and the index arrays."""
+    entry: each entry's int32 slot (nnz if dropped), found by a binary search
+    in its row, and the index arrays of one COO-to-CSR conversion."""
     rc = [np.broadcast_arrays(r, c) for r, c in terms]
-    keep = [(r >= 0) & (c >= 0) for r, c in rc]
-    csr = sum(sp.csr_matrix((np.ones(np.count_nonzero(k), dtype=bool), (r[k], c[k])), shape=shape)
-              for (r, c), k in zip(rc, keep))
-    csr.data = np.arange(csr.nnz, dtype=np.int32)
-    slots = [np.full(r.shape, csr.nnz, dtype=np.int32) for r, _ in rc]
-    for slot, (r, c), k in zip(slots, rc, keep):
-        slot[k] = np.asarray(csr[r[k], c[k]]).ravel()
-    return shape, slots, csr.indices, csr.indptr
+    rows, cols = (np.concatenate([t[i].ravel() for t in rc], dtype=np.int32) for i in (0, 1))
+    kept = (rows >= 0) & (cols >= 0)
+    rows, cols = rows[kept], cols[kept]
+    csr = sp.csr_matrix((np.ones(len(rows), dtype=bool), (rows, cols)), shape=shape)
+    found = np.empty(len(rows), dtype=np.int32)
+    csr_sample_offsets(*shape, csr.indptr, csr.indices, len(rows), rows, cols, found)
+    del rows, cols                 # freed before the slots, for the peak memory
+    slots = np.full(len(kept), csr.nnz, dtype=np.int32)
+    slots[kept] = found
+    split = np.split(slots, np.cumsum([r.size for r, _ in rc])[:-1])
+    # the conversion leaves the indices in a buffer as long as the kept entries
+    return (shape, [s.reshape(r.shape) for s, (r, _) in zip(split, rc)], csr.indices.copy(),
+            csr.indptr)
+
+
+def derived(pattern, select, *slots):
+    """The pattern of select(m), where m is a matrix of `pattern` and `select`
+    only picks, moves or transposes entries (m[order][:, order], m.T), with
+    terms at `slots` of `pattern`: each slot is mapped, not searched for."""
+    m = sp.csr_matrix((np.arange(len(pattern[2]), dtype=np.int32), *pattern[2:]), pattern[0])
+    csr = select(m).tocsr().sorted_indices()
+    to = np.full(m.nnz + 1, csr.nnz, dtype=np.int32)
+    to[csr.data] = np.arange(csr.nnz)
+    return csr.shape, [to[s] for s in slots], csr.indices, csr.indptr
 
 
 def scatter(pattern, *values):
@@ -151,9 +169,8 @@ def block_inverse(blocks):
             adj = blocks[:, [[1, 0], [1, 0]], [[1, 1], [0, 0]]] * [[1.0, -1.0], [-1.0, 1.0]]
             return adj / det[:, None, None]
     except np.linalg.LinAlgError:
-        pass
-    bad = np.flatnonzero(np.linalg.det(blocks) == 0)
-    raise SingularMatrixError(f"singular interior block {bad[0]}")
+        det = np.linalg.det(blocks)        # by the same LU: exactly 0 at a zero pivot
+    raise SingularMatrixError(f"singular interior block {np.flatnonzero(det == 0)[0]}")
 
 
 # The probe block that checks each operator's solves once at construction.

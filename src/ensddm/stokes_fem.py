@@ -22,8 +22,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import quadrature
-from .sparsela import (SubdomainOperator, block_inverse, positions, nested_dissection, pattern,
-                       quadratic_form, scatter)
+from .sparsela import (SubdomainOperator, block_inverse, derived, positions, nested_dissection,
+                       pattern, quadratic_form, scatter)
 
 
 _EDGE_MASS = np.array([[2.0, 1.0], [1.0, 2.0]])
@@ -90,7 +90,7 @@ class StokesSpace:
                                                              list(dirichlet_tags))])
         # x components, then y: the row order of the boundary data blocks
         self.fixed = np.concatenate([self.dirichlet_nodes, self.n_comp + self.dirichlet_nodes])
-        self.free = np.setdiff1d(np.arange(self.n_dofs), self.fixed)
+        self.free = np.delete(np.arange(self.n_dofs), self.fixed)
 
         self._precompute()
         self.component_mass = self._component_mass()
@@ -102,31 +102,24 @@ class StokesSpace:
 
     def _precompute(self):
         mesh = self.mesh
-        nt = mesh.n_tris
-        bary, w = quadrature.triangle_rule(4)
-        self.qw = w
+        bary, self.qw = quadrature.triangle_rule(4)
         self.qpoints = quadrature.physical_points(mesh.verts, mesh.tris, bary)
         self.N, self.dN = mini_basis(bary, mesh.tri_grads)
 
-        vd = np.empty((nt, 8), dtype=np.int64)
-        vd[:, :3] = mesh.tris
-        vd[:, 3] = mesh.n_verts + np.arange(nt)
-        vd[:, 4:7] = self.n_comp + mesh.tris
-        vd[:, 7] = self.n_comp + mesh.n_verts + np.arange(nt)
-        self.vel_elem_dofs = vd
+        x = np.column_stack([mesh.tris, mesh.n_verts + np.arange(mesh.n_tris)])   # nodal, bubble
+        self.vel_elem_dofs = np.column_stack([x, self.n_comp + x])
         self.p_elem_dofs = self.n_velocity + mesh.tris
-        self.elem_dofs = np.column_stack([vd, self.p_elem_dofs]).astype(np.int32)
+        self.elem_dofs = np.column_stack([self.vel_elem_dofs, self.p_elem_dofs]).astype(np.int32)
 
     def _component_mass(self):
         """Single-component L2 mass over nodal+bubble dofs (nvt x nvt), exact:
         the bubble squared is of degree 6, beyond the assembly rule."""
         bary, w = quadrature.triangle_rule(6)
-        N, _ = mini_basis(bary, self.mesh.tri_grads)
+        N, _ = mini_basis(bary, self.mesh.tri_grads[:0])   # the values alone
         Mloc = np.einsum("q,qi,qj->ij", w, N, N)   # reference
         Mel = Mloc[None, :, :] * self.mesh.tri_area[:, None, None]
         dofs = self.vel_elem_dofs[:, :4]      # the x component's nodal and bubble dofs
-        rows = np.repeat(dofs, 4, axis=1).ravel()
-        cols = np.tile(dofs, (1, 4)).ravel()
+        rows, cols = np.repeat(dofs, 4, axis=1).ravel(), np.tile(dofs, (1, 4)).ravel()
         return sp.csr_matrix((Mel.ravel(), (rows, cols)), shape=(self.n_comp, self.n_comp))
 
     def velocity_sq(self, vec):
@@ -243,18 +236,19 @@ _BUBBLES, _REST = np.array([3, 7]), np.array([0, 1, 2, 4, 5, 6, 8, 9, 10])
 
 
 def _patterns(space):
-    """The patterns of the Stokes matrix and of the condensed system S in the
-    space's order, and of its maps (the identity plus bubble blocks)."""
-    d, n, n_s = space.elem_dofs, space.n_dofs, len(space.order)
-    s_of = positions(n, space.order)
+    """The patterns of the Stokes matrix, of the condensed system S (the matrix
+    restricted to the space's order) and of its maps (the identity plus bubble
+    blocks; `recover` transposes `condense`)."""
+    d, n, order, k = space.elem_dofs, space.n_dofs, space.order, np.arange(len(space.order))
     md = n - 1 if space.pressure_multiplier else -1
-    r, b, k, pd = s_of[d[:, _REST]], d[:, _BUBBLES], np.arange(n_s), d[:, 8:].ravel()
-    return {"matrix": pattern((n, n), (d[:, :, None], d[:, None, :]), (pd, md), (md, pd)),
-            "S": pattern((n_s, n_s), (r[:, :, None], r[:, None, :]), (s_of[pd], s_of[md]),
-                         (s_of[md], s_of[pd])),
-            "condense": pattern((n_s, n), (r[:, :, None], b[:, None, :]), (k, space.order)),
+    r, b, pd = positions(n, order)[d[:, _REST]], d[:, _BUBBLES], d[:, 8:].ravel()
+    matrix = pattern((n, n), (d[:, :, None], d[:, None, :]), (pd, md), (md, pd))
+    condense = pattern((len(order), n), (r[:, :, None], b[:, None, :]), (k, order))
+    (el, pm, mp), (rb, ko) = matrix[1], condense[1]
+    return {"matrix": matrix, "condense": condense,
+            "S": derived(matrix, lambda a: a[order][:, order], el[:, _REST][:, :, _REST], pm, mp),
             "direct": pattern((n, n), (b[:, :, None], b[:, None, :])),
-            "recover": pattern((n, n_s), (b[:, :, None], r[:, None, :]), (space.order, k))}
+            "recover": derived(condense, lambda a: a.T, rb.swapaxes(1, 2), ko)}
 
 
 def _condensed(space, E, m):

@@ -42,7 +42,7 @@ def test_nonfinite_rejected():
 def test_matrix_builders_reject_nonpositive_or_nonfinite_coefficients(bad):
     # the coefficient checks stand in for a check of the assembled entries
     from ensddm.bench_cli import manufactured_meshes
-    from ensddm.darcy_fem import DarcyInterfaceInfo, build_darcy_space, darcy_form, darcy_matrix
+    from ensddm.darcy_fem import DarcyInterfaceInfo, build_darcy_space, darcy_matrix
     from ensddm.stokes_fem import StokesInterfaceInfo, build_stokes_space, stokes_matrix
     mesh_s, mesh_d, pairing = manufactured_meshes(1 / 2)
     space_s, space_d = build_stokes_space(mesh_s), build_darcy_space(mesh_d)
@@ -58,7 +58,7 @@ def test_matrix_builders_reject_nonpositive_or_nonfinite_coefficients(bad):
     weight = np.ones(len(space_d.quad_weight))
     weight[3] = bad
     with pytest.raises(ValueError):
-        darcy_form(space_d, 1.0, weight, 1.0)
+        darcy_matrix(space_d, 1.0, weight, 1.0, 1.0, iface_d)
     stokes_matrix(space_s, iface=iface_s, **{**stokes, "xi": 0.0})     # no slip is valid
 
 
@@ -383,6 +383,18 @@ def test_block_inverse_of_pairs_and_element_blocks():
             block_inverse(singular)
 
 
+@pytest.mark.parametrize("where", [0, 3])
+def test_block_inverse_names_a_pair_singular_in_closed_form_only(where):
+    # the closed-form determinant of this pair is exactly 0, LAPACK's is not
+    pair = np.array([[1.65276355e-02, 8.13270239e-01], [9.12755577e-01, 44.91368086229714]])
+    assert pair[0, 0] * pair[1, 1] - pair[0, 1] * pair[1, 0] == 0.0
+    assert np.linalg.det(pair) != 0.0
+    blocks = np.tile(2.0 * np.eye(2), (5, 1, 1))
+    blocks[where] = pair
+    with pytest.raises(SingularMatrixError, match=f"block {where}$"):
+        block_inverse(blocks)
+
+
 def test_interior_pairs_must_not_couple():
     # each triangle's two bubbles couple only with each other: the part of
     # the solve that reads the bubble rows of the right-hand side directly is
@@ -520,3 +532,139 @@ def test_hybrid_darcy_factor_stores_under_six_tenths_of_the_conforming_fill():
     op = assemble_darcy_operator(space, 1.0, weight, 1.0, 2.0, iface)
     A_ff = _free_block(darcy_matrix(space, 1.0, weight, 1.0, 2.0, iface), op)
     assert op.factorization.nnz < 0.6 * _colamd_partial_pivot(A_ff, threshold=0.5).nnz
+
+
+# -- sparsity patterns against the per-term oracle ----------------------------
+
+
+def _pattern_oracle(shape, *terms):
+    """The oracle of `pattern`: one boolean CSR per term, summed, and every
+    slot looked up in the sum by `csr[rows, cols]`."""
+    rc = [np.broadcast_arrays(r, c) for r, c in terms]
+    keep = [(r >= 0) & (c >= 0) for r, c in rc]
+    csr = sum(sp.csr_matrix((np.ones(np.count_nonzero(k), dtype=bool), (r[k], c[k])), shape=shape)
+              for (r, c), k in zip(rc, keep))
+    csr.data = np.arange(csr.nnz, dtype=np.int32)
+    slots = [np.full(r.shape, csr.nnz, dtype=np.int32) for r, _ in rc]
+    for slot, (r, c), k in zip(slots, rc, keep):
+        slot[k] = np.asarray(csr[r[k], c[k]]).ravel()
+    return shape, slots, csr.indices, csr.indptr
+
+
+def _assert_same_pattern(got, want):
+    """Shape, every term's slots and both index arrays, bitwise with dtypes."""
+    assert got[0] == want[0] and len(got[1]) == len(want[1])
+    for a, b in zip((*got[1], got[2], got[3]), (*want[1], want[2], want[3])):
+        assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b)
+
+
+def _random_terms(rng, shape):
+    """Element blocks and triplets over `shape`, with dropped (negative)
+    indices, repeated entries and rows left empty."""
+    rows = rng.choice(shape[0], size=max(1, shape[0] // 2), replace=False)   # the rest stay empty
+    m, a, b = rng.integers(1, 9), rng.integers(1, 5), rng.integers(1, 5)
+    br = np.where(rng.random((m, a)) < 0.2, -1, rng.choice(rows, (m, a)))
+    bc = rng.integers(-1, shape[1], (m, b))
+    k = rng.integers(0, 3 * shape[0])
+    tr, tc = rng.choice(rows, k), rng.integers(-1, shape[1], k)
+    return (br[:, :, None], bc[:, None, :]), (tr, tc), (tr[::-1], tc[::-1])
+
+
+@pytest.mark.parametrize("shape", [(7, 7), (5, 11), (12, 4), (1, 1)])
+def test_pattern_matches_the_per_term_oracle(shape):
+    from ensddm.sparsela import pattern
+
+    rng = np.random.default_rng(sum(shape))
+    for _ in range(20):
+        terms = _random_terms(rng, shape)
+        _assert_same_pattern(pattern(shape, *terms), _pattern_oracle(shape, *terms))
+    # a term that keeps no entry
+    empty = ([-1, 0], [0, -1])
+    _assert_same_pattern(pattern(shape, empty), _pattern_oracle(shape, empty))
+
+
+def test_derived_patterns_match_the_oracle():
+    # a restriction to an order of rows and columns, and the transpose, each
+    # as the pattern of its own terms
+    from ensddm.sparsela import derived, pattern, positions
+
+    rng = np.random.default_rng(41)
+    for n in (1, 6, 13):
+        for _ in range(10):
+            terms = _random_terms(rng, (n, n))
+            whole = pattern((n, n), *terms)
+            order = rng.permutation(n)[:rng.integers(0, n + 1)]
+            s_of = positions(n, order)
+            _assert_same_pattern(derived(whole, lambda m: m[order][:, order], *whole[1]),
+                                 _pattern_oracle((len(order),) * 2,
+                                                 *((s_of[r], s_of[c]) for r, c in terms)))
+            flip = [np.swapaxes(s, -1, -2) if s.ndim > 1 else s for s in whole[1]]
+            flipped = [(np.swapaxes(c, -1, -2), np.swapaxes(r, -1, -2)) if np.ndim(r) > 1
+                       else (c, r) for r, c in terms]
+            _assert_same_pattern(derived(whole, lambda m: m.T, *flip),
+                                 _pattern_oracle((n, n), *flipped))
+
+
+def _stokes_pattern_oracle(space):
+    """The ten patterns' oracle, part one: every Stokes pattern from its own
+    terms (S in the space's order, `recover` its own terms)."""
+    from ensddm.sparsela import positions
+    from ensddm.stokes_fem import _BUBBLES, _REST
+
+    d, n, n_s = space.elem_dofs, space.n_dofs, len(space.order)
+    s_of = positions(n, space.order)
+    md = n - 1 if space.pressure_multiplier else -1
+    r, b, k, pd = s_of[d[:, _REST]], d[:, _BUBBLES], np.arange(n_s), d[:, 8:].ravel()
+    P = _pattern_oracle
+    return {"matrix": P((n, n), (d[:, :, None], d[:, None, :]), (pd, md), (md, pd)),
+            "S": P((n_s, n_s), (r[:, :, None], r[:, None, :]), (s_of[pd], s_of[md]),
+                   (s_of[md], s_of[pd])),
+            "condense": P((n_s, n), (r[:, :, None], b[:, None, :]), (k, space.order)),
+            "direct": P((n, n), (b[:, :, None], b[:, None, :])),
+            "recover": P((n, n_s), (b[:, :, None], r[:, None, :]), (space.order, k))}
+
+
+def _darcy_pattern_oracle(space):
+    """Part two: every Darcy pattern from its own terms."""
+    from ensddm.sparsela import positions
+
+    n, n_s = space.n_dofs, len(space.order)
+    h = space.hybrid_dofs.astype(np.int32)
+    m = positions(n, space.order)[h]
+    first = space.sign > 0
+    c = np.where(first & ~np.isin(h, space.fixed), h, -1)
+    P = _pattern_oracle
+    return {"matrix": P((n, n), (h[:, :, None], h[:, None, :])),
+            "S": P((n_s, n_s), (m[:, :, None], m[:, None, :])),
+            "condense": P((n_s, n), (m[:, :, None], c[:, None, :])),
+            "direct": P((n, n), (c[:, :, None], c[:, None, :])),
+            "recover": P((n, n_s), (c[:, :, None], m[:, None, :]))}
+
+
+@pytest.mark.parametrize("geometry", ["channel", "manufactured"])
+def test_space_patterns_match_the_oracle(geometry):
+    # S is derived from the matrix and `recover` from `condense`; both equal
+    # the patterns of their own terms, with and without the multiplier
+    from ensddm.bench_cli import channel_bc, channel_meshes, manufactured_meshes
+    from ensddm.darcy_fem import build_darcy_space
+    from ensddm.stokes_fem import build_stokes_space
+
+    if geometry == "channel":
+        ms, md, _ = channel_meshes(1 / 8)
+        bc = channel_bc()
+        tags_s, tags_d = bc.stokes_dirichlet_tags, bc.darcy_essential_tags
+    else:
+        ms, md, _ = manufactured_meshes(1 / 8)
+        tags_s = tags_d = None
+    spaces = [build_stokes_space(ms, dirichlet_tags=tags_s, pressure_multiplier=pin)
+              for pin in (True, False)]
+    for space in spaces:
+        oracle = _stokes_pattern_oracle(space)
+        assert space.patterns.keys() == oracle.keys()
+        for key in oracle:
+            _assert_same_pattern(space.patterns[key], oracle[key])
+    space = build_darcy_space(md, essential_tags=tags_d)
+    oracle = _darcy_pattern_oracle(space)
+    assert space.patterns.keys() == oracle.keys()
+    for key in oracle:
+        _assert_same_pattern(space.patterns[key], oracle[key])

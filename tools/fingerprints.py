@@ -17,7 +17,10 @@ flags and the factorization count; and `fill=` the LU fill (`lu_nnz`), so a
 change of fill reads by value from the `diff` of two printouts.  One more
 line per workload and seed holds the digest of its residual-check values
 (`check_converged_residual`), from the run the benchmark itself times, and
-`max=` the largest of them to 4 significant digits.
+`max=` the largest of them to 4 significant digits.  A last line per
+workload and seed (`patterns`) holds the digest of that run's two spaces:
+each space's elimination `order`, then its sparsity patterns by name, each
+with its shape, every term's slots and its index arrays.
 Two checkouts give bitwise equal outputs on these inputs when their
 outputs `diff` equal; a change that moves values only at the rounding
 level keeps every `counts=` digest, and a rounding-level change of the
@@ -82,6 +85,17 @@ def report_arrays(report, samples):
     yield np.array([(s.k_min, s.xi) for s in samples])
 
 
+def pattern_arrays(report):
+    for space in (report.space_s, report.space_d):
+        yield space.order
+        for key in sorted(space.patterns):
+            shape, slots, indices, indptr = space.patterns[key]
+            yield np.array(shape, dtype=np.int64)
+            yield from slots
+            yield indices
+            yield indptr
+
+
 def fingerprint_lines(wl, seed, tiny=False):
     ensemble_driver = wl.ensemble_driver
     drivers = (("ensemble", ensemble_driver.run_ensemble_ddm),
@@ -103,6 +117,7 @@ def fingerprint_lines(wl, seed, tiny=False):
                     checked = report
         res = ensemble_driver.check_converged_residual(checked, case.ctx, case.bc)
         yield f"{name} seed={seed} residual {digest([res])} max={res.max():.3e}"
+        yield f"{name} seed={seed} patterns {digest(pattern_arrays(checked))}"
 
 
 def main(argv=None):
