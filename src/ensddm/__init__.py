@@ -34,7 +34,7 @@ from .ensemble_driver import (
     check_converged_residual,
 )
 from .manufactured import ManufacturedSolution
-from .norms import error_norms, convergence_order
+from .norms import error_norms, error_rows, convergence_order
 
 __all__ = [
     "Rect", "Mesh", "InterfacePairing", "build_rect_mesh", "pair_interface",
@@ -48,5 +48,5 @@ __all__ = [
     "SampleParams", "EnsembleContext", "EnsembleDiagnostics", "SolveReport",
     "make_context", "run_ensemble_ddm", "run_traditional_ddm", "check_converged_residual",
     "ManufacturedSolution",
-    "error_norms", "convergence_order",
+    "error_norms", "error_rows", "convergence_order",
 ]

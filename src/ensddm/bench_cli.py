@@ -36,7 +36,7 @@ from .manufactured import ManufacturedSolution
 from .ensemble_driver import (make_sample, make_context, BoundaryConditions,
                               run_ensemble_ddm, run_traditional_ddm)
 from .darcy_fem import DarcySpace
-from .norms import error_norms
+from .norms import error_rows
 from . import quadrature
 
 CSV_COLUMNS = ["scenario", "h", "j", "iterations", "err_us_l2", "err_us_h1",
@@ -331,14 +331,11 @@ def _result_rows(cfg, h, report, exacts):
                    t_trisolve_ms=report.t_trisolve, t_trace_ms=report.t_trace,
                    t_norm_ms=report.t_norm)
     timers = {col: round(1e3 * t, 3) for col, t in seconds.items()}
-    rows = []
-    for j in range(len(report.us)):
-        tab = error_norms(report.space_s, report.space_d, report.us[j], report.ud[j],
-                          exacts[j], h, j=j, iterations=int(report.iterations[j]))
-        rows.append(dict(scenario=cfg.scenario, **asdict(tab), **timers,
-                         lu_nnz=report.lu_nnz, lag_ratio=float(report.lag_ratio[j]),
-                         converged=bool(report.converged[j])))
-    return rows
+    tables = error_rows(report.space_s, report.space_d, report.us.T, report.ud.T, exacts, h,
+                        report.iterations)
+    return [dict(scenario=cfg.scenario, **asdict(tab), **timers, lu_nnz=report.lu_nnz,
+                 lag_ratio=float(report.lag_ratio[j]), converged=bool(report.converged[j]))
+            for j, tab in enumerate(tables)]
 
 
 def run_manufactured(cfg, iteration_log=None):

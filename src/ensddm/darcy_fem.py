@@ -107,7 +107,7 @@ class DarcySpace:
         self.div = np.einsum("tmd,tlmd->tl", g, vv)
 
     def _precompute_quadrature(self):
-        mesh = self.mesh
+        mesh, nt = self.mesh, self.mesh.n_tris
         bary, self.qw = self.RULE
         self.qpoints = quadrature.physical_points(mesh.verts, mesh.tris, bary)
         # every conductivity is a function of y alone, so the set-up
@@ -115,15 +115,18 @@ class DarcySpace:
         # point's value by `height_of`
         self.heights, self.height_of = np.unique(self.qpoints[:, :, 1].ravel(),
                                                    return_inverse=True)
-        # quad_weight: w_q |T| per row (t, q, c) of the evaluation at the
-        # assembly rule; volume_op: that evaluation stacked on the constant
-        # divergence of each triangle
+        # rule_values: the basis at the assembly rule (nt, q, 2, 6);
+        # quad_weight: w_q |T| per row (t, q, c) of that evaluation;
+        # volume_op: the evaluation, rows (t, q, c) in C order, stacked on
+        # the constant divergence of each triangle
+        self.rule_values = self.basis_values(bary)
         self.quad_weight = np.repeat((self.qw[None, :] * mesh.tri_area[:, None]).ravel(), 2)
-        nt = mesh.n_tris
-        div_op = sp.csr_matrix((self.div.ravel(),
-                                (np.repeat(np.arange(nt), 6), self.elem_dofs.ravel())),
-                               shape=(nt, self.n_dofs))
-        self.volume_op = sp.vstack([self.evaluation_operator(bary), div_op], format="csr")
+        n_eval = len(self.quad_weight)
+        rows = np.r_[np.arange(n_eval), n_eval + np.arange(nt)].repeat(6)
+        cols = np.r_[np.broadcast_to(self.elem_dofs[:, None, None], self.rule_values.shape).ravel(),
+                     self.elem_dofs.ravel()]
+        self.volume_op = sp.csr_matrix((np.r_[self.rule_values.ravel(), self.div.ravel()],
+                                        (rows, cols)), shape=(n_eval + nt, self.n_dofs))
 
     def _build_hybrid_maps(self):
         """The broken space: triangle t holds copies 7t + l of its dofs
@@ -164,16 +167,13 @@ class DarcySpace:
         vv = self.vertex_values.transpose(0, 2, 3, 1).reshape(nt, 3, 12)   # (t, m, (c, l))
         return np.matmul(bary, vv).reshape(nt, len(bary), 2, 6)
 
-    def evaluation_operator(self, bary):
-        """Sparse map from whole dof vectors (empty head columns) to both
-        velocity components at the barycentric points `bary` (q, 3) of every
-        triangle, row (t, q, c) in C order."""
-        nt, nq = self.mesh.n_tris, len(bary)
-        vals = self.basis_values(bary)
-        rows = np.broadcast_to(np.arange(nt * nq * 2).reshape(nt, nq, 2, 1), vals.shape)
-        cols = np.broadcast_to(self.elem_dofs[:, None, None, :], vals.shape)
-        return sp.csr_matrix((vals.ravel(), (rows.ravel(), cols.ravel())),
-                             shape=(nt * nq * 2, self.n_dofs))
+    def evaluate(self, block, bary):
+        """The discrete fields of the columns of an (n_dofs, k) block: the
+        velocity at the barycentric points `bary` (q, 3) of every triangle
+        (nt, q, 2, k), and its divergence and the head, (nt, k) each."""
+        nt, nq, k = self.mesh.n_tris, len(bary), block.shape[1]
+        u = np.matmul(self.basis_values(bary).reshape(nt, 2 * nq, 6), block[self.elem_dofs])
+        return u.reshape(nt, nq, 2, k), self.elementwise_div(block), block[self.head_slice]
 
     def velocity_sq(self, vec):
         """Squared L2 norm of the velocity part of a dof vector, or of each
@@ -184,9 +184,9 @@ class DarcySpace:
         return float(np.sqrt(self.velocity_sq(vec)))
 
     def elementwise_div(self, vec):
-        """Exact per-triangle divergence of a velocity dof vector."""
-        coeffs = vec[self.elem_dofs]
-        return np.einsum("tl,tl->t", self.div, coeffs)
+        """Exact per-triangle divergence of a velocity dof vector (nt,), or
+        of each column of an (n, k) block (nt, k)."""
+        return np.einsum("tl,tl...->t...", self.div, vec[self.elem_dofs])
 
 
 def build_darcy_space(mesh, essential_tags=None):
@@ -258,7 +258,7 @@ def _velocity_blocks(space, g, weight, k_min):
     if not np.all((W > 0) & (W < np.inf)):     # NaN fails this too
         raise ValueError("coefficient tensor not SPD and finite at a quadrature point")
     mesh = space.mesh
-    V = space.basis_values(space.RULE[0]).reshape(mesh.n_tris, -1, 6)
+    V = space.rule_values.reshape(mesh.n_tris, -1, 6)
     blocks = np.zeros((mesh.n_tris, 7, 7))
     blocks[:, :6, :6] = np.matmul((V * W.reshape(mesh.n_tris, -1, 1)).transpose(0, 2, 1), V)
     if k_min:

@@ -1,9 +1,12 @@
 """Error norms against closed-form evaluators, and convergence orders.
 
-All integrals use a degree-6 triangle rule, well beyond the polynomial
-degree of either element pair.  Relative norms divide by the exact-field
-norm; when its square is at most 1e-28 the absolute error takes its place
-in the same column, with no marker (the README notes this for `err_ps_l2`).
+The norms take the converged solutions of k samples as (n_dofs, k) blocks,
+with one exact solution per column, and return (k,) arrays.  Each space
+evaluates its own fields; this module integrates the differences with a
+degree-6 triangle rule, well beyond the polynomial degree of either element
+pair.  Relative norms divide by the exact-field norm; in a column where its
+square is at most 1e-28 the absolute error takes its place, with no marker
+(the README notes this for `err_ps_l2`).
 """
 
 from dataclasses import dataclass
@@ -11,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import quadrature
-from .stokes_fem import mini_basis
+
+RULE = quadrature.triangle_rule(6)
 
 
 @dataclass
@@ -28,89 +32,67 @@ class ErrorTableRow:
 
 
 def _rel(err2, ref2, tiny=1e-28):
-    """Relative error, or the absolute one where the reference vanishes."""
-    if ref2 <= tiny:
-        return float(np.sqrt(err2))
-    return float(np.sqrt(err2 / ref2))
+    """Relative errors per column, or the absolute one where the reference
+    vanishes."""
+    return np.sqrt(np.divide(err2, ref2, out=err2.copy(), where=ref2 > tiny))
 
 
-def stokes_errors(space, full, exact):
-    """Relative L2 and H1 velocity errors and pressure L2 error.
+def _squared_norms(mesh, fields, evaluators):
+    """Per column, the squared L2 norms of the error and of the exact field
+    of each discrete field (nt, q or 1, ..., k) at the rule's points;
+    `evaluators` holds per column the exact evaluators of the fields."""
+    bary, w = RULE
+    points = quadrature.physical_points(mesh.verts, mesh.tris, bary).reshape(-1, 2)
+    weights = (mesh.tri_area[:, None] * w).ravel()
 
-    `exact` provides u_S(points), grad_u_S(points), p_S(points).
-    """
-    mesh = space.mesh
-    bary, w = quadrature.triangle_rule(6)
-    pts = quadrature.physical_points(mesh.verts, mesh.tris, bary)
-    flat = pts.reshape(-1, 2)
-    nq = len(w)
-    A = mesh.tri_area
+    def integral(f):
+        return (weights @ f.reshape(len(weights), -1)).reshape(-1, f.shape[-1]).sum(axis=0)
 
-    N, dN = mini_basis(bary, mesh.tri_grads)
-    vd = space.vel_elem_dofs
-    cx = full[vd[:, :4]]
-    cy = full[vd[:, 4:]]
-    uh = np.stack([np.einsum("qi,ti->tq", N, cx), np.einsum("qi,ti->tq", N, cy)], axis=-1)
-    guh = np.stack([np.einsum("tqid,ti->tqd", dN, cx), np.einsum("tqid,ti->tqd", dN, cy)], axis=2)
-    ph = np.einsum("qi,ti->tq", N[:, :3], full[space.p_elem_dofs])
-
-    ue = exact.u_S(flat).reshape(mesh.n_tris, nq, 2)
-    gue = exact.grad_u_S(flat).reshape(mesh.n_tris, nq, 2, 2)
-    pe = exact.p_S(flat).reshape(mesh.n_tris, nq)
-
-    def vol(f):
-        return float(np.einsum("q,tq,t->", w, f, A))
-
-    du2 = vol(((uh - ue) ** 2).sum(-1))
-    ue2 = vol((ue ** 2).sum(-1))
-    dgu2 = vol(((guh - gue) ** 2).sum(axis=(-1, -2)))
-    gue2 = vol((gue ** 2).sum(axis=(-1, -2)))
-    dp2 = vol((ph - pe) ** 2)
-    pe2 = vol(pe ** 2)
-
-    return _rel(du2, ue2), _rel(du2 + dgu2, ue2 + gue2), _rel(dp2, pe2)
+    out = []
+    for field, column_evaluators in zip(fields, zip(*evaluators)):
+        exact = np.stack([ev(points) for ev in column_evaluators], axis=-1)
+        exact = exact.reshape(mesh.n_tris, len(w), *field.shape[2:])
+        out.append((integral((field - exact) ** 2), integral(exact ** 2)))
+    return out
 
 
-def darcy_errors(space, full, exact):
-    """Relative L2 velocity, H(div) velocity, and L2 head errors.
+def stokes_errors(space, block, exacts):
+    """Relative L2 and H1 velocity errors and the pressure L2 error of each
+    column of an (n_dofs, k) block against its exact solution (u_S,
+    grad_u_S and p_S at points): three (k,) arrays."""
+    (du2, ue2), (dg2, ge2), (dp2, pe2) = _squared_norms(
+        space.mesh, space.evaluate(block, RULE[0]), [(e.u_S, e.grad_u_S, e.p_S) for e in exacts])
+    return _rel(du2, ue2), _rel(du2 + dg2, ue2 + ge2), _rel(dp2, pe2)
 
-    `exact` provides u_D(points), div_u_D(points), phi_D(points).
-    """
-    mesh = space.mesh
-    bary, w = quadrature.triangle_rule(6)
-    pts = quadrature.physical_points(mesh.verts, mesh.tris, bary)
-    flat = pts.reshape(-1, 2)
-    nq = len(w)
-    A = mesh.tri_area
 
-    uh = (space.evaluation_operator(bary) @ full).reshape(mesh.n_tris, nq, 2)
-    divh = space.elementwise_div(full)
-    phih = full[space.head_slice]
+def darcy_errors(space, block, exacts):
+    """Relative L2 and H(div) velocity errors and the L2 head error of each
+    column of an (n_dofs, k) block against its exact solution (u_D,
+    div_u_D and phi_D at points): three (k,) arrays."""
+    uh, divh, phih = space.evaluate(block, RULE[0])
+    (du2, ue2), (dd2, de2), (dp2, pe2) = _squared_norms(
+        space.mesh, (uh, divh[:, None], phih[:, None]),
+        [(e.u_D, e.div_u_D, e.phi_D) for e in exacts])
+    return _rel(du2, ue2), _rel(du2 + dd2, ue2 + de2), _rel(dp2, pe2)
 
-    ue = exact.u_D(flat).reshape(mesh.n_tris, nq, 2)
-    dive = exact.div_u_D(flat).reshape(mesh.n_tris, nq)
-    phie = exact.phi_D(flat).reshape(mesh.n_tris, nq)
 
-    def vol(f):
-        return float(np.einsum("q,tq,t->", w, f, A))
-
-    du2 = vol(((uh - ue) ** 2).sum(-1))
-    ue2 = vol((ue ** 2).sum(-1))
-    ddiv2 = vol((divh[:, None] - dive) ** 2)
-    dive2 = vol(dive ** 2)
-    dphi2 = vol((phih[:, None] - phie) ** 2)
-    phie2 = vol(phie ** 2)
-
-    return _rel(du2, ue2), _rel(du2 + ddiv2, ue2 + dive2), _rel(dphi2, phie2)
+def error_rows(space_s, space_d, us, ud, exacts, h, iterations):
+    """One benchmark-table row per sample from the converged subdomain
+    solutions of k samples, (n_dofs, k) blocks `us` and `ud`, with their
+    exact solutions and iteration counts; row j is column j."""
+    us_l2, us_h1, ps_l2 = stokes_errors(space_s, us, exacts)
+    ud_l2, ud_div, phi_l2 = darcy_errors(space_d, ud, exacts)
+    columns = zip(iterations, us_l2, us_h1, ps_l2, phi_l2, ud_l2, ud_div)
+    return [ErrorTableRow(h, j, int(n), *map(float, errs)) for j, (n, *errs) in enumerate(columns)]
 
 
 def error_norms(space_s, space_d, full_s, full_d, exact, h, j=0, iterations=0):
-    """Assemble one benchmark-table row from converged subdomain solutions."""
-    us_l2, us_h1, ps_l2 = stokes_errors(space_s, full_s, exact)
-    ud_l2, ud_div, phi_l2 = darcy_errors(space_d, full_d, exact)
-    return ErrorTableRow(h=h, j=j, iterations=iterations,
-                         err_us_l2=us_l2, err_us_h1=us_h1, err_ps_l2=ps_l2,
-                         err_phid_l2=phi_l2, err_ud_l2=ud_l2, err_ud_div=ud_div)
+    """One benchmark-table row from the converged subdomain solutions of one
+    sample: `error_rows` on one column."""
+    row, = error_rows(space_s, space_d, full_s[:, None], full_d[:, None], [exact], h,
+                      [iterations])
+    row.j = j
+    return row
 
 
 def convergence_order(errors, hs):

@@ -122,6 +122,20 @@ class StokesSpace:
         rows, cols = np.repeat(dofs, 4, axis=1).ravel(), np.tile(dofs, (1, 4)).ravel()
         return sp.csr_matrix((Mel.ravel(), (rows, cols)), shape=(self.n_comp, self.n_comp))
 
+    def evaluate(self, block, bary):
+        """The discrete fields of the columns of an (n_dofs, k) block at the
+        barycentric points `bary` (q, 3) of every triangle: the velocity
+        (nt, q, 2, k), its gradient (nt, q, 2, 2, k), whose [.., i, d, ..]
+        is d u_i / d x_d, and the pressure (nt, q, k)."""
+        nt, nq, k = self.mesh.n_tris, len(bary), block.shape[1]
+        N, dN = mini_basis(bary, self.mesh.tri_grads)
+        # coefficients (t, local dof, (component, column))
+        c = block[self.vel_elem_dofs.reshape(nt, 2, 4)].transpose(0, 2, 1, 3).reshape(nt, 4, -1)
+        u = np.matmul(N, c).reshape(nt, nq, 2, k)
+        grad = np.matmul(dN.transpose(0, 1, 3, 2).reshape(nt, 2 * nq, 4), c)
+        grad = grad.reshape(nt, nq, 2, 2, k).transpose(0, 1, 3, 2, 4)
+        return u, grad, np.matmul(N[:, :3], block[self.p_elem_dofs])
+
     def velocity_sq(self, vec):
         """Squared L2 norm of the velocity part of a dof vector, or of each
         column of an (n, k) block."""

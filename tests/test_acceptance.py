@@ -21,7 +21,7 @@ from ensddm.ensemble_driver import (make_context, run_ensemble_ddm, run_traditio
                                     check_converged_residual, BoundaryConditions,
                                     make_sample)
 from ensddm.fields import ConstantConductivity
-from ensddm.norms import error_norms, convergence_order
+from ensddm.norms import error_rows, convergence_order
 from ensddm.robin_params import (FrequencyBand, frequency_band, optimized_delta_d,
                                  convergence_factor, worst_case_rho, symbol_iteration,
                                  measured_contraction)
@@ -66,9 +66,8 @@ def table_runs():
                                  tol=1e-6, max_iters=500)
         bc = manufactured_bc(exacts)
         rep = run_ensemble_ddm(ctx, mesh_s, mesh_d, pairing, bc)
-        rows = [error_norms(rep.space_s, rep.space_d, rep.us[j], rep.ud[j],
-                            exacts[j], h, j=j, iterations=int(rep.iterations[j]))
-                for j in range(3)]
+        rows = error_rows(rep.space_s, rep.space_d, rep.us.T, rep.ud.T, exacts, h,
+                          rep.iterations)
         runs[h] = dict(ctx=ctx, bc=bc, report=rep, rows=rows, exacts=exacts,
                        meshes=(mesh_s, mesh_d, pairing))
     return runs
@@ -182,7 +181,8 @@ def test_criterion_6a_small_conductivity_orders():
         bc = manufactured_bc(exacts, pin_pressure=True)
         rep = run_ensemble_ddm(ctx, mesh_s, mesh_d, pairing, bc)
         converged &= bool(rep.converged.all())
-        row = error_norms(rep.space_s, rep.space_d, rep.us[0], rep.ud[0], exacts[0], h)
+        row = error_rows(rep.space_s, rep.space_d, rep.us.T, rep.ud.T, exacts, h,
+                         rep.iterations)[0]
         errs_us.append(row.err_us_l2)
         errs_ud.append(row.err_ud_l2)
         hs.append(h)

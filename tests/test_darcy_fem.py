@@ -221,7 +221,7 @@ def test_subproblem_convergence_orders():
     errs = []
     for n in (8, 16):
         sp, full, exact = _solve_subproblem(n)
-        l2, hdiv, phil2 = darcy_errors(sp, full, exact)
+        (l2,), _, (phil2,) = darcy_errors(sp, full[:, None], [exact])
         errs.append((l2, phil2))
     rate_u = np.log2(errs[0][0] / errs[1][0])
     rate_phi = np.log2(errs[0][1] / errs[1][1])
@@ -239,5 +239,5 @@ def test_subproblem_divergence_exactly_matches_source():
 def test_head_level_pinned_by_robin_data():
     # no multiplier: the head level must come out matching the exact field
     sp, full, exact = _solve_subproblem(12)
-    _, _, phil2 = darcy_errors(sp, full, exact)
+    _, _, (phil2,) = darcy_errors(sp, full[:, None], [exact])
     assert phil2 < 0.15

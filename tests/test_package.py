@@ -76,3 +76,17 @@ def test_only_the_spaces_and_the_stopping_norm_read_the_velocity_rows():
         readers += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                     if isinstance(node, ast.Attribute) and node.attr == "n_velocity"]
     assert not readers
+
+
+def test_each_element_basis_has_one_source():
+    # the spaces evaluate their own fields; no other module builds a basis
+    owners = {"mini_basis": "stokes_fem.py", "basis_values": "darcy_fem.py"}
+    others = []
+    for path in sorted(Path(ensddm.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imports = [(node.name, node.lineno) for node in ast.walk(tree)
+                   if isinstance(node, ast.alias)]
+        others += [f"{path.name}:{line} {name}"
+                   for name, line in imports + list(_references(tree, strings=True))
+                   if owners.get(name, path.name) != path.name]
+    assert not others

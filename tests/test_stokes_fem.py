@@ -251,7 +251,7 @@ def test_subproblem_converges_second_order():
     errs = []
     for n in (8, 16):
         sp, full, exact = _solve_subproblem(n)
-        l2, h1, _ = stokes_errors(sp, full, exact)
+        (l2,), (h1,), _ = stokes_errors(sp, full[:, None], [exact])
         errs.append((l2, h1))
     rate_l2 = np.log2(errs[0][0] / errs[1][0])
     rate_h1 = np.log2(errs[0][1] / errs[1][1])

@@ -17,14 +17,17 @@ flags and the factorization count; and `fill=` the LU fill (`lu_nnz`), so a
 change of fill reads by value from the `diff` of two printouts.  One more
 line per workload and seed holds the digest of its residual-check values
 (`check_converged_residual`), from the run the benchmark itself times, and
-`max=` the largest of them to 4 significant digits.  A last line per
-workload and seed (`patterns`) holds the digest of that run's two spaces:
-each space's elimination `order`, then its sparsity patterns by name, each
-with its shape, every term's slots and its index arrays.
+`max=` the largest of them to 4 significant digits.  Each workload with
+closed-form solutions adds an `errors` line for that run: the digest of
+the six error columns of every sample (`norms.error_norms`, one sample per
+call) and `max=` the largest error.  A last line per workload and seed
+(`patterns`) holds the digest of that run's two spaces: each space's
+elimination `order`, then its sparsity patterns by name, each with its
+shape, every term's slots and its index arrays.
 Two checkouts give bitwise equal outputs on these inputs when their
 outputs `diff` equal; a change that moves values only at the rounding
 level keeps every `counts=` digest, and a rounding-level change of the
-check keeps every `max=`.
+check or of the error norms keeps every `max=`.
 Digests depend on this file too, so compare two commits by running one
 version of it in both checkouts (it loads the package of its working
 directory).
@@ -85,6 +88,14 @@ def report_arrays(report, samples):
     yield np.array([(s.k_min, s.xi) for s in samples])
 
 
+def error_table(norms, report, exacts, h):
+    """(J, 6) error columns of a run, one `error_norms` call per sample;
+    each row drops the table row's leading h, j and iteration count."""
+    rows = [norms.error_norms(report.space_s, report.space_d, report.us[j], report.ud[j],
+                              exact, h) for j, exact in enumerate(exacts)]
+    return np.array([dataclasses.astuple(row)[3:] for row in rows])
+
+
 def pattern_arrays(report):
     for space in (report.space_s, report.space_d):
         yield space.order
@@ -117,6 +128,9 @@ def fingerprint_lines(wl, seed, tiny=False):
                     checked = report
         res = ensemble_driver.check_converged_residual(checked, case.ctx, case.bc)
         yield f"{name} seed={seed} residual {digest([res])} max={res.max():.3e}"
+        if case.exacts is not None:
+            errs = error_table(wl.norms, checked, case.exacts, w.h)
+            yield f"{name} seed={seed} errors {digest([errs])} max={errs.max():.3e}"
         yield f"{name} seed={seed} patterns {digest(pattern_arrays(checked))}"
 
 
