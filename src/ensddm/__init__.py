@@ -20,7 +20,7 @@ from .robin_params import (
     symbol_iteration,
 )
 from .random_field import RandomFieldSpec, Draw, kl_eigenvalues, evaluate_k, draw_samples
-from .stokes_fem import StokesSpace, build_stokes_space, assemble_stokes_operator
+from .stokes_fem import StokesSpace, StokesElements, build_stokes_space, assemble_stokes_operator
 from .darcy_fem import DarcySpace, build_darcy_space, assemble_darcy_operator
 from .interface_state import RobinTraceState, init_state, update_robin, stopping_norm
 from .ensemble_driver import (
@@ -42,7 +42,7 @@ __all__ = [
     "FrequencyBand", "convergence_factor", "frequency_band",
     "optimized_delta_d", "worst_case_rho", "symbol_iteration",
     "RandomFieldSpec", "Draw", "kl_eigenvalues", "evaluate_k", "draw_samples",
-    "StokesSpace", "build_stokes_space", "assemble_stokes_operator",
+    "StokesSpace", "StokesElements", "build_stokes_space", "assemble_stokes_operator",
     "DarcySpace", "build_darcy_space", "assemble_darcy_operator",
     "RobinTraceState", "init_state", "update_robin", "stopping_norm",
     "SampleParams", "EnsembleContext", "EnsembleDiagnostics", "SolveReport",

@@ -5,8 +5,9 @@ block per subdomain against the shared factorization and forms their next
 trace state at once; the loop takes the stopping norm and freezes samples.
 
 The traditional (per-sample) variant runs the same loop over one-sample
-groups, each with its own operator pair, on the spaces of the run; a
-sample's iterates are bitwise those of its single-sample ensemble run.
+groups, each with its own operator pair, on the spaces and the Stokes
+element data of the run; a sample's iterates are bitwise those of its
+single-sample ensemble run.
 """
 
 import numbers
@@ -20,7 +21,7 @@ import numpy as np
 from .sparsela import factorization_count
 from .stokes_fem import (build_stokes_space, assemble_stokes_operator,
                          assemble_stokes_volume_rhs, add_interface_rhs,
-                         interface_traces, stokes_matrix, StokesInterfaceInfo)
+                         interface_traces, stokes_matrix, StokesElements, StokesInterfaceInfo)
 from .darcy_fem import (build_darcy_space, assemble_darcy_operator,
                         assemble_darcy_volume_rhs, add_darcy_interface_rhs,
                         add_darcy_natural_head_rhs, add_darcy_lag_rhs, lag_weights,
@@ -150,8 +151,11 @@ class SolveReport:
     iteration record, and the wall-time split.
 
     t_assembly holds the spaces (with their nested-dissection orders and
-    interface operators) and the element blocks; t_factor each operator's
-    element condensation, factorization and probe solve.  t_solve is the
+    interface operators), the run's Stokes element data (`StokesElements`,
+    with its bubble condensation) and each group's element blocks and
+    matrices; t_factor each operator's condensed system (the Darcy element
+    condensation, the Stokes rescatter of S), factorization and probe
+    solve.  t_solve is the
     wall time of the loop; t_rhs, t_trisolve, t_trace and t_norm are its
     phases (right-hand sides; block solves with the Stokes boundary lift,
     the condensation and recovery maps and a refinement step where a probe
@@ -226,7 +230,11 @@ def run_ensemble_ddm(ctx, mesh_s, mesh_d, pairing, bc, per_sample_stop=False):
 def run_traditional_ddm(ctx, mesh_s, mesh_d, pairing, bc, per_sample_stop=False):
     """Per-sample baseline: the identical iteration, but each sample is a
     group of its own with its own operator pair (2J factorizations in
-    total), run one after the other on the shared spaces."""
+    total), run one after the other on the spaces, interface operators and
+    Stokes element data of the run.  Per sample it builds what its
+    coefficients change: the Darcy blocks, the Stokes blocks of the
+    interface triangles and the entries they reach, and the two
+    factorizations."""
     return _run(ctx, 1, mesh_s, mesh_d, pairing, bc, per_sample_stop)
 
 
@@ -255,13 +263,14 @@ class IterationSetup:
     dxi: np.ndarray              # (k,) slip lag weights, mean minus sample
 
 
-def _setup(ctx, samples, space_s, space_d, iface_s, iface_d, bc, js):
+def _setup(ctx, samples, elements, space_d, iface_d, bc, js):
     """The `IterationSetup` of the group `samples` with the settings of
-    `ctx` on the given spaces and their interface operators, and the
+    `ctx` on the Stokes space and interface operator of the StokesElements
+    `elements`, the Darcy space and its interface operator, and the
     samples' lag ratios (k,); js[i] is the index into the boundary data `bc`
     of sample i.  The operators use the group's own means; it warns when a
     sample's lag ratio reaches 1."""
-    k = len(samples)
+    k, space_s, iface_s = len(samples), elements.space, elements.iface
     # one inverse-tensor evaluation per sample, at the space's distinct
     # heights, gives the group mean (summed in sample order, as
     # MeanInverseField.inv_diag sums) and, overwritten in place, the lag
@@ -287,7 +296,7 @@ def _setup(ctx, samples, space_s, space_d, iface_s, iface_d, bc, js):
                       "converge slowly or diverge", RuntimeWarning)
     lag_w = lag_weights(space_d, ctx.g, dW, dk)
     del w, dW       # before the operators are built
-    op_s = assemble_stokes_operator(space_s, ctx.nu, ctx.delta_s, xi_bar, iface_s)
+    op_s = assemble_stokes_operator(elements, ctx.delta_s, xi_bar)
     op_d = assemble_darcy_operator(space_d, ctx.g, kbar_w, kbar_min, ctx.delta_d, iface_d)
     # the iteration-independent part of every sample's right-hand side
     # (forcing plus natural data), and the boundary values of the fixed rows,
@@ -329,15 +338,16 @@ def sweep(su, state, ud_lag):
 
 
 def _run(ctx, size, mesh_s, mesh_d, pairing, bc, per_sample_stop):
-    """The spaces and their interface operators, then per group of `size`
-    consecutive samples of `ctx` its set-up and sweeps of its active
-    samples; one report for all."""
+    """The spaces, their interface operators and the Stokes element data,
+    then per group of `size` consecutive samples of `ctx` its set-up and
+    sweeps of its active samples; one report for all."""
     nfact0 = factorization_count()
     t0 = time.perf_counter()
     space_s = build_stokes_space(mesh_s, dirichlet_tags=bc.stokes_dirichlet_tags,
                                  pressure_multiplier=bc.stokes_pressure_multiplier)
     space_d = build_darcy_space(mesh_d, essential_tags=bc.darcy_essential_tags)
     iface_s, iface_d = StokesInterfaceInfo(space_s, pairing), DarcyInterfaceInfo(space_d, pairing)
+    elements = StokesElements(space_s, ctx.nu, iface_s)
     t_assembly = time.perf_counter() - t0
 
     J = ctx.J
@@ -354,8 +364,10 @@ def _run(ctx, size, mesh_s, mesh_d, pairing, bc, per_sample_stop):
     for start in range(0, J, size):
         stop = min(start + size, J)
         t0 = time.perf_counter()
-        su, lag_ratio[start:stop] = _setup(ctx, ctx.samples[start:stop], space_s, space_d,
-                                           iface_s, iface_d, bc, range(start, stop))
+        su, lag_ratio[start:stop] = _setup(ctx, ctx.samples[start:stop], elements, space_d,
+                                           iface_d, bc, range(start, stop))
+        if stop == J:
+            del elements    # the last group's operator keeps the maps it solves with
         dt_factor = su.op_s.factor_seconds + su.op_d.factor_seconds
         t_assembly += time.perf_counter() - t0 - dt_factor
         t_factor += dt_factor
@@ -437,10 +449,11 @@ def check_converged_residual(report, ctx, bc):
     b_s = np.column_stack([assemble_stokes_volume_rhs(space_s, s.f_S) for s in samples])
     b_d = np.column_stack([_darcy_sample_rhs(space_d, s, bc, j, ctx.g)
                            for j, s in enumerate(samples)])
+    elements = StokesElements(space_s, ctx.nu, info_s)
     r_s = info_s.load @ np.concatenate([-g_S, xi * (info_d.tangential @ ud)]) - b_s
     r_d = -(info_d.load @ g_D) - b_d
     for j, s in enumerate(samples):
-        r_s[:, j] += stokes_matrix(space_s, ctx.nu, ctx.delta_s, s.xi, info_s) @ report.us[j]
+        r_s[:, j] += stokes_matrix(elements, ctx.delta_s, s.xi) @ report.us[j]
         r_d[:, j] += darcy_matrix(space_d, ctx.g, inverse_diagonal(space_d, s.K), s.k_min,
                                   ctx.delta_d, info_d) @ report.ud[j]
     b_s[space_s.fixed] = np.column_stack([stokes_dirichlet_values(space_s, bc.stokes_values, j)

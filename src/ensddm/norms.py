@@ -16,6 +16,9 @@ import numpy as np
 from . import quadrature
 
 RULE = quadrature.triangle_rule(6)
+# the columns `error_rows` evaluates in one pass: a pass holds the fields of
+# its columns at every point of the rule, so this bounds a call's memory
+PASS_COLUMNS = 8
 
 
 @dataclass
@@ -79,9 +82,12 @@ def darcy_errors(space, block, exacts):
 def error_rows(space_s, space_d, us, ud, exacts, h, iterations):
     """One benchmark-table row per sample from the converged subdomain
     solutions of k samples, (n_dofs, k) blocks `us` and `ud`, with their
-    exact solutions and iteration counts; row j is column j."""
-    us_l2, us_h1, ps_l2 = stokes_errors(space_s, us, exacts)
-    ud_l2, ud_div, phi_l2 = darcy_errors(space_d, ud, exacts)
+    exact solutions and iteration counts; row j is column j.  The norms
+    take PASS_COLUMNS columns at a time."""
+    passes = [stokes_errors(space_s, us[:, i:i + PASS_COLUMNS], exacts[i:i + PASS_COLUMNS])
+              + darcy_errors(space_d, ud[:, i:i + PASS_COLUMNS], exacts[i:i + PASS_COLUMNS])
+              for i in range(0, len(exacts), PASS_COLUMNS)]
+    us_l2, us_h1, ps_l2, ud_l2, ud_div, phi_l2 = map(np.concatenate, zip(*passes))
     columns = zip(iterations, us_l2, us_h1, ps_l2, phi_l2, ud_l2, ud_div)
     return [ErrorTableRow(h, j, int(n), *map(float, errs)) for j, (n, *errs) in enumerate(columns)]
 

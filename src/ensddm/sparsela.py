@@ -10,10 +10,12 @@ free-flow triangle, and the six velocity copies and the head of each
 triangle of the hybridized Darcy system, are eliminated inside their
 element (`block_inverse`), and S and the maps of every solve are scatters
 of element blocks into sparsity patterns that each space makes once
-(`pattern`, `scatter`).  The unknowns of S come in a nested-dissection
-order of the mesh (`nested_dissection`), folded into those patterns, and
-`factorize` eliminates in that order.  Matrices are scipy CSR matrices,
-factors SuperLU objects, and everything is float64.
+(`pattern`, `scatter`); a scatter whose values changed in a few element
+blocks is redone at the entries they reach alone (`reach`, `rescatter`).
+The unknowns of S come in a nested-dissection order of the mesh
+(`nested_dissection`), folded into those patterns, and `factorize`
+eliminates in that order.  Matrices are scipy CSR matrices, factors SuperLU
+objects, and everything is float64.
 """
 
 import time
@@ -158,6 +160,32 @@ def scatter(pattern, *values):
     return sp.csr_matrix((data[:-1], indices, indptr), shape=shape)
 
 
+def reach(pattern, blocks):
+    """The entries of a `pattern` that its first term's element blocks
+    `blocks` reach, and each term's contributions to them in `scatter`'s
+    order: flat indices into the term's values, with their entries'
+    positions."""
+    slots, nnz = pattern[1], len(pattern[2])
+    entries = np.setdiff1d(slots[0][blocks], nnz)          # the dropped slot aside
+    pos = np.full(nnz + 1, -1, dtype=np.int32)
+    pos[entries] = np.arange(len(entries))
+    at = [pos[k.ravel()] for k in slots]
+    return entries, [(np.flatnonzero(a >= 0), a[a >= 0]) for a in at]
+
+
+def rescatter(pattern, data, reached, *values):
+    """The CSR matrix of a `pattern` from `data`, the data of a `scatter`
+    into it, with the entries of the `reach` `reached` summed anew from
+    `values`, each term's values at its contributions to them: in
+    `scatter`'s order, so bitwise the scatter of values that differ from
+    those of `data` only in the reached blocks."""
+    shape, slots, indices, indptr = pattern
+    entries, terms = reached
+    data = data.copy()
+    data[entries] = sum(np.bincount(at, v, len(entries)) for (_, at), v in zip(terms, values))
+    return sp.csr_matrix((data, indices, indptr), shape=shape)
+
+
 def block_inverse(blocks):
     """The inverses of the (m, b, b) `blocks`, in closed form for b = 2;
     a singular block raises SingularMatrixError naming the first."""
@@ -194,21 +222,21 @@ class SubdomainOperator:
     solves A_ff x = b on the free ones.  `factor_seconds` covers that call,
     the factorization of S and a probe solve whose normwise backward error
     against A_ff, above REFINE_ABOVE, makes every solve take one refinement
-    step against the matrix.
+    step against the matrix; the probe reads A_ff in the matrix, without a
+    copy of A_ff (`_free_block_error`).
     """
 
     def __init__(self, matrix, free, fixed, condensed):
         self.n = matrix.shape[0]
         self.free, self.fixed = free, fixed
         self.A_fd = matrix[:, fixed]       # CSR; the fixed rows of its products go unread
-        a_ff = matrix[free][:, free]
         t0 = time.perf_counter()
         S, self._condense, self._direct, self._recover = condensed()
         self.factorization = factorize(S)
         del S
         b = np.zeros((self.n, _PROBE_COLUMNS))
         b[free] = np.random.default_rng(_PROBE_SEED).standard_normal((len(free), _PROBE_COLUMNS))
-        self.probe_error = backward_error(a_ff, self._solve(b)[free], b[free])
+        self.probe_error = _free_block_error(matrix, self.A_fd, free, fixed, self._solve(b), b)
         self._A = matrix if self.probe_error > REFINE_ABOVE else None
         self.factor_seconds = time.perf_counter() - t0
 
@@ -241,12 +269,22 @@ def positions(n, dofs):
     return pos
 
 
-def backward_error(a, x, b):
-    """Largest normwise backward error max|r| / (||a|| max|x| + max|b|)
-    over the columns of x (infinity norms, r = b - a x)."""
-    r = np.abs(a @ x - b).max(axis=0)
-    a_norm = abs(a).sum(axis=1).max()
-    return (r / (a_norm * np.abs(x).max(axis=0) + np.abs(b).max(axis=0))).max()
+def _free_block_error(matrix, a_fd, free, fixed, x, b):
+    """The largest normwise backward error max|r| / (||A_ff|| max|x| +
+    max|b|) over the columns of x (infinity norms, r = b - A_ff x) of the
+    block A_ff = matrix[free][:, free] against the free rows of x and b,
+    which are zero on the fixed rows, without copying A_ff.  The free rows
+    of matrix x only add zero terms, a row with no entry in a fixed column
+    (none in the block of the fixed columns `a_fd`) is a row of A_ff, and
+    only the other free rows are copied, so every row of A_ff is summed as
+    SciPy sums it: bitwise the error computed on the copied block."""
+    r = matrix @ x - b
+    r[fixed] = 0.0
+    sums = np.asarray(abs(matrix).sum(axis=1)).ravel()
+    rows = free[np.diff(a_fd.indptr)[free] > 0]
+    sums[rows] = np.asarray(abs(matrix[rows][:, free]).sum(axis=1)).ravel()
+    r = np.abs(r).max(axis=0)
+    return (r / (sums[free].max() * np.abs(x).max(axis=0) + np.abs(b).max(axis=0))).max()
 
 
 def quadratic_form(m, x):

@@ -9,7 +9,12 @@ traces, lagged slip term, Dirichlet values) enters through the right-hand
 side only.  The two bubbles of each triangle couple only with each other and
 the triangle's P1 dofs, so the operator eliminates them in each element
 block (static condensation) before its one factorization, in the space's
-vertex order; solutions keep the full MINI dof layout.
+vertex order; solutions keep the full MINI dof layout.  No interface term
+touches a bubble, and only the blocks of the interface triangles differ
+between the matrices of a run, so the blocks and that elimination are made
+once per run (`StokesElements`), and each matrix of the run only adds its
+interface terms to a copy of those triangles' blocks and sums anew the
+entries they reach.
 
 Right-hand sides, solutions and interface traces of an ensemble travel as
 column blocks: a dof vector per sample becomes a column of an (n_dofs, k)
@@ -23,7 +28,7 @@ import scipy.sparse as sp
 
 from . import quadrature
 from .sparsela import (SubdomainOperator, block_inverse, derived, positions, nested_dissection,
-                       pattern, quadratic_form, scatter)
+                       pattern, quadratic_form, reach, rescatter, scatter)
 
 
 _EDGE_MASS = np.array([[2.0, 1.0], [1.0, 2.0]])
@@ -219,34 +224,101 @@ def div_element_matrices(space):
     return B.reshape(nt, 3, 4, 2).transpose(0, 1, 3, 2).reshape(nt, 3, 8)
 
 
-def _stokes_terms(space, nu, delta_s, xi, iface):
-    """The element blocks (nt, 11, 11) of `stokes_matrix` on
-    `space.elem_dofs`, the interface terms at the slots of the
-    StokesInterfaceInfo `iface`, and the multiplier's weights (3 nt,)."""
-    if not (0 < nu < np.inf and 0 < delta_s < np.inf):   # NaN fails this too
-        raise ValueError("viscosity and delta_s must be positive and finite")
+# the bubbles of an element block, its other local dofs, and the flat
+# positions of their (9, 9) part in a block
+_BUBBLES, _REST = np.array([3, 7]), np.array([0, 1, 2, 4, 5, 6, 8, 9, 10])
+_REST_FLAT = (11 * _REST[:, None] + _REST).ravel()
+
+
+class StokesElements:
+    """The element data of the Stokes matrices of a space, a viscosity `nu`
+    and the StokesInterfaceInfo `iface` that no Robin weight or slip
+    coefficient changes, made once per run and read by every `stokes_matrix`
+    and `assemble_stokes_operator` of it.
+
+    The interface terms never touch a bubble (it vanishes on every edge), so
+    the bubble rows and columns of each element block are those of every
+    matrix of the run, and `condense`, `direct` and `recover` are the
+    condensation maps of every operator.  Only the blocks of the t interface
+    triangles differ between the matrices: `blocks` (t, 11, 11) holds them
+    without interface terms and `reduced` (t, 9, 9) what the rest of each
+    loses by the bubbles' elimination, E_rb E_bb^-1 E_br.  `data` holds the data of the matrix and of S without interface
+    terms, and `parts` what `rescatter` reads to sum anew the entries that
+    the interface triangles reach (`_part`); `weights` (3 nt,) are the
+    multiplier's.
+    """
+
+    def __init__(self, space, nu, iface):
+        if not 0 < nu < np.inf:                  # NaN fails this too
+            raise ValueError("the viscosity must be positive and finite")
+        self.space, self.nu, self.iface = space, nu, iface
+        E = np.zeros((space.mesh.n_tris, 11, 11))
+        E[:, :8, :8] = deformation_element_matrices(space, nu)
+        E[:, 8:, :8] = B = div_element_matrices(space)
+        E[:, :8, 8:] = -B.transpose(0, 2, 1)
+        self.weights = m = np.repeat(space.mesh.tri_area / 3.0, 3)
+        br = E[:, _BUBBLES[:, None], _REST]
+        inv = block_inverse(E[:, _BUBBLES[:, None], _BUBBLES])
+        up = E[:, _REST[:, None], _BUBBLES] @ inv                 # E_rb E_bb^-1
+        reduced = up @ br
+        P = space.patterns
+        self.condense = scatter(P["condense"], -up, 1.0)
+        self.direct = scatter(P["direct"], inv)
+        self.recover = scatter(P["recover"], -(inv @ br), 1.0)
+        rest = _remainders(E, reduced)
+        self.data = {"matrix": scatter(P["matrix"], E, m, -m).data,
+                     "S": scatter(P["S"], rest, m, -m).data}
+        tris = np.unique(iface.slots[0])
+        self.parts = {"matrix": _part(P["matrix"], tris, E, m), "S": _part(P["S"], tris, rest, m)}
+        self.blocks, self.reduced = E[tris], reduced[tris]
+        # the interface slots in `blocks`
+        self.slots = (np.searchsorted(tris, iface.slots[0]), *iface.slots[1:])
+
+
+def _part(pattern, tris, blocks, m):
+    """What `_scattered` reads of the matrices of a Stokes `pattern` (its
+    element term and the multiplier terms m and -m) whose element blocks
+    differ from `blocks` only at the triangles `tris`: the `reach` of those
+    blocks, each term's values at its contributions to the reached entries,
+    and of the element term's contributions those from `tris`, with their
+    flat places in the blocks of `tris`."""
+    reached = reach(pattern, tris)
+    (flat, _), (flat_pm, _), (flat_mp, _) = reached[1]
+    tri, local = np.divmod(flat, blocks[0].size)
+    mine = np.flatnonzero(np.isin(tri, tris))
+    return (reached, (blocks.ravel()[flat], m[flat_pm], -m[flat_mp]), mine,
+            np.searchsorted(tris, tri[mine]) * blocks[0].size + local[mine])
+
+
+def _scattered(elements, name, blocks):
+    """The matrix `name` ("matrix" or "S") of `elements` whose element
+    blocks are `blocks` at its interface triangles and the run's
+    elsewhere."""
+    reached, (first, *others), mine, at = elements.parts[name]
+    first = first.copy()
+    first[mine] = blocks.ravel()[at]
+    return rescatter(elements.space.patterns[name], elements.data[name], reached, first, *others)
+
+
+def _stokes_terms(elements, delta_s, xi):
+    """The element blocks of `stokes_matrix` at the interface triangles:
+    a copy of `elements.blocks` with the interface terms added."""
+    if not 0 < delta_s < np.inf:                 # NaN fails this too
+        raise ValueError("delta_s must be positive and finite")
     if not 0 <= xi < np.inf:
         raise ValueError("the slip coefficient xi must be nonnegative and finite")
-    mesh = space.mesh
-    E = np.zeros((mesh.n_tris, 11, 11))
-    E[:, :8, :8] = deformation_element_matrices(space, nu)
-    E[:, 8:, :8] = B = div_element_matrices(space)
-    E[:, :8, 8:] = -B.transpose(0, 2, 1)
-    np.add.at(E, iface.slots, delta_s * iface.normal_mass + xi * iface.tangential_mass)
-    return E, np.repeat(mesh.tri_area / 3.0, 3)
+    iface, E = elements.iface, elements.blocks.copy()
+    np.add.at(E, elements.slots, delta_s * iface.normal_mass + xi * iface.tangential_mass)
+    return E
 
 
-def stokes_matrix(space, nu, delta_s, xi, iface):
-    """The Robin free-flow matrix as a CSR matrix: 2 nu (D(u), D(v)), the
-    momentum coupling -(p, div v), the continuity rows (q, div u), the
-    pressure-mean multiplier's row -(1, p) when the space has one, and
-    delta_s <u.n, v.n>_Gamma + xi <u.tau, v.tau>_Gamma from `iface`."""
-    E, m = _stokes_terms(space, nu, delta_s, xi, iface)
-    return scatter(space.patterns["matrix"], E, m, -m)
-
-
-# the bubbles of an element block, and its other local dofs
-_BUBBLES, _REST = np.array([3, 7]), np.array([0, 1, 2, 4, 5, 6, 8, 9, 10])
+def stokes_matrix(elements, delta_s, xi):
+    """The Robin free-flow matrix of the StokesElements `elements` as a CSR
+    matrix: 2 nu (D(u), D(v)), the momentum coupling -(p, div v), the
+    continuity rows (q, div u), the pressure-mean multiplier's row -(1, p)
+    when the space has one, and delta_s <u.n, v.n>_Gamma + xi <u.tau,
+    v.tau>_Gamma from its interface operator."""
+    return _scattered(elements, "matrix", _stokes_terms(elements, delta_s, xi))
 
 
 def _patterns(space):
@@ -265,26 +337,31 @@ def _patterns(space):
             "recover": derived(condense, lambda a: a.T, rb.swapaxes(1, 2), ko)}
 
 
-def _condensed(space, E, m):
-    """The condensed system of `SubdomainOperator` from `_stokes_terms`:
-    each element block loses its bubbles by a 2 x 2 inverse, and S sums the
-    (9, 9) remainders and the multiplier terms in the space's order."""
-    br = E[:, _BUBBLES[:, None], _REST]
-    inv = block_inverse(E[:, _BUBBLES[:, None], _BUBBLES])
-    up = E[:, _REST[:, None], _BUBBLES] @ inv                 # E_rb E_bb^-1
-    P = space.patterns
-    return (scatter(P["S"], E[:, _REST[:, None], _REST] - up @ br, m, -m),
-            scatter(P["condense"], -up, 1.0), scatter(P["direct"], inv),
-            scatter(P["recover"], -(inv @ br), 1.0))
+def _remainders(E, reduced):
+    """The (9, 9) remainders E_rr - E_rb E_bb^-1 E_br of the element blocks
+    `E` after the bubbles' elimination, with `reduced` their E_rb E_bb^-1
+    E_br."""
+    # a row-major gather: E[:, _REST[:, None], _REST] is laid out (9, 9, nt)
+    rest = np.take(E.reshape(len(E), 121), _REST_FLAT, axis=1).reshape(-1, 9, 9)
+    rest -= reduced
+    return rest
 
 
-def assemble_stokes_operator(space, nu, delta_s, xi_bar, iface):
-    """The `stokes_matrix` of the ensemble-mean slip coefficient `xi_bar`
-    and the StokesInterfaceInfo `iface`, with the bubbles condensed out of
-    each element block and the rest factorized in the space's order."""
-    E, m = _stokes_terms(space, nu, delta_s, xi_bar, iface)
-    return SubdomainOperator(scatter(space.patterns["matrix"], E, m, -m), space.free, space.fixed,
-                             partial(_condensed, space, E, m))
+def _condensed(elements, rest):
+    """The condensed system of `SubdomainOperator`: S from the `_remainders`
+    `rest` of the interface triangles' blocks, and the maps of
+    `elements`."""
+    return _scattered(elements, "S", rest), elements.condense, elements.direct, elements.recover
+
+
+def assemble_stokes_operator(elements, delta_s, xi_bar):
+    """The `stokes_matrix` of the StokesElements `elements` and the
+    ensemble-mean slip coefficient `xi_bar`, with the bubbles condensed out
+    of each element block and the rest factorized in the space's order."""
+    space = elements.space
+    E = _stokes_terms(elements, delta_s, xi_bar)
+    return SubdomainOperator(_scattered(elements, "matrix", E), space.free, space.fixed,
+                             partial(_condensed, elements, _remainders(E, elements.reduced)))
 
 
 def assemble_stokes_volume_rhs(space, f_S):

@@ -25,7 +25,8 @@ from ensddm.norms import error_rows, convergence_order
 from ensddm.robin_params import (FrequencyBand, frequency_band, optimized_delta_d,
                                  convergence_factor, worst_case_rho, symbol_iteration,
                                  measured_contraction)
-from ensddm.stokes_fem import build_stokes_space, stokes_matrix, StokesInterfaceInfo
+from ensddm.stokes_fem import (build_stokes_space, stokes_matrix, StokesElements,
+                               StokesInterfaceInfo)
 
 PI = np.pi
 
@@ -285,8 +286,9 @@ def test_criterion_10_reduction_invariants():
     # interface term touches no bubble dofs
     space = build_stokes_space(mesh_s)
     iface = StokesInterfaceInfo(space, pairing)
-    a1 = stokes_matrix(space, 1.0, 1.0, 0.3, iface)
-    a2 = stokes_matrix(space, 1.0, 2.0, 0.6, iface)
+    elements = StokesElements(space, 1.0, iface)
+    a1 = stokes_matrix(elements, 1.0, 0.3)
+    a2 = stokes_matrix(elements, 2.0, 0.6)
     diff = (a2 - a1).tocoo()
     nz = np.abs(diff.data) > 1e-14
     touched = set(diff.row[nz]) | set(diff.col[nz])

@@ -19,7 +19,8 @@ from ensddm.mesh import Rect, build_rect_mesh, pair_interface
 from ensddm.quadrature import triangle_rule
 from ensddm.random_field import RandomFieldSpec, draw_samples
 from ensddm.stokes_fem import (build_stokes_space, add_interface_rhs, interface_traces,
-                               edge_mass, interface_mass, stokes_matrix, StokesInterfaceInfo)
+                               edge_mass, interface_mass, stokes_matrix, StokesElements,
+                               StokesInterfaceInfo)
 
 
 def stokes_below():
@@ -267,7 +268,8 @@ def test_stokes_interface_terms_come_from_the_trace_map(geometry):
     space = build_stokes_space(ms)
     info = StokesInterfaceInfo(space, pairing)
     (d1, x1), (d2, x2) = (1.0, 0.3), (2.5, 1.1)
-    diff = stokes_matrix(space, 1.0, d2, x2, info) - stokes_matrix(space, 1.0, d1, x1, info)
+    elements = StokesElements(space, 1.0, info)
+    diff = stokes_matrix(elements, d2, x2) - stokes_matrix(elements, d1, x1)
     M = interface_mass(pairing)
     want = info.trace.T @ sp.block_diag(((d2 - d1) * M, (x2 - x1) * M)) @ info.trace
     assert rel(diff, want) <= 1e-14

@@ -9,8 +9,9 @@ from scipy.sparse.linalg import splu
 from ensddm import darcy_fem, stokes_fem
 from ensddm.bench_cli import channel_bc, channel_meshes, manufactured_meshes
 from ensddm.darcy_fem import build_darcy_space, darcy_element_blocks, DarcyInterfaceInfo
-from ensddm.sparsela import nested_dissection, positions
-from ensddm.stokes_fem import build_stokes_space, StokesInterfaceInfo
+from ensddm.sparsela import (SubdomainOperator, block_inverse, nested_dissection, positions,
+                             scatter)
+from ensddm.stokes_fem import build_stokes_space, StokesElements, StokesInterfaceInfo
 
 
 def _global_schur(H, P, Q, interior):
@@ -52,7 +53,13 @@ def _darcy(geometry, h):
 
 
 def _stokes_condensed(space, iface):
-    return stokes_fem._condensed(space, *stokes_fem._stokes_terms(space, 1.3, 2.0, 0.7, iface))
+    return _stokes_condensed_of(stokes_fem.StokesElements(space, 1.3, iface), 2.0, 0.7)
+
+
+def _stokes_condensed_of(elements, delta_s, xi):
+    """The condensed system and maps of the operator of `elements`."""
+    E = stokes_fem._stokes_terms(elements, delta_s, xi)
+    return stokes_fem._condensed(elements, stokes_fem._remainders(E, elements.reduced))
 
 
 def _darcy_blocks(space, iface):
@@ -64,7 +71,7 @@ def _darcy_blocks(space, iface):
 def test_stokes_element_condensation_matches_global_products(pin):
     space, iface = _stokes(1 / 8, pin)
     free = space.free
-    matrix = stokes_fem.stokes_matrix(space, 1.3, 2.0, 0.7, iface)
+    matrix = stokes_fem.stokes_matrix(stokes_fem.StokesElements(space, 1.3, iface), 2.0, 0.7)
     pos = np.full(space.n_dofs, -1)
     pos[free] = np.arange(len(free))
     Q = sp.csr_matrix((np.ones(len(free)), (free, np.arange(len(free)))),
@@ -217,8 +224,9 @@ def test_operator_builds_reuse_the_order_of_their_space(monkeypatch):
     orders = space_s.order, space_d.order
     patterns = [dict(space.patterns) for space in (space_s, space_d)]
     weight = np.ones(len(space_d.quad_weight))
+    elements = stokes_fem.StokesElements(space_s, 1.0, iface_s)
     for xi in (0.5, 0.7):
-        stokes_fem.assemble_stokes_operator(space_s, 1.0, 1.0, xi, iface_s)
+        stokes_fem.assemble_stokes_operator(elements, 1.0, xi)
         darcy_fem.assemble_darcy_operator(space_d, 1.0, weight * xi, 1.0, 2.0, iface_d)
     assert len(calls) == 2
     assert space_s.order is orders[0] and space_d.order is orders[1]
@@ -226,6 +234,81 @@ def test_operator_builds_reuse_the_order_of_their_space(monkeypatch):
     for space, before in zip((space_s, space_d), patterns):
         assert space.patterns.keys() == before.keys()
         assert all(space.patterns[k] is before[k] for k in before)
+
+
+def _stokes_built_anew(space, nu, delta_s, xi, iface):
+    """The oracle of the shared Stokes element data: one operator's matrix,
+    condensed system and maps with every element block and its bubble
+    elimination made anew, interface terms included."""
+    E = np.zeros((space.mesh.n_tris, 11, 11))
+    E[:, :8, :8] = stokes_fem.deformation_element_matrices(space, nu)
+    E[:, 8:, :8] = B = stokes_fem.div_element_matrices(space)
+    E[:, :8, 8:] = -B.transpose(0, 2, 1)
+    np.add.at(E, iface.slots, delta_s * iface.normal_mass + xi * iface.tangential_mass)
+    m, P = np.repeat(space.mesh.tri_area / 3.0, 3), space.patterns
+    bub, rest = np.array([3, 7]), np.array([0, 1, 2, 4, 5, 6, 8, 9, 10])
+    br = E[:, bub[:, None], rest]
+    inv = block_inverse(E[:, bub[:, None], bub])
+    up = E[:, rest[:, None], bub] @ inv
+    return (scatter(P["matrix"], E, m, -m),
+            (scatter(P["S"], E[:, rest[:, None], rest] - up @ br, m, -m),
+             scatter(P["condense"], -up, 1.0), scatter(P["direct"], inv),
+             scatter(P["recover"], -(inv @ br), 1.0)))
+
+
+def _same_csr(a, b):
+    return (a.shape == b.shape and np.array_equal(a.indptr, b.indptr)
+            and np.array_equal(a.indices, b.indices) and np.array_equal(a.data, b.data))
+
+
+def _stokes_pairing(geometry, h):
+    if geometry == "channel":
+        ms, _, pairing = channel_meshes(h)
+        bc = channel_bc()
+        space = build_stokes_space(ms, dirichlet_tags=bc.stokes_dirichlet_tags,
+                                   pressure_multiplier=bc.stokes_pressure_multiplier)
+    else:
+        ms, _, pairing = manufactured_meshes(h)
+        space = build_stokes_space(ms)
+    return space, StokesInterfaceInfo(space, pairing)
+
+
+@pytest.mark.parametrize("geometry", ["manufactured", "channel"])
+def test_shared_stokes_data_builds_what_a_whole_build_builds(geometry):
+    # one StokesElements serves operators of two (delta_s, xi) pairs; each
+    # output is bitwise that of the operator's own whole build
+    space, iface = _stokes_pairing(geometry, 1 / 8)
+    elements = StokesElements(space, 1.3, iface)
+    for delta_s, xi in ((1.0, 0.3), (2.5, 1.1)):
+        matrix, condensed = _stokes_built_anew(space, 1.3, delta_s, xi, iface)
+        want = SubdomainOperator(matrix, space.free, space.fixed, lambda: condensed)
+        got = _stokes_condensed_of(elements, delta_s, xi)
+        assert all(_same_csr(g, w) for g, w in zip(got, condensed))
+        assert _same_csr(stokes_fem.stokes_matrix(elements, delta_s, xi), matrix)
+        op = stokes_fem.assemble_stokes_operator(elements, delta_s, xi)
+        assert _same_csr(op.A_fd, want.A_fd)
+        assert op.probe_error == want.probe_error
+        # the operators share the run's maps
+        assert op._condense is elements.condense and op._recover is elements.recover
+
+
+def test_shared_stokes_data_follows_the_viscosity():
+    # the data is made from (space, nu, iface): another viscosity gives
+    # other data, each that of its own whole build
+    space, iface = _stokes_pairing("manufactured", 1 / 8)
+    a, b = StokesElements(space, 1.0, iface), StokesElements(space, 0.7, iface)
+    assert a.space is b.space and a.iface is b.iface and (a.nu, b.nu) == (1.0, 0.7)
+    for name in ("blocks", "reduced"):
+        assert not np.array_equal(getattr(a, name), getattr(b, name))
+    for name in ("matrix", "S"):
+        assert not np.array_equal(a.data[name], b.data[name])
+    for name in ("condense", "direct", "recover"):
+        assert not np.array_equal(getattr(a, name).data, getattr(b, name).data)
+    for elements in (a, b):
+        matrix, condensed = _stokes_built_anew(space, elements.nu, 2.0, 0.5, iface)
+        assert _same_csr(stokes_fem.stokes_matrix(elements, 2.0, 0.5), matrix)
+        got = _stokes_condensed_of(elements, 2.0, 0.5)
+        assert all(_same_csr(g, w) for g, w in zip(got, condensed))
 
 
 def test_darcy_dissection_fill_is_under_eight_tenths_of_minimum_degree():

@@ -1,4 +1,5 @@
 import warnings
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -18,7 +19,7 @@ from ensddm.ensemble_driver import (make_sample, make_context, BoundaryCondition
                                     check_converged_residual, _setup, sweep,
                                     stokes_dirichlet_values, _darcy_sample_rhs)
 from ensddm.interface_state import RobinTraceState
-from ensddm.stokes_fem import (build_stokes_space, StokesInterfaceInfo,
+from ensddm.stokes_fem import (build_stokes_space, StokesElements, StokesInterfaceInfo,
                                assemble_stokes_volume_rhs, stokes_matrix)
 from ensddm.darcy_fem import (build_darcy_space, DarcyInterfaceInfo, darcy_matrix,
                               inverse_diagonal)
@@ -26,13 +27,14 @@ from ensddm.mesh import Rect, build_rect_mesh, pair_interface
 from ensddm.norms import error_norms
 
 
-def spaces(mesh_s, mesh_d, pairing, bc):
-    """The Stokes and Darcy spaces a run builds for `bc`, and their
-    interface operators."""
+def run_data(ctx, mesh_s, mesh_d, pairing, bc):
+    """What a run of `ctx` builds for `bc` before its groups: the Stokes
+    element data (with its space and interface operator), the Darcy space
+    and its interface operator."""
     space_s = build_stokes_space(mesh_s, dirichlet_tags=bc.stokes_dirichlet_tags,
                                  pressure_multiplier=bc.stokes_pressure_multiplier)
     space_d = build_darcy_space(mesh_d, essential_tags=bc.darcy_essential_tags)
-    return (space_s, space_d, StokesInterfaceInfo(space_s, pairing),
+    return (StokesElements(space_s, ctx.nu, StokesInterfaceInfo(space_s, pairing)), space_d,
             DarcyInterfaceInfo(space_d, pairing))
 
 
@@ -59,7 +61,7 @@ def _monolithic_system(report, ctx, bc, j):
     dsum = ctx.delta_s + ctx.delta_d
     eye = sp.identity(n2)
     A = sp.bmat([
-        [stokes_matrix(space_s, ctx.nu, ctx.delta_s, sample.xi, info_s),
+        [stokes_matrix(StokesElements(space_s, ctx.nu, info_s), ctx.delta_s, sample.xi),
          sample.xi * info_s.load[:, n2:] @ info_d.tangential, -info_s.load[:, :n2], None],
         [None, darcy_matrix(space_d, ctx.g, inverse_diagonal(space_d, sample.K),
                             sample.k_min, ctx.delta_d, info_d), None, -info_d.load],
@@ -255,7 +257,8 @@ def test_lu_nnz_counts_both_factors_and_sums_over_baseline_samples():
     ctx, diag, mesh_s, mesh_d, pairing, bc, _ = small_setup(k_list=(2.21, 4.11))
     rep = run_ensemble_ddm(ctx, mesh_s, mesh_d, pairing, bc)
     kbar_w = inverse_diagonal(rep.space_d, MeanInverseField([s.K for s in ctx.samples]))
-    op_s = assemble_stokes_operator(rep.space_s, ctx.nu, ctx.delta_s, diag.xi_bar, rep.iface_s)
+    op_s = assemble_stokes_operator(StokesElements(rep.space_s, ctx.nu, rep.iface_s),
+                                    ctx.delta_s, diag.xi_bar)
     op_d = assemble_darcy_operator(rep.space_d, ctx.g, kbar_w, diag.kbar_min, ctx.delta_d,
                                    rep.iface_d)
     assert rep.lu_nnz == op_s.factorization.nnz + op_d.factorization.nnz > 0
@@ -319,6 +322,45 @@ def test_each_interface_operator_is_built_once_per_run(monkeypatch, run):
     assert [len(c) for c in calls] == [1, 1]
 
 
+@pytest.mark.parametrize("k_list", [(2.21,), (2.21, 4.11, 6.21, 8.5)])
+def test_baseline_builds_the_stokes_element_blocks_once(monkeypatch, k_list):
+    # the run's StokesElements serves every group, and the residual check
+    # makes its own once for all samples
+    from ensddm import stokes_fem
+    ctx, _, mesh_s, mesh_d, pairing, bc, _ = small_setup(k_list=k_list, h=1 / 4)
+    calls = [_count_calls(monkeypatch, stokes_fem, name)
+             for name in ("deformation_element_matrices", "div_element_matrices")]
+    report = run_traditional_ddm(ctx, mesh_s, mesh_d, pairing, bc)
+    assert [len(c) for c in calls] == [1, 1]
+    check_converged_residual(report, ctx, bc)
+    assert [len(c) for c in calls] == [2, 2]
+
+
+@pytest.mark.parametrize("run", [run_ensemble_ddm, run_traditional_ddm])
+def test_last_group_sweeps_without_the_stokes_element_data(monkeypatch, run):
+    # the run drops its StokesElements once the last group is set up, so
+    # the ensemble's one group never sweeps with it alive
+    from ensddm import ensemble_driver
+    made, alive = [], []
+
+    class Recorded(StokesElements):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(weakref.ref(self))
+
+    def watched(*args):
+        alive.append(made[0]() is not None)
+        return sweep(*args)
+
+    monkeypatch.setattr(ensemble_driver, "StokesElements", Recorded)
+    monkeypatch.setattr(ensemble_driver, "sweep", watched)
+    ctx, _, mesh_s, mesh_d, pairing, bc, _ = small_setup(k_list=(2.21, 4.11, 6.21), h=1 / 4)
+    report = run(ctx, mesh_s, mesh_d, pairing, bc)
+    assert len(made) == 1 and not alive[-1]
+    last = report.iterations[-1] if run is run_traditional_ddm else len(alive)
+    assert alive == [True] * (len(alive) - last) + [False] * last
+
+
 def test_inverse_diagonal_evaluated_once_per_sample(monkeypatch):
     # the group means and the lag weights share each sample's evaluation
     from ensddm import ensemble_driver
@@ -356,7 +398,7 @@ def test_one_sample_group_has_zero_lag_weights():
     samples, _, _ = channel_samples(ScenarioConfig(J=3), mesh_d)
     ctx, _ = make_context(samples)
     bc = channel_bc()
-    su, ratio = _setup(ctx, ctx.samples[1:2], *spaces(mesh_s, mesh_d, pairing, bc), bc,
+    su, ratio = _setup(ctx, ctx.samples[1:2], *run_data(ctx, mesh_s, mesh_d, pairing, bc), bc,
                        range(1, 2))
     assert su.lag_w.shape[1] == su.dxi.size == ratio.size == 1
     assert not su.lag_w.any() and not su.dxi.any() and not ratio.any()
@@ -585,7 +627,8 @@ def test_sweep_continues_a_cut_run_bitwise():
     cut, full = (run_ensemble_ddm(replace(ctx, max_iters=m), mesh_s, mesh_d, pairing, bc)
                  for m in (n, n + 1))
     assert not full.converged.any()
-    su, _ = _setup(ctx, ctx.samples, *spaces(mesh_s, mesh_d, pairing, bc), bc, range(ctx.J))
+    su, _ = _setup(ctx, ctx.samples, *run_data(ctx, mesh_s, mesh_d, pairing, bc), bc,
+                   range(ctx.J))
     state, us, ud, _ = sweep(su, cut.state, cut.ud.T)
     assert np.array_equal(us, full.us.T)
     assert np.array_equal(ud, full.ud.T)
@@ -598,7 +641,8 @@ def test_sweep_is_affine():
     samples, _, _ = channel_samples(ScenarioConfig(J=2), mesh_d)
     ctx, _ = make_context(samples, delta_s=1.0, delta_d=2.0)
     bc = channel_bc()
-    su, _ = _setup(ctx, ctx.samples, *spaces(mesh_s, mesh_d, pairing, bc), bc, range(ctx.J))
+    su, _ = _setup(ctx, ctx.samples, *run_data(ctx, mesh_s, mesh_d, pairing, bc), bc,
+                   range(ctx.J))
     rng = np.random.default_rng(5)
     shape = (2 * pairing.n_pairs, ctx.J)
     x, y = (RobinTraceState(*rng.standard_normal((3,) + shape)) for _ in range(2))

@@ -5,6 +5,7 @@ vector per call, the MINI basis and a sparse Darcy evaluation operator
 built in each call, and einsum contractions over (triangles, points).
 """
 
+import tracemalloc
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -14,7 +15,7 @@ import scipy.sparse as sp
 from ensddm import quadrature
 from ensddm.bench_cli import _SUBCOMMAND_DEFAULTS, manufactured_samples, run_manufactured
 from ensddm.manufactured import ManufacturedSolution
-from ensddm.norms import darcy_errors, error_norms, stokes_errors
+from ensddm.norms import PASS_COLUMNS, darcy_errors, error_norms, error_rows, stokes_errors
 from ensddm.stokes_fem import mini_basis
 
 from test_darcy_fem import _solve_subproblem as darcy_subproblem
@@ -141,6 +142,34 @@ def test_one_column_equals_its_row_of_the_block(cli_run):
         one = asdict(error_norms(report.space_s, report.space_d, report.us[j], report.ud[j],
                                  exact, H, j=j, iterations=int(report.iterations[j])))
         assert one == pytest.approx({key: rows[j][key] for key in one}, rel=1e-14, abs=0)
+
+
+def test_error_rows_evaluate_a_bounded_number_of_columns_at_once(cli_run):
+    # 24 columns, the run's 3 each scaled 8 ways, peak no higher than 8,
+    # but for the results of the finished passes (some 200 bytes a column;
+    # one pass over 24 columns would peak 3x as high), and give the values
+    # of one pass over all 24
+    _, report, exacts = cli_run
+    scale = 1.0 + 0.01 * np.arange(3 * PASS_COLUMNS)
+    us, ud = (np.tile(block.T, PASS_COLUMNS) * scale for block in (report.us, report.ud))
+    exacts = exacts * PASS_COLUMNS
+    peaks = []
+    tracemalloc.start()
+    try:
+        for k in (PASS_COLUMNS, 3 * PASS_COLUMNS):
+            rows = None
+            tracemalloc.reset_peak()
+            rows = error_rows(report.space_s, report.space_d, us[:, :k], ud[:, :k], exacts[:k],
+                              H, [0] * k)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+    finally:
+        tracemalloc.stop()
+    assert peaks[1] <= peaks[0] + 1024 * 2 * PASS_COLUMNS, peaks
+    one_pass = (stokes_errors(report.space_s, us, exacts)
+                + darcy_errors(report.space_d, ud, exacts))
+    names = ("err_us_l2", "err_us_h1", "err_ps_l2", "err_ud_l2", "err_ud_div", "err_phid_l2")
+    for name, want in zip(names, one_pass):
+        assert [getattr(row, name) for row in rows] == pytest.approx(want, rel=1e-13, abs=0)
 
 
 @pytest.mark.parametrize("n", [8, 16])

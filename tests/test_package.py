@@ -90,3 +90,21 @@ def test_each_element_basis_has_one_source():
                    for name, line in imports + list(_references(tree, strings=True))
                    if owners.get(name, path.name) != path.name]
     assert not others
+
+
+def test_only_the_shared_stokes_data_builds_the_element_blocks():
+    # every Stokes matrix of a run adds its interface terms to the blocks of
+    # the run's StokesElements; nothing else builds them
+    kernels = {"deformation_element_matrices", "div_element_matrices"}
+    others = []
+    for path in sorted(Path(ensddm.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        owner = [node for node in ast.walk(tree)
+                 if isinstance(node, ast.ClassDef) and node.name == "StokesElements"]
+        inside = {(name, line) for node in owner for name, line in _references(node, False)}
+        imports = [(node.name, node.lineno) for node in ast.walk(tree)
+                   if isinstance(node, ast.alias)]
+        others += [f"{path.name}:{line} {name}"
+                   for name, line in imports + list(_references(tree, strings=True))
+                   if name in kernels and (name, line) not in inside]
+    assert not others

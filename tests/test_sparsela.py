@@ -1,13 +1,23 @@
 import gc
 import weakref
+from functools import partial
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from scipy.sparse.linalg import LinearOperator, onenormest, spsolve, splu
 
-from ensddm.sparsela import (REFINE_ABOVE, SingularMatrixError, backward_error, block_inverse,
-                             factorize, factorization_count, quadratic_form)
+from ensddm.sparsela import (REFINE_ABOVE, SingularMatrixError, block_inverse, factorize,
+                             factorization_count, quadratic_form)
+
+
+def backward_error(a, x, b):
+    """Largest normwise backward error max|r| / (||a|| max|x| + max|b|)
+    over the columns of x (infinity norms, r = b - a x); the reference of
+    the operators' probe."""
+    r = np.abs(a @ x - b).max(axis=0)
+    a_norm = abs(a).sum(axis=1).max()
+    return (r / (a_norm * np.abs(x).max(axis=0) + np.abs(b).max(axis=0))).max()
 
 
 def test_identity_solve():
@@ -43,15 +53,19 @@ def test_matrix_builders_reject_nonpositive_or_nonfinite_coefficients(bad):
     # the coefficient checks stand in for a check of the assembled entries
     from ensddm.bench_cli import manufactured_meshes
     from ensddm.darcy_fem import DarcyInterfaceInfo, build_darcy_space, darcy_matrix
-    from ensddm.stokes_fem import StokesInterfaceInfo, build_stokes_space, stokes_matrix
+    from ensddm.stokes_fem import (StokesElements, StokesInterfaceInfo, build_stokes_space,
+                                   stokes_matrix)
     mesh_s, mesh_d, pairing = manufactured_meshes(1 / 2)
     space_s, space_d = build_stokes_space(mesh_s), build_darcy_space(mesh_d)
     iface_s, iface_d = StokesInterfaceInfo(space_s, pairing), DarcyInterfaceInfo(space_d, pairing)
-    stokes = dict(nu=1.0, delta_s=1.0, xi=0.5)
+    with pytest.raises(ValueError):
+        StokesElements(space_s, bad, iface_s)          # the viscosity
+    elements = StokesElements(space_s, 1.0, iface_s)
+    stokes = dict(delta_s=1.0, xi=0.5)
     darcy = dict(g=1.0, weight=1.0, k_min=1.0, delta_d=1.0)
     for name in stokes:
         with pytest.raises(ValueError):
-            stokes_matrix(space_s, iface=iface_s, **{**stokes, name: bad})
+            stokes_matrix(elements, **{**stokes, name: bad})
     for name in darcy:
         with pytest.raises(ValueError):
             darcy_matrix(space_d, iface=iface_d, **{**darcy, name: bad})
@@ -59,7 +73,7 @@ def test_matrix_builders_reject_nonpositive_or_nonfinite_coefficients(bad):
     weight[3] = bad
     with pytest.raises(ValueError):
         darcy_matrix(space_d, 1.0, weight, 1.0, 1.0, iface_d)
-    stokes_matrix(space_s, iface=iface_s, **{**stokes, "xi": 0.0})     # no slip is valid
+    stokes_matrix(elements, **{**stokes, "xi": 0.0})     # no slip is valid
 
 
 def test_structurally_singular_reports_row():
@@ -92,13 +106,14 @@ def _stokes_system(pressure_multiplier=True, nu=1.0, delta_s=1.0, xi=0.5, h=1 / 
     """The condensed Stokes operator and the free block of its stokes_matrix."""
     from ensddm.bench_cli import manufactured_meshes
     from ensddm.stokes_fem import (build_stokes_space, assemble_stokes_operator, stokes_matrix,
-                                   StokesInterfaceInfo)
+                                   StokesElements, StokesInterfaceInfo)
 
     ms, _, pairing = manufactured_meshes(h)
     space = build_stokes_space(ms, pressure_multiplier=pressure_multiplier)
     iface = StokesInterfaceInfo(space, pairing)
-    op = assemble_stokes_operator(space, nu, delta_s, xi, iface)
-    return op, _free_block(stokes_matrix(space, nu, delta_s, xi, iface), op)
+    elements = StokesElements(space, nu, iface)
+    op = assemble_stokes_operator(elements, delta_s, xi)
+    return op, _free_block(stokes_matrix(elements, delta_s, xi), op)
 
 
 def _darcy_system(k_inv=1.0, delta_d=2.0):
@@ -114,6 +129,41 @@ def _darcy_system(k_inv=1.0, delta_d=2.0):
     weight = np.full(len(space.quad_weight), k_inv)
     op = assemble_darcy_operator(space, 1.0, weight, 1.0 / k_inv, delta_d, iface)
     return op, _free_block(darcy_matrix(space, 1.0, weight, 1.0 / k_inv, delta_d, iface), op)
+
+
+@pytest.mark.parametrize("system", ["stokes", "darcy", "darcy_refined"])
+def test_probe_error_is_that_of_the_copied_free_block(system):
+    # the probe reads A_ff in the matrix; its error is bitwise the backward
+    # error against the copied block, also where it switches on refinement
+    from ensddm.sparsela import _PROBE_COLUMNS, _PROBE_SEED
+    op, A_ff = {"stokes": _stokes_system, "darcy": _darcy_system,
+                "darcy_refined": partial(_darcy_system, 1e-3, 100.0)}[system]()
+    b = np.zeros((op.n, _PROBE_COLUMNS))
+    b[op.free] = np.random.default_rng(_PROBE_SEED).standard_normal((len(op.free),
+                                                                     _PROBE_COLUMNS))
+    x = op._solve(b)
+    assert not x[op.fixed].any()
+    assert op.probe_error == backward_error(A_ff, x[op.free], b[op.free])
+    assert (op.probe_error > REFINE_ABOVE) == (system == "darcy_refined")
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_free_block_error_is_that_of_the_copied_block(seed):
+    # rows of several lengths, an empty one, and fixed rows and columns
+    # among them, the last row fixed; entries over twelve decades, so that
+    # a row summed in another order moves the norm
+    from ensddm.sparsela import _free_block_error
+    rng = np.random.default_rng(seed)
+    dense = rng.standard_normal((60, 60)) * (rng.random((60, 60)) < 0.4)
+    dense *= 10.0 ** rng.integers(-6, 7, (60, 60))
+    dense[7] = 0.0
+    a = sp.csr_matrix(dense)
+    fixed = np.flatnonzero((rng.random(60) < 0.3) & (np.arange(60) != 7) | (np.arange(60) == 59))
+    free = np.setdiff1d(np.arange(60), fixed)
+    x, b = rng.standard_normal((2, 60, 3))
+    x[fixed] = b[fixed] = 0.0
+    got = _free_block_error(a, a[:, fixed], free, fixed, x, b)
+    assert got == backward_error(a[free][:, free], x[free], b[free]) > 0
 
 
 def _stokes_factorization():
@@ -187,15 +237,16 @@ def test_saddle_point_roundtrip_reproduces_discrete_solution():
     # dof vector
     from ensddm.mesh import Rect, build_rect_mesh, pair_interface
     from ensddm.stokes_fem import (build_stokes_space, assemble_stokes_operator, stokes_matrix,
-                                   StokesInterfaceInfo)
+                                   StokesElements, StokesInterfaceInfo)
 
     ms = build_rect_mesh(Rect(0, 1, 0, 1), 4, 4, side_tags={"bottom": "INTERFACE"})
     md = build_rect_mesh(Rect(0, 1, -1, 0), 4, 4, side_tags={"top": "INTERFACE"})
     pairing = pair_interface(ms, md)
     space = build_stokes_space(ms)
     iface = StokesInterfaceInfo(space, pairing)
-    op = assemble_stokes_operator(space, 1.0, 1.0, 0.5, iface)
-    A_ff = _free_block(stokes_matrix(space, 1.0, 1.0, 0.5, iface), op)
+    elements = StokesElements(space, 1.0, iface)
+    op = assemble_stokes_operator(elements, 1.0, 0.5)
+    A_ff = _free_block(stokes_matrix(elements, 1.0, 0.5), op)
     rng = np.random.default_rng(21)
     x_star = rng.standard_normal(A_ff.shape[0])
     b = A_ff @ x_star
@@ -247,20 +298,19 @@ def test_condensed_stokes_solve_without_pressure_multiplier():
 
 def test_operator_drops_the_matrix_it_was_built_from():
     # a sweep reads the factor, not the assembled matrix
-    from functools import partial
-
     from ensddm.bench_cli import manufactured_meshes
     from ensddm.sparsela import SubdomainOperator
-    from ensddm.stokes_fem import (_condensed, _stokes_terms, build_stokes_space, stokes_matrix,
-                                   StokesInterfaceInfo)
+    from ensddm.stokes_fem import (_condensed, _remainders, _stokes_terms, build_stokes_space,
+                                   stokes_matrix, StokesElements, StokesInterfaceInfo)
 
     ms, _, pairing = manufactured_meshes(1 / 4)
     space = build_stokes_space(ms)
     iface = StokesInterfaceInfo(space, pairing)
-    matrix = stokes_matrix(space, 1.0, 1.0, 0.5, iface)
+    elements = StokesElements(space, 1.0, iface)
+    matrix = stokes_matrix(elements, 1.0, 0.5)
     ref = weakref.ref(matrix)
-    terms = _stokes_terms(space, 1.0, 1.0, 0.5, iface)
-    op = SubdomainOperator(matrix, space.free, space.fixed, partial(_condensed, space, *terms))
+    rest = _remainders(_stokes_terms(elements, 1.0, 0.5), elements.reduced)
+    op = SubdomainOperator(matrix, space.free, space.fixed, partial(_condensed, elements, rest))
     del matrix
     gc.collect()
     assert ref() is None
@@ -281,15 +331,16 @@ def _stokes_boundary_case():
     from ensddm.ensemble_driver import stokes_dirichlet_values
     from ensddm.manufactured import ManufacturedSolution
     from ensddm.stokes_fem import (build_stokes_space, assemble_stokes_operator, stokes_matrix,
-                                   StokesInterfaceInfo)
+                                   StokesElements, StokesInterfaceInfo)
 
     ms, _, pairing = manufactured_meshes(1 / 8)
     space = build_stokes_space(ms)
     iface = StokesInterfaceInfo(space, pairing)
+    elements = StokesElements(space, 1.0, iface)
     bc = manufactured_bc([ManufacturedSolution(k, k) for k in (0.5, 2.21)])
     g = np.column_stack([stokes_dirichlet_values(space, bc.stokes_values, j) for j in range(2)])
-    return (assemble_stokes_operator(space, 1.0, 1.0, 0.5, iface),
-            stokes_matrix(space, 1.0, 1.0, 0.5, iface), g)
+    return (assemble_stokes_operator(elements, 1.0, 0.5),
+            stokes_matrix(elements, 1.0, 0.5), g)
 
 
 def _darcy_boundary_case():
@@ -496,7 +547,7 @@ def test_probe_switches_on_refinement_only_where_the_solve_needs_it():
         resolve_delta_d, scenario_context
     from ensddm.darcy_fem import DarcyInterfaceInfo, build_darcy_space
     from ensddm.ensemble_driver import _setup
-    from ensddm.stokes_fem import StokesInterfaceInfo, build_stokes_space
+    from ensddm.stokes_fem import StokesElements, build_stokes_space, StokesInterfaceInfo
 
     op, A_ff = _darcy_system(1e-3, 100.0)
     assert op.probe_error > REFINE_ABOVE
@@ -512,8 +563,9 @@ def test_probe_switches_on_refinement_only_where_the_solve_needs_it():
     space_s = build_stokes_space(mesh_s, dirichlet_tags=bc.stokes_dirichlet_tags,
                                  pressure_multiplier=bc.stokes_pressure_multiplier)
     space_d = build_darcy_space(mesh_d, essential_tags=bc.darcy_essential_tags)
-    su, _ = _setup(ctx, ctx.samples, space_s, space_d, StokesInterfaceInfo(space_s, pairing),
-                   DarcyInterfaceInfo(space_d, pairing), bc, range(ctx.J))
+    su, _ = _setup(ctx, ctx.samples,
+                   StokesElements(space_s, ctx.nu, StokesInterfaceInfo(space_s, pairing)),
+                   space_d, DarcyInterfaceInfo(space_d, pairing), bc, range(ctx.J))
     assert su.op_d.probe_error <= REFINE_ABOVE
     assert su.op_s.probe_error <= REFINE_ABOVE
 
@@ -581,6 +633,29 @@ def test_pattern_matches_the_per_term_oracle(shape):
     # a term that keeps no entry
     empty = ([-1, 0], [0, -1])
     _assert_same_pattern(pattern(shape, empty), _pattern_oracle(shape, empty))
+
+
+@pytest.mark.parametrize("shape", [(7, 7), (5, 11), (12, 4)])
+def test_rescatter_of_changed_blocks_is_the_scatter(shape):
+    # blocks with dropped entries, repeated entries and triplet terms; the
+    # values span twelve decades, so a sum in another order shows
+    from ensddm.sparsela import pattern, reach, rescatter, scatter
+
+    rng = np.random.default_rng(sum(shape) + 1)
+    for _ in range(20):
+        terms = _random_terms(rng, shape)
+        pat = pattern(shape, *terms)
+        values = [rng.standard_normal(np.broadcast_shapes(*(np.shape(i) for i in t)))
+                  * 10.0 ** rng.integers(-6, 7) for t in terms]
+        changed = rng.choice(len(values[0]), rng.integers(0, len(values[0]) + 1), replace=False)
+        new = [values[0].copy(), *values[1:]]
+        new[0][changed] = rng.standard_normal(new[0][changed].shape)
+        reached = reach(pat, changed)
+        at = [np.broadcast_to(v, k.shape).ravel()[flat]
+              for (flat, _), k, v in zip(reached[1], pat[1], new)]
+        got = rescatter(pat, scatter(pat, *values).data, reached, *at)
+        want = scatter(pat, *new)
+        assert np.array_equal(got.data, want.data) and np.array_equal(got.indices, want.indices)
 
 
 def test_derived_patterns_match_the_oracle():

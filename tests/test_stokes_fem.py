@@ -6,7 +6,8 @@ from ensddm import quadrature
 from ensddm.mesh import Rect, build_rect_mesh, pair_interface
 from ensddm.stokes_fem import (build_stokes_space, assemble_stokes_operator,
                                assemble_stokes_volume_rhs, add_interface_rhs,
-                               edge_mass, mini_basis, stokes_matrix, StokesInterfaceInfo)
+                               edge_mass, mini_basis, stokes_matrix, StokesElements,
+                               StokesInterfaceInfo)
 from ensddm.manufactured import ManufacturedSolution
 from ensddm.norms import stokes_errors
 
@@ -132,8 +133,9 @@ def test_local_robin_block():
     ms, md, pairing = stacked(1, 1)
     sp = build_stokes_space(ms)
     iface = StokesInterfaceInfo(sp, pairing)
-    a1 = stokes_matrix(sp, 1.0, 1.0, 0.0, iface).toarray()
-    a2 = stokes_matrix(sp, 1.0, 3.0, 0.0, iface).toarray()
+    elements = StokesElements(sp, 1.0, iface)
+    a1 = stokes_matrix(elements, 1.0, 0.0).toarray()
+    a2 = stokes_matrix(elements, 3.0, 0.0).toarray()
     diff = (a2 - a1) / 2.0   # isolates the <u.n, v.n> edge term
     nodes = pairing.nodes_s[0]
     dofs = [sp.n_comp + nodes[0], sp.n_comp + nodes[1]]      # y components
@@ -146,8 +148,9 @@ def test_tangential_block_uses_x_components():
     ms, md, pairing = stacked(1, 1)
     sp = build_stokes_space(ms)
     iface = StokesInterfaceInfo(sp, pairing)
-    a1 = stokes_matrix(sp, 1.0, 1.0, 0.0, iface).toarray()
-    a2 = stokes_matrix(sp, 1.0, 1.0, 0.5, iface).toarray()
+    elements = StokesElements(sp, 1.0, iface)
+    a1 = stokes_matrix(elements, 1.0, 0.0).toarray()
+    a2 = stokes_matrix(elements, 1.0, 0.5).toarray()
     diff = (a2 - a1) / 0.5
     nodes = pairing.nodes_s[0]
     dofs = [nodes[0], nodes[1]]                               # x components
@@ -158,7 +161,7 @@ def test_matrix_symmetry():
     ms, _, pairing = stacked(4, 4)
     sp = build_stokes_space(ms)
     iface = StokesInterfaceInfo(sp, pairing)
-    a = stokes_matrix(sp, 0.7, 1.3, 0.4, iface)
+    a = stokes_matrix(StokesElements(sp, 0.7, iface), 1.3, 0.4)
     # physical signs: symmetric once the pressure columns are negated
     flip = np.ones(sp.n_dofs)
     flip[sp.n_velocity:sp.n_velocity + sp.n_pressure] = -1.0
@@ -170,8 +173,9 @@ def test_interface_term_touches_only_p1_dofs():
     ms, _, pairing = stacked(4, 4)
     sp = build_stokes_space(ms)
     iface = StokesInterfaceInfo(sp, pairing)
-    a1 = stokes_matrix(sp, 1.0, 1.0, 0.2, iface)
-    a2 = stokes_matrix(sp, 1.0, 2.0, 0.4, iface)
+    elements = StokesElements(sp, 1.0, iface)
+    a1 = stokes_matrix(elements, 1.0, 0.2)
+    a2 = stokes_matrix(elements, 2.0, 0.4)
     diff = (a2 - a1).tocoo()
     nz = np.abs(diff.data) > 1e-14
     touched = set(diff.row[nz]) | set(diff.col[nz])
@@ -185,9 +189,9 @@ def test_operator_rejects_bad_parameters():
     sp = build_stokes_space(ms)
     iface = StokesInterfaceInfo(sp, pairing)
     with pytest.raises(ValueError):
-        assemble_stokes_operator(sp, -1.0, 1.0, 0.0, iface)
+        StokesElements(sp, -1.0, iface)
     with pytest.raises(ValueError):
-        assemble_stokes_operator(sp, 1.0, 0.0, 0.0, iface)
+        assemble_stokes_operator(StokesElements(sp, 1.0, iface), 0.0, 0.0)
 
 
 def test_volume_quadrature_exact_vs_symbolic():
@@ -235,7 +239,7 @@ def _solve_subproblem(n, k=2.21, nu=1.0, delta_s=1.0):
     ms, _, pairing = stacked(n, n, width=PI)
     sp = build_stokes_space(ms)
     iface = StokesInterfaceInfo(sp, pairing)
-    op = assemble_stokes_operator(sp, nu, delta_s, xi, iface)
+    op = assemble_stokes_operator(StokesElements(sp, nu, iface), delta_s, xi)
     rhs = assemble_stokes_volume_rhs(sp, exact.f_S)
     g_n, g_t = _robin_data(exact, ms, pairing, delta_s, xi)
     add_interface_rhs(rhs, iface, g_n=g_n, g_tau=g_t)
@@ -283,7 +287,7 @@ def test_velocity_solution_invariant_under_joint_scaling():
     iface = StokesInterfaceInfo(sp, pairing)
     solutions = []
     for scale in (1.0, 2.0):
-        op = assemble_stokes_operator(sp, scale * 1.0, scale * 1.0, scale * xi, iface)
+        op = assemble_stokes_operator(StokesElements(sp, scale * 1.0, iface), scale * 1.0, scale * xi)
         g_n, g_t = _robin_data(exact, ms, pairing, 1.0, xi)
         rhs = np.zeros(sp.n_dofs)
         add_interface_rhs(rhs, iface, g_n=scale * g_n, g_tau=scale * g_t)
