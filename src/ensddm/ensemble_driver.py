@@ -154,8 +154,8 @@ class SolveReport:
     interface operators), the run's Stokes element data (`StokesElements`,
     with its bubble condensation) and each group's element blocks and
     matrices; t_factor each operator's condensed system (the Darcy element
-    condensation, the Stokes rescatter of S), factorization and probe
-    solve.  t_solve is the
+    condensation, the Stokes S from the run's data and its interface
+    terms), factorization and probe solve.  t_solve is the
     wall time of the loop; t_rhs, t_trisolve, t_trace and t_norm are its
     phases (right-hand sides; block solves with the Stokes boundary lift,
     the condensation and recovery maps and a refinement step where a probe
@@ -232,9 +232,9 @@ def run_traditional_ddm(ctx, mesh_s, mesh_d, pairing, bc, per_sample_stop=False)
     group of its own with its own operator pair (2J factorizations in
     total), run one after the other on the spaces, interface operators and
     Stokes element data of the run.  Per sample it builds what its
-    coefficients change: the Darcy blocks, the Stokes blocks of the
-    interface triangles and the entries they reach, and the two
-    factorizations."""
+    coefficients change: the Darcy blocks, the Stokes matrix and S from the
+    run's data plus the sample's slip term on the interface entries, and
+    the two factorizations."""
     return _run(ctx, 1, mesh_s, mesh_d, pairing, bc, per_sample_stop)
 
 
@@ -425,13 +425,17 @@ def check_converged_residual(report, ctx, bc):
     coefficients (xi_j, K_j^-1, k_j^min), formed equation by equation from
     the report's solutions and trace state and its interface operators:
 
-        Stokes rows   stokes_matrix(xi_j) u_S + xi_j load_tau (tangential u_D)
-                      - load_n g_S - b_S
+        Stokes rows   stokes_matrix(delta_S, 0) u_S - load_n g_S - b_S
+                      + xi_j load_tau (tangential u_D - trace_tau u_S)
         Darcy rows    darcy_matrix(K_j^-1, k_j^min) u_D - load_D g_D - b_D
         trace rows    g_S - g_D - (delta_S + delta_D) u_D.n_D + g z
                       g_D - g_S - (delta_S + delta_D) u_S.n_S - g z
 
-    with b_S, b_D the forcing and natural head data; the Stokes Dirichlet
+    with b_S, b_D the forcing and natural head data.  The slip term
+    xi_j <u.tau, v.tau> of each sample's Stokes matrix is -xi_j load_tau
+    trace_tau, so the Stokes rows of all samples share one matrix; the
+    per-sample Darcy matrices keep the check independent of the iteration's
+    lag terms.  The Stokes Dirichlet
     and Darcy essential rows are x - data instead (zero data on the
     essential rows).  Returns ||r_j|| / ||b_j|| per sample, b_j the
     right-hand side of all these rows (the trace rows' -g z and g z, the
@@ -449,11 +453,12 @@ def check_converged_residual(report, ctx, bc):
     b_s = np.column_stack([assemble_stokes_volume_rhs(space_s, s.f_S) for s in samples])
     b_d = np.column_stack([_darcy_sample_rhs(space_d, s, bc, j, ctx.g)
                            for j, s in enumerate(samples)])
-    elements = StokesElements(space_s, ctx.nu, info_s)
-    r_s = info_s.load @ np.concatenate([-g_S, xi * (info_d.tangential @ ud)]) - b_s
+    n2 = len(g_S)
+    slip = xi * (info_d.tangential @ ud - info_s.trace[n2:] @ us)
+    r_s = (stokes_matrix(StokesElements(space_s, ctx.nu, info_s), ctx.delta_s, 0.0) @ us
+           + info_s.load @ np.concatenate([-g_S, slip]) - b_s)
     r_d = -(info_d.load @ g_D) - b_d
     for j, s in enumerate(samples):
-        r_s[:, j] += stokes_matrix(elements, ctx.delta_s, s.xi) @ report.us[j]
         r_d[:, j] += darcy_matrix(space_d, ctx.g, inverse_diagonal(space_d, s.K), s.k_min,
                                   ctx.delta_d, info_d) @ report.ud[j]
     b_s[space_s.fixed] = np.column_stack([stokes_dirichlet_values(space_s, bc.stokes_values, j)
@@ -462,7 +467,6 @@ def check_converged_residual(report, ctx, bc):
     r_s[space_s.fixed] = us[space_s.fixed] - b_s[space_s.fixed]
     r_d[space_d.fixed] = ud[space_d.fixed]
     jump = g_S - g_D
-    n2 = len(jump)
     r = np.linalg.norm(np.vstack([r_s, r_d, jump - dsum * (info_d.normal @ ud) + gz,
                                   -jump - dsum * (info_s.trace[:n2] @ us) - gz]), axis=0)
     b = np.linalg.norm(np.vstack([b_s, b_d, np.full((2 * n2, J), gz)]), axis=0)

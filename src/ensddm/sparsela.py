@@ -10,11 +10,9 @@ free-flow triangle, and the six velocity copies and the head of each
 triangle of the hybridized Darcy system, are eliminated inside their
 element (`block_inverse`), and S and the maps of every solve are scatters
 of element blocks into sparsity patterns that each space makes once
-(`pattern`, `scatter`); a scatter whose values changed in a few element
-blocks is redone at the entries they reach alone (`reach`, `rescatter`).
-The unknowns of S come in a nested-dissection order of the mesh
-(`nested_dissection`), folded into those patterns, and `factorize`
-eliminates in that order.  Matrices are scipy CSR matrices, factors SuperLU
+(`pattern`, `scatter`).  The unknowns of S come in a nested-dissection
+order of the mesh (`nested_dissection`), folded into those patterns, and
+`factorize` eliminates in that order.  Matrices are scipy CSR matrices, factors SuperLU
 objects, and everything is float64.
 """
 
@@ -158,32 +156,6 @@ def scatter(pattern, *values):
     data = sum(np.bincount(k.ravel(), np.broadcast_to(v, k.shape).ravel(), len(indices) + 1)
                for k, v in zip(slots, values))
     return sp.csr_matrix((data[:-1], indices, indptr), shape=shape)
-
-
-def reach(pattern, blocks):
-    """The entries of a `pattern` that its first term's element blocks
-    `blocks` reach, and each term's contributions to them in `scatter`'s
-    order: flat indices into the term's values, with their entries'
-    positions."""
-    slots, nnz = pattern[1], len(pattern[2])
-    entries = np.setdiff1d(slots[0][blocks], nnz)          # the dropped slot aside
-    pos = np.full(nnz + 1, -1, dtype=np.int32)
-    pos[entries] = np.arange(len(entries))
-    at = [pos[k.ravel()] for k in slots]
-    return entries, [(np.flatnonzero(a >= 0), a[a >= 0]) for a in at]
-
-
-def rescatter(pattern, data, reached, *values):
-    """The CSR matrix of a `pattern` from `data`, the data of a `scatter`
-    into it, with the entries of the `reach` `reached` summed anew from
-    `values`, each term's values at its contributions to them: in
-    `scatter`'s order, so bitwise the scatter of values that differ from
-    those of `data` only in the reached blocks."""
-    shape, slots, indices, indptr = pattern
-    entries, terms = reached
-    data = data.copy()
-    data[entries] = sum(np.bincount(at, v, len(entries)) for (_, at), v in zip(terms, values))
-    return sp.csr_matrix((data, indices, indptr), shape=shape)
 
 
 def block_inverse(blocks):

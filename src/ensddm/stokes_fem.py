@@ -9,12 +9,12 @@ traces, lagged slip term, Dirichlet values) enters through the right-hand
 side only.  The two bubbles of each triangle couple only with each other and
 the triangle's P1 dofs, so the operator eliminates them in each element
 block (static condensation) before its one factorization, in the space's
-vertex order; solutions keep the full MINI dof layout.  No interface term
-touches a bubble, and only the blocks of the interface triangles differ
-between the matrices of a run, so the blocks and that elimination are made
-once per run (`StokesElements`), and each matrix of the run only adds its
-interface terms to a copy of those triangles' blocks and sums anew the
-entries they reach.
+vertex order; solutions keep the full MINI dof layout.  The matrix is
+affine in (delta_S, xi), and no interface term touches a bubble, so S is
+too: the data of both without interface terms, the interface entries per
+unit delta_S and per unit xi, and the condensation maps are made once per
+run (`StokesElements`), and each matrix of the run is that data plus
+delta_S and xi times the interface entries.
 
 Right-hand sides, solutions and interface traces of an ensemble travel as
 column blocks: a dof vector per sample becomes a column of an (n_dofs, k)
@@ -28,7 +28,7 @@ import scipy.sparse as sp
 
 from . import quadrature
 from .sparsela import (SubdomainOperator, block_inverse, derived, positions, nested_dissection,
-                       pattern, quadratic_form, reach, rescatter, scatter)
+                       pattern, quadratic_form, scatter)
 
 
 _EDGE_MASS = np.array([[2.0, 1.0], [1.0, 2.0]])
@@ -232,20 +232,19 @@ _REST_FLAT = (11 * _REST[:, None] + _REST).ravel()
 
 class StokesElements:
     """The element data of the Stokes matrices of a space, a viscosity `nu`
-    and the StokesInterfaceInfo `iface` that no Robin weight or slip
-    coefficient changes, made once per run and read by every `stokes_matrix`
-    and `assemble_stokes_operator` of it.
+    and the StokesInterfaceInfo `iface`, made once per run and read by every
+    `stokes_matrix` and `assemble_stokes_operator` of it.
 
-    The interface terms never touch a bubble (it vanishes on every edge), so
-    the bubble rows and columns of each element block are those of every
-    matrix of the run, and `condense`, `direct` and `recover` are the
-    condensation maps of every operator.  Only the blocks of the t interface
-    triangles differ between the matrices: `blocks` (t, 11, 11) holds them
-    without interface terms and `reduced` (t, 9, 9) what the rest of each
-    loses by the bubbles' elimination, E_rb E_bb^-1 E_br.  `data` holds the data of the matrix and of S without interface
-    terms, and `parts` what `rescatter` reads to sum anew the entries that
-    the interface triangles reach (`_part`); `weights` (3 nt,) are the
-    multiplier's.
+    Every such matrix is affine in the Robin weight delta_S and the slip
+    coefficient xi: the data without interface terms plus delta_S <u.n,
+    v.n> + xi <u.tau, v.tau>.  The interface terms never touch a bubble (it
+    vanishes on every edge), so the bubble rows and columns of each element
+    block are those of every matrix of the run, `condense`, `direct` and
+    `recover` are the condensation maps of every operator, and S is affine
+    in the same two terms.  `data` holds the data of the matrix and of S
+    without interface terms, and `interface[name]` (entries, normal,
+    tangential) the entries of `name` ("matrix" or "S") that the interface
+    terms reach, with their values per unit delta_S and per unit xi.
     """
 
     def __init__(self, space, nu, iface):
@@ -256,60 +255,45 @@ class StokesElements:
         E[:, :8, :8] = deformation_element_matrices(space, nu)
         E[:, 8:, :8] = B = div_element_matrices(space)
         E[:, :8, 8:] = -B.transpose(0, 2, 1)
-        self.weights = m = np.repeat(space.mesh.tri_area / 3.0, 3)
+        m = np.repeat(space.mesh.tri_area / 3.0, 3)      # the multiplier's weights
         br = E[:, _BUBBLES[:, None], _REST]
         inv = block_inverse(E[:, _BUBBLES[:, None], _BUBBLES])
         up = E[:, _REST[:, None], _BUBBLES] @ inv                 # E_rb E_bb^-1
-        reduced = up @ br
         P = space.patterns
         self.condense = scatter(P["condense"], -up, 1.0)
         self.direct = scatter(P["direct"], inv)
         self.recover = scatter(P["recover"], -(inv @ br), 1.0)
-        rest = _remainders(E, reduced)
+        # a row-major gather of the remainders E_rr - E_rb E_bb^-1 E_br:
+        # E[:, _REST[:, None], _REST] is laid out (9, 9, nt)
+        rest = np.take(E.reshape(len(E), 121), _REST_FLAT, axis=1).reshape(-1, 9, 9)
+        rest -= up @ br
         self.data = {"matrix": scatter(P["matrix"], E, m, -m).data,
                      "S": scatter(P["S"], rest, m, -m).data}
-        tris = np.unique(iface.slots[0])
-        self.parts = {"matrix": _part(P["matrix"], tris, E, m), "S": _part(P["S"], tris, rest, m)}
-        self.blocks, self.reduced = E[tris], reduced[tris]
-        # the interface slots in `blocks`
-        self.slots = (np.searchsorted(tris, iface.slots[0]), *iface.slots[1:])
+        # the interface slots in the element term of each pattern, S's in
+        # the (9, 9) remainders
+        tri, i, j = iface.slots
+        to_rest = positions(11, _REST)
+        self.interface = {}
+        for name, slots in (("matrix", (tri, i, j)), ("S", (tri, to_rest[i], to_rest[j]))):
+            entries, at = np.unique(P[name][1][0][slots], return_inverse=True)
+            normal, tangential = (np.bincount(at.ravel(), unit.ravel(), len(entries))
+                                  for unit in (iface.normal_mass, iface.tangential_mass))
+            kept = entries < len(P[name][2])      # S drops the Dirichlet endpoints
+            self.interface[name] = entries[kept], normal[kept], tangential[kept]
 
 
-def _part(pattern, tris, blocks, m):
-    """What `_scattered` reads of the matrices of a Stokes `pattern` (its
-    element term and the multiplier terms m and -m) whose element blocks
-    differ from `blocks` only at the triangles `tris`: the `reach` of those
-    blocks, each term's values at its contributions to the reached entries,
-    and of the element term's contributions those from `tris`, with their
-    flat places in the blocks of `tris`."""
-    reached = reach(pattern, tris)
-    (flat, _), (flat_pm, _), (flat_mp, _) = reached[1]
-    tri, local = np.divmod(flat, blocks[0].size)
-    mine = np.flatnonzero(np.isin(tri, tris))
-    return (reached, (blocks.ravel()[flat], m[flat_pm], -m[flat_mp]), mine,
-            np.searchsorted(tris, tri[mine]) * blocks[0].size + local[mine])
-
-
-def _scattered(elements, name, blocks):
-    """The matrix `name` ("matrix" or "S") of `elements` whose element
-    blocks are `blocks` at its interface triangles and the run's
-    elsewhere."""
-    reached, (first, *others), mine, at = elements.parts[name]
-    first = first.copy()
-    first[mine] = blocks.ravel()[at]
-    return rescatter(elements.space.patterns[name], elements.data[name], reached, first, *others)
-
-
-def _stokes_terms(elements, delta_s, xi):
-    """The element blocks of `stokes_matrix` at the interface triangles:
-    a copy of `elements.blocks` with the interface terms added."""
+def _affine(elements, name, delta_s, xi):
+    """The matrix `name` ("matrix" or "S") of `elements` with the interface
+    terms delta_s <u.n, v.n> + xi <u.tau, v.tau>."""
     if not 0 < delta_s < np.inf:                 # NaN fails this too
         raise ValueError("delta_s must be positive and finite")
     if not 0 <= xi < np.inf:
         raise ValueError("the slip coefficient xi must be nonnegative and finite")
-    iface, E = elements.iface, elements.blocks.copy()
-    np.add.at(E, elements.slots, delta_s * iface.normal_mass + xi * iface.tangential_mass)
-    return E
+    entries, normal, tangential = elements.interface[name]
+    data = elements.data[name].copy()
+    data[entries] += delta_s * normal + xi * tangential
+    shape, _, indices, indptr = elements.space.patterns[name]
+    return sp.csr_matrix((data, indices, indptr), shape=shape)
 
 
 def stokes_matrix(elements, delta_s, xi):
@@ -318,7 +302,7 @@ def stokes_matrix(elements, delta_s, xi):
     continuity rows (q, div u), the pressure-mean multiplier's row -(1, p)
     when the space has one, and delta_s <u.n, v.n>_Gamma + xi <u.tau,
     v.tau>_Gamma from its interface operator."""
-    return _scattered(elements, "matrix", _stokes_terms(elements, delta_s, xi))
+    return _affine(elements, "matrix", delta_s, xi)
 
 
 def _patterns(space):
@@ -337,21 +321,11 @@ def _patterns(space):
             "recover": derived(condense, lambda a: a.T, rb.swapaxes(1, 2), ko)}
 
 
-def _remainders(E, reduced):
-    """The (9, 9) remainders E_rr - E_rb E_bb^-1 E_br of the element blocks
-    `E` after the bubbles' elimination, with `reduced` their E_rb E_bb^-1
-    E_br."""
-    # a row-major gather: E[:, _REST[:, None], _REST] is laid out (9, 9, nt)
-    rest = np.take(E.reshape(len(E), 121), _REST_FLAT, axis=1).reshape(-1, 9, 9)
-    rest -= reduced
-    return rest
-
-
-def _condensed(elements, rest):
-    """The condensed system of `SubdomainOperator`: S from the `_remainders`
-    `rest` of the interface triangles' blocks, and the maps of
-    `elements`."""
-    return _scattered(elements, "S", rest), elements.condense, elements.direct, elements.recover
+def _condensed(elements, delta_s, xi):
+    """The condensed system of `SubdomainOperator`: S with the interface
+    terms delta_s and xi, and the maps of `elements`."""
+    S = _affine(elements, "S", delta_s, xi)
+    return S, elements.condense, elements.direct, elements.recover
 
 
 def assemble_stokes_operator(elements, delta_s, xi_bar):
@@ -359,9 +333,8 @@ def assemble_stokes_operator(elements, delta_s, xi_bar):
     ensemble-mean slip coefficient `xi_bar`, with the bubbles condensed out
     of each element block and the rest factorized in the space's order."""
     space = elements.space
-    E = _stokes_terms(elements, delta_s, xi_bar)
-    return SubdomainOperator(_scattered(elements, "matrix", E), space.free, space.fixed,
-                             partial(_condensed, elements, _remainders(E, elements.reduced)))
+    return SubdomainOperator(stokes_matrix(elements, delta_s, xi_bar), space.free, space.fixed,
+                             partial(_condensed, elements, delta_s, xi_bar))
 
 
 def assemble_stokes_volume_rhs(space, f_S):

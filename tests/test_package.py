@@ -93,8 +93,8 @@ def test_each_element_basis_has_one_source():
 
 
 def test_only_the_shared_stokes_data_builds_the_element_blocks():
-    # every Stokes matrix of a run adds its interface terms to the blocks of
-    # the run's StokesElements; nothing else builds them
+    # every Stokes matrix of a run is the data of the run's StokesElements
+    # plus its interface terms; nothing else builds the element blocks
     kernels = {"deformation_element_matrices", "div_element_matrices"}
     others = []
     for path in sorted(Path(ensddm.__file__).parent.glob("*.py")):
@@ -107,4 +107,22 @@ def test_only_the_shared_stokes_data_builds_the_element_blocks():
         others += [f"{path.name}:{line} {name}"
                    for name, line in imports + list(_references(tree, strings=True))
                    if name in kernels and (name, line) not in inside]
+    assert not others
+
+
+def test_only_the_shared_stokes_data_reads_the_interface_terms():
+    # the unit-weight interface terms enter every Stokes matrix through the
+    # builder of StokesElements alone, the one source of their entries
+    terms = {"normal_mass", "tangential_mass"}
+    others = []
+    for path in sorted(Path(ensddm.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        builder = [node for cls in ast.walk(tree)
+                   if isinstance(cls, ast.ClassDef) and cls.name == "StokesElements"
+                   for node in cls.body
+                   if isinstance(node, ast.FunctionDef) and node.name == "__init__"]
+        inside = {id(node) for fn in builder for node in ast.walk(fn)}
+        others += [f"{path.name}:{node.lineno} {node.attr}" for node in ast.walk(tree)
+                   if isinstance(node, ast.Attribute) and node.attr in terms
+                   and isinstance(node.ctx, ast.Load) and id(node) not in inside]
     assert not others

@@ -300,8 +300,8 @@ def test_operator_drops_the_matrix_it_was_built_from():
     # a sweep reads the factor, not the assembled matrix
     from ensddm.bench_cli import manufactured_meshes
     from ensddm.sparsela import SubdomainOperator
-    from ensddm.stokes_fem import (_condensed, _remainders, _stokes_terms, build_stokes_space,
-                                   stokes_matrix, StokesElements, StokesInterfaceInfo)
+    from ensddm.stokes_fem import (_condensed, build_stokes_space, stokes_matrix, StokesElements,
+                                   StokesInterfaceInfo)
 
     ms, _, pairing = manufactured_meshes(1 / 4)
     space = build_stokes_space(ms)
@@ -309,8 +309,8 @@ def test_operator_drops_the_matrix_it_was_built_from():
     elements = StokesElements(space, 1.0, iface)
     matrix = stokes_matrix(elements, 1.0, 0.5)
     ref = weakref.ref(matrix)
-    rest = _remainders(_stokes_terms(elements, 1.0, 0.5), elements.reduced)
-    op = SubdomainOperator(matrix, space.free, space.fixed, partial(_condensed, elements, rest))
+    op = SubdomainOperator(matrix, space.free, space.fixed,
+                           partial(_condensed, elements, 1.0, 0.5))
     del matrix
     gc.collect()
     assert ref() is None
@@ -633,29 +633,6 @@ def test_pattern_matches_the_per_term_oracle(shape):
     # a term that keeps no entry
     empty = ([-1, 0], [0, -1])
     _assert_same_pattern(pattern(shape, empty), _pattern_oracle(shape, empty))
-
-
-@pytest.mark.parametrize("shape", [(7, 7), (5, 11), (12, 4)])
-def test_rescatter_of_changed_blocks_is_the_scatter(shape):
-    # blocks with dropped entries, repeated entries and triplet terms; the
-    # values span twelve decades, so a sum in another order shows
-    from ensddm.sparsela import pattern, reach, rescatter, scatter
-
-    rng = np.random.default_rng(sum(shape) + 1)
-    for _ in range(20):
-        terms = _random_terms(rng, shape)
-        pat = pattern(shape, *terms)
-        values = [rng.standard_normal(np.broadcast_shapes(*(np.shape(i) for i in t)))
-                  * 10.0 ** rng.integers(-6, 7) for t in terms]
-        changed = rng.choice(len(values[0]), rng.integers(0, len(values[0]) + 1), replace=False)
-        new = [values[0].copy(), *values[1:]]
-        new[0][changed] = rng.standard_normal(new[0][changed].shape)
-        reached = reach(pat, changed)
-        at = [np.broadcast_to(v, k.shape).ravel()[flat]
-              for (flat, _), k, v in zip(reached[1], pat[1], new)]
-        got = rescatter(pat, scatter(pat, *values).data, reached, *at)
-        want = scatter(pat, *new)
-        assert np.array_equal(got.data, want.data) and np.array_equal(got.indices, want.indices)
 
 
 def test_derived_patterns_match_the_oracle():

@@ -3,11 +3,12 @@ import pytest
 import scipy.sparse
 
 from ensddm import quadrature
+from ensddm.bench_cli import channel_bc, channel_meshes, manufactured_meshes
 from ensddm.mesh import Rect, build_rect_mesh, pair_interface
 from ensddm.stokes_fem import (build_stokes_space, assemble_stokes_operator,
                                assemble_stokes_volume_rhs, add_interface_rhs,
                                edge_mass, mini_basis, stokes_matrix, StokesElements,
-                               StokesInterfaceInfo)
+                               StokesInterfaceInfo, _condensed)
 from ensddm.manufactured import ManufacturedSolution
 from ensddm.norms import stokes_errors
 
@@ -182,6 +183,38 @@ def test_interface_term_touches_only_p1_dofs():
     nv = ms.n_verts
     p1_dofs = set(range(nv)) | set(range(sp.n_comp, sp.n_comp + nv))
     assert touched <= p1_dofs
+
+
+def _manufactured_or_channel(geometry):
+    """The Stokes space and interface operator of a benchmark mesh at h=1/8;
+    the channel's interface ends on Dirichlet walls."""
+    if geometry == "channel":
+        ms, _, pairing = channel_meshes(1 / 8)
+        bc = channel_bc()
+        sp = build_stokes_space(ms, dirichlet_tags=bc.stokes_dirichlet_tags,
+                                pressure_multiplier=bc.stokes_pressure_multiplier)
+    else:
+        ms, _, pairing = manufactured_meshes(1 / 8)
+        sp = build_stokes_space(ms)
+    return sp, StokesInterfaceInfo(sp, pairing)
+
+
+@pytest.mark.parametrize("geometry", ["manufactured", "channel"])
+def test_stokes_matrix_is_affine_in_the_interface_coefficients(geometry):
+    # matrices and condensed systems of two (delta_s, xi) pairs differ only
+    # at the interface entries, and the slip term xi <u.tau, v.tau> is
+    # -xi load_tau trace_tau, which the residual check relies on
+    sp, iface = _manufactured_or_channel(geometry)
+    elements = StokesElements(sp, 1.3, iface)
+    pairs = ((1.0, 0.3), (2.5, 1.1))
+    for name, build in (("matrix", stokes_matrix), ("S", lambda *a: _condensed(*a)[0])):
+        a, b = (build(elements, delta_s, xi) for delta_s, xi in pairs)
+        changed = np.flatnonzero(a.data != b.data)
+        assert changed.size and np.isin(changed, elements.interface[name][0]).all()
+    n2 = iface.trace.shape[0] // 2
+    slip = stokes_matrix(elements, 1.7, 0.6) - stokes_matrix(elements, 1.7, 0.0)
+    want = -0.6 * iface.load[:, n2:] @ iface.trace[n2:]
+    assert abs(slip - want).max() <= 1e-14 * abs(want).max()
 
 
 def test_operator_rejects_bad_parameters():
