@@ -45,6 +45,7 @@ CSV_COLUMNS = ["scenario", "h", "j", "iterations", "err_us_l2", "err_us_h1",
                "t_trace_ms", "t_norm_ms", "lu_nnz", "lag_ratio", "converged"]
 
 SCENARIOS = ("manufactured", "small_k", "channel_mc", "symbol_sweep")
+SYMBOL_CASES = 20          # the random parameter tuples of run_symbol_validation
 
 
 class ConfigError(ValueError):
@@ -432,10 +433,9 @@ def run_timing_comparison(cfg, h, J):
                 lu_nnz_ensemble=rep_e.lu_nnz, lu_nnz_traditional=rep_t.lu_nnz), rep_e, rep_t, ctx
 
 
-def run_symbol_sweep(cfg, L=np.pi, h=None):
+def run_symbol_sweep(cfg):
     """rho_max over a (delta_s, delta_d) grid around the optimizer."""
-    h = h or cfg.h_list[0]
-    band = frequency_band(L, h)
+    band = frequency_band(np.pi, cfg.h_list[0])
     rows = []
     for ds in cfg.sweep_delta_s:
         dstar = optimized_delta_d(ds, cfg.nu, band)
@@ -448,12 +448,12 @@ def run_symbol_sweep(cfg, L=np.pi, h=None):
     return rows
 
 
-def run_symbol_validation(cfg, n_cases=20):
+def run_symbol_validation(cfg):
     """Measured two-step contraction of the interface recursion vs the
-    closed-form factor, over seeded random parameter tuples."""
+    closed-form factor, over SYMBOL_CASES seeded random parameter tuples."""
     rng = np.random.default_rng(cfg.seed)
     rows = []
-    for case in range(n_cases):
+    for case in range(SYMBOL_CASES):
         delta_s = float(rng.uniform(0.05, 5.0))
         delta_d = float(rng.uniform(0.05, 5.0))
         nu = float(rng.uniform(0.2, 3.0))

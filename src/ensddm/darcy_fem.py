@@ -207,8 +207,8 @@ class DarcyInterfaceInfo:
     tangential  (2 n_pairs, n_dofs)  u -> element-sided u.tau
     load        (n_dofs, 2 n_pairs)  g_D -> -<g_D, v.n_D>, i.e. minus the
                                      transposed normal trace times the edge mass
-    robin       <u.n_D, v.n_D> at the element-block `slots` (triangle, local
-                dof, local dof): an interface dof has one copy
+    robin       <u.n_D, v.n_D> = -load normal at the element-block `slots`
+                (triangle, local dof, local dof): an interface dof has one copy
     """
 
     def __init__(self, space, pairing):
@@ -232,7 +232,7 @@ class DarcyInterfaceInfo:
             shape=shape)
         mass = interface_mass(pairing)
         self.load = -(self.normal.T @ mass).tocsr()
-        robin = (self.normal.T @ mass @ self.normal).tocoo()
+        robin = -(self.load @ self.normal).tocoo()
         row, col = space.copy_of[robin.row], space.copy_of[robin.col]
         self.slots = (row // 7, row % 7, col % 7)
         self.robin = robin.data

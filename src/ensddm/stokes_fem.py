@@ -12,9 +12,9 @@ block (static condensation) before its one factorization, in the space's
 vertex order; solutions keep the full MINI dof layout.  The matrix is
 affine in (delta_S, xi), and no interface term touches a bubble, so S is
 too: the data of both without interface terms, the interface entries per
-unit delta_S and per unit xi, and the condensation maps are made once per
-run (`StokesElements`), and each matrix of the run is that data plus
-delta_S and xi times the interface entries.
+unit delta_S and per unit xi (-load trace of the interface operator), and
+the condensation maps are made once per run (`StokesElements`), and each
+matrix of the run is that data plus delta_S and xi times those entries.
 
 Right-hand sides, solutions and interface traces of an ensemble travel as
 column blocks: a dof vector per sample becomes a column of an (n_dofs, k)
@@ -164,37 +164,26 @@ def build_stokes_space(mesh, dirichlet_tags=None, pressure_multiplier=True):
 
 class StokesInterfaceInfo:
     """Free-flow side of the interface pairing, the one source of every
-    Stokes interface term, all placed at one lookup of each endpoint's
-    element-block slots (interface edge's triangle, local velocity dof).
+    Stokes interface term, read off the endpoints' nodal velocity dofs
+    (component c of vertex v is dof c n_comp + v).
 
     `trace` (4 n_pairs, n_dofs) maps dof vectors to the endpoint values of
     u.n_S (rows 0 .. 2 n_pairs - 1) and u.tau (the rest).  `load`
     (n_dofs, 4 n_pairs) maps endpoint traces [g_n; g_tau] to
     -<g_n, v.n_S> - <g_tau, v.tau>; it is minus the transposed trace times
-    the edge mass.  `normal_mass` and `tangential_mass` [p, i, j, c, d] are
-    the element terms <u.n_S, v.n_S> and <u.tau, v.tau> at `slots`: edge
-    mass (i, j) of pair p times direction components c and d."""
+    the edge mass, so the matrix terms <u.n_S, v.n_S> and <u.tau, v.tau>
+    are minus each half of `load` times that half of `trace`."""
 
     def __init__(self, space, pairing):
-        mesh = space.mesh
-        tri = mesh.edge_tris[pairing.pairs[:, 0], 0]
-        # local vertex of each x-ordered endpoint, then its local dof per component
-        m = np.argmax(mesh.tris[tri][:, None, :] == pairing.nodes_s[:, :, None], axis=2)
-        loc = 4 * np.arange(2) + m[:, :, None]                     # (pair, i, c)
-        self.slots = (tri[:, None, None, None, None], loc[:, :, None, :, None],
-                      loc[:, None, :, None, :])
         # row (block, 2p+i): component c of endpoint i times direction (n_S, tau) c
         n2 = 2 * pairing.n_pairs
-        dofs = space.vel_elem_dofs[tri[:, None, None], loc].ravel()
+        dofs = (pairing.nodes_s[:, :, None] + space.n_comp * np.arange(2)).ravel()
         self.trace = sp.csr_matrix(
             (np.repeat([pairing.n_s, pairing.tau], n2, axis=0).ravel(),
              (np.repeat(np.arange(2 * n2), 2), np.tile(dofs, 2))), shape=(2 * n2, space.n_dofs))
         self.trace.eliminate_zeros()          # a direction along an axis reads one component
         mass = interface_mass(pairing)
         self.load = -(self.trace.T @ sp.block_diag((mass, mass))).tocsr()
-        pair_mass = edge_mass(pairing.lengths[:, None, None])[:, :, :, None, None]
-        self.normal_mass = pair_mass * np.outer(pairing.n_s, pairing.n_s)
-        self.tangential_mass = pair_mass * np.outer(pairing.tau, pairing.tau)
 
 
 def deformation_element_matrices(space, nu):
@@ -224,10 +213,8 @@ def div_element_matrices(space):
     return B.reshape(nt, 3, 4, 2).transpose(0, 1, 3, 2).reshape(nt, 3, 8)
 
 
-# the bubbles of an element block, its other local dofs, and the flat
-# positions of their (9, 9) part in a block
+# the bubbles of an element block and its other local dofs
 _BUBBLES, _REST = np.array([3, 7]), np.array([0, 1, 2, 4, 5, 6, 8, 9, 10])
-_REST_FLAT = (11 * _REST[:, None] + _REST).ravel()
 
 
 class StokesElements:
@@ -242,9 +229,9 @@ class StokesElements:
     block are those of every matrix of the run, `condense`, `direct` and
     `recover` are the condensation maps of every operator, and S is affine
     in the same two terms.  `data` holds the data of the matrix and of S
-    without interface terms, and `interface[name]` (entries, normal,
-    tangential) the entries of `name` ("matrix" or "S") that the interface
-    terms reach, with their values per unit delta_S and per unit xi.
+    without interface terms, and `interface[name]` the (entries, values)
+    in `name` ("matrix" or "S") of the normal term per unit delta_S and of
+    the tangential term per unit xi, each -load trace on its half of `iface`.
     """
 
     def __init__(self, space, nu, iface):
@@ -263,35 +250,32 @@ class StokesElements:
         self.condense = scatter(P["condense"], -up, 1.0)
         self.direct = scatter(P["direct"], inv)
         self.recover = scatter(P["recover"], -(inv @ br), 1.0)
-        # a row-major gather of the remainders E_rr - E_rb E_bb^-1 E_br:
-        # E[:, _REST[:, None], _REST] is laid out (9, 9, nt)
-        rest = np.take(E.reshape(len(E), 121), _REST_FLAT, axis=1).reshape(-1, 9, 9)
-        rest -= up @ br
+        rest = E[:, _REST[:, None], _REST] - up @ br        # E_rr - E_rb E_bb^-1 E_br
         self.data = {"matrix": scatter(P["matrix"], E, m, -m).data,
                      "S": scatter(P["S"], rest, m, -m).data}
-        # the interface slots in the element term of each pattern, S's in
-        # the (9, 9) remainders
-        tri, i, j = iface.slots
-        to_rest = positions(11, _REST)
+        # each interface term's entries in a pattern, found in a matrix of
+        # the pattern whose data are the entry numbers; S's restriction to
+        # the order drops the Dirichlet endpoints
+        n2, o = iface.trace.shape[0] // 2, space.order
+        units = [-(iface.load[:, k] @ iface.trace[k]) for k in (slice(n2), slice(n2, None))]
         self.interface = {}
-        for name, slots in (("matrix", (tri, i, j)), ("S", (tri, to_rest[i], to_rest[j]))):
-            entries, at = np.unique(P[name][1][0][slots], return_inverse=True)
-            normal, tangential = (np.bincount(at.ravel(), unit.ravel(), len(entries))
-                                  for unit in (iface.normal_mass, iface.tangential_mass))
-            kept = entries < len(P[name][2])      # S drops the Dirichlet endpoints
-            self.interface[name] = entries[kept], normal[kept], tangential[kept]
+        for name, terms in (("matrix", units), ("S", [u[o][:, o] for u in units])):
+            number = sp.csr_matrix((np.arange(len(P[name][2])), *P[name][2:]), P[name][0])
+            self.interface[name] = tuple((np.asarray(number[t.row, t.col]).ravel(), t.data)
+                                         for t in map(sp.coo_matrix, terms))
 
 
 def _affine(elements, name, delta_s, xi):
     """The matrix `name` ("matrix" or "S") of `elements` with the interface
-    terms delta_s <u.n, v.n> + xi <u.tau, v.tau>."""
+    terms delta_s <u.n, v.n> + xi <u.tau, v.tau>: delta_s and xi times each
+    term's values added at its entries."""
     if not 0 < delta_s < np.inf:                 # NaN fails this too
         raise ValueError("delta_s must be positive and finite")
     if not 0 <= xi < np.inf:
         raise ValueError("the slip coefficient xi must be nonnegative and finite")
-    entries, normal, tangential = elements.interface[name]
     data = elements.data[name].copy()
-    data[entries] += delta_s * normal + xi * tangential
+    for (entries, values), weight in zip(elements.interface[name], (delta_s, xi)):
+        data[entries] += weight * values
     shape, _, indices, indptr = elements.space.patterns[name]
     return sp.csr_matrix((data, indices, indptr), shape=shape)
 

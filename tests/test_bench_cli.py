@@ -143,7 +143,7 @@ def test_symbol_sweep_contains_optimum():
 
 def test_symbol_validation_rows():
     cfg = ScenarioConfig(seed=3)
-    rows = run_symbol_validation(cfg, n_cases=20)
+    rows = run_symbol_validation(cfg)
     assert len(rows) == 20
     assert max(r["abs_diff"] for r in rows) <= 1e-8
 

@@ -230,15 +230,33 @@ def test_operator_builds_reuse_the_order_of_their_space(monkeypatch):
         assert all(space.patterns[k] is before[k] for k in before)
 
 
-def _stokes_built_anew(space, nu, delta_s, xi, iface):
+def _interface_element_terms(space, pairing):
+    """The element terms <u.n_S, v.n_S> and <u.tau, v.tau> [p, i, j, c, d]
+    of the interface, from the pairing's geometry alone, and their slots
+    (the interface edge's triangle, local velocity dof, local velocity
+    dof): edge mass (i, j) of pair p times direction components c and d."""
+    mesh = space.mesh
+    tri = mesh.edge_tris[pairing.pairs[:, 0], 0]
+    # local vertex of each x-ordered endpoint, then its local dof per component
+    m = np.argmax(mesh.tris[tri][:, None, :] == pairing.nodes_s[:, :, None], axis=2)
+    loc = 4 * np.arange(2) + m[:, :, None]                     # (pair, i, c)
+    slots = (tri[:, None, None, None, None], loc[:, :, None, :, None], loc[:, None, :, None, :])
+    mass = stokes_fem.edge_mass(pairing.lengths[:, None, None])[:, :, :, None, None]
+    return (slots, mass * np.outer(pairing.n_s, pairing.n_s),
+            mass * np.outer(pairing.tau, pairing.tau))
+
+
+def _stokes_built_anew(space, nu, delta_s, xi, pairing):
     """The oracle of the shared Stokes element data: one operator's matrix,
     condensed system and maps with every element block and its bubble
-    elimination made anew, interface terms included."""
+    elimination made anew, interface terms included, these from the
+    pairing's geometry rather than the interface operators."""
     E = np.zeros((space.mesh.n_tris, 11, 11))
     E[:, :8, :8] = stokes_fem.deformation_element_matrices(space, nu)
     E[:, 8:, :8] = B = stokes_fem.div_element_matrices(space)
     E[:, :8, 8:] = -B.transpose(0, 2, 1)
-    np.add.at(E, iface.slots, delta_s * iface.normal_mass + xi * iface.tangential_mass)
+    slots, normal, tangential = _interface_element_terms(space, pairing)
+    np.add.at(E, slots, delta_s * normal + xi * tangential)
     m, P = np.repeat(space.mesh.tri_area / 3.0, 3), space.patterns
     bub, rest = np.array([3, 7]), np.array([0, 1, 2, 4, 5, 6, 8, 9, 10])
     br = E[:, bub[:, None], rest]
@@ -273,7 +291,7 @@ def _stokes_pairing(geometry, h):
     else:
         ms, _, pairing = manufactured_meshes(h)
         space = build_stokes_space(ms)
-    return space, StokesInterfaceInfo(space, pairing)
+    return space, StokesInterfaceInfo(space, pairing), pairing
 
 
 @pytest.mark.parametrize("geometry", ["manufactured", "channel"])
@@ -281,10 +299,10 @@ def test_shared_stokes_data_builds_what_a_whole_build_builds(geometry):
     # one StokesElements serves operators of two (delta_s, xi) pairs; each
     # output is that of the operator's own whole build: the maps bitwise,
     # the matrix, S and A_fd to rounding with the same index arrays
-    space, iface = _stokes_pairing(geometry, 1 / 8)
+    space, iface, pairing = _stokes_pairing(geometry, 1 / 8)
     elements = StokesElements(space, 1.3, iface)
     for delta_s, xi in ((1.0, 0.3), (2.5, 1.1)):
-        matrix, condensed = _stokes_built_anew(space, 1.3, delta_s, xi, iface)
+        matrix, condensed = _stokes_built_anew(space, 1.3, delta_s, xi, pairing)
         want = SubdomainOperator(matrix, space.free, space.fixed, lambda: condensed)
         got = stokes_fem._condensed(elements, delta_s, xi)
         assert _close_csr(got[0], condensed[0])
@@ -301,16 +319,17 @@ def test_shared_stokes_data_follows_the_viscosity():
     # the data is made from (space, nu, iface): another viscosity gives
     # other data, each that of its own whole build, and the same interface
     # terms, which no viscosity scales
-    space, iface = _stokes_pairing("manufactured", 1 / 8)
+    space, iface, pairing = _stokes_pairing("manufactured", 1 / 8)
     a, b = StokesElements(space, 1.0, iface), StokesElements(space, 0.7, iface)
     assert a.space is b.space and a.iface is b.iface and (a.nu, b.nu) == (1.0, 0.7)
     for name in ("matrix", "S"):
         assert not np.array_equal(a.data[name], b.data[name])
-        assert all(np.array_equal(x, y) for x, y in zip(a.interface[name], b.interface[name]))
+        terms = zip(a.interface[name], b.interface[name])
+        assert all(np.array_equal(x, y) for p, q in terms for x, y in zip(p, q))
     for name in ("condense", "direct", "recover"):
         assert not np.array_equal(getattr(a, name).data, getattr(b, name).data)
     for elements in (a, b):
-        matrix, condensed = _stokes_built_anew(space, elements.nu, 2.0, 0.5, iface)
+        matrix, condensed = _stokes_built_anew(space, elements.nu, 2.0, 0.5, pairing)
         assert _close_csr(stokes_fem.stokes_matrix(elements, 2.0, 0.5), matrix)
         got = stokes_fem._condensed(elements, 2.0, 0.5)
         assert _close_csr(got[0], condensed[0])

@@ -110,19 +110,29 @@ def test_only_the_shared_stokes_data_builds_the_element_blocks():
     assert not others
 
 
-def test_only_the_shared_stokes_data_reads_the_interface_terms():
-    # the unit-weight interface terms enter every Stokes matrix through the
-    # builder of StokesElements alone, the one source of their entries
-    terms = {"normal_mass", "tangential_mass"}
+def _reads(node, names, scope=()):
+    """(enclosing definitions, line, name) of every read of `names` under
+    `node`, the definitions joined by dots ("Class.method")."""
+    for child in ast.iter_child_nodes(node):
+        inner = scope
+        if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+            inner = scope + (child.name,)
+        elif isinstance(child, (ast.Name, ast.Attribute)) and isinstance(child.ctx, ast.Load):
+            name = child.id if isinstance(child, ast.Name) else child.attr
+            if name in names:
+                yield ".".join(scope), child.lineno, name
+        yield from _reads(child, names, inner)
+
+
+def test_the_interface_mass_has_one_source():
+    # every interface mass term, Stokes and Darcy, comes from the two
+    # interface operators' trace and load; only they make the edge mass
+    readers = {"edge_mass": {"interface_mass"},
+               "interface_mass": {"StokesInterfaceInfo.__init__", "DarcyInterfaceInfo.__init__"}}
     others = []
     for path in sorted(Path(ensddm.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        builder = [node for cls in ast.walk(tree)
-                   if isinstance(cls, ast.ClassDef) and cls.name == "StokesElements"
-                   for node in cls.body
-                   if isinstance(node, ast.FunctionDef) and node.name == "__init__"]
-        inside = {id(node) for fn in builder for node in ast.walk(fn)}
-        others += [f"{path.name}:{node.lineno} {node.attr}" for node in ast.walk(tree)
-                   if isinstance(node, ast.Attribute) and node.attr in terms
-                   and isinstance(node.ctx, ast.Load) and id(node) not in inside]
+        others += [f"{path.name}:{line} {scope} reads {name}"
+                   for scope, line, name in _reads(tree, readers)
+                   if scope not in readers[name]]
     assert not others
