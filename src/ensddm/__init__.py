@@ -22,7 +22,7 @@ from .robin_params import (
 from .random_field import RandomFieldSpec, Draw, kl_eigenvalues, evaluate_k, draw_samples
 from .stokes_fem import StokesSpace, StokesElements, build_stokes_space, assemble_stokes_operator
 from .darcy_fem import DarcySpace, build_darcy_space, assemble_darcy_operator
-from .interface_state import RobinTraceState, init_state, update_robin, stopping_norm
+from .interface_state import update_robin, stopping_norm
 from .ensemble_driver import (
     SampleParams,
     EnsembleContext,
@@ -44,7 +44,7 @@ __all__ = [
     "RandomFieldSpec", "Draw", "kl_eigenvalues", "evaluate_k", "draw_samples",
     "StokesSpace", "StokesElements", "build_stokes_space", "assemble_stokes_operator",
     "DarcySpace", "build_darcy_space", "assemble_darcy_operator",
-    "RobinTraceState", "init_state", "update_robin", "stopping_norm",
+    "update_robin", "stopping_norm",
     "SampleParams", "EnsembleContext", "EnsembleDiagnostics", "SolveReport",
     "make_context", "run_ensemble_ddm", "run_traditional_ddm", "check_converged_residual",
     "ManufacturedSolution",

@@ -1,8 +1,9 @@
 """The full ensemble iteration: a set-up that factorizes the two subdomain
 matrices and assembles the per-sample right-hand-side columns once, then a
-loop of sweeps.  A sweep solves the active samples as the columns of one
-block per subdomain against the shared factorization and forms their next
-trace state at once; the loop takes the stopping norm and freezes samples.
+loop of sweeps.  A sweep maps the active samples' iterate block [g_S; g_D;
+g_tau; ud] to the next: it solves them as the columns of one block per
+subdomain against the shared factorization and forms their next traces at
+once; the loop takes the stopping norm and freezes samples.
 
 The traditional (per-sample) variant runs the same loop over one-sample
 groups, each with its own operator pair, on the spaces and the Stokes
@@ -26,7 +27,7 @@ from .darcy_fem import (build_darcy_space, assemble_darcy_operator,
                         assemble_darcy_volume_rhs, add_darcy_interface_rhs,
                         add_darcy_natural_head_rhs, add_darcy_lag_rhs, lag_weights,
                         inverse_diagonal, darcy_matrix, DarcyInterfaceInfo)
-from .interface_state import RobinTraceState, init_state, update_robin, stopping_norm
+from .interface_state import split_block, update_robin, stopping_norm
 
 
 @dataclass
@@ -171,6 +172,9 @@ class SolveReport:
     the contraction factor of the lagged terms alone; a run warns when it
     reaches 1, and it is 0 in a one-sample group (the per-sample baseline),
     whose sweeps then add no Darcy lag term.
+
+    state holds the final traces (g_S, g_D, g_tau); they and ud.T are row
+    views of the run's final iterate block.
     """
 
     us: np.ndarray               # (J, n_stokes_dofs)
@@ -248,7 +252,6 @@ class IterationSetup:
     add no lag term."""
 
     ctx: EnsembleContext
-    space_s: object
     space_d: object
     iface_s: object              # StokesInterfaceInfo of the run's pairing
     iface_d: object              # DarcyInterfaceInfo of the run's pairing
@@ -305,25 +308,26 @@ def _setup(ctx, samples, elements, space_d, iface_d, bc, js):
     base_s = np.column_stack([assemble_stokes_volume_rhs(space_s, s.f_S) for s in samples])
     base_d = np.column_stack([_darcy_sample_rhs(space_d, s, bc, j, ctx.g)
                               for j, s in zip(js, samples)])
-    return IterationSetup(ctx, space_s, space_d, iface_s, iface_d, op_s, op_d,
+    return IterationSetup(ctx, space_d, iface_s, iface_d, op_s, op_d,
                           base_s, base_d, fixed_s, lag_w, bool(lag_w.any()), xi, dxi), ratio
 
 
-def sweep(su, state, ud_lag):
-    """One iteration of the samples of `su` from their trace `state` and
-    previous whole Darcy block `ud_lag` (n_darcy_dofs, k): the next state,
-    the new Stokes and Darcy blocks, and the seconds of right-hand sides,
-    block solves and trace updates.  Both solves read the previous traces
-    (Jacobi-like); per sample the sweep is an affine map of (state, ud_lag)."""
+def sweep(su, x):
+    """One iteration of the samples of `su` from their iterate block `x`
+    (m, k), [g_S; g_D; g_tau; ud]: the next block, the new Stokes block and
+    the seconds of right-hand sides, block solves and trace updates.  Both
+    solves read the previous traces (Jacobi-like) and the Darcy solve lags
+    the previous ud; per sample the sweep is an affine map of x."""
+    g_S, g_D, g_tau, ud_lag = split_block(x, su.iface_d.normal.shape[0])
     ta = time.perf_counter()
     rhs = su.base_s.copy()
-    add_interface_rhs(rhs, su.iface_s, state.g_S, state.g_tau)
+    add_interface_rhs(rhs, su.iface_s, g_S, g_tau)
     tb = time.perf_counter()
     us = su.op_s.solve(rhs, su.fixed_s)
     del rhs
     tc = time.perf_counter()
     rhs = su.base_d.copy()
-    add_darcy_interface_rhs(rhs, su.iface_d, state.g_D)
+    add_darcy_interface_rhs(rhs, su.iface_d, g_D)
     if su.has_lag:
         add_darcy_lag_rhs(rhs, su.space_d, su.lag_w, ud_lag)
     td = time.perf_counter()
@@ -331,10 +335,11 @@ def sweep(su, state, ud_lag):
     del rhs
     te = time.perf_counter()
     us_n, us_tau = interface_traces(su.iface_s, us)
-    state = update_robin(state, us_n, us_tau, su.iface_d.normal_trace(ud),
-                         su.iface_d.tangential_trace(ud), su.xi, su.dxi, su.ctx)
+    x = np.concatenate([*update_robin(x, us_n, us_tau, su.iface_d.normal_trace(ud),
+                                      su.iface_d.tangential_trace(ud), su.xi, su.dxi, su.ctx),
+                        ud])
     tf = time.perf_counter()
-    return state, us, ud, ((tb - ta) + (td - tc), (tc - tb) + (te - td), tf - te)
+    return x, us, ((tb - ta) + (td - tc), (tc - tb) + (te - td), tf - te)
 
 
 def _run(ctx, size, mesh_s, mesh_d, pairing, bc, per_sample_stop):
@@ -350,10 +355,11 @@ def _run(ctx, size, mesh_s, mesh_d, pairing, bc, per_sample_stop):
     elements = StokesElements(space_s, ctx.nu, iface_s)
     t_assembly = time.perf_counter() - t0
 
-    J = ctx.J
-    state = init_state(ctx, pairing)
+    J, n2 = ctx.J, 2 * pairing.n_pairs
+    # column j is sample j; a group sweeps blocks of its active columns and
+    # puts them back here when some freeze and when it ends
+    x = np.zeros((3 * n2 + space_d.n_dofs, J))
     us = np.zeros((space_s.n_dofs, J))
-    ud = np.zeros((space_d.n_dofs, J))
     iterations = np.zeros(J, dtype=np.int64)
     converged = np.zeros(J, dtype=bool)
     lag_ratio = np.zeros(J)
@@ -372,32 +378,26 @@ def _run(ctx, size, mesh_s, mesh_d, pairing, bc, per_sample_stop):
         t_assembly += time.perf_counter() - t0 - dt_factor
         t_factor += dt_factor
         lu_nnz += su.op_s.factorization.nnz + su.op_d.factorization.nnz
-        ids = np.arange(start, stop)    # the samples held by the per-sample columns of su
+        ids = np.arange(start, stop)    # the samples held by the columns of su, xa and usa
+        xa, usa = x[:, start:stop], us[:, start:stop]
 
         t1 = time.perf_counter()
         for n in range(1, ctx.max_iters + 1):
             if per_sample_stop and converged[ids].any():
-                # drop frozen samples from the per-sample columns once, so
-                # these blocks hold exactly the active columns
+                # put the frozen samples back and drop their columns once,
+                # so the group's blocks hold exactly the active columns
                 keep = ~converged[ids]
-                ids = ids[keep]
+                x[:, ids[~keep]], us[:, ids[~keep]] = xa[:, ~keep], usa[:, ~keep]
+                ids, xa, usa = ids[keep], xa[:, keep], usa[:, keep]
                 su = replace(su, base_s=su.base_s[:, keep], base_d=su.base_d[:, keep],
                              fixed_s=su.fixed_s[:, keep], lag_w=su.lag_w[:, keep],
                              xi=su.xi[keep], dxi=su.dxi[keep])
-            # state and solutions span all samples: a plain slice while every
-            # sample of the group is active keeps their blocks views
-            act = ids if len(ids) < stop - start else slice(start, stop)
 
-            new, us_new, ud_new, dt = sweep(su, RobinTraceState(*(b[:, act] for b in state)),
-                                            ud[:, act])
+            new, us_new, dt = sweep(su, xa)
             t_phases += dt
             tf = time.perf_counter()
-            for block, col in zip(state, new):
-                block[:, act] = col
-            norms = stopping_norm(space_s, space_d, us[:, act], us_new, ud[:, act], ud_new)
-            us[:, act] = us_new
-            ud[:, act] = ud_new
-            del us_new, ud_new
+            norms = stopping_norm(space_s, space_d, usa, us_new, xa[3 * n2:], new[3 * n2:])
+            xa, usa = new, us_new
             for j, norm in zip(ids.tolist(), norms.tolist()):
                 history[j].append(norm)
             hit = ids[(norms <= ctx.tol) & ~converged[ids]]
@@ -407,23 +407,25 @@ def _run(ctx, size, mesh_s, mesh_d, pairing, bc, per_sample_stop):
             if converged[start:stop].all():
                 break
         t_solve += time.perf_counter() - t1
+        x[:, ids], us[:, ids] = xa, usa
         del su          # the group's factors go before the next group's are made
     iterations[~converged] = ctx.max_iters
 
     t_rhs, t_trisolve, t_trace = t_phases.tolist()
+    g_S, g_D, g_tau, ud = split_block(x, n2)
     return SolveReport(us=us.T, ud=ud.T, iterations=iterations,
                        converged=converged, lag_ratio=lag_ratio, norm_history=history,
                        t_assembly=t_assembly, t_factor=t_factor, t_solve=t_solve,
                        t_rhs=t_rhs, t_trisolve=t_trisolve, t_trace=t_trace, t_norm=t_norm,
                        n_factorizations=factorization_count() - nfact0, lu_nnz=lu_nnz,
                        space_s=space_s, space_d=space_d, iface_s=iface_s, iface_d=iface_d,
-                       state=state)
+                       state=(g_S, g_D, g_tau))
 
 
 def check_converged_residual(report, ctx, bc):
     """Each sample's residual in the coupled fixed-point system of its own
     coefficients (xi_j, K_j^-1, k_j^min), formed equation by equation from
-    the report's solutions and trace state and its interface operators:
+    the report's solutions and traces and its interface operators:
 
         Stokes rows   stokes_matrix(delta_S, 0) u_S - load_n g_S - b_S
                       + xi_j load_tau (tangential u_D - trace_tau u_S)
@@ -446,7 +448,7 @@ def check_converged_residual(report, ctx, bc):
     info_s, info_d = report.iface_s, report.iface_d
     samples, J = ctx.samples, ctx.J
     us, ud = report.us.T, report.ud.T                  # (n_dofs, J) blocks
-    g_S, g_D = report.state.g_S, report.state.g_D
+    g_S, g_D, _ = report.state
     xi = np.array([s.xi for s in samples])
     dsum, gz = ctx.delta_s + ctx.delta_d, ctx.g * ctx.z
 

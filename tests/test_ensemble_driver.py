@@ -1,3 +1,4 @@
+import gc
 import warnings
 import weakref
 from dataclasses import replace
@@ -18,7 +19,6 @@ from ensddm.ensemble_driver import (make_sample, make_context, BoundaryCondition
                                     run_ensemble_ddm, run_traditional_ddm,
                                     check_converged_residual, _setup, sweep,
                                     stokes_dirichlet_values, _darcy_sample_rhs)
-from ensddm.interface_state import RobinTraceState
 from ensddm.stokes_fem import (build_stokes_space, StokesElements, StokesInterfaceInfo,
                                assemble_stokes_volume_rhs, stokes_matrix)
 from ensddm.darcy_fem import (build_darcy_space, DarcyInterfaceInfo, darcy_matrix,
@@ -506,13 +506,12 @@ def test_residual_check_equals_coupled_system_away_from_convergence(scenario):
     rng = np.random.default_rng(3)
     moved = replace(report, us=report.us + 1e-3 * rng.standard_normal(report.us.shape),
                     ud=report.ud + 1e-3 * rng.standard_normal(report.ud.shape),
-                    state=RobinTraceState(*(b + 1e-3 * rng.standard_normal(b.shape)
-                                            for b in report.state)))
+                    state=tuple(b + 1e-3 * rng.standard_normal(b.shape) for b in report.state))
     expect = np.empty(ctx.J)
     for j in range(ctx.J):
         A, b = _monolithic_system(moved, ctx, bc, j)
-        x = np.concatenate([moved.us[j], moved.ud[j], moved.state.g_S[:, j],
-                            moved.state.g_D[:, j]])
+        x = np.concatenate([moved.us[j], moved.ud[j], moved.state[0][:, j],
+                            moved.state[1][:, j]])
         expect[j] = np.linalg.norm(A @ x - b) / np.linalg.norm(b)
     assert np.all(expect > 1e-3)
     np.testing.assert_allclose(check_converged_residual(moved, ctx, bc), expect, rtol=1e-12)
@@ -522,7 +521,8 @@ def test_baseline_report_residual_covers_every_sample():
     ctx, _, mesh_s, mesh_d, pairing, bc, _ = small_setup(
         k_list=(2.21, 4.11, 6.21), tol=1e-8, max_iters=300)
     trad = run_traditional_ddm(ctx, mesh_s, mesh_d, pairing, bc)
-    assert trad.state.g_S.shape == (2 * pairing.n_pairs, 3)
+    for trace in trad.state:
+        assert trace.shape == (2 * pairing.n_pairs, 3)
     res = check_converged_residual(trad, ctx, bc)
     assert res.shape == (3,) and np.all(res <= 1e-6)
 
@@ -542,6 +542,8 @@ def test_interface_state_shapes_and_report_fields():
     assert report.ud.shape == (2, report.space_d.n_dofs)
     for trace in report.state:
         assert trace.shape == (2 * pairing.n_pairs, 2)
+        # row views of the run's one iterate block, which ends in ud
+        assert trace.base is not None and trace.base is report.ud.base
     assert report.t_assembly > 0 and report.t_factor > 0 and report.t_solve > 0
     assert report.converged.all()
 
@@ -614,14 +616,19 @@ def test_per_sample_stop_leaves_frozen_columns_bitwise():
     for j in frozen:
         assert np.array_equal(full.us[j], cut.us[j])
         assert np.array_equal(full.ud[j], cut.ud[j])
-        assert np.array_equal(full.state.g_S[:, j], cut.state.g_S[:, j])
-        assert np.array_equal(full.state.g_D[:, j], cut.state.g_D[:, j])
+        for got, want in zip(full.state, cut.state):
+            assert np.array_equal(got[:, j], want[:, j])
         assert full.norm_history[j] == cut.norm_history[j]
+
+
+def final_block(report):
+    """A run's final iterate block [g_S; g_D; g_tau; ud], (m, J)."""
+    return np.concatenate([*report.state, report.ud.T])
 
 
 def test_sweep_continues_a_cut_run_bitwise():
     # lockstep runs of n and n + 1 iterations: one sweep from the first
-    # run's state and Darcy block gives the second run's outputs
+    # run's final block gives the second run's block and Stokes solutions
     ctx, _, mesh_s, mesh_d, pairing, bc, _ = small_setup(k_list=(2.21, 4.11, 6.21))
     n = 5
     cut, full = (run_ensemble_ddm(replace(ctx, max_iters=m), mesh_s, mesh_d, pairing, bc)
@@ -629,11 +636,10 @@ def test_sweep_continues_a_cut_run_bitwise():
     assert not full.converged.any()
     su, _ = _setup(ctx, ctx.samples, *run_data(ctx, mesh_s, mesh_d, pairing, bc), bc,
                    range(ctx.J))
-    state, us, ud, _ = sweep(su, cut.state, cut.ud.T)
+    x, us, _ = sweep(su, final_block(cut))
+    assert x.shape == (6 * pairing.n_pairs + su.space_d.n_dofs, ctx.J) and x.flags.c_contiguous
+    assert np.array_equal(x, final_block(full))
     assert np.array_equal(us, full.us.T)
-    assert np.array_equal(ud, full.ud.T)
-    for got, want in zip(state, full.state):
-        assert np.array_equal(got, want)
 
 
 def test_sweep_is_affine():
@@ -644,19 +650,31 @@ def test_sweep_is_affine():
     su, _ = _setup(ctx, ctx.samples, *run_data(ctx, mesh_s, mesh_d, pairing, bc), bc,
                    range(ctx.J))
     rng = np.random.default_rng(5)
-    shape = (2 * pairing.n_pairs, ctx.J)
-    x, y = (RobinTraceState(*rng.standard_normal((3,) + shape)) for _ in range(2))
-    ux, uy = rng.standard_normal((2, su.space_d.n_dofs, ctx.J))
+    x, y = rng.standard_normal((2, 6 * pairing.n_pairs + su.space_d.n_dofs, ctx.J))
     a = 0.3
+    (nx, ux, _), (ny, uy, _), (nz, uz, _) = (sweep(su, b) for b in (x, y, a * x + (1 - a) * y))
+    # the next block and the Stokes block, each affine in the block
+    for got, p, q in ((nz, nx, ny), (uz, ux, uy)):
+        want = a * p + (1 - a) * q
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+        assert np.linalg.norm(p - q) > 0.1 * np.linalg.norm(want)    # not constant
 
-    def outputs(state, ud_lag):
-        """The next state and both solutions as one vector."""
-        new, us, ud, _ = sweep(su, state, ud_lag)
-        return np.concatenate([block.ravel() for block in (*new, us, ud)])
 
-    ox, oy = outputs(x, ux), outputs(y, uy)
-    got = outputs(RobinTraceState(*(a * p + (1 - a) * q for p, q in zip(x, y))),
-                  a * ux + (1 - a) * uy)
-    want = a * ox + (1 - a) * oy
-    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
-    assert np.linalg.norm(ox - oy) > 0.1 * np.linalg.norm(want)    # not constant
+@pytest.mark.parametrize("per_sample_stop", [False, True])
+def test_each_group_drops_its_factors_before_the_next_set_up(monkeypatch, per_sample_stop):
+    # the per-sample baseline holds one group's operators at a time: when a
+    # group is set up, both operators of the one before are unreachable
+    from ensddm import ensemble_driver
+    made, alive = [], []
+
+    def watched(*args):
+        gc.collect()
+        alive.append([op() is not None for op in made])
+        su, ratio = _setup(*args)
+        made[:] = [weakref.ref(su.op_s), weakref.ref(su.op_d)]
+        return su, ratio
+
+    monkeypatch.setattr(ensemble_driver, "_setup", watched)
+    ctx, _, mesh_s, mesh_d, pairing, bc, _ = small_setup(k_list=(2.21, 4.11, 6.21), h=1 / 4)
+    run_traditional_ddm(ctx, mesh_s, mesh_d, pairing, bc, per_sample_stop)
+    assert alive == [[]] + [[False, False]] * (ctx.J - 1)
