@@ -356,10 +356,8 @@ def _run(ctx, size, mesh_s, mesh_d, pairing, bc, per_sample_stop):
     t_assembly = time.perf_counter() - t0
 
     J, n2 = ctx.J, 2 * pairing.n_pairs
-    # column j is sample j; a group sweeps blocks of its active columns and
-    # puts them back here when some freeze and when it ends
-    x = np.zeros((3 * n2 + space_d.n_dofs, J))
-    us = np.zeros((space_s.n_dofs, J))
+    m = 3 * n2 + space_d.n_dofs
+    done = []       # (samples, iterate block, Stokes block) of columns frozen or at a group's end
     iterations = np.zeros(J, dtype=np.int64)
     converged = np.zeros(J, dtype=bool)
     lag_ratio = np.zeros(J)
@@ -379,15 +377,15 @@ def _run(ctx, size, mesh_s, mesh_d, pairing, bc, per_sample_stop):
         t_factor += dt_factor
         lu_nnz += su.op_s.factorization.nnz + su.op_d.factorization.nnz
         ids = np.arange(start, stop)    # the samples held by the columns of su, xa and usa
-        xa, usa = x[:, start:stop], us[:, start:stop]
+        xa, usa = np.zeros((m, stop - start)), np.zeros((space_s.n_dofs, stop - start))
 
         t1 = time.perf_counter()
         for n in range(1, ctx.max_iters + 1):
             if per_sample_stop and converged[ids].any():
-                # put the frozen samples back and drop their columns once,
+                # set the frozen samples aside and drop their columns once,
                 # so the group's blocks hold exactly the active columns
                 keep = ~converged[ids]
-                x[:, ids[~keep]], us[:, ids[~keep]] = xa[:, ~keep], usa[:, ~keep]
+                done.append((ids[~keep], xa[:, ~keep], usa[:, ~keep]))
                 ids, xa, usa = ids[keep], xa[:, keep], usa[:, keep]
                 su = replace(su, base_s=su.base_s[:, keep], base_d=su.base_d[:, keep],
                              fixed_s=su.fixed_s[:, keep], lag_w=su.lag_w[:, keep],
@@ -407,9 +405,12 @@ def _run(ctx, size, mesh_s, mesh_d, pairing, bc, per_sample_stop):
             if converged[start:stop].all():
                 break
         t_solve += time.perf_counter() - t1
-        x[:, ids], us[:, ids] = xa, usa
+        done.append((ids, xa, usa))
         del su          # the group's factors go before the next group's are made
     iterations[~converged] = ctx.max_iters
+    x, us = np.empty((m, J)), np.empty((space_s.n_dofs, J))
+    for ids, xa, usa in done:
+        x[:, ids], us[:, ids] = xa, usa
 
     t_rhs, t_trisolve, t_trace = t_phases.tolist()
     g_S, g_D, g_tau, ud = split_block(x, n2)
