@@ -1,12 +1,16 @@
 """Structured triangulations of axis-aligned rectangles with tagged boundaries.
 
 Each grid cell is split along its lower-left to upper-right diagonal, which
-keeps the triangulation deterministic.  Boundary edges carry one of the tags
-INTERFACE, WALL, INFLOW, OUTFLOW, BOTTOM, SIDE assigned by exact coordinate
-comparison against the rectangle sides.  Two meshes that share a horizontal
-side can be paired edge-by-edge along that interface.
+keeps the triangulation deterministic.  The grid indices fix the topology,
+so the edges (vertex pairs a < b in lexicographic order), each triangle's
+edges (edge k opposite vertex k) and each edge's triangles (the lower one
+first) follow from them in closed form, with no sort.  Boundary edges carry
+one of the tags INTERFACE, WALL, INFLOW, OUTFLOW, BOTTOM, SIDE assigned by
+exact coordinate comparison against the rectangle sides.  Two meshes that
+share a horizontal side can be paired edge-by-edge along that interface.
 """
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,9 +40,13 @@ class Mesh:
     ----------
     verts : (nv, 2) float array
     tris : (nt, 3) int array, counter-clockwise vertex triples
-    edges : (ne, 2) int array, vertex pairs with a < b
-    edge_tris : (ne, 2) int array, incident triangles (-1 when boundary)
+    edges : (ne, 2) int array, vertex pairs (a, b) with a < b, the rows in
+        lexicographic order
+    edge_tris : (ne, 2) int array, the incident triangles, the lower-numbered
+        first; -1 for a boundary edge's missing second triangle
     boundary_tags : (ne,) str array, '' for interior edges
+    edge_of_tri : (nt, 3) int array, edge k of a triangle is the one
+        opposite its vertex k
     """
 
     rect: Rect
@@ -79,7 +87,7 @@ def build_rect_mesh(rect, nx, ny, side_tags=None):
     ----------
     rect : Rect
     nx, ny : int
-        Cell counts per direction; must be >= 1.
+        Cell counts per direction; integers of at least 1.
     side_tags : dict, optional
         Tags for the four sides, keys 'left', 'right', 'bottom', 'top'.
         Defaults to WALL everywhere.
@@ -88,8 +96,9 @@ def build_rect_mesh(rect, nx, ny, side_tags=None):
     -------
     Mesh with (nx+1)(ny+1) vertices and 2*nx*ny triangles.
     """
-    if nx < 1 or ny < 1:
-        raise ValueError("nx and ny must be at least 1")
+    for n in (nx, ny):
+        if not isinstance(n, numbers.Integral) or isinstance(n, bool) or n < 1:
+            raise ValueError("nx and ny must be integers of at least 1")
     tags = {"left": "WALL", "right": "WALL", "bottom": "WALL", "top": "WALL"}
     if side_tags:
         unknown = set(side_tags) - set(tags)
@@ -117,24 +126,26 @@ def build_rect_mesh(rect, nx, ny, side_tags=None):
     tris[0::2] = t1
     tris[1::2] = t2
 
-    edges, edge_tris, edge_of_tri = _build_edges(tris)
+    edges, edge_tris, edge_of_tri = _grid_topology(nx, ny)
     boundary_tags = _tag_boundary(verts, edges, edge_tris, rect, tags)
 
-    corners = verts[tris]
+    # `take` gathers whole rows, several times faster than `verts[tris]`
+    corners = verts.take(tris, axis=0)
     e1 = corners[:, 1] - corners[:, 0]
     e2 = corners[:, 2] - corners[:, 0]
     area = 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
     if np.any(area <= 0):
         raise ValueError("non-positive triangle area")
     # gradient of barycentric i: perpendicular to the opposite edge
+    two_area = 2 * area
     grads = np.empty((len(tris), 3, 2))
     for i in range(3):
         a = corners[:, (i + 1) % 3]
         b = corners[:, (i + 2) % 3]
-        grads[:, i, 0] = (a[:, 1] - b[:, 1]) / (2 * area)
-        grads[:, i, 1] = (b[:, 0] - a[:, 0]) / (2 * area)
+        grads[:, i, 0] = (a[:, 1] - b[:, 1]) / two_area
+        grads[:, i, 1] = (b[:, 0] - a[:, 0]) / two_area
 
-    ev = verts[edges]
+    ev = verts.take(edges, axis=0)
     elen = np.linalg.norm(ev[:, 1] - ev[:, 0], axis=1)
 
     mesh = Mesh(rect=rect, verts=verts, tris=tris, edges=edges,
@@ -144,24 +155,47 @@ def build_rect_mesh(rect, nx, ny, side_tags=None):
     return mesh
 
 
-def _build_edges(tris):
-    nt, nv = len(tris), tris.max() + 1
-    # edge k of a triangle is opposite local vertex k; the key a nv + b of
-    # a vertex pair a < b sorts like the pair
-    pairs = np.concatenate([tris[:, [1, 2]], tris[:, [2, 0]], tris[:, [0, 1]]])
-    pairs = np.sort(pairs, axis=1)
-    keys, inverse = np.unique(pairs[:, 0] * nv + pairs[:, 1], return_inverse=True)
-    edges = np.column_stack([keys // nv, keys % nv])
-    edge_of_tri = inverse.reshape(3, nt).T.copy()
-    # the triangles of each edge, lower first: a stable sort of the
-    # row-major (triangle, local edge) entries by edge
-    order = np.argsort(edge_of_tri.ravel(), kind="stable")
-    e = edge_of_tri.ravel()[order]
-    second = np.r_[False, e[1:] == e[:-1]]
-    edge_tris = np.full((len(edges), 2), -1, dtype=np.int64)
-    edge_tris[e[~second], 0] = order[~second] // 3
-    edge_tris[e[second], 1] = order[second] // 3
-    return edges, edge_tris, edge_of_tri
+def _grid_topology(nx, ny):
+    """`edges`, `edge_tris` and `edge_of_tri` of the (nx x ny)-cell grid.
+
+    A vertex's edges to higher-numbered vertices go right, up and up-right,
+    in that key order, so numbering them vertex by vertex gives the pairs in
+    lexicographic order.  Slot (iy, ix, d) holds vertex (ix, iy)'s edge in
+    direction d, where one exists."""
+    exists = np.zeros((ny + 1, nx + 1, 3), dtype=bool)
+    exists[:, :nx, 0] = True
+    exists[:ny, :, 1] = True
+    exists[:ny, :nx, 2] = True
+    slots = np.flatnonzero(exists)
+    a = slots // 3
+    edges = np.column_stack([a, a + np.array([1, nx + 1, nx + 2])[slots % 3]])
+    eid = (np.cumsum(exists) - 1).reshape(exists.shape)  # each slot's edge number
+
+    # cell (ix, iy) holds triangles 2c = (v00, v10, v11) and 2c + 1 =
+    # (v00, v11, v01), c = iy nx + ix; edge k is opposite vertex k
+    eot = np.empty((ny, nx, 2, 3), dtype=np.int64)
+    eot[:, :, 0, 0] = eid[:ny, 1:, 1]
+    eot[:, :, 0, 1] = eid[:ny, :nx, 2]
+    eot[:, :, 0, 2] = eid[:ny, :nx, 0]
+    eot[:, :, 1, 0] = eid[1:, :nx, 0]
+    eot[:, :, 1, 1] = eid[:ny, :nx, 1]
+    eot[:, :, 1, 2] = eid[:ny, :nx, 2]
+
+    # lower triangle first: a right edge's cell below (its 2c + 1) comes
+    # before the cell above (2c), an up edge's cell on the left (2c) before
+    # the one on the right (2c + 1)
+    lo = 2 * np.arange(nx * ny).reshape(ny, nx)
+    hi = lo + 1
+    tri_of = np.full((ny + 1, nx + 1, 3, 2), -1, dtype=np.int64)
+    tri_of[1:, :nx, 0, 0] = hi
+    tri_of[1:ny, :nx, 0, 1] = lo[1:]
+    tri_of[0, :nx, 0, 0] = lo[0]
+    tri_of[:ny, 1:, 1, 0] = lo
+    tri_of[:ny, 1:nx, 1, 1] = hi[:, 1:]
+    tri_of[:ny, 0, 1, 0] = hi[:, 0]
+    tri_of[:ny, :nx, 2, 0] = lo
+    tri_of[:ny, :nx, 2, 1] = hi
+    return edges, tri_of.reshape(-1, 2).take(slots, axis=0), eot.reshape(2 * nx * ny, 3)
 
 
 def _tag_boundary(verts, edges, edge_tris, rect, tags):

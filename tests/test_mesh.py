@@ -25,6 +25,53 @@ def test_rejects_zero_divisions():
         build_rect_mesh(Rect(0, 1, 0, 1), 4, 0)
 
 
+@pytest.mark.parametrize("n", [True, 2.0, 1.5, "2", None])
+def test_rejects_non_integral_divisions(n):
+    with pytest.raises(ValueError, match="integers"):
+        build_rect_mesh(Rect(0, 1, 0, 1), n, 2)
+    with pytest.raises(ValueError, match="integers"):
+        build_rect_mesh(Rect(0, 1, 0, 1), 2, n)
+
+
+def test_numpy_integer_divisions_build_the_same_mesh():
+    m = build_rect_mesh(Rect(0, 1, 0, 1), np.int64(3), np.int32(2))
+    ref = build_rect_mesh(Rect(0, 1, 0, 1), 3, 2)
+    assert np.array_equal(m.edges, ref.edges) and np.array_equal(m.verts, ref.verts)
+
+
+def _sorted_topology(tris):
+    """Edges and incidences by sorting the triangles' vertex pairs: the
+    oracle of the closed-form grid topology."""
+    nt, nv = len(tris), tris.max() + 1
+    # edge k of a triangle is opposite local vertex k; the key a nv + b of
+    # a vertex pair a < b sorts like the pair
+    pairs = np.concatenate([tris[:, [1, 2]], tris[:, [2, 0]], tris[:, [0, 1]]])
+    pairs = np.sort(pairs, axis=1)
+    keys, inverse = np.unique(pairs[:, 0] * nv + pairs[:, 1], return_inverse=True)
+    edges = np.column_stack([keys // nv, keys % nv])
+    edge_of_tri = inverse.reshape(3, nt).T.copy()
+    # the triangles of each edge, lower first: a stable sort of the
+    # row-major (triangle, local edge) entries by edge
+    order = np.argsort(edge_of_tri.ravel(), kind="stable")
+    e = edge_of_tri.ravel()[order]
+    second = np.r_[False, e[1:] == e[:-1]]
+    edge_tris = np.full((len(edges), 2), -1, dtype=np.int64)
+    edge_tris[e[~second], 0] = order[~second] // 3
+    edge_tris[e[second], 1] = order[second] // 3
+    return edges, edge_tris, edge_of_tri
+
+
+@pytest.mark.parametrize("nx,ny", [(1, 1), (1, 5), (5, 1), (3, 2), (24, 8), (24, 24),
+                                   (64, 32), (96, 32)])
+def test_topology_equals_the_sorted_vertex_pairs(nx, ny):
+    m = build_rect_mesh(Rect(0, 2, -1, 1), nx, ny)
+    expected = _sorted_topology(m.tris)
+    for name, ref in zip(("edges", "edge_tris", "edge_of_tri"), expected):
+        got = getattr(m, name)
+        assert got.dtype == ref.dtype, name
+        assert np.array_equal(got, ref), name
+
+
 @pytest.mark.parametrize("nx,ny", [(1, 1), (3, 2), (7, 5), (16, 16)])
 def test_euler_relation_and_conformity(nx, ny):
     m = build_rect_mesh(Rect(0, 2, -1, 1), nx, ny)

@@ -20,10 +20,12 @@ line per workload and seed holds the digest of its residual-check values
 `max=` the largest of them to 4 significant digits.  Each workload with
 closed-form solutions adds an `errors` line for that run: the digest of
 the six error columns of every sample (`norms.error_norms`, one sample per
-call) and `max=` the largest error.  A last line per workload and seed
+call) and `max=` the largest error.  One more line per workload and seed
 (`patterns`) holds the digest of that run's two spaces: each space's
 elimination `order`, then its sparsity patterns by name, each with its
-shape, every term's slots and its index arrays.
+shape, every term's slots and its index arrays; and one more (`mesh`) the
+digest of the workload's two meshes, Stokes then Darcy, each by its
+vertices, triangles, edges, incidences, boundary tags and geometry.
 Two checkouts give bitwise equal outputs on these inputs when their
 outputs `diff` equal; a change that moves values only at the rounding
 level keeps every `counts=` digest, and a rounding-level change of the
@@ -107,6 +109,16 @@ def pattern_arrays(report):
             yield indptr
 
 
+MESH_FIELDS = ("verts", "tris", "edges", "edge_tris", "edge_of_tri", "boundary_tags",
+               "tri_area", "tri_grads", "edge_length")
+
+
+def mesh_arrays(*meshes):
+    for mesh in meshes:
+        for name in MESH_FIELDS:
+            yield getattr(mesh, name)
+
+
 def fingerprint_lines(wl, seed, tiny=False):
     ensemble_driver = wl.ensemble_driver
     drivers = (("ensemble", ensemble_driver.run_ensemble_ddm),
@@ -132,6 +144,7 @@ def fingerprint_lines(wl, seed, tiny=False):
             errs = error_table(wl.norms, checked, case.exacts, w.h)
             yield f"{name} seed={seed} errors {digest([errs])} max={errs.max():.3e}"
         yield f"{name} seed={seed} patterns {digest(pattern_arrays(checked))}"
+        yield f"{name} seed={seed} mesh {digest(mesh_arrays(case.mesh_s, case.mesh_d))}"
 
 
 def main(argv=None):
