@@ -5,6 +5,16 @@ g_tau; ud] to the next: it solves them as the columns of one block per
 subdomain against the shared factorization and forms their next traces at
 once; the loop takes the stopping norm and freezes samples.
 
+A group of more than `CHUNK` samples sweeps in turn over near-even chunks
+of at most `CHUNK` columns (`_chunk_cuts`), each with its own copy of the
+group's right-hand-side columns, against the group's one pair of
+factorizations: so every temporary of a sweep is at most `CHUNK` columns
+wide and stays in cache, and only the iterate and the right-hand-side
+columns grow with the group.  A block solve rounds a column by its place in the
+block, so chunking moves values at the rounding level only (where
+per-sample stop drops columns), which leaves the iteration counts as
+they are but for a norm within rounding of the tolerance.
+
 The traditional (per-sample) variant runs the same loop over one-sample
 groups, each with its own operator pair, on the spaces and the Stokes
 element data of the run; a sample's iterates are bitwise those of its
@@ -28,6 +38,10 @@ from .darcy_fem import (build_darcy_space, assemble_darcy_operator,
                         add_darcy_natural_head_rhs, add_darcy_lag_rhs, lag_weights,
                         inverse_diagonal, darcy_matrix, DarcyInterfaceInfo)
 from .interface_state import split_block, update_robin, stopping_norm
+
+# the most columns a sweep solves at once, a multiple of 8 (`_chunk_cuts`);
+# 32-40 were the fastest widths at J=160, and wider blocks leave the cache
+CHUNK = 32
 
 
 @dataclass
@@ -221,12 +235,14 @@ def _darcy_sample_rhs(space, sample, bc, j, g):
 def run_ensemble_ddm(ctx, mesh_s, mesh_d, pairing, bc, per_sample_stop=False):
     """Run the shared-matrix iteration for all samples of `ctx`.
 
-    Exactly two factorizations happen per call (one per subdomain).  Sample
-    j is column j of every (n_dofs, J) block, so each iteration assembles
-    the right-hand sides of all active samples together and makes one
-    block solve per subdomain.  The iteration stops when every sample's
-    velocity-increment norm falls below ctx.tol; with `per_sample_stop`,
-    converged samples are frozen and only the other columns are solved.
+    Exactly two factorizations happen per call (one per subdomain).  Each
+    sample is a column of the blocks of its chunk of at most `CHUNK`
+    samples, so each iteration assembles the right-hand sides of a chunk's
+    active samples together and makes one block solve per subdomain and
+    chunk; the chunk width moves values at the rounding level only.  The
+    iteration stops when every sample's velocity-increment norm falls below
+    ctx.tol; with `per_sample_stop`, converged samples are frozen and only
+    the other columns are solved.
     """
     return _run(ctx, ctx.J, mesh_s, mesh_d, pairing, bc, per_sample_stop)
 
@@ -266,6 +282,34 @@ class IterationSetup:
     dxi: np.ndarray              # (k,) slip lag weights, mean minus sample
 
 
+def _column_block(columns, k):
+    """The k vectors `columns` yields as the columns of one (n, k) block,
+    each written into it as it is made, so none is held beside it."""
+    for i, col in enumerate(columns):
+        if i == 0:
+            block = np.empty((len(col), k))
+        block[:, i] = col
+    return block
+
+
+def _columns(su, keep):
+    """The `IterationSetup` of the columns `keep` (a mask or indices) of su:
+    its per-sample blocks are copies, so su's can go."""
+    return replace(su, base_s=su.base_s[:, keep], base_d=su.base_d[:, keep],
+                   fixed_s=su.fixed_s[:, keep], lag_w=su.lag_w[:, keep],
+                   xi=su.xi[keep], dxi=su.dxi[keep])
+
+
+def _chunk_cuts(k):
+    """The column bounds of k columns split near evenly into ceil(k / CHUNK)
+    chunks whose widths, but the last's, are multiples of 8.  The block
+    solve's BLAS kernels round a column by its place in their panels of up
+    to 8 columns, so each column keeps the place it has in one k-wide block,
+    and a lockstep run the values of one block."""
+    n = -(-k // CHUNK)
+    return [min(k, 8 * -(-k * i // (8 * n))) for i in range(n + 1)]
+
+
 def _setup(ctx, samples, elements, space_d, iface_d, bc, js):
     """The `IterationSetup` of the group `samples` with the settings of
     `ctx` on the Stokes space and interface operator of the StokesElements
@@ -278,7 +322,7 @@ def _setup(ctx, samples, elements, space_d, iface_d, bc, js):
     # heights, gives the group mean (summed in sample order, as
     # MeanInverseField.inv_diag sums) and, overwritten in place, the lag
     # weights
-    w = np.column_stack([inverse_diagonal(space_d, s.K) for s in samples])
+    w = _column_block((inverse_diagonal(space_d, s.K) for s in samples), k)
     kbar_w = sum(w.T) / k
     dW = np.subtract(kbar_w[:, None], w, out=w)
     xi_bar = sum(s.xi for s in samples) / k
@@ -304,10 +348,10 @@ def _setup(ctx, samples, elements, space_d, iface_d, bc, js):
     # the iteration-independent part of every sample's right-hand side
     # (forcing plus natural data), and the boundary values of the fixed rows,
     # which the Stokes solves lift; the Darcy essential rows are homogeneous
-    fixed_s = np.column_stack([stokes_dirichlet_values(space_s, bc.stokes_values, j) for j in js])
-    base_s = np.column_stack([assemble_stokes_volume_rhs(space_s, s.f_S) for s in samples])
-    base_d = np.column_stack([_darcy_sample_rhs(space_d, s, bc, j, ctx.g)
-                              for j, s in zip(js, samples)])
+    fixed_s = _column_block((stokes_dirichlet_values(space_s, bc.stokes_values, j) for j in js), k)
+    base_s = _column_block((assemble_stokes_volume_rhs(space_s, s.f_S) for s in samples), k)
+    base_d = _column_block((_darcy_sample_rhs(space_d, s, bc, j, ctx.g)
+                            for j, s in zip(js, samples)), k)
     return IterationSetup(ctx, space_d, iface_s, iface_d, op_s, op_d,
                           base_s, base_d, fixed_s, lag_w, bool(lag_w.any()), xi, dxi), ratio
 
@@ -376,40 +420,50 @@ def _run(ctx, size, mesh_s, mesh_d, pairing, bc, per_sample_stop):
         t_assembly += time.perf_counter() - t0 - dt_factor
         t_factor += dt_factor
         lu_nnz += su.op_s.factorization.nnz + su.op_d.factorization.nnz
-        ids = np.arange(start, stop)    # the samples held by the columns of su, xa and usa
-        xa, usa = np.zeros((m, stop - start)), np.zeros((space_s.n_dofs, stop - start))
+        # its chunks, each [samples, set-up, iterate block, Stokes block]; a
+        # single chunk keeps su uncopied
+        cuts = _chunk_cuts(stop - start)
+        chunks = [[np.arange(start + a, start + b),
+                   su if len(cuts) == 2 else _columns(su, np.arange(a, b)),
+                   np.zeros((m, b - a)), np.zeros((space_s.n_dofs, b - a))]
+                  for a, b in zip(cuts[:-1], cuts[1:])]
+        del su          # so each per-sample block is held once, by its chunk
 
         t1 = time.perf_counter()
         for n in range(1, ctx.max_iters + 1):
-            if per_sample_stop and converged[ids].any():
-                # set the frozen samples aside and drop their columns once,
-                # so the group's blocks hold exactly the active columns
-                keep = ~converged[ids]
-                done.append((ids[~keep], xa[:, ~keep], usa[:, ~keep]))
-                ids, xa, usa = ids[keep], xa[:, keep], usa[:, keep]
-                su = replace(su, base_s=su.base_s[:, keep], base_d=su.base_d[:, keep],
-                             fixed_s=su.fixed_s[:, keep], lag_w=su.lag_w[:, keep],
-                             xi=su.xi[keep], dxi=su.dxi[keep])
-
-            new, us_new, dt = sweep(su, xa)
-            t_phases += dt
-            tf = time.perf_counter()
-            norms = stopping_norm(space_s, space_d, usa, us_new, xa[3 * n2:], new[3 * n2:])
-            xa, usa = new, us_new
-            for j, norm in zip(ids.tolist(), norms.tolist()):
-                history[j].append(norm)
-            hit = ids[(norms <= ctx.tol) & ~converged[ids]]
-            converged[hit] = True
-            iterations[hit] = n
-            t_norm += time.perf_counter() - tf
+            for chunk in chunks:
+                ids, su, xa, usa = chunk
+                if per_sample_stop and converged[ids].any():
+                    # set the frozen samples aside and drop their columns once,
+                    # so the chunk's blocks hold exactly the active columns
+                    keep = ~converged[ids]
+                    done.append((ids[~keep], xa[:, ~keep], usa[:, ~keep]))
+                    chunk[:] = ids[keep], _columns(su, keep), xa[:, keep], usa[:, keep]
+                    ids, su, xa, usa = chunk
+                if len(ids):
+                    new, us_new, dt = sweep(su, xa)
+                    t_phases += dt
+                    tf = time.perf_counter()
+                    norms = stopping_norm(space_s, space_d, usa, us_new, xa[3 * n2:],
+                                          new[3 * n2:])
+                    chunk[2:] = new, us_new
+                    for j, norm in zip(ids.tolist(), norms.tolist()):
+                        history[j].append(norm)
+                    hit = ids[(norms <= ctx.tol) & ~converged[ids]]
+                    converged[hit] = True
+                    iterations[hit] = n
+                    t_norm += time.perf_counter() - tf
             if converged[start:stop].all():
                 break
         t_solve += time.perf_counter() - t1
-        done.append((ids, xa, usa))
-        del su          # the group's factors go before the next group's are made
+        done.extend((ids, xa, usa) for ids, _, xa, usa in chunks)
+        # the group's factors go before the next group's are made, and only
+        # `done` holds its blocks
+        del chunks, chunk, su, xa, usa, new, us_new
     iterations[~converged] = ctx.max_iters
     x, us = np.empty((m, J)), np.empty((space_s.n_dofs, J))
-    for ids, xa, usa in done:
+    while done:         # each piece goes once it is written
+        ids, xa, usa = done.pop()
         x[:, ids], us[:, ids] = xa, usa
 
     t_rhs, t_trisolve, t_trace = t_phases.tolist()

@@ -3,7 +3,8 @@
 One factorization serves any number of right-hand sides, which is what makes
 the shared-coefficient-matrix ensemble iteration cheap: the two subdomain
 matrices are factorized once per run and then only triangular solves remain,
-one block solve per subdomain and iteration for all samples at once.
+one block solve per subdomain, iteration and chunk of at most
+`ensemble_driver.CHUNK` samples, so that a block stays in cache.
 
 What is factorized is a condensed system S: the two MINI bubbles of each
 free-flow triangle, and the six velocity copies and the head of each

@@ -17,7 +17,7 @@ from ensddm.fields import ConstantConductivity, MeanInverseField
 from ensddm.ensemble_driver import (make_sample, make_context, BoundaryConditions,
                                     EnsembleDiagnostics,
                                     run_ensemble_ddm, run_traditional_ddm,
-                                    check_converged_residual, _setup, sweep,
+                                    check_converged_residual, _setup, sweep, _chunk_cuts,
                                     stokes_dirichlet_values, _darcy_sample_rhs)
 from ensddm.stokes_fem import (build_stokes_space, StokesElements, StokesInterfaceInfo,
                                assemble_stokes_volume_rhs, stokes_matrix)
@@ -678,3 +678,89 @@ def test_each_group_drops_its_factors_before_the_next_set_up(monkeypatch, per_sa
     ctx, _, mesh_s, mesh_d, pairing, bc, _ = small_setup(k_list=(2.21, 4.11, 6.21), h=1 / 4)
     run_traditional_ddm(ctx, mesh_s, mesh_d, pairing, bc, per_sample_stop)
     assert alive == [[]] + [[False, False]] * (ctx.J - 1)
+
+
+def _chunked_and_one_block(monkeypatch, ctx, geometry, per_sample_stop):
+    """The run of ctx in chunks of at most CHUNK columns, and the same run
+    with every group in one chunk."""
+    from ensddm import ensemble_driver
+    chunked = run_ensemble_ddm(ctx, *geometry, per_sample_stop)
+    with monkeypatch.context() as m:
+        m.setattr(ensemble_driver, "CHUNK", ctx.J)
+        one = run_ensemble_ddm(ctx, *geometry, per_sample_stop)
+    return chunked, one
+
+
+@pytest.mark.parametrize("per_sample_stop", [False, True])
+def test_chunked_sweeps_move_values_at_rounding_level_only(monkeypatch, per_sample_stop):
+    # J = CHUNK + 5 splits into two uneven chunks of one group
+    from ensddm.ensemble_driver import CHUNK
+    h, cfg = 1 / 8, ScenarioConfig(J=CHUNK + 5)
+    mesh_s, mesh_d, pairing = channel_meshes(h)
+    samples, _, _ = channel_samples(cfg, mesh_d)
+    ctx, _ = scenario_context(cfg, samples, resolve_delta_d(cfg, pairing.length, h))
+    geometry = (mesh_s, mesh_d, pairing, channel_bc())
+    runs = [_chunked_and_one_block(monkeypatch, ctx, geometry, per_sample_stop)]
+    if per_sample_stop:
+        # the fastest samples first, so every column of the first chunk
+        # freezes while the second chunk sweeps on
+        order = np.argsort(runs[0][1].iterations, kind="stable")
+        ctx = replace(ctx, samples=[ctx.samples[j] for j in order])
+        runs.append(_chunked_and_one_block(monkeypatch, ctx, geometry, per_sample_stop))
+        first = _chunk_cuts(ctx.J)[1]
+        its = runs[1][0].iterations
+        assert its[:first].max() < its[first:].max()
+    for chunked, one in runs:
+        assert chunked.converged.all()
+        for name in ("iterations", "converged", "lag_ratio"):
+            assert np.array_equal(getattr(chunked, name), getattr(one, name))
+        assert chunked.n_factorizations == one.n_factorizations == 2
+        for got, want in ((chunked.us, one.us), (chunked.ud, one.ud)):
+            if per_sample_stop:
+                assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+            else:
+                assert np.array_equal(got, want)
+
+
+def _watch_set_ups_and_sweeps(monkeypatch):
+    """Hook `_setup` and `sweep`: the set-ups made so far (weak references),
+    and per sweep its set-up and whether each group's whole-width set-up,
+    or one of its per-sample blocks, was still alive."""
+    from ensddm import ensemble_driver
+    made, swept = [], []
+
+    def set_up(*args):
+        su, ratio = _setup(*args)
+        made.append([weakref.ref(a) for a in (su, su.base_s, su.base_d, su.fixed_s, su.lag_w)])
+        return su, ratio
+
+    def watched(su, x):
+        gc.collect()
+        swept.append((su, [r() is not None for refs in made for r in refs]))
+        return sweep(su, x)
+
+    monkeypatch.setattr(ensemble_driver, "_setup", set_up)
+    monkeypatch.setattr(ensemble_driver, "sweep", watched)
+    return made, swept
+
+
+@pytest.mark.parametrize("per_sample_stop", [False, True])
+def test_a_wide_group_drops_its_whole_width_set_up_before_sweeping(monkeypatch, per_sample_stop):
+    # ten samples in chunks of at most eight: each sweep reads a chunk's
+    # copies, and the group's own blocks are gone by the first sweep
+    from ensddm import ensemble_driver
+    monkeypatch.setattr(ensemble_driver, "CHUNK", 8)
+    made, swept = _watch_set_ups_and_sweeps(monkeypatch)
+    ctx, _, mesh_s, mesh_d, pairing, bc, _ = small_setup(
+        k_list=tuple(np.linspace(2.0, 6.5, 10)), h=1 / 4)
+    run_ensemble_ddm(ctx, mesh_s, mesh_d, pairing, bc, per_sample_stop)
+    assert len(made) == 1 and swept
+    assert not any(any(alive) for _, alive in swept)
+    assert [su.base_s.shape[1] for su, _ in swept[:2]] == [8, 2]
+
+
+def test_a_group_of_at_most_chunk_columns_sweeps_its_set_up_uncopied(monkeypatch):
+    made, swept = _watch_set_ups_and_sweeps(monkeypatch)
+    ctx, _, mesh_s, mesh_d, pairing, bc, _ = small_setup(k_list=(2.21, 4.11, 6.21), h=1 / 4)
+    run_ensemble_ddm(ctx, mesh_s, mesh_d, pairing, bc)
+    assert all(su is made[0][0]() for su, _ in swept)
