@@ -10,10 +10,10 @@ of at most `CHUNK` columns (`_chunk_cuts`), each with its own copy of the
 group's right-hand-side columns, against the group's one pair of
 factorizations: so every temporary of a sweep is at most `CHUNK` columns
 wide and stays in cache, and only the iterate and the right-hand-side
-columns grow with the group.  A block solve rounds a column by its place in the
-block, so chunking moves values at the rounding level only (where
-per-sample stop drops columns), which leaves the iteration counts as
-they are but for a norm within rounding of the tolerance.
+columns grow with the group.  A block solve rounds a column by its place
+in the block, so the chunk width moves values at the rounding level only
+(where per-sample stop drops columns), and an iteration count only for a
+norm within rounding of the tolerance.
 
 The traditional (per-sample) variant runs the same loop over one-sample
 groups, each with its own operator pair, on the spaces and the Stokes

@@ -680,6 +680,17 @@ def test_each_group_drops_its_factors_before_the_next_set_up(monkeypatch, per_sa
     assert alive == [[]] + [[False, False]] * (ctx.J - 1)
 
 
+def test_chunk_cuts_split_a_group_near_evenly_on_the_blas_panels():
+    from ensddm.ensemble_driver import CHUNK
+    for k in range(1, 600):
+        cuts = _chunk_cuts(k)
+        widths = np.diff(cuts)
+        assert cuts[0] == 0 and cuts[-1] == k and len(widths) == -(-k // CHUNK)
+        assert widths.min() > 0 and widths.max() <= CHUNK
+        assert not (widths[:-1] % 8).any()
+    assert _chunk_cuts(48) == [0, 24, 48] and _chunk_cuts(37) == [0, 24, 37]
+
+
 def _chunked_and_one_block(monkeypatch, ctx, geometry, per_sample_stop):
     """The run of ctx in chunks of at most CHUNK columns, and the same run
     with every group in one chunk."""
