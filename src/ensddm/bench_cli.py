@@ -398,11 +398,10 @@ def run_channel_mc(cfg):
     mc_rows = []
     for J in cfg.J_list:
         eu_s, eu_d, report, draws = expectation(J)
-        num_s = report.space_s.velocity_l2(eu_s - ref_s)
-        den_s = report.space_s.velocity_l2(ref_s)
-        num_d = report.space_d.velocity_l2(eu_d - ref_d)
-        den_d = report.space_d.velocity_l2(ref_d)
-        mc_rows.append(dict(J=J, err_eu_s=num_s / den_s, err_eu_d=num_d / den_d,
+        s, d = report.space_s, report.space_d
+        err_s = np.sqrt(s.velocity_sq(eu_s - ref_s)) / np.sqrt(s.velocity_sq(ref_s))
+        err_d = np.sqrt(d.velocity_sq(eu_d - ref_d)) / np.sqrt(d.velocity_sq(ref_d))
+        mc_rows.append(dict(J=J, err_eu_s=float(err_s), err_eu_d=float(err_d),
                             converged=bool(report.converged.all())))
         if cfg.dump_draws:
             dump = os.path.join(cfg.out, f"draws_J{J}.csv")

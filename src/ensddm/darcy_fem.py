@@ -180,9 +180,6 @@ class DarcySpace:
         column of an (n, k) block."""
         return quadratic_form(self.velocity_mass, vec[:self.n_velocity])
 
-    def velocity_l2(self, vec):
-        return float(np.sqrt(self.velocity_sq(vec)))
-
     def elementwise_div(self, vec):
         """Exact per-triangle divergence of a velocity dof vector (nt,), or
         of each column of an (n, k) block (nt, k)."""

@@ -65,19 +65,17 @@ def zero_scalar_field(points):
     return np.zeros(len(pts))
 
 
-def make_sample(K, f_S=None, f_D=None, alpha=1.0, interface_y=0.0, scan_points=None):
+def make_sample(K, f_S=None, f_D=None, alpha=1.0, interface_y=0.0, *, scan_points):
     """Derive the per-sample constants (slip coefficient, smallest
     inverse-tensor eigenvalue) from a conductivity field.
 
-    `scan_points` should cover the porous subdomain (e.g. the assembly
+    `scan_points` must cover the porous subdomain (e.g. the assembly
     quadrature points); the smallest eigenvalue is taken over that scan.
     Only the heights of the scan are read, since a field varies in y alone,
     so one scan point per distinct height suffices.
     """
     if not 0 <= alpha < np.inf:     # NaN fails this too
         raise ValueError("alpha must be non-negative and finite")
-    if scan_points is None:
-        scan_points = np.array([[0.0, interface_y]])
     scan_points = np.atleast_2d(scan_points)
     # one evaluation: the scan heights, then the interface height last
     k11, k22 = K.diag(np.append(scan_points[:, 1], interface_y))

@@ -47,9 +47,9 @@ def update_robin(x, us_n, us_tau, ud_n, ud_tau, xi, dxi, ctx):
 
 def stopping_norm(space_s, space_d, prev_us, new_us, prev_ud, new_ud):
     """Combined L2 norm of the velocity increments,
-    sqrt(||du_S||^2 + ||du_D||^2): a float for one sample's dof vectors,
-    one value per column for (n_dofs, k) blocks."""
+    sqrt(||du_S||^2 + ||du_D||^2), of each column of (n_dofs, k) blocks:
+    a (k,) array."""
     nv_s, nv_d = space_s.n_velocity, space_d.n_velocity
     sq = space_s.velocity_sq(np.subtract(new_us[:nv_s], prev_us[:nv_s], order="C"))
     sq += space_d.velocity_sq(np.subtract(new_ud[:nv_d], prev_ud[:nv_d], order="C"))
-    return float(np.sqrt(sq)) if np.ndim(sq) == 0 else np.sqrt(sq)
+    return np.sqrt(sq)

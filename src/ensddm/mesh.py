@@ -73,10 +73,8 @@ class Mesh:
     def n_edges(self):
         return len(self.edges)
 
-    def boundary_edges(self, tag=None):
-        """Edge ids on the boundary, optionally restricted to one tag."""
-        if tag is None:
-            return np.where(self.boundary_tags != "")[0]
+    def boundary_edges(self, tag):
+        """Ids of the boundary edges tagged `tag`."""
         return np.where(self.boundary_tags == tag)[0]
 
 

@@ -19,6 +19,8 @@ RULE = quadrature.triangle_rule(6)
 # the columns `error_rows` evaluates in one pass: a pass holds the fields of
 # its columns at every point of the rule, so this bounds a call's memory
 PASS_COLUMNS = 8
+# a reference squared norm at most this counts as vanishing (`_rel`)
+TINY = 1e-28
 
 
 @dataclass
@@ -34,10 +36,10 @@ class ErrorTableRow:
     err_ud_div: float
 
 
-def _rel(err2, ref2, tiny=1e-28):
+def _rel(err2, ref2):
     """Relative errors per column, or the absolute one where the reference
     vanishes."""
-    return np.sqrt(np.divide(err2, ref2, out=err2.copy(), where=ref2 > tiny))
+    return np.sqrt(np.divide(err2, ref2, out=err2.copy(), where=ref2 > TINY))
 
 
 def _squared_norms(mesh, fields, evaluators):
@@ -92,12 +94,10 @@ def error_rows(space_s, space_d, us, ud, exacts, h, iterations):
     return [ErrorTableRow(h, j, int(n), *map(float, errs)) for j, (n, *errs) in enumerate(columns)]
 
 
-def error_norms(space_s, space_d, full_s, full_d, exact, h, j=0, iterations=0):
+def error_norms(space_s, space_d, full_s, full_d, exact, h):
     """One benchmark-table row from the converged subdomain solutions of one
-    sample: `error_rows` on one column."""
-    row, = error_rows(space_s, space_d, full_s[:, None], full_d[:, None], [exact], h,
-                      [iterations])
-    row.j = j
+    sample: `error_rows` on one column, with j and iterations 0."""
+    row, = error_rows(space_s, space_d, full_s[:, None], full_d[:, None], [exact], h, [0])
     return row
 
 

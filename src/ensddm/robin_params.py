@@ -12,6 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# a reference |A_{n-2}| at most this times max |A| counts as vanishing
+# (`measured_contraction`)
+RTOL = 1e-13
+
 
 @dataclass(frozen=True)
 class FrequencyBand:
@@ -118,7 +122,7 @@ def symbol_iteration(delta_s, delta_d, nu, k_bar, k_j_inv, m, n_steps):
     return SymbolTrace(A=A, combined=combined)
 
 
-def measured_contraction(trace, rtol=1e-13):
+def measured_contraction(trace):
     """Measured damping ratios |C_n| / |A_{n-2}| for n >= 2.
 
     Ratios with a (numerically) vanishing reference are reported as 0,
@@ -128,5 +132,5 @@ def measured_contraction(trace, rtol=1e-13):
     out = []
     for n in range(2, len(trace.combined)):
         ref = abs(trace.A[n - 2])
-        out.append(0.0 if ref <= rtol * scale else abs(trace.combined[n]) / ref)
+        out.append(0.0 if ref <= RTOL * scale else abs(trace.combined[n]) / ref)
     return out

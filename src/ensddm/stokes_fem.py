@@ -71,7 +71,7 @@ class StokesSpace:
     Velocity dofs: per component, nodal values then one interior bubble per
     triangle (the cubic bubble vanishes on all edges, so bubbles never enter
     boundary or interface integrals).  Pressure dofs: nodal P1.  A trailing
-    multiplier dof enforces zero pressure mean when requested.
+    multiplier dof enforces zero pressure mean if `pressure_multiplier`.
 
     `order` holds the dofs of the condensed unknowns in elimination order:
     vertices in a nested-dissection order, the free velocities and pressure
@@ -79,7 +79,7 @@ class StokesSpace:
     pattern of each matrix of its operator (`_patterns`).
     """
 
-    def __init__(self, mesh, dirichlet_tags=None, pressure_multiplier=True):
+    def __init__(self, mesh, dirichlet_tags=None, *, pressure_multiplier):
         self.mesh = mesh
         nv, nt = mesh.n_verts, mesh.n_tris
         self.n_comp = nv + nt                     # dofs per velocity component
@@ -147,13 +147,10 @@ class StokesSpace:
         nc, m = self.n_comp, self.component_mass
         return quadratic_form(m, vec[:nc]) + quadratic_form(m, vec[nc:2 * nc])
 
-    def velocity_l2(self, vec):
-        """L2 norm of the velocity part of a full dof vector."""
-        return float(np.sqrt(self.velocity_sq(vec)))
 
-
-def build_stokes_space(mesh, dirichlet_tags=None, pressure_multiplier=True):
-    """Construct the MINI space on a tagged mesh.
+def build_stokes_space(mesh, dirichlet_tags=None, *, pressure_multiplier):
+    """Construct the MINI space on a tagged mesh, with the zero-mean
+    pressure multiplier if `pressure_multiplier`.
 
     By default every tagged side except the interface carries (strongly
     imposed) Dirichlet velocity data; pass `dirichlet_tags` to leave e.g. an

@@ -278,13 +278,14 @@ def test_criterion_10_reduction_invariants():
     ok = bool(np.array_equal(ens.us, trad.us) and np.array_equal(ens.ud, trad.ud))
 
     # zero-data problem: one sweep, exact zeros
-    zero_ctx, _ = make_context([make_sample(ConstantConductivity(2.21))],
+    zero_ctx, _ = make_context([make_sample(ConstantConductivity(2.21),
+                                            scan_points=[[0.0, 0.0]])],
                                delta_s=1.0, delta_d=2.0, tol=1e-6)
     zrep = run_ensemble_ddm(zero_ctx, mesh_s, mesh_d, pairing, BoundaryConditions())
     ok &= list(zrep.iterations) == [1] and not zrep.us.any() and not zrep.ud.any()
 
     # interface term touches no bubble dofs
-    space = build_stokes_space(mesh_s)
+    space = build_stokes_space(mesh_s, pressure_multiplier=True)
     iface = StokesInterfaceInfo(space, pairing)
     elements = StokesElements(space, 1.0, iface)
     a1 = stokes_matrix(elements, 1.0, 0.3)

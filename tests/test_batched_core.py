@@ -160,7 +160,7 @@ def rel(a, b):
 @pytest.mark.parametrize("geometry", sorted(MESHES))
 def test_stokes_load_and_trace_match_per_pair_loops(geometry):
     ms, _, pairing = MESHES[geometry]()
-    space = build_stokes_space(ms)
+    space = build_stokes_space(ms, pressure_multiplier=True)
     info = StokesInterfaceInfo(space, pairing)
     rng = np.random.default_rng(11)
     k = 3
@@ -265,7 +265,7 @@ def test_stokes_interface_terms_come_from_the_trace_map(geometry):
     # delta_s <u.n_S, v.n_S> + xi <u.tau, v.tau> of stokes_matrix is
     # trace^T diag(delta_s M, xi M) trace, M the edge mass of every pair
     ms, _, pairing = MESHES[geometry]()
-    space = build_stokes_space(ms)
+    space = build_stokes_space(ms, pressure_multiplier=True)
     info = StokesInterfaceInfo(space, pairing)
     (d1, x1), (d2, x2) = (1.0, 0.3), (2.5, 1.1)
     elements = StokesElements(space, 1.0, info)

@@ -212,7 +212,7 @@ def test_operator_builds_reuse_the_order_of_their_space(monkeypatch):
     monkeypatch.setattr(stokes_fem, "nested_dissection", counting)
     monkeypatch.setattr(darcy_fem, "nested_dissection", counting)
     ms, md, pairing = manufactured_meshes(1 / 4)
-    space_s, space_d = build_stokes_space(ms), build_darcy_space(md)
+    space_s, space_d = build_stokes_space(ms, pressure_multiplier=True), build_darcy_space(md)
     iface_s, iface_d = StokesInterfaceInfo(space_s, pairing), DarcyInterfaceInfo(space_d, pairing)
     assert len(calls) == 2
     orders = space_s.order, space_d.order
@@ -290,7 +290,7 @@ def _stokes_pairing(geometry, h):
                                    pressure_multiplier=bc.stokes_pressure_multiplier)
     else:
         ms, _, pairing = manufactured_meshes(h)
-        space = build_stokes_space(ms)
+        space = build_stokes_space(ms, pressure_multiplier=True)
     return space, StokesInterfaceInfo(space, pairing), pairing
 
 

@@ -35,7 +35,7 @@ def test_dof_counts_two_triangles():
 def test_all_boundary_constrained_interior_free():
     mesh = build_rect_mesh(Rect(0, 1, 0, 1), 2, 2)  # all sides WALL by default
     sp = build_darcy_space(mesh)
-    boundary = mesh.boundary_edges()
+    boundary = np.flatnonzero(mesh.boundary_tags != "")
     assert set(sp.essential_edges) == set(boundary)
     interior = set(range(mesh.n_edges)) - set(boundary)
     for e in interior:

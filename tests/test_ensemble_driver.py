@@ -26,6 +26,10 @@ from ensddm.darcy_fem import (build_darcy_space, DarcyInterfaceInfo, darcy_matri
 from ensddm.mesh import Rect, build_rect_mesh, pair_interface
 from ensddm.norms import error_norms
 
+# a constant field's one scan point: its smallest eigenvalue is the same
+# everywhere
+AT_INTERFACE = [[0.0, 0.0]]
+
 
 def run_data(ctx, mesh_s, mesh_d, pairing, bc):
     """What a run of `ctx` builds for `bc` before its groups: the Stokes
@@ -94,13 +98,14 @@ def small_setup(k_list=(2.21,), h=1 / 8, tol=1e-6, max_iters=200, delta_s=1.0):
 
 
 def test_make_context_single_sample():
-    s = make_sample(ConstantConductivity(2.21), alpha=1.0)
+    s = make_sample(ConstantConductivity(2.21), alpha=1.0, scan_points=AT_INTERFACE)
     ctx, diag = make_context([s])
     assert diag == EnsembleDiagnostics(xi_bar=s.xi, kbar_min=s.k_min)
 
 
 def test_make_context_reference_means():
-    samples = [make_sample(ConstantConductivity(k)) for k in (2.21, 4.11, 6.21)]
+    samples = [make_sample(ConstantConductivity(k), scan_points=AT_INTERFACE)
+               for k in (2.21, 4.11, 6.21)]
     ctx, diag = make_context(samples)
     expect = (1 / 2.21 + 1 / 4.11 + 1 / 6.21) / 3
     assert diag.kbar_min == pytest.approx(expect, rel=1e-12)
@@ -113,7 +118,7 @@ def test_make_context_rejects_empty_and_bad_settings():
     with pytest.raises(ValueError):
         make_context([])
     # a run with these would spin to max_iters or return unswept zeros
-    one = [make_sample(ConstantConductivity(2.21))]
+    one = [make_sample(ConstantConductivity(2.21), scan_points=AT_INTERFACE)]
     for bad in (dict(tol=np.nan), dict(tol=-1.0), dict(tol=0.0), dict(tol=np.inf),
                 dict(max_iters=0), dict(max_iters=2.5), dict(max_iters=3.0), dict(max_iters=True),
                 dict(delta_s=np.nan), dict(delta_d=np.nan), dict(delta_s=np.inf),
@@ -127,7 +132,8 @@ def test_make_context_rejects_empty_and_bad_settings():
 def _spread_run(run, k_list=(1.0, 1.0, 0.1), alpha=1.0):
     """A one-iteration zero-data run of constant-conductivity samples."""
     mesh_s, mesh_d, pairing = manufactured_meshes(1 / 4)
-    samples = [make_sample(ConstantConductivity(k), alpha=alpha) for k in k_list]
+    samples = [make_sample(ConstantConductivity(k), alpha=alpha, scan_points=AT_INTERFACE)
+               for k in k_list]
     ctx, _ = make_context(samples, max_iters=1)
     return run(ctx, mesh_s, mesh_d, pairing, BoundaryConditions())
 
@@ -135,7 +141,8 @@ def _spread_run(run, k_list=(1.0, 1.0, 0.1), alpha=1.0):
 def test_large_spread_warns_from_the_run_not_the_context():
     # inverse tensors {1, 1, 10}: the mean is 4, so the lag weights are
     # 3/4, 3/4 and 6/4 of it; the slip coefficients {1, 1, 10^0.5} lag less
-    samples = [make_sample(ConstantConductivity(k)) for k in (1.0, 1.0, 0.1)]
+    samples = [make_sample(ConstantConductivity(k), scan_points=AT_INTERFACE)
+               for k in (1.0, 1.0, 0.1)]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         make_context(samples)
@@ -211,9 +218,9 @@ def test_make_sample_rejects_non_spd():
     # only later, in the assembly
     for alpha in (-0.5, np.nan, np.inf):
         with pytest.raises(ValueError, match="alpha"):
-            make_sample(ConstantConductivity(2.21), alpha=alpha)
+            make_sample(ConstantConductivity(2.21), alpha=alpha, scan_points=AT_INTERFACE)
     with pytest.raises(ValueError):
-        make_sample(ConstantConductivity(1.0, -1.0))
+        make_sample(ConstantConductivity(1.0, -1.0), scan_points=AT_INTERFACE)
     with pytest.raises(ValueError, match="not SPD"):
         make_sample(ConstantConductivity(-1.0), scan_points=np.array([[0.5, -0.5], [1.0, -1.0]]))
     # positive at every scan point, but not at the interface height that
@@ -222,12 +229,25 @@ def test_make_sample_rejects_non_spd():
         make_sample(_NegativeOnInterface(), interface_y=0.0,
                     scan_points=np.array([[0.5, -0.5], [1.0, -0.25]]))
     with pytest.raises(ValueError, match="not SPD"):
-        make_sample(ConstantConductivity(np.nan))
+        make_sample(ConstantConductivity(np.nan), scan_points=AT_INTERFACE)
+
+
+def test_make_sample_takes_k_min_over_its_scan():
+    with pytest.raises(TypeError):
+        make_sample(ConstantConductivity(2.21))
+    # a KL field varies in y, so the interface alone does not give k_min;
+    # the scan's minimum is the one the set-up's inverse diagonal holds
+    _, mesh_d, _ = channel_meshes(1 / 8)
+    samples, _, _ = channel_samples(ScenarioConfig(J=8), mesh_d)
+    space_d = build_darcy_space(mesh_d)
+    for s in samples:
+        assert s.k_min == inverse_diagonal(space_d, s.K).min()
 
 
 def _zero_problem_ctx(h=1 / 8):
     mesh_s, mesh_d, pairing = manufactured_meshes(h)
-    samples = [make_sample(ConstantConductivity(2.21))]  # zero forcing fields
+    # zero forcing fields
+    samples = [make_sample(ConstantConductivity(2.21), scan_points=AT_INTERFACE)]
     ctx, _ = make_context(samples, delta_s=1.0, delta_d=2.0, tol=1e-6)
     return ctx, mesh_s, mesh_d, pairing
 
@@ -439,9 +459,9 @@ def test_ensemble_and_traditional_agree_at_convergence():
     trad = run_traditional_ddm(ctx, mesh_s, mesh_d, pairing, bc)
     assert ens.converged.all() and trad.converged.all()
     for j in range(3):
-        du = ens.space_s.velocity_l2(ens.us[j] - trad.us[j])
-        dd = ens.space_d.velocity_l2(ens.ud[j] - trad.ud[j])
-        assert np.hypot(du, dd) <= 10 * ctx.tol
+        sq = (ens.space_s.velocity_sq(ens.us[j] - trad.us[j])
+              + ens.space_d.velocity_sq(ens.ud[j] - trad.ud[j]))
+        assert np.sqrt(sq) <= 10 * ctx.tol
 
 
 def test_geometric_decay_of_stopping_norms():
@@ -493,9 +513,9 @@ def test_coupled_system_solution_is_the_converged_iterate(scenario):
     for j in range(ctx.J):
         A, b = _monolithic_system(report, ctx, bc, j)
         x = spsolve(A.tocsc(), b)
-        du = report.space_s.velocity_l2(x[:n_s] - report.us[j])
-        dd = report.space_d.velocity_l2(x[n_s:n_s + n_d] - report.ud[j])
-        assert np.hypot(du, dd) <= 1e-8
+        sq = (report.space_s.velocity_sq(x[:n_s] - report.us[j])
+              + report.space_d.velocity_sq(x[n_s:n_s + n_d] - report.ud[j]))
+        assert np.sqrt(sq) <= 1e-8
 
 
 @pytest.mark.parametrize("scenario", ["manufactured", "channel"])

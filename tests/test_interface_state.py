@@ -13,7 +13,8 @@ def setup(J=3, delta_s=1.0, delta_d=2.0, g=1.0, z=0.0):
     ms = build_rect_mesh(Rect(0, 1, 0, 1), 4, 4, side_tags={"bottom": "INTERFACE"})
     md = build_rect_mesh(Rect(0, 1, -1, 0), 4, 4, side_tags={"top": "INTERFACE"})
     pairing = pair_interface(ms, md)
-    samples = [make_sample(ConstantConductivity(2.0 + j)) for j in range(J)]
+    samples = [make_sample(ConstantConductivity(2.0 + j), scan_points=[[0.0, 0.0]])
+               for j in range(J)]
     ctx, _ = make_context(samples, delta_s=delta_s, delta_d=delta_d, g=g, z=z)
     return ctx, pairing
 
@@ -160,11 +161,8 @@ def test_lagged_fields_replaced():
 def test_stopping_norm_pythagorean():
     ms = build_rect_mesh(Rect(0, 1, 0, 1), 6, 6, side_tags={"bottom": "INTERFACE"})
     md = build_rect_mesh(Rect(0, 1, -1, 0), 6, 6, side_tags={"top": "INTERFACE"})
-    sp_s = build_stokes_space(ms)
+    sp_s = build_stokes_space(ms, pressure_multiplier=True)
     sp_d = build_darcy_space(md)
-    a = np.zeros(sp_s.n_dofs)
-    b = np.zeros(sp_d.n_dofs)
-    assert stopping_norm(sp_s, sp_d, a, a, b, b) == 0.0
     # constant fields with unit-area domains: L2 norms are the constants
     u3 = np.zeros(sp_s.n_dofs)
     u3[:ms.n_verts] = 3.0                      # u_x nodal = 3, bubbles 0
@@ -174,6 +172,9 @@ def test_stopping_norm_pythagorean():
     d4[0::2][np.arange(md.n_edges)] = sp_d.edge_normal @ const
     d4[1::2][np.arange(md.n_edges)] = sp_d.edge_normal @ const
     d4 = d4[:sp_d.n_dofs]
-    got = stopping_norm(sp_s, sp_d, np.zeros_like(u3), u3, np.zeros_like(d4), d4)
+    # column 0 has no increment, column 1 the two fields
+    us, ud = np.column_stack([0 * u3, u3]), np.column_stack([0 * d4, d4])
+    got = stopping_norm(sp_s, sp_d, 0 * us, us, 0 * ud, ud)
     # nodal-3 interpolates u_x = 3 exactly; bubble part absent
-    assert got == pytest.approx(5.0, rel=1e-12)
+    assert got.shape == (2,) and got[0] == 0.0
+    assert got[1] == pytest.approx(5.0, rel=1e-12)

@@ -140,7 +140,8 @@ def test_one_column_equals_its_row_of_the_block(cli_run):
     rows, report, exacts = cli_run
     for j, exact in enumerate(exacts):
         one = asdict(error_norms(report.space_s, report.space_d, report.us[j], report.ud[j],
-                                 exact, H, j=j, iterations=int(report.iterations[j])))
+                                 exact, H))
+        del one["j"], one["iterations"]
         assert one == pytest.approx({key: rows[j][key] for key in one}, rel=1e-14, abs=0)
 
 

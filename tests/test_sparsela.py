@@ -56,7 +56,8 @@ def test_matrix_builders_reject_nonpositive_or_nonfinite_coefficients(bad):
     from ensddm.stokes_fem import (StokesElements, StokesInterfaceInfo, build_stokes_space,
                                    stokes_matrix)
     mesh_s, mesh_d, pairing = manufactured_meshes(1 / 2)
-    space_s, space_d = build_stokes_space(mesh_s), build_darcy_space(mesh_d)
+    space_s = build_stokes_space(mesh_s, pressure_multiplier=True)
+    space_d = build_darcy_space(mesh_d)
     iface_s, iface_d = StokesInterfaceInfo(space_s, pairing), DarcyInterfaceInfo(space_d, pairing)
     with pytest.raises(ValueError):
         StokesElements(space_s, bad, iface_s)          # the viscosity
@@ -242,7 +243,7 @@ def test_saddle_point_roundtrip_reproduces_discrete_solution():
     ms = build_rect_mesh(Rect(0, 1, 0, 1), 4, 4, side_tags={"bottom": "INTERFACE"})
     md = build_rect_mesh(Rect(0, 1, -1, 0), 4, 4, side_tags={"top": "INTERFACE"})
     pairing = pair_interface(ms, md)
-    space = build_stokes_space(ms)
+    space = build_stokes_space(ms, pressure_multiplier=True)
     iface = StokesInterfaceInfo(space, pairing)
     elements = StokesElements(space, 1.0, iface)
     op = assemble_stokes_operator(elements, 1.0, 0.5)
@@ -304,7 +305,7 @@ def test_operator_drops_the_matrix_it_was_built_from():
                                    StokesInterfaceInfo)
 
     ms, _, pairing = manufactured_meshes(1 / 4)
-    space = build_stokes_space(ms)
+    space = build_stokes_space(ms, pressure_multiplier=True)
     iface = StokesInterfaceInfo(space, pairing)
     elements = StokesElements(space, 1.0, iface)
     matrix = stokes_matrix(elements, 1.0, 0.5)
@@ -334,7 +335,7 @@ def _stokes_boundary_case():
                                    StokesElements, StokesInterfaceInfo)
 
     ms, _, pairing = manufactured_meshes(1 / 8)
-    space = build_stokes_space(ms)
+    space = build_stokes_space(ms, pressure_multiplier=True)
     iface = StokesInterfaceInfo(space, pairing)
     elements = StokesElements(space, 1.0, iface)
     bc = manufactured_bc([ManufacturedSolution(k, k) for k in (0.5, 2.21)])
@@ -455,7 +456,7 @@ def test_interior_pairs_must_not_couple():
     from ensddm.bench_cli import manufactured_meshes
     from ensddm.stokes_fem import build_stokes_space
 
-    space = build_stokes_space(manufactured_meshes(1 / 4)[0])
+    space = build_stokes_space(manufactured_meshes(1 / 4)[0], pressure_multiplier=True)
     bubbles = space.vel_elem_dofs[:, [3, 7]]
     pos = np.searchsorted(op.free, bubbles)
     direct = op._direct.tocoo()

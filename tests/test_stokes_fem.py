@@ -15,9 +15,9 @@ from ensddm.norms import stokes_errors
 PI = np.pi
 
 
-def unit_square_space(**kw):
+def unit_square_space():
     mesh = build_rect_mesh(Rect(0, 1, 0, 1), 1, 1)
-    return build_stokes_space(mesh, **kw)
+    return build_stokes_space(mesh, pressure_multiplier=True)
 
 
 def stacked(nx, ny, width=1.0):
@@ -37,7 +37,7 @@ def test_dof_counts_unit_square():
 
 def test_dof_counts_32x32():
     mesh = build_rect_mesh(Rect(0, PI, 0, 1), 32, 32)
-    sp = build_stokes_space(mesh)
+    sp = build_stokes_space(mesh, pressure_multiplier=True)
     assert sp.n_velocity == 2 * (1089 + 2048) == 6274
 
 
@@ -52,7 +52,7 @@ def test_all_wall_masks_every_boundary_node_but_no_bubbles():
 
 def test_interface_nodes_not_dirichlet_by_default():
     ms, _, _ = stacked(4, 4)
-    sp = build_stokes_space(ms)
+    sp = build_stokes_space(ms, pressure_multiplier=True)
     iface_nodes = np.unique(ms.edges[ms.boundary_edges("INTERFACE")])
     interior_iface = [n for n in iface_nodes
                       if 0 < ms.verts[n, 0] < ms.rect.x1]
@@ -103,14 +103,14 @@ def test_velocity_norm_is_the_l2_norm_of_the_mini_field():
     # the bubble squared is of degree 6: a degree-6 rule integrates |u_h|^2
     # exactly, so the mass must agree with it to rounding
     mesh = build_rect_mesh(Rect(0, 2, 0, 1), 3, 2)
-    space = build_stokes_space(mesh)
+    space = build_stokes_space(mesh, pressure_multiplier=True)
     vec = np.random.default_rng(5).standard_normal(space.n_dofs)
     bary, w = quadrature.triangle_rule(6)
     N, _ = mini_basis(bary, mesh.tri_grads)
     vd = space.vel_elem_dofs
     u = np.stack([vec[vd[:, :4]] @ N.T, vec[vd[:, 4:]] @ N.T])      # (component, nt, q)
     expect = np.sqrt((u ** 2).sum(axis=0) @ w @ mesh.tri_area)
-    assert space.velocity_l2(vec) == pytest.approx(expect, rel=1e-12)
+    assert np.sqrt(space.velocity_sq(vec)) == pytest.approx(expect, rel=1e-12)
 
 
 def test_matmul_kernels_match_einsum_forms():
@@ -118,7 +118,7 @@ def test_matmul_kernels_match_einsum_forms():
     # einsum forms they replaced are the oracle
     from ensddm.stokes_fem import deformation_element_matrices, div_element_matrices
     ms, _, _ = stacked(5, 3, width=2.0)
-    space = build_stokes_space(ms)
+    space = build_stokes_space(ms, pressure_multiplier=True)
 
     def f_S(p):
         return np.column_stack([np.sin(3 * p[:, 0]) * p[:, 1], np.cos(p[:, 1]) + p[:, 0] ** 2])
@@ -132,7 +132,7 @@ def test_matmul_kernels_match_einsum_forms():
 
 def test_local_robin_block():
     ms, md, pairing = stacked(1, 1)
-    sp = build_stokes_space(ms)
+    sp = build_stokes_space(ms, pressure_multiplier=True)
     iface = StokesInterfaceInfo(sp, pairing)
     elements = StokesElements(sp, 1.0, iface)
     a1 = stokes_matrix(elements, 1.0, 0.0).toarray()
@@ -147,7 +147,7 @@ def test_local_robin_block():
 
 def test_tangential_block_uses_x_components():
     ms, md, pairing = stacked(1, 1)
-    sp = build_stokes_space(ms)
+    sp = build_stokes_space(ms, pressure_multiplier=True)
     iface = StokesInterfaceInfo(sp, pairing)
     elements = StokesElements(sp, 1.0, iface)
     a1 = stokes_matrix(elements, 1.0, 0.0).toarray()
@@ -160,7 +160,7 @@ def test_tangential_block_uses_x_components():
 
 def test_matrix_symmetry():
     ms, _, pairing = stacked(4, 4)
-    sp = build_stokes_space(ms)
+    sp = build_stokes_space(ms, pressure_multiplier=True)
     iface = StokesInterfaceInfo(sp, pairing)
     a = stokes_matrix(StokesElements(sp, 0.7, iface), 1.3, 0.4)
     # physical signs: symmetric once the pressure columns are negated
@@ -172,7 +172,7 @@ def test_matrix_symmetry():
 
 def test_interface_term_touches_only_p1_dofs():
     ms, _, pairing = stacked(4, 4)
-    sp = build_stokes_space(ms)
+    sp = build_stokes_space(ms, pressure_multiplier=True)
     iface = StokesInterfaceInfo(sp, pairing)
     elements = StokesElements(sp, 1.0, iface)
     a1 = stokes_matrix(elements, 1.0, 0.2)
@@ -195,7 +195,7 @@ def _manufactured_or_channel(geometry):
                                 pressure_multiplier=bc.stokes_pressure_multiplier)
     else:
         ms, _, pairing = manufactured_meshes(1 / 8)
-        sp = build_stokes_space(ms)
+        sp = build_stokes_space(ms, pressure_multiplier=True)
     return sp, StokesInterfaceInfo(sp, pairing)
 
 
@@ -220,7 +220,7 @@ def test_stokes_matrix_is_affine_in_the_interface_coefficients(geometry):
 
 def test_operator_rejects_bad_parameters():
     ms, _, pairing = stacked(2, 2)
-    sp = build_stokes_space(ms)
+    sp = build_stokes_space(ms, pressure_multiplier=True)
     iface = StokesInterfaceInfo(sp, pairing)
     with pytest.raises(ValueError):
         StokesElements(sp, -1.0, iface)
@@ -271,7 +271,7 @@ def _solve_subproblem(n, k=2.21, nu=1.0, delta_s=1.0):
     exact = ManufacturedSolution(k, k, nu=nu)
     xi = 1.0 / np.sqrt(k)
     ms, _, pairing = stacked(n, n, width=PI)
-    sp = build_stokes_space(ms)
+    sp = build_stokes_space(ms, pressure_multiplier=True)
     iface = StokesInterfaceInfo(sp, pairing)
     op = assemble_stokes_operator(StokesElements(sp, nu, iface), delta_s, xi)
     rhs = assemble_stokes_volume_rhs(sp, exact.f_S)
@@ -317,7 +317,7 @@ def test_velocity_solution_invariant_under_joint_scaling():
     exact = ManufacturedSolution(k, k, nu=1.0)
     xi = 1.0 / np.sqrt(k)
     ms, _, pairing = stacked(n, n, width=PI)
-    sp = build_stokes_space(ms)
+    sp = build_stokes_space(ms, pressure_multiplier=True)
     iface = StokesInterfaceInfo(sp, pairing)
     solutions = []
     for scale in (1.0, 2.0):
