@@ -371,13 +371,13 @@ def inverse_diagonal(space, coeff):
     return np.column_stack(coeff.inv_diag(space.heights))[space.height_of].ravel()
 
 
-def lag_weights(space, g, dW, dk_min):
-    """The lag weights of k samples premultiplied into one (rows of
-    space.volume_op, k) block: g w |T| dW on the evaluation rows (w |T| the
-    quadrature weights, dW the (rows, k) diagonals of the deviation tensors,
-    see inverse_diagonal), then g |T| dk_min on the divergence rows."""
+def lag_weights(space, g, dW, dk_min, out):
+    """Write the lag weights of k samples premultiplied into the (rows of
+    space.volume_op, k) block `out`, and return it: g w |T| dW on the
+    evaluation rows (w |T| the quadrature weights, dW the (rows, k)
+    diagonals of the deviation tensors, see inverse_diagonal; it may be
+    those rows of `out`), then g |T| dk_min on the divergence rows."""
     n_eval = len(space.quad_weight)
-    out = np.empty((space.volume_op.shape[0], dW.shape[1]))
     np.multiply(dW, (g * space.quad_weight)[:, None], out=out[:n_eval])
     np.multiply.outer(g * space.mesh.tri_area, dk_min, out=out[n_eval:])
     return out

@@ -1,13 +1,14 @@
 """The full ensemble iteration: a set-up that factorizes the two subdomain
-matrices and assembles the per-sample right-hand-side columns once, then a
-loop of sweeps.  A sweep maps the active samples' iterate block [g_S; g_D;
-g_tau; ud] to the next: it solves them as the columns of one block per
-subdomain against the shared factorization and forms their next traces at
-once; the loop takes the stopping norm and freezes samples.
+matrices and writes each sample's right-hand-side data once, as one column
+of one block, then a loop of sweeps.  A sweep maps the active samples'
+iterate block [g_S; g_D; g_tau; ud] to the next: it solves them as the
+columns of one block per subdomain against the shared factorization and
+forms their next traces at once; the loop takes the stopping norm and
+freezes samples.
 
 A group of more than `CHUNK` samples sweeps in turn over near-even chunks
-of at most `CHUNK` columns (`_chunk_cuts`), each with its own copy of the
-group's right-hand-side columns, against the group's one pair of
+of at most `CHUNK` columns (`_chunk_cuts`), each with its own copy of its
+columns of the group's set-up block, against the group's one pair of
 factorizations: so every temporary of a sweep is at most `CHUNK` columns
 wide and stays in cache, and only the iterate and the right-hand-side
 columns grow with the group.  A block solve rounds a column by its place
@@ -221,13 +222,18 @@ def stokes_dirichlet_values(space, data_fn, j):
     return np.concatenate([vals[:, 0], vals[:, 1]])
 
 
-def _darcy_sample_rhs(space, sample, bc, j, g):
-    """Porous volume forcing plus sample j's natural head data."""
-    rhs = assemble_darcy_volume_rhs(space, sample.f_D, sample.k_min, g)
-    if bc.darcy_natural_head is not None:
-        add_darcy_natural_head_rhs(rhs, space, bc.darcy_natural_tags,
-                                   partial(bc.darcy_natural_head, j), g)
-    return rhs
+def _sample_rhs(space_s, space_d, bc, g, samples, js, base_s, base_d, fixed_s):
+    """Write each sample's iteration-independent right-hand-side data into
+    the (rows, k) views given: column i of base_s its Stokes forcing, of
+    base_d its porous forcing plus natural head data, of fixed_s its Stokes
+    boundary values; js[i] is the index into `bc` of sample i."""
+    for i, (j, s) in enumerate(zip(js, samples)):
+        base_s[:, i] = assemble_stokes_volume_rhs(space_s, s.f_S)
+        base_d[:, i] = assemble_darcy_volume_rhs(space_d, s.f_D, s.k_min, g)
+        if bc.darcy_natural_head is not None:
+            add_darcy_natural_head_rhs(base_d[:, i], space_d, bc.darcy_natural_tags,
+                                       partial(bc.darcy_natural_head, j), g)
+        fixed_s[:, i] = stokes_dirichlet_values(space_s, bc.stokes_values, j)
 
 
 def run_ensemble_ddm(ctx, mesh_s, mesh_d, pairing, bc, per_sample_stop=False):
@@ -258,12 +264,15 @@ def run_traditional_ddm(ctx, mesh_s, mesh_d, pairing, bc, per_sample_stop=False)
 
 @dataclass
 class IterationSetup:
-    """Everything a sweep of a group of samples reads; sample i of the sweep
-    is column (entry) i of each per-sample block.  The Darcy lag weights
-    come premultiplied by their quadrature and area factors
-    (`lag_weights`); `has_lag` is False when every one of them is 0 (a
-    one-sample group, or a group of identical samples), and the sweeps then
-    add no lag term."""
+    """Everything a sweep of a group of samples reads.  Sample i of the sweep
+    is column i of the C-order block `cols`, whose row ranges, split at
+    `rows`, are its Stokes forcing (n_stokes_dofs), its Darcy forcing plus
+    natural data (n_darcy_dofs), its Stokes boundary values (n_fixed), its
+    Darcy lag weights premultiplied by their quadrature and area factors
+    (rows of space_d.volume_op, `lag_weights`), its slip coefficient xi and
+    its slip lag weight dxi, mean minus sample.  `has_lag` is False when
+    every lag weight is 0 (a one-sample group, or a group of identical
+    samples), and the sweeps then add no lag term."""
 
     ctx: EnsembleContext
     space_d: object
@@ -271,31 +280,9 @@ class IterationSetup:
     iface_d: object              # DarcyInterfaceInfo of the run's pairing
     op_s: object
     op_d: object
-    base_s: np.ndarray           # (n_stokes_dofs, k) forcing
-    base_d: np.ndarray           # (n_darcy_dofs, k) forcing plus natural data
-    fixed_s: np.ndarray          # (n_fixed, k) Stokes boundary values
-    lag_w: np.ndarray            # (rows of space_d.volume_op, k) premultiplied lag weights
+    cols: np.ndarray             # (rows, k) per-sample data, one column per sample
+    rows: np.ndarray             # the five bounds of its row ranges
     has_lag: bool                # any lag weight nonzero; else sweeps skip the lag term
-    xi: np.ndarray               # (k,) slip coefficients
-    dxi: np.ndarray              # (k,) slip lag weights, mean minus sample
-
-
-def _column_block(columns, k):
-    """The k vectors `columns` yields as the columns of one (n, k) block,
-    each written into it as it is made, so none is held beside it."""
-    for i, col in enumerate(columns):
-        if i == 0:
-            block = np.empty((len(col), k))
-        block[:, i] = col
-    return block
-
-
-def _columns(su, keep):
-    """The `IterationSetup` of the columns `keep` (a mask or indices) of su:
-    its per-sample blocks are copies, so su's can go."""
-    return replace(su, base_s=su.base_s[:, keep], base_d=su.base_d[:, keep],
-                   fixed_s=su.fixed_s[:, keep], lag_w=su.lag_w[:, keep],
-                   xi=su.xi[keep], dxi=su.dxi[keep])
 
 
 def _chunk_cuts(k):
@@ -316,11 +303,17 @@ def _setup(ctx, samples, elements, space_d, iface_d, bc, js):
     of sample i.  The operators use the group's own means; it warns when a
     sample's lag ratio reaches 1."""
     k, space_s, iface_s = len(samples), elements.space, elements.iface
+    rows = np.cumsum([space_s.n_dofs, space_d.n_dofs, len(space_s.fixed),
+                      space_d.volume_op.shape[0], 1])
+    cols = np.empty((rows[-1] + 1, k))
+    base_s, base_d, fixed_s, lag_w, (xi,), (dxi,) = np.split(cols, rows)
     # one inverse-tensor evaluation per sample, at the space's distinct
-    # heights, gives the group mean (summed in sample order, as
-    # MeanInverseField.inv_diag sums) and, overwritten in place, the lag
-    # weights
-    w = _column_block((inverse_diagonal(space_d, s.K) for s in samples), k)
+    # heights, written into the evaluation lag rows, gives the group mean
+    # (summed in sample order, as MeanInverseField.inv_diag sums) and,
+    # overwritten in place, the lag weights
+    w = lag_w[:len(space_d.quad_weight)]
+    for i, s in enumerate(samples):
+        w[:, i] = inverse_diagonal(space_d, s.K)
     kbar_w = sum(w.T) / k
     dW = np.subtract(kbar_w[:, None], w, out=w)
     xi_bar = sum(s.xi for s in samples) / k
@@ -328,8 +321,8 @@ def _setup(ctx, samples, elements, space_d, iface_d, bc, js):
     # every lag weight is mean minus sample: the stationary state then
     # solves the per-sample equations exactly
     dk = kbar_min - np.array([s.k_min for s in samples])
-    xi = np.array([s.xi for s in samples])
-    dxi = xi_bar - xi
+    xi[:] = [s.xi for s in samples]
+    np.subtract(xi_bar, xi, out=dxi)
     # each lag weight relative to its mean, one column of dW at a time; xi_bar
     # is 0 only when every xi is
     ratio = np.maximum.reduce([[np.abs(dW[:, i] / kbar_w).max() for i in range(k)],
@@ -339,19 +332,17 @@ def _setup(ctx, samples, elements, space_d, iface_d, bc, js):
         warnings.warn(f"sample {js[worst]} has lag ratio {ratio[worst]:.3g} >= 1: its spread "
                       "exceeds the group's means, so the shared-matrix iteration may "
                       "converge slowly or diverge", RuntimeWarning)
-    lag_w = lag_weights(space_d, ctx.g, dW, dk)
-    del w, dW       # before the operators are built
+    lag_weights(space_d, ctx.g, dW, dk, lag_w)
     op_s = assemble_stokes_operator(elements, ctx.delta_s, xi_bar)
     op_d = assemble_darcy_operator(space_d, ctx.g, kbar_w, kbar_min, ctx.delta_d, iface_d)
     # the iteration-independent part of every sample's right-hand side
     # (forcing plus natural data), and the boundary values of the fixed rows,
-    # which the Stokes solves lift; the Darcy essential rows are homogeneous
-    fixed_s = _column_block((stokes_dirichlet_values(space_s, bc.stokes_values, j) for j in js), k)
-    base_s = _column_block((assemble_stokes_volume_rhs(space_s, s.f_S) for s in samples), k)
-    base_d = _column_block((_darcy_sample_rhs(space_d, s, bc, j, ctx.g)
-                            for j, s in zip(js, samples)), k)
+    # which the Stokes solves lift; the Darcy essential rows are homogeneous.
+    # Written after the factorizations, so their peak memory does not hold
+    # these rows (np.empty left their pages untouched)
+    _sample_rhs(space_s, space_d, bc, ctx.g, samples, js, base_s, base_d, fixed_s)
     return IterationSetup(ctx, space_d, iface_s, iface_d, op_s, op_d,
-                          base_s, base_d, fixed_s, lag_w, bool(lag_w.any()), xi, dxi), ratio
+                          cols, rows, bool(lag_w.any())), ratio
 
 
 def sweep(su, x):
@@ -361,24 +352,25 @@ def sweep(su, x):
     solves read the previous traces (Jacobi-like) and the Darcy solve lags
     the previous ud; per sample the sweep is an affine map of x."""
     g_S, g_D, g_tau, ud_lag = split_block(x, su.iface_d.normal.shape[0])
+    base_s, base_d, fixed_s, lag_w, (xi,), (dxi,) = np.split(su.cols, su.rows)
     ta = time.perf_counter()
-    rhs = su.base_s.copy()
+    rhs = base_s.copy()
     add_interface_rhs(rhs, su.iface_s, g_S, g_tau)
     tb = time.perf_counter()
-    us = su.op_s.solve(rhs, su.fixed_s)
+    us = su.op_s.solve(rhs, fixed_s)
     del rhs
     tc = time.perf_counter()
-    rhs = su.base_d.copy()
+    rhs = base_d.copy()
     add_darcy_interface_rhs(rhs, su.iface_d, g_D)
     if su.has_lag:
-        add_darcy_lag_rhs(rhs, su.space_d, su.lag_w, ud_lag)
+        add_darcy_lag_rhs(rhs, su.space_d, lag_w, ud_lag)
     td = time.perf_counter()
     ud = su.op_d.solve(rhs, 0.0)
     del rhs
     te = time.perf_counter()
     us_n, us_tau = interface_traces(su.iface_s, us)
     x = np.concatenate([*update_robin(x, us_n, us_tau, su.iface_d.normal_trace(ud),
-                                      su.iface_d.tangential_trace(ud), su.xi, su.dxi, su.ctx),
+                                      su.iface_d.tangential_trace(ud), xi, dxi, su.ctx),
                         ud])
     tf = time.perf_counter()
     return x, us, ((tb - ta) + (td - tc), (tc - tb) + (te - td), tf - te)
@@ -419,10 +411,11 @@ def _run(ctx, size, mesh_s, mesh_d, pairing, bc, per_sample_stop):
         t_factor += dt_factor
         lu_nnz += su.op_s.factorization.nnz + su.op_d.factorization.nnz
         # its chunks, each [samples, set-up, iterate block, Stokes block]; a
-        # single chunk keeps su uncopied
+        # single chunk keeps su uncopied, others (and each drop below) copy
+        # their columns in C order, so that every row range stays contiguous
         cuts = _chunk_cuts(stop - start)
         chunks = [[np.arange(start + a, start + b),
-                   su if len(cuts) == 2 else _columns(su, np.arange(a, b)),
+                   su if len(cuts) == 2 else replace(su, cols=su.cols[:, a:b].copy()),
                    np.zeros((m, b - a)), np.zeros((space_s.n_dofs, b - a))]
                   for a, b in zip(cuts[:-1], cuts[1:])]
         del su          # so each per-sample block is held once, by its chunk
@@ -436,7 +429,8 @@ def _run(ctx, size, mesh_s, mesh_d, pairing, bc, per_sample_stop):
                     # so the chunk's blocks hold exactly the active columns
                     keep = ~converged[ids]
                     done.append((ids[~keep], xa[:, ~keep], usa[:, ~keep]))
-                    chunk[:] = ids[keep], _columns(su, keep), xa[:, keep], usa[:, keep]
+                    chunk[:] = (ids[keep], replace(su, cols=su.cols.compress(keep, axis=1)),
+                                xa[:, keep], usa[:, keep])
                     ids, su, xa, usa = chunk
                 if len(ids):
                     new, us_new, dt = sweep(su, xa)
@@ -505,9 +499,9 @@ def check_converged_residual(report, ctx, bc):
     xi = np.array([s.xi for s in samples])
     dsum, gz = ctx.delta_s + ctx.delta_d, ctx.g * ctx.z
 
-    b_s = np.column_stack([assemble_stokes_volume_rhs(space_s, s.f_S) for s in samples])
-    b_d = np.column_stack([_darcy_sample_rhs(space_d, s, bc, j, ctx.g)
-                           for j, s in enumerate(samples)])
+    b_s, b_d, fixed = (np.empty((n, J)) for n in (space_s.n_dofs, space_d.n_dofs,
+                                                   len(space_s.fixed)))
+    _sample_rhs(space_s, space_d, bc, ctx.g, samples, range(J), b_s, b_d, fixed)
     n2 = len(g_S)
     slip = xi * (info_d.tangential @ ud - info_s.trace[n2:] @ us)
     r_s = (stokes_matrix(StokesElements(space_s, ctx.nu, info_s), ctx.delta_s, 0.0) @ us
@@ -516,10 +510,9 @@ def check_converged_residual(report, ctx, bc):
     for j, s in enumerate(samples):
         r_d[:, j] += darcy_matrix(space_d, ctx.g, inverse_diagonal(space_d, s.K), s.k_min,
                                   ctx.delta_d, info_d) @ report.ud[j]
-    b_s[space_s.fixed] = np.column_stack([stokes_dirichlet_values(space_s, bc.stokes_values, j)
-                                          for j in range(J)])
+    r_s[space_s.fixed] = us[space_s.fixed] - fixed
+    b_s[space_s.fixed] = fixed
     b_d[space_d.fixed] = 0.0
-    r_s[space_s.fixed] = us[space_s.fixed] - b_s[space_s.fixed]
     r_d[space_d.fixed] = ud[space_d.fixed]
     jump = g_S - g_D
     r = np.linalg.norm(np.vstack([r_s, r_d, jump - dsum * (info_d.normal @ ud) + gz,

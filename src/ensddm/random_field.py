@@ -10,6 +10,7 @@ is drawn from its own substream keyed by (seed, j), so enlarging J keeps the
 existing draws.
 """
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,8 +26,12 @@ class RandomFieldSpec:
     n_f: int = 3
 
     def __post_init__(self):
-        if self.a0 <= 0 or self.sigma < 0 or self.L_c <= 0 or self.n_f < 0:
-            raise ValueError("invalid random field parameters")
+        # NaN fails these too
+        if (not (0 < self.a0 < np.inf and 0 <= self.sigma < np.inf and 0 < self.L_c < np.inf)
+                or not isinstance(self.n_f, numbers.Integral) or isinstance(self.n_f, bool)
+                or self.n_f < 0):
+            raise ValueError("invalid random field parameters: a0 and L_c must be positive "
+                             "and finite, sigma non-negative and finite, n_f an integer >= 0")
 
 
 @dataclass(frozen=True)
@@ -62,8 +67,8 @@ def evaluate_k(spec, draw, y):
 
 def draw_samples(spec, J, seed):
     """J independent draws; draw j depends only on (seed, j)."""
-    if J < 1:
-        raise ValueError("J must be at least 1")
+    if not isinstance(J, numbers.Integral) or isinstance(J, bool) or J < 1:
+        raise ValueError("J must be an integer of at least 1")
     n = 2 * spec.n_f + 1
     draws = []
     for j in range(J):

@@ -243,7 +243,8 @@ def test_block_lag_rhs_matches_columns_and_tensor_oracle():
     assert not space.volume_op[:, heads].count_nonzero()
     start = np.zeros((space.n_dofs, k))
     start[heads] = rng.standard_normal((space.n_head, k))
-    lag_w = lag_weights(space, g, dW, dk)
+    rows = space.volume_op.shape[0]
+    lag_w = lag_weights(space, g, dW, dk, np.empty((rows, k)))
     block = add_darcy_lag_rhs(start.copy(), space, lag_w, U)
     assert np.array_equal(block[heads], start[heads])
     block[heads] = 0.0
@@ -251,7 +252,8 @@ def test_block_lag_rhs_matches_columns_and_tensor_oracle():
     shape = (md.n_tris, len(space.qw), 2, 2)
     for j in range(k):
         one = add_darcy_lag_rhs(np.zeros((space.n_dofs, 1)), space,
-                                lag_weights(space, g, dW[:, j:j + 1], dk[j:j + 1]),
+                                lag_weights(space, g, dW[:, j:j + 1], dk[j:j + 1],
+                                            np.empty((rows, 1))),
                                 U[:, j:j + 1])[:, 0]
         assert rel(block[:, j], one) <= 1e-13
         dW_full = (oracle_inv_tensor(mean, pts) - oracle_inv_tensor(fields[j], pts)).reshape(shape)

@@ -18,11 +18,12 @@ from ensddm.ensemble_driver import (make_sample, make_context, BoundaryCondition
                                     EnsembleDiagnostics,
                                     run_ensemble_ddm, run_traditional_ddm,
                                     check_converged_residual, _setup, sweep, _chunk_cuts,
-                                    stokes_dirichlet_values, _darcy_sample_rhs)
+                                    stokes_dirichlet_values)
 from ensddm.stokes_fem import (build_stokes_space, StokesElements, StokesInterfaceInfo,
                                assemble_stokes_volume_rhs, stokes_matrix)
 from ensddm.darcy_fem import (build_darcy_space, DarcyInterfaceInfo, darcy_matrix,
-                              inverse_diagonal)
+                              inverse_diagonal, assemble_darcy_volume_rhs,
+                              add_darcy_natural_head_rhs)
 from ensddm.mesh import Rect, build_rect_mesh, pair_interface
 from ensddm.norms import error_norms
 
@@ -72,8 +73,11 @@ def _monolithic_system(report, ctx, bc, j):
         [None, -dsum * info_d.normal, eye, -eye],
         [-dsum * info_s.trace[:n2], None, -eye, eye],
     ], format="csr")
-    b = np.concatenate([assemble_stokes_volume_rhs(space_s, sample.f_S),
-                        _darcy_sample_rhs(space_d, sample, bc, j, ctx.g),
+    b_d = assemble_darcy_volume_rhs(space_d, sample.f_D, sample.k_min, ctx.g)
+    if bc.darcy_natural_head is not None:
+        add_darcy_natural_head_rhs(b_d, space_d, bc.darcy_natural_tags,
+                                   lambda pts: bc.darcy_natural_head(j, pts), ctx.g)
+    b = np.concatenate([assemble_stokes_volume_rhs(space_s, sample.f_S), b_d,
                         np.full(n2, -ctx.g * ctx.z), np.full(n2, ctx.g * ctx.z)])
 
     # boundary rows become identity rows with their data
@@ -420,8 +424,9 @@ def test_one_sample_group_has_zero_lag_weights():
     bc = channel_bc()
     su, ratio = _setup(ctx, ctx.samples[1:2], *run_data(ctx, mesh_s, mesh_d, pairing, bc), bc,
                        range(1, 2))
-    assert su.lag_w.shape[1] == su.dxi.size == ratio.size == 1
-    assert not su.lag_w.any() and not su.dxi.any() and not ratio.any()
+    lag_w, dxi = np.split(su.cols, su.rows)[3::2]
+    assert lag_w.shape[1] == dxi.size == ratio.size == 1
+    assert not lag_w.any() and not dxi.any() and not ratio.any()
     assert not su.has_lag
 
 
@@ -756,13 +761,13 @@ def test_chunked_sweeps_move_values_at_rounding_level_only(monkeypatch, per_samp
 def _watch_set_ups_and_sweeps(monkeypatch):
     """Hook `_setup` and `sweep`: the set-ups made so far (weak references),
     and per sweep its set-up and whether each group's whole-width set-up,
-    or one of its per-sample blocks, was still alive."""
+    or its per-sample block, was still alive."""
     from ensddm import ensemble_driver
     made, swept = [], []
 
     def set_up(*args):
         su, ratio = _setup(*args)
-        made.append([weakref.ref(a) for a in (su, su.base_s, su.base_d, su.fixed_s, su.lag_w)])
+        made.append([weakref.ref(su), weakref.ref(su.cols)])
         return su, ratio
 
     def watched(su, x):
@@ -787,7 +792,7 @@ def test_a_wide_group_drops_its_whole_width_set_up_before_sweeping(monkeypatch, 
     run_ensemble_ddm(ctx, mesh_s, mesh_d, pairing, bc, per_sample_stop)
     assert len(made) == 1 and swept
     assert not any(any(alive) for _, alive in swept)
-    assert [su.base_s.shape[1] for su, _ in swept[:2]] == [8, 2]
+    assert [su.cols.shape[1] for su, _ in swept[:2]] == [8, 2]
 
 
 def test_a_group_of_at_most_chunk_columns_sweeps_its_set_up_uncopied(monkeypatch):
@@ -795,3 +800,46 @@ def test_a_group_of_at_most_chunk_columns_sweeps_its_set_up_uncopied(monkeypatch
     ctx, _, mesh_s, mesh_d, pairing, bc, _ = small_setup(k_list=(2.21, 4.11, 6.21), h=1 / 4)
     run_ensemble_ddm(ctx, mesh_s, mesh_d, pairing, bc)
     assert all(su is made[0][0]() for su, _ in swept)
+
+
+@pytest.mark.parametrize("per_sample_stop", [False, True])
+def test_chunks_and_frozen_drops_hold_the_group_block_columns_bitwise(monkeypatch,
+                                                                      per_sample_stop):
+    # ten samples in chunks of at most eight: every sweep's set-up holds,
+    # in each of its six row ranges, exactly the columns of the group's
+    # set-up block of the samples that chunk still sweeps
+    from ensddm import ensemble_driver
+    monkeypatch.setattr(ensemble_driver, "CHUNK", 8)
+    groups, swept = [], []
+
+    def set_up(*args):
+        su, ratio = _setup(*args)
+        groups.append((su.cols.copy(), su.rows.copy()))
+        return su, ratio
+
+    def watched(su, x):
+        swept.append((su.cols.copy(), su.rows.copy(), su.cols.flags.c_contiguous))
+        return sweep(su, x)
+
+    monkeypatch.setattr(ensemble_driver, "_setup", set_up)
+    monkeypatch.setattr(ensemble_driver, "sweep", watched)
+    ctx, _, mesh_s, mesh_d, pairing, bc, _ = small_setup(
+        k_list=tuple(np.linspace(2.0, 6.5, 10)), h=1 / 4)
+    report = run_ensemble_ddm(ctx, mesh_s, mesh_d, pairing, bc, per_sample_stop)
+    its = report.iterations
+    # a sample sweeps up to its own convergence with per-sample stop, and
+    # up to the group's last otherwise
+    last = its if per_sample_stop else np.full(ctx.J, its.max())
+    active = [ids for n in range(1, its.max() + 1) for a, b in ((0, 8), (8, 10))
+              for ids in [np.arange(a, b)[last[a:b] >= n]] if len(ids)]
+    if per_sample_stop:
+        assert len({len(ids) for ids in active}) > 2      # some columns were dropped
+    (block, rows), = groups
+    assert len(swept) == len(active)
+    for (cols, got_rows, contiguous), ids in zip(swept, active):
+        # C order, so that every row range is one contiguous block
+        assert contiguous and np.array_equal(got_rows, rows)
+        parts = list(zip(np.split(cols, rows), np.split(block, rows)))
+        assert len(parts) == 6
+        for got, want in parts:
+            assert np.array_equal(got, want[:, ids])

@@ -136,3 +136,17 @@ def test_the_interface_mass_has_one_source():
                    for scope, line, name in _reads(tree, readers)
                    if scope not in readers[name]]
     assert not others
+
+
+def test_one_builder_makes_the_sample_right_hand_sides():
+    # the set-up and the residual check take each sample's forcing, natural
+    # head data and boundary values from the one builder `_sample_rhs`
+    builders = {"assemble_stokes_volume_rhs", "assemble_darcy_volume_rhs",
+                "add_darcy_natural_head_rhs", "stokes_dirichlet_values"}
+    path = Path(ensddm.__file__).parent / "ensemble_driver.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    reads = list(_reads(tree, builders))
+    assert {name for _, _, name in reads} == builders
+    others = [f"{path.name}:{line} {scope} reads {name}"
+              for scope, line, name in reads if scope != "_sample_rhs"]
+    assert not others

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ensddm.bench_cli import ConfigError, ScenarioConfig
 from ensddm.random_field import (RandomFieldSpec, Draw, kl_eigenvalues, evaluate_k,
                                  draw_samples, SQRT3)
 
@@ -76,3 +77,23 @@ def test_positivity_bound():
     ys = np.linspace(-3.0, 0.0, 13)
     lo = min(evaluate_k(spec, d, ys).min() for d in draws)
     assert lo >= 0.29
+
+
+def test_spec_and_draw_count_reject_bad_input():
+    # NaN passes a plain range comparison, and n_f = 2.5 would fail only
+    # later, inside draw_samples
+    for bad in (dict(a0=np.nan), dict(sigma=np.nan), dict(L_c=np.nan), dict(a0=np.inf),
+                dict(sigma=np.inf), dict(L_c=np.inf), dict(a0=0.0), dict(sigma=-0.1),
+                dict(L_c=0.0), dict(n_f=-1), dict(n_f=2.5), dict(n_f=3.0), dict(n_f=True)):
+        with pytest.raises(ValueError):
+            RandomFieldSpec(**bad)
+    assert kl_eigenvalues(RandomFieldSpec(sigma=0.0, n_f=np.int64(2))).size == 3
+    spec = RandomFieldSpec()
+    for J in (0, 2.5, 2.0, True, None):
+        with pytest.raises(ValueError):
+            draw_samples(spec, J, seed=1)
+    assert len(draw_samples(spec, np.int64(2), seed=1)) == 2
+    # a scenario's field keys reach the spec through its validation
+    for bad in (dict(field_nf=2.5), dict(field_nf=-1), dict(field_a0=0.0)):
+        with pytest.raises(ConfigError):
+            ScenarioConfig(**bad).validate()
